@@ -3,15 +3,17 @@
 //! computation, per dataset and per |X|.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use remedy_core::identify::identify_in;
-use remedy_core::{try_identify_over, Algorithm, Enumeration, Hierarchy, IbsParams};
+use remedy_core::{
+    identify_in_with, try_identify_over, Algorithm, Enumeration, Hierarchy, IbsParams,
+};
 use remedy_dataset::synth::{self, ADULT_SCALABILITY_PROTECTED};
+use remedy_obs::Scope as ObsScope;
 
 fn bench_hierarchy_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("hierarchy_build");
     let compas = synth::compas(42);
     group.bench_function("compas_|X|=3", |b| {
-        b.iter(|| Hierarchy::build(std::hint::black_box(&compas)))
+        b.iter(|| Hierarchy::try_build(std::hint::black_box(&compas)).unwrap())
     });
     let adult = synth::adult_n(10_000, 42);
     for k in [4usize, 6, 8] {
@@ -20,7 +22,7 @@ fn bench_hierarchy_build(c: &mut Criterion) {
             .map(|n| adult.schema().require(n).unwrap())
             .collect();
         group.bench_with_input(BenchmarkId::new("adult10k", k), &cols, |b, cols| {
-            b.iter(|| Hierarchy::build_over(std::hint::black_box(&adult), cols))
+            b.iter(|| Hierarchy::try_build_over(std::hint::black_box(&adult), cols).unwrap())
         });
     }
     group.finish();
@@ -30,17 +32,20 @@ fn bench_identification(c: &mut Criterion) {
     let mut group = c.benchmark_group("identify");
     let adult = synth::adult_n(10_000, 42);
     let params = IbsParams::default();
+    let off = ObsScope::disabled();
     for k in [4usize, 6, 8] {
         let cols: Vec<usize> = ADULT_SCALABILITY_PROTECTED[..k]
             .iter()
             .map(|n| adult.schema().require(n).unwrap())
             .collect();
-        let hierarchy = Hierarchy::build_over(&adult, &cols);
+        let hierarchy = Hierarchy::try_build_over(&adult, &cols).unwrap();
         group.bench_with_input(BenchmarkId::new("naive", k), &hierarchy, |b, h| {
-            b.iter(|| identify_in(std::hint::black_box(h), &params, Algorithm::Naive))
+            b.iter(|| identify_in_with(std::hint::black_box(h), &params, Algorithm::Naive, &off))
         });
         group.bench_with_input(BenchmarkId::new("optimized", k), &hierarchy, |b, h| {
-            b.iter(|| identify_in(std::hint::black_box(h), &params, Algorithm::Optimized))
+            b.iter(|| {
+                identify_in_with(std::hint::black_box(h), &params, Algorithm::Optimized, &off)
+            })
         });
     }
     group.finish();

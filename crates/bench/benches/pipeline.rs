@@ -16,9 +16,9 @@
 //! `speedup_at_8`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use remedy_core::identify::identify_in;
-use remedy_core::{Algorithm, IbsParams, ShardCounts};
+use remedy_core::{try_identify_counts_with, Algorithm, IbsParams, ShardCounts};
 use remedy_dataset::{store, synth};
+use remedy_obs::Scope as ObsScope;
 use remedy_pipeline::{run, PipelineOptions, Plan};
 use std::time::{Duration, Instant};
 
@@ -89,8 +89,15 @@ fn bench_sharded(c: &mut Criterion) {
                 for part in iter {
                     merged.merge(&part).unwrap();
                 }
-                let hierarchy = merged.into_hierarchy().unwrap();
-                std::hint::black_box(identify_in(&hierarchy, &params, Algorithm::Optimized));
+                std::hint::black_box(
+                    try_identify_counts_with(
+                        merged,
+                        &params,
+                        Algorithm::Optimized,
+                        &ObsScope::disabled(),
+                    )
+                    .unwrap(),
+                );
                 slowest + tail.elapsed()
             })
         });

@@ -3,8 +3,9 @@
 //! incremental-vs-scan counting comparison on a larger lattice.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use remedy_core::{remedy, remedy_over, remedy_over_scan, RemedyParams, Scope, Technique};
+use remedy_core::{remedy, remedy_over_scan, remedy_over_with, RemedyParams, Scope, Technique};
 use remedy_dataset::synth;
+use remedy_obs::Scope as ObsScope;
 
 fn bench_techniques(c: &mut Criterion) {
     let mut group = c.benchmark_group("remedy_technique");
@@ -57,7 +58,14 @@ fn bench_remedy_large(c: &mut Criterion) {
         .build()
         .unwrap();
     group.bench_function("incremental", |b| {
-        b.iter(|| remedy_over(std::hint::black_box(&data), &cols, &params))
+        b.iter(|| {
+            remedy_over_with(
+                std::hint::black_box(&data),
+                &cols,
+                &params,
+                &ObsScope::disabled(),
+            )
+        })
     });
     group.bench_function("scan", |b| {
         b.iter(|| remedy_over_scan(std::hint::black_box(&data), &cols, &params))

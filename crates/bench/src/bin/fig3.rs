@@ -45,8 +45,8 @@ fn main() {
         .min_size(30)
         .build()
         .unwrap();
-    let ibs =
-        remedy_core::identify::identify_over(&train_set, &columns, &params, Algorithm::Optimized);
+    let ibs = remedy_core::try_identify_over(&train_set, &columns, &params, Algorithm::Optimized)
+        .expect("protected columns fit the dense lattice");
     println!(
         "IBS on training data: {} biased regions (τ_c = {}, T = 1)\n",
         ibs.len(),

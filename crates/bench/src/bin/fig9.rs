@@ -20,10 +20,12 @@
 
 use remedy_bench::table::TsvWriter;
 use remedy_bench::timing::time_it;
-use remedy_core::identify::identify_in;
-use remedy_core::{remedy::remedy_over, Algorithm, Hierarchy, IbsParams, RemedyParams, Technique};
+use remedy_core::{
+    identify_in_with, remedy_over_with, Algorithm, Hierarchy, IbsParams, RemedyParams, Technique,
+};
 use remedy_dataset::synth::{self, ADULT_SCALABILITY_PROTECTED};
 use remedy_dataset::Dataset;
+use remedy_obs::Scope as ObsScope;
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -62,9 +64,18 @@ fn sweep_attrs() {
         let cols = protected_cols(&data, k);
         // hierarchy construction is shared by both algorithms; the
         // naive/optimized asymmetry is in the per-region neighbor work
-        let (hierarchy, t_build) = time_it(|| Hierarchy::build_over(&data, &cols));
-        let (ibs_naive, t_naive) = time_it(|| identify_in(&hierarchy, &params, Algorithm::Naive));
-        let (ibs_opt, t_opt) = time_it(|| identify_in(&hierarchy, &params, Algorithm::Optimized));
+        let (hierarchy, t_build) = time_it(|| Hierarchy::try_build_over(&data, &cols).unwrap());
+        let (ibs_naive, t_naive) = time_it(|| {
+            identify_in_with(&hierarchy, &params, Algorithm::Naive, &ObsScope::disabled())
+        });
+        let (ibs_opt, t_opt) = time_it(|| {
+            identify_in_with(
+                &hierarchy,
+                &params,
+                Algorithm::Optimized,
+                &ObsScope::disabled(),
+            )
+        });
         assert_eq!(ibs_naive.len(), ibs_opt.len(), "algorithms must agree");
         ident.row(&[
             k.to_string(),
@@ -96,7 +107,8 @@ fn sweep_attrs() {
                 .technique(technique)
                 .build()
                 .unwrap();
-            let (_, secs) = time_it(|| remedy_over(&data, &cols, &params));
+            let (_, secs) =
+                time_it(|| remedy_over_with(&data, &cols, &params, &ObsScope::disabled()));
             cells.push(format!("{secs:.3}"));
         }
         rem.row(&cells);
@@ -128,9 +140,18 @@ fn sweep_size() {
     for n in [5_000usize, 15_000, 25_000, 35_000, 45_222] {
         let data = synth::adult_n(n, 42);
         let cols = protected_cols(&data, 8);
-        let (hierarchy, t_build) = time_it(|| Hierarchy::build_over(&data, &cols));
-        let (ibs_naive, t_naive) = time_it(|| identify_in(&hierarchy, &params, Algorithm::Naive));
-        let (ibs_opt, t_opt) = time_it(|| identify_in(&hierarchy, &params, Algorithm::Optimized));
+        let (hierarchy, t_build) = time_it(|| Hierarchy::try_build_over(&data, &cols).unwrap());
+        let (ibs_naive, t_naive) = time_it(|| {
+            identify_in_with(&hierarchy, &params, Algorithm::Naive, &ObsScope::disabled())
+        });
+        let (ibs_opt, t_opt) = time_it(|| {
+            identify_in_with(
+                &hierarchy,
+                &params,
+                Algorithm::Optimized,
+                &ObsScope::disabled(),
+            )
+        });
         assert_eq!(ibs_naive.len(), ibs_opt.len());
         ident.row(&[
             n.to_string(),
@@ -146,7 +167,7 @@ fn sweep_size() {
                 .technique(technique)
                 .build()
                 .unwrap();
-            let (_, secs) = time_it(|| remedy_over(&data, &cols, &rp));
+            let (_, secs) = time_it(|| remedy_over_with(&data, &cols, &rp, &ObsScope::disabled()));
             cells.push(format!("{secs:.3}"));
         }
         rem.row(&cells);

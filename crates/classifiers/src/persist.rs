@@ -270,7 +270,9 @@ fn read_tree(lines: &mut std::str::Lines<'_>) -> Result<DecisionTree, PersistErr
         .strip_prefix("nodes ")
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| PersistError::Malformed("bad nodes header".into()))?;
-    let mut nodes = Vec::with_capacity(n);
+    // the header count is untrusted and no input length is at hand here:
+    // grow with the nodes actually read instead of reserving `n`
+    let mut nodes = Vec::new();
     for _ in 0..n {
         let line = lines
             .next()
@@ -402,5 +404,13 @@ mod tests {
             Err(PersistError::Malformed(_))
         ));
         assert!(load_from_path("/nonexistent/path.model").is_err());
+    }
+
+    /// The node count is untrusted: a huge one must yield a typed error,
+    /// not a "capacity overflow" panic from pre-allocating it.
+    #[test]
+    fn huge_node_count_is_a_typed_error() {
+        let text = format!("remedy-model v1\nkind decision-tree\nnodes {}\n", u64::MAX);
+        assert!(matches!(from_text(&text), Err(PersistError::Malformed(_))));
     }
 }

@@ -9,8 +9,8 @@ use remedy_classifiers::{
 use remedy_classifiers::{DecisionTree, DecisionTreeParams};
 use remedy_core::hypothesis::{validate_on_columns, IbsMark};
 use remedy_core::{
-    identify_in_parallel_with, identify_in_with, remedy as remedy_data, try_identify_over_with,
-    Algorithm, Enumeration, Hierarchy, IbsParams, Neighborhood, RemedyParams, Scope, Technique,
+    remedy as remedy_data, try_identify_over_with, Algorithm, Enumeration, IbsParams, Neighborhood,
+    RemedyParams, Scope, Technique,
 };
 use remedy_dataset::csv::{self, LoadOptions, RawTable};
 use remedy_dataset::persist as data_persist;
@@ -172,13 +172,42 @@ fn ibs_params(args: &Args) -> Result<IbsParams, CliError> {
         .min_size(args.get_parsed("min-size", 30u64)?)
         .neighborhood(parse_neighborhood(args)?)
         .scope(parse_scope(args)?)
-        .enumeration(if args.flag("pruned") {
-            Enumeration::Pruned
-        } else {
-            Enumeration::Dense
-        })
+        .enumeration(parse_enumeration(args))
         .build()
         .map_err(|e| CliError(e.to_string()))
+}
+
+/// `--pruned` selects the support-pruned lattice enumeration.
+fn parse_enumeration(args: &Args) -> Enumeration {
+    if args.flag("pruned") {
+        Enumeration::Pruned
+    } else {
+        Enumeration::Dense
+    }
+}
+
+/// `--model dt|rf|lg|nn` (default `dt`).
+fn parse_model(args: &Args) -> Result<ModelKind, CliError> {
+    match args.get("model").unwrap_or("dt") {
+        "dt" => Ok(ModelKind::DecisionTree),
+        "rf" => Ok(ModelKind::RandomForest),
+        "lg" => Ok(ModelKind::LogisticRegression),
+        "nn" => Ok(ModelKind::NeuralNetwork),
+        other => Err(CliError(format!("--model: unknown `{other}`"))),
+    }
+}
+
+/// The recorder `--trace <path>` streams to, or `otherwise()` without
+/// the option.
+fn trace_recorder(
+    args: &Args,
+    otherwise: fn() -> remedy_obs::Recorder,
+) -> Result<remedy_obs::Recorder, CliError> {
+    match args.get("trace") {
+        Some(path) => remedy_obs::Recorder::to_path(path)
+            .map_err(|e| CliError(format!("cannot open trace {path}: {e}"))),
+        None => Ok(otherwise()),
+    }
 }
 
 fn parse_neighborhood(args: &Args) -> Result<Neighborhood, CliError> {
@@ -225,8 +254,7 @@ fn cmd_identify(raw: Vec<String>) -> Result<(), CliError> {
         println!(
             "remedy identify <csv|adult|compas|law|wide> [--label Y --protected a,b] \
              [--tau 0.1] [--min-size 30] [--neighborhood unit|full|<radius>] \
-             [--scope lattice|leaf|top] [--pruned] [--top 20] [--threads N] \
-             [--trace trace.jsonl]"
+             [--scope lattice|leaf|top] [--pruned] [--top 20] [--trace trace.jsonl]"
         );
         return Ok(());
     }
@@ -238,32 +266,16 @@ fn cmd_identify(raw: Vec<String>) -> Result<(), CliError> {
         "scope",
         "pruned",
         "top",
-        "threads",
         "trace",
     ]);
     args.check_known(&known)?;
     let data = load_input(&args)?;
     let params = ibs_params(&args)?;
-    let recorder = match args.get("trace") {
-        Some(path) => remedy_obs::Recorder::to_path(path)
-            .map_err(|e| CliError(format!("cannot open trace {path}: {e}")))?,
-        None => remedy_obs::Recorder::disabled(),
-    };
+    let recorder = trace_recorder(&args, remedy_obs::Recorder::disabled)?;
     let obs = recorder.scope("identify");
     let protected = data.schema().protected_indices();
-    let ibs = match (params.enumeration, args.get_parsed("threads", 1usize)?) {
-        (Enumeration::Pruned, _) => {
-            try_identify_over_with(&data, &protected, &params, Algorithm::Optimized, &obs)
-                .map_err(|e| CliError(e.to_string()))?
-        }
-        (Enumeration::Dense, threads) => {
-            let hierarchy = Hierarchy::try_build(&data).map_err(|e| CliError(e.to_string()))?;
-            match threads {
-                1 => identify_in_with(&hierarchy, &params, Algorithm::Optimized, &obs),
-                n => identify_in_parallel_with(&hierarchy, &params, Algorithm::Optimized, n, &obs),
-            }
-        }
-    };
+    let ibs = try_identify_over_with(&data, &protected, &params, Algorithm::Optimized, &obs)
+        .map_err(|e| CliError(e.to_string()))?;
     recorder.finish();
     let top = args.get_parsed("top", 20usize)?;
     println!(
@@ -320,11 +332,7 @@ fn cmd_remedy(raw: Vec<String>) -> Result<(), CliError> {
         .neighborhood(parse_neighborhood(&args)?)
         .scope(parse_scope(&args)?)
         .seed(args.get_parsed("seed", 42u64)?)
-        .enumeration(if args.flag("pruned") {
-            Enumeration::Pruned
-        } else {
-            Enumeration::Dense
-        })
+        .enumeration(parse_enumeration(&args))
         .build()
         .map_err(|e| CliError(e.to_string()))?;
     let outcome = remedy_data(&data, &params);
@@ -375,13 +383,7 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
             .map_err(|e| CliError(e.to_string()))?;
         train_set = remedy_data(&train_set, &params).dataset;
     }
-    let model_kind = match args.get("model").unwrap_or("dt") {
-        "dt" => ModelKind::DecisionTree,
-        "rf" => ModelKind::RandomForest,
-        "lg" => ModelKind::LogisticRegression,
-        "nn" => ModelKind::NeuralNetwork,
-        other => return Err(CliError(format!("--model: unknown `{other}`"))),
-    };
+    let model_kind = parse_model(&args)?;
     let stat = match args.get("stat").unwrap_or("fpr") {
         "fpr" => Statistic::Fpr,
         "fnr" => Statistic::Fnr,
@@ -686,11 +688,7 @@ fn cmd_serve(raw: Vec<String>) -> Result<(), CliError> {
         "trace",
         "help",
     ])?;
-    let recorder = match args.get("trace") {
-        Some(path) => remedy_obs::Recorder::to_path(path)
-            .map_err(|e| CliError(format!("cannot open trace {path}: {e}")))?,
-        None => remedy_obs::Recorder::enabled(),
-    };
+    let recorder = trace_recorder(&args, remedy_obs::Recorder::enabled)?;
     let defaults = remedy_serve::ServeOptions::default();
     let options = remedy_serve::ServeOptions {
         addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
@@ -788,11 +786,7 @@ fn cmd_cache(raw: Vec<String>) -> Result<(), CliError> {
         )));
     }
     args.check_known(&["cache", "max-bytes", "max-age-secs", "trace", "help"])?;
-    let recorder = match args.get("trace") {
-        Some(path) => remedy_obs::Recorder::to_path(path)
-            .map_err(|e| CliError(format!("cannot open trace {path}: {e}")))?,
-        None => remedy_obs::Recorder::disabled(),
-    };
+    let recorder = trace_recorder(&args, remedy_obs::Recorder::disabled)?;
     let cache = remedy_pipeline::ArtifactCache::open(args.get("cache").unwrap_or(".remedy-cache"))
         .map_err(|e| CliError(e.to_string()))?
         .with_obs(recorder.scope("cache"));
@@ -840,13 +834,7 @@ fn cmd_report(raw: Vec<String>) -> Result<(), CliError> {
     let seed = args.get_parsed("seed", 42u64)?;
     let (train_set, test_set) =
         train_test_split(&data, 0.7, seed).map_err(|e| CliError(e.to_string()))?;
-    let model_kind = match args.get("model").unwrap_or("dt") {
-        "dt" => ModelKind::DecisionTree,
-        "rf" => ModelKind::RandomForest,
-        "lg" => ModelKind::LogisticRegression,
-        "nn" => ModelKind::NeuralNetwork,
-        other => return Err(CliError(format!("--model: unknown `{other}`"))),
-    };
+    let model_kind = parse_model(&args)?;
     let model = train(model_kind, &train_set, seed);
     let predictions = model.predict(&test_set);
     let config = AuditConfig {
@@ -948,13 +936,7 @@ fn cmd_hypothesis(raw: Vec<String>) -> Result<(), CliError> {
     } else {
         data.schema().protected_indices()
     };
-    let kind = match args.get("model").unwrap_or("dt") {
-        "dt" => ModelKind::DecisionTree,
-        "rf" => ModelKind::RandomForest,
-        "lg" => ModelKind::LogisticRegression,
-        "nn" => ModelKind::NeuralNetwork,
-        other => return Err(CliError(format!("--model: unknown `{other}`"))),
-    };
+    let kind = parse_model(&args)?;
     let stat = match args.get("stat").unwrap_or("fpr") {
         "fpr" => Statistic::Fpr,
         "fnr" => Statistic::Fnr,
@@ -1009,13 +991,7 @@ fn cmd_validate(raw: Vec<String>) -> Result<(), CliError> {
     known.extend(["model", "folds", "seed"]);
     args.check_known(&known)?;
     let data = load_input(&args)?;
-    let kind = match args.get("model").unwrap_or("dt") {
-        "dt" => ModelKind::DecisionTree,
-        "rf" => ModelKind::RandomForest,
-        "lg" => ModelKind::LogisticRegression,
-        "nn" => ModelKind::NeuralNetwork,
-        other => return Err(CliError(format!("--model: unknown `{other}`"))),
-    };
+    let kind = parse_model(&args)?;
     let folds = args.get_parsed("folds", 5usize)?;
     let seed = args.get_parsed("seed", 42u64)?;
     let result = remedy_classifiers::cross_validate(&data, kind, folds, seed);
@@ -1279,12 +1255,13 @@ mod tests {
     }
 
     #[test]
-    fn identify_accepts_threads() {
-        run(
+    fn identify_rejects_threads() {
+        let err = run(
             "identify",
             vec!["compas".into(), "--threads".into(), "2".into()],
         )
-        .unwrap();
+        .unwrap_err();
+        assert!(err.0.contains("unknown option --threads"), "{}", err.0);
     }
 
     #[test]

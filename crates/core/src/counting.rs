@@ -239,9 +239,11 @@ pub(crate) fn node_snapshot(
 /// key only balances per-shard work, it is not needed for correctness.
 ///
 /// Shards carry **unpruned** leaf counts. Support pruning happens once,
-/// globally, inside [`ShardCounts::into_sparse`]: pruning per shard
-/// would be unsound, since a region frequent over the whole dataset can
-/// sit below the support threshold in every individual shard.
+/// globally, when
+/// [`try_identify_counts_with`](crate::identify::try_identify_counts_with)
+/// identifies over the merged counts: pruning per shard would be
+/// unsound, since a region frequent over the whole dataset can sit below
+/// the support threshold in every individual shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCounts {
     protected: Vec<usize>,
@@ -369,7 +371,7 @@ impl ShardCounts {
     /// identical to [`Hierarchy::try_build_over`] on the concatenated
     /// shards. Fails with [`CoreError::DenseUnavailable`] past
     /// [`MAX_PROTECTED`] attributes.
-    pub fn into_hierarchy(self) -> Result<Hierarchy, CoreError> {
+    pub(crate) fn into_hierarchy(self) -> Result<Hierarchy, CoreError> {
         let p = self.protected.len();
         if p > MAX_PROTECTED {
             return Err(CoreError::DenseUnavailable { arity: p });
@@ -389,7 +391,7 @@ impl ShardCounts {
     /// accumulated leaves — identical to
     /// [`SparseHierarchy::try_build_over`] on the concatenated shards,
     /// because pruning sees the globally merged counts.
-    pub fn into_sparse(self, support: u64) -> Result<SparseHierarchy, CoreError> {
+    pub(crate) fn into_sparse(self, support: u64) -> Result<SparseHierarchy, CoreError> {
         let codec = KeyCodec::for_cards(&self.cards)?;
         SparseHierarchy::from_leaves(
             self.protected,
@@ -638,7 +640,7 @@ struct SparseMeta {
 ///
 /// Built once in a parallel pass, a dense index owns a full
 /// [`Hierarchy`] whose node maps it keeps equal to what
-/// `Hierarchy::build_over` would produce on the *current* dataset, at
+/// [`Hierarchy::try_build_over`] would produce on the *current* dataset, at
 /// O(2^p·p) per row edit instead of O(n·p) per node query. A sparse
 /// index (the `try_build_sparse*` constructors) maintains only the leaf
 /// counts — O(1) per row edit and O(distinct leaves) memory — and serves
@@ -679,26 +681,10 @@ pub struct RegionIndex {
 }
 
 impl RegionIndex {
-    /// Builds a dense index over the dataset's schema-declared protected
-    /// attributes, panicking on invalid columns (see [`try_build`]).
-    ///
-    /// [`try_build`]: RegionIndex::try_build
-    pub fn build(data: &Dataset) -> RegionIndex {
-        RegionIndex::try_build(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Builds a dense index over the schema-declared protected columns.
     pub fn try_build(data: &Dataset) -> Result<RegionIndex, CoreError> {
         let protected = data.schema().protected_indices();
         RegionIndex::try_build_over(data, &protected)
-    }
-
-    /// Builds a dense index over an explicit protected-column set,
-    /// panicking on invalid columns (see [`try_build_over`]).
-    ///
-    /// [`try_build_over`]: RegionIndex::try_build_over
-    pub fn build_over(data: &Dataset, protected: &[usize]) -> RegionIndex {
-        RegionIndex::try_build_over(data, protected).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds a dense index over an explicit protected-column set: one
@@ -882,7 +868,7 @@ impl RegionIndex {
     }
 
     /// The maintained hierarchy; its node maps always equal
-    /// `Hierarchy::build_over` on the current dataset — provided any
+    /// [`Hierarchy::try_build_over`] on the current dataset — provided any
     /// batched deltas have been flushed (see [`begin_deltas`]).
     ///
     /// # Panics
@@ -1310,7 +1296,7 @@ mod tests {
             live.apply_edit(&edit);
             edited.apply_edit(&edit);
         }
-        let rebuilt = RegionIndex::build(&edited);
+        let rebuilt = RegionIndex::try_build(&edited).unwrap();
         assert_hierarchy_eq(live.hierarchy(), rebuilt.hierarchy());
     }
 
@@ -1374,8 +1360,8 @@ mod tests {
     #[test]
     fn build_matches_hierarchy_build() {
         let d = fixture();
-        let index = RegionIndex::build(&d);
-        let h = Hierarchy::build(&d);
+        let index = RegionIndex::try_build(&d).unwrap();
+        let h = Hierarchy::try_build(&d).unwrap();
         assert_hierarchy_eq(index.hierarchy(), &h);
         assert_eq!(index.len(), d.len());
         let t = index.tally();
@@ -1386,7 +1372,7 @@ mod tests {
     #[test]
     fn region_rows_match_pattern_matching() {
         let d = fixture();
-        let index = RegionIndex::build(&d);
+        let index = RegionIndex::try_build(&d).unwrap();
         let h = index.hierarchy();
         for node in h.nodes() {
             for &key in node.regions.keys() {
@@ -1406,7 +1392,7 @@ mod tests {
     fn apply_and_check(d: &mut Dataset, index: &mut RegionIndex, edit: RowEdit) {
         index.apply_edit(&edit);
         d.apply_edit(&edit);
-        let fresh = RegionIndex::build(d);
+        let fresh = RegionIndex::try_build(d).unwrap();
         assert_hierarchy_eq(index.hierarchy(), fresh.hierarchy());
         assert_eq!(index.len(), d.len());
         for node in fresh.hierarchy().nodes() {
@@ -1424,7 +1410,7 @@ mod tests {
     #[test]
     fn edits_track_a_rebuild() {
         let mut d = fixture();
-        let mut index = RegionIndex::build(&d);
+        let mut index = RegionIndex::try_build(&d).unwrap();
         apply_and_check(&mut d, &mut index, RowEdit::Duplicate { src: 3 });
         apply_and_check(&mut d, &mut index, RowEdit::FlipLabel { row: 0 });
         apply_and_check(
@@ -1444,7 +1430,7 @@ mod tests {
     #[test]
     fn emptied_region_is_evicted() {
         let d = fixture();
-        let mut index = RegionIndex::build(&d);
+        let mut index = RegionIndex::try_build(&d).unwrap();
         // remove every row of one leaf region
         let h = index.hierarchy();
         let full = (1u32 << h.arity()) - 1;
@@ -1458,7 +1444,7 @@ mod tests {
     #[test]
     fn tally_flush_emits_and_resets() {
         let d = fixture();
-        let mut index = RegionIndex::build(&d);
+        let mut index = RegionIndex::try_build(&d).unwrap();
         index.apply_append(0);
         index.apply_flip(1);
         index.note_node_served();
@@ -1519,7 +1505,7 @@ mod tests {
     fn empty_dataset_index_answers_empty() {
         let schema = fixture().schema_arc();
         let empty = Dataset::new(schema);
-        let index = RegionIndex::build(&empty);
+        let index = RegionIndex::try_build(&empty).unwrap();
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);
         for mask in 1..=index.full_mask {
@@ -1531,7 +1517,7 @@ mod tests {
     #[test]
     fn fully_drained_index_answers_empty() {
         let d = fixture();
-        let mut index = RegionIndex::build(&d);
+        let mut index = RegionIndex::try_build(&d).unwrap();
         let full = index.full_mask;
         let keys: Vec<u128> = index
             .hierarchy()
@@ -1562,7 +1548,7 @@ mod tests {
         for edit in &edits {
             sparse.apply_edit(edit);
             d.apply_edit(edit);
-            let dense = RegionIndex::build(&d);
+            let dense = RegionIndex::try_build(&d).unwrap();
             // projected views equal the maintained dense lattice
             for node in dense.hierarchy().nodes() {
                 assert_eq!(sparse.project_node(node.mask), node.regions);
@@ -1653,7 +1639,7 @@ mod tests {
             }
             assert_eq!(merged, whole, "{shards} shards");
             let dense = merged.clone().into_hierarchy().unwrap();
-            assert_hierarchy_eq(&dense, &Hierarchy::build(&d));
+            assert_hierarchy_eq(&dense, &Hierarchy::try_build(&d).unwrap());
             let sparse = merged.into_sparse(2).unwrap();
             let direct = crate::sparse::SparseHierarchy::try_build(&d, 2).unwrap();
             assert_eq!(sparse.nodes().len(), direct.nodes().len());
@@ -1692,11 +1678,13 @@ mod tests {
     fn hierarchy_merge_from_matches_whole_build() {
         let d = fixture();
         let shards = round_robin(&d, 3);
-        let mut merged = Hierarchy::build(&shards[0]);
+        let mut merged = Hierarchy::try_build(&shards[0]).unwrap();
         for s in &shards[1..] {
-            merged.merge_from(&Hierarchy::build(s)).unwrap();
+            merged
+                .merge_from(&Hierarchy::try_build(s).unwrap())
+                .unwrap();
         }
-        assert_hierarchy_eq(&merged, &Hierarchy::build(&d));
+        assert_hierarchy_eq(&merged, &Hierarchy::try_build(&d).unwrap());
     }
 
     #[test]

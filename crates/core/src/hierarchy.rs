@@ -52,33 +52,23 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds the hierarchy with per-region class counts.
+    /// Builds the hierarchy with per-region class counts over the
+    /// schema-declared protected columns (see
+    /// [`Hierarchy::try_build_over`]).
     ///
     /// One pass aggregates the leaf cells; every other node is projected
     /// from a previously-computed superset node, so each region's counts
     /// are touched once per lattice edge rather than once per row.
-    pub fn build(data: &Dataset) -> Self {
-        Hierarchy::try_build(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Hierarchy::build`].
     pub fn try_build(data: &Dataset) -> Result<Self, crate::error::CoreError> {
         let protected = data.schema().protected_indices();
         Hierarchy::try_build_over(data, &protected)
     }
 
     /// Builds the hierarchy over an explicit set of protected columns
-    /// (used by the scalability experiments that extend the protected
-    /// set), panicking on invalid columns (see
-    /// [`Hierarchy::try_build_over`]).
-    pub fn build_over(data: &Dataset, protected: &[usize]) -> Self {
-        Hierarchy::try_build_over(data, protected).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the hierarchy over an explicit set of protected columns,
-    /// rejecting sets the packed-key representation cannot carry — more
-    /// than [`MAX_PROTECTED`] columns or any column with over 255
-    /// categories — with a typed error even in release builds.
+    /// (the scalability experiments extend the protected set), rejecting
+    /// sets the packed-key representation cannot carry — more than
+    /// [`MAX_PROTECTED`] columns or any column with over 255 categories —
+    /// with a typed error even in release builds.
     ///
     /// The leaf cells come from one parallel pass through the shared
     /// counting seam ([`crate::counting`]): keys are packed once into a
@@ -115,7 +105,7 @@ impl Hierarchy {
     /// Assembles the lattice from precomputed leaf counts: every
     /// non-leaf node is projected from the superset node with one extra
     /// attribute, touching each region once per lattice edge rather than
-    /// once per row. Shared by [`Hierarchy::build_over`] and
+    /// once per row. Shared by [`Hierarchy::try_build_over`] and
     /// [`crate::counting::RegionIndex`].
     pub(crate) fn from_leaf(
         protected: Vec<usize>,
@@ -345,7 +335,7 @@ mod tests {
     #[test]
     fn node_structure() {
         let d = data();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         assert_eq!(h.arity(), 2);
         assert_eq!(h.nodes().len(), 3); // {a}, {b}, {a,b}
         assert_eq!(h.node(0b01).attrs, vec![0]);
@@ -357,7 +347,7 @@ mod tests {
     #[test]
     fn counts_match_direct_filtering() {
         let d = data();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         for mask in 1u32..4 {
             let node = h.node(mask);
             for (&key, &counts) in &node.regions {
@@ -374,7 +364,7 @@ mod tests {
     #[test]
     fn projection_preserves_totals() {
         let d = data();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         for mask in 1u32..4 {
             let sum: u64 = h.node(mask).regions.values().map(|c| c.total()).sum();
             assert_eq!(sum, d.len() as u64, "node {mask} must partition D");
@@ -384,7 +374,7 @@ mod tests {
     #[test]
     fn pack_and_pattern_roundtrip() {
         let d = data();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let p = Pattern::from_terms([(0usize, 1u32), (1usize, 2u32)]);
         let (mask, key) = h.pack(&p).unwrap();
         assert_eq!(mask, 0b11);
@@ -408,7 +398,7 @@ mod tests {
     #[test]
     fn node_counts_matches_hierarchy() {
         let d = data();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let protected = d.schema().protected_indices();
         let counts = node_counts(&d, &protected, &[0, 1]);
         assert_eq!(counts.len(), h.node(0b11).regions.len());
@@ -421,7 +411,7 @@ mod tests {
     fn build_over_custom_protected_set() {
         let d = data();
         // treat only column b (index 1) as protected
-        let h = Hierarchy::build_over(&d, &[1]);
+        let h = Hierarchy::try_build_over(&d, &[1]).unwrap();
         assert_eq!(h.arity(), 1);
         assert_eq!(h.nodes().len(), 1);
         assert_eq!(h.node(1).regions.len(), 3);

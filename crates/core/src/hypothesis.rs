@@ -172,12 +172,13 @@ pub fn validate_on_columns(
     tau_d: f64,
     columns: &[usize],
 ) -> HypothesisValidation {
-    let ibs = crate::identify::identify_over(
+    let ibs = crate::identify::try_identify_over(
         train,
         columns,
         params,
         crate::identify::Algorithm::Optimized,
-    );
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let explorer = remedy_fairness::Explorer {
         min_support: 0.05,
         min_size: 30,

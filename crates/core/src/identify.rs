@@ -16,13 +16,14 @@
 //! work from `(c−1)·d·T` to `d·T`, which §V-B5 (and our Fig 9a bench)
 //! shows is a substantial constant-factor win.
 
+use crate::counting::{RegionIndex, ShardCounts};
 use crate::error::CoreError;
 use crate::hierarchy::{Hierarchy, Node};
 use crate::neighbor_model::{NeighborModel, NeighborTally};
 use crate::neighborhood::Neighborhood;
 use crate::params::{IbsParamsBuilder, ParamError};
 use crate::scope::Scope;
-use crate::score::{imbalance, is_defined, Counts};
+use crate::score::{is_defined, Counts};
 use crate::sparse::SparseHierarchy;
 use remedy_dataset::{Dataset, Pattern};
 use remedy_obs::Scope as ObsScope;
@@ -175,40 +176,18 @@ impl BiasedRegion {
     }
 }
 
-/// Identifies the IBS of a dataset, honoring `params.enumeration`
-/// (builds the dense hierarchy or the support-pruned one internally).
-/// Panics on invalid protected columns; see [`try_identify`].
+/// Identifies the IBS of a dataset over its schema-declared protected
+/// attributes, honoring `params.enumeration`. Panics on protected sets
+/// the enumeration cannot carry; see [`try_identify_over`].
 pub fn identify(data: &Dataset, params: &IbsParams, algorithm: Algorithm) -> Vec<BiasedRegion> {
-    try_identify(data, params, algorithm).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`identify`]: rejects protected sets the requested
-/// enumeration cannot carry with a typed error.
-pub fn try_identify(
-    data: &Dataset,
-    params: &IbsParams,
-    algorithm: Algorithm,
-) -> Result<Vec<BiasedRegion>, CoreError> {
     let protected = data.schema().protected_indices();
-    try_identify_over(data, &protected, params, algorithm)
+    try_identify_over(data, &protected, params, algorithm).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Identifies the IBS over an explicit protected-column set (used by the
-/// scalability experiments that grow `|X|` beyond the schema's default).
-/// Panics on invalid protected columns; see [`try_identify_over`].
-pub fn identify_over(
-    data: &Dataset,
-    protected: &[usize],
-    params: &IbsParams,
-    algorithm: Algorithm,
-) -> Vec<BiasedRegion> {
-    try_identify_over(data, protected, params, algorithm).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`identify_over`], dispatching on
-/// `params.enumeration`: the pruned mode builds a [`SparseHierarchy`] at
-/// `support = min_size` — the exact threshold below which the dense scan
-/// ignores regions anyway, so results are byte-identical.
+/// Identifies the IBS over an explicit protected-column set (the
+/// scalability experiments grow `|X|` beyond the schema's default),
+/// rejecting sets the requested enumeration cannot carry with a typed
+/// error.
 pub fn try_identify_over(
     data: &Dataset,
     protected: &[usize],
@@ -218,7 +197,10 @@ pub fn try_identify_over(
     try_identify_over_with(data, protected, params, algorithm, &ObsScope::disabled())
 }
 
-/// [`try_identify_over`] with observability.
+/// [`try_identify_over`] with observability, dispatching on
+/// `params.enumeration`: the pruned mode builds a [`SparseHierarchy`] at
+/// `support = min_size` — the exact threshold below which the dense scan
+/// ignores regions anyway, so results are byte-identical.
 pub fn try_identify_over_with(
     data: &Dataset,
     protected: &[usize],
@@ -238,47 +220,36 @@ pub fn try_identify_over_with(
     }
 }
 
-/// Identifies the IBS over a prebuilt hierarchy. (A prebuilt hierarchy
-/// is already densely enumerated, so `params.enumeration` plays no role
-/// here — dispatch happens in [`try_identify_over`] and
-/// [`try_identify_in_index`].)
-pub fn identify_in(
-    hierarchy: &Hierarchy,
+/// Identifies the IBS over the merged counts of a sharded scan, honoring
+/// `params.enumeration`: the dense lattice or the support-pruned one is
+/// assembled from the accumulated leaves, so the result is byte-identical
+/// to [`try_identify_over_with`] on the concatenated shards.
+pub fn try_identify_counts_with(
+    counts: ShardCounts,
     params: &IbsParams,
     algorithm: Algorithm,
-) -> Vec<BiasedRegion> {
-    identify_in_with(hierarchy, params, algorithm, &ObsScope::disabled())
+    obs: &ObsScope,
+) -> Result<Vec<BiasedRegion>, CoreError> {
+    match params.enumeration {
+        Enumeration::Dense => {
+            let hierarchy = counts.into_hierarchy()?;
+            Ok(identify_in_with(&hierarchy, params, algorithm, obs))
+        }
+        Enumeration::Pruned => {
+            let sparse = counts.into_sparse(params.min_size)?;
+            Ok(identify_in_sparse_with(&sparse, params, algorithm, obs))
+        }
+    }
 }
 
-/// Identifies biased regions in a (possibly delta-maintained)
-/// [`RegionIndex`](crate::counting::RegionIndex). Panics when the index
-/// kind cannot serve the requested enumeration; see
-/// [`try_identify_in_index`].
-pub fn identify_in_index(
-    index: &crate::counting::RegionIndex,
-    params: &IbsParams,
-    algorithm: Algorithm,
-) -> Vec<BiasedRegion> {
-    try_identify_in_index(index, params, algorithm).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Identifies biased regions in a maintained index, honoring
+/// Identifies biased regions in a maintained [`RegionIndex`], honoring
 /// `params.enumeration`. A dense index serves the dense scan directly
 /// (its hierarchy always equals a fresh build over the current rows) and
 /// the pruned scan by enumerating from its leaf node; a sparse index
 /// serves only the pruned scan — asking it for a dense one is
 /// [`CoreError::DenseUnavailable`].
-pub fn try_identify_in_index(
-    index: &crate::counting::RegionIndex,
-    params: &IbsParams,
-    algorithm: Algorithm,
-) -> Result<Vec<BiasedRegion>, CoreError> {
-    try_identify_in_index_with(index, params, algorithm, &ObsScope::disabled())
-}
-
-/// [`try_identify_in_index`] with observability.
 pub fn try_identify_in_index_with(
-    index: &crate::counting::RegionIndex,
+    index: &RegionIndex,
     params: &IbsParams,
     algorithm: Algorithm,
     obs: &ObsScope,
@@ -302,17 +273,9 @@ pub fn try_identify_in_index_with(
 /// Identifies the IBS over a prebuilt support-pruned hierarchy.
 ///
 /// The hierarchy must have been pruned at `support ≤ min_size`;
-/// otherwise nodes the dense scan would score could be missing.
-pub fn identify_in_sparse(
-    sparse: &SparseHierarchy,
-    params: &IbsParams,
-    algorithm: Algorithm,
-) -> Vec<BiasedRegion> {
-    identify_in_sparse_with(sparse, params, algorithm, &ObsScope::disabled())
-}
-
-/// [`identify_in_sparse`] with observability: same counters and
-/// per-level timing histograms as the dense scan.
+/// otherwise nodes the dense scan would score could be missing. Records
+/// the same counters and per-level timing histograms as the dense scan
+/// ([`identify_in_with`]).
 pub fn identify_in_sparse_with(
     sparse: &SparseHierarchy,
     params: &IbsParams,
@@ -327,47 +290,30 @@ pub fn identify_in_sparse_with(
     );
     let _span = obs.span("identify_in_sparse");
     let mut result = Vec::new();
-    let total_levels = sparse.arity();
-    let mut masks: Vec<u32> = sparse
-        .nodes()
-        .iter()
-        .map(|n| n.mask)
-        .filter(|&m| params.scope.includes(m.count_ones() as usize, total_levels))
-        .collect();
-    masks.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
-    let mut i = 0;
-    while i < masks.len() {
-        let level = masks[i].count_ones();
-        let timer = obs.timer();
-        let mut tally = ScanTally::default();
-        while i < masks.len() && masks[i].count_ones() == level {
-            let mask = masks[i];
-            let node = sparse.node(mask).expect("enumerated mask");
-            let model = NeighborModel::for_sparse(sparse, node, params.neighborhood, algorithm);
-            scan_regions(
-                mask,
-                &node.regions,
-                &model,
-                params,
-                &mut tally,
-                &mut result,
-                |key| sparse.pattern_of(mask, key),
-            );
-            i += 1;
-        }
-        tally.flush(obs);
-        if timer.is_some() {
-            obs.observe_since(&format!("level{level}_us"), timer);
-        }
-    }
+    let masks = scoped_masks(sparse.nodes(), sparse.arity(), params);
+    scan_levels(&masks, obs, |mask, tally| {
+        let node = sparse.node(mask).expect("enumerated mask");
+        let model = NeighborModel::for_sparse(sparse, node, params.neighborhood, algorithm);
+        scan_regions(
+            mask,
+            &node.regions,
+            &model,
+            params,
+            tally,
+            &mut result,
+            |key| sparse.pattern_of(mask, key),
+        );
+    });
     sort_regions(&mut result);
     result
 }
 
-/// [`identify_in`] with observability: records regions scanned / skipped
-/// by `min_size` / flagged, neighbor lookups, and a per-level timing
-/// histogram into `obs`. Counters are tallied in locals and flushed per
-/// level, so a disabled scope keeps the hot loop within benchmark noise.
+/// Identifies the IBS over a prebuilt dense hierarchy. (A prebuilt
+/// hierarchy is already enumerated, so `params.enumeration` plays no role
+/// here.) Records regions scanned / skipped by `min_size` / flagged,
+/// neighbor lookups, and a per-level timing histogram into `obs`.
+/// Counters are tallied in locals and flushed per level, so a disabled
+/// scope keeps the hot loop within benchmark noise.
 pub fn identify_in_with(
     hierarchy: &Hierarchy,
     params: &IbsParams,
@@ -376,23 +322,48 @@ pub fn identify_in_with(
 ) -> Vec<BiasedRegion> {
     let _span = obs.span("identify_in");
     let mut result = Vec::new();
-    // bottom-up: leaf level first
-    let mut masks: Vec<u32> = scoped_masks(hierarchy, params);
+    let masks = scoped_masks(hierarchy.nodes(), hierarchy.arity(), params);
+    scan_levels(&masks, obs, |mask, tally| {
+        let node = hierarchy.node(mask);
+        // one model per node: sibling projections / totals / distance
+        // table are built once, then every region queries through it
+        let model = NeighborModel::for_node(hierarchy, node, params.neighborhood, algorithm);
+        scan_regions(
+            mask,
+            &node.regions,
+            &model,
+            params,
+            tally,
+            &mut result,
+            |key| hierarchy.pattern_of(mask, key),
+        );
+    });
+    sort_regions(&mut result);
+    result
+}
+
+/// Masks of the nodes the params' scope covers, bottom-up: leaf level
+/// first.
+fn scoped_masks(nodes: &[Node], total_levels: usize, params: &IbsParams) -> Vec<u32> {
+    let mut masks: Vec<u32> = nodes
+        .iter()
+        .map(|n| n.mask)
+        .filter(|&m| params.scope.includes(m.count_ones() as usize, total_levels))
+        .collect();
     masks.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
+    masks
+}
+
+/// Runs `scan_node` over level-sorted `masks`, one [`ScanTally`] and one
+/// `level{d}_us` timing per level.
+fn scan_levels(masks: &[u32], obs: &ObsScope, mut scan_node: impl FnMut(u32, &mut ScanTally)) {
     let mut i = 0;
     while i < masks.len() {
         let level = masks[i].count_ones();
         let timer = obs.timer();
         let mut tally = ScanTally::default();
         while i < masks.len() && masks[i].count_ones() == level {
-            scan_node(
-                hierarchy,
-                masks[i],
-                params,
-                algorithm,
-                &mut tally,
-                &mut result,
-            );
+            scan_node(masks[i], &mut tally);
             i += 1;
         }
         tally.flush(obs);
@@ -400,23 +371,6 @@ pub fn identify_in_with(
             obs.observe_since(&format!("level{level}_us"), timer);
         }
     }
-    sort_regions(&mut result);
-    result
-}
-
-/// Masks of the hierarchy nodes the params' scope covers.
-fn scoped_masks(hierarchy: &Hierarchy, params: &IbsParams) -> Vec<u32> {
-    let total_levels = hierarchy.arity();
-    hierarchy
-        .nodes()
-        .iter()
-        .map(|n| n.mask)
-        .filter(|&m| {
-            params
-                .scope
-                .includes(hierarchy.node(m).level(), total_levels)
-        })
-        .collect()
 }
 
 /// Canonical result order: bottom-up by level, then by pattern.
@@ -428,9 +382,9 @@ fn sort_regions(result: &mut [BiasedRegion]) {
     });
 }
 
-/// Per-worker / per-level counter tallies, flushed to an [`ObsScope`] in
-/// one batch so the hot region loop touches no locks (overhead contract
-/// of `remedy-obs`).
+/// Per-level counter tallies, flushed to an [`ObsScope`] in one batch so
+/// the hot region loop touches no locks (overhead contract of
+/// `remedy-obs`).
 #[derive(Default)]
 struct ScanTally {
     scanned: u64,
@@ -449,26 +403,6 @@ impl ScanTally {
             ("neighbor_underflow", self.neighbors.underflows),
         ]);
     }
-}
-
-/// Scores every region of one node, appending flagged regions to
-/// `result`. Shared verbatim by the sequential and parallel drivers so
-/// they cannot drift.
-fn scan_node(
-    hierarchy: &Hierarchy,
-    mask: u32,
-    params: &IbsParams,
-    algorithm: Algorithm,
-    tally: &mut ScanTally,
-    result: &mut Vec<BiasedRegion>,
-) {
-    let node = hierarchy.node(mask);
-    // one model per node: sibling projections / totals / distance table
-    // are built once, then every region queries through the same seam
-    let model = NeighborModel::for_node(hierarchy, node, params.neighborhood, algorithm);
-    scan_regions(mask, &node.regions, &model, params, tally, result, |key| {
-        hierarchy.pattern_of(mask, key)
-    });
 }
 
 /// The per-region scoring loop, shared verbatim by the dense and
@@ -506,102 +440,6 @@ fn scan_regions(
     }
 }
 
-/// Identifies the IBS over a prebuilt hierarchy using scoped worker
-/// threads, one queue of nodes shared across workers. Produces exactly the
-/// same result as [`identify_in`]; worth it on wide lattices (|X| ≥ 6)
-/// where millions of regions are scored. `n_threads = 0` uses all
-/// available cores.
-pub fn identify_in_parallel(
-    hierarchy: &Hierarchy,
-    params: &IbsParams,
-    algorithm: Algorithm,
-    n_threads: usize,
-) -> Vec<BiasedRegion> {
-    identify_in_parallel_with(
-        hierarchy,
-        params,
-        algorithm,
-        n_threads,
-        &ObsScope::disabled(),
-    )
-}
-
-/// [`identify_in_parallel`] with observability: per-worker tallies are
-/// flushed once at worker exit, plus a `worker{i}_claims` counter showing
-/// how evenly the node queue spread across workers.
-pub fn identify_in_parallel_with(
-    hierarchy: &Hierarchy,
-    params: &IbsParams,
-    algorithm: Algorithm,
-    n_threads: usize,
-    obs: &ObsScope,
-) -> Vec<BiasedRegion> {
-    let _span = obs.span("identify_in_parallel");
-    let masks = scoped_masks(hierarchy, params);
-    let n_threads = if n_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        n_threads
-    }
-    .min(masks.len().max(1));
-
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut per_thread: Vec<Vec<BiasedRegion>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|worker| {
-                let next = &next;
-                let masks = &masks;
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let mut found = Vec::new();
-                    let mut tally = ScanTally::default();
-                    let mut claims = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&mask) = masks.get(i) else { break };
-                        claims += 1;
-                        scan_node(hierarchy, mask, params, algorithm, &mut tally, &mut found);
-                    }
-                    tally.flush(&obs);
-                    if obs.is_enabled() {
-                        obs.add(&format!("worker{worker}_claims"), claims);
-                    }
-                    found
-                })
-            })
-            .collect();
-        per_thread = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect();
-    });
-    let mut result: Vec<BiasedRegion> = per_thread.into_iter().flatten().collect();
-    sort_regions(&mut result);
-    result
-}
-
-/// Counts of the neighboring region of `(node, key)`; convenience
-/// wrapper that builds a throwaway [`NeighborModel`] for one query.
-/// Callers scoring many regions of the same node should build the model
-/// once via [`NeighborModel::for_node`] instead.
-pub fn neighbor_counts(
-    hierarchy: &Hierarchy,
-    node: &Node,
-    key: u128,
-    own: Counts,
-    params: &IbsParams,
-    algorithm: Algorithm,
-) -> Counts {
-    NeighborModel::for_node(hierarchy, node, params.neighborhood, algorithm).neighbor_counts(
-        key,
-        own,
-        &mut NeighborTally::default(),
-    )
-}
-
 /// Check of Definition 5 given both imbalance scores, with explicit
 /// semantics for the `-1` undefined sentinel:
 ///
@@ -621,13 +459,6 @@ pub fn is_biased(ratio_r: f64, ratio_rn: f64, tau_c: f64) -> bool {
         (false, false) => false,
         _ => true,
     }
-}
-
-/// The imbalance score of an arbitrary pattern's region in a dataset
-/// (direct computation; used in examples and tests).
-pub fn pattern_imbalance(data: &Dataset, pattern: &Pattern) -> f64 {
-    let (pos, neg) = data.class_counts(pattern);
-    imbalance(pos as u64, neg as u64)
 }
 
 #[cfg(test)]
@@ -761,7 +592,7 @@ mod tests {
     #[test]
     fn full_neighborhood_is_complement() {
         let d = planted();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let node = h.node(0b11);
         let (mask, key) = h
             .pack(&Pattern::from_terms([(0usize, 1u32), (1usize, 1u32)]))
@@ -772,7 +603,8 @@ mod tests {
             neighborhood: Neighborhood::Full,
             ..IbsParams::default()
         };
-        let n = neighbor_counts(&h, node, key, own, &params, Algorithm::Optimized);
+        let n = NeighborModel::for_node(&h, node, params.neighborhood, Algorithm::Optimized)
+            .neighbor_counts(key, own, &mut NeighborTally::default());
         assert_eq!(n.total(), d.len() as u64 - own.total());
     }
 
@@ -792,7 +624,7 @@ mod tests {
                 d.push_row(&[code], u8::from(i % 2 == 0)).unwrap();
             }
         }
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let node = h.node(1);
         let own = h.counts(1, 0);
         let r1 = IbsParams {
@@ -803,42 +635,13 @@ mod tests {
             neighborhood: Neighborhood::OrderedRadius(2.0),
             ..IbsParams::default()
         };
-        let n1 = neighbor_counts(&h, node, 0, own, &r1, Algorithm::Naive);
-        let n2 = neighbor_counts(&h, node, 0, own, &r2, Algorithm::Naive);
+        let neighbors = |params: &IbsParams| {
+            NeighborModel::for_node(&h, node, params.neighborhood, Algorithm::Naive)
+                .neighbor_counts(0, own, &mut NeighborTally::default())
+        };
+        let (n1, n2) = (neighbors(&r1), neighbors(&r2));
         assert_eq!(n1.total(), 40); // only code 1
         assert_eq!(n2.total(), 80); // codes 1 and 2
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let d = planted();
-        let h = Hierarchy::build(&d);
-        let params = IbsParams {
-            tau_c: 0.05,
-            min_size: 10,
-            ..IbsParams::default()
-        };
-        for alg in [Algorithm::Naive, Algorithm::Optimized] {
-            let sequential = identify_in(&h, &params, alg);
-            for threads in [0, 1, 3] {
-                let parallel = identify_in_parallel(&h, &params, alg, threads);
-                assert_eq!(sequential, parallel, "{alg:?} × {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_respects_scope() {
-        let d = planted();
-        let h = Hierarchy::build(&d);
-        let params = IbsParams {
-            tau_c: 0.05,
-            min_size: 10,
-            scope: Scope::Top,
-            ..IbsParams::default()
-        };
-        let result = identify_in_parallel(&h, &params, Algorithm::Optimized, 2);
-        assert!(result.iter().all(|r| r.level() == 1));
     }
 
     #[test]
@@ -889,13 +692,13 @@ mod tests {
     #[test]
     fn one_sided_sentinel_region_is_flagged() {
         let d = planted_zero_negative();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let params = IbsParams {
             tau_c: 2.5,
             ..IbsParams::default()
         };
         for alg in [Algorithm::Naive, Algorithm::Optimized] {
-            let ibs = identify_in(&h, &params, alg);
+            let ibs = identify_in_with(&h, &params, alg, &ObsScope::disabled());
             let planted = ibs
                 .iter()
                 .find(|r| r.pattern.get(0) == Some(1) && r.pattern.get(1) == Some(1))
@@ -903,7 +706,6 @@ mod tests {
             assert!(planted.one_sided());
             assert_eq!(planted.ratio, -1.0);
             assert_eq!(planted.gap(), f64::MAX);
-            assert_eq!(ibs, identify_in_parallel(&h, &params, alg, 3), "{alg:?}");
         }
     }
 
@@ -928,7 +730,7 @@ mod tests {
                 }
             }
         }
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         for neighborhood in [Neighborhood::Unit, Neighborhood::Full] {
             let params = IbsParams {
                 tau_c: 0.0,
@@ -938,10 +740,9 @@ mod tests {
             };
             for alg in [Algorithm::Naive, Algorithm::Optimized] {
                 assert!(
-                    identify_in(&h, &params, alg).is_empty(),
+                    identify_in_with(&h, &params, alg, &ObsScope::disabled()).is_empty(),
                     "{alg:?}/{neighborhood:?}"
                 );
-                assert!(identify_in_parallel(&h, &params, alg, 2).is_empty());
             }
         }
     }
@@ -949,19 +750,19 @@ mod tests {
     #[test]
     fn obs_counters_track_the_scan() {
         let d = planted();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let params = IbsParams {
             min_size: 10,
             ..IbsParams::default()
         };
         let rec = remedy_obs::Recorder::enabled();
-        let seq = identify_in_with(&h, &params, Algorithm::Optimized, &rec.scope("identify"));
+        let ibs = identify_in_with(&h, &params, Algorithm::Optimized, &rec.scope("identify"));
         let snap = rec.snapshot();
         // 9 leaf regions + 3 + 3 level-1 regions
         assert_eq!(snap.counter("identify", "regions_scanned"), Some(15));
         assert_eq!(
             snap.counter("identify", "regions_flagged"),
-            Some(seq.len() as u64)
+            Some(ibs.len() as u64)
         );
         // optimized-unit: d lookups per region = 9·2 + 6·1
         assert_eq!(snap.counter("identify", "neighbor_lookups"), Some(24));
@@ -972,29 +773,12 @@ mod tests {
                 .histogram("identify", &format!("level{level}_us"))
                 .is_some());
         }
-
-        let rec_par = remedy_obs::Recorder::enabled();
-        let par = identify_in_parallel_with(
-            &h,
-            &params,
-            Algorithm::Optimized,
-            2,
-            &rec_par.scope("identify"),
-        );
-        assert_eq!(seq, par);
-        let snap_par = rec_par.snapshot();
-        assert_eq!(snap_par.counter("identify", "regions_scanned"), Some(15));
-        assert_eq!(snap_par.counter("identify", "neighbor_lookups"), Some(24));
-        let claims: u64 = (0..2)
-            .filter_map(|w| snap_par.counter("identify", &format!("worker{w}_claims")))
-            .sum();
-        assert_eq!(claims, 3); // one claim per node in scope
     }
 
     #[test]
     fn min_size_skips_are_counted() {
         let d = planted();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let params = IbsParams {
             min_size: 10_000,
             ..IbsParams::default()
@@ -1013,7 +797,8 @@ mod tests {
     fn pattern_imbalance_direct() {
         let d = planted();
         let p = Pattern::from_terms([(0usize, 1u32), (1usize, 1u32)]);
-        assert!((pattern_imbalance(&d, &p) - 4.0).abs() < 1e-12);
+        let (pos, neg) = d.class_counts(&p);
+        assert!((crate::score::imbalance(pos as u64, neg as u64) - 4.0).abs() < 1e-12);
     }
 
     /// The tentpole parity invariant in miniature: support-pruned
@@ -1088,20 +873,17 @@ mod tests {
             ..dense_params.clone()
         };
         let want = identify(&d, &dense_params, Algorithm::Optimized);
-        let dense_idx = crate::counting::RegionIndex::build(&d);
-        let sparse_idx = crate::counting::RegionIndex::try_build_sparse(&d).unwrap();
+        let dense_idx = RegionIndex::try_build(&d).unwrap();
+        let sparse_idx = RegionIndex::try_build_sparse(&d).unwrap();
+        let in_index = |index: &RegionIndex, params: &IbsParams| {
+            try_identify_in_index_with(index, params, Algorithm::Optimized, &ObsScope::disabled())
+        };
         for params in [&dense_params, &pruned_params] {
-            assert_eq!(
-                try_identify_in_index(&dense_idx, params, Algorithm::Optimized).unwrap(),
-                want
-            );
+            assert_eq!(in_index(&dense_idx, params).unwrap(), want);
         }
+        assert_eq!(in_index(&sparse_idx, &pruned_params).unwrap(), want);
         assert_eq!(
-            try_identify_in_index(&sparse_idx, &pruned_params, Algorithm::Optimized).unwrap(),
-            want
-        );
-        assert_eq!(
-            try_identify_in_index(&sparse_idx, &dense_params, Algorithm::Optimized),
+            in_index(&sparse_idx, &dense_params),
             Err(CoreError::DenseUnavailable { arity: 2 })
         );
     }
@@ -1111,7 +893,12 @@ mod tests {
     fn undersupported_sparse_hierarchy_is_rejected() {
         let d = planted();
         let sparse = SparseHierarchy::try_build(&d, 100).unwrap();
-        identify_in_sparse(&sparse, &IbsParams::default(), Algorithm::Optimized);
+        identify_in_sparse_with(
+            &sparse,
+            &IbsParams::default(),
+            Algorithm::Optimized,
+            &ObsScope::disabled(),
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! recorded so convergence can be inspected (and is asserted to be
 //! monotone-ish in tests).
 
-use crate::identify::{identify_over, Algorithm};
-use crate::remedy::{remedy_over, RegionUpdate, RemedyParams};
+use crate::identify::{try_identify_over, Algorithm};
+use crate::remedy::{remedy_over_with, RegionUpdate, RemedyParams};
 use remedy_dataset::Dataset;
+use remedy_obs::Scope as ObsScope;
 
 /// Configuration of the iterated remedy.
 #[derive(Debug, Clone)]
@@ -76,10 +77,15 @@ pub fn remedy_iterative_over(
     params: &IterativeParams,
 ) -> IterativeOutcome {
     let ibs_params = params.remedy.ibs_params();
+    let ibs_size = |d: &Dataset| {
+        try_identify_over(d, protected, &ibs_params, Algorithm::Optimized)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .len()
+    };
     let mut current = data.clone();
     let mut ibs_trace = Vec::with_capacity(params.max_rounds + 1);
     let mut updates = Vec::new();
-    let mut size = identify_over(&current, protected, &ibs_params, Algorithm::Optimized).len();
+    let mut size = ibs_size(&current);
     ibs_trace.push(size);
     for round in 0..params.max_rounds {
         if size <= params.target_ibs {
@@ -91,11 +97,11 @@ pub fn remedy_iterative_over(
             seed: params.remedy.seed.wrapping_add(round as u64),
             ..params.remedy.clone()
         };
-        let outcome = remedy_over(&current, protected, &round_params);
+        let outcome = remedy_over_with(&current, protected, &round_params, &ObsScope::disabled());
         let progressed = !outcome.updates.is_empty();
         current = outcome.dataset;
         updates.extend(outcome.updates);
-        size = identify_over(&current, protected, &ibs_params, Algorithm::Optimized).len();
+        size = ibs_size(&current);
         ibs_trace.push(size);
         if !progressed {
             break; // nothing remediable remains (e.g. sentinel targets)

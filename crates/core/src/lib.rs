@@ -51,18 +51,16 @@ pub use hash::{stable_hash, StableHasher};
 pub use hierarchy::Hierarchy;
 pub use hypothesis::{validate_hypothesis, validate_on, HypothesisValidation, IbsMark};
 pub use identify::{
-    identify, identify_in, identify_in_index, identify_in_parallel, identify_in_parallel_with,
-    identify_in_sparse, identify_in_sparse_with, identify_in_with, try_identify,
-    try_identify_in_index, try_identify_in_index_with, try_identify_over, try_identify_over_with,
-    Algorithm, BiasedRegion, Enumeration, IbsParams,
+    identify, identify_in_sparse_with, identify_in_with, try_identify_counts_with,
+    try_identify_in_index_with, try_identify_over, try_identify_over_with, Algorithm, BiasedRegion,
+    Enumeration, IbsParams,
 };
 pub use iterative::{remedy_iterative, IterativeOutcome, IterativeParams};
 pub use neighbor_model::{NeighborModel, NeighborTally};
 pub use neighborhood::Neighborhood;
 pub use params::{IbsParamsBuilder, ParamError, RemedyParamsBuilder};
 pub use remedy::{
-    remedy, remedy_over, remedy_over_scan, remedy_over_scan_with, remedy_over_with, remedy_with,
-    RemedyOutcome, RemedyParams, Technique,
+    remedy, remedy_over_scan, remedy_over_with, remedy_with, RemedyOutcome, RemedyParams, Technique,
 };
 pub use scope::Scope;
 pub use score::imbalance;

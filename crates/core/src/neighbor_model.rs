@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn snapshot_unit_matches_hierarchy_unit() {
         let d = fixture();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let node = h.node(0b11);
         let ordered = [false, true];
         for neighborhood in [Neighborhood::Unit, Neighborhood::Full] {
@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn snapshot_ordered_matches_hierarchy_ordered() {
         let d = fixture();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let node = h.node(0b11);
         let ordered = [false, true];
         for alg in [Algorithm::Naive, Algorithm::Optimized] {
@@ -435,7 +435,7 @@ mod tests {
         // at level 1 the unit siblings of a region are all other values,
         // i.e. the complement; the dominating "region" is the root totals
         let d = fixture();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let node = h.node(0b01);
         let naive = NeighborModel::for_node(&h, node, Neighborhood::Unit, Algorithm::Naive);
         let optimized = NeighborModel::for_node(&h, node, Neighborhood::Unit, Algorithm::Optimized);
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn unit_tallies_reflect_cost_model() {
         let d = fixture();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let node = h.node(0b11);
         let naive = NeighborModel::for_node(&h, node, Neighborhood::Unit, Algorithm::Naive);
         let optimized = NeighborModel::for_node(&h, node, Neighborhood::Unit, Algorithm::Optimized);
@@ -474,7 +474,7 @@ mod tests {
     #[test]
     fn ordered_tally_counts_real_candidate_fetches() {
         let d = fixture();
-        let h = Hierarchy::build(&d);
+        let h = Hierarchy::try_build(&d).unwrap();
         let node = h.node(0b11);
         let model =
             NeighborModel::for_node(&h, node, Neighborhood::OrderedRadius(1.0), Algorithm::Naive);

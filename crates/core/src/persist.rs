@@ -14,6 +14,7 @@
 //! a cache hit must reproduce the original run bit for bit.
 
 use crate::counting::ShardCounts;
+use crate::error::MAX_PROTECTED_SPARSE;
 use crate::identify::BiasedRegion;
 use crate::score::Counts;
 use remedy_dataset::format::Magic;
@@ -75,7 +76,9 @@ pub fn regions_from_text(text: &str) -> Result<Vec<BiasedRegion>, IbsPersistErro
         .strip_prefix("regions ")
         .and_then(|n| n.parse().ok())
         .ok_or_else(|| IbsPersistError::Malformed(format!("bad count line `{count_line}`")))?;
-    let mut regions = Vec::with_capacity(count);
+    // a hostile count line cannot reserve more slots than the input has
+    // bytes; a short body is reported below
+    let mut regions = Vec::with_capacity(count.min(text.len()));
     for line in lines.take(count) {
         let mut fields = line.split_whitespace();
         if fields.next() != Some("region") {
@@ -178,6 +181,11 @@ pub fn counts_from_text(text: &str) -> Result<ShardCounts, IbsPersistError> {
         .expect(lines.next())
         .map_err(|_| IbsPersistError::BadHeader)?;
     let p: usize = field(lines.next(), "protected")?;
+    if p > MAX_PROTECTED_SPARSE {
+        return Err(malformed(format!(
+            "{p} protected columns, at most {MAX_PROTECTED_SPARSE} supported"
+        )));
+    }
     let mut protected = Vec::with_capacity(p);
     let mut cards = Vec::with_capacity(p);
     let mut ordered = Vec::with_capacity(p);
@@ -207,7 +215,7 @@ pub fn counts_from_text(text: &str) -> Result<ShardCounts, IbsPersistError> {
     );
     let n: usize = field(lines.next(), "leaves")?;
     let mut leaves = crate::hash::FastMap::default();
-    leaves.reserve(n);
+    leaves.reserve(n.min(text.len()));
     for line in lines.take(n) {
         let mut fields = line.split_whitespace();
         if fields.next() != Some("leaf") {
@@ -299,6 +307,28 @@ mod tests {
                 "{text:?}"
             );
         }
+    }
+
+    /// Header counts are untrusted: a huge one must yield a typed error,
+    /// not a "capacity overflow" panic from pre-allocating it.
+    #[test]
+    fn huge_header_counts_are_typed_errors() {
+        let huge = u64::MAX;
+        for text in [
+            format!("remedy-counts v1\nprotected {huge}\n"),
+            format!("remedy-counts v1\nprotected {}\n", MAX_PROTECTED_SPARSE + 1),
+            format!("remedy-counts v1\nprotected 1\ncol 0 2 0\ntotals 0 0\nleaves {huge}\n"),
+        ] {
+            assert!(
+                matches!(counts_from_text(&text), Err(IbsPersistError::Malformed(_))),
+                "{text:?}"
+            );
+        }
+        let text = format!("remedy-ibs v1\nregions {huge}\n");
+        assert!(matches!(
+            regions_from_text(&text),
+            Err(IbsPersistError::Malformed(_))
+        ));
     }
 
     #[test]

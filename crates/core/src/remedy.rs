@@ -189,8 +189,7 @@ pub struct RemedyOutcome {
 
 /// Remedies a dataset over its schema-declared protected attributes.
 pub fn remedy(data: &Dataset, params: &RemedyParams) -> RemedyOutcome {
-    let protected = data.schema().protected_indices();
-    remedy_over(data, &protected, params)
+    remedy_with(data, params, &ObsScope::disabled())
 }
 
 /// [`remedy`] with observability (see [`remedy_over_with`]).
@@ -199,15 +198,10 @@ pub fn remedy_with(data: &Dataset, params: &RemedyParams, obs: &ObsScope) -> Rem
     remedy_over_with(data, &protected, params, obs)
 }
 
-/// Remedies a dataset over an explicit protected-column set.
-pub fn remedy_over(data: &Dataset, protected: &[usize], params: &RemedyParams) -> RemedyOutcome {
-    remedy_over_with(data, protected, params, &ObsScope::disabled())
-}
-
-/// [`remedy_over`] with observability: per-node count timings
-/// (`node_counts_us` histogram, the successor of the scan path's
-/// `node_snapshot_us`), `counting.delta.*` / `counting.rebuild.*`
-/// counters from the [`RegionIndex`], plus `regions_updated`,
+/// Remedies a dataset over an explicit protected-column set, with
+/// observability: per-node count timings (`node_counts_us` histogram),
+/// `counting.delta.*` / `counting.rebuild.*` counters from the
+/// [`RegionIndex`], plus `regions_updated`,
 /// `rows_duplicated`, `rows_removed`, and `rows_flipped` counters,
 /// batched into one flush per hierarchy node.
 ///
@@ -215,7 +209,7 @@ pub fn remedy_over(data: &Dataset, protected: &[usize], params: &RemedyParams) -
 /// index, and every subsequent node's counts are *maintained* under the
 /// remedy's own edits rather than re-scanned — O(nodes touched) per edit
 /// instead of O(n·p) per node. The output is bit-identical to
-/// [`remedy_over_scan_with`].
+/// [`remedy_over_scan`].
 pub fn remedy_over_with(
     data: &Dataset,
     protected: &[usize],
@@ -257,26 +251,15 @@ pub fn remedy_over_with(
 }
 
 /// The reference scan implementation: re-counts the current dataset with
-/// a full O(n·p) pass per hierarchy node (`node_snapshot_us` histogram),
-/// exactly as the remedy worked before the incremental [`RegionIndex`].
-/// Kept public as the differential-testing and benchmarking baseline;
-/// its output is bit-identical to [`remedy_over`].
+/// a full O(n·p) pass per hierarchy node, exactly as the remedy worked
+/// before the incremental [`RegionIndex`]. Kept public as the
+/// differential-testing and benchmarking baseline; its output is
+/// bit-identical to [`remedy_over_with`].
 pub fn remedy_over_scan(
     data: &Dataset,
     protected: &[usize],
     params: &RemedyParams,
 ) -> RemedyOutcome {
-    remedy_over_scan_with(data, protected, params, &ObsScope::disabled())
-}
-
-/// [`remedy_over_scan`] with observability.
-pub fn remedy_over_scan_with(
-    data: &Dataset,
-    protected: &[usize],
-    params: &RemedyParams,
-    obs: &ObsScope,
-) -> RemedyOutcome {
-    let _span = obs.span("remedy_over_scan");
     crate::error::validate_columns(data, protected, crate::hierarchy::MAX_PROTECTED)
         .unwrap_or_else(|e| panic!("{e}"));
     let ranker = params
@@ -288,6 +271,7 @@ pub fn remedy_over_scan_with(
         protected,
         rows_by_key: FastMap::default(),
     };
+    let obs = &ObsScope::disabled();
     let updates = remedy_driver(&mut engine, protected, params, ranker.as_ref(), obs);
     RemedyOutcome {
         dataset: engine.d,
@@ -354,14 +338,12 @@ impl CountEngine for ScanEngine<'_> {
         attrs: &[usize],
         ordered: &[bool],
         params: &RemedyParams,
-        obs: &ObsScope,
+        _obs: &ObsScope,
     ) -> (Vec<(u128, Counts, f64)>, NeighborTally) {
         // identification on the *current* dataset, restricted to this node;
         // one pass yields both counts and the row bucket of every region
-        let timer = obs.timer();
         let cols: Vec<usize> = attrs.iter().map(|&j| self.protected[j]).collect();
         let (counts, rows) = crate::counting::node_snapshot(&self.d, &cols);
-        obs.observe_since("node_snapshot_us", timer);
         self.rows_by_key = rows;
         let model = NeighborModel::for_snapshot(&counts, ordered, params.neighborhood);
         biased_from_model(&counts, &model, params)
@@ -1143,7 +1125,7 @@ mod tests {
                 ..RemedyParams::default()
             };
             let protected = d.schema().protected_indices();
-            let fast = remedy_over(&d, &protected, &params);
+            let fast = remedy_over_with(&d, &protected, &params, &ObsScope::disabled());
             let scan = remedy_over_scan(&d, &protected, &params);
             assert_eq!(fast.dataset, scan.dataset, "{technique}");
             assert_eq!(fast.updates, scan.updates, "{technique}");
@@ -1157,7 +1139,7 @@ mod tests {
                 ..RemedyParams::default()
             };
             let protected = d.schema().protected_indices();
-            let fast = remedy_over(&d, &protected, &params);
+            let fast = remedy_over_with(&d, &protected, &params, &ObsScope::disabled());
             let scan = remedy_over_scan(&d, &protected, &params);
             assert_eq!(fast.dataset, scan.dataset, "ordered {technique}");
             assert_eq!(fast.updates, scan.updates, "ordered {technique}");
@@ -1181,8 +1163,8 @@ mod tests {
                 enumeration: Enumeration::Pruned,
                 ..dense.clone()
             };
-            let a = remedy_over(&d, &protected, &dense);
-            let b = remedy_over(&d, &protected, &pruned);
+            let a = remedy_over_with(&d, &protected, &dense, &ObsScope::disabled());
+            let b = remedy_over_with(&d, &protected, &pruned, &ObsScope::disabled());
             assert_eq!(a.dataset, b.dataset, "{technique}");
             assert_eq!(a.updates, b.updates, "{technique}");
         }
@@ -1197,8 +1179,8 @@ mod tests {
             enumeration: Enumeration::Pruned,
             ..dense.clone()
         };
-        let a = remedy_over(&d, &protected, &dense);
-        let b = remedy_over(&d, &protected, &pruned);
+        let a = remedy_over_with(&d, &protected, &dense, &ObsScope::disabled());
+        let b = remedy_over_with(&d, &protected, &pruned, &ObsScope::disabled());
         assert_eq!(a.dataset, b.dataset, "ordered");
         assert_eq!(a.updates, b.updates, "ordered");
     }

@@ -473,7 +473,7 @@ mod tests {
     use remedy_dataset::synth;
 
     fn assert_node_parity(data: &Dataset, support: u64) {
-        let dense = Hierarchy::build(data);
+        let dense = Hierarchy::try_build(data).unwrap();
         let sparse = SparseHierarchy::try_build(data, support).unwrap();
         for node in dense.nodes() {
             let frequent = node.regions.values().any(|c| c.total() > support);

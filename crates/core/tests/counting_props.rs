@@ -16,15 +16,16 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use remedy_core::{remedy_over, remedy_over_scan, RegionIndex, RemedyParams, Technique};
+use remedy_core::{remedy_over_scan, remedy_over_with, RegionIndex, RemedyParams, Technique};
 use remedy_dataset::persist::dataset_to_text;
 use remedy_dataset::{synth, Dataset, RowEdit};
+use remedy_obs::Scope as ObsScope;
 
-/// Asserts the maintained index equals `RegionIndex::build_over` on the
+/// Asserts the maintained index equals `RegionIndex::try_build_over` on the
 /// current rows: totals, every node's region counts, and every region's
 /// row bucket.
 fn assert_matches_rebuild(index: &RegionIndex, d: &Dataset, protected: &[usize]) {
-    let fresh = RegionIndex::build_over(d, protected);
+    let fresh = RegionIndex::try_build_over(d, protected).unwrap();
     assert_eq!(index.len(), d.len());
     let (h, f) = (index.hierarchy(), fresh.hierarchy());
     assert_eq!(h.totals(), f.totals());
@@ -75,7 +76,7 @@ fn random_edit_interleavings_match_rebuild() {
             for batched in [false, true] {
                 let mut rng = StdRng::seed_from_u64(0xC0DE ^ seed);
                 let mut d = data.clone();
-                let mut index = RegionIndex::build_over(&d, &protected);
+                let mut index = RegionIndex::try_build_over(&d, &protected).unwrap();
                 if batched {
                     index.begin_deltas();
                 }
@@ -114,7 +115,7 @@ fn remedy_via_index_is_byte_identical_to_scan() {
                 .technique(technique)
                 .build()
                 .unwrap();
-            let fast = remedy_over(&data, &protected, &params);
+            let fast = remedy_over_with(&data, &protected, &params, &ObsScope::disabled());
             let scan = remedy_over_scan(&data, &protected, &params);
             assert_eq!(
                 dataset_to_text(&fast.dataset),
@@ -155,7 +156,11 @@ fn incremental_remedy_is_not_slower_than_scan() {
             .min()
             .unwrap()
     };
-    let (fast, n_fast) = best_of(&|| remedy_over(&data, &cols, &params).dataset.len());
+    let (fast, n_fast) = best_of(&|| {
+        remedy_over_with(&data, &cols, &params, &ObsScope::disabled())
+            .dataset
+            .len()
+    });
     let (scan, n_scan) = best_of(&|| remedy_over_scan(&data, &cols, &params).dataset.len());
     assert_eq!(n_fast, n_scan);
     // 10% slack absorbs scheduler noise; the expected margin is several-fold

@@ -20,15 +20,17 @@ fn one_attr_dataset() -> Dataset {
 }
 
 #[test]
-#[should_panic(expected = "at least one protected attribute")]
 fn hierarchy_requires_protected_attributes() {
     let schema = Schema::new(vec![Attribute::from_strs("a", &["0"])], "y").into_shared();
     let d = Dataset::new(schema);
-    let _ = Hierarchy::build(&d);
+    let err = Hierarchy::try_build(&d).unwrap_err();
+    assert!(
+        err.to_string().contains("at least one protected attribute"),
+        "{err}"
+    );
 }
 
 #[test]
-#[should_panic(expected = "at most 16 protected attributes")]
 fn hierarchy_caps_protected_arity() {
     let attrs: Vec<Attribute> = (0..17)
         .map(|i| Attribute::from_strs(&format!("a{i}"), &["0", "1"]).protected())
@@ -36,7 +38,11 @@ fn hierarchy_caps_protected_arity() {
     let schema = Schema::new(attrs, "y").into_shared();
     let mut d = Dataset::new(schema);
     d.push_row(&[0; 17], 1).unwrap();
-    let _ = Hierarchy::build(&d);
+    let err = Hierarchy::try_build(&d).unwrap_err();
+    assert!(
+        err.to_string().contains("at most 16 protected attributes"),
+        "{err}"
+    );
 }
 
 /// The remedy used to `unimplemented!` on the refined metric; it now runs
@@ -124,6 +130,6 @@ fn min_size_one_examines_every_multi_row_region() {
     let d = one_attr_dataset();
     let params = IbsParams::builder().tau_c(0.0).min_size(1).build().unwrap();
     let ibs = identify(&d, &params, Algorithm::Optimized);
-    let h = Hierarchy::build(&d);
+    let h = Hierarchy::try_build(&d).unwrap();
     assert!(ibs.len() <= h.region_count());
 }

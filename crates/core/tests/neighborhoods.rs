@@ -1,9 +1,10 @@
 //! End-to-end tests of the alternative neighborhood settings (the Fig. 8
 //! ablation) and the ordered-distance extension.
 
-use remedy_core::identify::{identify, identify_in, identify_over};
+use remedy_core::identify::{identify, identify_in_with, try_identify_over};
 use remedy_core::{remedy, Algorithm, Hierarchy, IbsParams, Neighborhood, RemedyParams, Technique};
 use remedy_dataset::{synth, Attribute, Dataset, Schema};
+use remedy_obs::Scope as ObsScope;
 
 #[test]
 fn full_neighborhood_remedy_works_end_to_end() {
@@ -139,16 +140,17 @@ fn ordered_radius_remedy_end_to_end() {
 #[test]
 fn identify_over_custom_columns_matches_reprotected_schema() {
     let data = synth::adult_n(3_000, 8);
-    // protect only {race, gender} two ways: via identify_over and via a
+    // protect only {race, gender} two ways: via try_identify_over and a
     // reprotected schema — results must agree
     let race = data.schema().require("race").unwrap();
     let gender = data.schema().require("gender").unwrap();
-    let by_cols = identify_over(
+    let by_cols = try_identify_over(
         &data,
         &[race, gender],
         &IbsParams::default(),
         Algorithm::Optimized,
-    );
+    )
+    .unwrap();
     let reprotected = data
         .with_schema(
             data.schema()
@@ -168,9 +170,9 @@ fn identify_over_custom_columns_matches_reprotected_schema() {
 #[test]
 fn prebuilt_hierarchy_reuse_is_consistent() {
     let data = synth::compas_n(2_000, 6);
-    let h = Hierarchy::build(&data);
+    let h = Hierarchy::try_build(&data).unwrap();
     let params = IbsParams::default();
     let from_data = identify(&data, &params, Algorithm::Optimized);
-    let from_hierarchy = identify_in(&h, &params, Algorithm::Optimized);
+    let from_hierarchy = identify_in_with(&h, &params, Algorithm::Optimized, &ObsScope::disabled());
     assert_eq!(from_data, from_hierarchy);
 }

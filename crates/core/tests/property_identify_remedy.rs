@@ -3,8 +3,9 @@
 //! randomly ordered attributes — must satisfy the core invariants on
 //! every draw:
 //!
-//! * identification agrees across Naive, Optimized, and parallel drivers
-//!   for Unit, Full, and OrderedRadius neighborhoods;
+//! * identification agrees across Naive and Optimized, and across the
+//!   dataset, merged-shard-counts, and maintained-index sources, under
+//!   both enumerations, for Unit, Full, and OrderedRadius neighborhoods;
 //! * remedy never emits an update whose `target_ratio` is negative (the
 //!   −1 "undefined" sentinel must never leak into a target);
 //! * ordered-radius remedy targets equal the ordered-neighbors ratios the
@@ -16,10 +17,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_core::{
-    identify, identify_in_parallel, remedy, Algorithm, Hierarchy, IbsParams, NeighborModel,
-    NeighborTally, Neighborhood, RemedyParams, Scope, Technique,
+    identify, remedy, try_identify_counts_with, try_identify_in_index_with, Algorithm, Enumeration,
+    Hierarchy, IbsParams, NeighborModel, NeighborTally, Neighborhood, RegionIndex, RemedyParams,
+    Scope, ShardCounts, Technique,
 };
 use remedy_dataset::{Attribute, Dataset, Schema};
+use remedy_obs::Scope as ObsScope;
 
 /// A random dataset over 2–3 protected attributes with 2–3 values each;
 /// each attribute is independently marked ordered with probability ½.
@@ -80,30 +83,51 @@ fn neighborhoods(rng: &mut StdRng) -> [Neighborhood; 3] {
 }
 
 #[test]
-fn identification_agrees_across_algorithms_and_drivers() {
+fn identification_agrees_across_algorithms_and_sources() {
+    let off = ObsScope::disabled();
     for seed in 0..25u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = random_dataset(&mut rng);
-        let hierarchy = Hierarchy::build(&data);
+        // a 2-way row split (even / odd rows): every cell holds ≥ 5 rows,
+        // so both shards are non-empty
+        let shards: Vec<ShardCounts> = (0..2)
+            .map(|parity| {
+                let rows: Vec<usize> = (parity..data.len()).step_by(2).collect();
+                ShardCounts::scan(&data.subset(&rows), 1).unwrap()
+            })
+            .collect();
+        let mut merged = shards[0].clone();
+        merged.merge(&shards[1]).unwrap();
+        let index = RegionIndex::try_build(&data).unwrap();
         for neighborhood in neighborhoods(&mut rng) {
-            let params = IbsParams::builder()
+            let dense = IbsParams::builder()
                 .tau_c(rng.gen_range(0.05f64..0.5))
                 .min_size(rng.gen_range(1u64..=10))
                 .neighborhood(neighborhood)
                 .scope(Scope::Lattice)
                 .build()
                 .unwrap();
-            let naive = identify(&data, &params, Algorithm::Naive);
-            let optimized = identify(&data, &params, Algorithm::Optimized);
-            let parallel = identify_in_parallel(&hierarchy, &params, Algorithm::Optimized, 3);
-            assert_eq!(
-                naive, optimized,
-                "seed {seed}, {neighborhood:?}: Naive and Optimized disagree"
-            );
-            assert_eq!(
-                optimized, parallel,
-                "seed {seed}, {neighborhood:?}: sequential and parallel disagree"
-            );
+            let naive = identify(&data, &dense, Algorithm::Naive);
+            let mut pruned = dense.clone();
+            pruned.enumeration = Enumeration::Pruned;
+            for params in [&dense, &pruned] {
+                let case = format!("seed {seed}, {neighborhood:?}, {:?}", params.enumeration);
+                let optimized = identify(&data, params, Algorithm::Optimized);
+                assert_eq!(naive, optimized, "{case}: Naive and Optimized disagree");
+                let from_counts =
+                    try_identify_counts_with(merged.clone(), params, Algorithm::Optimized, &off)
+                        .unwrap();
+                assert_eq!(
+                    optimized, from_counts,
+                    "{case}: merged shard counts disagree with the dataset"
+                );
+                let from_index =
+                    try_identify_in_index_with(&index, params, Algorithm::Optimized, &off).unwrap();
+                assert_eq!(
+                    optimized, from_index,
+                    "{case}: the region index disagrees with the dataset"
+                );
+            }
         }
     }
 }
@@ -172,7 +196,7 @@ fn ordered_remedy_targets_equal_ordered_neighbor_ratios() {
             .unwrap();
         let outcome = remedy(&data, &params);
 
-        let hierarchy = Hierarchy::build(&data);
+        let hierarchy = Hierarchy::try_build(&data).unwrap();
         let leaf_mask = (1u32 << hierarchy.arity()) - 1;
         let leaf = hierarchy.node(leaf_mask);
         let model = NeighborModel::for_node(

@@ -13,10 +13,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_core::persist::regions_to_text;
 use remedy_core::{
-    identify_in_index, try_identify_in_index, try_identify_over, Algorithm, CoreError, Enumeration,
+    try_identify_in_index_with, try_identify_over, Algorithm, BiasedRegion, CoreError, Enumeration,
     Hierarchy, IbsParams, RegionIndex,
 };
 use remedy_dataset::{synth, Dataset, RowEdit};
+use remedy_obs::Scope as ObsScope;
 
 fn study_datasets() -> Vec<(&'static str, Dataset)> {
     vec![
@@ -24,6 +25,10 @@ fn study_datasets() -> Vec<(&'static str, Dataset)> {
         ("adult", synth::adult_n(600, 13)),
         ("law_school", synth::law_school_n(600, 13)),
     ]
+}
+
+fn in_index(index: &RegionIndex, params: &IbsParams) -> Result<Vec<BiasedRegion>, CoreError> {
+    try_identify_in_index_with(index, params, Algorithm::Optimized, &ObsScope::disabled())
 }
 
 fn with_enumeration(params: &IbsParams, enumeration: Enumeration) -> IbsParams {
@@ -90,7 +95,7 @@ fn pruned_parity_survives_random_edits_through_maintained_indexes() {
     for (name, data) in study_datasets() {
         let mut rng = StdRng::seed_from_u64(0xED17);
         let mut d = data.clone();
-        let mut dense_idx = RegionIndex::build(&d);
+        let mut dense_idx = RegionIndex::try_build(&d).unwrap();
         let mut sparse_idx = RegionIndex::try_build_sparse(&d).unwrap();
         dense_idx.begin_deltas();
         sparse_idx.begin_deltas();
@@ -110,16 +115,15 @@ fn pruned_parity_survives_random_edits_through_maintained_indexes() {
             .unwrap();
         let pruned = with_enumeration(&dense, Enumeration::Pruned);
         let want = regions_to_text(&remedy_core::identify(&d, &dense, Algorithm::Optimized));
-        let live_dense = identify_in_index(&dense_idx, &dense, Algorithm::Optimized);
+        let live_dense = in_index(&dense_idx, &dense).unwrap();
         assert_eq!(regions_to_text(&live_dense), want, "{name}: dense index");
-        let live_pruned = try_identify_in_index(&dense_idx, &pruned, Algorithm::Optimized).unwrap();
+        let live_pruned = in_index(&dense_idx, &pruned).unwrap();
         assert_eq!(
             regions_to_text(&live_pruned),
             want,
             "{name}: pruned over the dense index"
         );
-        let live_sparse =
-            try_identify_in_index(&sparse_idx, &pruned, Algorithm::Optimized).unwrap();
+        let live_sparse = in_index(&sparse_idx, &pruned).unwrap();
         assert_eq!(
             regions_to_text(&live_sparse),
             want,
@@ -155,9 +159,9 @@ fn wide_protected_sets_are_pruned_only() {
     // a maintained index over the wide set is sparse-only
     let index = RegionIndex::try_build_auto(&data).unwrap();
     assert!(index.is_sparse());
-    let err = try_identify_in_index(&index, &dense, Algorithm::Optimized).unwrap_err();
+    let err = in_index(&index, &dense).unwrap_err();
     assert_eq!(err, CoreError::DenseUnavailable { arity: 20 });
-    let live = try_identify_in_index(&index, &pruned, Algorithm::Optimized).unwrap();
+    let live = in_index(&index, &pruned).unwrap();
     assert_eq!(regions_to_text(&live), regions_to_text(&regions));
 }
 

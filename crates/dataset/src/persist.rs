@@ -121,7 +121,9 @@ pub fn dataset_from_text(text: &str) -> Result<Dataset, DatasetError> {
     let row_count = row_count.ok_or_else(|| DatasetError::Invalid("missing rows line".into()))?;
     let cols = attributes.len();
     let schema = Schema::new(attributes, label_name).into_shared();
-    let mut data = Dataset::with_capacity(schema, row_count);
+    // a hostile rows line cannot reserve more rows than the input has
+    // bytes; a short body is reported below
+    let mut data = Dataset::with_capacity(schema, row_count.min(text.len()));
     let mut codes = Vec::with_capacity(cols);
     for line in lines.take(row_count) {
         let mut fields = line.split(' ');
@@ -241,6 +243,20 @@ mod tests {
         assert!(dataset_from_text("remedy-dataset v1\nlabel y\n").is_err());
         let truncated = "remedy-dataset v1\nlabel y\nattr p- a 0 1\nrows 2\n0 1 0000000000000000\n";
         assert!(dataset_from_text(truncated).is_err());
+    }
+
+    /// The row count is untrusted: a huge one must yield a typed error,
+    /// not a "capacity overflow" panic from pre-allocating it.
+    #[test]
+    fn huge_row_count_is_a_typed_error() {
+        let text = format!(
+            "remedy-dataset v1\nlabel y\nattr p- a 0 1\nrows {}\n",
+            u64::MAX
+        );
+        assert!(matches!(
+            dataset_from_text(&text),
+            Err(DatasetError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! ```
 //!
 //! Branches share the identify artifact and fan out over scoped worker
-//! threads (a claim-by-atomic-counter queue, the same shape as
-//! `remedy_core::identify_in_parallel`). Each branch runs its own
+//! threads (a claim-by-atomic-counter queue). Each branch runs its own
 //! remedy → train → audit chain sequentially; results are stitched back
 //! into plan order so manifests are deterministic regardless of thread
 //! interleaving.
@@ -57,7 +56,7 @@ use std::time::Instant;
 pub struct PipelineOptions {
     /// Cache root directory.
     pub cache_dir: std::path::PathBuf,
-    /// Worker threads for identification and branch fan-out; 0 = all
+    /// Worker threads for branch fan-out and shard scans; 0 = all
     /// cores.
     pub threads: usize,
     /// Recompute every stage even when a cached artifact exists (fresh
@@ -190,7 +189,6 @@ pub fn run_with(
             plan,
             &discretized,
             &train_set,
-            opts.threads,
             &cache,
             opts.force,
             &run_span.child_scope("identify"),

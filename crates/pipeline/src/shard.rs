@@ -66,10 +66,7 @@ use crate::manifest::{RunManifest, RunStatus, StageRecord};
 use crate::plan::Plan;
 use crate::stages::{identify_key, run_stage, write_split, StageOutput};
 use remedy_core::hash::{stable_hash, StableHasher};
-use remedy_core::{
-    identify_in_parallel_with, identify_in_sparse_with, persist as ibs_persist, Algorithm,
-    ShardCounts,
-};
+use remedy_core::{persist as ibs_persist, try_identify_counts_with, Algorithm, ShardCounts};
 use remedy_dataset::{store, Dataset};
 use remedy_obs::Span;
 use std::path::PathBuf;
@@ -333,21 +330,9 @@ pub(crate) fn sharded_identify_stage(
         &format!("identify tau={} k={}", params.tau_c, params.min_size),
         &obs,
         move || {
-            let algorithm = Algorithm::Optimized;
-            let regions = match params.enumeration {
-                remedy_core::Enumeration::Dense => {
-                    let hierarchy = merged
-                        .into_hierarchy()
-                        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
-                    identify_in_parallel_with(&hierarchy, &params, algorithm, threads, &inner_obs)
-                }
-                remedy_core::Enumeration::Pruned => {
-                    let sparse = merged
-                        .into_sparse(params.min_size)
-                        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
-                    identify_in_sparse_with(&sparse, &params, algorithm, &inner_obs)
-                }
-            };
+            let regions =
+                try_identify_counts_with(merged, &params, Algorithm::Optimized, &inner_obs)
+                    .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
             Ok(ibs_persist::regions_to_text(&regions))
         },
     );

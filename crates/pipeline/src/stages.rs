@@ -21,9 +21,7 @@ use remedy_classifiers::{
     Model, NaiveBayes, RandomForest, RandomForestParams,
 };
 use remedy_core::hash::{stable_hash, StableHasher};
-use remedy_core::{
-    identify_in_parallel_with, persist as ibs_persist, Algorithm, Hierarchy, RemedyParams,
-};
+use remedy_core::{persist as ibs_persist, try_identify_over_with, Algorithm, RemedyParams};
 use remedy_dataset::csv::{LoadOptions, RawTable};
 use remedy_dataset::persist as data_persist;
 use remedy_dataset::split::train_test_split;
@@ -301,7 +299,6 @@ pub fn identify_stage(
     plan: &Plan,
     discretized: &StageOutput,
     train_set: &Dataset,
-    threads: usize,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
@@ -320,21 +317,15 @@ pub fn identify_stage(
         move || {
             // the NeighborModel dispatches OrderedRadius to enumeration
             // internally, so Optimized is always the right entry point
-            let algorithm = Algorithm::Optimized;
-            let regions = match params.enumeration {
-                remedy_core::Enumeration::Dense => {
-                    let hierarchy = Hierarchy::try_build(train_set)
-                        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
-                    identify_in_parallel_with(&hierarchy, &params, algorithm, threads, &inner_obs)
-                }
-                remedy_core::Enumeration::Pruned => {
-                    let protected = train_set.schema().protected_indices();
-                    remedy_core::try_identify_over_with(
-                        train_set, &protected, &params, algorithm, &inner_obs,
-                    )
-                    .map_err(|e| PipelineError::invalid_plan(e.to_string()))?
-                }
-            };
+            let protected = train_set.schema().protected_indices();
+            let regions = try_identify_over_with(
+                train_set,
+                &protected,
+                &params,
+                Algorithm::Optimized,
+                &inner_obs,
+            )
+            .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
             Ok(ibs_persist::regions_to_text(&regions))
         },
     )

@@ -307,8 +307,13 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remedy_core::{identify, identify_in_index, Algorithm, IbsParams};
+    use remedy_core::{identify, try_identify_in_index_with, Algorithm, BiasedRegion, IbsParams};
     use remedy_dataset::synth;
+
+    fn live_ibs(index: &RegionIndex, params: &IbsParams) -> Vec<BiasedRegion> {
+        try_identify_in_index_with(index, params, Algorithm::Optimized, &ObsScope::disabled())
+            .unwrap()
+    }
 
     #[test]
     fn ingest_maintains_index_and_counts() {
@@ -328,7 +333,7 @@ mod tests {
         assert_eq!((session.edits, session.batches), (3, 1));
         assert_eq!(session.epoch, 1, "one accepted batch bumps the epoch once");
         let params = IbsParams::default();
-        let live = identify_in_index(&session.index, &params, Algorithm::Optimized);
+        let live = live_ibs(&session.index, &params);
         let cold = identify(&session.data, &params, Algorithm::Optimized);
         assert_eq!(live, cold);
     }
@@ -343,15 +348,15 @@ mod tests {
         let fresh = Session::open(data);
         let params = IbsParams::default();
         assert_eq!(
-            identify_in_index(&from_artifact.index, &params, Algorithm::Optimized),
-            identify_in_index(&fresh.index, &params, Algorithm::Optimized),
+            live_ibs(&from_artifact.index, &params),
+            live_ibs(&fresh.index, &params),
         );
         // the packed-key fast path must leave the index fully live
         from_artifact
             .ingest(&[RowEdit::FlipLabel { row: 1 }, RowEdit::Duplicate { src: 2 }])
             .unwrap();
         from_artifact.index.flush_deltas();
-        let live = identify_in_index(&from_artifact.index, &params, Algorithm::Optimized);
+        let live = live_ibs(&from_artifact.index, &params);
         let cold = identify(&from_artifact.data, &params, Algorithm::Optimized);
         assert_eq!(live, cold);
     }

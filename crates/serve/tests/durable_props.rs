@@ -11,8 +11,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_core::persist::regions_to_text;
-use remedy_core::{identify, identify_in_index, Algorithm, IbsParams};
+use remedy_core::{identify, try_identify_in_index_with, Algorithm, IbsParams};
 use remedy_dataset::{synth, Dataset, RowEdit};
+use remedy_obs::Scope as ObsScope;
 use remedy_pipeline::json::Value;
 use remedy_pipeline::{ErrorKind, RetryPolicy};
 use remedy_serve::durable::{self, Durable, DurableConfig, DurablePolicy};
@@ -79,11 +80,15 @@ fn counter(stats: &Value, scope: &str, name: &str) -> Option<u64> {
 }
 
 fn live_text(session: &Session) -> String {
-    regions_to_text(&identify_in_index(
-        &session.index,
-        &IbsParams::default(),
-        Algorithm::Optimized,
-    ))
+    regions_to_text(
+        &try_identify_in_index_with(
+            &session.index,
+            &IbsParams::default(),
+            Algorithm::Optimized,
+            &ObsScope::disabled(),
+        )
+        .unwrap(),
+    )
 }
 
 /// Opens a session over `data`, attaches a durable directory, and

@@ -7,8 +7,9 @@
 #![cfg(feature = "failpoints")]
 
 use remedy_core::persist::regions_to_text;
-use remedy_core::{identify, identify_in_index, Algorithm, IbsParams};
+use remedy_core::{identify, try_identify_in_index_with, Algorithm, IbsParams};
 use remedy_dataset::{synth, RowEdit};
+use remedy_obs::Scope as ObsScope;
 use remedy_pipeline::failpoint::{self, Action};
 use remedy_pipeline::ErrorKind;
 use remedy_serve::durable::{self, Durable, DurableConfig, DurablePolicy};
@@ -154,11 +155,15 @@ fn matrix_dir(site: &str) -> std::path::PathBuf {
 }
 
 fn live_text(session: &Session) -> String {
-    regions_to_text(&identify_in_index(
-        &session.index,
-        &IbsParams::default(),
-        Algorithm::Optimized,
-    ))
+    regions_to_text(
+        &try_identify_in_index_with(
+            &session.index,
+            &IbsParams::default(),
+            Algorithm::Optimized,
+            &ObsScope::disabled(),
+        )
+        .unwrap(),
+    )
 }
 
 /// The crash-point matrix of the acceptance criteria: for every

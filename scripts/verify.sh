@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace   # includes the remedy CLI binary
 cargo test -q --workspace
+# the benchmark in ledger/ is a package of its own that calls the core
+# API directly: build it and run its tests into the target directory
+# ledger/run.sh uses, so an API change that breaks the benchmark fails here
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    cargo test --release --offline --manifest-path ledger/Cargo.toml
 # the deterministic fault-injection suites (retry, panic containment,
 # kill-then-resume) only compile under the failpoints feature
 cargo test -q -p remedy-pipeline --features failpoints

@@ -85,7 +85,7 @@ fn hierarchy_counts_are_exact_and_partition() {
     for case in 0..CASES {
         let mut rng = SplitRng::new(case + 100);
         let data = arb_dataset(&mut rng);
-        let h = Hierarchy::build(&data);
+        let h = Hierarchy::try_build(&data).unwrap();
         for node in h.nodes() {
             let mut total = 0u64;
             for (&key, &counts) in &node.regions {
