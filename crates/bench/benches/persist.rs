@@ -86,7 +86,7 @@ fn bench_cold_load(c: &mut Criterion) {
         })
     });
     group.bench_function("index_repack_1m", |b| {
-        b.iter(|| RegionIndex::try_build_auto(std::hint::black_box(&stored.data)).unwrap())
+        b.iter(|| RegionIndex::try_build(std::hint::black_box(&stored.data)).unwrap())
     });
     group.finish();
 }

@@ -98,21 +98,13 @@ fn load_input_as(args: &Args, format: &str) -> Result<Dataset, CliError> {
     let source = args.positional(0).ok_or_else(|| {
         CliError("expected a dataset path or dataset name (adult|compas|law|wide)".into())
     })?;
-    match source {
-        "adult" => return Ok(synth::adult(42)),
-        "compas" => return Ok(synth::compas(42)),
-        "law" => return Ok(synth::law_school(42)),
-        // wide protected sets for enumeration-scalability runs; past 16
-        // attributes only the support-pruned mode can serve these
-        "wide" => {
-            let rows = args.get_parsed("rows", 10_000usize)?;
-            let arity = args.get_parsed("arity", 20usize)?;
-            if !(1..=32).contains(&arity) {
-                return Err(CliError("--arity must be in 1..=32".into()));
-            }
-            return Ok(synth::wide_n(rows, arity, 42));
-        }
-        _ => {}
+    // a built-in generator name is resolved before any file is read
+    let rows = args.get_parsed("rows", 0usize)?;
+    let arity = args.get_parsed("arity", synth::WIDE_DEFAULT_ARITY)?;
+    if let Some(data) =
+        synth::builtin(source, rows, 42, arity).map_err(|e| CliError(e.to_string()))?
+    {
+        return Ok(data);
     }
     let bytes =
         std::fs::read(source).map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
@@ -307,7 +299,7 @@ fn cmd_remedy(raw: Vec<String>) -> Result<(), CliError> {
             "remedy remedy <csv|adult|compas|law> --out fixed.csv \
              [--label Y --protected a,b] [--technique ps|us|dp|massage] \
              [--tau 0.1] [--min-size 30] [--neighborhood unit|full|<radius>] \
-             [--scope lattice|leaf|top] [--pruned] [--seed 42]"
+             [--scope lattice|leaf|top] [--seed 42]"
         );
         return Ok(());
     }
@@ -317,7 +309,6 @@ fn cmd_remedy(raw: Vec<String>) -> Result<(), CliError> {
         "min-size",
         "neighborhood",
         "scope",
-        "pruned",
         "technique",
         "seed",
         "out",
@@ -332,7 +323,6 @@ fn cmd_remedy(raw: Vec<String>) -> Result<(), CliError> {
         .neighborhood(parse_neighborhood(&args)?)
         .scope(parse_scope(&args)?)
         .seed(args.get_parsed("seed", 42u64)?)
-        .enumeration(parse_enumeration(&args))
         .build()
         .map_err(|e| CliError(e.to_string()))?;
     let outcome = remedy_data(&data, &params);
@@ -1019,22 +1009,10 @@ fn cmd_generate(raw: Vec<String>) -> Result<(), CliError> {
     let name = args.positional(0).unwrap();
     let seed = args.get_parsed("seed", 42u64)?;
     let rows = args.get_parsed("rows", 0usize)?;
-    let data = match (name, rows) {
-        ("adult", 0) => synth::adult(seed),
-        ("adult", n) => synth::adult_n(n, seed),
-        ("compas", 0) => synth::compas(seed),
-        ("compas", n) => synth::compas_n(n, seed),
-        ("law", 0) => synth::law_school(seed),
-        ("law", n) => synth::law_school_n(n, seed),
-        ("wide", n) => {
-            let arity = args.get_parsed("arity", 20usize)?;
-            if !(1..=32).contains(&arity) {
-                return Err(CliError("--arity must be in 1..=32".into()));
-            }
-            synth::wide_n(if n == 0 { 10_000 } else { n }, arity, seed)
-        }
-        _ => return Err(CliError(format!("unknown dataset `{name}`"))),
-    };
+    let arity = args.get_parsed("arity", synth::WIDE_DEFAULT_ARITY)?;
+    let data = synth::builtin(name, rows, seed, arity)
+        .map_err(|e| CliError(e.to_string()))?
+        .ok_or_else(|| CliError(format!("unknown dataset `{name}`")))?;
     let out_path = args.require("out")?;
     let format = args.get("format").unwrap_or("csv");
     match format {

@@ -203,3 +203,20 @@ fn resume_flag_round_trips_through_the_cli() {
         "resume should replay from cache: {stdout}"
     );
 }
+
+#[test]
+fn rows_option_sizes_builtin_datasets() {
+    for name in ["adult", "compas", "law"] {
+        let out = remedy(&["describe", name, "--rows", "500"]);
+        assert!(out.status.success(), "{name}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("500 rows,"), "{name}: {stdout}");
+    }
+    // the wide generator's arity range is checked by the one resolver
+    let out = remedy(&["describe", "wide", "--arity", "40"]);
+    let stderr = assert_clean_failure(&out);
+    assert!(
+        stderr.contains("arity must be in 1..=32, got 40"),
+        "{stderr}"
+    );
+}

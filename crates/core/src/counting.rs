@@ -5,11 +5,15 @@
 //! run its own O(n·p) scan over the dataset, repacking each row's
 //! protected values into a `u128` key every time. This module is the one
 //! counting seam (mirroring the [`NeighborModel`] seam on the neighbor
-//! side): rows are packed **once** into an SoA key column by
-//! `pack_keys`, all lattice-node counts are built from it in a single
-//! parallel pass, and a [`RegionIndex`] keeps those counts *incrementally*
-//! correct as the remedy edits the dataset — each append, removal, or
-//! label flip becomes an O(nodes) delta update instead of a fresh scan.
+//! side): [`ShardCounts`] validates the protected layout, packs every row
+//! **once** into an SoA key column (or accepts a persisted sidecar of
+//! those keys), and tallies the *leaf* counts in a single parallel pass.
+//! Every lattice is assembled from those leaves — the dense
+//! [`Hierarchy`] by node-to-node projection, the support-pruned
+//! [`SparseHierarchy`] by level-wise enumeration — and a [`RegionIndex`]
+//! keeps them correct as the remedy or a serve session edits the dataset,
+//! each append, removal, or label flip an O(1) leaf delta instead of a
+//! fresh scan.
 //!
 //! Determinism contract: everything here is bit-identical to the
 //! single-threaded scans it replaces, regardless of thread count. Keys
@@ -27,7 +31,7 @@
 //!
 //! [`NeighborModel`]: crate::neighbor_model::NeighborModel
 
-use crate::error::{validate_columns, CoreError, MAX_PROTECTED_SPARSE};
+use crate::error::{check_dense_arity, CoreError, MAX_CARDINALITY, MAX_PROTECTED_SPARSE};
 use crate::hash::FastMap;
 use crate::hierarchy::{Hierarchy, MAX_PROTECTED};
 use crate::score::Counts;
@@ -72,36 +76,22 @@ fn chunk_bounds_capped(n: usize, threads: usize) -> Vec<(usize, usize)> {
 }
 
 /// Packs each row's values over `cols` into a `u128` key at the codec's
-/// per-column bit offsets (8 bits per column on every dense path),
-/// written position-wise into `out` (`out.len()` must equal the dataset
-/// length). This is the **only** key-packing loop in the crate; hierarchy
-/// construction, the remedy's scan fallback, the sparse enumeration, and
-/// the [`RegionIndex`] all call it. Column count and cardinalities are
-/// validated by every entry point (see [`crate::error::validate_columns`])
-/// before keys are packed, so the layout can never silently truncate a
-/// code in release builds.
-pub(crate) fn pack_keys(data: &Dataset, cols: &[usize], codec: &KeyCodec, out: &mut [u128]) {
-    pack_keys_capped(data, cols, codec, out, 0)
-}
-
-/// [`pack_keys`] under an explicit worker-thread cap (`0` = all cores).
-pub(crate) fn pack_keys_capped(
-    data: &Dataset,
-    cols: &[usize],
-    codec: &KeyCodec,
-    out: &mut [u128],
-    threads: usize,
-) {
-    debug_assert_eq!(out.len(), data.len());
+/// per-column bit offsets, position-wise, under a worker-thread cap
+/// (`0` = all cores). This is the **only** key-packing loop in the
+/// crate, reached only through [`ShardCounts`], whose layout check runs
+/// first — so the layout can never silently truncate a code in release
+/// builds.
+fn pack_keys(data: &Dataset, cols: &[usize], codec: &KeyCodec, threads: usize) -> Vec<u128> {
     debug_assert_eq!(cols.len(), codec.arity());
+    let mut out = vec![0u128; data.len()];
     let col_slices: Vec<&[u32]> = cols.iter().map(|&c| data.column(c)).collect();
     let bounds = chunk_bounds_capped(out.len(), threads);
     if bounds.len() <= 1 {
-        pack_chunk(&col_slices, codec, 0, out);
-        return;
+        pack_chunk(&col_slices, codec, 0, &mut out);
+        return out;
     }
     std::thread::scope(|scope| {
-        let mut rest = &mut *out;
+        let mut rest = &mut out[..];
         for &(a, b) in &bounds {
             let (chunk, tail) = rest.split_at_mut(b - a);
             rest = tail;
@@ -109,6 +99,7 @@ pub(crate) fn pack_keys_capped(
             scope.spawn(move || pack_chunk(cols, codec, a, chunk));
         }
     });
+    out
 }
 
 fn pack_chunk(cols: &[&[u32]], codec: &KeyCodec, start: usize, out: &mut [u128]) {
@@ -123,29 +114,20 @@ fn pack_chunk(cols: &[&[u32]], codec: &KeyCodec, start: usize, out: &mut [u128])
 }
 
 /// Result of one parallel leaf pass over a packed key column.
-pub(crate) struct LeafScan {
+struct LeafScan {
     /// Full key → class counts.
-    pub counts: FastMap<u128, Counts>,
+    counts: FastMap<u128, Counts>,
     /// Full key → ascending slot list (empty unless requested).
-    pub buckets: FastMap<u128, Vec<u32>>,
+    buckets: FastMap<u128, Vec<u32>>,
     /// Whole-dataset counts.
-    pub totals: Counts,
+    totals: Counts,
 }
 
 /// Tallies leaf counts (and optionally row buckets) from the packed key
-/// column in one parallel pass; per-worker maps are merged in chunk
-/// order, so bucket slot lists come out ascending.
-pub(crate) fn leaf_scan(keys: &[u128], labels: &[u8], with_buckets: bool) -> LeafScan {
-    leaf_scan_capped(keys, labels, with_buckets, 0)
-}
-
-/// [`leaf_scan`] under an explicit worker-thread cap (`0` = all cores).
-pub(crate) fn leaf_scan_capped(
-    keys: &[u128],
-    labels: &[u8],
-    with_buckets: bool,
-    threads: usize,
-) -> LeafScan {
+/// column in one pass under a worker-thread cap (`0` = all cores);
+/// per-worker maps are merged in chunk order, so bucket slot lists come
+/// out ascending.
+fn leaf_scan(keys: &[u128], labels: &[u8], with_buckets: bool, threads: usize) -> LeafScan {
     debug_assert_eq!(keys.len(), labels.len());
     let bounds = chunk_bounds_capped(keys.len(), threads);
     let mut parts: Vec<LeafScan> = if bounds.len() <= 1 {
@@ -205,31 +187,38 @@ fn scan_chunk(keys: &[u128], labels: &[u8], a: usize, b: usize, with_buckets: bo
 
 /// Per-region class counts over one attribute subset of the *current*
 /// dataset — the scan-path primitive behind [`crate::hierarchy::node_counts`].
+///
+/// # Panics
+///
+/// On a column set no leaf layout can carry (see [`ShardCounts::scan_over`]).
 pub(crate) fn node_counts(data: &Dataset, cols: &[usize]) -> FastMap<u128, Counts> {
-    let mut keys = vec![0u128; data.len()];
-    pack_keys(data, cols, &KeyCodec::bytes(cols.len()), &mut keys);
-    leaf_scan(&keys, data.labels(), false).counts
+    ShardCounts::scan_over(data, cols, 0)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .leaves
 }
 
 /// Counts **and** ascending row buckets over one attribute subset — the
 /// remedy's reference scan path.
+///
+/// # Panics
+///
+/// On a column set no leaf layout can carry (see [`ShardCounts::scan_over`]).
 pub(crate) fn node_snapshot(
     data: &Dataset,
     cols: &[usize],
 ) -> (FastMap<u128, Counts>, FastMap<u128, Vec<usize>>) {
-    let mut keys = vec![0u128; data.len()];
-    pack_keys(data, cols, &KeyCodec::bytes(cols.len()), &mut keys);
-    let scan = leaf_scan(&keys, data.labels(), true);
+    let scan = ShardCounts::scan_indexed(data, cols, None).unwrap_or_else(|e| panic!("{e}"));
     let rows = scan
         .buckets
         .into_iter()
         .map(|(k, v)| (k, v.into_iter().map(|s| s as usize).collect()))
         .collect();
-    (scan.counts, rows)
+    (scan.counts.leaves, rows)
 }
 
 /// Mergeable leaf-level region counts over one dataset shard — the seam
-/// sharded pipeline execution sums per-worker results through.
+/// sharded pipeline execution sums per-worker results through, and the
+/// counts a [`RegionIndex`] maintains.
 ///
 /// Region counts are row sums, so accumulators merge *exactly*: merging
 /// the `ShardCounts` of any row partition of a dataset yields the same
@@ -249,8 +238,19 @@ pub struct ShardCounts {
     protected: Vec<usize>,
     cards: Vec<u32>,
     ordered: Vec<bool>,
+    /// Bit layout of the leaf keys: 8-bit slots up to [`MAX_PROTECTED`]
+    /// columns, minimal widths beyond.
+    codec: KeyCodec,
     leaves: FastMap<u128, Counts>,
     totals: Counts,
+}
+
+/// A leaf scan together with the packed key column and per-leaf row
+/// buckets it came from — what a [`RegionIndex`] keeps.
+pub(crate) struct IndexedScan {
+    pub counts: ShardCounts,
+    pub keys: Vec<u128>,
+    pub buckets: FastMap<u128, Vec<u32>>,
 }
 
 impl ShardCounts {
@@ -261,17 +261,17 @@ impl ShardCounts {
         ShardCounts::scan_over(data, &protected, threads)
     }
 
-    /// Scans a shard over an explicit protected-column set.
+    /// Scans a shard over an explicit protected-column set: a non-empty
+    /// set of at most [`MAX_PROTECTED_SPARSE`] columns, each with at most
+    /// [`MAX_CARDINALITY`] categories.
     pub fn scan_over(
         data: &Dataset,
         protected: &[usize],
         threads: usize,
     ) -> Result<ShardCounts, CoreError> {
-        validate_columns(data, protected, MAX_PROTECTED_SPARSE)?;
-        let codec = codec_for(data, protected)?;
-        let mut keys = vec![0u128; data.len()];
-        pack_keys_capped(data, protected, &codec, &mut keys, threads);
-        ShardCounts::from_keys(data, protected, &keys, threads)
+        let codec = ShardCounts::layout(data, protected)?;
+        let keys = pack_keys(data, protected, &codec, threads);
+        Ok(ShardCounts::from_keys(data, protected, codec, &keys, false, threads).0)
     }
 
     /// Scans a shard from a persisted packed-key sidecar (the
@@ -285,70 +285,103 @@ impl ShardCounts {
         threads: usize,
     ) -> Result<ShardCounts, CoreError> {
         let protected = data.schema().protected_indices();
-        validate_columns(data, &protected, MAX_PROTECTED_SPARSE)?;
-        let mismatch = |detail: String| CoreError::PackedLayoutMismatch { detail };
-        if packed.keys.len() != data.len() {
-            return Err(mismatch(format!(
-                "{} persisted keys for {} rows",
-                packed.keys.len(),
-                data.len()
-            )));
+        let codec = ShardCounts::layout(data, &protected)?;
+        check_packed(data, &protected, &codec, packed)?;
+        Ok(ShardCounts::from_keys(data, &protected, codec, &packed.keys, false, threads).0)
+    }
+
+    /// One scan (all cores) that also keeps the key column and the
+    /// ascending row buckets of every leaf, packing the keys itself or
+    /// taking them from a validated sidecar.
+    pub(crate) fn scan_indexed(
+        data: &Dataset,
+        protected: &[usize],
+        packed: Option<PackedKeys>,
+    ) -> Result<IndexedScan, CoreError> {
+        let codec = ShardCounts::layout(data, protected)?;
+        let keys = match packed {
+            Some(packed) => {
+                check_packed(data, protected, &codec, &packed)?;
+                packed.keys
+            }
+            None => pack_keys(data, protected, &codec, 0),
+        };
+        let (counts, buckets) = ShardCounts::from_keys(data, protected, codec, &keys, true, 0);
+        Ok(IndexedScan {
+            counts,
+            keys,
+            buckets,
+        })
+    }
+
+    /// The one validation of a leaf layout: a non-empty protected set of
+    /// at most [`MAX_PROTECTED_SPARSE`] columns, each with at most
+    /// [`MAX_CARDINALITY`] categories, and the [`KeyCodec`] its keys pack
+    /// with. It runs in release builds too, so no layout reaches the
+    /// packing loop that would wrap a code into a colliding key.
+    pub(crate) fn layout(data: &Dataset, protected: &[usize]) -> Result<KeyCodec, CoreError> {
+        if protected.is_empty() {
+            return Err(CoreError::NoProtected);
         }
-        let cols: Vec<usize> = packed.cols.iter().map(|&c| c as usize).collect();
-        if cols != protected {
-            return Err(mismatch(format!(
-                "persisted columns {cols:?} != protected columns {protected:?}"
-            )));
+        if protected.len() > MAX_PROTECTED_SPARSE {
+            return Err(CoreError::TooManyProtected {
+                got: protected.len(),
+                max: MAX_PROTECTED_SPARSE,
+            });
         }
-        let codec = codec_for(data, &protected)?;
-        if codec.widths() != packed.widths {
-            return Err(mismatch(format!(
-                "persisted slot widths {:?} != expected {:?}",
-                packed.widths,
-                codec.widths()
-            )));
+        for &col in protected {
+            let attr = data.schema().attribute(col);
+            if attr.cardinality() > MAX_CARDINALITY {
+                return Err(CoreError::CardinalityOverflow {
+                    column: attr.name().to_string(),
+                    cardinality: attr.cardinality(),
+                });
+            }
         }
-        ShardCounts::from_keys(data, &protected, &packed.keys, threads)
+        KeyCodec::for_cards(&cards_of(data, protected))
     }
 
     fn from_keys(
         data: &Dataset,
         protected: &[usize],
+        codec: KeyCodec,
         keys: &[u128],
+        with_buckets: bool,
         threads: usize,
-    ) -> Result<ShardCounts, CoreError> {
-        let scan = leaf_scan_capped(keys, data.labels(), false, threads);
-        Ok(ShardCounts {
+    ) -> (ShardCounts, FastMap<u128, Vec<u32>>) {
+        let scan = leaf_scan(keys, data.labels(), with_buckets, threads);
+        let counts = ShardCounts {
             protected: protected.to_vec(),
-            cards: protected
-                .iter()
-                .map(|&a| data.schema().attribute(a).cardinality() as u32)
-                .collect(),
+            cards: cards_of(data, protected),
             ordered: protected
                 .iter()
                 .map(|&a| data.schema().attribute(a).is_ordered())
                 .collect(),
+            codec,
             leaves: scan.counts,
             totals: scan.totals,
-        })
+        };
+        (counts, scan.buckets)
     }
 
     /// Reassembles an accumulator from persisted parts (see
-    /// [`crate::persist::counts_from_text`]).
+    /// [`crate::persist::counts_from_text`]); fails when the
+    /// cardinalities admit no key layout.
     pub(crate) fn from_parts(
         protected: Vec<usize>,
         cards: Vec<u32>,
         ordered: Vec<bool>,
         leaves: FastMap<u128, Counts>,
         totals: Counts,
-    ) -> ShardCounts {
-        ShardCounts {
+    ) -> Result<ShardCounts, CoreError> {
+        Ok(ShardCounts {
+            codec: KeyCodec::for_cards(&cards)?,
             protected,
             cards,
             ordered,
             leaves,
             totals,
-        }
+        })
     }
 
     /// Folds another shard's counts into this one. Merging is pure
@@ -367,15 +400,25 @@ impl ShardCounts {
         Ok(())
     }
 
+    /// Applies one leaf's net count delta, evicting the entry when it
+    /// reaches `(0, 0)` so maintained counts equal a from-scratch scan.
+    fn add_delta(&mut self, key: u128, dpos: i64, dneg: i64) {
+        let entry = self.leaves.entry(key).or_default();
+        entry.pos = (entry.pos as i64 + dpos) as u64;
+        entry.neg = (entry.neg as i64 + dneg) as u64;
+        if entry.pos == 0 && entry.neg == 0 {
+            self.leaves.remove(&key);
+        }
+        self.totals.pos = (self.totals.pos as i64 + dpos) as u64;
+        self.totals.neg = (self.totals.neg as i64 + dneg) as u64;
+    }
+
     /// Assembles the dense lattice from the accumulated leaves —
     /// identical to [`Hierarchy::try_build_over`] on the concatenated
-    /// shards. Fails with [`CoreError::DenseUnavailable`] past
+    /// shards. Fails with [`CoreError::TooManyProtected`] past
     /// [`MAX_PROTECTED`] attributes.
     pub(crate) fn into_hierarchy(self) -> Result<Hierarchy, CoreError> {
-        let p = self.protected.len();
-        if p > MAX_PROTECTED {
-            return Err(CoreError::DenseUnavailable { arity: p });
-        }
+        check_dense_arity(self.protected.len())?;
         // ≤ MAX_PROTECTED attributes always pack on the 8-bit layout,
         // so the accumulated leaf keys are exactly the dense keys.
         Ok(Hierarchy::from_leaf(
@@ -391,17 +434,29 @@ impl ShardCounts {
     /// accumulated leaves — identical to
     /// [`SparseHierarchy::try_build_over`] on the concatenated shards,
     /// because pruning sees the globally merged counts.
-    pub(crate) fn into_sparse(self, support: u64) -> Result<SparseHierarchy, CoreError> {
-        let codec = KeyCodec::for_cards(&self.cards)?;
+    pub(crate) fn to_sparse(&self, support: u64) -> Result<SparseHierarchy, CoreError> {
         SparseHierarchy::from_leaves(
-            self.protected,
+            self.protected.clone(),
             self.cards.clone(),
-            self.ordered,
-            &codec,
+            self.ordered.clone(),
+            &self.codec,
             self.leaves.iter().map(|(&k, &c)| (k, c)),
             self.totals,
             support,
         )
+    }
+
+    /// The complete region map of one lattice node, projected from the
+    /// leaves — O(distinct leaves). Canonical 8-bit region keys, so
+    /// `mask` must span at most [`MAX_PROTECTED`] attributes.
+    pub(crate) fn project(&self, mask: u32) -> FastMap<u128, Counts> {
+        let mut out: FastMap<u128, Counts> = FastMap::default();
+        for (&full, &c) in &self.leaves {
+            out.entry(self.codec.project(full, mask))
+                .or_default()
+                .add(c);
+        }
+        out
     }
 
     /// Schema column indices of the protected attributes.
@@ -440,16 +495,46 @@ impl ShardCounts {
     }
 }
 
-/// The codec every shard scan packs with: minimal widths, which stays
-/// on the 8-bit dense layout while the arity allows it — so one leaf
-/// map serves both [`ShardCounts::into_hierarchy`] and
-/// [`ShardCounts::into_sparse`].
-fn codec_for(data: &Dataset, protected: &[usize]) -> Result<KeyCodec, CoreError> {
-    let cards: Vec<u32> = protected
+fn cards_of(data: &Dataset, protected: &[usize]) -> Vec<u32> {
+    protected
         .iter()
         .map(|&a| data.schema().attribute(a).cardinality() as u32)
-        .collect();
-    KeyCodec::for_cards(&cards)
+        .collect()
+}
+
+/// The one validation of a persisted packed-key sidecar: it must be
+/// exactly the layout a scan over `protected` would pack — row count,
+/// column set, and slot widths — or keys after a schema change, a
+/// foreign column order, or a different width rule would silently
+/// produce wrong counts.
+fn check_packed(
+    data: &Dataset,
+    protected: &[usize],
+    codec: &KeyCodec,
+    packed: &PackedKeys,
+) -> Result<(), CoreError> {
+    let mismatch = |detail: String| Err(CoreError::PackedLayoutMismatch { detail });
+    if packed.keys.len() != data.len() {
+        return mismatch(format!(
+            "{} persisted keys for {} rows",
+            packed.keys.len(),
+            data.len()
+        ));
+    }
+    let cols: Vec<usize> = packed.cols.iter().map(|&c| c as usize).collect();
+    if cols != protected {
+        return mismatch(format!(
+            "persisted columns {cols:?} != protected columns {protected:?}"
+        ));
+    }
+    if codec.widths() != packed.widths {
+        return mismatch(format!(
+            "persisted slot widths {:?} != expected {:?}",
+            packed.widths,
+            codec.widths()
+        ));
+    }
+    Ok(())
 }
 
 /// Shared layout guard of every merge seam: protected columns,
@@ -467,22 +552,6 @@ pub(crate) fn check_merge_layout(
         });
     }
     Ok(())
-}
-
-/// Projects a full packed key onto the attribute subset of node `mask`
-/// (gathering the bytes of the set bits, compacted low-to-high).
-#[inline]
-fn project_key(full_key: u128, mask: u32) -> u128 {
-    let mut key = 0u128;
-    let mut out_slot = 0;
-    let mut m = mask;
-    while m != 0 {
-        let j = m.trailing_zeros() as usize;
-        key |= ((full_key >> (8 * j)) & 0xFF) << (8 * out_slot);
-        out_slot += 1;
-        m &= m - 1;
-    }
-    key
 }
 
 /// Fenwick tree over per-slot alive bits: `prefix`/`rank` translate a
@@ -587,7 +656,7 @@ pub struct CountingTally {
     pub removes: u64,
     /// Labels flipped through [`RegionIndex::apply_flip`].
     pub flips: u64,
-    /// Individual node-map entry updates performed by delta maintenance.
+    /// Leaf-count updates performed by delta maintenance.
     pub node_updates: u64,
     /// Node count maps served from the index instead of a dataset scan.
     pub nodes_served: u64,
@@ -613,54 +682,28 @@ impl CountingTally {
     }
 }
 
-/// The counting structure a [`RegionIndex`] maintains: either the full
-/// dense [`Hierarchy`], or — for the support-pruned mode and for arities
-/// past [`MAX_PROTECTED`] — just the leaf-level counts, from which any
-/// requested lattice slice is projected on demand.
-#[derive(Debug, Clone)]
-enum Lattice {
-    Dense(Hierarchy),
-    Sparse(SparseMeta),
-}
-
-/// Sparse-mode state: the maintained leaf map plus the schema facts
-/// needed to project or re-enumerate from it.
-#[derive(Debug, Clone)]
-struct SparseMeta {
-    protected: Vec<usize>,
-    cards: Vec<u32>,
-    ordered: Vec<bool>,
-    codec: KeyCodec,
-    /// Full key → counts; delta-maintained, `(0, 0)` entries evicted.
-    leaf: FastMap<u128, Counts>,
-    totals: Counts,
-}
-
-/// Delta-maintained region counts over a mutating dataset.
+/// Delta-maintained leaf counts over a mutating dataset.
 ///
-/// Built once in a parallel pass, a dense index owns a full
-/// [`Hierarchy`] whose node maps it keeps equal to what
-/// [`Hierarchy::try_build_over`] would produce on the *current* dataset, at
-/// O(2^p·p) per row edit instead of O(n·p) per node query. A sparse
-/// index (the `try_build_sparse*` constructors) maintains only the leaf
-/// counts — O(1) per row edit and O(distinct leaves) memory — and serves
-/// lattice views by projection ([`sparse_hierarchy`]), which is what
-/// lets it carry arities the dense lattice cannot. Either kind answers
-/// [`region_rows`] — the current row indices of any region — from
-/// per-leaf slot buckets plus the Fenwick rank translation, without
-/// touching the dataset.
+/// Built once in a parallel pass, the index keeps the [`ShardCounts`]
+/// of the *current* rows — O(1) per row edit and O(distinct leaves)
+/// memory, at any arity up to [`MAX_PROTECTED_SPARSE`]. Every lattice is
+/// assembled from them on demand ([`counts`]): a dense identify projects
+/// a copy of the leaves through [`Hierarchy`], a pruned one enumerates
+/// from them directly. The index also answers [`region_rows`] — the
+/// current row indices of any region — from per-leaf slot buckets plus
+/// the Fenwick rank translation, without touching the dataset.
 ///
 /// The index does not hold the dataset; callers mirror every mutation
 /// through [`apply_edit`] (or the typed `apply_*` methods) in the same
 /// order they apply it to the [`Dataset`].
 ///
+/// [`counts`]: RegionIndex::counts
 /// [`region_rows`]: RegionIndex::region_rows
 /// [`apply_edit`]: RegionIndex::apply_edit
-/// [`sparse_hierarchy`]: RegionIndex::sparse_hierarchy
 #[derive(Debug, Clone)]
 pub struct RegionIndex {
-    lattice: Lattice,
-    full_mask: u32,
+    /// Leaf counts of the current rows; `(0, 0)` entries evicted.
+    counts: ShardCounts,
     /// Per-slot packed full keys (append-only; slots are never reused).
     keys: Vec<u128>,
     /// Per-slot labels, kept current under flips.
@@ -681,168 +724,45 @@ pub struct RegionIndex {
 }
 
 impl RegionIndex {
-    /// Builds a dense index over the schema-declared protected columns.
+    /// Builds an index over the schema-declared protected columns.
     pub fn try_build(data: &Dataset) -> Result<RegionIndex, CoreError> {
         let protected = data.schema().protected_indices();
         RegionIndex::try_build_over(data, &protected)
     }
 
-    /// Builds a dense index over an explicit protected-column set: one
-    /// parallel packing pass, one parallel leaf tally, then node-to-node
-    /// projection down the lattice.
+    /// Builds an index over an explicit protected-column set (up to
+    /// [`MAX_PROTECTED_SPARSE`] columns): one parallel packing pass and
+    /// one parallel leaf tally.
     pub fn try_build_over(data: &Dataset, protected: &[usize]) -> Result<RegionIndex, CoreError> {
-        RegionIndex::build_inner(data, protected, false, None)
-    }
-
-    /// Builds a sparse (leaf-only) index over the schema-declared
-    /// protected columns — required past [`MAX_PROTECTED`] attributes,
-    /// and sufficient for any support-pruned identify.
-    pub fn try_build_sparse(data: &Dataset) -> Result<RegionIndex, CoreError> {
-        let protected = data.schema().protected_indices();
-        RegionIndex::try_build_sparse_over(data, &protected)
-    }
-
-    /// Builds a sparse index over an explicit protected-column set (up
-    /// to [`MAX_PROTECTED_SPARSE`] columns).
-    pub fn try_build_sparse_over(
-        data: &Dataset,
-        protected: &[usize],
-    ) -> Result<RegionIndex, CoreError> {
-        RegionIndex::build_inner(data, protected, true, None)
-    }
-
-    /// Dense when the arity allows it, sparse beyond — the right default
-    /// for a resident session that must accept whatever schema it is
-    /// handed.
-    pub fn try_build_auto(data: &Dataset) -> Result<RegionIndex, CoreError> {
-        let protected = data.schema().protected_indices();
-        if protected.len() <= MAX_PROTECTED {
-            RegionIndex::try_build_over(data, &protected)
-        } else {
-            RegionIndex::try_build_sparse_over(data, &protected)
-        }
+        let scan = ShardCounts::scan_indexed(data, protected, None)?;
+        Ok(RegionIndex::from_scan(scan, data.labels()))
     }
 
     /// Builds an index from a persisted packed-key column (the binary
     /// store's [`PackedKeys`] sidecar), skipping the packing pass
     /// entirely — the bulk-load path for artifacts opened through
-    /// `Dataset::open`. Dense or sparse is chosen by arity exactly as
-    /// [`try_build_auto`] does.
+    /// `Dataset::open`.
     ///
     /// The persisted layout (column set and per-slot bit widths) must be
     /// the one this build would pack itself; any disagreement — stale
     /// keys after a schema change, a foreign column order, a different
     /// width rule — is rejected with [`CoreError::PackedLayoutMismatch`]
     /// instead of silently producing wrong counts.
-    ///
-    /// [`try_build_auto`]: RegionIndex::try_build_auto
     pub fn try_build_from_packed(
         data: &Dataset,
         packed: PackedKeys,
     ) -> Result<RegionIndex, CoreError> {
         let protected = data.schema().protected_indices();
-        let sparse = protected.len() > MAX_PROTECTED;
-        let max_arity = if sparse {
-            MAX_PROTECTED_SPARSE
-        } else {
-            MAX_PROTECTED
-        };
-        validate_columns(data, &protected, max_arity)?;
-        let mismatch = |detail: String| CoreError::PackedLayoutMismatch { detail };
-        if packed.keys.len() != data.len() {
-            return Err(mismatch(format!(
-                "{} persisted keys for {} rows",
-                packed.keys.len(),
-                data.len()
-            )));
-        }
-        let cols: Vec<usize> = packed.cols.iter().map(|&c| c as usize).collect();
-        if cols != protected {
-            return Err(mismatch(format!(
-                "persisted columns {cols:?} != protected columns {protected:?}"
-            )));
-        }
-        let cards: Vec<u32> = protected
-            .iter()
-            .map(|&a| data.schema().attribute(a).cardinality() as u32)
-            .collect();
-        let codec = if sparse {
-            KeyCodec::for_cards(&cards)?
-        } else {
-            KeyCodec::bytes(protected.len())
-        };
-        if codec.widths() != packed.widths {
-            return Err(mismatch(format!(
-                "persisted slot widths {:?} != expected {:?}",
-                packed.widths,
-                codec.widths()
-            )));
-        }
-        RegionIndex::build_inner(data, &protected, sparse, Some(packed.keys))
+        let scan = ShardCounts::scan_indexed(data, &protected, Some(packed))?;
+        Ok(RegionIndex::from_scan(scan, data.labels()))
     }
 
-    fn build_inner(
-        data: &Dataset,
-        protected: &[usize],
-        sparse: bool,
-        premade: Option<Vec<u128>>,
-    ) -> Result<RegionIndex, CoreError> {
-        let p = protected.len();
-        let max_arity = if sparse {
-            MAX_PROTECTED_SPARSE
-        } else {
-            MAX_PROTECTED
-        };
-        validate_columns(data, protected, max_arity)?;
-        let cards: Vec<u32> = protected
-            .iter()
-            .map(|&a| data.schema().attribute(a).cardinality() as u32)
-            .collect();
-        let ordered: Vec<bool> = protected
-            .iter()
-            .map(|&a| data.schema().attribute(a).is_ordered())
-            .collect();
-        let codec = if sparse {
-            KeyCodec::for_cards(&cards)?
-        } else {
-            KeyCodec::bytes(p)
-        };
-        let n = data.len();
-        let keys = match premade {
-            Some(keys) => {
-                debug_assert_eq!(keys.len(), n);
-                keys
-            }
-            None => {
-                let mut keys = vec![0u128; n];
-                pack_keys(data, protected, &codec, &mut keys);
-                keys
-            }
-        };
-        let scan = leaf_scan(&keys, data.labels(), true);
-        let lattice = if sparse {
-            Lattice::Sparse(SparseMeta {
-                protected: protected.to_vec(),
-                cards,
-                ordered,
-                codec,
-                leaf: scan.counts,
-                totals: scan.totals,
-            })
-        } else {
-            Lattice::Dense(Hierarchy::from_leaf(
-                protected.to_vec(),
-                cards,
-                ordered,
-                scan.counts,
-                scan.totals,
-            ))
-        };
-        Ok(RegionIndex {
-            lattice,
-            full_mask: full_mask_of(p),
-            keys,
-            labels: data.labels().to_vec(),
+    fn from_scan(scan: IndexedScan, labels: &[u8]) -> RegionIndex {
+        let n = scan.keys.len();
+        RegionIndex {
+            counts: scan.counts,
+            keys: scan.keys,
+            labels: labels.to_vec(),
             alive: vec![true; n],
             buckets: scan.buckets,
             fenwick: Fenwick::ones(n),
@@ -854,113 +774,34 @@ impl RegionIndex {
             },
             pending: FastMap::default(),
             batching: false,
-        })
-    }
-
-    /// Whether this index maintains only leaf counts (sparse mode).
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.lattice, Lattice::Sparse(_))
+        }
     }
 
     /// Number of protected attributes the index is keyed over.
     pub fn arity(&self) -> usize {
-        self.full_mask.count_ones() as usize
+        self.counts.protected().len()
     }
 
-    /// The maintained hierarchy; its node maps always equal
-    /// [`Hierarchy::try_build_over`] on the current dataset — provided any
-    /// batched deltas have been flushed (see [`begin_deltas`]).
-    ///
-    /// # Panics
-    ///
-    /// On a sparse index, which has no dense lattice to lend out; use
-    /// [`sparse_hierarchy`] there.
+    /// The maintained leaf counts; always equal to [`ShardCounts::scan`]
+    /// over the current dataset — provided any batched deltas have been
+    /// flushed (see [`begin_deltas`]).
     ///
     /// [`begin_deltas`]: RegionIndex::begin_deltas
-    /// [`sparse_hierarchy`]: RegionIndex::sparse_hierarchy
-    pub fn hierarchy(&self) -> &Hierarchy {
+    pub fn counts(&self) -> &ShardCounts {
         debug_assert!(
             self.pending.is_empty(),
             "flush_deltas() before reading batched counts"
         );
-        match &self.lattice {
-            Lattice::Dense(h) => h,
-            Lattice::Sparse(meta) => panic!(
-                "{}",
-                CoreError::DenseUnavailable {
-                    arity: meta.protected.len()
-                }
-            ),
-        }
-    }
-
-    /// Enumerates the support-pruned lattice of the *current* counts —
-    /// complete region maps for every node with a region above
-    /// `support`, nothing else materialized. Works on either index kind:
-    /// a dense index donates its full-lattice leaf node, a sparse one
-    /// its maintained leaf map. Batched deltas must be flushed first.
-    pub fn sparse_hierarchy(&self, support: u64) -> Result<SparseHierarchy, CoreError> {
-        debug_assert!(
-            self.pending.is_empty(),
-            "flush_deltas() before reading batched counts"
-        );
-        match &self.lattice {
-            Lattice::Dense(h) => {
-                let p = h.arity();
-                let cards: Vec<u32> = (0..p).map(|j| h.cardinality(j)).collect();
-                let ordered: Vec<bool> = (0..p).map(|j| h.is_ordered(j)).collect();
-                SparseHierarchy::from_leaves(
-                    h.protected().to_vec(),
-                    cards,
-                    ordered,
-                    &KeyCodec::bytes(p),
-                    h.node(self.full_mask).regions.iter().map(|(&k, &c)| (k, c)),
-                    h.totals(),
-                    support,
-                )
-            }
-            Lattice::Sparse(meta) => SparseHierarchy::from_leaves(
-                meta.protected.clone(),
-                meta.cards.clone(),
-                meta.ordered.clone(),
-                &meta.codec,
-                meta.leaf.iter().map(|(&k, &c)| (k, c)),
-                meta.totals,
-                support,
-            ),
-        }
-    }
-
-    /// The complete region map of one node, projected on demand from the
-    /// maintained leaf counts — O(distinct leaves), nothing else
-    /// materialized. Canonical 8-bit region keys, so `mask` must span at
-    /// most [`MAX_PROTECTED`] attributes.
-    pub(crate) fn project_node(&self, mask: u32) -> FastMap<u128, Counts> {
-        debug_assert!(
-            self.pending.is_empty(),
-            "flush_deltas() before reading batched counts"
-        );
-        match &self.lattice {
-            Lattice::Dense(h) => h.node(mask).regions.clone(),
-            Lattice::Sparse(meta) => {
-                let mut out: FastMap<u128, Counts> = FastMap::default();
-                for (&full, &c) in &meta.leaf {
-                    out.entry(meta.codec.project(full, mask))
-                        .or_default()
-                        .add(c);
-                }
-                out
-            }
-        }
+        &self.counts
     }
 
     /// Switches the index into batched-delta mode: subsequent edits
-    /// accumulate a net `(Δpos, Δneg)` per full key instead of walking
-    /// the lattice per row, and [`flush_deltas`] applies the sums
-    /// grouped — O(distinct edited keys · 2^p) for an arbitrarily long
-    /// edit run. Buckets, alive bits, and the rank structure stay
-    /// eagerly maintained, so [`region_rows`] is always current; only
-    /// the node count maps (and totals) lag until the next flush.
+    /// accumulate a net `(Δpos, Δneg)` per full key, and
+    /// [`flush_deltas`] applies the sums grouped — one leaf update per
+    /// distinct edited key for an arbitrarily long edit run. Buckets,
+    /// alive bits, and the rank structure stay eagerly maintained, so
+    /// [`region_rows`] is always current; only the leaf counts (and
+    /// totals) lag until the next flush.
     ///
     /// [`flush_deltas`]: RegionIndex::flush_deltas
     /// [`region_rows`]: RegionIndex::region_rows
@@ -968,8 +809,8 @@ impl RegionIndex {
         self.batching = true;
     }
 
-    /// Applies every pending per-key delta to the lattice. Keys whose
-    /// edits cancelled out are skipped; the final maps are identical to
+    /// Applies every pending per-key delta to the leaf counts. Keys whose
+    /// edits cancelled out are skipped; the final counts are identical to
     /// eager per-edit maintenance (count updates commute, and `(0, 0)`
     /// entries are evicted on every path).
     pub fn flush_deltas(&mut self) {
@@ -979,12 +820,12 @@ impl RegionIndex {
         let pending = std::mem::take(&mut self.pending);
         for (key, (dpos, dneg)) in pending {
             if dpos != 0 || dneg != 0 {
-                self.update_nodes(key, dpos, dneg);
+                self.update_leaf(key, dpos, dneg);
             }
         }
     }
 
-    /// Routes one row's count delta: straight to the lattice in eager
+    /// Routes one row's count delta: straight to the leaf counts in eager
     /// mode, into the pending accumulator in batched mode.
     fn record_delta(&mut self, key: u128, dpos: i64, dneg: i64) {
         if self.batching {
@@ -992,8 +833,13 @@ impl RegionIndex {
             entry.0 += dpos;
             entry.1 += dneg;
         } else {
-            self.update_nodes(key, dpos, dneg);
+            self.update_leaf(key, dpos, dneg);
         }
+    }
+
+    fn update_leaf(&mut self, key: u128, dpos: i64, dneg: i64) {
+        self.counts.add_delta(key, dpos, dneg);
+        self.tally.node_updates += 1;
     }
 
     /// Current number of live rows.
@@ -1031,10 +877,10 @@ impl RegionIndex {
     /// Cost is O(L·p + m·log n) for L distinct leaf keys and m matching
     /// rows — paid per *biased* region only, never per node.
     pub fn region_rows(&self, mask: u32, key: u128) -> Vec<usize> {
-        // on a wide sparse index the full-row bucket keys are not the
+        // past MAX_PROTECTED the leaf keys use minimal widths, not the
         // canonical 8-bit region keys, so only narrow masks are served
-        let full_is_canonical = self.arity() <= MAX_PROTECTED;
-        let slots: Vec<u32> = if mask == self.full_mask && full_is_canonical {
+        let leaf_is_canonical = self.arity() <= MAX_PROTECTED;
+        let slots: Vec<u32> = if mask == full_mask_of(self.arity()) && leaf_is_canonical {
             self.buckets.get(&key).cloned().unwrap_or_default()
         } else {
             assert!(
@@ -1046,7 +892,7 @@ impl RegionIndex {
             );
             let mut v = Vec::new();
             for (&full, bucket) in &self.buckets {
-                if self.project_full(full, mask) == key {
+                if self.counts.codec.project(full, mask) == key {
                     v.extend_from_slice(bucket);
                 }
             }
@@ -1151,56 +997,14 @@ impl RegionIndex {
             self.tally.removes += 1;
         }
     }
-
-    /// Projects a full bucket key onto `mask`'s canonical region key,
-    /// honoring the sparse bit layout when there is one.
-    fn project_full(&self, full: u128, mask: u32) -> u128 {
-        match &self.lattice {
-            Lattice::Dense(_) => project_key(full, mask),
-            Lattice::Sparse(meta) => meta.codec.project(full, mask),
-        }
-    }
-
-    /// Applies one row's count delta — to every dense lattice node (and
-    /// the level-0 totals), or to the single leaf entry in sparse mode —
-    /// evicting entries that reach `(0, 0)` so the maintained maps stay
-    /// equal to a from-scratch rebuild.
-    fn update_nodes(&mut self, full_key: u128, dpos: i64, dneg: i64) {
-        match &mut self.lattice {
-            Lattice::Dense(h) => {
-                for mask in 1..=self.full_mask {
-                    let key = project_key(full_key, mask);
-                    let node = h.node_mut(mask);
-                    let entry = node.regions.entry(key).or_default();
-                    entry.pos = (entry.pos as i64 + dpos) as u64;
-                    entry.neg = (entry.neg as i64 + dneg) as u64;
-                    if entry.pos == 0 && entry.neg == 0 {
-                        node.regions.remove(&key);
-                    }
-                }
-                let totals = h.totals_mut();
-                totals.pos = (totals.pos as i64 + dpos) as u64;
-                totals.neg = (totals.neg as i64 + dneg) as u64;
-                self.tally.node_updates += u64::from(self.full_mask);
-            }
-            Lattice::Sparse(meta) => {
-                let entry = meta.leaf.entry(full_key).or_default();
-                entry.pos = (entry.pos as i64 + dpos) as u64;
-                entry.neg = (entry.neg as i64 + dneg) as u64;
-                if entry.pos == 0 && entry.neg == 0 {
-                    meta.leaf.remove(&full_key);
-                }
-                meta.totals.pos = (meta.totals.pos as i64 + dpos) as u64;
-                meta.totals.neg = (meta.totals.neg as i64 + dneg) as u64;
-                self.tally.node_updates += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::identify::{
+        try_identify_in_index_with, try_identify_over_with, Algorithm, Enumeration, IbsParams,
+    };
     use remedy_dataset::{Attribute, Schema};
 
     fn fixture() -> Dataset {
@@ -1238,6 +1042,11 @@ mod tests {
         }
     }
 
+    /// The dense lattice assembled from an index's maintained leaves.
+    fn lattice_of(index: &RegionIndex) -> Hierarchy {
+        index.counts().clone().into_hierarchy().unwrap()
+    }
+
     #[test]
     fn packed_sidecar_matches_pack_keys_exactly() {
         // the dataset store's pack_protected must reproduce this crate's
@@ -1248,18 +1057,9 @@ mod tests {
         ] {
             let packed = remedy_dataset::store::pack_protected(&data).expect("layout exists");
             let protected = data.schema().protected_indices();
-            let cards: Vec<u32> = protected
-                .iter()
-                .map(|&a| data.schema().attribute(a).cardinality() as u32)
-                .collect();
-            let codec = if protected.len() <= MAX_PROTECTED {
-                KeyCodec::bytes(protected.len())
-            } else {
-                KeyCodec::for_cards(&cards).unwrap()
-            };
+            let codec = ShardCounts::layout(&data, &protected).unwrap();
             assert_eq!(codec.widths(), packed.widths, "width rule drifted");
-            let mut keys = vec![0u128; data.len()];
-            pack_keys(&data, &protected, &codec, &mut keys);
+            let keys = pack_keys(&data, &protected, &codec, 0);
             assert_eq!(keys, packed.keys, "packed keys drifted");
         }
     }
@@ -1272,13 +1072,10 @@ mod tests {
         ] {
             let packed = remedy_dataset::store::pack_protected(&data).unwrap();
             let from_packed = RegionIndex::try_build_from_packed(&data, packed).unwrap();
-            let regular = RegionIndex::try_build_auto(&data).unwrap();
-            assert_eq!(from_packed.is_sparse(), regular.is_sparse());
+            let regular = RegionIndex::try_build(&data).unwrap();
             assert_eq!(from_packed.keys, regular.keys);
             assert_eq!(from_packed.labels, regular.labels);
-            if !regular.is_sparse() {
-                assert_hierarchy_eq(from_packed.hierarchy(), regular.hierarchy());
-            }
+            assert_eq!(from_packed.counts(), regular.counts());
         }
     }
 
@@ -1296,8 +1093,7 @@ mod tests {
             live.apply_edit(&edit);
             edited.apply_edit(&edit);
         }
-        let rebuilt = RegionIndex::try_build(&edited).unwrap();
-        assert_hierarchy_eq(live.hierarchy(), rebuilt.hierarchy());
+        assert_eq!(live.counts(), &ShardCounts::scan(&edited, 0).unwrap());
     }
 
     #[test]
@@ -1361,8 +1157,8 @@ mod tests {
     fn build_matches_hierarchy_build() {
         let d = fixture();
         let index = RegionIndex::try_build(&d).unwrap();
-        let h = Hierarchy::try_build(&d).unwrap();
-        assert_hierarchy_eq(index.hierarchy(), &h);
+        assert_eq!(index.counts(), &ShardCounts::scan(&d, 0).unwrap());
+        assert_hierarchy_eq(&lattice_of(&index), &Hierarchy::try_build(&d).unwrap());
         assert_eq!(index.len(), d.len());
         let t = index.tally();
         assert_eq!(t.rebuild_scans, 1);
@@ -1373,7 +1169,7 @@ mod tests {
     fn region_rows_match_pattern_matching() {
         let d = fixture();
         let index = RegionIndex::try_build(&d).unwrap();
-        let h = index.hierarchy();
+        let h = lattice_of(&index);
         for node in h.nodes() {
             for &key in node.regions.keys() {
                 let pattern = h.pattern_of(node.mask, key);
@@ -1388,20 +1184,33 @@ mod tests {
     }
 
     /// Applies one edit to both sides and asserts the maintained index
-    /// equals a from-scratch rebuild (counts, totals, and row buckets).
+    /// equals an independent rebuild of the edited rows: leaf counts
+    /// against [`ShardCounts::scan_over`], and every node's row bucket
+    /// against pattern matching on the dataset itself.
     fn apply_and_check(d: &mut Dataset, index: &mut RegionIndex, edit: RowEdit) {
         index.apply_edit(&edit);
         d.apply_edit(&edit);
-        let fresh = RegionIndex::try_build(d).unwrap();
-        assert_hierarchy_eq(index.hierarchy(), fresh.hierarchy());
+        let protected = d.schema().protected_indices();
+        let fresh = ShardCounts::scan_over(d, &protected, 0).unwrap();
+        assert_eq!(index.counts(), &fresh, "counts after {edit:?}");
         assert_eq!(index.len(), d.len());
-        for node in fresh.hierarchy().nodes() {
-            for &key in node.regions.keys() {
+        let p = protected.len();
+        // every node of a narrow lattice; the level-1 and level-2 nodes
+        // of a wide one, whose full lattice has 2^p − 1 nodes
+        let masks: Vec<u32> = (1..=full_mask_of(p))
+            .filter(|m| p <= 4 || m.count_ones() <= 2)
+            .collect();
+        for mask in masks {
+            for &key in fresh.project(mask).keys() {
+                let mut pattern = remedy_dataset::Pattern::empty();
+                let attrs = (0..p).filter(|j| mask >> j & 1 == 1);
+                for (slot, j) in attrs.enumerate() {
+                    pattern.set(protected[j], ((key >> (8 * slot)) & 0xFF) as u32);
+                }
                 assert_eq!(
-                    index.region_rows(node.mask, key),
-                    fresh.region_rows(node.mask, key),
-                    "node {:#b} after {edit:?}",
-                    node.mask
+                    index.region_rows(mask, key),
+                    d.indices_matching(&pattern),
+                    "node {mask:#b} after {edit:?}",
                 );
             }
         }
@@ -1409,22 +1218,24 @@ mod tests {
 
     #[test]
     fn edits_track_a_rebuild() {
-        let mut d = fixture();
-        let mut index = RegionIndex::try_build(&d).unwrap();
-        apply_and_check(&mut d, &mut index, RowEdit::Duplicate { src: 3 });
-        apply_and_check(&mut d, &mut index, RowEdit::FlipLabel { row: 0 });
-        apply_and_check(
-            &mut d,
-            &mut index,
-            RowEdit::Remove {
-                rows: vec![7, 2, 2],
-            },
-        );
-        // duplicate the row appended by the first edit
-        let dup = RowEdit::Duplicate { src: d.len() - 1 };
-        apply_and_check(&mut d, &mut index, dup);
-        apply_and_check(&mut d, &mut index, RowEdit::FlipLabel { row: 5 });
-        apply_and_check(&mut d, &mut index, RowEdit::Remove { rows: vec![0] });
+        // p = 2 on the 8-bit layout, p = 18 on the minimal-width one
+        for mut d in [fixture(), remedy_dataset::synth::wide_n(120, 18, 3)] {
+            let mut index = RegionIndex::try_build(&d).unwrap();
+            apply_and_check(&mut d, &mut index, RowEdit::Duplicate { src: 3 });
+            apply_and_check(&mut d, &mut index, RowEdit::FlipLabel { row: 0 });
+            apply_and_check(
+                &mut d,
+                &mut index,
+                RowEdit::Remove {
+                    rows: vec![7, 2, 2],
+                },
+            );
+            // duplicate the row appended by the first edit
+            let dup = RowEdit::Duplicate { src: d.len() - 1 };
+            apply_and_check(&mut d, &mut index, dup);
+            apply_and_check(&mut d, &mut index, RowEdit::FlipLabel { row: 5 });
+            apply_and_check(&mut d, &mut index, RowEdit::Remove { rows: vec![0] });
+        }
     }
 
     #[test]
@@ -1432,12 +1243,11 @@ mod tests {
         let d = fixture();
         let mut index = RegionIndex::try_build(&d).unwrap();
         // remove every row of one leaf region
-        let h = index.hierarchy();
-        let full = (1u32 << h.arity()) - 1;
-        let &key = h.node(full).regions.keys().min().unwrap();
+        let full = full_mask_of(index.arity());
+        let &key = index.counts().leaves().keys().min().unwrap();
         let rows = index.region_rows(full, key);
         index.apply_remove(&rows);
-        assert!(!index.hierarchy().node(full).regions.contains_key(&key));
+        assert!(!index.counts().leaves().contains_key(&key));
         assert!(index.region_rows(full, key).is_empty());
     }
 
@@ -1473,12 +1283,11 @@ mod tests {
         for i in 0..(3 * MIN_CHUNK as u32) {
             d.push_row(&[i % 4], u8::from(i % 3 == 0)).unwrap();
         }
-        let mut keys = vec![0u128; d.len()];
-        pack_keys(&d, &[0], &KeyCodec::bytes(1), &mut keys);
+        let keys = pack_keys(&d, &[0], &KeyCodec::bytes(1), 0);
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(k, u128::from(d.value(i, 0)));
         }
-        let scan = leaf_scan(&keys, d.labels(), true);
+        let scan = leaf_scan(&keys, d.labels(), true, 0);
         assert_eq!(scan.totals.total(), d.len() as u64);
         for (key, bucket) in &scan.buckets {
             assert!(bucket.windows(2).all(|w| w[0] < w[1]), "key {key}");
@@ -1508,86 +1317,91 @@ mod tests {
         let index = RegionIndex::try_build(&empty).unwrap();
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);
-        for mask in 1..=index.full_mask {
+        for mask in 1..=full_mask_of(index.arity()) {
             assert!(index.region_rows(mask, 0).is_empty(), "mask {mask:#b}");
         }
-        assert_eq!(index.hierarchy().totals(), Counts::default());
+        assert_eq!(index.counts().totals(), Counts::default());
     }
 
     #[test]
     fn fully_drained_index_answers_empty() {
         let d = fixture();
         let mut index = RegionIndex::try_build(&d).unwrap();
-        let full = index.full_mask;
-        let keys: Vec<u128> = index
-            .hierarchy()
-            .node(full)
-            .regions
-            .keys()
-            .copied()
-            .collect();
+        let full = full_mask_of(index.arity());
+        let keys: Vec<u128> = index.counts().leaves().keys().copied().collect();
         index.apply_remove(&(0..d.len()).collect::<Vec<_>>());
         assert!(index.is_empty());
         for key in keys {
             assert!(index.region_rows(full, key).is_empty());
         }
-        assert!(index.hierarchy().node(full).regions.is_empty());
+        assert!(index.counts().is_empty());
     }
 
+    /// Identify through a maintained index equals identify over the
+    /// edited rows under both enumerations — on the 8-bit layout, and
+    /// on the minimal-width one at p = 18, where the dense enumeration
+    /// refuses both ways alike.
     #[test]
-    fn sparse_index_tracks_dense_through_edits() {
-        let mut d = fixture();
-        let mut sparse = RegionIndex::try_build_sparse(&d).unwrap();
-        assert!(sparse.is_sparse());
+    fn index_identify_tracks_both_enumerations_through_edits() {
         let edits = [
             RowEdit::Duplicate { src: 3 },
             RowEdit::FlipLabel { row: 0 },
             RowEdit::Remove { rows: vec![7, 2] },
             RowEdit::Duplicate { src: 0 },
         ];
-        for edit in &edits {
-            sparse.apply_edit(edit);
-            d.apply_edit(edit);
-            let dense = RegionIndex::try_build(&d).unwrap();
-            // projected views equal the maintained dense lattice
-            for node in dense.hierarchy().nodes() {
-                assert_eq!(sparse.project_node(node.mask), node.regions);
-                for &key in node.regions.keys() {
+        for (mut d, min_size) in [
+            (fixture(), 4),
+            (remedy_dataset::synth::wide_n(600, 18, 9), 10),
+        ] {
+            let mut index = RegionIndex::try_build(&d).unwrap();
+            index.begin_deltas();
+            for edit in &edits {
+                index.apply_edit(edit);
+                d.apply_edit(edit);
+                index.flush_deltas();
+                let protected = d.schema().protected_indices();
+                for enumeration in [Enumeration::Dense, Enumeration::Pruned] {
+                    let params = IbsParams {
+                        tau_c: 0.05,
+                        min_size,
+                        enumeration,
+                        ..IbsParams::default()
+                    };
+                    let obs = &ObsScope::disabled();
                     assert_eq!(
-                        sparse.region_rows(node.mask, key),
-                        dense.region_rows(node.mask, key),
-                        "node {:#b} after {edit:?}",
-                        node.mask
+                        try_identify_in_index_with(&index, &params, Algorithm::Optimized, obs),
+                        try_identify_over_with(&d, &protected, &params, Algorithm::Optimized, obs),
+                        "{enumeration:?} at p = {} after {edit:?}",
+                        protected.len()
                     );
                 }
-            }
-            // and a full sparse enumeration at support 0 matches too
-            let sh = sparse.sparse_hierarchy(0).unwrap();
-            let dh = dense.sparse_hierarchy(0).unwrap();
-            assert_eq!(sh.nodes().len(), dh.nodes().len());
-            for node in sh.nodes() {
-                assert_eq!(Some(&node.regions), dh.node(node.mask).map(|n| &n.regions));
             }
         }
     }
 
     #[test]
     fn release_mode_guards_reject_bad_columns() {
-        // 17 protected columns: dense refuses, sparse accepts
+        // 17 protected columns: the index keeps their leaves, the dense
+        // lattice refuses them
         let attrs: Vec<Attribute> = (0..17)
             .map(|i| Attribute::from_strs(&format!("a{i}"), &["0", "1"]).protected())
             .collect();
         let mut d = Dataset::new(Schema::new(attrs, "y").into_shared());
         d.push_row(&[0; 17], 1).unwrap();
-        match RegionIndex::try_build(&d) {
-            Err(CoreError::TooManyProtected { got: 17, max }) => {
-                assert_eq!(max, MAX_PROTECTED);
+        let index = RegionIndex::try_build(&d).unwrap();
+        for refused in [
+            Hierarchy::try_build(&d).map(|_| ()),
+            index.counts().clone().into_hierarchy().map(|_| ()),
+        ] {
+            match refused {
+                Err(CoreError::TooManyProtected { got: 17, max }) => {
+                    assert_eq!(max, MAX_PROTECTED);
+                }
+                other => panic!("expected TooManyProtected, got {other:?}"),
             }
-            other => panic!("expected TooManyProtected, got {other:?}"),
         }
-        assert!(RegionIndex::try_build_sparse(&d).is_ok());
 
-        // a 300-category protected column: both enumerations refuse
+        // a 300-category protected column: every leaf layout refuses
         let wide_domain: Vec<String> = (0..300).map(|i| format!("v{i}")).collect();
         let domain: Vec<&str> = wide_domain.iter().map(String::as_str).collect();
         let schema =
@@ -1595,8 +1409,8 @@ mod tests {
         let mut d = Dataset::new(schema);
         d.push_row(&[299], 0).unwrap();
         for built in [
-            RegionIndex::try_build(&d),
-            RegionIndex::try_build_sparse(&d),
+            RegionIndex::try_build(&d).map(|_| ()),
+            ShardCounts::scan(&d, 0).map(|_| ()),
         ] {
             match built {
                 Err(CoreError::CardinalityOverflow {
@@ -1606,14 +1420,6 @@ mod tests {
                 other => panic!("expected CardinalityOverflow, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "dense lattice unavailable")]
-    fn sparse_index_refuses_dense_hierarchy() {
-        let d = fixture();
-        let index = RegionIndex::try_build_sparse(&d).unwrap();
-        let _ = index.hierarchy();
     }
 
     /// Splits `d` into `n` round-robin shards.
@@ -1638,9 +1444,9 @@ mod tests {
                 merged.merge(&part).unwrap();
             }
             assert_eq!(merged, whole, "{shards} shards");
-            let dense = merged.clone().into_hierarchy().unwrap();
+            let sparse = merged.to_sparse(2).unwrap();
+            let dense = merged.into_hierarchy().unwrap();
             assert_hierarchy_eq(&dense, &Hierarchy::try_build(&d).unwrap());
-            let sparse = merged.into_sparse(2).unwrap();
             let direct = crate::sparse::SparseHierarchy::try_build(&d, 2).unwrap();
             assert_eq!(sparse.nodes().len(), direct.nodes().len());
         }

@@ -7,13 +7,13 @@
 //! `debug_assert`s deep inside `pack_keys`: a release build handed a
 //! wider protected set or a higher-cardinality column silently wrapped
 //! codes into colliding keys and produced wrong counts. Every build path
-//! now funnels through the crate-internal `validate_columns`, so both conditions fail
-//! loudly with a typed [`CoreError`] in release builds too — either
-//! returned from the `try_*` constructors or carried verbatim in the
-//! panic message of the legacy infallible ones.
+//! now funnels through the one leaf-layout check of
+//! [`ShardCounts`](crate::ShardCounts), so both conditions fail loudly
+//! with a typed [`CoreError`] in release builds too — either returned
+//! from the `try_*` constructors or carried verbatim in the panic message
+//! of the legacy infallible ones.
 
 use crate::hierarchy::MAX_PROTECTED;
-use remedy_dataset::Dataset;
 
 /// Most protected attributes the support-pruned (sparse) enumeration
 /// supports: node masks are `u32` bitsets.
@@ -49,13 +49,6 @@ pub enum CoreError {
     KeyWidthOverflow {
         /// Total bits the protected set would need.
         bits: u32,
-    },
-    /// A dense lattice was requested where only the sparse enumeration
-    /// can serve (a sparse-built index, or arity past
-    /// [`MAX_PROTECTED`]).
-    DenseUnavailable {
-        /// Arity of the protected set in question.
-        arity: usize,
     },
     /// Support pruning kept a node deeper than a region key can address.
     NodeTooDeep {
@@ -103,11 +96,6 @@ impl std::fmt::Display for CoreError {
                 f,
                 "protected columns need {bits} key bits combined; at most 128 supported"
             ),
-            CoreError::DenseUnavailable { arity } => write!(
-                f,
-                "dense lattice unavailable over {arity} protected attributes; \
-                 use the support-pruned enumeration"
-            ),
             CoreError::NodeTooDeep { level } => write!(
                 f,
                 "support pruning kept a frequent node at level {level}; \
@@ -126,32 +114,18 @@ impl std::fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// Shared guard of every build path: a non-empty protected set of at
-/// most `max_arity` columns, each with at most [`MAX_CARDINALITY`]
-/// categories. This is the release-mode replacement for the old
-/// `debug_assert`s in the packing loop.
-pub(crate) fn validate_columns(
-    data: &Dataset,
-    protected: &[usize],
-    max_arity: usize,
-) -> Result<(), CoreError> {
-    if protected.is_empty() {
-        return Err(CoreError::NoProtected);
-    }
-    if protected.len() > max_arity {
+/// Refuses a protected set wider than the dense lattice carries
+/// ([`MAX_PROTECTED`] attributes): the check the dense [`Hierarchy`]
+/// and the remedy, which walks every lattice node, make on top of the
+/// leaf layout.
+///
+/// [`Hierarchy`]: crate::Hierarchy
+pub(crate) fn check_dense_arity(p: usize) -> Result<(), CoreError> {
+    if p > MAX_PROTECTED {
         return Err(CoreError::TooManyProtected {
-            got: protected.len(),
-            max: max_arity,
+            got: p,
+            max: MAX_PROTECTED,
         });
-    }
-    for &col in protected {
-        let attr = data.schema().attribute(col);
-        if attr.cardinality() > MAX_CARDINALITY {
-            return Err(CoreError::CardinalityOverflow {
-                column: attr.name().to_string(),
-                cardinality: attr.cardinality(),
-            });
-        }
     }
     Ok(())
 }
@@ -176,9 +150,6 @@ mod tests {
         assert!(CoreError::KeyWidthOverflow { bits: 130 }
             .to_string()
             .contains("130"));
-        assert!(CoreError::DenseUnavailable { arity: 20 }
-            .to_string()
-            .contains("support-pruned"));
         assert!(CoreError::NodeTooDeep { level: 17 }
             .to_string()
             .contains("17"));

@@ -67,46 +67,28 @@ impl Hierarchy {
     /// Builds the hierarchy over an explicit set of protected columns
     /// (the scalability experiments extend the protected set), rejecting
     /// sets the packed-key representation cannot carry — more than
-    /// [`MAX_PROTECTED`] columns or any column with over 255 categories —
-    /// with a typed error even in release builds.
+    /// [`MAX_PROTECTED`] columns (checked before any row is scanned) or
+    /// any column with over 255 categories — with a typed error even in
+    /// release builds.
     ///
     /// The leaf cells come from one parallel pass through the shared
-    /// counting seam ([`crate::counting`]): keys are packed once into a
-    /// `u128` column and per-worker tallies are merged in chunk order, so
-    /// the result is bit-identical to a single-threaded scan.
+    /// counting seam ([`ShardCounts`](crate::ShardCounts)): keys are
+    /// packed once into a `u128` column and per-worker tallies are merged
+    /// in chunk order, so the result is bit-identical to a
+    /// single-threaded scan.
     pub fn try_build_over(
         data: &Dataset,
         protected: &[usize],
     ) -> Result<Self, crate::error::CoreError> {
-        let p = protected.len();
-        crate::error::validate_columns(data, protected, MAX_PROTECTED)?;
-        let cards: Vec<u32> = protected
-            .iter()
-            .map(|&a| data.schema().attribute(a).cardinality() as u32)
-            .collect();
-        let ordered: Vec<bool> = protected
-            .iter()
-            .map(|&a| data.schema().attribute(a).is_ordered())
-            .collect();
-
-        let mut keys = vec![0u128; data.len()];
-        let codec = crate::sparse::KeyCodec::bytes(p);
-        crate::counting::pack_keys(data, protected, &codec, &mut keys);
-        let scan = crate::counting::leaf_scan(&keys, data.labels(), false);
-        Ok(Hierarchy::from_leaf(
-            protected.to_vec(),
-            cards,
-            ordered,
-            scan.counts,
-            scan.totals,
-        ))
+        crate::error::check_dense_arity(protected.len())?;
+        crate::counting::ShardCounts::scan_over(data, protected, 0)?.into_hierarchy()
     }
 
     /// Assembles the lattice from precomputed leaf counts: every
     /// non-leaf node is projected from the superset node with one extra
     /// attribute, touching each region once per lattice edge rather than
-    /// once per row. Shared by [`Hierarchy::try_build_over`] and
-    /// [`crate::counting::RegionIndex`].
+    /// once per row. Every dense lattice is assembled here, from
+    /// [`ShardCounts`](crate::ShardCounts) leaves.
     pub(crate) fn from_leaf(
         protected: Vec<usize>,
         cards: Vec<u32>,
@@ -210,17 +192,6 @@ impl Hierarchy {
         &self.nodes[(mask - 1) as usize]
     }
 
-    /// Mutable node access for the delta maintenance of
-    /// [`crate::counting::RegionIndex`].
-    pub(crate) fn node_mut(&mut self, mask: u32) -> &mut Node {
-        &mut self.nodes[(mask - 1) as usize]
-    }
-
-    /// Mutable level-0 totals, same consumer as [`Hierarchy::node_mut`].
-    pub(crate) fn totals_mut(&mut self) -> &mut Counts {
-        &mut self.totals
-    }
-
     /// Counts of a region, or zero counts if the region is empty.
     pub fn counts(&self, mask: u32, key: u128) -> Counts {
         if mask == 0 {
@@ -295,6 +266,11 @@ pub(crate) fn get_byte(key: u128, pos: usize) -> u32 {
 /// Aggregates per-region counts for a single attribute set over the
 /// *current* dataset. Delegates to the shared counting seam
 /// ([`crate::counting`]), which owns the crate's one key-packing loop.
+///
+/// # Panics
+///
+/// On an attribute set no leaf layout can carry (a column with over 255
+/// categories).
 pub fn node_counts(
     data: &Dataset,
     protected: &[usize],

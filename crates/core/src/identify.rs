@@ -235,19 +235,16 @@ pub fn try_identify_counts_with(
             let hierarchy = counts.into_hierarchy()?;
             Ok(identify_in_with(&hierarchy, params, algorithm, obs))
         }
-        Enumeration::Pruned => {
-            let sparse = counts.into_sparse(params.min_size)?;
-            Ok(identify_in_sparse_with(&sparse, params, algorithm, obs))
-        }
+        Enumeration::Pruned => identify_in_leaves(&counts, params, algorithm, obs),
     }
 }
 
 /// Identifies biased regions in a maintained [`RegionIndex`], honoring
-/// `params.enumeration`. A dense index serves the dense scan directly
-/// (its hierarchy always equals a fresh build over the current rows) and
-/// the pruned scan by enumerating from its leaf node; a sparse index
-/// serves only the pruned scan — asking it for a dense one is
-/// [`CoreError::DenseUnavailable`].
+/// `params.enumeration`: the index's leaf counts always equal a fresh
+/// scan of the current rows, so a dense identify assembles its lattice
+/// from a copy of them and a pruned one enumerates from them in place.
+/// Past [`crate::hierarchy::MAX_PROTECTED`] attributes the dense mode
+/// fails with [`CoreError::TooManyProtected`].
 pub fn try_identify_in_index_with(
     index: &RegionIndex,
     params: &IbsParams,
@@ -256,18 +253,22 @@ pub fn try_identify_in_index_with(
 ) -> Result<Vec<BiasedRegion>, CoreError> {
     match params.enumeration {
         Enumeration::Dense => {
-            if index.is_sparse() {
-                return Err(CoreError::DenseUnavailable {
-                    arity: index.arity(),
-                });
-            }
-            Ok(identify_in_with(index.hierarchy(), params, algorithm, obs))
+            try_identify_counts_with(index.counts().clone(), params, algorithm, obs)
         }
-        Enumeration::Pruned => {
-            let sparse = index.sparse_hierarchy(params.min_size)?;
-            Ok(identify_in_sparse_with(&sparse, params, algorithm, obs))
-        }
+        Enumeration::Pruned => identify_in_leaves(index.counts(), params, algorithm, obs),
     }
+}
+
+/// The pruned identify over leaf counts, enumerated at
+/// `support = min_size`.
+fn identify_in_leaves(
+    counts: &ShardCounts,
+    params: &IbsParams,
+    algorithm: Algorithm,
+    obs: &ObsScope,
+) -> Result<Vec<BiasedRegion>, CoreError> {
+    let sparse = counts.to_sparse(params.min_size)?;
+    Ok(identify_in_sparse_with(&sparse, params, algorithm, obs))
 }
 
 /// Identifies the IBS over a prebuilt support-pruned hierarchy.
@@ -856,36 +857,6 @@ mod tests {
                 identify(&d, &pruned, Algorithm::Optimized),
             );
         }
-    }
-
-    /// Both index kinds serve the pruned scan; only the dense index
-    /// serves the dense scan.
-    #[test]
-    fn pruned_identify_through_both_index_kinds() {
-        let d = planted();
-        let dense_params = IbsParams {
-            tau_c: 0.05,
-            min_size: 10,
-            ..IbsParams::default()
-        };
-        let pruned_params = IbsParams {
-            enumeration: Enumeration::Pruned,
-            ..dense_params.clone()
-        };
-        let want = identify(&d, &dense_params, Algorithm::Optimized);
-        let dense_idx = RegionIndex::try_build(&d).unwrap();
-        let sparse_idx = RegionIndex::try_build_sparse(&d).unwrap();
-        let in_index = |index: &RegionIndex, params: &IbsParams| {
-            try_identify_in_index_with(index, params, Algorithm::Optimized, &ObsScope::disabled())
-        };
-        for params in [&dense_params, &pruned_params] {
-            assert_eq!(in_index(&dense_idx, params).unwrap(), want);
-        }
-        assert_eq!(in_index(&sparse_idx, &pruned_params).unwrap(), want);
-        assert_eq!(
-            in_index(&sparse_idx, &dense_params),
-            Err(CoreError::DenseUnavailable { arity: 2 })
-        );
     }
 
     #[test]

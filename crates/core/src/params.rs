@@ -164,12 +164,6 @@ impl RemedyParamsBuilder {
         self
     }
 
-    /// Sets the lattice enumeration strategy of the identification step.
-    pub fn enumeration(mut self, enumeration: Enumeration) -> Self {
-        self.params.enumeration = enumeration;
-        self
-    }
-
     /// Validates and returns the parameters.
     pub fn build(self) -> Result<RemedyParams, ParamError> {
         self.params.validate()?;
@@ -215,13 +209,11 @@ mod tests {
             .neighborhood(Neighborhood::OrderedRadius(1.5))
             .scope(Scope::Top)
             .seed(9)
-            .enumeration(Enumeration::Pruned)
             .build()
             .unwrap();
         assert_eq!(remedy.technique, Technique::Massaging);
         assert_eq!(remedy.neighborhood, Neighborhood::OrderedRadius(1.5));
         assert_eq!(remedy.seed, 9);
-        assert_eq!(remedy.enumeration, Enumeration::Pruned);
     }
 
     #[test]
@@ -288,11 +280,5 @@ mod tests {
         assert_eq!(ibs.neighborhood, Neighborhood::OrderedRadius(2.0));
         assert_eq!(ibs.scope, Scope::Leaf);
         assert_eq!(ibs.enumeration, Enumeration::Dense);
-
-        let pruned = RemedyParams::builder()
-            .enumeration(Enumeration::Pruned)
-            .build()
-            .unwrap();
-        assert_eq!(pruned.ibs_params().enumeration, Enumeration::Pruned);
     }
 }

@@ -244,9 +244,8 @@ pub fn counts_from_text(text: &str) -> Result<ShardCounts, IbsPersistError> {
             totals.total()
         )));
     }
-    Ok(ShardCounts::from_parts(
-        protected, cards, ordered, leaves, totals,
-    ))
+    ShardCounts::from_parts(protected, cards, ordered, leaves, totals)
+        .map_err(|e| malformed(e.to_string()))
 }
 
 /// Parses a `<name> <number>` header line.

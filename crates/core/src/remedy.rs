@@ -17,10 +17,11 @@
 //! node are disjoint, so a node's remedies are computed from a consistent
 //! snapshot.
 
-use crate::counting::RegionIndex;
+use crate::counting::{RegionIndex, ShardCounts};
+use crate::error::check_dense_arity;
 use crate::hash::FastMap;
 use crate::hierarchy::get_byte;
-use crate::identify::{is_biased, Algorithm, Enumeration, IbsParams};
+use crate::identify::{is_biased, IbsParams};
 use crate::neighbor_model::{NeighborModel, NeighborTally};
 use crate::neighborhood::Neighborhood;
 use crate::params::{ParamError, RemedyParamsBuilder};
@@ -96,11 +97,6 @@ pub struct RemedyParams {
     pub scope: Scope,
     /// Seed for uniform sampling choices.
     pub seed: u64,
-    /// Counting-engine enumeration strategy (dense by default). The
-    /// pruned mode serves per-node counts from a leaf-only sparse
-    /// [`RegionIndex`], projecting each node lazily instead of
-    /// maintaining every lattice node under the remedy's edits.
-    pub enumeration: Enumeration,
 }
 
 impl Default for RemedyParams {
@@ -112,7 +108,6 @@ impl Default for RemedyParams {
             neighborhood: Neighborhood::Unit,
             scope: Scope::Lattice,
             seed: 0x5EED,
-            enumeration: Enumeration::Dense,
         }
     }
 }
@@ -130,16 +125,17 @@ impl RemedyParams {
     }
 
     /// The identification parameters the remedy's per-node re-identify
-    /// runs under — the shared fields, verbatim. Auditing the remedied
-    /// dataset with these params asks exactly the question the remedy
-    /// answered.
+    /// runs under — the shared fields, verbatim, over the dense
+    /// enumeration (both enumerations answer identically). Auditing the
+    /// remedied dataset with these params asks exactly the question the
+    /// remedy answered.
     pub fn ibs_params(&self) -> IbsParams {
         IbsParams {
             tau_c: self.tau_c,
             min_size: self.min_size,
             neighborhood: self.neighborhood,
             scope: self.scope,
-            enumeration: self.enumeration,
+            ..IbsParams::default()
         }
     }
 
@@ -206,9 +202,10 @@ pub fn remedy_with(data: &Dataset, params: &RemedyParams, obs: &ObsScope) -> Rem
 /// batched into one flush per hierarchy node.
 ///
 /// This is the incremental path: one parallel counting pass builds the
-/// index, and every subsequent node's counts are *maintained* under the
-/// remedy's own edits rather than re-scanned — O(nodes touched) per edit
-/// instead of O(n·p) per node. The output is bit-identical to
+/// index, and every subsequent node's counts are projected from leaf
+/// counts *maintained* under the remedy's own edits rather than
+/// re-scanned — an O(1) leaf delta per edit and O(distinct leaves) per
+/// node instead of O(n·p) per node. The output is bit-identical to
 /// [`remedy_over_scan`].
 pub fn remedy_over_with(
     data: &Dataset,
@@ -217,24 +214,16 @@ pub fn remedy_over_with(
     obs: &ObsScope,
 ) -> RemedyOutcome {
     let _span = obs.span("remedy_over");
-    // the remedy walks every lattice node regardless of enumeration mode
-    // (a support-pruned frontier frozen at build time would go stale under
-    // the remedy's own edits), so both modes carry the dense arity ceiling
-    crate::error::validate_columns(data, protected, crate::hierarchy::MAX_PROTECTED)
-        .unwrap_or_else(|e| panic!("{e}"));
+    // the remedy walks every lattice node, so it carries the dense arity
+    // ceiling on top of the leaf layout the index checks
+    check_dense_arity(protected.len()).unwrap_or_else(|e| panic!("{e}"));
+    let build_timer = obs.timer();
+    let mut index = RegionIndex::try_build_over(data, protected).unwrap_or_else(|e| panic!("{e}"));
+    obs.observe_since("index_build_us", build_timer);
     let ranker = params
         .technique
         .needs_ranker()
         .then(|| NaiveBayes::fit(data));
-    let build_timer = obs.timer();
-    let mut index = match params.enumeration {
-        Enumeration::Dense => RegionIndex::try_build_over(data, protected),
-        // leaf-only index: O(1) nodes touched per edit instead of O(2^p),
-        // each node's complete count map projected lazily at read time
-        Enumeration::Pruned => RegionIndex::try_build_sparse_over(data, protected),
-    }
-    .unwrap_or_else(|e| panic!("{e}"));
-    obs.observe_since("index_build_us", build_timer);
     // a node's worth of edits collapses into one grouped flush at the
     // next node's count read
     index.begin_deltas();
@@ -260,7 +249,8 @@ pub fn remedy_over_scan(
     protected: &[usize],
     params: &RemedyParams,
 ) -> RemedyOutcome {
-    crate::error::validate_columns(data, protected, crate::hierarchy::MAX_PROTECTED)
+    check_dense_arity(protected.len())
+        .and_then(|()| ShardCounts::layout(data, protected).map(drop))
         .unwrap_or_else(|e| panic!("{e}"));
     let ranker = params
         .technique
@@ -280,30 +270,22 @@ pub fn remedy_over_scan(
 }
 
 /// The counting seam of the remedy loop: where a node's per-region
-/// counts, biased-region list, and row buckets come from, and how row
-/// edits propagate. Two implementations — [`ScanEngine`] re-scans the
-/// dataset per node (the paper's literal Algorithm 2), [`IndexEngine`]
-/// serves everything from the delta-maintained [`RegionIndex`]. The
-/// driver is generic over this trait, so both paths share the technique
-/// arithmetic, RNG stream, and processing order verbatim — which is what
-/// makes them bit-identical.
+/// counts and row buckets come from, and how row edits propagate. Two
+/// implementations — [`ScanEngine`] re-scans the dataset per node (the
+/// paper's literal Algorithm 2), [`IndexEngine`] serves everything from
+/// the delta-maintained [`RegionIndex`]. The driver is generic over this
+/// trait, so both paths share the scoring, technique arithmetic, RNG
+/// stream, and processing order verbatim — which is what makes them
+/// bit-identical.
 trait CountEngine {
     /// The current dataset (reads only; writes go through the edit hooks).
     fn dataset(&self) -> &Dataset;
 
-    /// Biased regions `(key, counts, ratio_rn)` of one node over the
-    /// current dataset, sorted by key, plus the neighbor-lookup tally.
-    fn biased_in_node(
-        &mut self,
-        mask: u32,
-        attrs: &[usize],
-        ordered: &[bool],
-        params: &RemedyParams,
-        obs: &ObsScope,
-    ) -> (Vec<(u128, Counts, f64)>, NeighborTally);
+    /// The complete region map of one node over the current dataset.
+    fn node_counts(&mut self, mask: u32, attrs: &[usize], obs: &ObsScope) -> FastMap<u128, Counts>;
 
     /// Ascending current row indices of one region of the node last
-    /// passed to [`biased_in_node`](CountEngine::biased_in_node).
+    /// passed to [`node_counts`](CountEngine::node_counts).
     fn region_rows(&mut self, mask: u32, key: u128) -> Vec<usize>;
 
     /// Appends a copy of `row` at the end of the dataset.
@@ -332,21 +314,18 @@ impl CountEngine for ScanEngine<'_> {
         &self.d
     }
 
-    fn biased_in_node(
+    fn node_counts(
         &mut self,
         _mask: u32,
         attrs: &[usize],
-        ordered: &[bool],
-        params: &RemedyParams,
         _obs: &ObsScope,
-    ) -> (Vec<(u128, Counts, f64)>, NeighborTally) {
-        // identification on the *current* dataset, restricted to this node;
-        // one pass yields both counts and the row bucket of every region
+    ) -> FastMap<u128, Counts> {
+        // one pass over the *current* dataset yields both the counts and
+        // the row bucket of every region of this node
         let cols: Vec<usize> = attrs.iter().map(|&j| self.protected[j]).collect();
         let (counts, rows) = crate::counting::node_snapshot(&self.d, &cols);
         self.rows_by_key = rows;
-        let model = NeighborModel::for_snapshot(&counts, ordered, params.neighborhood);
-        biased_from_model(&counts, &model, params)
+        counts
     }
 
     fn region_rows(&mut self, _mask: u32, key: u128) -> Vec<usize> {
@@ -369,8 +348,7 @@ impl CountEngine for ScanEngine<'_> {
 }
 
 /// Incremental engine: counts come from the maintained [`RegionIndex`]
-/// and every edit is mirrored into it as a delta update — O(nodes) per
-/// edit against a dense index, O(1) against a leaf-only sparse one.
+/// and every edit is mirrored into it as an O(1) leaf delta.
 struct IndexEngine {
     d: Dataset,
     index: RegionIndex,
@@ -381,38 +359,18 @@ impl CountEngine for IndexEngine {
         &self.d
     }
 
-    fn biased_in_node(
+    fn node_counts(
         &mut self,
         mask: u32,
         _attrs: &[usize],
-        ordered: &[bool],
-        params: &RemedyParams,
         obs: &ObsScope,
-    ) -> (Vec<(u128, Counts, f64)>, NeighborTally) {
+    ) -> FastMap<u128, Counts> {
         let timer = obs.timer();
         self.index.flush_deltas();
-        let out = if self.index.is_sparse() {
-            // leaf-only index: project this node's complete count map from
-            // the maintained leaves, then score it exactly like the scan
-            // path does — for_snapshot and for_node are proven equivalent
-            // by `index_and_scan_paths_agree`
-            let counts = self.index.project_node(mask);
-            let model = NeighborModel::for_snapshot(&counts, ordered, params.neighborhood);
-            biased_from_model(&counts, &model, params)
-        } else {
-            let hierarchy = self.index.hierarchy();
-            let node = hierarchy.node(mask);
-            // the maintained hierarchy equals a fresh build of the current
-            // dataset, so for_node with the optimized algorithm answers the
-            // same counts for_snapshot derives from a scan — with the
-            // dominating projections borrowed instead of recomputed
-            let model =
-                NeighborModel::for_node(hierarchy, node, params.neighborhood, Algorithm::Optimized);
-            biased_from_model(&node.regions, &model, params)
-        };
+        let counts = self.index.counts().project(mask);
         obs.observe_since("node_counts_us", timer);
         self.index.note_node_served();
-        out
+        counts
     }
 
     fn region_rows(&mut self, mask: u32, key: u128) -> Vec<usize> {
@@ -471,7 +429,10 @@ fn remedy_driver<E: CountEngine>(
             continue;
         }
         let ordered: Vec<bool> = attrs.iter().map(|&j| ordered_protected[j]).collect();
-        let (biased, neighbor_tally) = engine.biased_in_node(mask, &attrs, &ordered, params, obs);
+        // identification on the *current* dataset, restricted to this node
+        let counts = engine.node_counts(mask, &attrs, obs);
+        let model = NeighborModel::for_snapshot(&counts, &ordered, params.neighborhood);
+        let (biased, neighbor_tally) = biased_from_model(&counts, &model, params);
         let mut pending_removals: Vec<usize> = Vec::new();
         let len_before = engine.dataset().len();
         let updates_before = updates.len();
@@ -1144,45 +1105,6 @@ mod tests {
             assert_eq!(fast.dataset, scan.dataset, "ordered {technique}");
             assert_eq!(fast.updates, scan.updates, "ordered {technique}");
         }
-    }
-
-    /// The pruned counting engine (leaf-only sparse index, lazy per-node
-    /// projection) must remedy to the byte like the dense one: same RNG
-    /// stream, same processing order, same rows.
-    #[test]
-    fn pruned_engine_matches_dense() {
-        let (d, _) = example_like();
-        let protected = d.schema().protected_indices();
-        for technique in Technique::ALL {
-            let dense = RemedyParams {
-                technique,
-                tau_c: 0.3,
-                ..RemedyParams::default()
-            };
-            let pruned = RemedyParams {
-                enumeration: Enumeration::Pruned,
-                ..dense.clone()
-            };
-            let a = remedy_over_with(&d, &protected, &dense, &ObsScope::disabled());
-            let b = remedy_over_with(&d, &protected, &pruned, &ObsScope::disabled());
-            assert_eq!(a.dataset, b.dataset, "{technique}");
-            assert_eq!(a.updates, b.updates, "{technique}");
-        }
-        let d = ordered_planted();
-        let protected = d.schema().protected_indices();
-        let dense = RemedyParams {
-            tau_c: 2.0,
-            neighborhood: Neighborhood::OrderedRadius(1.0),
-            ..RemedyParams::default()
-        };
-        let pruned = RemedyParams {
-            enumeration: Enumeration::Pruned,
-            ..dense.clone()
-        };
-        let a = remedy_over_with(&d, &protected, &dense, &ObsScope::disabled());
-        let b = remedy_over_with(&d, &protected, &pruned, &ObsScope::disabled());
-        assert_eq!(a.dataset, b.dataset, "ordered");
-        assert_eq!(a.updates, b.updates, "ordered");
     }
 
     /// One ordered protected attribute with five buckets; bucket 2 is

@@ -29,8 +29,8 @@
 //! byte-exact), which caps surviving nodes at 16 attributes; a frequent
 //! node deeper than that is reported as [`CoreError::NodeTooDeep`].
 
-use crate::counting::{leaf_scan, pack_keys};
-use crate::error::{validate_columns, CoreError, MAX_PROTECTED_SPARSE};
+use crate::counting::ShardCounts;
+use crate::error::CoreError;
 use crate::hash::FastMap;
 use crate::hierarchy::{Node, MAX_PROTECTED};
 use crate::score::Counts;
@@ -38,13 +38,12 @@ use remedy_dataset::{Dataset, Pattern};
 
 /// Per-column bit layout of packed full-row keys.
 ///
-/// Dense paths always use one byte per column ([`KeyCodec::bytes`]), and
-/// so does the sparse enumeration whenever `p ≤ 16` — full-row keys are
-/// then bit-identical between the two enumerations, which lets a dense
-/// leaf map seed a sparse build directly. Past 16 columns the codec
-/// switches to minimal widths (`⌈log2(cardinality)⌉`, at least 1 bit) and
-/// fails with [`CoreError::KeyWidthOverflow`] if the total passes 128.
-#[derive(Debug, Clone)]
+/// Every leaf key is packed with [`KeyCodec::for_cards`]: one byte per
+/// column while `p ≤ 16` ([`KeyCodec::bytes`]) — the dense region-key
+/// layout, so one leaf map seeds both enumerations — and past 16 columns
+/// minimal widths (`⌈log2(cardinality)⌉`, at least 1 bit), failing with
+/// [`CoreError::KeyWidthOverflow`] if the total passes 128.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct KeyCodec {
     offsets: Vec<u32>,
     widths: Vec<u32>,
@@ -106,8 +105,8 @@ impl KeyCodec {
     }
 
     /// Canonical node region key (8 bits per set attribute, compacted
-    /// low-to-high) of a full-row key — the sparse counterpart of
-    /// `project_key`, and identical to it on the 8-bit layout.
+    /// low-to-high) of a full-row key — on the 8-bit layout, the bytes
+    /// of the mask's set bits gathered in order.
     pub(crate) fn project(&self, full: u128, mask: u32) -> u128 {
         debug_assert!(mask.count_ones() as usize <= MAX_PROTECTED);
         let mut key = 0u128;
@@ -164,34 +163,13 @@ impl SparseHierarchy {
     }
 
     /// Builds over an explicit protected set (up to
-    /// [`MAX_PROTECTED_SPARSE`] columns).
+    /// [`MAX_PROTECTED_SPARSE`](crate::MAX_PROTECTED_SPARSE) columns).
     pub fn try_build_over(
         data: &Dataset,
         protected: &[usize],
         support: u64,
     ) -> Result<SparseHierarchy, CoreError> {
-        validate_columns(data, protected, MAX_PROTECTED_SPARSE)?;
-        let cards: Vec<u32> = protected
-            .iter()
-            .map(|&j| data.schema().attribute(j).cardinality() as u32)
-            .collect();
-        let ordered: Vec<bool> = protected
-            .iter()
-            .map(|&j| data.schema().attribute(j).is_ordered())
-            .collect();
-        let codec = KeyCodec::for_cards(&cards)?;
-        let mut keys = vec![0u128; data.len()];
-        pack_keys(data, protected, &codec, &mut keys);
-        let scan = leaf_scan(&keys, data.labels(), false);
-        SparseHierarchy::from_leaves(
-            protected.to_vec(),
-            cards,
-            ordered,
-            &codec,
-            scan.counts.iter().map(|(&k, &c)| (k, c)),
-            scan.totals,
-            support,
-        )
+        ShardCounts::scan_over(data, protected, 0)?.to_sparse(support)
     }
 
     /// Level-wise Apriori enumeration over an already-aggregated leaf

@@ -3,8 +3,8 @@
 //! The [`RegionIndex`] promises two things the unit tests can only spot-check:
 //!
 //! 1. After *any* interleaving of appends, removals, and label flips, its
-//!    maintained lattice counts and row buckets equal a from-scratch rebuild
-//!    of the edited dataset.
+//!    maintained leaf counts, the identify answers assembled from them, and
+//!    its row buckets equal an independent rebuild of the edited dataset.
 //! 2. A remedy served by the index is **byte-identical** — persisted dataset
 //!    and update records — to the per-node scan baseline it replaced, so
 //!    pipeline caches written by the old code path replay unchanged.
@@ -16,28 +16,41 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use remedy_core::{remedy_over_scan, remedy_over_with, RegionIndex, RemedyParams, Technique};
+use remedy_core::{
+    remedy_over_scan, remedy_over_with, try_identify_in_index_with, try_identify_over_with,
+    Algorithm, Enumeration, IbsParams, RegionIndex, RemedyParams, ShardCounts, Technique,
+};
 use remedy_dataset::persist::dataset_to_text;
 use remedy_dataset::{synth, Dataset, RowEdit};
 use remedy_obs::Scope as ObsScope;
 
-/// Asserts the maintained index equals `RegionIndex::try_build_over` on the
-/// current rows: totals, every node's region counts, and every region's
-/// row bucket.
+/// Asserts the maintained index equals an independent rebuild of the
+/// current rows: its leaf counts equal [`ShardCounts::scan_over`], identify
+/// through it equals [`try_identify_over_with`] under both enumerations,
+/// and every flagged region's row bucket equals pattern matching on the
+/// dataset.
 fn assert_matches_rebuild(index: &RegionIndex, d: &Dataset, protected: &[usize]) {
-    let fresh = RegionIndex::try_build_over(d, protected).unwrap();
     assert_eq!(index.len(), d.len());
-    let (h, f) = (index.hierarchy(), fresh.hierarchy());
-    assert_eq!(h.totals(), f.totals());
-    for (a, b) in h.nodes().iter().zip(f.nodes()) {
-        assert_eq!(a.mask, b.mask);
-        assert_eq!(a.regions, b.regions, "counts diverge at node {:#b}", a.mask);
-        for &key in a.regions.keys() {
+    let fresh = ShardCounts::scan_over(d, protected, 0).unwrap();
+    assert_eq!(index.counts(), &fresh, "leaf counts diverge");
+    let off = ObsScope::disabled();
+    for enumeration in [Enumeration::Dense, Enumeration::Pruned] {
+        let mut params = IbsParams::builder()
+            .tau_c(0.05)
+            .min_size(5)
+            .build()
+            .unwrap();
+        params.enumeration = enumeration;
+        let live = try_identify_in_index_with(index, &params, Algorithm::Optimized, &off);
+        let cold = try_identify_over_with(d, protected, &params, Algorithm::Optimized, &off);
+        assert_eq!(live, cold, "{enumeration:?} identify diverges");
+        for region in live.iter().flatten() {
             assert_eq!(
-                index.region_rows(a.mask, key),
-                fresh.region_rows(a.mask, key),
-                "bucket diverges at node {:#b} key {key:#x}",
-                a.mask
+                index.region_rows(region.mask, region.key),
+                d.indices_matching(&region.pattern),
+                "bucket diverges at node {:#b} key {:#x}",
+                region.mask,
+                region.key
             );
         }
     }
@@ -70,6 +83,8 @@ fn random_edit_interleavings_match_rebuild() {
         ("compas", synth::compas_n(400, 11)),
         ("adult", synth::adult_n(400, 11)),
         ("law_school", synth::law_school_n(400, 11)),
+        // past 16 attributes the leaf keys switch to minimal widths
+        ("wide18", synth::wide_n(400, 18, 11)),
     ] {
         let protected = data.schema().protected_indices();
         for seed in 0..4u64 {

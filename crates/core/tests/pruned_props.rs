@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_core::persist::regions_to_text;
 use remedy_core::{
-    try_identify_in_index_with, try_identify_over, Algorithm, BiasedRegion, CoreError, Enumeration,
-    Hierarchy, IbsParams, RegionIndex,
+    try_identify_in_index_with, try_identify_over, try_identify_over_with, Algorithm, BiasedRegion,
+    CoreError, Enumeration, Hierarchy, IbsParams, RegionIndex, ShardCounts,
 };
 use remedy_dataset::{synth, Dataset, RowEdit};
 use remedy_obs::Scope as ObsScope;
@@ -87,48 +87,57 @@ fn random_edit(rng: &mut StdRng, len: usize) -> RowEdit {
     }
 }
 
-/// Pruned parity must hold against *maintained* indexes too: both the
-/// dense index (which derives the sparse hierarchy from its leaf node)
-/// and the leaf-only sparse index, after 50 random edits each.
+/// Pruned parity must hold against a *maintained* index too: after 50
+/// random edits its leaf counts equal an independent scan of the edited
+/// rows, and identify through it equals identify over those rows under
+/// both enumerations — at p ≤ 16 on the 8-bit layout and at p = 18, where
+/// the keys switch to minimal widths and only the pruned mode answers.
 #[test]
 fn pruned_parity_survives_random_edits_through_maintained_indexes() {
-    for (name, data) in study_datasets() {
+    let mut datasets = study_datasets();
+    datasets.push(("wide18", synth::wide_n(600, 18, 13)));
+    for (name, data) in datasets {
         let mut rng = StdRng::seed_from_u64(0xED17);
         let mut d = data.clone();
-        let mut dense_idx = RegionIndex::try_build(&d).unwrap();
-        let mut sparse_idx = RegionIndex::try_build_sparse(&d).unwrap();
-        dense_idx.begin_deltas();
-        sparse_idx.begin_deltas();
+        let mut index = RegionIndex::try_build(&d).unwrap();
+        index.begin_deltas();
         for _ in 0..50 {
             let edit = random_edit(&mut rng, d.len());
-            dense_idx.apply_edit(&edit);
-            sparse_idx.apply_edit(&edit);
+            index.apply_edit(&edit);
             d.apply_edit(&edit);
         }
-        dense_idx.flush_deltas();
-        sparse_idx.flush_deltas();
+        index.flush_deltas();
 
+        let protected = d.schema().protected_indices();
+        let fresh = ShardCounts::scan_over(&d, &protected, 0).unwrap();
+        assert_eq!(index.counts(), &fresh, "{name}: leaf counts");
         let dense = IbsParams::builder()
             .tau_c(0.05)
-            .min_size(20)
+            .min_size(10)
             .build()
             .unwrap();
         let pruned = with_enumeration(&dense, Enumeration::Pruned);
-        let want = regions_to_text(&remedy_core::identify(&d, &dense, Algorithm::Optimized));
-        let live_dense = in_index(&dense_idx, &dense).unwrap();
-        assert_eq!(regions_to_text(&live_dense), want, "{name}: dense index");
-        let live_pruned = in_index(&dense_idx, &pruned).unwrap();
-        assert_eq!(
-            regions_to_text(&live_pruned),
-            want,
-            "{name}: pruned over the dense index"
-        );
-        let live_sparse = in_index(&sparse_idx, &pruned).unwrap();
-        assert_eq!(
-            regions_to_text(&live_sparse),
-            want,
-            "{name}: pruned over the sparse index"
-        );
+        let off = ObsScope::disabled();
+        let cold =
+            |params| try_identify_over_with(&d, &protected, params, Algorithm::Optimized, &off);
+        for params in [&dense, &pruned] {
+            assert_eq!(
+                in_index(&index, params),
+                cold(params),
+                "{name}: {:?} through the maintained index",
+                params.enumeration
+            );
+        }
+        let want = cold(&pruned).unwrap();
+        if protected.len() <= 16 {
+            assert_eq!(
+                regions_to_text(&want),
+                regions_to_text(&cold(&dense).unwrap()),
+                "{name}: pruned text diverges from dense"
+            );
+        } else {
+            assert!(!want.is_empty(), "{name}: planted bias must surface");
+        }
     }
 }
 
@@ -156,11 +165,10 @@ fn wide_protected_sets_are_pruned_only() {
         "pruned identify found nothing over the wide dataset"
     );
 
-    // a maintained index over the wide set is sparse-only
-    let index = RegionIndex::try_build_auto(&data).unwrap();
-    assert!(index.is_sparse());
+    // a maintained index over the wide set answers pruned requests only
+    let index = RegionIndex::try_build(&data).unwrap();
     let err = in_index(&index, &dense).unwrap_err();
-    assert_eq!(err, CoreError::DenseUnavailable { arity: 20 });
+    assert_eq!(err, CoreError::TooManyProtected { got: 20, max: 16 });
     let live = in_index(&index, &pruned).unwrap();
     assert_eq!(regions_to_text(&live), regions_to_text(&regions));
 }

@@ -30,6 +30,54 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+/// Names [`builtin`] resolves.
+pub const BUILTIN_NAMES: [&str; 4] = ["adult", "compas", "law", "wide"];
+
+/// Protected-set width of `wide` when none is asked for.
+pub const WIDE_DEFAULT_ARITY: usize = 20;
+
+/// A `wide` protected-set width outside `1..=32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArityOutOfRange(pub usize);
+
+impl std::fmt::Display for ArityOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "arity must be in 1..=32, got {}", self.0)
+    }
+}
+
+impl std::error::Error for ArityOutOfRange {}
+
+/// Resolves a built-in generator by name, seeded by `seed`: one of
+/// [`BUILTIN_NAMES`], or `Ok(None)` for any other name (callers fall
+/// through to reading a file). `rows = 0` picks the generator's default
+/// size — the paper's dataset size, or 10,000 rows for `wide`. `arity` is
+/// the protected-set width of `wide` (ignored by the others) and must lie
+/// in `1..=32`.
+pub fn builtin(
+    name: &str,
+    rows: usize,
+    seed: u64,
+    arity: usize,
+) -> Result<Option<Dataset>, ArityOutOfRange> {
+    let data = match (name, rows) {
+        ("adult", 0) => adult(seed),
+        ("adult", n) => adult_n(n, seed),
+        ("compas", 0) => compas(seed),
+        ("compas", n) => compas_n(n, seed),
+        ("law", 0) => law_school(seed),
+        ("law", n) => law_school_n(n, seed),
+        ("wide", n) => {
+            if !(1..=32).contains(&arity) {
+                return Err(ArityOutOfRange(arity));
+            }
+            wide_n(if n == 0 { 10_000 } else { n }, arity, seed)
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(data))
+}
+
 /// Declarative description of a synthetic population.
 ///
 /// Attributes are sampled independently from categorical marginals; the
@@ -158,6 +206,22 @@ mod tests {
     #[test]
     fn spec_validates() {
         tiny_spec().validate();
+    }
+
+    #[test]
+    fn builtin_resolves_names_rows_and_arity() {
+        let sized = builtin("adult", 500, 7, 0).unwrap().unwrap();
+        assert_eq!(sized, adult_n(500, 7));
+        assert_eq!(builtin("law", 0, 7, 0).unwrap().unwrap().len(), LAW_SIZE);
+        let wide = builtin("wide", 0, 7, 12).unwrap().unwrap();
+        assert_eq!(
+            (wide.len(), wide.schema().protected_indices().len()),
+            (10_000, 12)
+        );
+        for arity in [0, 33] {
+            assert_eq!(builtin("wide", 10, 7, arity), Err(ArityOutOfRange(arity)));
+        }
+        assert_eq!(builtin("data.csv", 10, 7, 0), Ok(None));
     }
 
     #[test]

@@ -217,7 +217,6 @@ impl Plan {
             .neighborhood(branch.neighborhood.unwrap_or(self.ibs.neighborhood))
             .scope(self.ibs.scope)
             .seed(self.seed)
-            .enumeration(self.ibs.enumeration)
             .build()
             .map_err(|e| PipelineError::invalid_plan(format!("branch `{}`: {e}", branch.name)))
     }
@@ -465,9 +464,11 @@ branch ps technique=ps model=dt
         )
         .unwrap();
         assert_eq!(plan.ibs.enumeration, Enumeration::Pruned);
-        // remedy branches inherit the shared enumeration mode
+        // the remedy has one counting engine whatever the identify mode,
+        // so its params (and cache key) equal the dense plan's
+        let dense = Plan::parse("dataset compas\nbranch ps technique=ps model=dt\n").unwrap();
         let params = plan.remedy_params(&plan.branches[0]).unwrap();
-        assert_eq!(params.enumeration, Enumeration::Pruned);
+        assert_eq!(params, dense.remedy_params(&dense.branches[0]).unwrap());
         // default stays dense, so existing plans hash identically
         assert_eq!(
             Plan::parse(PLAN).unwrap().ibs.enumeration,

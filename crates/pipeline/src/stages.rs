@@ -118,7 +118,8 @@ pub(crate) fn finish(
     }
 }
 
-/// Whether the plan's source is a built-in synthetic generator.
+/// Whether the plan's source is a built-in synthetic generator. `wide` is
+/// not one here: the load key (name, rows, seed) has no arity.
 fn is_builtin(source: &str) -> bool {
     matches!(source, "adult" | "compas" | "law")
 }
@@ -156,15 +157,10 @@ pub fn load_stage(
             &format!("load {source} rows={rows} seed={seed}"),
             obs,
             move || {
-                let data = match (source.as_str(), rows) {
-                    ("adult", 0) => synth::adult(seed),
-                    ("adult", n) => synth::adult_n(n, seed),
-                    ("compas", 0) => synth::compas(seed),
-                    ("compas", n) => synth::compas_n(n, seed),
-                    ("law", 0) => synth::law_school(seed),
-                    ("law", n) => synth::law_school_n(n, seed),
-                    _ => unreachable!("is_builtin checked"),
-                };
+                let data = synth::builtin(&source, rows, seed, synth::WIDE_DEFAULT_ARITY)
+                    .ok()
+                    .flatten()
+                    .expect("is_builtin checked");
                 Ok(data_persist::dataset_to_text(&data))
             },
         )

@@ -61,5 +61,5 @@ pub mod wal;
 pub use client::Client;
 pub use durable::{Durable, DurableConfig, DurablePolicy};
 pub use protocol::Request;
-pub use server::{ServeOptions, Server};
+pub use server::{ServeOptions, Server, MAX_REQUEST_LINE};
 pub use session::{Registry, Session, SessionSummary};

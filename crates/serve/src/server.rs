@@ -33,7 +33,7 @@ use remedy_obs::Recorder;
 use remedy_pipeline::error::panic_message;
 use remedy_pipeline::json::{json_f64, json_str, Value};
 use remedy_pipeline::{failpoint, ErrorKind, PipelineError};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -41,6 +41,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Longest request line the daemon reads, newline excluded. A client that
+/// sends more without a newline gets one `invalid-plan` error line and is
+/// disconnected, so it cannot grow the daemon's read buffer without
+/// bound. Ingest batches run to roughly 30 bytes per edit, so this admits
+/// batches of about a quarter-million edits.
+pub const MAX_REQUEST_LINE: usize = 8 << 20;
 
 /// How the daemon is stood up.
 pub struct ServeOptions {
@@ -218,10 +225,30 @@ fn handle_conn(state: &Arc<State>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1; // the line plus its newline
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            let line = protocol::render_err(
+                None,
+                ErrorKind::InvalidPlan,
+                &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            );
+            let _ = writer
+                .write_all(line.as_bytes())
+                .and_then(|()| writer.write_all(b"\n"));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -406,7 +433,7 @@ fn op_load(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, 
 /// a builtin generator name or not an artifact file (CSV falls through
 /// to [`open_dataset`]).
 fn stored_artifact(source: &str) -> Result<Option<remedy_dataset::Stored>, PipelineError> {
-    if matches!(source, "adult" | "compas" | "law" | "wide") {
+    if synth::BUILTIN_NAMES.contains(&source) {
         return Ok(None);
     }
     let Ok(bytes) = std::fs::read(source) else {
@@ -431,22 +458,13 @@ fn open_dataset(body: &Value) -> Result<Dataset, PipelineError> {
         .map_err(|_| PipelineError::invalid_plan("missing string field `source`"))?;
     let seed = protocol::opt_u64(body, "seed")?.unwrap_or(42);
     let rows = protocol::opt_u64(body, "rows")?.unwrap_or(0) as usize;
-    match (source, rows) {
-        ("adult", 0) => return Ok(synth::adult(seed)),
-        ("adult", n) => return Ok(synth::adult_n(n, seed)),
-        ("compas", 0) => return Ok(synth::compas(seed)),
-        ("compas", n) => return Ok(synth::compas_n(n, seed)),
-        ("law", 0) => return Ok(synth::law_school(seed)),
-        ("law", n) => return Ok(synth::law_school_n(n, seed)),
-        ("wide", n) => {
-            let arity = protocol::opt_u64(body, "arity")?.unwrap_or(20) as usize;
-            if !(1..=32).contains(&arity) {
-                return Err(PipelineError::invalid_plan("`arity` must be in 1..=32"));
-            }
-            let n = if n == 0 { 10_000 } else { n };
-            return Ok(synth::wide_n(n, arity, seed));
-        }
-        _ => {}
+    let arity = protocol::opt_u64(body, "arity")?.map_or(synth::WIDE_DEFAULT_ARITY, |a| {
+        usize::try_from(a).unwrap_or(usize::MAX)
+    });
+    if let Some(data) = synth::builtin(source, rows, seed, arity)
+        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?
+    {
+        return Ok(data);
     }
     let label = body
         .str_field("label")

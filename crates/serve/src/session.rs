@@ -37,17 +37,17 @@ pub struct Session {
 
 impl Session {
     /// Builds the index and switches it to batched delta maintenance.
-    /// Panics on protected columns no index kind can carry; servers
+    /// Panics on protected columns the index cannot carry; servers
     /// should prefer [`Session::try_open`].
     pub fn open(data: Dataset) -> Session {
         Session::try_open(data).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Session::open`]: picks the index kind automatically —
-    /// dense within the dense arity ceiling, leaf-only sparse for wider
-    /// protected sets (which then serve only `pruned` identify requests).
+    /// Fallible [`Session::open`]. The index keeps leaf counts at any
+    /// arity up to 32; past the dense ceiling of 16 protected attributes
+    /// the session serves only `pruned` identify requests.
     pub fn try_open(data: Dataset) -> Result<Session, PipelineError> {
-        let mut index = RegionIndex::try_build_auto(&data)
+        let mut index = RegionIndex::try_build(&data)
             .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
         index.begin_deltas();
         Ok(Session {
@@ -165,7 +165,7 @@ impl Session {
     /// checkpointed — *before* any field is assigned, so a failure at
     /// any step leaves the session, in memory and on disk, unchanged.
     pub fn try_replace(&mut self, data: Dataset, obs: &ObsScope) -> Result<(), PipelineError> {
-        let mut index = RegionIndex::try_build_auto(&data)
+        let mut index = RegionIndex::try_build(&data)
             .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
         index.begin_deltas();
         let epoch = self.epoch + 1;

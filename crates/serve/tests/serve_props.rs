@@ -16,7 +16,9 @@ use remedy_core::{Scope as IbsScope, Technique};
 use remedy_dataset::{synth, RowEdit};
 use remedy_pipeline::json::Value;
 use remedy_pipeline::ErrorKind;
-use remedy_serve::{Client, ServeOptions, Server};
+use remedy_serve::{Client, ServeOptions, Server, MAX_REQUEST_LINE};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 
 fn start_server() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(ServeOptions::default()).expect("bind ephemeral port");
@@ -340,8 +342,8 @@ fn pruned_identify_round_trips_byte_identically() {
     let (addr, handle) = start_server();
     let mut client = Client::connect(&addr).unwrap();
 
-    // a dense-indexed session answers pruned requests identically to the
-    // dense ones — and to a cold batch run
+    // a session answers pruned requests identically to the dense ones —
+    // and to a cold batch run
     client
         .call("{\"op\":\"load\",\"session\":\"c\",\"source\":\"compas\",\"rows\":500,\"seed\":5}")
         .unwrap();
@@ -363,8 +365,8 @@ fn pruned_identify_round_trips_byte_identically() {
     assert_eq!(dense.str_field("text").unwrap(), cold);
     assert_eq!(pruned.str_field("text").unwrap(), cold);
 
-    // a session past the dense arity ceiling opens with a sparse index:
-    // pruned requests are served, dense ones are typed invalid-plan errors
+    // a session past the dense arity ceiling opens too: pruned requests
+    // are served, dense ones are typed invalid-plan errors
     client
         .call(
             "{\"op\":\"load\",\"session\":\"w\",\"source\":\"wide\",\"rows\":2000,\
@@ -393,8 +395,70 @@ fn pruned_identify_round_trips_byte_identically() {
         .call("{\"op\":\"identify\",\"session\":\"w\"}")
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::InvalidPlan);
-    assert!(err.message().contains("dense lattice unavailable"), "{err}");
+    assert!(
+        err.message()
+            .contains("at most 16 protected attributes supported, got 20"),
+        "{err}"
+    );
 
     client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// A client that streams past the request-line cap without a newline is
+/// answered with one typed `invalid-plan` line and disconnected, while the
+/// daemon keeps serving every other client.
+#[test]
+fn over_long_request_line_is_refused_and_others_keep_working() {
+    let (addr, handle) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .call("{\"op\":\"load\",\"session\":\"s\",\"source\":\"compas\",\"rows\":300}")
+        .unwrap();
+
+    let mut hostile = TcpStream::connect(&addr).unwrap();
+    // one byte past the cap, and no newline ever
+    let chunk = vec![b'x'; 1 << 16];
+    let mut sent = 0;
+    while sent <= MAX_REQUEST_LINE {
+        let n = chunk.len().min(MAX_REQUEST_LINE + 1 - sent);
+        if hostile.write_all(&chunk[..n]).is_err() {
+            break;
+        }
+        sent += n;
+    }
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response = remedy_pipeline::json::parse(line.trim()).unwrap();
+    assert_eq!(
+        response.field("ok").and_then(Value::as_bool),
+        Some(false),
+        "{line}"
+    );
+    assert_eq!(
+        response.str_field("kind").unwrap(),
+        "invalid-plan",
+        "{line}"
+    );
+    assert!(
+        response.str_field("error").unwrap().contains("exceeds"),
+        "{line}"
+    );
+    // the daemon closed the connection after answering
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "connection stayed open");
+
+    // the resident session and fresh connections are unaffected
+    let identify = client
+        .call("{\"op\":\"identify\",\"session\":\"s\"}")
+        .unwrap();
+    assert!(identify.str_field("text").is_ok());
+    let mut other = Client::connect(&addr).unwrap();
+    other
+        .call("{\"op\":\"identify\",\"session\":\"s\"}")
+        .unwrap();
+    other.call("{\"op\":\"shutdown\"}").unwrap();
     handle.join().unwrap().unwrap();
 }

@@ -151,7 +151,9 @@ fi
 # crash-recovery smoke: stream edits into a durable (--data-dir) daemon,
 # SIGKILL it with no shutdown step, restart it over the same directory,
 # and require the recovered identify output to be byte-identical to an
-# in-memory daemon replaying the same load + edit history from scratch
+# in-memory daemon replaying the same load + edit history from scratch.
+# A second, 20-wide session takes the minimal-width packed-key sidecar
+# through snapshot and WAL recovery and answers a pruned identify.
 ddir="$(mktemp -d)"
 trap 'rm -rf "$cache" "$cache2" "$serve_log" "$ddir"' EXIT
 serve_addr() { # <logfile> — poll for the printed ephemeral address
@@ -168,9 +170,18 @@ crash_history=(
     '{"op":"ingest","session":"crash","edits":[{"kind":"flip","row":0},{"kind":"duplicate","src":1}]}'
     '{"op":"ingest","session":"crash","edits":[{"kind":"remove","rows":[2,3]}]}'
     '{"op":"ingest","session":"crash","edits":[{"kind":"flip","row":5}]}'
+    '{"op":"load","session":"wide","source":"wide","rows":3000,"arity":20,"seed":7}'
+    '{"op":"ingest","session":"wide","edits":[{"kind":"flip","row":0},{"kind":"duplicate","src":1}]}'
+    '{"op":"ingest","session":"wide","edits":[{"kind":"remove","rows":[2,3]}]}'
+    '{"op":"ingest","session":"wide","edits":[{"kind":"flip","row":5}]}'
 )
-# --snapshot-every 2 puts a rotated snapshot at epoch 2 and leaves the
-# third batch in the WAL tail, so recovery exercises both layers
+crash_identify=(
+    '{"op":"identify","session":"crash"}'
+    '{"op":"identify","session":"wide","pruned":true}'
+)
+# --snapshot-every 2 puts a rotated snapshot at epoch 2 of each session
+# and leaves its third batch in the WAL tail, so recovery exercises both
+# layers
 target/release/remedy serve --addr 127.0.0.1:0 --data-dir "$ddir/sessions" \
     --snapshot-every 2 >"$ddir/serve1.log" &
 crash_pid=$!
@@ -188,8 +199,7 @@ addr="$(serve_addr "$ddir/serve2.log")" || {
     echo "verify: FAIL — recovering serve never reported its address" >&2
     exit 1
 }
-recovered="$(target/release/remedy client "$addr" \
-    '{"op":"identify","session":"crash"}')"
+recovered="$(target/release/remedy client "$addr" "${crash_identify[@]}")"
 target/release/remedy client "$addr" '{"op":"shutdown"}' >/dev/null
 if ! wait "$recover_pid"; then
     echo "verify: FAIL — recovering serve exited non-zero after shutdown" >&2
@@ -202,8 +212,7 @@ addr="$(serve_addr "$ddir/serve3.log")" || {
     exit 1
 }
 target/release/remedy client "$addr" "${crash_history[@]}" >/dev/null
-reference="$(target/release/remedy client "$addr" \
-    '{"op":"identify","session":"crash"}')"
+reference="$(target/release/remedy client "$addr" "${crash_identify[@]}")"
 target/release/remedy client "$addr" '{"op":"shutdown"}' >/dev/null
 wait "$ref_pid" || true
 if [ "$recovered" != "$reference" ]; then
