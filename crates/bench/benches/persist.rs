@@ -30,7 +30,7 @@ fn stage(dir: &Path) {
 
 /// Ensures staged inputs exist (re-staging when absent or written by an
 /// older layout) and returns the decoded artifact for the index benches.
-fn staged_inputs(dir: &Path, bin_path: &Path) -> Stored {
+fn staged_inputs(bin_path: &Path) -> Stored {
     let fresh = store::open_with_keys(bin_path)
         .ok()
         .filter(|s| s.data.len() == ROWS && s.packed.is_some());
@@ -54,7 +54,7 @@ fn bench_cold_load(c: &mut Criterion) {
     }
     let text_path = dir.join("adult1m.remedy");
     let bin_path = dir.join("adult1m.bin");
-    let stored = staged_inputs(&dir, &bin_path);
+    let stored = staged_inputs(&bin_path);
 
     let mut group = c.benchmark_group("persist");
     // one sample is a full 1M-row decode; three samples bound wall time

@@ -51,5 +51,5 @@ pub use metrics::accuracy;
 pub use mlp::{NeuralNetwork, NeuralNetworkParams};
 pub use model::{train, Model, ModelKind};
 pub use naive_bayes::NaiveBayes;
-pub use persist::{load_from_path, SavedModel};
+pub use persist::{load_from_path, ModelFamily, SavedModel};
 pub use tree::{DecisionTree, DecisionTreeParams};

@@ -4,6 +4,7 @@ use crate::forest::{RandomForest, RandomForestParams};
 use crate::linear::{LogisticRegression, LogisticRegressionParams};
 use crate::mlp::{NeuralNetwork, NeuralNetworkParams};
 use crate::tree::{DecisionTree, DecisionTreeParams};
+use remedy_dataset::vocab::{self, Tokens};
 use remedy_dataset::Dataset;
 
 /// A trained binary classifier over rows of category codes.
@@ -40,9 +41,10 @@ pub trait Model: Send + Sync {
 }
 
 /// The four downstream model families evaluated in the paper (§V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ModelKind {
     /// CART decision tree (`DT`).
+    #[default]
     DecisionTree,
     /// Random forest (`RF`).
     RandomForest,
@@ -69,6 +71,21 @@ impl ModelKind {
             ModelKind::LogisticRegression => "LG",
             ModelKind::NeuralNetwork => "NN",
         }
+    }
+}
+
+/// The accepted spelling of each model kind.
+const MODEL_KIND_TOKENS: &Tokens<ModelKind> = &[
+    (ModelKind::DecisionTree, &["dt"]),
+    (ModelKind::RandomForest, &["rf"]),
+    (ModelKind::LogisticRegression, &["lg"]),
+    (ModelKind::NeuralNetwork, &["nn"]),
+];
+
+impl std::str::FromStr for ModelKind {
+    type Err = String;
+    fn from_str(s: &str) -> Result<ModelKind, String> {
+        vocab::parse(MODEL_KIND_TOKENS, s)
     }
 }
 
@@ -108,6 +125,19 @@ pub fn train(kind: ModelKind, data: &Dataset, seed: u64) -> Box<dyn Model> {
 mod tests {
     use super::*;
     use remedy_dataset::{Attribute, Schema};
+
+    #[test]
+    fn model_kind_tokens_parse_and_reject() {
+        let err = "x".parse::<ModelKind>().unwrap_err();
+        assert_eq!(err, "`x` is not dt|rf|lg|nn");
+        for (kind, spellings) in MODEL_KIND_TOKENS {
+            assert!(err.contains(spellings[0]));
+            for spelling in *spellings {
+                assert_eq!(spelling.parse::<ModelKind>().unwrap(), *kind);
+            }
+        }
+        assert_eq!(ModelKind::default(), ModelKind::DecisionTree);
+    }
 
     /// A dataset where label == (a == x): trivially separable.
     fn separable(n: usize) -> Dataset {

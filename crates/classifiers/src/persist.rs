@@ -20,12 +20,14 @@
 //! served by retraining from the recorded seed, which is fully
 //! deterministic.)
 
-use crate::forest::RandomForest;
-use crate::linear::LogisticRegression;
+use crate::forest::{RandomForest, RandomForestParams};
+use crate::linear::{LogisticRegression, LogisticRegressionParams};
 use crate::model::Model;
 use crate::naive_bayes::NaiveBayes;
-use crate::tree::{DecisionTree, Node};
+use crate::tree::{DecisionTree, DecisionTreeParams, Node};
 use remedy_dataset::format::Magic;
+use remedy_dataset::vocab::{self, Tokens};
+use remedy_dataset::Dataset;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -86,6 +88,68 @@ impl SavedModel {
             SavedModel::RandomForest(_) => "random-forest",
             SavedModel::LogisticRegression(_) => "logistic-regression",
             SavedModel::NaiveBayes(_) => "naive-bayes",
+        }
+    }
+}
+
+/// The model families that can be trained *and* saved in this format:
+/// every [`ModelKind`](crate::ModelKind) but the MLP, which is
+/// seed-reproducible, so retraining is its persistence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ModelFamily {
+    /// CART decision tree.
+    #[default]
+    DecisionTree,
+    /// Random forest.
+    RandomForest,
+    /// Logistic regression.
+    LogisticRegression,
+    /// Categorical naive Bayes.
+    NaiveBayes,
+}
+
+/// The accepted spelling of each persistable family.
+const MODEL_FAMILY_TOKENS: &Tokens<ModelFamily> = &[
+    (ModelFamily::DecisionTree, &["dt"]),
+    (ModelFamily::RandomForest, &["rf"]),
+    (ModelFamily::LogisticRegression, &["lg"]),
+    (ModelFamily::NaiveBayes, &["nb"]),
+];
+
+impl std::str::FromStr for ModelFamily {
+    type Err = String;
+    fn from_str(s: &str) -> Result<ModelFamily, String> {
+        vocab::parse(MODEL_FAMILY_TOKENS, s)
+    }
+}
+
+impl ModelFamily {
+    /// The family's token (`dt`, `rf`, `lg`, `nb`).
+    pub fn token(self) -> &'static str {
+        let (_, spellings) = MODEL_FAMILY_TOKENS
+            .iter()
+            .find(|(f, _)| *f == self)
+            .expect("every family has a token");
+        spellings[0]
+    }
+
+    /// Fits the family with default hyper-parameters (`seed` drives the
+    /// forest's bootstraps) and serializes the fitted model.
+    pub fn fit_to_text(self, data: &Dataset, seed: u64) -> String {
+        match self {
+            ModelFamily::DecisionTree => {
+                tree_to_text(&DecisionTree::fit(data, &DecisionTreeParams::default()))
+            }
+            ModelFamily::RandomForest => forest_to_text(&RandomForest::fit(
+                data,
+                &RandomForestParams::default(),
+                seed,
+            )),
+            ModelFamily::LogisticRegression => logistic_to_text(&LogisticRegression::fit(
+                data,
+                &LogisticRegressionParams::default(),
+            )),
+            ModelFamily::NaiveBayes => naive_bayes_to_text(&NaiveBayes::fit(data)),
         }
     }
 }
@@ -302,10 +366,7 @@ pub fn load_from_path(path: impl AsRef<Path>) -> Result<SavedModel, PersistError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forest::RandomForestParams;
-    use crate::linear::LogisticRegressionParams;
-    use crate::tree::DecisionTreeParams;
-    use remedy_dataset::{Attribute, Dataset, Schema};
+    use remedy_dataset::{Attribute, Schema};
 
     fn data() -> Dataset {
         let schema = Schema::new(
@@ -333,6 +394,21 @@ mod tests {
                 "prediction mismatch at row {i}"
             );
         }
+    }
+
+    #[test]
+    fn model_family_tokens_parse_and_fit() {
+        let err = "nn".parse::<ModelFamily>().unwrap_err();
+        assert_eq!(err, "`nn` is not dt|rf|lg|nb");
+        for (family, spellings) in MODEL_FAMILY_TOKENS {
+            assert!(err.contains(spellings[0]));
+            assert_eq!(spellings[0].parse::<ModelFamily>().unwrap(), *family);
+            assert_eq!(family.token(), spellings[0]);
+        }
+        assert_eq!(ModelFamily::default(), ModelFamily::DecisionTree);
+        let d = data();
+        let loaded = from_text(&ModelFamily::NaiveBayes.fit_to_text(&d, 7)).unwrap();
+        assert_eq!(loaded.kind(), "naive-bayes");
     }
 
     #[test]

@@ -81,13 +81,16 @@ impl Args {
         self.options.contains_key(key)
     }
 
-    /// A typed option with a default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+    /// A typed option with a default; a value its `FromStr` rejects is
+    /// reported with that parser's error.
+    pub fn get_parsed<T>(&self, key: &str, default: T) -> Result<T, CliError>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
         match self.get(key) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| CliError(format!("--{key}: cannot parse `{raw}`"))),
+            Some(raw) => raw.parse().map_err(|e| CliError(format!("--{key}: {e}"))),
         }
     }
 

@@ -2,15 +2,11 @@
 
 use crate::args::{Args, CliError};
 use remedy_classifiers::persist;
-use remedy_classifiers::{
-    accuracy, train, LogisticRegression, LogisticRegressionParams, ModelKind, NaiveBayes,
-    RandomForest, RandomForestParams,
-};
-use remedy_classifiers::{DecisionTree, DecisionTreeParams};
+use remedy_classifiers::{accuracy, train, ModelFamily, ModelKind};
 use remedy_core::hypothesis::{validate_on_columns, IbsMark};
 use remedy_core::{
-    remedy as remedy_data, try_identify_over_with, Algorithm, Enumeration, IbsParams, Neighborhood,
-    RemedyParams, Scope, Technique,
+    remedy as remedy_data, try_identify_over_with, Algorithm, Enumeration, IbsParams, RemedyParams,
+    DEFAULT_SEED,
 };
 use remedy_dataset::csv::{self, LoadOptions, RawTable};
 use remedy_dataset::persist as data_persist;
@@ -102,7 +98,7 @@ fn load_input_as(args: &Args, format: &str) -> Result<Dataset, CliError> {
     let rows = args.get_parsed("rows", 0usize)?;
     let arity = args.get_parsed("arity", synth::WIDE_DEFAULT_ARITY)?;
     if let Some(data) =
-        synth::builtin(source, rows, 42, arity).map_err(|e| CliError(e.to_string()))?
+        synth::builtin(source, rows, DEFAULT_SEED, arity).map_err(|e| CliError(e.to_string()))?
     {
         return Ok(data);
     }
@@ -158,35 +154,30 @@ fn load_input_as(args: &Args, format: &str) -> Result<Dataset, CliError> {
     table.to_dataset(&opts).map_err(|e| CliError(e.to_string()))
 }
 
+/// The identification parameters of the remedy options, plus `--pruned`
+/// for the support-pruned lattice enumeration.
 fn ibs_params(args: &Args) -> Result<IbsParams, CliError> {
-    IbsParams::builder()
-        .tau_c(args.get_parsed("tau", 0.1)?)
-        .min_size(args.get_parsed("min-size", 30u64)?)
-        .neighborhood(parse_neighborhood(args)?)
-        .scope(parse_scope(args)?)
-        .enumeration(parse_enumeration(args))
+    let mut params = remedy_params(args, DEFAULT_SEED)?.ibs_params();
+    if args.flag("pruned") {
+        params.enumeration = Enumeration::Pruned;
+    }
+    Ok(params)
+}
+
+/// The remedy parameters of `--technique`, `--tau`, `--min-size`,
+/// `--neighborhood` and `--scope`; options a subcommand does not accept
+/// never reach here (`check_known`), so they keep their defaults.
+fn remedy_params(args: &Args, seed: u64) -> Result<RemedyParams, CliError> {
+    let defaults = RemedyParams::default();
+    RemedyParams::builder()
+        .technique(args.get_parsed("technique", defaults.technique)?)
+        .tau_c(args.get_parsed("tau", defaults.tau_c)?)
+        .min_size(args.get_parsed("min-size", defaults.min_size)?)
+        .neighborhood(args.get_parsed("neighborhood", defaults.neighborhood)?)
+        .scope(args.get_parsed("scope", defaults.scope)?)
+        .seed(seed)
         .build()
         .map_err(|e| CliError(e.to_string()))
-}
-
-/// `--pruned` selects the support-pruned lattice enumeration.
-fn parse_enumeration(args: &Args) -> Enumeration {
-    if args.flag("pruned") {
-        Enumeration::Pruned
-    } else {
-        Enumeration::Dense
-    }
-}
-
-/// `--model dt|rf|lg|nn` (default `dt`).
-fn parse_model(args: &Args) -> Result<ModelKind, CliError> {
-    match args.get("model").unwrap_or("dt") {
-        "dt" => Ok(ModelKind::DecisionTree),
-        "rf" => Ok(ModelKind::RandomForest),
-        "lg" => Ok(ModelKind::LogisticRegression),
-        "nn" => Ok(ModelKind::NeuralNetwork),
-        other => Err(CliError(format!("--model: unknown `{other}`"))),
-    }
 }
 
 /// The recorder `--trace <path>` streams to, or `otherwise()` without
@@ -199,44 +190,6 @@ fn trace_recorder(
         Some(path) => remedy_obs::Recorder::to_path(path)
             .map_err(|e| CliError(format!("cannot open trace {path}: {e}"))),
         None => Ok(otherwise()),
-    }
-}
-
-fn parse_neighborhood(args: &Args) -> Result<Neighborhood, CliError> {
-    match args.get("neighborhood").unwrap_or("unit") {
-        "unit" | "1" => Ok(Neighborhood::Unit),
-        "full" => Ok(Neighborhood::Full),
-        other => other
-            .parse::<f64>()
-            .map(Neighborhood::OrderedRadius)
-            .map_err(|_| {
-                CliError(format!(
-                    "--neighborhood: `{other}` is not unit|full|<radius>"
-                ))
-            }),
-    }
-}
-
-fn parse_scope(args: &Args) -> Result<Scope, CliError> {
-    match args.get("scope").unwrap_or("lattice") {
-        "lattice" => Ok(Scope::Lattice),
-        "leaf" => Ok(Scope::Leaf),
-        "top" => Ok(Scope::Top),
-        other => Err(CliError(format!(
-            "--scope: `{other}` is not lattice|leaf|top"
-        ))),
-    }
-}
-
-fn parse_technique(args: &Args) -> Result<Technique, CliError> {
-    match args.get("technique").unwrap_or("ps") {
-        "ps" | "preferential" => Ok(Technique::PreferentialSampling),
-        "us" | "undersample" => Ok(Technique::Undersampling),
-        "dp" | "oversample" => Ok(Technique::Oversampling),
-        "massage" | "massaging" => Ok(Technique::Massaging),
-        other => Err(CliError(format!(
-            "--technique: `{other}` is not ps|us|dp|massage"
-        ))),
     }
 }
 
@@ -316,15 +269,7 @@ fn cmd_remedy(raw: Vec<String>) -> Result<(), CliError> {
     args.check_known(&known)?;
     let data = load_input(&args)?;
     let out_path = args.require("out")?.to_string();
-    let params = RemedyParams::builder()
-        .technique(parse_technique(&args)?)
-        .tau_c(args.get_parsed("tau", 0.1)?)
-        .min_size(args.get_parsed("min-size", 30u64)?)
-        .neighborhood(parse_neighborhood(&args)?)
-        .scope(parse_scope(&args)?)
-        .seed(args.get_parsed("seed", 42u64)?)
-        .build()
-        .map_err(|e| CliError(e.to_string()))?;
+    let params = remedy_params(&args, args.get_parsed("seed", DEFAULT_SEED)?)?;
     let outcome = remedy_data(&data, &params);
     csv::write_path(&outcome.dataset, &out_path).map_err(|e| CliError(e.to_string()))?;
     println!(
@@ -361,26 +306,14 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
     ]);
     args.check_known(&known)?;
     let data = load_input(&args)?;
-    let seed = args.get_parsed("seed", 42u64)?;
+    let seed = args.get_parsed("seed", DEFAULT_SEED)?;
     let (mut train_set, test_set) =
         train_test_split(&data, 0.7, seed).map_err(|e| CliError(e.to_string()))?;
     if args.flag("remedied") {
-        let params = RemedyParams::builder()
-            .technique(parse_technique(&args)?)
-            .tau_c(args.get_parsed("tau", 0.1)?)
-            .seed(seed)
-            .build()
-            .map_err(|e| CliError(e.to_string()))?;
-        train_set = remedy_data(&train_set, &params).dataset;
+        train_set = remedy_data(&train_set, &remedy_params(&args, seed)?).dataset;
     }
-    let model_kind = parse_model(&args)?;
-    let stat = match args.get("stat").unwrap_or("fpr") {
-        "fpr" => Statistic::Fpr,
-        "fnr" => Statistic::Fnr,
-        "acc" => Statistic::Accuracy,
-        "sel" => Statistic::SelectionRate,
-        other => return Err(CliError(format!("--stat: unknown `{other}`"))),
-    };
+    let model_kind = args.get_parsed("model", ModelKind::default())?;
+    let stat = args.get_parsed("stat", Statistic::default())?;
     let model = train(model_kind, &train_set, seed);
     let predictions = model.predict(&test_set);
     let acc = accuracy(&predictions, test_set.labels());
@@ -391,14 +324,15 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
         &FairnessIndexParams::default(),
     );
     println!("model {model_kind}: accuracy {acc:.3}, fairness index ({stat}) {fi:.3}\n");
+    let defaults = AuditConfig::default();
     let explorer = Explorer {
-        min_support: args.get_parsed("min-support", 0.05)?,
+        min_support: args.get_parsed("min-support", defaults.min_support)?,
         min_size: 30,
         alpha: 0.05,
         max_level: None,
         columns: None,
     };
-    let tau_d = args.get_parsed("tau-d", 0.1)?;
+    let tau_d = args.get_parsed("tau-d", defaults.tau_d)?;
     let unfair = explorer.unfair_subgroups(&test_set, &predictions, stat, tau_d);
     println!(
         "{} unfair subgroups (Δγ > {tau_d}, significant):",
@@ -821,17 +755,18 @@ fn cmd_report(raw: Vec<String>) -> Result<(), CliError> {
     known.extend(["model", "tau-d", "min-support", "top", "seed", "out"]);
     args.check_known(&known)?;
     let data = load_input(&args)?;
-    let seed = args.get_parsed("seed", 42u64)?;
+    let seed = args.get_parsed("seed", DEFAULT_SEED)?;
     let (train_set, test_set) =
         train_test_split(&data, 0.7, seed).map_err(|e| CliError(e.to_string()))?;
-    let model_kind = parse_model(&args)?;
+    let model_kind = args.get_parsed("model", ModelKind::default())?;
     let model = train(model_kind, &train_set, seed);
     let predictions = model.predict(&test_set);
+    let defaults = AuditConfig::default();
     let config = AuditConfig {
-        tau_d: args.get_parsed("tau-d", 0.1)?,
-        min_support: args.get_parsed("min-support", 0.05)?,
-        top_k: args.get_parsed("top", 10usize)?,
-        ..AuditConfig::default()
+        tau_d: args.get_parsed("tau-d", defaults.tau_d)?,
+        min_support: args.get_parsed("min-support", defaults.min_support)?,
+        top_k: args.get_parsed("top", defaults.top_k)?,
+        ..defaults
     };
     let report = audit(&test_set, &predictions, &config);
     match args.get("out") {
@@ -858,35 +793,14 @@ fn cmd_train(raw: Vec<String>) -> Result<(), CliError> {
     known.extend(["model", "out", "remedied", "technique", "tau", "seed"]);
     args.check_known(&known)?;
     let mut data = load_input(&args)?;
-    let seed = args.get_parsed("seed", 42u64)?;
+    let seed = args.get_parsed("seed", DEFAULT_SEED)?;
     if args.flag("remedied") {
-        let params = RemedyParams::builder()
-            .technique(parse_technique(&args)?)
-            .tau_c(args.get_parsed("tau", 0.1)?)
-            .seed(seed)
-            .build()
-            .map_err(|e| CliError(e.to_string()))?;
-        data = remedy_data(&data, &params).dataset;
+        data = remedy_data(&data, &remedy_params(&args, seed)?).dataset;
     }
     let out = args.require("out")?;
-    let text = match args.get("model").unwrap_or("dt") {
-        "dt" => persist::tree_to_text(&DecisionTree::fit(&data, &DecisionTreeParams::default())),
-        "rf" => persist::forest_to_text(&RandomForest::fit(
-            &data,
-            &RandomForestParams::default(),
-            seed,
-        )),
-        "lg" => persist::logistic_to_text(&LogisticRegression::fit(
-            &data,
-            &LogisticRegressionParams::default(),
-        )),
-        "nb" => persist::naive_bayes_to_text(&NaiveBayes::fit(&data)),
-        other => {
-            return Err(CliError(format!(
-                "--model: `{other}` is not dt|rf|lg|nb (MLP is seed-reproducible, retrain instead)"
-            )))
-        }
-    };
+    let text = args
+        .get_parsed("model", ModelFamily::default())?
+        .fit_to_text(&data, seed);
     persist::save_to_path(&text, out).map_err(|e| CliError(e.to_string()))?;
     println!("trained on {} rows; saved model to {out}", data.len());
     Ok(())
@@ -918,7 +832,7 @@ fn cmd_hypothesis(raw: Vec<String>) -> Result<(), CliError> {
     known.extend(["model", "stat", "tau", "tau-d", "all-attrs", "seed"]);
     args.check_known(&known)?;
     let data = load_input(&args)?;
-    let seed = args.get_parsed("seed", 42u64)?;
+    let seed = args.get_parsed("seed", DEFAULT_SEED)?;
     let (train_set, test_set) =
         train_test_split(&data, 0.7, seed).map_err(|e| CliError(e.to_string()))?;
     let columns: Vec<usize> = if args.flag("all-attrs") {
@@ -926,16 +840,16 @@ fn cmd_hypothesis(raw: Vec<String>) -> Result<(), CliError> {
     } else {
         data.schema().protected_indices()
     };
-    let kind = parse_model(&args)?;
-    let stat = match args.get("stat").unwrap_or("fpr") {
-        "fpr" => Statistic::Fpr,
-        "fnr" => Statistic::Fnr,
-        other => return Err(CliError(format!("--stat: `{other}` is not fpr|fnr"))),
-    };
-    let params = IbsParams::builder()
-        .tau_c(args.get_parsed("tau", 0.1)?)
-        .build()
-        .map_err(|e| CliError(e.to_string()))?;
+    let kind = args.get_parsed("model", ModelKind::default())?;
+    let stat = args.get_parsed("stat", Statistic::default())?;
+    // Hypothesis 1 is stated for the paper's two error-rate statistics
+    if !Statistic::PAPER.contains(&stat) {
+        return Err(CliError(format!(
+            "--stat: `{}` is not fpr|fnr",
+            args.get("stat").unwrap_or_default()
+        )));
+    }
+    let params = ibs_params(&args)?;
     let model = train(kind, &train_set, seed);
     let predictions = model.predict(&test_set);
     let validation = validate_on_columns(
@@ -944,7 +858,7 @@ fn cmd_hypothesis(raw: Vec<String>) -> Result<(), CliError> {
         &predictions,
         stat,
         &params,
-        args.get_parsed("tau-d", 0.1)?,
+        args.get_parsed("tau-d", AuditConfig::default().tau_d)?,
         &columns,
     );
     println!(
@@ -981,9 +895,9 @@ fn cmd_validate(raw: Vec<String>) -> Result<(), CliError> {
     known.extend(["model", "folds", "seed"]);
     args.check_known(&known)?;
     let data = load_input(&args)?;
-    let kind = parse_model(&args)?;
+    let kind = args.get_parsed("model", ModelKind::default())?;
     let folds = args.get_parsed("folds", 5usize)?;
-    let seed = args.get_parsed("seed", 42u64)?;
+    let seed = args.get_parsed("seed", DEFAULT_SEED)?;
     let result = remedy_classifiers::cross_validate(&data, kind, folds, seed);
     println!(
         "{kind} {folds}-fold accuracy: {:.3} ± {:.3}",
@@ -1007,7 +921,7 @@ fn cmd_generate(raw: Vec<String>) -> Result<(), CliError> {
     }
     args.check_known(&["out", "rows", "arity", "seed", "format", "help"])?;
     let name = args.positional(0).unwrap();
-    let seed = args.get_parsed("seed", 42u64)?;
+    let seed = args.get_parsed("seed", DEFAULT_SEED)?;
     let rows = args.get_parsed("rows", 0usize)?;
     let arity = args.get_parsed("arity", synth::WIDE_DEFAULT_ARITY)?;
     let data = synth::builtin(name, rows, seed, arity)
@@ -1033,33 +947,6 @@ mod tests {
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
-    }
-
-    #[test]
-    fn parsers_accept_aliases() {
-        assert_eq!(
-            parse_technique(&args(&["--technique", "massage"])).unwrap(),
-            Technique::Massaging
-        );
-        assert_eq!(
-            parse_scope(&args(&["--scope", "leaf"])).unwrap(),
-            Scope::Leaf
-        );
-        assert_eq!(
-            parse_neighborhood(&args(&["--neighborhood", "full"])).unwrap(),
-            Neighborhood::Full
-        );
-        assert_eq!(
-            parse_neighborhood(&args(&["--neighborhood", "1.5"])).unwrap(),
-            Neighborhood::OrderedRadius(1.5)
-        );
-    }
-
-    #[test]
-    fn parsers_reject_garbage() {
-        assert!(parse_technique(&args(&["--technique", "x"])).is_err());
-        assert!(parse_scope(&args(&["--scope", "x"])).is_err());
-        assert!(parse_neighborhood(&args(&["--neighborhood", "x"])).is_err());
     }
 
     #[test]

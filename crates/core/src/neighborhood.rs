@@ -11,6 +11,8 @@
 //! income brackets) can refine the metric with their code distance; the
 //! [`Neighborhood::OrderedRadius`] variant implements that extension.
 
+use remedy_dataset::vocab::{self, Tokens};
+
 /// How the neighboring region of a region is formed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Neighborhood {
@@ -41,9 +43,46 @@ impl Neighborhood {
     }
 }
 
+/// The accepted spellings of the named neighborhoods; any other number
+/// is an [`Neighborhood::OrderedRadius`].
+const NEIGHBORHOOD_TOKENS: &Tokens<Neighborhood> = &[
+    (Neighborhood::Unit, &["unit", "1"]),
+    (Neighborhood::Full, &["full"]),
+];
+
+impl std::str::FromStr for Neighborhood {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Neighborhood, String> {
+        vocab::parse(NEIGHBORHOOD_TOKENS, s).or_else(|err| {
+            s.parse()
+                .map(Neighborhood::OrderedRadius)
+                .map_err(|_| err + "|<radius>")
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tokens_parse_and_reject() {
+        assert_eq!("unit".parse::<Neighborhood>().unwrap(), Neighborhood::Unit);
+        assert_eq!("1".parse::<Neighborhood>().unwrap(), Neighborhood::Unit);
+        assert_eq!("full".parse::<Neighborhood>().unwrap(), Neighborhood::Full);
+        assert_eq!(
+            "1.5".parse::<Neighborhood>().unwrap(),
+            Neighborhood::OrderedRadius(1.5)
+        );
+        let err = "x".parse::<Neighborhood>().unwrap_err();
+        assert_eq!(err, "`x` is not unit|full|<radius>");
+        for (neighborhood, spellings) in NEIGHBORHOOD_TOKENS {
+            assert!(err.contains(spellings[0]));
+            for spelling in *spellings {
+                assert_eq!(spelling.parse::<Neighborhood>().unwrap(), *neighborhood);
+            }
+        }
+    }
 
     #[test]
     fn names() {

@@ -24,6 +24,10 @@ use crate::neighborhood::Neighborhood;
 use crate::remedy::{RemedyParams, Technique};
 use crate::scope::Scope;
 
+/// The master seed every front end defaults to: the CLI's `--seed`, the
+/// plan's `seed` key and the serve requests' `"seed"` field.
+pub const DEFAULT_SEED: u64 = 42;
+
 /// Why a parameter set was rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamError {

@@ -30,17 +30,19 @@ use crate::score::Counts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_classifiers::{Model, NaiveBayes};
+use remedy_dataset::vocab::{self, Tokens};
 use remedy_dataset::{Dataset, Pattern};
 use remedy_obs::Scope as ObsScope;
 
 /// The pre-processing technique applied to each biased region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Technique {
     /// Duplicate minority instances (paper's *DP*).
     Oversampling,
     /// Remove majority instances (*US*).
     Undersampling,
     /// Duplicate and remove borderline instances (*PS*; the paper's best).
+    #[default]
     PreferentialSampling,
     /// Flip labels of borderline majority instances (*Massaging*).
     Massaging,
@@ -68,6 +70,22 @@ impl Technique {
     /// Whether this technique needs the borderline-instance ranker.
     pub fn needs_ranker(self) -> bool {
         matches!(self, Technique::PreferentialSampling | Technique::Massaging)
+    }
+}
+
+/// The accepted spellings of each technique: the paper's abbreviation,
+/// then the technique's name.
+const TECHNIQUE_TOKENS: &Tokens<Technique> = &[
+    (Technique::PreferentialSampling, &["ps", "preferential"]),
+    (Technique::Undersampling, &["us", "undersample"]),
+    (Technique::Oversampling, &["dp", "oversample"]),
+    (Technique::Massaging, &["massage", "massaging"]),
+];
+
+impl std::str::FromStr for Technique {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Technique, String> {
+        vocab::parse(TECHNIQUE_TOKENS, s)
     }
 }
 
@@ -102,7 +120,7 @@ pub struct RemedyParams {
 impl Default for RemedyParams {
     fn default() -> Self {
         RemedyParams {
-            technique: Technique::PreferentialSampling,
+            technique: Technique::default(),
             tau_c: 0.1,
             min_size: 30,
             neighborhood: Neighborhood::Unit,
@@ -727,6 +745,27 @@ mod tests {
     use super::*;
     use crate::identify::{identify, Algorithm, IbsParams};
     use remedy_dataset::{Attribute, Schema};
+
+    #[test]
+    fn technique_tokens_parse_and_reject() {
+        for (alias, technique) in [
+            ("preferential", Technique::PreferentialSampling),
+            ("undersample", Technique::Undersampling),
+            ("oversample", Technique::Oversampling),
+            ("massaging", Technique::Massaging),
+        ] {
+            assert_eq!(alias.parse::<Technique>().unwrap(), technique);
+        }
+        let err = "x".parse::<Technique>().unwrap_err();
+        assert_eq!(err, "`x` is not ps|us|dp|massage");
+        for (technique, spellings) in TECHNIQUE_TOKENS {
+            assert!(err.contains(spellings[0]));
+            for spelling in *spellings {
+                assert_eq!(spelling.parse::<Technique>().unwrap(), *technique);
+            }
+        }
+        assert_eq!(Technique::default(), Technique::PreferentialSampling);
+    }
 
     /// Example 8's shape at 1/7 scale: a region with 126 positives and 57
     /// negatives (ratio ≈ 2.21) surrounded by regions at ratio ≈ 0.64.

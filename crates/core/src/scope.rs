@@ -5,6 +5,8 @@
 //! regions, and *Top*, which only inspects the single-attribute groups at
 //! level 1.
 
+use remedy_dataset::vocab::{self, Tokens};
+
 /// Which part of the hierarchy to search for biased regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scope {
@@ -38,6 +40,20 @@ impl Scope {
     }
 }
 
+/// The accepted spellings of each scope.
+const SCOPE_TOKENS: &Tokens<Scope> = &[
+    (Scope::Lattice, &["lattice"]),
+    (Scope::Leaf, &["leaf"]),
+    (Scope::Top, &["top"]),
+];
+
+impl std::str::FromStr for Scope {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Scope, String> {
+        vocab::parse(SCOPE_TOKENS, s)
+    }
+}
+
 impl std::fmt::Display for Scope {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -63,6 +79,21 @@ mod tests {
         assert!(!Scope::Leaf.includes(2, 3));
         assert!(Scope::Top.includes(1, 3));
         assert!(!Scope::Top.includes(2, 3));
+    }
+
+    #[test]
+    fn tokens_parse_and_reject() {
+        assert_eq!("lattice".parse::<Scope>().unwrap(), Scope::Lattice);
+        assert_eq!("leaf".parse::<Scope>().unwrap(), Scope::Leaf);
+        assert_eq!("top".parse::<Scope>().unwrap(), Scope::Top);
+        let err = "x".parse::<Scope>().unwrap_err();
+        assert_eq!(err, "`x` is not lattice|leaf|top");
+        for (scope, spellings) in SCOPE_TOKENS {
+            assert!(err.contains(spellings[0]));
+            for spelling in *spellings {
+                assert_eq!(spelling.parse::<Scope>().unwrap(), *scope);
+            }
+        }
     }
 
     #[test]

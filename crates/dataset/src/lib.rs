@@ -24,6 +24,8 @@
 //!   behind `Dataset::open` / `store::save` with format autodetection.
 //! * [`mod@format`] — the magic/version header, escaping, and content-digest
 //!   helpers every `remedy-*` artifact family shares.
+//! * [`vocab`] — the token-table parser behind every parameter type's
+//!   `FromStr`, shared by the CLI, plan and serve front ends.
 //! * [`synth`] — seeded synthetic generators mirroring the three evaluation
 //!   datasets (Adult, ProPublica/COMPAS, Law School) with planted
 //!   representation bias, used when the real CSVs are unavailable.
@@ -42,6 +44,7 @@ pub mod schema;
 pub mod split;
 pub mod store;
 pub mod synth;
+pub mod vocab;
 
 pub use collapse::collapse_rare;
 pub use dataset::{Dataset, RowEdit};

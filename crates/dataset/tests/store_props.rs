@@ -45,7 +45,7 @@ fn arb_dataset(rng: &mut SplitRng) -> Dataset {
         })
         .collect();
     let cards: Vec<usize> = attrs.iter().map(|a| a.cardinality()).collect();
-    let schema = Schema::new(attrs, &arb_name(rng, 99)).into_shared();
+    let schema = Schema::new(attrs, arb_name(rng, 99)).into_shared();
     let mut data = Dataset::new(schema);
     let weights = [1.0, 0.25, 3.5, 1e-9, 1e12, 0.1];
     for _ in 0..rng.below(40) {
@@ -62,7 +62,8 @@ fn arb_dataset(rng: &mut SplitRng) -> Dataset {
 /// matching the text.
 #[test]
 fn builtin_datasets_roundtrip_byte_identically() {
-    let builtins: [(&str, fn(usize, u64) -> Dataset); 3] = [
+    type Generator = fn(usize, u64) -> Dataset;
+    let builtins: [(&str, Generator); 3] = [
         ("adult", synth::adult_n),
         ("compas", synth::compas_n),
         ("law", synth::law_school_n),

@@ -1,13 +1,15 @@
 //! Model statistics `γ` and subgroup divergence (Definition 1).
 
 use crate::confusion::ConfusionCounts;
+use remedy_dataset::vocab::{self, Tokens};
 use remedy_dataset::{Dataset, Pattern};
 
 /// The model statistic `γ` a fairness analysis is run under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Statistic {
     /// False-positive rate (the *predictive equality* / equal-opportunity
     /// family of constraints).
+    #[default]
     Fpr,
     /// False-negative rate (part of *equalized odds*).
     Fnr,
@@ -29,6 +31,21 @@ impl Statistic {
             Statistic::Accuracy => "ACC",
             Statistic::SelectionRate => "SEL",
         }
+    }
+}
+
+/// The accepted spelling of each statistic.
+const STATISTIC_TOKENS: &Tokens<Statistic> = &[
+    (Statistic::Fpr, &["fpr"]),
+    (Statistic::Fnr, &["fnr"]),
+    (Statistic::Accuracy, &["acc"]),
+    (Statistic::SelectionRate, &["sel"]),
+];
+
+impl std::str::FromStr for Statistic {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Statistic, String> {
+        vocab::parse(STATISTIC_TOKENS, s)
     }
 }
 
@@ -87,6 +104,19 @@ pub fn is_fair(
 mod tests {
     use super::*;
     use remedy_dataset::{Attribute, Schema};
+
+    #[test]
+    fn statistic_tokens_parse_and_reject() {
+        let err = "x".parse::<Statistic>().unwrap_err();
+        assert_eq!(err, "`x` is not fpr|fnr|acc|sel");
+        for (stat, spellings) in STATISTIC_TOKENS {
+            assert!(err.contains(spellings[0]));
+            for spelling in *spellings {
+                assert_eq!(spelling.parse::<Statistic>().unwrap(), *stat);
+            }
+        }
+        assert_eq!(Statistic::default(), Statistic::Fpr);
+    }
 
     fn setup() -> (Dataset, Vec<u8>) {
         let schema = Schema::new(

@@ -20,50 +20,10 @@
 //! branches themselves are independent and run in parallel.
 
 use crate::error::PipelineError;
-use remedy_core::{Enumeration, IbsParams, Neighborhood, RemedyParams, Scope, Technique};
+pub use remedy_classifiers::ModelFamily;
+use remedy_core::{Enumeration, IbsParams, Neighborhood, RemedyParams, Technique, DEFAULT_SEED};
 use remedy_fairness::Statistic;
 use std::path::Path;
-
-/// Model families the pipeline can train *and persist as artifacts*.
-///
-/// This is the intersection of the trainable families and the
-/// `remedy-classifiers::persist` formats (the MLP is excluded there by
-/// design: it is seed-reproducible, so retraining is the persistence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelFamily {
-    /// CART decision tree.
-    DecisionTree,
-    /// Random forest.
-    RandomForest,
-    /// Logistic regression.
-    LogisticRegression,
-    /// Categorical naive Bayes.
-    NaiveBayes,
-}
-
-impl ModelFamily {
-    /// The plan-file token (`dt`, `rf`, `lg`, `nb`).
-    pub fn token(self) -> &'static str {
-        match self {
-            ModelFamily::DecisionTree => "dt",
-            ModelFamily::RandomForest => "rf",
-            ModelFamily::LogisticRegression => "lg",
-            ModelFamily::NaiveBayes => "nb",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, PipelineError> {
-        match s {
-            "dt" => Ok(ModelFamily::DecisionTree),
-            "rf" => Ok(ModelFamily::RandomForest),
-            "lg" => Ok(ModelFamily::LogisticRegression),
-            "nb" => Ok(ModelFamily::NaiveBayes),
-            other => Err(PipelineError::invalid_plan(format!(
-                "model `{other}` is not dt|rf|lg|nb (nn cannot be persisted as an artifact)"
-            ))),
-        }
-    }
-}
 
 /// How a file `dataset` source is decoded by the Load stage.
 ///
@@ -137,7 +97,7 @@ impl Default for Plan {
         Plan {
             source: String::new(),
             rows: 0,
-            seed: 42,
+            seed: DEFAULT_SEED,
             split: 0.7,
             label: None,
             protected: Vec::new(),
@@ -145,7 +105,7 @@ impl Default for Plan {
             bins: 4,
             format: SourceFormat::Auto,
             ibs: IbsParams::default(),
-            stat: Statistic::Fpr,
+            stat: Statistic::default(),
             tau_d: 0.1,
             min_support: 0.1,
             branches: Vec::new(),
@@ -168,24 +128,24 @@ impl Plan {
             let value = value.trim();
             match key {
                 "dataset" => plan.source = value.to_string(),
-                "rows" => plan.rows = parse_num(idx, "rows", value)?,
-                "seed" => plan.seed = parse_num(idx, "seed", value)?,
-                "split" => plan.split = parse_num(idx, "split", value)?,
+                "rows" => plan.rows = parse_value(idx, key, value)?,
+                "seed" => plan.seed = parse_value(idx, key, value)?,
+                "split" => plan.split = parse_value(idx, key, value)?,
                 "label" => plan.label = Some(value.to_string()),
                 "protected" => {
                     plan.protected = value.split(',').map(|s| s.trim().to_string()).collect()
                 }
                 "positive" => plan.positive = Some(value.to_string()),
-                "bins" => plan.bins = parse_num(idx, "bins", value)?,
+                "bins" => plan.bins = parse_value(idx, key, value)?,
                 "format" => plan.format = parse_format(idx, value)?,
-                "tau" => plan.ibs.tau_c = parse_num(idx, "tau", value)?,
-                "min-size" => plan.ibs.min_size = parse_num(idx, "min-size", value)?,
-                "neighborhood" => plan.ibs.neighborhood = parse_neighborhood(idx, value)?,
-                "scope" => plan.ibs.scope = parse_scope(idx, value)?,
+                "tau" => plan.ibs.tau_c = parse_value(idx, key, value)?,
+                "min-size" => plan.ibs.min_size = parse_value(idx, key, value)?,
+                "neighborhood" => plan.ibs.neighborhood = parse_value(idx, key, value)?,
+                "scope" => plan.ibs.scope = parse_value(idx, key, value)?,
                 "enumeration" => plan.ibs.enumeration = parse_enumeration(idx, value)?,
-                "stat" => plan.stat = parse_stat(idx, value)?,
-                "tau-d" => plan.tau_d = parse_num(idx, "tau-d", value)?,
-                "min-support" => plan.min_support = parse_num(idx, "min-support", value)?,
+                "stat" => plan.stat = parse_value(idx, key, value)?,
+                "tau-d" => plan.tau_d = parse_value(idx, key, value)?,
+                "min-support" => plan.min_support = parse_value(idx, key, value)?,
                 "branch" => plan.branches.push(parse_branch(idx, value)?),
                 other => return Err(at(idx, format!("unknown key `{other}`"))),
             }
@@ -287,35 +247,14 @@ fn at(idx: usize, msg: String) -> PipelineError {
     PipelineError::invalid_plan(format!("plan line {}: {msg}", idx + 1))
 }
 
-fn parse_num<T: std::str::FromStr>(idx: usize, key: &str, value: &str) -> Result<T, PipelineError> {
-    value
-        .parse()
-        .map_err(|_| at(idx, format!("bad {key} value `{value}`")))
-}
-
-fn parse_neighborhood(idx: usize, value: &str) -> Result<Neighborhood, PipelineError> {
-    match value {
-        "unit" | "1" => Ok(Neighborhood::Unit),
-        "full" => Ok(Neighborhood::Full),
-        other => other
-            .parse::<f64>()
-            .map(Neighborhood::OrderedRadius)
-            .map_err(|_| {
-                at(
-                    idx,
-                    format!("neighborhood `{other}` is not unit|full|<radius>"),
-                )
-            }),
-    }
-}
-
-fn parse_scope(idx: usize, value: &str) -> Result<Scope, PipelineError> {
-    match value {
-        "lattice" => Ok(Scope::Lattice),
-        "leaf" => Ok(Scope::Leaf),
-        "top" => Ok(Scope::Top),
-        other => Err(at(idx, format!("scope `{other}` is not lattice|leaf|top"))),
-    }
+/// Parses one plan value through its type's `FromStr`; the error of a
+/// paper parameter names the rejected token and the accepted ones.
+fn parse_value<T>(idx: usize, key: &str, value: &str) -> Result<T, PipelineError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| at(idx, format!("{key}: {e}")))
 }
 
 fn parse_enumeration(idx: usize, value: &str) -> Result<Enumeration, PipelineError> {
@@ -338,16 +277,6 @@ fn parse_format(idx: usize, value: &str) -> Result<SourceFormat, PipelineError> 
     }
 }
 
-fn parse_stat(idx: usize, value: &str) -> Result<Statistic, PipelineError> {
-    match value {
-        "fpr" => Ok(Statistic::Fpr),
-        "fnr" => Ok(Statistic::Fnr),
-        "acc" => Ok(Statistic::Accuracy),
-        "sel" => Ok(Statistic::SelectionRate),
-        other => Err(at(idx, format!("stat `{other}` is not fpr|fnr|acc|sel"))),
-    }
-}
-
 fn parse_branch(idx: usize, value: &str) -> Result<BranchSpec, PipelineError> {
     let mut fields = value.split_whitespace();
     let name = fields
@@ -362,25 +291,10 @@ fn parse_branch(idx: usize, value: &str) -> Result<BranchSpec, PipelineError> {
             .split_once('=')
             .ok_or_else(|| at(idx, format!("branch option `{field}` is not key=value")))?;
         match k {
-            "technique" => {
-                technique = Some(match v {
-                    "none" => None,
-                    "ps" | "preferential" => Some(Technique::PreferentialSampling),
-                    "us" | "undersample" => Some(Technique::Undersampling),
-                    "dp" | "oversample" => Some(Technique::Oversampling),
-                    "massage" | "massaging" => Some(Technique::Massaging),
-                    other => {
-                        return Err(at(
-                            idx,
-                            format!("technique `{other}` is not none|ps|us|dp|massage"),
-                        ))
-                    }
-                })
-            }
-            "model" => {
-                model = Some(ModelFamily::parse(v).map_err(|e| at(idx, e.message().to_string()))?)
-            }
-            "neighborhood" => neighborhood = Some(parse_neighborhood(idx, v)?),
+            "technique" if v == "none" => technique = Some(None),
+            "technique" => technique = Some(Some(parse_value(idx, k, v)?)),
+            "model" => model = Some(parse_value(idx, k, v)?),
+            "neighborhood" => neighborhood = Some(parse_value(idx, k, v)?),
             other => return Err(at(idx, format!("unknown branch option `{other}`"))),
         }
     }

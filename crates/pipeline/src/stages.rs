@@ -16,10 +16,7 @@ use crate::failpoint;
 use crate::manifest::StageRecord;
 use crate::plan::{ModelFamily, Plan, SourceFormat};
 use remedy_classifiers::persist as model_persist;
-use remedy_classifiers::{
-    accuracy, DecisionTree, DecisionTreeParams, LogisticRegression, LogisticRegressionParams,
-    Model, NaiveBayes, RandomForest, RandomForestParams,
-};
+use remedy_classifiers::{accuracy, Model};
 use remedy_core::hash::{stable_hash, StableHasher};
 use remedy_core::{persist as ibs_persist, try_identify_over_with, Algorithm, RemedyParams};
 use remedy_dataset::csv::{LoadOptions, RawTable};
@@ -412,23 +409,7 @@ pub fn train_stage(
         obs,
         move || {
             let data = data_persist::dataset_from_text(train_input)?;
-            Ok(match family {
-                ModelFamily::DecisionTree => model_persist::tree_to_text(&DecisionTree::fit(
-                    &data,
-                    &DecisionTreeParams::default(),
-                )),
-                ModelFamily::RandomForest => model_persist::forest_to_text(&RandomForest::fit(
-                    &data,
-                    &RandomForestParams::default(),
-                    seed,
-                )),
-                ModelFamily::LogisticRegression => model_persist::logistic_to_text(
-                    &LogisticRegression::fit(&data, &LogisticRegressionParams::default()),
-                ),
-                ModelFamily::NaiveBayes => {
-                    model_persist::naive_bayes_to_text(&NaiveBayes::fit(&data))
-                }
-            })
+            Ok(family.fit_to_text(&data, seed))
         },
     )
 }

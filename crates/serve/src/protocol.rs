@@ -8,10 +8,8 @@
 //! `"ok":true` plus op-specific fields or `"ok":false` plus the
 //! pipeline error taxonomy.
 
-use remedy_classifiers::ModelKind;
-use remedy_core::{Algorithm, Enumeration, IbsParams, Neighborhood, Scope as IbsScope, Technique};
+use remedy_core::{Algorithm, Enumeration, IbsParams, Neighborhood};
 use remedy_dataset::RowEdit;
-use remedy_fairness::Statistic;
 use remedy_pipeline::json::{self, json_str, Value};
 use remedy_pipeline::{ErrorKind, PipelineError};
 
@@ -178,15 +176,32 @@ pub fn opt_bool(body: &Value, name: &str) -> Result<Option<bool>, PipelineError>
     }
 }
 
+/// An optional string field parsed by its type's `FromStr` (the shared
+/// parameter vocabulary); a bad token is `invalid-plan` naming the field,
+/// the token and the accepted ones.
+pub fn opt_parsed<T>(body: &Value, name: &str) -> Result<Option<T>, PipelineError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    opt_str(body, name)?
+        .map(|s| {
+            s.parse()
+                .map_err(|e| PipelineError::invalid_plan(format!("`{name}`: {e}")))
+        })
+        .transpose()
+}
+
 /// The identification parameters of a request: `tau`, `min_size`,
 /// `neighborhood`, `scope`, and the `pruned` enumeration toggle, with
 /// the same defaults as the batch CLI.
 pub fn ibs_params(body: &Value) -> Result<IbsParams, PipelineError> {
+    let defaults = IbsParams::default();
     IbsParams::builder()
-        .tau_c(opt_f64(body, "tau")?.unwrap_or(0.1))
-        .min_size(opt_u64(body, "min_size")?.unwrap_or(30))
+        .tau_c(opt_f64(body, "tau")?.unwrap_or(defaults.tau_c))
+        .min_size(opt_u64(body, "min_size")?.unwrap_or(defaults.min_size))
         .neighborhood(neighborhood(body)?)
-        .scope(ibs_scope(body)?)
+        .scope(opt_parsed(body, "scope")?.unwrap_or_default())
         .enumeration(if opt_bool(body, "pruned")?.unwrap_or(false) {
             Enumeration::Pruned
         } else {
@@ -196,35 +211,14 @@ pub fn ibs_params(body: &Value) -> Result<IbsParams, PipelineError> {
         .map_err(|e| PipelineError::invalid_plan(e.to_string()))
 }
 
-/// `"neighborhood"`: `"unit"` | `"full"` | a radius number.
+/// `"neighborhood"`: a radius number, or a token string (`"unit"`,
+/// `"full"` or a radius).
 pub fn neighborhood(body: &Value) -> Result<Neighborhood, PipelineError> {
     match body.field("neighborhood") {
-        None => Ok(Neighborhood::Unit),
-        Some(Value::Str(s)) => match s.as_str() {
-            "unit" | "1" => Ok(Neighborhood::Unit),
-            "full" => Ok(Neighborhood::Full),
-            other => Err(PipelineError::invalid_plan(format!(
-                "`neighborhood`: `{other}` is not unit|full|<radius>"
-            ))),
-        },
         Some(v @ Value::Num(_)) => Ok(Neighborhood::OrderedRadius(
             v.as_f64().expect("numbers parse as f64"),
         )),
-        Some(_) => Err(PipelineError::invalid_plan(
-            "`neighborhood` must be unit|full|<radius>",
-        )),
-    }
-}
-
-/// `"scope"`: `"lattice"` (default) | `"leaf"` | `"top"`.
-pub fn ibs_scope(body: &Value) -> Result<IbsScope, PipelineError> {
-    match opt_str(body, "scope")?.unwrap_or("lattice") {
-        "lattice" => Ok(IbsScope::Lattice),
-        "leaf" => Ok(IbsScope::Leaf),
-        "top" => Ok(IbsScope::Top),
-        other => Err(PipelineError::invalid_plan(format!(
-            "`scope`: `{other}` is not lattice|leaf|top"
-        ))),
+        _ => Ok(opt_parsed(body, "neighborhood")?.unwrap_or_default()),
     }
 }
 
@@ -235,45 +229,6 @@ pub fn algorithm(body: &Value) -> Result<Algorithm, PipelineError> {
         "naive" => Ok(Algorithm::Naive),
         other => Err(PipelineError::invalid_plan(format!(
             "`algorithm`: `{other}` is not optimized|naive"
-        ))),
-    }
-}
-
-/// `"technique"`: the same tokens the batch CLI accepts.
-pub fn technique(body: &Value) -> Result<Technique, PipelineError> {
-    match opt_str(body, "technique")?.unwrap_or("ps") {
-        "ps" | "preferential" => Ok(Technique::PreferentialSampling),
-        "us" | "undersample" => Ok(Technique::Undersampling),
-        "dp" | "oversample" => Ok(Technique::Oversampling),
-        "massage" | "massaging" => Ok(Technique::Massaging),
-        other => Err(PipelineError::invalid_plan(format!(
-            "`technique`: `{other}` is not ps|us|dp|massage"
-        ))),
-    }
-}
-
-/// `"model"`: `"dt"` (default) | `"rf"` | `"lg"` | `"nn"`.
-pub fn model_kind(body: &Value) -> Result<ModelKind, PipelineError> {
-    match opt_str(body, "model")?.unwrap_or("dt") {
-        "dt" => Ok(ModelKind::DecisionTree),
-        "rf" => Ok(ModelKind::RandomForest),
-        "lg" => Ok(ModelKind::LogisticRegression),
-        "nn" => Ok(ModelKind::NeuralNetwork),
-        other => Err(PipelineError::invalid_plan(format!(
-            "`model`: `{other}` is not dt|rf|lg|nn"
-        ))),
-    }
-}
-
-/// `"stat"`: `"fpr"` (default) | `"fnr"` | `"acc"` | `"sel"`.
-pub fn statistic(body: &Value) -> Result<Statistic, PipelineError> {
-    match opt_str(body, "stat")?.unwrap_or("fpr") {
-        "fpr" => Ok(Statistic::Fpr),
-        "fnr" => Ok(Statistic::Fnr),
-        "acc" => Ok(Statistic::Accuracy),
-        "sel" => Ok(Statistic::SelectionRate),
-        other => Err(PipelineError::invalid_plan(format!(
-            "`stat`: `{other}` is not fpr|fnr|acc|sel"
         ))),
     }
 }
@@ -332,6 +287,9 @@ fn required_index(item: &Value, name: &str) -> Result<usize, PipelineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remedy_classifiers::ModelKind;
+    use remedy_core::{Scope, Technique};
+    use remedy_fairness::Statistic;
 
     #[test]
     fn requests_parse_and_reject() {
@@ -364,8 +322,8 @@ mod tests {
         assert_eq!(params.neighborhood, Neighborhood::Unit);
         assert_eq!(algorithm(&req.body).unwrap(), Algorithm::Optimized);
         assert_eq!(
-            technique(&req.body).unwrap(),
-            Technique::PreferentialSampling
+            opt_parsed::<Technique>(&req.body, "technique").unwrap(),
+            None
         );
 
         let req = parse_request(
@@ -377,7 +335,10 @@ mod tests {
             neighborhood(&req.body).unwrap(),
             Neighborhood::OrderedRadius(1.5)
         );
-        assert_eq!(ibs_scope(&req.body).unwrap(), IbsScope::Leaf);
+        assert_eq!(
+            opt_parsed::<Scope>(&req.body, "scope").unwrap(),
+            Some(Scope::Leaf)
+        );
         assert_eq!(algorithm(&req.body).unwrap(), Algorithm::Naive);
         assert!(ibs_params(
             &parse_request("{\"op\":\"identify\",\"tau\":\"x\"}")
@@ -385,6 +346,44 @@ mod tests {
                 .body
         )
         .is_err());
+    }
+
+    #[test]
+    fn vocabulary_fields_parse_and_reject() {
+        let body = |json: &str| parse_request(json).unwrap().body;
+        // a string radius parses like the CLI's `--neighborhood 1.5`
+        for json in [
+            "{\"op\":\"identify\",\"neighborhood\":1.5}",
+            "{\"op\":\"identify\",\"neighborhood\":\"1.5\"}",
+        ] {
+            assert_eq!(
+                neighborhood(&body(json)).unwrap(),
+                Neighborhood::OrderedRadius(1.5)
+            );
+        }
+        let req = body(
+            "{\"op\":\"audit\",\"technique\":\"massaging\",\"model\":\"rf\",\
+             \"stat\":\"fnr\",\"neighborhood\":\"1\"}",
+        );
+        assert_eq!(
+            opt_parsed::<Technique>(&req, "technique").unwrap(),
+            Some(Technique::Massaging)
+        );
+        assert_eq!(
+            opt_parsed::<ModelKind>(&req, "model").unwrap(),
+            Some(ModelKind::RandomForest)
+        );
+        assert_eq!(
+            opt_parsed::<Statistic>(&req, "stat").unwrap(),
+            Some(Statistic::Fnr)
+        );
+        assert_eq!(neighborhood(&req).unwrap(), Neighborhood::Unit);
+        let err = opt_parsed::<Scope>(&body("{\"op\":\"identify\",\"scope\":\"x\"}"), "scope")
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidPlan);
+        assert_eq!(err.message(), "`scope`: `x` is not lattice|leaf|top");
+        let err = neighborhood(&body("{\"op\":\"identify\",\"neighborhood\":true}")).unwrap_err();
+        assert_eq!(err.message(), "`neighborhood` must be a string");
     }
 
     #[test]

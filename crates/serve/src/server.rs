@@ -23,18 +23,18 @@
 use crate::durable::{self, Durable, DurableConfig, DurablePolicy};
 use crate::protocol::{self, Fields, Request};
 use crate::session::{lock_session, Registry, Session};
-use remedy_classifiers::{accuracy, train};
-use remedy_core::{remedy_with, RemedyParams};
+use remedy_classifiers::{accuracy, train, ModelKind};
+use remedy_core::{remedy_with, RemedyParams, DEFAULT_SEED};
 use remedy_dataset::csv::{LoadOptions, RawTable};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::{store, synth, Dataset};
-use remedy_fairness::{fairness_index, Explorer, FairnessIndexParams};
+use remedy_fairness::{fairness_index, AuditConfig, Explorer, FairnessIndexParams, Statistic};
 use remedy_obs::Recorder;
 use remedy_pipeline::error::panic_message;
 use remedy_pipeline::json::{json_f64, json_str, Value};
 use remedy_pipeline::{failpoint, ErrorKind, PipelineError};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -198,6 +198,9 @@ impl Server {
     }
 }
 
+/// Longest the accept loop spends reading a shed connection's request.
+const SHED_DRAIN: Duration = Duration::from_millis(100);
+
 /// The accept gate: past `--max-conns`, a new connection is answered
 /// with a single transient `overloaded` error line and closed — clients
 /// with retry backoff get a clean signal instead of a stalled socket.
@@ -216,6 +219,23 @@ fn shed_conn(state: &Arc<State>, stream: TcpStream) {
     let _ = writer
         .write_all(line.as_bytes())
         .and_then(|()| writer.write_all(b"\n"));
+    // Dropping the socket with the request unread, or still in flight,
+    // makes the kernel send a reset that can beat the line above to the
+    // client. So half-close, then read up to the request's newline, EOF
+    // or SHED_DRAIN, which bounds the accept loop's stall.
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + SHED_DRAIN;
+    let mut buf = [0u8; 4096];
+    // a zero timeout is an error, so the loop also ends at the deadline
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        match writer
+            .set_read_timeout(Some(left))
+            .and_then(|()| writer.read(&mut buf))
+        {
+            Ok(n) if n > 0 && !buf[..n].contains(&b'\n') => {}
+            _ => break,
+        }
+    }
 }
 
 fn handle_conn(state: &Arc<State>, stream: TcpStream) {
@@ -456,7 +476,7 @@ fn open_dataset(body: &Value) -> Result<Dataset, PipelineError> {
     let source = body
         .str_field("source")
         .map_err(|_| PipelineError::invalid_plan("missing string field `source`"))?;
-    let seed = protocol::opt_u64(body, "seed")?.unwrap_or(42);
+    let seed = protocol::opt_u64(body, "seed")?.unwrap_or(DEFAULT_SEED);
     let rows = protocol::opt_u64(body, "rows")?.unwrap_or(0) as usize;
     let arity = protocol::opt_u64(body, "arity")?.map_or(synth::WIDE_DEFAULT_ARITY, |a| {
         usize::try_from(a).unwrap_or(usize::MAX)
@@ -536,11 +556,12 @@ fn op_identify(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fiel
 
 fn op_audit(state: &Arc<State>, req: &Request) -> Result<Fields, PipelineError> {
     let session = state.registry.get(session_name(req)?)?;
-    let model_kind = protocol::model_kind(&req.body)?;
-    let stat = protocol::statistic(&req.body)?;
-    let seed = protocol::opt_u64(&req.body, "seed")?.unwrap_or(42);
-    let tau_d = protocol::opt_f64(&req.body, "tau_d")?.unwrap_or(0.1);
-    let min_support = protocol::opt_f64(&req.body, "min_support")?.unwrap_or(0.05);
+    let model_kind: ModelKind = protocol::opt_parsed(&req.body, "model")?.unwrap_or_default();
+    let stat: Statistic = protocol::opt_parsed(&req.body, "stat")?.unwrap_or_default();
+    let seed = protocol::opt_u64(&req.body, "seed")?.unwrap_or(DEFAULT_SEED);
+    let defaults = AuditConfig::default();
+    let tau_d = protocol::opt_f64(&req.body, "tau_d")?.unwrap_or(defaults.tau_d);
+    let min_support = protocol::opt_f64(&req.body, "min_support")?.unwrap_or(defaults.min_support);
     let session = lock_session(&session);
     let (train_set, test_set) = train_test_split(&session.data, 0.7, seed)
         .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
@@ -588,13 +609,14 @@ fn op_audit(state: &Arc<State>, req: &Request) -> Result<Fields, PipelineError> 
 
 fn op_remedy(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, PipelineError> {
     let session = state.registry.get(session_name(req)?)?;
+    let defaults = RemedyParams::default();
     let params = RemedyParams::builder()
-        .technique(protocol::technique(&req.body)?)
-        .tau_c(protocol::opt_f64(&req.body, "tau")?.unwrap_or(0.1))
-        .min_size(protocol::opt_u64(&req.body, "min_size")?.unwrap_or(30))
+        .technique(protocol::opt_parsed(&req.body, "technique")?.unwrap_or_default())
+        .tau_c(protocol::opt_f64(&req.body, "tau")?.unwrap_or(defaults.tau_c))
+        .min_size(protocol::opt_u64(&req.body, "min_size")?.unwrap_or(defaults.min_size))
         .neighborhood(protocol::neighborhood(&req.body)?)
-        .scope(protocol::ibs_scope(&req.body)?)
-        .seed(protocol::opt_u64(&req.body, "seed")?.unwrap_or(42))
+        .scope(protocol::opt_parsed(&req.body, "scope")?.unwrap_or_default())
+        .seed(protocol::opt_u64(&req.body, "seed")?.unwrap_or(DEFAULT_SEED))
         .build()
         .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
     let apply = protocol::opt_bool(&req.body, "apply")?.unwrap_or(false);

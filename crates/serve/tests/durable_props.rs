@@ -442,6 +442,31 @@ fn overloaded_daemon_sheds_connections_with_typed_transient_error() {
 }
 
 #[test]
+fn shed_reply_reaches_a_client_whose_request_arrives_late() {
+    // the daemon answers a shed connection before reading from it; a
+    // request that only arrives afterwards must still get that answer,
+    // not a reset from a socket the daemon already closed
+    let server = Server::bind(ServeOptions {
+        max_conns: 1,
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut first = Client::connect(&addr).unwrap();
+    first.call("{\"op\":\"stats\"}").unwrap();
+    let mut second = Client::connect(&addr).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let err = second.call("{\"op\":\"stats\"}").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Transient, "{err}");
+    assert!(err.message().contains("overloaded"), "{err}");
+
+    first.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn timed_out_mutations_are_counted_and_visible_through_the_epoch() {
     let server = Server::bind(ServeOptions::default()).unwrap();
     let addr = server.local_addr().to_string();

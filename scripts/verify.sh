@@ -29,7 +29,7 @@ cargo test -q --release -p remedy-core --test counting_props -- --ignored
 # off), plus the sub-second p=24 identify the dense lattice refuses
 cargo test -q --release -p remedy-core --test pruned_props
 cargo test -q --release -p remedy-core --test pruned_props -- --ignored
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
