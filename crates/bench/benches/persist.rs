@@ -31,8 +31,9 @@ fn stage(dir: &Path) {
 /// Ensures staged inputs exist (re-staging when absent or written by an
 /// older layout) and returns the decoded artifact for the index benches.
 fn staged_inputs(bin_path: &Path) -> Stored {
-    let fresh = store::open_with_keys(bin_path)
+    let fresh = std::fs::read(bin_path)
         .ok()
+        .and_then(|bytes| store::from_bytes(&bytes).ok())
         .filter(|s| s.data.len() == ROWS && s.packed.is_some());
     if let Some(stored) = fresh {
         return stored;
@@ -43,7 +44,8 @@ fn staged_inputs(bin_path: &Path) -> Stored {
         .status()
         .expect("spawn staging child");
     assert!(status.success(), "staging child failed");
-    store::open_with_keys(bin_path).expect("staged artifact decodes")
+    store::from_bytes(&std::fs::read(bin_path).expect("staged artifact"))
+        .expect("staged artifact decodes")
 }
 
 fn bench_cold_load(c: &mut Criterion) {
@@ -61,7 +63,7 @@ fn bench_cold_load(c: &mut Criterion) {
     group.sample_size(3);
     // both closures produce exactly a Dataset: the text side parses, the
     // binary side takes the data-only decode (sidecar validated, keys
-    // not widened) — the same work `Dataset::open` does on each encoding
+    // not widened) — the same work `store::open` does on each encoding
     group.bench_function("cold_load_binary_1m", |b| {
         b.iter(|| {
             let bytes = std::fs::read(&bin_path).unwrap();

@@ -37,7 +37,7 @@ fn main() {
 
     // panels (a)-(c): identification scopes with preferential sampling
     let mut scopes_table = TsvWriter::new(
-        &format!("fig456_{}_scopes", slug(spec)),
+        &format!("fig456_{}_scopes", spec.slug()),
         &["method", "model", "FI(FPR)", "FI(FNR)", "accuracy"],
     );
     let scope_configs: Vec<(String, Option<RemedyParams>)> = vec![
@@ -71,7 +71,7 @@ fn main() {
 
     // panel (d): pre-processing techniques under the Lattice scope
     let mut tech_table = TsvWriter::new(
-        &format!("fig456_{}_techniques", slug(spec)),
+        &format!("fig456_{}_techniques", spec.slug()),
         &["technique", "model", "FI(FPR)", "FI(FNR)", "accuracy"],
     );
     for technique in Technique::ALL {
@@ -115,12 +115,4 @@ fn scope_config(name: &str, scope: Scope, tau_c: f64) -> (String, Option<RemedyP
                 .unwrap(),
         ),
     )
-}
-
-fn slug(spec: DatasetSpec) -> &'static str {
-    match spec {
-        DatasetSpec::Adult => "adult",
-        DatasetSpec::Compas => "compas",
-        DatasetSpec::LawSchool => "law",
-    }
 }

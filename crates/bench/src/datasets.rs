@@ -41,6 +41,15 @@ impl DatasetSpec {
         }
     }
 
+    /// The built-in generator name ([`synth::builtin`]).
+    pub fn slug(self) -> &'static str {
+        match self {
+            DatasetSpec::Adult => "adult",
+            DatasetSpec::Compas => "compas",
+            DatasetSpec::LawSchool => "law",
+        }
+    }
+
     /// The τ_c the paper found optimal for this dataset (§V-B2).
     pub fn default_tau_c(self) -> f64 {
         match self {
@@ -58,20 +67,15 @@ impl std::fmt::Display for DatasetSpec {
 
 /// Materializes a dataset at full paper size.
 pub fn load(spec: DatasetSpec, seed: u64) -> Dataset {
-    match spec {
-        DatasetSpec::Adult => synth::adult(seed),
-        DatasetSpec::Compas => synth::compas(seed),
-        DatasetSpec::LawSchool => synth::law_school(seed),
-    }
+    load_n(spec, 0, seed)
 }
 
-/// Materializes a smaller variant (for quick runs and unit tests).
+/// Materializes a variant of `n` rows (`0` = the paper's size).
 pub fn load_n(spec: DatasetSpec, n: usize, seed: u64) -> Dataset {
-    match spec {
-        DatasetSpec::Adult => synth::adult_n(n, seed),
-        DatasetSpec::Compas => synth::compas_n(n, seed),
-        DatasetSpec::LawSchool => synth::law_school_n(n, seed),
-    }
+    synth::builtin(spec.slug(), n, seed, synth::WIDE_DEFAULT_ARITY)
+        .ok()
+        .flatten()
+        .expect("a built-in generator name")
 }
 
 /// Writes `data` under `dir` in both persisted encodings and returns the

@@ -2,19 +2,17 @@
 
 use crate::args::{Args, CliError};
 use remedy_classifiers::persist;
-use remedy_classifiers::{accuracy, train, ModelFamily, ModelKind};
+use remedy_classifiers::{train, ModelFamily, ModelKind};
 use remedy_core::hypothesis::{validate_on_columns, IbsMark};
 use remedy_core::{
     remedy as remedy_data, try_identify_over_with, Algorithm, Enumeration, IbsParams, RemedyParams,
     DEFAULT_SEED,
 };
-use remedy_dataset::csv::{self, LoadOptions, RawTable};
-use remedy_dataset::persist as data_persist;
+use remedy_dataset::csv;
+use remedy_dataset::source::{self, FormatPolicy};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::{store, synth, Dataset, Format};
-use remedy_fairness::{
-    audit, fairness_index, AuditConfig, Explorer, FairnessIndexParams, Statistic,
-};
+use remedy_fairness::{audit, audit_score, AuditConfig, Statistic};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -84,74 +82,30 @@ const DATA_OPTS: [&str; 8] = [
 /// Loads a dataset from a file path or a built-in generator name, honoring
 /// the subcommand's `--format` flag.
 fn load_input(args: &Args) -> Result<Dataset, CliError> {
-    load_input_as(args, args.get("format").unwrap_or("auto"))
+    load_input_as(args, args.get_parsed("format", FormatPolicy::Auto)?)
 }
 
-/// Loads a dataset with an explicit input-format policy: `auto` sniffs
-/// dataset artifacts (binary columnar or exact text) by magic and falls
-/// back to CSV; `binary`/`text`/`csv` demand that encoding.
-fn load_input_as(args: &Args, format: &str) -> Result<Dataset, CliError> {
+/// Loads a dataset under an explicit input-format policy
+/// (see [`remedy_dataset::source`]).
+fn load_input_as(args: &Args, format: FormatPolicy) -> Result<Dataset, CliError> {
     let source = args.positional(0).ok_or_else(|| {
         CliError("expected a dataset path or dataset name (adult|compas|law|wide)".into())
     })?;
-    // a built-in generator name is resolved before any file is read
-    let rows = args.get_parsed("rows", 0usize)?;
-    let arity = args.get_parsed("arity", synth::WIDE_DEFAULT_ARITY)?;
-    if let Some(data) =
-        synth::builtin(source, rows, DEFAULT_SEED, arity).map_err(|e| CliError(e.to_string()))?
-    {
-        return Ok(data);
-    }
-    let bytes =
-        std::fs::read(source).map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
-    let sniffed = store::sniff(&bytes);
-    match format {
-        "auto" if sniffed.is_some() => {
-            return store::from_bytes_unpacked(&bytes)
-                .map(|stored| stored.data)
-                .map_err(|e| CliError(format!("{source}: {e}")))
-        }
-        "auto" | "csv" => {} // fall through to the CSV reader
-        "binary" => {
-            if sniffed != Some(Format::Binary) {
-                return Err(CliError(format!(
-                    "{source} is not a remedy-columnar artifact (--format binary)"
-                )));
-            }
-            return store::from_bytes_unpacked(&bytes)
-                .map(|stored| stored.data)
-                .map_err(|e| CliError(format!("{source}: {e}")));
-        }
-        "text" => {
-            if sniffed != Some(Format::Text) {
-                return Err(CliError(format!(
-                    "{source} is not a remedy-dataset text artifact (--format text)"
-                )));
-            }
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| CliError(format!("{source} is not UTF-8 text")))?;
-            return data_persist::dataset_from_text(text)
-                .map_err(|e| CliError(format!("{source}: {e}")));
-        }
-        other => {
-            return Err(CliError(format!(
-                "--format: `{other}` is not auto|text|binary|csv"
-            )))
-        }
-    }
-    let label = args.require("label")?;
-    let protected = args.get_list("protected");
-    if protected.is_empty() {
-        return Err(CliError("CSV input needs --protected attr1,attr2,…".into()));
-    }
-    let text =
-        String::from_utf8(bytes).map_err(|_| CliError(format!("{source} is not UTF-8 text")))?;
-    let table = RawTable::parse_str(&text).map_err(|e| CliError(e.to_string()))?;
-    let mut opts = LoadOptions::new(label);
-    opts.protected = protected;
-    opts.positive_value = args.get("positive").map(String::from);
-    opts.numeric_bins = args.get_parsed("bins", 4usize)?;
-    table.to_dataset(&opts).map_err(|e| CliError(e.to_string()))
+    let request = source::Request {
+        source,
+        format,
+        rows: args.get_parsed("rows", 0usize)?,
+        seed: DEFAULT_SEED,
+        arity: args.get_parsed("arity", synth::WIDE_DEFAULT_ARITY)?,
+        label: args.get("label").map(String::from),
+        protected: args.get_list("protected"),
+        positive: args.get("positive").map(String::from),
+        bins: args.get_parsed("bins", csv::DEFAULT_BINS)?,
+        keys: false,
+    };
+    source::open(&request)
+        .map(|stored| stored.data)
+        .map_err(|e| CliError(e.to_string()))
 }
 
 /// The identification parameters of the remedy options, plus `--pruned`
@@ -316,29 +270,19 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
     let stat = args.get_parsed("stat", Statistic::default())?;
     let model = train(model_kind, &train_set, seed);
     let predictions = model.predict(&test_set);
-    let acc = accuracy(&predictions, test_set.labels());
-    let fi = fairness_index(
-        &test_set,
-        &predictions,
-        stat,
-        &FairnessIndexParams::default(),
-    );
-    println!("model {model_kind}: accuracy {acc:.3}, fairness index ({stat}) {fi:.3}\n");
     let defaults = AuditConfig::default();
-    let explorer = Explorer {
-        min_support: args.get_parsed("min-support", defaults.min_support)?,
-        min_size: 30,
-        alpha: 0.05,
-        max_level: None,
-        columns: None,
-    };
     let tau_d = args.get_parsed("tau-d", defaults.tau_d)?;
-    let unfair = explorer.unfair_subgroups(&test_set, &predictions, stat, tau_d);
+    let min_support = args.get_parsed("min-support", defaults.min_support)?;
+    let score = audit_score(&test_set, &predictions, stat, tau_d, min_support);
+    println!(
+        "model {model_kind}: accuracy {:.3}, fairness index ({stat}) {:.3}\n",
+        score.accuracy, score.fairness_index
+    );
     println!(
         "{} unfair subgroups (Δγ > {tau_d}, significant):",
-        unfair.len()
+        score.unfair.len()
     );
-    for report in unfair.iter().take(20) {
+    for report in score.unfair.iter().take(20) {
         println!(
             "  {}  Δ{}={:.3} γ_g={:.3} support={:.2}",
             report.pattern.display(test_set.schema()),
@@ -368,7 +312,7 @@ fn cmd_convert(raw: Vec<String>) -> Result<(), CliError> {
     args.check_known(&DATA_OPTS)?;
     // the input encoding is always sniffed here; `--format` names the
     // *output* encoding for this subcommand
-    let data = load_input_as(&args, "auto")?;
+    let data = load_input_as(&args, FormatPolicy::Auto)?;
     let out = args
         .positional(1)
         .ok_or_else(|| CliError("convert needs an output path".into()))?;
@@ -944,6 +888,7 @@ fn cmd_generate(raw: Vec<String>) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remedy_dataset::persist as data_persist;
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
@@ -1014,7 +959,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let loaded = Dataset::open(&bin_path).unwrap();
+        let loaded = store::open(&bin_path).unwrap();
         assert_eq!(
             data_persist::dataset_to_text(&loaded),
             data_persist::dataset_to_text(&data)
@@ -1091,7 +1036,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let data = Dataset::open(&out).unwrap();
+        let data = store::open(&out).unwrap();
         assert_eq!(data.len(), 500);
         assert_eq!(data.schema().protected_indices().len(), 18);
         // past the dense ceiling, identify needs --pruned even from a file
@@ -1115,8 +1060,16 @@ mod tests {
             "{}",
             err.0
         );
-        let err = load_input(&args(&[&p, "--format", "zz"])).unwrap_err();
-        assert!(err.0.contains("auto|text|binary|csv"), "{}", err.0);
+        // a wrong policy is rejected with the token list, whatever the source
+        for source in [p.as_str(), "compas"] {
+            let err = load_input(&args(&[source, "--format", "zz"])).unwrap_err();
+            assert_eq!(err.0, "--format: `zz` is not auto|text|binary|csv");
+        }
+        let err = load_input(&args(&[&p, "--format", "csv"])).unwrap_err();
+        assert_eq!(
+            err.0,
+            format!("{p}: invalid request: CSV input needs a `label`")
+        );
     }
 
     #[test]

@@ -740,8 +740,8 @@ impl RegionIndex {
 
     /// Builds an index from a persisted packed-key column (the binary
     /// store's [`PackedKeys`] sidecar), skipping the packing pass
-    /// entirely — the bulk-load path for artifacts opened through
-    /// `Dataset::open`.
+    /// entirely — the bulk-load path for binary artifacts decoded with
+    /// their keys (`store::from_bytes`).
     ///
     /// The persisted layout (column set and per-slot bit widths) must be
     /// the one this build would pack itself; any disagreement — stale

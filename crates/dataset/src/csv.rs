@@ -25,6 +25,9 @@ pub struct RawTable {
     pub rows: Vec<Vec<String>>,
 }
 
+/// Quantile buckets per continuous column unless a caller asks otherwise.
+pub const DEFAULT_BINS: usize = 4;
+
 /// Options controlling [`RawTable::to_dataset`].
 #[derive(Debug, Clone)]
 pub struct LoadOptions {
@@ -48,7 +51,7 @@ impl LoadOptions {
         LoadOptions {
             label: label.into(),
             positive_value: None,
-            numeric_bins: 4,
+            numeric_bins: DEFAULT_BINS,
             protected: Vec::new(),
             drop_missing: true,
         }
@@ -156,12 +159,6 @@ impl RawTable {
             }
         }
         Ok(RawTable { headers, rows })
-    }
-
-    /// Reads and parses a CSV file.
-    pub fn from_path(path: impl AsRef<Path>) -> Result<Self, DatasetError> {
-        let text = std::fs::read_to_string(path)?;
-        RawTable::parse_str(&text)
     }
 
     /// Converts the raw table into a categorical [`Dataset`].

@@ -21,7 +21,9 @@
 //!   classifiers.
 //! * [`persist`] / [`store`] — dataset persistence: exact canonical text
 //!   plus a binary columnar form with persisted packed region keys, both
-//!   behind `Dataset::open` / `store::save` with format autodetection.
+//!   behind `store::open` / `store::save` with format autodetection.
+//! * [`source`] — the one opener that resolves a built-in name, dataset
+//!   artifact or CSV path into a dataset, shared by the CLI and serve.
 //! * [`mod@format`] — the magic/version header, escaping, and content-digest
 //!   helpers every `remedy-*` artifact family shares.
 //! * [`vocab`] — the token-table parser behind every parameter type's
@@ -41,6 +43,7 @@ pub mod pattern;
 pub mod persist;
 pub mod profile;
 pub mod schema;
+pub mod source;
 pub mod split;
 pub mod store;
 pub mod synth;

@@ -162,12 +162,6 @@ pub fn save_dataset(data: &Dataset, path: impl AsRef<Path>) -> Result<(), Datase
     std::fs::write(path, dataset_to_text(data)).map_err(|e| DatasetError::Io(e.to_string()))
 }
 
-/// Loads a dataset artifact from disk.
-pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, DatasetError> {
-    let text = std::fs::read_to_string(path).map_err(|e| DatasetError::Io(e.to_string()))?;
-    dataset_from_text(&text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +260,7 @@ mod tests {
         let path = dir.join("data.txt");
         let d = fixture();
         save_dataset(&d, &path).unwrap();
-        let back = load_dataset(&path).unwrap();
+        let back = dataset_from_text(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back.labels(), d.labels());
     }
 }

@@ -32,12 +32,11 @@
 //!
 //! where `str` is `len:u32` followed by that many UTF-8 bytes. `digest`
 //! is the FNV-1a/128 hash of the canonical text serialization — the
-//! exact bytes [`crate::persist::dataset_to_text`] would produce — so a
-//! consumer that needs text-keyed cache compatibility (the pipeline
-//! Load stage) can verify its reconstruction without re-reading the
-//! original file. Every section decodes against explicit length checks
-//! and reports failures as [`DatasetError::Corrupt`] naming the
-//! section.
+//! exact bytes [`crate::persist::dataset_to_text`] would produce — so
+//! [`binary_to_text`] can prove its reconstruction byte-identical to the
+//! original text file, which keeps text-keyed caches replaying. Every
+//! section decodes against explicit length checks and reports failures
+//! as [`DatasetError::Corrupt`] naming the section.
 
 use crate::dataset::Dataset;
 use crate::error::DatasetError;
@@ -130,8 +129,6 @@ pub struct Stored {
     /// The persisted packed-key column, when the artifact carries one
     /// (binary artifacts whose protected set fits the key layout).
     pub packed: Option<PackedKeys>,
-    /// FNV-1a/128 digest of the canonical text serialization.
-    pub digest: u128,
 }
 
 /// Packs the protected columns of a dataset into per-row `u128` keys,
@@ -407,14 +404,15 @@ impl<'a> Cursor<'a> {
 
 /// Decodes a binary columnar artifact (magic line included).
 pub fn from_binary(bytes: &[u8]) -> Result<Stored, DatasetError> {
-    decode_binary(bytes, true)
+    decode_binary(bytes, true).map(|(stored, _)| stored)
 }
 
-/// Decoder body; `with_keys: false` still walks and validates the
-/// packed section (lengths, layout, trailer) but skips widening the
-/// per-row keys to `u128` — 16MB of writes on a million rows that a
-/// caller wanting only the dataset never uses.
-fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<Stored, DatasetError> {
+/// Decoder body, returning the header's canonical-text digest too;
+/// `with_keys: false` still walks and validates the packed section
+/// (lengths, layout, trailer) but skips widening the per-row keys to
+/// `u128` — 16MB of writes on a million rows that a caller wanting only
+/// the dataset never uses.
+fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), DatasetError> {
     let mut cur = Cursor {
         buf: bytes,
         pos: 0,
@@ -577,11 +575,8 @@ fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<Stored, DatasetError> 
         });
     }
 
-    Ok(Stored {
-        data: Dataset::from_parts(schema, columns, labels, weights),
-        packed,
-        digest,
-    })
+    let data = Dataset::from_parts(schema, columns, labels, weights);
+    Ok((Stored { data, packed }, digest))
 }
 
 /// Writes a dataset artifact in the requested format.
@@ -607,7 +602,7 @@ pub fn sniff(bytes: &[u8]) -> Option<Format> {
 
 /// Decodes a dataset artifact from raw bytes, autodetecting the format.
 /// Text artifacts decode with `packed: None` (keys are cheap to rebuild
-/// in memory) and a digest computed over the bytes themselves.
+/// in memory).
 pub fn from_bytes(bytes: &[u8]) -> Result<Stored, DatasetError> {
     match sniff(bytes) {
         Some(Format::Binary) => from_binary(bytes),
@@ -619,7 +614,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Stored, DatasetError> {
             Ok(Stored {
                 data: persist::dataset_from_text(text)?,
                 packed: None,
-                digest: content_digest(bytes),
             })
         }
     }
@@ -629,31 +623,32 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Stored, DatasetError> {
 /// (still fully validated) — for callers that only need the dataset.
 pub fn from_bytes_unpacked(bytes: &[u8]) -> Result<Stored, DatasetError> {
     match sniff(bytes) {
-        Some(Format::Binary) => decode_binary(bytes, false),
+        Some(Format::Binary) => decode_binary(bytes, false).map(|(stored, _)| stored),
         _ => from_bytes(bytes),
     }
 }
 
-/// Opens a dataset artifact from disk, format autodetected, returning
-/// the packed-key column when the artifact carries one.
-pub fn open_with_keys(path: impl AsRef<Path>) -> Result<Stored, DatasetError> {
-    let bytes = std::fs::read(path).map_err(|e| DatasetError::Io(e.to_string()))?;
-    from_bytes(&bytes)
+/// Decodes a binary columnar artifact to its canonical text form and
+/// checks that text against the digest the header pins, so the result
+/// is byte-identical to the text file the artifact was converted from.
+pub fn binary_to_text(bytes: &[u8]) -> Result<String, DatasetError> {
+    let (stored, digest) = decode_binary(bytes, false)?;
+    let text = persist::dataset_to_text(&stored.data);
+    if content_digest(text.as_bytes()) != digest {
+        return Err(DatasetError::Corrupt {
+            section: "header",
+            detail: "canonical-text digest mismatch".into(),
+        });
+    }
+    Ok(text)
 }
 
-/// Opens a dataset artifact from disk, format autodetected.
+/// Opens a dataset artifact from disk — exact text or binary columnar,
+/// autodetected by magic line; [`save`] is its inverse. Sources that may
+/// also be built-in names or CSV go through [`crate::source::open`].
 pub fn open(path: impl AsRef<Path>) -> Result<Dataset, DatasetError> {
     let bytes = std::fs::read(path).map_err(|e| DatasetError::Io(e.to_string()))?;
     Ok(from_bytes_unpacked(&bytes)?.data)
-}
-
-impl Dataset {
-    /// Opens a persisted dataset artifact — exact text or binary
-    /// columnar, autodetected by magic line. The unified entry point of
-    /// the persistence API; [`save`] is its inverse.
-    pub fn open(path: impl AsRef<Path>) -> Result<Dataset, DatasetError> {
-        open(path)
-    }
 }
 
 #[cfg(test)]
@@ -687,8 +682,8 @@ mod tests {
         let stored = from_binary(&bytes).unwrap();
         assert_eq!(stored.data, d);
         assert_eq!(
-            stored.digest,
-            content_digest(persist::dataset_to_text(&d).as_bytes())
+            binary_to_text(&bytes).unwrap(),
+            persist::dataset_to_text(&d)
         );
         let packed = stored.packed.expect("two protected columns pack");
         assert_eq!(packed.cols, vec![0, 1]);
@@ -754,12 +749,11 @@ mod tests {
         for (format, name) in [(Format::Text, "d.txt"), (Format::Binary, "d.bin")] {
             let path = dir.join(name);
             save(&d, &path, format).unwrap();
-            assert_eq!(Dataset::open(&path).unwrap(), d, "{name}");
+            assert_eq!(open(&path).unwrap(), d, "{name}");
         }
-        let stored = open_with_keys(dir.join("d.bin")).unwrap();
-        assert!(stored.packed.is_some());
-        let stored = open_with_keys(dir.join("d.txt")).unwrap();
-        assert!(stored.packed.is_none());
+        let keys = |name| from_bytes(&std::fs::read(dir.join(name)).unwrap()).unwrap();
+        assert!(keys("d.bin").packed.is_some());
+        assert!(keys("d.txt").packed.is_none());
     }
 
     #[test]

@@ -30,9 +30,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Names [`builtin`] resolves.
-pub const BUILTIN_NAMES: [&str; 4] = ["adult", "compas", "law", "wide"];
-
 /// Protected-set width of `wide` when none is asked for.
 pub const WIDE_DEFAULT_ARITY: usize = 20;
 
@@ -49,11 +46,11 @@ impl std::fmt::Display for ArityOutOfRange {
 impl std::error::Error for ArityOutOfRange {}
 
 /// Resolves a built-in generator by name, seeded by `seed`: one of
-/// [`BUILTIN_NAMES`], or `Ok(None)` for any other name (callers fall
-/// through to reading a file). `rows = 0` picks the generator's default
-/// size — the paper's dataset size, or 10,000 rows for `wide`. `arity` is
-/// the protected-set width of `wide` (ignored by the others) and must lie
-/// in `1..=32`.
+/// `adult`, `compas`, `law` or `wide`, or `Ok(None)` for any other name
+/// (callers fall through to reading a file). `rows = 0` picks the
+/// generator's default size — the paper's dataset size, or 10,000 rows
+/// for `wide`. `arity` is the protected-set width of `wide` (ignored by
+/// the others) and must lie in `1..=32`.
 pub fn builtin(
     name: &str,
     rows: usize,

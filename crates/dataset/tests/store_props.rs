@@ -11,7 +11,7 @@
 use remedy_dataset::error::DatasetError;
 use remedy_dataset::persist::{dataset_from_text, dataset_to_text};
 use remedy_dataset::split::SplitRng;
-use remedy_dataset::{format, store, synth, Attribute, Dataset, Schema};
+use remedy_dataset::{store, synth, Attribute, Dataset, Schema};
 
 /// Name fragments covering the escaping edge cases: ASCII, percent,
 /// whitespace, and multi-byte UTF-8 (2-, 3-byte sequences).
@@ -59,7 +59,7 @@ fn arb_dataset(rng: &mut SplitRng) -> Dataset {
 
 /// Every built-in generator round-trips text → binary → text with
 /// byte-identical canonical text, equal datasets, and a header digest
-/// matching the text.
+/// matching the text (`binary_to_text` checks it).
 #[test]
 fn builtin_datasets_roundtrip_byte_identically() {
     type Generator = fn(usize, u64) -> Dataset;
@@ -72,13 +72,14 @@ fn builtin_datasets_roundtrip_byte_identically() {
         for seed in [1, 11, 42] {
             let data = make(500, seed);
             let text = dataset_to_text(&data);
-            let stored = store::from_binary(&store::to_binary(&data)).unwrap();
+            let bytes = store::to_binary(&data);
+            let stored = store::from_binary(&bytes).unwrap();
             assert_eq!(stored.data, data, "{name} seed {seed}: dataset drifted");
             let back = dataset_to_text(&stored.data);
             assert_eq!(text, back, "{name} seed {seed}: text not byte-identical");
             assert_eq!(
-                stored.digest,
-                format::content_digest(text.as_bytes()),
+                store::binary_to_text(&bytes).as_ref(),
+                Ok(&text),
                 "{name} seed {seed}: header digest diverges from canonical text"
             );
             let packed = stored.packed.expect("builtins pack within dense limits");
@@ -116,15 +117,15 @@ fn random_schemas_roundtrip_through_both_encodings() {
 
         // text → dataset → binary → dataset → text
         let parsed = dataset_from_text(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        let stored = store::from_binary(&store::to_binary(&parsed))
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let bytes = store::to_binary(&parsed);
+        let stored = store::from_binary(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(stored.data, data, "case {case}: dataset drifted");
         assert_eq!(
             dataset_to_text(&stored.data),
             text,
             "case {case}: canonical text not byte-identical after conversion"
         );
-        assert_eq!(stored.digest, format::content_digest(text.as_bytes()));
+        assert_eq!(store::binary_to_text(&bytes).as_ref(), Ok(&text));
 
         // binary is deterministic: re-encoding the decoded dataset gives
         // the same bytes
@@ -136,10 +137,11 @@ fn random_schemas_roundtrip_through_both_encodings() {
     }
 }
 
-/// Flipping any byte ahead of the packed-key sidecar either fails to
-/// decode with a typed `Corrupt`/`Invalid` error or decodes to a dataset
-/// whose canonical text no longer matches the digest pinned in the
-/// header — corruption can never silently replay a cache.
+/// Flipping any byte ahead of the packed-key sidecar makes the canonical
+/// text decode (`binary_to_text`, the pipeline load stage's decoder) fail
+/// with a typed `Corrupt`/`Invalid` error: either a section fails to
+/// decode or the text no longer matches the digest pinned in the header
+/// — corruption can never silently replay a cache.
 #[test]
 fn single_byte_corruption_is_never_silent() {
     let data = synth::compas_n(60, 7);
@@ -157,17 +159,10 @@ fn single_byte_corruption_is_never_silent() {
         let mask = 1u8 << rng.below(8);
         let mut mutated = bytes.clone();
         mutated[at] ^= mask;
-        match store::from_binary(&mutated) {
+        match store::binary_to_text(&mutated) {
             Err(DatasetError::Corrupt { .. }) | Err(DatasetError::Invalid(_)) => {}
             Err(e) => panic!("case {case} (byte {at}): untyped error {e}"),
-            Ok(decoded) => {
-                let text = dataset_to_text(&decoded.data);
-                assert_ne!(
-                    format::content_digest(text.as_bytes()),
-                    decoded.digest,
-                    "case {case}: flipped byte {at} decoded silently"
-                );
-            }
+            Ok(_) => panic!("case {case}: flipped byte {at} decoded silently"),
         }
     }
 }

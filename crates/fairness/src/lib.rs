@@ -34,6 +34,6 @@ pub use group::{group_fairness, GroupFairnessReport};
 pub use index::{fairness_index, FairnessIndexParams};
 pub use measure::{divergence, statistic_of, Statistic};
 pub use prune::{explore_pruned, prune_redundant};
-pub use report::{audit, AuditConfig, AuditReport};
+pub use report::{audit, audit_score, AuditConfig, AuditReport, AuditScore};
 pub use summary::MetricsSummary;
 pub use violation::fairness_violation;

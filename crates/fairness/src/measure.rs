@@ -32,6 +32,15 @@ impl Statistic {
             Statistic::SelectionRate => "SEL",
         }
     }
+
+    /// The inverse of [`Statistic::name`], over every statistic the
+    /// token table lists.
+    pub fn from_name(name: &str) -> Option<Statistic> {
+        STATISTIC_TOKENS
+            .iter()
+            .map(|&(stat, _)| stat)
+            .find(|stat| stat.name() == name)
+    }
 }
 
 /// The accepted spelling of each statistic.
@@ -116,6 +125,14 @@ mod tests {
             }
         }
         assert_eq!(Statistic::default(), Statistic::Fpr);
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for &(stat, _) in STATISTIC_TOKENS {
+            assert_eq!(Statistic::from_name(stat.name()), Some(stat));
+        }
+        assert_eq!(Statistic::from_name("fpr"), None, "tokens are not names");
     }
 
     fn setup() -> (Dataset, Vec<u8>) {

@@ -38,6 +38,40 @@ impl Default for AuditConfig {
     }
 }
 
+/// The one-statistic audit `remedy audit` and serve `audit` report.
+#[derive(Debug, Clone)]
+pub struct AuditScore {
+    /// Plain prediction accuracy.
+    pub accuracy: f64,
+    /// The fairness index at the paper's settings (support 0.1).
+    pub fairness_index: f64,
+    /// Significant unfair subgroups of at least 30 rows.
+    pub unfair: Vec<SubgroupReport>,
+}
+
+/// Scores predictions on the test set they were made for: accuracy, the
+/// fairness index, and the subgroups with `Δγ > tau_d` and support at
+/// least `min_support`.
+pub fn audit_score(
+    test_set: &Dataset,
+    predictions: &[u8],
+    stat: Statistic,
+    tau_d: f64,
+    min_support: f64,
+) -> AuditScore {
+    let params = FairnessIndexParams::default();
+    let explorer = Explorer {
+        min_support,
+        min_size: 30,
+        ..Explorer::default()
+    };
+    AuditScore {
+        accuracy: ConfusionCounts::from_predictions(predictions, test_set.labels()).accuracy(),
+        fairness_index: fairness_index(test_set, predictions, stat, &params),
+        unfair: explorer.unfair_subgroups(test_set, predictions, stat, tau_d),
+    }
+}
+
 /// One statistic's section of the report.
 #[derive(Debug, Clone)]
 pub struct StatisticSection {

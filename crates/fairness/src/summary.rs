@@ -52,13 +52,9 @@ impl MetricsSummary {
                 .map(String::from)
                 .ok_or_else(|| format!("expected `{prefix}`, found `{line}`"))
         };
-        let statistic = match field("stat")?.as_str() {
-            "FPR" => Statistic::Fpr,
-            "FNR" => Statistic::Fnr,
-            "ACC" => Statistic::Accuracy,
-            "SEL" => Statistic::SelectionRate,
-            other => return Err(format!("unknown statistic `{other}`")),
-        };
+        let stat = field("stat")?;
+        let statistic =
+            Statistic::from_name(&stat).ok_or_else(|| format!("unknown statistic `{stat}`"))?;
         let bits = |s: String| {
             u64::from_str_radix(&s, 16)
                 .map(f64::from_bits)

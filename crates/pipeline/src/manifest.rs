@@ -298,7 +298,7 @@ impl RunManifest {
         for (i, b) in root.arr_field("branches")?.iter().enumerate() {
             let in_branch = |e: PipelineError| e.map_message(|m| format!("branches[{i}]: {m}"));
             let stat = b.str_field("stat").map_err(in_branch)?;
-            let statistic = parse_stat(stat)
+            let statistic = Statistic::from_name(stat)
                 .ok_or_else(|| corrupt(format!("branches[{i}]: unknown statistic `{stat}`")))?;
             branches.push(BranchOutcome {
                 name: b.str_field("name").map_err(in_branch)?.to_string(),
@@ -370,17 +370,6 @@ fn intern_stage(stage: &str) -> Option<&'static str> {
     ]
     .into_iter()
     .find(|known| *known == stage)
-}
-
-/// Parses the audit statistic token the manifest writes (`FPR`, …).
-fn parse_stat(token: &str) -> Option<Statistic> {
-    Some(match token {
-        "FPR" => Statistic::Fpr,
-        "FNR" => Statistic::Fnr,
-        "ACC" => Statistic::Accuracy,
-        "SEL" => Statistic::SelectionRate,
-        _ => return None,
-    })
 }
 
 fn corrupt(msg: String) -> PipelineError {

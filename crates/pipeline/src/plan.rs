@@ -181,6 +181,12 @@ impl Plan {
             .map_err(|e| PipelineError::invalid_plan(format!("branch `{}`: {e}", branch.name)))
     }
 
+    /// Whether the source is a built-in synthetic generator. `wide` is
+    /// not one here: the load key (name, rows, seed) has no arity.
+    pub(crate) fn builtin_source(&self) -> bool {
+        matches!(self.source.as_str(), "adult" | "compas" | "law")
+    }
+
     fn validate(&self) -> Result<(), PipelineError> {
         if self.source.is_empty() {
             return Err(PipelineError::invalid_plan("plan needs a `dataset` line"));
@@ -219,7 +225,7 @@ impl Plan {
                 w[0]
             )));
         }
-        let is_builtin = matches!(self.source.as_str(), "adult" | "compas" | "law");
+        let is_builtin = self.builtin_source();
         if is_builtin && self.format == SourceFormat::Binary {
             return Err(PipelineError::invalid_plan(
                 "`format binary` needs a file dataset source, not a builtin",

@@ -22,14 +22,10 @@ use remedy_core::{persist as ibs_persist, try_identify_over_with, Algorithm, Rem
 use remedy_dataset::csv::{LoadOptions, RawTable};
 use remedy_dataset::persist as data_persist;
 use remedy_dataset::split::train_test_split;
-use remedy_dataset::{format as data_format, store, synth, Dataset, Format};
+use remedy_dataset::{store, synth, Dataset, Format};
 use remedy_fairness::{fairness_index, Explorer, FairnessIndexParams, MetricsSummary};
 use remedy_obs::Scope as ObsScope;
 use std::time::Instant;
-
-/// Magic header of exact dataset artifacts (used to recognize pass-through
-/// inputs in the discretize stage).
-const DATASET_MAGIC: &str = "remedy-dataset v1";
 
 /// Artifact text plus its manifest record.
 #[derive(Debug, Clone)]
@@ -115,12 +111,6 @@ pub(crate) fn finish(
     }
 }
 
-/// Whether the plan's source is a built-in synthetic generator. `wide` is
-/// not one here: the load key (name, rows, seed) has no arity.
-fn is_builtin(source: &str) -> bool {
-    matches!(source, "adult" | "compas" | "law")
-}
-
 /// Load: raw bytes into the pipeline.
 ///
 /// Built-in sources generate their synthetic dataset (keyed by name, row
@@ -139,7 +129,7 @@ pub fn load_stage(
 ) -> Result<StageOutput, PipelineError> {
     let mut h = StableHasher::new();
     h.write_str("load");
-    if is_builtin(&plan.source) {
+    if plan.builtin_source() {
         h.write_str(&plan.source);
         h.write_u64(plan.rows as u64);
         h.write_u64(plan.seed);
@@ -157,7 +147,7 @@ pub fn load_stage(
                 let data = synth::builtin(&source, rows, seed, synth::WIDE_DEFAULT_ARITY)
                     .ok()
                     .flatten()
-                    .expect("is_builtin checked");
+                    .expect("builtin_source checked");
                 Ok(data_persist::dataset_to_text(&data))
             },
         )
@@ -172,18 +162,8 @@ pub fn load_stage(
             )));
         }
         let text = if is_columnar && plan.format != SourceFormat::Text {
-            let stored = store::from_bytes_unpacked(&bytes)
-                .map_err(|e| PipelineError::fatal(format!("cannot decode {}: {e}", plan.source)))?;
-            let text = data_persist::dataset_to_text(&stored.data);
-            // the header pins the canonical text's digest; a mismatch
-            // means the reconstruction would not replay text-keyed caches
-            if data_format::content_digest(text.as_bytes()) != stored.digest {
-                return Err(PipelineError::fatal(format!(
-                    "{}: canonical-text digest mismatch in the columnar header",
-                    plan.source
-                )));
-            }
-            text
+            store::binary_to_text(&bytes)
+                .map_err(|e| PipelineError::fatal(format!("cannot decode {}: {e}", plan.source)))?
         } else {
             String::from_utf8(bytes)
                 .map_err(|_| PipelineError::fatal(format!("{} is not UTF-8 text", plan.source)))?
@@ -243,7 +223,7 @@ pub fn discretize_stage(
         &format!("discretize bins={bins}"),
         obs,
         move || {
-            if input.starts_with(DATASET_MAGIC) {
+            if data_persist::DATASET.sniff(input.as_bytes()) {
                 return Ok(input);
             }
             let label =

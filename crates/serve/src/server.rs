@@ -23,12 +23,12 @@
 use crate::durable::{self, Durable, DurableConfig, DurablePolicy};
 use crate::protocol::{self, Fields, Request};
 use crate::session::{lock_session, Registry, Session};
-use remedy_classifiers::{accuracy, train, ModelKind};
+use remedy_classifiers::{train, ModelKind};
 use remedy_core::{remedy_with, RemedyParams, DEFAULT_SEED};
-use remedy_dataset::csv::{LoadOptions, RawTable};
+use remedy_dataset::source::{self, FormatPolicy};
 use remedy_dataset::split::train_test_split;
-use remedy_dataset::{store, synth, Dataset};
-use remedy_fairness::{fairness_index, AuditConfig, Explorer, FairnessIndexParams, Statistic};
+use remedy_dataset::{csv, synth, Stored};
+use remedy_fairness::{audit_score, AuditConfig, Statistic};
 use remedy_obs::Recorder;
 use remedy_pipeline::error::panic_message;
 use remedy_pipeline::json::{json_f64, json_str, Value};
@@ -407,25 +407,10 @@ fn session_name(req: &Request) -> Result<&str, PipelineError> {
 
 fn op_load(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, PipelineError> {
     let name = session_name(req)?;
-    let source = req
-        .body
-        .str_field("source")
-        .map_err(|_| PipelineError::invalid_plan("missing string field `source`"))?;
-    // dataset-artifact files (binary columnar or exact text, recognized
-    // by magic) open directly; binary ones hand their persisted packed
-    // keys to the index so the initial counting pass skips re-packing
-    let mut session = match stored_artifact(source)? {
-        Some(stored) => {
-            rec.scope("load")
-                .add("rows_loaded", stored.data.len() as u64);
-            Session::try_open_stored(stored)?
-        }
-        None => {
-            let data = open_dataset(&req.body)?;
-            rec.scope("load").add("rows_loaded", data.len() as u64);
-            Session::try_open(data)?
-        }
-    };
+    let stored = open_source(&req.body)?;
+    rec.scope("load")
+        .add("rows_loaded", stored.data.len() as u64);
+    let mut session = Session::try_open_stored(stored)?;
     if let Some(config) = &state.durable {
         // (re)loading a name wipes and re-creates its directory: the
         // initial snapshot IS the session's durable state from here on
@@ -449,68 +434,36 @@ fn op_load(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, 
     Ok(fields)
 }
 
-/// Reads `source` as a persisted dataset artifact, or `None` when it is
-/// a builtin generator name or not an artifact file (CSV falls through
-/// to [`open_dataset`]).
-fn stored_artifact(source: &str) -> Result<Option<remedy_dataset::Stored>, PipelineError> {
-    if synth::BUILTIN_NAMES.contains(&source) {
-        return Ok(None);
-    }
-    let Ok(bytes) = std::fs::read(source) else {
-        return Ok(None);
-    };
-    if store::sniff(&bytes).is_none() {
-        return Ok(None);
-    }
-    store::from_bytes(&bytes)
-        .map(Some)
-        .map_err(|e| PipelineError::invalid_plan(format!("{source}: {e}")))
-}
-
-/// `"source"`: a built-in generator name (`adult|compas|law`, sized by
-/// `"rows"`, seeded by `"seed"`; `wide` also takes `"arity"`), a dataset
-/// artifact path (handled by [`stored_artifact`] before this runs), or a
-/// CSV path (needs `"label"` and `"protected"`; accepts `"positive"` and
-/// `"bins"`).
-fn open_dataset(body: &Value) -> Result<Dataset, PipelineError> {
+/// Opens a `load` request's `"source"` through [`source::open`], with
+/// the generator and CSV options its other fields give. Binary artifacts
+/// keep their packed keys, so the initial counting pass skips re-packing.
+fn open_source(body: &Value) -> Result<Stored, PipelineError> {
     let source = body
         .str_field("source")
         .map_err(|_| PipelineError::invalid_plan("missing string field `source`"))?;
-    let seed = protocol::opt_u64(body, "seed")?.unwrap_or(DEFAULT_SEED);
-    let rows = protocol::opt_u64(body, "rows")?.unwrap_or(0) as usize;
-    let arity = protocol::opt_u64(body, "arity")?.map_or(synth::WIDE_DEFAULT_ARITY, |a| {
-        usize::try_from(a).unwrap_or(usize::MAX)
-    });
-    if let Some(data) = synth::builtin(source, rows, seed, arity)
-        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?
-    {
-        return Ok(data);
+    let protected = match body.field("protected") {
+        None => Some(Vec::new()),
+        Some(Value::Arr(items)) => items.iter().map(|v| v.as_str().map(String::from)).collect(),
+        Some(_) => None,
     }
-    let label = body
-        .str_field("label")
-        .map_err(|_| PipelineError::invalid_plan("CSV input needs a string field `label`"))?;
-    let protected = body
-        .arr_field("protected")
-        .map_err(|_| PipelineError::invalid_plan("CSV input needs an array field `protected`"))?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(String::from)
-                .ok_or_else(|| PipelineError::invalid_plan("`protected` must hold attribute names"))
-        })
-        .collect::<Result<Vec<String>, _>>()?;
-    if protected.is_empty() {
-        return Err(PipelineError::invalid_plan("`protected` must not be empty"));
-    }
-    let table =
-        RawTable::from_path(source).map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
-    let mut opts = LoadOptions::new(label);
-    opts.protected = protected;
-    opts.positive_value = protocol::opt_str(body, "positive")?.map(String::from);
-    opts.numeric_bins = protocol::opt_u64(body, "bins")?.unwrap_or(4) as usize;
-    table
-        .to_dataset(&opts)
-        .map_err(|e| PipelineError::invalid_plan(e.to_string()))
+    .ok_or_else(|| {
+        PipelineError::invalid_plan("`protected` must be an array of attribute names")
+    })?;
+    let request = source::Request {
+        source,
+        format: FormatPolicy::Auto,
+        rows: protocol::opt_u64(body, "rows")?.unwrap_or(0) as usize,
+        seed: protocol::opt_u64(body, "seed")?.unwrap_or(DEFAULT_SEED),
+        arity: protocol::opt_u64(body, "arity")?.map_or(synth::WIDE_DEFAULT_ARITY, |a| {
+            usize::try_from(a).unwrap_or(usize::MAX)
+        }),
+        label: protocol::opt_str(body, "label")?.map(String::from),
+        protected,
+        positive: protocol::opt_str(body, "positive")?.map(String::from),
+        bins: protocol::opt_u64(body, "bins")?.map_or(csv::DEFAULT_BINS, |b| b as usize),
+        keys: true,
+    };
+    source::open(&request).map_err(|e| PipelineError::invalid_plan(e.to_string()))
 }
 
 fn op_ingest(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, PipelineError> {
@@ -567,23 +520,10 @@ fn op_audit(state: &Arc<State>, req: &Request) -> Result<Fields, PipelineError> 
         .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
     let model = train(model_kind, &train_set, seed);
     let predictions = model.predict(&test_set);
-    let acc = accuracy(&predictions, test_set.labels());
-    let fi = fairness_index(
-        &test_set,
-        &predictions,
-        stat,
-        &FairnessIndexParams::default(),
-    );
-    let explorer = Explorer {
-        min_support,
-        min_size: 30,
-        alpha: 0.05,
-        max_level: None,
-        columns: None,
-    };
-    let unfair = explorer.unfair_subgroups(&test_set, &predictions, stat, tau_d);
+    let score = audit_score(&test_set, &predictions, stat, tau_d, min_support);
     let schema = test_set.schema();
-    let top: Vec<String> = unfair
+    let top: Vec<String> = score
+        .unfair
         .iter()
         .take(20)
         .map(|report| {
@@ -600,9 +540,9 @@ fn op_audit(state: &Arc<State>, req: &Request) -> Result<Fields, PipelineError> 
     fields
         .str("model", &model_kind.to_string())
         .str("stat", &stat.to_string())
-        .f64("accuracy", acc)
-        .f64("fairness_index", fi)
-        .raw("unfair_subgroups", unfair.len())
+        .f64("accuracy", score.accuracy)
+        .f64("fairness_index", score.fairness_index)
+        .raw("unfair_subgroups", score.unfair.len())
         .raw("top", format!("[{}]", top.join(",")));
     Ok(fields)
 }
@@ -717,4 +657,38 @@ fn op_stats(state: &Arc<State>) -> Result<Fields, PipelineError> {
         .raw("counters", format!("[{}]", counters.join(",")))
         .raw("histograms", format!("[{}]", histograms.join(",")));
     Ok(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use remedy_dataset::{store, Format};
+
+    #[test]
+    fn binary_artifact_loads_keep_their_packed_keys_for_the_index() {
+        let dir = std::env::temp_dir().join("remedy_serve_open_source");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = synth::compas_n(300, 2);
+        let open = |name: &str, format| {
+            let path = dir.join(name);
+            store::save(&data, &path, format).unwrap();
+            let source = json_str(&path.to_string_lossy());
+            let body = remedy_pipeline::json::parse(&format!("{{\"source\":{source}}}")).unwrap();
+            open_source(&body).unwrap()
+        };
+        let stored = open("d.bin", Format::Binary);
+        assert_eq!(stored.packed, store::pack_protected(&data));
+        // the sidecar fits the index layout, so `try_open_stored` builds
+        // from it rather than falling back to re-packing
+        let packed = stored
+            .packed
+            .clone()
+            .expect("compas packs within dense limits");
+        assert!(remedy_core::RegionIndex::try_build_from_packed(&data, packed).is_ok());
+        let session = Session::try_open_stored(stored).unwrap();
+        let fresh = Session::try_open(data.clone()).unwrap();
+        assert_eq!(session.index.counts(), fresh.index.counts());
+        // text artifacts carry no sidecar; the session packs its own keys
+        assert!(open("d.txt", Format::Text).packed.is_none());
+    }
 }

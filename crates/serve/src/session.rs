@@ -37,27 +37,13 @@ pub struct Session {
 
 impl Session {
     /// Builds the index and switches it to batched delta maintenance.
-    /// Panics on protected columns the index cannot carry; servers
-    /// should prefer [`Session::try_open`].
-    pub fn open(data: Dataset) -> Session {
-        Session::try_open(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Session::open`]. The index keeps leaf counts at any
-    /// arity up to 32; past the dense ceiling of 16 protected attributes
-    /// the session serves only `pruned` identify requests.
+    /// The index keeps leaf counts at any arity up to 32; past the dense
+    /// ceiling of 16 protected attributes the session serves only
+    /// `pruned` identify requests.
     pub fn try_open(data: Dataset) -> Result<Session, PipelineError> {
-        let mut index = RegionIndex::try_build(&data)
+        let index = RegionIndex::try_build(&data)
             .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
-        index.begin_deltas();
-        Ok(Session {
-            data,
-            index,
-            edits: 0,
-            batches: 0,
-            epoch: 0,
-            durable: None,
-        })
+        Ok(Session::with_index(data, index))
     }
 
     /// Opens from a persisted [`Stored`] artifact. When the artifact
@@ -68,25 +54,23 @@ impl Session {
     /// build, so the result is identical either way.
     pub fn try_open_stored(stored: Stored) -> Result<Session, PipelineError> {
         let Stored { data, packed, .. } = stored;
-        if let Some(packed) = packed {
-            if let Ok(mut index) = RegionIndex::try_build_from_packed(&data, packed) {
-                index.begin_deltas();
-                return Ok(Session {
-                    data,
-                    index,
-                    edits: 0,
-                    batches: 0,
-                    epoch: 0,
-                    durable: None,
-                });
-            }
+        match packed.and_then(|packed| RegionIndex::try_build_from_packed(&data, packed).ok()) {
+            Some(index) => Ok(Session::with_index(data, index)),
+            None => Session::try_open(data),
         }
-        Session::try_open(data)
     }
 
-    /// [`Session::ingest_with`] without observability (tests, tools).
-    pub fn ingest(&mut self, edits: &[RowEdit]) -> Result<(), PipelineError> {
-        self.ingest_with(edits, &ObsScope::disabled())
+    /// A fresh session over `data` and its freshly built `index`.
+    fn with_index(data: Dataset, mut index: RegionIndex) -> Session {
+        index.begin_deltas();
+        Session {
+            data,
+            index,
+            edits: 0,
+            batches: 0,
+            epoch: 0,
+            durable: None,
+        }
     }
 
     /// Applies one edit batch atomically: the whole batch is validated
@@ -165,27 +149,15 @@ impl Session {
     /// checkpointed — *before* any field is assigned, so a failure at
     /// any step leaves the session, in memory and on disk, unchanged.
     pub fn try_replace(&mut self, data: Dataset, obs: &ObsScope) -> Result<(), PipelineError> {
-        let mut index = RegionIndex::try_build(&data)
-            .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
-        index.begin_deltas();
+        let fresh = Session::try_open(data)?;
         let epoch = self.epoch + 1;
         if let Some(durable) = self.durable.as_mut() {
-            durable.snapshot(&data, epoch, self.edits, self.batches, obs)?;
+            durable.snapshot(&fresh.data, epoch, self.edits, self.batches, obs)?;
         }
-        self.index = index;
-        self.data = data;
+        self.index = fresh.index;
+        self.data = fresh.data;
         self.epoch = epoch;
         Ok(())
-    }
-
-    /// Infallible [`Session::try_replace`] for in-memory sessions. The
-    /// schema is unchanged by a remedy, so the index build cannot fail
-    /// after a successful [`Session::try_open`]; panics if it somehow
-    /// does (or if a durable checkpoint fails — servers should prefer
-    /// [`Session::try_replace`]).
-    pub fn replace(&mut self, data: Dataset) {
-        self.try_replace(data, &ObsScope::disabled())
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -292,7 +264,7 @@ impl Registry {
 /// A request that panics is caught at the request boundary, which
 /// poisons any session mutex it held. Recovery is sound here because
 /// every mutating operation validates its whole input before touching
-/// state ([`Session::ingest`]) or prepares its replacement fully before
+/// state ([`Session::ingest_with`]) or prepares its replacement fully before
 /// assigning ([`Session::try_replace`]) — so a poisoned session is
 /// observationally intact, and refusing to serve it would turn one
 /// contained panic into a permanently wedged session.
@@ -318,15 +290,18 @@ mod tests {
     #[test]
     fn ingest_maintains_index_and_counts() {
         let data = synth::compas_n(400, 7);
-        let mut session = Session::open(data.clone());
+        let mut session = Session::try_open(data.clone()).unwrap();
         session
-            .ingest(&[
-                RowEdit::Duplicate { src: 3 },
-                RowEdit::FlipLabel { row: 10 },
-                RowEdit::Remove {
-                    rows: vec![0, 0, 5],
-                },
-            ])
+            .ingest_with(
+                &[
+                    RowEdit::Duplicate { src: 3 },
+                    RowEdit::FlipLabel { row: 10 },
+                    RowEdit::Remove {
+                        rows: vec![0, 0, 5],
+                    },
+                ],
+                &ObsScope::disabled(),
+            )
             .unwrap();
         assert_eq!(session.data.len(), 399);
         assert_eq!(session.index.len(), 399);
@@ -345,7 +320,7 @@ mod tests {
             remedy_dataset::store::from_binary(&remedy_dataset::store::to_binary(&data)).unwrap();
         assert!(stored.packed.is_some(), "compas packs within dense limits");
         let mut from_artifact = Session::try_open_stored(stored).unwrap();
-        let fresh = Session::open(data);
+        let fresh = Session::try_open(data).unwrap();
         let params = IbsParams::default();
         assert_eq!(
             live_ibs(&from_artifact.index, &params),
@@ -353,7 +328,10 @@ mod tests {
         );
         // the packed-key fast path must leave the index fully live
         from_artifact
-            .ingest(&[RowEdit::FlipLabel { row: 1 }, RowEdit::Duplicate { src: 2 }])
+            .ingest_with(
+                &[RowEdit::FlipLabel { row: 1 }, RowEdit::Duplicate { src: 2 }],
+                &ObsScope::disabled(),
+            )
             .unwrap();
         from_artifact.index.flush_deltas();
         let live = live_ibs(&from_artifact.index, &params);
@@ -364,13 +342,16 @@ mod tests {
     #[test]
     fn bad_batch_is_rejected_before_any_mutation() {
         let data = synth::compas_n(100, 7);
-        let mut session = Session::open(data.clone());
+        let mut session = Session::try_open(data.clone()).unwrap();
         // the first edit is valid, the second is not: nothing may apply
         let err = session
-            .ingest(&[
-                RowEdit::FlipLabel { row: 0 },
-                RowEdit::Duplicate { src: 100 },
-            ])
+            .ingest_with(
+                &[
+                    RowEdit::FlipLabel { row: 0 },
+                    RowEdit::Duplicate { src: 100 },
+                ],
+                &ObsScope::disabled(),
+            )
             .unwrap_err();
         assert_eq!(err.kind(), remedy_pipeline::ErrorKind::InvalidPlan);
         assert!(err.message().starts_with("edits[1]:"), "{err}");
@@ -385,16 +366,18 @@ mod tests {
             },
             RowEdit::FlipLabel { row: 0 },
         ];
-        assert!(session.ingest(&remove_then_touch).is_err());
+        assert!(session
+            .ingest_with(&remove_then_touch, &ObsScope::disabled())
+            .is_err());
     }
 
     #[test]
     fn registry_replaces_and_reports() {
         let registry = Registry::default();
         assert!(registry.get("a").is_err());
-        registry.insert("a", Session::open(synth::compas_n(50, 1)));
-        registry.insert("b", Session::open(synth::compas_n(80, 1)));
-        registry.insert("a", Session::open(synth::compas_n(60, 1)));
+        registry.insert("a", Session::try_open(synth::compas_n(50, 1)).unwrap());
+        registry.insert("b", Session::try_open(synth::compas_n(80, 1)).unwrap());
+        registry.insert("a", Session::try_open(synth::compas_n(60, 1)).unwrap());
         let summary = registry.summaries();
         assert_eq!(summary.len(), 2);
         assert_eq!(summary[0].name, "a");

@@ -174,6 +174,95 @@ fn load_from_binary_artifact_answers_like_a_builtin_session() {
 }
 
 #[test]
+fn load_of_a_missing_path_names_the_path() {
+    let missing = std::env::temp_dir()
+        .join("remedy_serve_missing")
+        .join("absent.csv");
+    let missing = missing.to_string_lossy().into_owned();
+    let (addr, handle) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    // with and without the CSV fields, the error is about the file
+    for csv_fields in ["", ",\"label\":\"y\",\"protected\":[\"a\"]"] {
+        let err = client
+            .call(&format!(
+                "{{\"op\":\"load\",\"session\":\"m\",\"source\":{}{csv_fields}}}",
+                remedy_pipeline::json::json_str(&missing)
+            ))
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidPlan);
+        assert!(
+            err.message().starts_with(&format!("{missing}: io error: ")),
+            "{err}"
+        );
+    }
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn csv_text_and_binary_sources_load_the_same_session() {
+    let dir = std::env::temp_dir().join("remedy_serve_sources");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv_path = dir.join("compas.csv");
+    remedy_dataset::csv::write_path(&synth::compas_n(500, 3), &csv_path).unwrap();
+    let (addr, handle) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    let load = |client: &mut Client, session: &str, source: &std::path::Path, csv: &str| {
+        client
+            .call(&format!(
+                "{{\"op\":\"load\",\"session\":\"{session}\",\"source\":{}{csv}}}",
+                remedy_pipeline::json::json_str(&source.to_string_lossy())
+            ))
+            .unwrap();
+    };
+    load(
+        &mut client,
+        "csv",
+        &csv_path,
+        ",\"label\":\"recid\",\"protected\":[\"age\",\"race\",\"sex\"]",
+    );
+    // the artifacts store exactly what the CSV load produced
+    let data = remedy_dataset::source::open(&remedy_dataset::source::Request {
+        source: &csv_path.to_string_lossy(),
+        format: remedy_dataset::source::FormatPolicy::Csv,
+        rows: 0,
+        seed: 0,
+        arity: synth::WIDE_DEFAULT_ARITY,
+        label: Some("recid".into()),
+        protected: vec!["age".into(), "race".into(), "sex".into()],
+        positive: None,
+        bins: remedy_dataset::csv::DEFAULT_BINS,
+        keys: false,
+    })
+    .unwrap()
+    .data;
+    for (session, name, format) in [
+        ("text", "compas.remedy", remedy_dataset::Format::Text),
+        ("bin", "compas.bin", remedy_dataset::Format::Binary),
+    ] {
+        let path = dir.join(name);
+        remedy_dataset::store::save(&data, &path, format).unwrap();
+        load(&mut client, session, &path, "");
+    }
+    let serve_identify = |client: &mut Client, session: &str| {
+        let request = format!("{{\"op\":\"identify\",\"session\":\"{session}\"}}");
+        let response = client.call(&request).unwrap();
+        response.str_field("text").unwrap().to_string()
+    };
+    let want = regions_to_text(&identify(
+        &data,
+        &IbsParams::default(),
+        Algorithm::Optimized,
+    ));
+    for session in ["csv", "text", "bin"] {
+        assert_eq!(serve_identify(&mut client, session), want, "{session}");
+    }
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn errors_are_structured_and_the_connection_survives() {
     let (addr, handle) = start_server();
     let mut client = Client::connect(&addr).unwrap();

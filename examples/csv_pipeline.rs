@@ -10,8 +10,8 @@
 //! sampling) → write the remedied CSV next to the input.
 
 use remedy::core::{identify, remedy as remedy_data, Algorithm, IbsParams, RemedyParams};
-use remedy::dataset::csv::{self, LoadOptions, RawTable};
 use remedy::dataset::synth;
+use remedy::dataset::{csv, source};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,10 +37,20 @@ fn main() {
     };
 
     // 1. load with schema inference (numeric columns are bucketized)
-    let table = RawTable::from_path(&path).expect("readable csv");
-    let protected_refs: Vec<&str> = protected.iter().map(String::as_str).collect();
-    let opts = LoadOptions::new(&label).protected(&protected_refs);
-    let data = table.to_dataset(&opts).expect("well-formed csv");
+    let source = path.to_string_lossy();
+    let request = source::Request {
+        source: &source,
+        format: source::FormatPolicy::Csv,
+        rows: 0,
+        seed: 0,
+        arity: synth::WIDE_DEFAULT_ARITY,
+        label: Some(label),
+        protected,
+        positive: None,
+        bins: csv::DEFAULT_BINS,
+        keys: false,
+    };
+    let data = source::open(&request).expect("well-formed csv").data;
     println!(
         "loaded {} rows × {} attributes ({} protected) from {}",
         data.len(),

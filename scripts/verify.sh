@@ -148,6 +148,48 @@ if ! wait "$serve_pid"; then
     exit 1
 fi
 
+# dataset-source smoke: one compas dataset as CSV, as a text artifact
+# and as a binary artifact must give byte-identical `remedy identify`
+# output, and byte-identical serve `identify` responses
+src="$(mktemp -d)"
+trap 'rm -rf "$cache" "$cache2" "$serve_log" "$src"' EXIT
+csv_opts=(--label recid --protected age,race,sex)
+target/release/remedy generate compas --rows 1500 --out "$src/c.csv" >/dev/null
+target/release/remedy convert "$src/c.csv" "$src/c.remedy" --format text \
+    "${csv_opts[@]}" >/dev/null
+target/release/remedy convert "$src/c.csv" "$src/c.bin" --format binary \
+    "${csv_opts[@]}" >/dev/null
+csv_out="$(target/release/remedy identify "$src/c.csv" "${csv_opts[@]}")"
+for artifact in c.remedy c.bin; do
+    if [ "$(target/release/remedy identify "$src/$artifact")" != "$csv_out" ]; then
+        echo "verify: FAIL — identify on $artifact diverged from the CSV source" >&2
+        exit 1
+    fi
+done
+target/release/remedy serve --addr 127.0.0.1:0 >"$src/serve.log" &
+src_pid=$!
+addr=""
+for _ in $(seq 1 100); do
+    addr="$(sed -n 's/^remedy-serve listening on //p' "$src/serve.log")"
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+target/release/remedy client "$addr" \
+    "{\"op\":\"load\",\"session\":\"csv\",\"source\":\"$src/c.csv\",\"label\":\"recid\",\"protected\":[\"age\",\"race\",\"sex\"]}" \
+    "{\"op\":\"load\",\"session\":\"text\",\"source\":\"$src/c.remedy\"}" \
+    "{\"op\":\"load\",\"session\":\"bin\",\"source\":\"$src/c.bin\"}" \
+    '{"op":"identify","session":"csv"}' \
+    '{"op":"identify","session":"text"}' \
+    '{"op":"identify","session":"bin"}' \
+    '{"op":"shutdown"}' >"$src/responses"
+wait "$src_pid"
+if [ "$(sed -n 4p "$src/responses")" != "$(sed -n 5p "$src/responses")" ] ||
+    [ "$(sed -n 4p "$src/responses")" != "$(sed -n 6p "$src/responses")" ] ||
+    ! sed -n 4p "$src/responses" | grep -q '"text":"remedy-ibs v1'; then
+    echo "verify: FAIL — serve identify diverged across CSV/text/binary sources" >&2
+    exit 1
+fi
+
 # crash-recovery smoke: stream edits into a durable (--data-dir) daemon,
 # SIGKILL it with no shutdown step, restart it over the same directory,
 # and require the recovered identify output to be byte-identical to an
@@ -155,7 +197,7 @@ fi
 # A second, 20-wide session takes the minimal-width packed-key sidecar
 # through snapshot and WAL recovery and answers a pruned identify.
 ddir="$(mktemp -d)"
-trap 'rm -rf "$cache" "$cache2" "$serve_log" "$ddir"' EXIT
+trap 'rm -rf "$cache" "$cache2" "$serve_log" "$src" "$ddir"' EXIT
 serve_addr() { # <logfile> — poll for the printed ephemeral address
     local log="$1" addr="" i
     for i in $(seq 1 100); do
@@ -226,7 +268,7 @@ fi
 # artifact under the same key with byte-identical text, and warm reruns
 # of both caches must replay every stage
 shdir="$(mktemp -d)"
-trap 'rm -rf "$cache" "$cache2" "$serve_log" "$ddir" "$shdir"' EXIT
+trap 'rm -rf "$cache" "$cache2" "$serve_log" "$src" "$ddir" "$shdir"' EXIT
 cat > "$shdir/plan.txt" <<EOF
 dataset adult
 rows 10000
