@@ -19,7 +19,7 @@ fn setup() -> (Dataset, Dataset, f64, f64) {
     let (train, test) = train_test_split(&data, 0.7, 13).unwrap();
     let base = lg(&train);
     let preds = base.predict(&test);
-    let violation = fairness_violation(&test, &preds, Statistic::Fpr, 30);
+    let violation = fairness_violation(&test, &preds, Statistic::Fpr, 30).unwrap();
     let acc = accuracy(&preds, test.labels());
     (train, test, violation, acc)
 }
@@ -28,7 +28,7 @@ fn setup() -> (Dataset, Dataset, f64, f64) {
 fn reweighting_reduces_violation() {
     let (train, test, base_violation, _) = setup();
     let model = lg(&reweight(&train));
-    let v = fairness_violation(&test, &model.predict(&test), Statistic::Fpr, 30);
+    let v = fairness_violation(&test, &model.predict(&test), Statistic::Fpr, 30).unwrap();
     assert!(v < base_violation, "{v} !< {base_violation}");
 }
 
@@ -37,7 +37,7 @@ fn fairbalance_reduces_violation_but_costs_accuracy() {
     let (train, test, base_violation, base_acc) = setup();
     let model = lg(&fairbalance_weights(&train));
     let preds = model.predict(&test);
-    let v = fairness_violation(&test, &preds, Statistic::Fpr, 30);
+    let v = fairness_violation(&test, &preds, Statistic::Fpr, 30).unwrap();
     assert!(v < base_violation, "{v} !< {base_violation}");
     // the forced 1:1 balance on imbalanced data costs accuracy (Table III)
     let acc = accuracy(&preds, test.labels());
@@ -55,7 +55,7 @@ fn fair_smote_reduces_violation() {
         },
     );
     let model = lg(&smoted);
-    let v = fairness_violation(&test, &model.predict(&test), Statistic::Fpr, 30);
+    let v = fairness_violation(&test, &model.predict(&test), Statistic::Fpr, 30).unwrap();
     assert!(v < base_violation, "{v} !< {base_violation}");
 }
 
@@ -66,7 +66,7 @@ fn coverage_does_not_reduce_violation() {
     let (train, test, base_violation, _) = setup();
     let (covered, _) = coverage_augment(&train, &CoverageParams::default());
     let model = lg(&covered);
-    let v = fairness_violation(&test, &model.predict(&test), Statistic::Fpr, 30);
+    let v = fairness_violation(&test, &model.predict(&test), Statistic::Fpr, 30).unwrap();
     // qualitative Table III claim: whatever incidental shift coverage
     // causes, it is far weaker than a method that targets class balance
     let v_rw = fairness_violation(
@@ -74,7 +74,8 @@ fn coverage_does_not_reduce_violation() {
         &lg(&reweight(&train)).predict(&test),
         Statistic::Fpr,
         30,
-    );
+    )
+    .unwrap();
     assert!(
         v > base_violation * 0.5,
         "coverage should not materially improve the violation: {v} vs {base_violation}"
@@ -89,11 +90,11 @@ fn coverage_does_not_reduce_violation() {
 fn gerryfair_reaches_lowest_violation() {
     let (train, test, base_violation, _) = setup();
     let gf = GerryFair::default().fit(&train);
-    let v_gf = fairness_violation(&test, &gf.predict(&test), Statistic::Fpr, 30);
+    let v_gf = fairness_violation(&test, &gf.predict(&test), Statistic::Fpr, 30).unwrap();
     assert!(v_gf < base_violation, "{v_gf} !< {base_violation}");
     // and it should be competitive with reweighting, the best pre-processor
     let rw = lg(&reweight(&train));
-    let v_rw = fairness_violation(&test, &rw.predict(&test), Statistic::Fpr, 30);
+    let v_rw = fairness_violation(&test, &rw.predict(&test), Statistic::Fpr, 30).unwrap();
     assert!(
         v_gf <= v_rw * 2.0,
         "gerryfair ({v_gf}) should be near the best pre-processor ({v_rw})"

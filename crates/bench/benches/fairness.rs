@@ -49,6 +49,7 @@ fn bench_fairness_index(c: &mut Criterion) {
                 Statistic::Fpr,
                 &params,
             )
+            .unwrap()
         })
     });
 }

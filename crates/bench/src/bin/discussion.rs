@@ -60,7 +60,8 @@ fn statistical_parity() {
 
         let base = dt(&train_set);
         let base_preds = base.predict(&test_set);
-        let base_fi = fairness_index(&test_set, &base_preds, Statistic::SelectionRate, &fi);
+        let base_fi =
+            fairness_index(&test_set, &base_preds, Statistic::SelectionRate, &fi).unwrap();
         let base_acc = accuracy(&base_preds, test_set.labels());
 
         let remedied = remedy(
@@ -73,7 +74,7 @@ fn statistical_parity() {
         .dataset;
         let model = dt(&remedied);
         let preds = model.predict(&test_set);
-        let after_fi = fairness_index(&test_set, &preds, Statistic::SelectionRate, &fi);
+        let after_fi = fairness_index(&test_set, &preds, Statistic::SelectionRate, &fi).unwrap();
         let after_acc = accuracy(&preds, test_set.labels());
 
         table.row(&[
@@ -106,8 +107,10 @@ fn cost_sensitive_limitation() {
         let cost = CostMatrix::favor_recall(ratio);
         let base = dt(&cost_proportionate(&train_set, cost));
         let fixed = dt(&cost_proportionate(&remedied, cost));
-        let fi_base = fairness_index(&test_set, &base.predict(&test_set), Statistic::Fpr, &fi);
-        let fi_fixed = fairness_index(&test_set, &fixed.predict(&test_set), Statistic::Fpr, &fi);
+        let fi_base =
+            fairness_index(&test_set, &base.predict(&test_set), Statistic::Fpr, &fi).unwrap();
+        let fi_fixed =
+            fairness_index(&test_set, &fixed.predict(&test_set), Statistic::Fpr, &fi).unwrap();
         let improvement = if fi_base > 0.0 {
             1.0 - fi_fixed / fi_base
         } else {
@@ -149,7 +152,7 @@ fn iterated_remedy() {
     table.row(&[
         "0".into(),
         outcome0.ibs_trace[0].to_string(),
-        f3(fairness_index(&test_set, &base_preds, Statistic::Fpr, &fi)),
+        f3(fairness_index(&test_set, &base_preds, Statistic::Fpr, &fi).unwrap()),
         f3(accuracy(&base_preds, test_set.labels())),
     ]);
     for rounds in [1usize, 2, 4] {
@@ -165,7 +168,7 @@ fn iterated_remedy() {
         table.row(&[
             outcome.rounds().to_string(),
             outcome.ibs_trace.last().unwrap().to_string(),
-            f3(fairness_index(&test_set, &preds, Statistic::Fpr, &fi)),
+            f3(fairness_index(&test_set, &preds, Statistic::Fpr, &fi).unwrap()),
             f3(accuracy(&preds, test_set.labels())),
         ]);
     }

@@ -17,8 +17,8 @@ use remedy_bench::datasets::{load, DatasetSpec};
 use remedy_bench::eval::paper_split;
 use remedy_bench::table::{f3, TsvWriter};
 use remedy_classifiers::{train, ModelKind};
-use remedy_core::hypothesis::{validate_on_columns, IbsMark};
 use remedy_core::{Algorithm, IbsParams};
+use remedy_fairness::hypothesis::{validate_on_columns, IbsMark};
 use remedy_fairness::{ConfusionCounts, Statistic};
 
 fn main() {
@@ -85,7 +85,8 @@ fn main() {
             &params,
             tau_d,
             &columns,
-        );
+        )
+        .expect("the IBS columns fit the lattice");
         let overall = ConfusionCounts::from_predictions(&predictions, test_set.labels());
         let gamma_d = remedy_fairness::statistic_of(&overall, stat);
         if let Some(agreement) = validation.sign_agreement(gamma_d) {

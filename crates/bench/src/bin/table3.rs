@@ -135,7 +135,7 @@ fn report(
     secs: Option<f64>,
 ) {
     let predictions = model.predict(test_set);
-    let violation = fairness_violation(test_set, &predictions, Statistic::Fpr, 30);
+    let violation = fairness_violation(test_set, &predictions, Statistic::Fpr, 30).unwrap();
     let acc = accuracy(&predictions, test_set.labels());
     table.row(&[
         name.to_string(),

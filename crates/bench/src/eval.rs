@@ -50,8 +50,8 @@ pub fn evaluate(model: &dyn remedy_classifiers::Model, test_set: &Dataset) -> Ev
     let predictions = model.predict(test_set);
     let fi = FairnessIndexParams::default();
     Evaluation {
-        fi_fpr: fairness_index(test_set, &predictions, Statistic::Fpr, &fi),
-        fi_fnr: fairness_index(test_set, &predictions, Statistic::Fnr, &fi),
+        fi_fpr: fairness_index(test_set, &predictions, Statistic::Fpr, &fi).unwrap(),
+        fi_fnr: fairness_index(test_set, &predictions, Statistic::Fnr, &fi).unwrap(),
         accuracy: accuracy(&predictions, test_set.labels()),
     }
 }

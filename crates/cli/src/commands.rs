@@ -3,7 +3,6 @@
 use crate::args::{Args, CliError};
 use remedy_classifiers::persist;
 use remedy_classifiers::{train, ModelFamily, ModelKind};
-use remedy_core::hypothesis::{validate_on_columns, IbsMark};
 use remedy_core::{
     remedy as remedy_data, try_identify_over_with, Algorithm, Enumeration, IbsParams, RemedyParams,
     DEFAULT_SEED,
@@ -12,7 +11,8 @@ use remedy_dataset::csv;
 use remedy_dataset::source::{self, FormatPolicy};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::{store, synth, Dataset, Format};
-use remedy_fairness::{audit, audit_score, AuditConfig, Statistic};
+use remedy_fairness::hypothesis::validate_on_columns;
+use remedy_fairness::{audit, audit_score, AuditConfig, IbsMark, Statistic};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -273,7 +273,8 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
     let defaults = AuditConfig::default();
     let tau_d = args.get_parsed("tau-d", defaults.tau_d)?;
     let min_support = args.get_parsed("min-support", defaults.min_support)?;
-    let score = audit_score(&test_set, &predictions, stat, tau_d, min_support);
+    let score = audit_score(&test_set, &predictions, stat, tau_d, min_support)
+        .map_err(|e| CliError(e.to_string()))?;
     println!(
         "model {model_kind}: accuracy {:.3}, fairness index ({stat}) {:.3}\n",
         score.accuracy, score.fairness_index
@@ -712,7 +713,7 @@ fn cmd_report(raw: Vec<String>) -> Result<(), CliError> {
         top_k: args.get_parsed("top", defaults.top_k)?,
         ..defaults
     };
-    let report = audit(&test_set, &predictions, &config);
+    let report = audit(&test_set, &predictions, &config).map_err(|e| CliError(e.to_string()))?;
     match args.get("out") {
         Some(path) if !path.is_empty() => {
             std::fs::write(path, report.to_string()).map_err(|e| CliError(e.to_string()))?;
@@ -804,7 +805,8 @@ fn cmd_hypothesis(raw: Vec<String>) -> Result<(), CliError> {
         &params,
         args.get_parsed("tau-d", AuditConfig::default().tau_d)?,
         &columns,
-    );
+    )
+    .map_err(|e| CliError(e.to_string()))?;
     println!(
         "{}/{} unfair subgroups (γ = {stat}, model {kind}) are explained by the IBS",
         validation.explained(),

@@ -33,7 +33,6 @@ pub mod counting;
 pub mod error;
 pub mod hash;
 pub mod hierarchy;
-pub mod hypothesis;
 pub mod identify;
 pub mod iterative;
 pub mod neighbor_model;
@@ -45,11 +44,10 @@ pub mod scope;
 pub mod score;
 pub mod sparse;
 
-pub use counting::{CountingTally, RegionIndex, ShardCounts};
+pub use counting::{CountingTally, RegionIndex, ShardCounts, Tally};
 pub use error::{CoreError, MAX_CARDINALITY, MAX_PROTECTED_SPARSE};
 pub use hash::{stable_hash, StableHasher};
 pub use hierarchy::Hierarchy;
-pub use hypothesis::{validate_hypothesis, validate_on, HypothesisValidation, IbsMark};
 pub use identify::{
     identify, identify_in_sparse_with, identify_in_with, try_identify_counts_with,
     try_identify_in_index_with, try_identify_over, try_identify_over_with, Algorithm, BiasedRegion,

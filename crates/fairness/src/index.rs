@@ -5,8 +5,9 @@
 //! > and a statistically significant divergence (as determined by the
 //! > t-test). […] Lower values indicate higher levels of fairness."
 
-use crate::explorer::Explorer;
+use crate::explorer::{Explorer, SubgroupReport};
 use crate::measure::Statistic;
+use remedy_core::CoreError;
 use remedy_dataset::Dataset;
 
 /// Parameters of the fairness index.
@@ -27,27 +28,38 @@ impl Default for FairnessIndexParams {
     }
 }
 
+impl FairnessIndexParams {
+    /// The explorer whose significant subgroups the index sums.
+    pub fn explorer(&self) -> Explorer {
+        Explorer {
+            min_support: self.min_support,
+            min_size: 1,
+            alpha: self.alpha,
+            columns: None,
+        }
+    }
+}
+
 /// Computes the fairness index of predictions under a statistic.
 ///
 /// Sums `Δγ_g` over all intersectional subgroups of the protected
 /// attributes whose support exceeds `min_support` and whose divergence is
-/// statistically significant.
+/// statistically significant. Fails as [`Explorer::explore`] does.
 pub fn fairness_index(
     data: &Dataset,
     predictions: &[u8],
     stat: Statistic,
     params: &FairnessIndexParams,
-) -> f64 {
-    let explorer = Explorer {
-        min_support: params.min_support,
-        min_size: 1,
-        alpha: params.alpha,
-        max_level: None,
-        columns: None,
-    };
-    explorer
-        .explore(data, predictions, stat)
-        .into_iter()
+) -> Result<f64, CoreError> {
+    let reports = params.explorer().explore(data, predictions, stat)?;
+    Ok(index_of(&reports))
+}
+
+/// The index over subgroups its explorer already scored: the sum of the
+/// significant divergences, in ranking order.
+pub fn index_of(reports: &[SubgroupReport]) -> f64 {
+    reports
+        .iter()
         .filter(|r| r.significant)
         .map(|r| r.divergence)
         .sum()
@@ -86,8 +98,8 @@ mod tests {
         let (d, biased_preds) = setup(true);
         let (_, fair_preds) = setup(false);
         let params = FairnessIndexParams::default();
-        let biased_fi = fairness_index(&d, &biased_preds, Statistic::Fpr, &params);
-        let fair_fi = fairness_index(&d, &fair_preds, Statistic::Fpr, &params);
+        let biased_fi = fairness_index(&d, &biased_preds, Statistic::Fpr, &params).unwrap();
+        let fair_fi = fairness_index(&d, &fair_preds, Statistic::Fpr, &params).unwrap();
         assert!(biased_fi > 0.5, "biased index {biased_fi}");
         assert!(fair_fi < 1e-9, "uniform predictions index {fair_fi}");
     }
@@ -101,7 +113,10 @@ mod tests {
             min_support: 0.6,
             ..FairnessIndexParams::default()
         };
-        assert_eq!(fairness_index(&d, &preds, Statistic::Fpr, &params), 0.0);
+        assert_eq!(
+            fairness_index(&d, &preds, Statistic::Fpr, &params).unwrap(),
+            0.0
+        );
     }
 
     #[test]
@@ -112,16 +127,16 @@ mod tests {
             min_support: params.min_support,
             min_size: 1,
             alpha: params.alpha,
-            max_level: None,
             columns: None,
         };
         let manual: f64 = explorer
             .explore(&d, &preds, Statistic::Fpr)
+            .unwrap()
             .into_iter()
             .filter(|r| r.significant)
             .map(|r| r.divergence)
             .sum();
-        let index = fairness_index(&d, &preds, Statistic::Fpr, &params);
+        let index = fairness_index(&d, &preds, Statistic::Fpr, &params).unwrap();
         assert!((manual - index).abs() < 1e-12);
     }
 }

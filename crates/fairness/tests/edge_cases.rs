@@ -31,23 +31,26 @@ fn two_attr_setup() -> (Dataset, Vec<u8>) {
 }
 
 #[test]
-fn max_level_and_columns_compose() {
+fn custom_columns_span_every_level() {
     let (d, preds) = two_attr_setup();
     let explorer = Explorer {
         columns: Some(vec![0, 1, 2]),
-        max_level: Some(1),
         ..Explorer::default()
     };
-    let reports = explorer.explore(&d, &preds, Statistic::Fpr);
-    assert!(reports.iter().all(|r| r.pattern.level() == 1));
+    let reports = explorer.explore(&d, &preds, Statistic::Fpr).unwrap();
+    let level_one = reports.iter().filter(|r| r.pattern.level() == 1).count();
     // level-1 patterns over three columns with cards 2+3+2 = 7 patterns
-    assert_eq!(reports.len(), 7);
+    assert_eq!(level_one, 7);
+    // every cell of the (2+1)(3+1)(2+1) − 1 lattice holds ≥ 20 rows
+    assert_eq!(reports.len(), 35);
 }
 
 #[test]
 fn explorer_results_sorted_by_divergence() {
     let (d, preds) = two_attr_setup();
-    let reports = Explorer::default().explore(&d, &preds, Statistic::Fpr);
+    let reports = Explorer::default()
+        .explore(&d, &preds, Statistic::Fpr)
+        .unwrap();
     for w in reports.windows(2) {
         assert!(w[0].divergence >= w[1].divergence - 1e-12);
     }
@@ -59,7 +62,7 @@ fn fairness_index_zero_for_perfect_predictions() {
     let perfect: Vec<u8> = d.labels().to_vec();
     for stat in [Statistic::Fpr, Statistic::Fnr] {
         assert_eq!(
-            fairness_index(&d, &perfect, stat, &FairnessIndexParams::default()),
+            fairness_index(&d, &perfect, stat, &FairnessIndexParams::default()).unwrap(),
             0.0
         );
     }
@@ -82,8 +85,8 @@ fn violation_group_is_stable_given_ties() {
             preds.push(u8::from(g == 0 && i < 25)); // only group a gets FPs
         }
     }
-    let (v1, g1) = fairness_violation_with_group(&d, &preds, Statistic::Fpr, 1);
-    let (v2, g2) = fairness_violation_with_group(&d, &preds, Statistic::Fpr, 1);
+    let (v1, g1) = fairness_violation_with_group(&d, &preds, Statistic::Fpr, 1).unwrap();
+    let (v2, g2) = fairness_violation_with_group(&d, &preds, Statistic::Fpr, 1).unwrap();
     assert_eq!(v1, v2);
     assert_eq!(g1, g2);
     assert!(v1 > 0.0);
@@ -96,7 +99,7 @@ fn audit_supports_custom_statistics() {
         statistics: vec![Statistic::SelectionRate, Statistic::Accuracy],
         ..AuditConfig::default()
     };
-    let report = audit(&d, &preds, &config);
+    let report = audit(&d, &preds, &config).unwrap();
     assert_eq!(report.sections.len(), 2);
     assert_eq!(report.sections[0].statistic, Statistic::SelectionRate);
     let text = report.to_string();
@@ -107,7 +110,7 @@ fn audit_supports_custom_statistics() {
 #[test]
 fn audit_report_fields_are_consistent() {
     let (d, preds) = two_attr_setup();
-    let report = audit(&d, &preds, &AuditConfig::default());
+    let report = audit(&d, &preds, &AuditConfig::default()).unwrap();
     assert_eq!(report.confusion.total(), d.len());
     for section in &report.sections {
         assert!(section.fairness_index >= 0.0);

@@ -37,13 +37,11 @@ fn hiring_setup() -> (Dataset, Vec<u8>) {
 #[test]
 fn marginal_groups_look_fair() {
     let (d, preds) = hiring_setup();
-    let explorer = Explorer {
-        max_level: Some(1),
-        ..Explorer::default()
-    };
-    let reports = explorer.explore(&d, &preds, Statistic::SelectionRate);
+    let reports = Explorer::default()
+        .explore(&d, &preds, Statistic::SelectionRate)
+        .unwrap();
     // every single-attribute group has selection rate 0.25 == overall
-    for r in &reports {
+    for r in reports.iter().filter(|r| r.pattern.level() == 1) {
         assert!(
             r.divergence < 1e-12,
             "marginal group {} should look fair, divergence {}",
@@ -57,7 +55,9 @@ fn marginal_groups_look_fair() {
 #[test]
 fn intersections_reveal_the_disparity() {
     let (d, preds) = hiring_setup();
-    let reports = Explorer::default().explore(&d, &preds, Statistic::SelectionRate);
+    let reports = Explorer::default()
+        .explore(&d, &preds, Statistic::SelectionRate)
+        .unwrap();
     let gm = Pattern::from_names(d.schema(), &[("race", "green"), ("gender", "male")]).unwrap();
     let gf = Pattern::from_names(d.schema(), &[("race", "green"), ("gender", "female")]).unwrap();
     let report_gm = reports.iter().find(|r| r.pattern == gm).unwrap();
@@ -75,7 +75,9 @@ fn intersections_reveal_the_disparity() {
 #[test]
 fn unfair_subgroups_are_exactly_the_four_intersections() {
     let (d, preds) = hiring_setup();
-    let unfair = Explorer::default().unfair_subgroups(&d, &preds, Statistic::SelectionRate, 0.1);
+    let unfair = Explorer::default()
+        .unfair_subgroups(&d, &preds, Statistic::SelectionRate, 0.1)
+        .unwrap();
     assert_eq!(unfair.len(), 4, "{unfair:?}");
     assert!(unfair.iter().all(|r| r.pattern.level() == 2));
 }

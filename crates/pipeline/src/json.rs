@@ -147,6 +147,7 @@ impl Value {
 /// Parses one JSON document; trailing garbage is an error.
 pub fn parse(text: &str) -> Result<Value, PipelineError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -164,6 +165,7 @@ pub fn parse(text: &str) -> Result<Value, PipelineError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -262,13 +264,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // strings are valid UTF-8 (the input is &str);
-                    // copy the whole multi-byte char through
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the run up to the next quote or escape straight
+                    // from the input; both are ASCII, so the run ends on
+                    // a char boundary
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -403,5 +407,20 @@ mod tests {
         // a depth bomb is rejected, not a stack overflow
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // 4.5 MiB of mixed ASCII, multi-byte chars and escapes, under a
+        // time bound a parse quadratic in the string length cannot meet
+        let chunk = "abcdé€\\n\\\"𝄞 ";
+        let body = chunk.repeat(1 << 18);
+        let text = format!("{{\"s\": \"{body}\"}}");
+        let start = std::time::Instant::now();
+        let value = parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        let expected = "abcdé€\n\"𝄞 ".repeat(1 << 18);
+        assert_eq!(value.str_field("s").unwrap(), expected);
+        assert!(elapsed.as_secs() < 5, "parse took {elapsed:?}");
     }
 }

@@ -23,7 +23,7 @@ use remedy_dataset::csv::{LoadOptions, RawTable};
 use remedy_dataset::persist as data_persist;
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::{store, synth, Dataset, Format};
-use remedy_fairness::{fairness_index, Explorer, FairnessIndexParams, MetricsSummary};
+use remedy_fairness::{index_of, FairnessIndexParams, MetricsSummary};
 use remedy_obs::Scope as ObsScope;
 use std::time::Instant;
 
@@ -430,25 +430,21 @@ pub fn audit_stage(
                 .map_err(|e| PipelineError::corrupt(format!("cannot load model artifact: {e}")))?;
             let predictions = model.predict(test_set);
             let acc = accuracy(&predictions, test_set.labels());
-            let fi = fairness_index(
-                test_set,
-                &predictions,
-                stat,
-                &FairnessIndexParams {
-                    min_support,
-                    alpha: 0.05,
-                },
-            );
-            let explorer = Explorer {
+            // the index and the unfair list share one explorer, so one
+            // exploration serves both
+            let explorer = FairnessIndexParams {
                 min_support,
-                ..Explorer::default()
-            };
-            let unfair = explorer.unfair_subgroups(test_set, &predictions, stat, tau_d);
+                alpha: 0.05,
+            }
+            .explorer();
+            let reports = explorer
+                .explore(test_set, &predictions, stat)
+                .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
             Ok(MetricsSummary {
                 statistic: stat,
                 accuracy: acc,
-                fairness_index: fi,
-                unfair_subgroups: unfair.len() as u64,
+                fairness_index: index_of(&reports),
+                unfair_subgroups: reports.iter().filter(|r| r.is_unfair(tau_d)).count() as u64,
                 test_rows: test_set.len() as u64,
             }
             .to_text())

@@ -118,7 +118,8 @@ fn metrics_match_manual_computation() {
             min_support: 0.1,
             alpha: 0.05,
         },
-    );
+    )
+    .unwrap();
 
     let ps = manifest.branch("ps").unwrap();
     assert_eq!(ps.metrics.accuracy, expected_acc);

@@ -520,7 +520,8 @@ fn op_audit(state: &Arc<State>, req: &Request) -> Result<Fields, PipelineError> 
         .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
     let model = train(model_kind, &train_set, seed);
     let predictions = model.predict(&test_set);
-    let score = audit_score(&test_set, &predictions, stat, tau_d, min_support);
+    let score = audit_score(&test_set, &predictions, stat, tau_d, min_support)
+        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
     let schema = test_set.schema();
     let top: Vec<String> = score
         .unfair

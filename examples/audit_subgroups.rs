@@ -33,10 +33,11 @@ fn main() {
         min_support: 0.05,
         min_size: 30,
         alpha: 0.05,
-        max_level: None,
         columns: None,
     };
-    let unfair = explorer.unfair_subgroups(&test_set, &predictions, Statistic::Fpr, 0.1);
+    let unfair = explorer
+        .unfair_subgroups(&test_set, &predictions, Statistic::Fpr, 0.1)
+        .unwrap();
 
     // the IBS of the training data
     let ibs = identify(&train_set, &IbsParams::default(), Algorithm::Optimized);

@@ -45,7 +45,7 @@ fn main() {
         println!(
             "{:<14} {:>18.4} {:>10.3}",
             name,
-            fairness_violation(&test_set, &predictions, Statistic::Fpr, 30),
+            fairness_violation(&test_set, &predictions, Statistic::Fpr, 30).unwrap(),
             accuracy(&predictions, test_set.labels())
         );
     };

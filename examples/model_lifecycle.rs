@@ -46,7 +46,7 @@ fn main() {
 
     // 4. audit the reloaded model
     let predictions = loaded.predict(&test_set);
-    let report = audit(&test_set, &predictions, &AuditConfig::default());
+    let report = audit(&test_set, &predictions, &AuditConfig::default()).unwrap();
     println!("\n{report}");
 
     // 5. classical two-group metrics per protected attribute

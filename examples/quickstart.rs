@@ -63,13 +63,13 @@ fn main() {
     println!("\n                      before    after");
     println!(
         "fairness index (FPR)  {:.3}     {:.3}",
-        fairness_index(&test_set, &preds_before, Statistic::Fpr, &fi),
-        fairness_index(&test_set, &preds_after, Statistic::Fpr, &fi),
+        fairness_index(&test_set, &preds_before, Statistic::Fpr, &fi).unwrap(),
+        fairness_index(&test_set, &preds_after, Statistic::Fpr, &fi).unwrap(),
     );
     println!(
         "fairness index (FNR)  {:.3}     {:.3}",
-        fairness_index(&test_set, &preds_before, Statistic::Fnr, &fi),
-        fairness_index(&test_set, &preds_after, Statistic::Fnr, &fi),
+        fairness_index(&test_set, &preds_before, Statistic::Fnr, &fi).unwrap(),
+        fairness_index(&test_set, &preds_after, Statistic::Fnr, &fi).unwrap(),
     );
     println!(
         "accuracy              {:.3}     {:.3}",

@@ -96,6 +96,22 @@ if target/release/remedy identify wide --arity 20 --rows 5000 2>/dev/null; then
     echo "verify: FAIL — dense identify accepted 20 protected attributes" >&2
     exit 1
 fi
+# the audit's subgroup explorer counts on the support-pruned lattice, so
+# audit and report answer past the dense ceiling too; hypothesis
+# identifies densely and must fail with identify's own error
+for cmd in audit report; do
+    if ! out="$(target/release/remedy "$cmd" wide --arity 20 --rows 2000 2>&1)" ||
+        printf '%s\n' "$out" | grep -q panicked; then
+        echo "verify: FAIL — $cmd did not answer on a 20-wide dataset" >&2
+        exit 1
+    fi
+done
+id_err="$(target/release/remedy identify wide --arity 20 --rows 2000 2>&1)" || true
+if hyp_err="$(target/release/remedy hypothesis wide --arity 20 --rows 2000 2>&1)" ||
+    [ "$hyp_err" != "$id_err" ]; then
+    echo "verify: FAIL — hypothesis on 20 attributes did not fail like identify" >&2
+    exit 1
+fi
 # pruned-parity smoke on a dense-servable dataset: both modes must print
 # identical region reports
 dense_out="$(target/release/remedy identify compas --tau 0.05 --min-size 20)"

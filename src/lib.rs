@@ -68,7 +68,8 @@ mod tests {
             &preds,
             Statistic::Fpr,
             &FairnessIndexParams::default(),
-        );
+        )
+        .unwrap();
         assert!(fi >= 0.0);
         let _ = ibs;
     }

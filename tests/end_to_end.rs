@@ -20,15 +20,15 @@ fn remedy_mitigates_subgroup_unfairness() {
 
     let base_model = train(ModelKind::DecisionTree, &train_set, 42);
     let base_preds = base_model.predict(&test_set);
-    let base_fi_fpr = fairness_index(&test_set, &base_preds, Statistic::Fpr, &fi);
-    let base_fi_fnr = fairness_index(&test_set, &base_preds, Statistic::Fnr, &fi);
+    let base_fi_fpr = fairness_index(&test_set, &base_preds, Statistic::Fpr, &fi).unwrap();
+    let base_fi_fnr = fairness_index(&test_set, &base_preds, Statistic::Fnr, &fi).unwrap();
     let base_acc = accuracy(&base_preds, test_set.labels());
 
     let outcome = remedy_data(&train_set, &RemedyParams::default());
     let model = train(ModelKind::DecisionTree, &outcome.dataset, 42);
     let preds = model.predict(&test_set);
-    let fi_fpr = fairness_index(&test_set, &preds, Statistic::Fpr, &fi);
-    let fi_fnr = fairness_index(&test_set, &preds, Statistic::Fnr, &fi);
+    let fi_fpr = fairness_index(&test_set, &preds, Statistic::Fpr, &fi).unwrap();
+    let fi_fnr = fairness_index(&test_set, &preds, Statistic::Fnr, &fi).unwrap();
     let acc = accuracy(&preds, test_set.labels());
 
     assert!(

@@ -257,7 +257,9 @@ fn explorer_reports_consistent() {
         let preds: Vec<u8> = (0..data.len())
             .map(|i| u8::from((i as u64).wrapping_mul(preds_seed + 7).is_multiple_of(3)))
             .collect();
-        let reports = Explorer::default().explore(&data, &preds, Statistic::Fpr);
+        let reports = Explorer::default()
+            .explore(&data, &preds, Statistic::Fpr)
+            .unwrap();
         for r in &reports {
             assert!(
                 (r.support - r.size as f64 / data.len() as f64).abs() < 1e-12,
