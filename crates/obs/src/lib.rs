@@ -224,7 +224,7 @@ impl Recorder {
         for (scope, name, h) in &snapshot.histograms {
             inner.emit(&format!(
                 "{{\"t\":\"hist\",\"scope\":{},\"name\":{},\"count\":{},\"sum\":{},\
-                 \"min\":{},\"max\":{},\"p50\":{},\"p90\":{}}}",
+                 \"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
                 json_str(scope),
                 json_str(name),
                 h.count,
@@ -232,7 +232,9 @@ impl Recorder {
                 h.min,
                 h.max,
                 h.p50,
-                h.p90
+                h.p90,
+                h.p99,
+                h.p999
             ));
         }
         if let Some(sink) = &inner.sink {

@@ -70,6 +70,8 @@ impl Hist {
             max: self.max,
             p50: self.quantile(0.5),
             p90: self.quantile(0.9),
+            p99: self.quantile(0.99),
+            p999: self.quantile(0.999),
         }
     }
 
@@ -120,6 +122,10 @@ pub struct HistSummary {
     pub p50: u64,
     /// Approximate 90th percentile (bucket upper bound).
     pub p90: u64,
+    /// Approximate 99th percentile (bucket upper bound).
+    pub p99: u64,
+    /// Approximate 99.9th percentile (bucket upper bound).
+    pub p999: u64,
 }
 
 /// A point-in-time copy of every counter and histogram in a recorder.
@@ -193,6 +199,21 @@ mod tests {
     }
 
     #[test]
+    fn tail_quantiles_separate_rare_outliers() {
+        // 998 requests near 100us and two stalls of a second: p99 stays
+        // in the body's bucket, p999 reaches the stalls
+        let mut h = Hist::default();
+        for _ in 0..998 {
+            h.observe(100);
+        }
+        h.observe(1_000_000);
+        h.observe(1_000_000);
+        let s = h.summary();
+        assert_eq!((s.p50, s.p90, s.p99), (127, 127, 127));
+        assert_eq!(s.p999, 1_000_000);
+    }
+
+    #[test]
     fn hist_merge_equals_interleaved_observes() {
         let mut merged = Hist::default();
         let mut whole = Hist::default();
@@ -224,7 +245,9 @@ mod tests {
                 min: 0,
                 max: 0,
                 p50: 0,
-                p90: 0
+                p90: 0,
+                p99: 0,
+                p999: 0
             }
         );
     }

@@ -19,11 +19,11 @@
 //!
 //! ```text
 //! → {"op":"load","session":"a","source":"compas","rows":2000}
-//! ← {"ok":true,"op":"load","session":"a","rows":2000}
+//! ← {"ok":true,"op":"load","session":"a","rows":2000,"epoch":0}
 //! → {"op":"ingest","session":"a","edits":[{"kind":"flip","row":3}]}
-//! ← {"ok":true,"op":"ingest","applied":1,"rows":2000}
+//! ← {"ok":true,"op":"ingest","applied":1,"rows":2000,"edits":1,"batches":1,"epoch":1}
 //! → {"op":"identify","session":"a","tau":0.1}
-//! ← {"ok":true,"op":"identify","count":17,"rows":2000,"text":"remedy-ibs v1\n…"}
+//! ← {"ok":true,"op":"identify","count":17,"rows":2000,"epoch":1,"text":"remedy-ibs v1\n…"}
 //! ```
 //!
 //! Errors reuse the pipeline taxonomy: every failure response carries a

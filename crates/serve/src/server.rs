@@ -22,7 +22,7 @@
 
 use crate::durable::{self, Durable, DurableConfig, DurablePolicy};
 use crate::protocol::{self, Fields, Request};
-use crate::session::{lock_session, Registry, Session};
+use crate::session::{lock_session_for, Registry, Session};
 use remedy_classifiers::{train, ModelKind};
 use remedy_core::{remedy_with, RemedyParams, DEFAULT_SEED};
 use remedy_dataset::source::{self, FormatPolicy};
@@ -381,9 +381,9 @@ fn dispatch(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields,
         "load" => op_load(state, req, rec),
         "ingest" => op_ingest(state, req, rec),
         "identify" => op_identify(state, req, rec),
-        "audit" => op_audit(state, req),
+        "audit" => op_audit(state, req, rec),
         "remedy" => op_remedy(state, req, rec),
-        "stats" => op_stats(state),
+        "stats" => op_stats(state, rec),
         "shutdown" => {
             state.shutdown.store(true, Ordering::SeqCst);
             // this connection is one of `active`; the rest are drained
@@ -469,7 +469,7 @@ fn open_source(body: &Value) -> Result<Stored, PipelineError> {
 fn op_ingest(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, PipelineError> {
     let session = state.registry.get(session_name(req)?)?;
     let edits = protocol::edits(&req.body)?;
-    let mut session = lock_session(&session);
+    let mut session = lock_session_for(&session, "ingest", &rec.scope("serve"));
     failpoint::check("serve.locked", "ingest")?;
     // wal.*/snapshot.*/shed.* durability counters land in the serve
     // scope next to req.* — `stats` reports them all from one place
@@ -490,24 +490,35 @@ fn op_identify(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fiel
     let session = state.registry.get(session_name(req)?)?;
     let params = protocol::ibs_params(&req.body)?;
     let algorithm = protocol::algorithm(&req.body)?;
-    let mut session = lock_session(&session);
-    failpoint::check("serve.locked", "identify")?;
-    session.index.flush_deltas();
-    let obs = rec.scope("identify");
-    let regions = remedy_core::try_identify_in_index_with(&session.index, &params, algorithm, &obs)
-        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
+    // the lock covers only a copy of the leaf counts, O(distinct leaves);
+    // enumeration, scoring and rendering run after it is released, so
+    // ingests on the session do not wait behind them
+    let (counts, rows, epoch) = {
+        let mut session = lock_session_for(&session, "identify", &rec.scope("serve"));
+        failpoint::check("serve.locked", "identify")?;
+        session.index.flush_deltas();
+        (
+            session.index.counts().clone(),
+            session.data.len(),
+            session.epoch,
+        )
+    };
+    let regions =
+        remedy_core::try_identify_counts_with(counts, &params, algorithm, &rec.scope("identify"))
+            .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
     // the persisted-regions text is the canonical, bit-exact encoding:
     // comparing it against a batch run is how byte-identity is asserted
     let text = remedy_core::persist::regions_to_text(&regions);
     let mut fields = Fields::new();
     fields
         .raw("count", regions.len())
-        .raw("rows", session.data.len())
+        .raw("rows", rows)
+        .raw("epoch", epoch)
         .str("text", &text);
     Ok(fields)
 }
 
-fn op_audit(state: &Arc<State>, req: &Request) -> Result<Fields, PipelineError> {
+fn op_audit(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, PipelineError> {
     let session = state.registry.get(session_name(req)?)?;
     let model_kind: ModelKind = protocol::opt_parsed(&req.body, "model")?.unwrap_or_default();
     let stat: Statistic = protocol::opt_parsed(&req.body, "stat")?.unwrap_or_default();
@@ -515,9 +526,13 @@ fn op_audit(state: &Arc<State>, req: &Request) -> Result<Fields, PipelineError> 
     let defaults = AuditConfig::default();
     let tau_d = protocol::opt_f64(&req.body, "tau_d")?.unwrap_or(defaults.tau_d);
     let min_support = protocol::opt_f64(&req.body, "min_support")?.unwrap_or(defaults.min_support);
-    let session = lock_session(&session);
-    let (train_set, test_set) = train_test_split(&session.data, 0.7, seed)
-        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
+    // the split copies the rows it keeps, so training, prediction and
+    // the audit run after the lock is released
+    let (train_set, test_set) = {
+        let session = lock_session_for(&session, "audit", &rec.scope("serve"));
+        train_test_split(&session.data, 0.7, seed)
+            .map_err(|e| PipelineError::invalid_plan(e.to_string()))?
+    };
     let model = train(model_kind, &train_set, seed);
     let predictions = model.predict(&test_set);
     let score = audit_score(&test_set, &predictions, stat, tau_d, min_support)
@@ -561,7 +576,9 @@ fn op_remedy(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields
         .build()
         .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
     let apply = protocol::opt_bool(&req.body, "apply")?.unwrap_or(false);
-    let mut session = lock_session(&session);
+    // remedy reads every row and, applied, swaps the dataset, so it runs
+    // under the lock whole
+    let mut session = lock_session_for(&session, "remedy", &rec.scope("serve"));
     session.index.flush_deltas();
     let outcome = remedy_with(&session.data, &params, &rec.scope("remedy"));
     let rows_before = session.data.len();
@@ -602,10 +619,10 @@ fn op_remedy(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields
     Ok(fields)
 }
 
-fn op_stats(state: &Arc<State>) -> Result<Fields, PipelineError> {
+fn op_stats(state: &Arc<State>, rec: &Recorder) -> Result<Fields, PipelineError> {
     let sessions: Vec<String> = state
         .registry
-        .summaries()
+        .summaries(&rec.scope("serve"))
         .into_iter()
         .map(|s| {
             format!(
@@ -640,7 +657,7 @@ fn op_stats(state: &Arc<State>) -> Result<Fields, PipelineError> {
         .map(|(scope, name, h)| {
             format!(
                 "{{\"scope\":{},\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\
-                 \"max\":{},\"p50\":{},\"p90\":{}}}",
+                 \"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
                 json_str(scope),
                 json_str(name),
                 h.count,
@@ -648,7 +665,9 @@ fn op_stats(state: &Arc<State>) -> Result<Fields, PipelineError> {
                 h.min,
                 h.max,
                 h.p50,
-                h.p90
+                h.p90,
+                h.p99,
+                h.p999
             )
         })
         .collect();

@@ -236,8 +236,9 @@ impl Registry {
             })
     }
 
-    /// Per-session [`SessionSummary`] rows, for `stats`.
-    pub fn summaries(&self) -> Vec<SessionSummary> {
+    /// Per-session [`SessionSummary`] rows, for `stats`. Each session's
+    /// lock wait lands in `obs` as `lock_wait_us.stats`.
+    pub fn summaries(&self, obs: &ObsScope) -> Vec<SessionSummary> {
         let sessions: Vec<(String, Arc<Mutex<Session>>)> = lock_recover(&self.sessions)
             .iter()
             .map(|(name, session)| (name.clone(), Arc::clone(session)))
@@ -245,7 +246,7 @@ impl Registry {
         sessions
             .into_iter()
             .map(|(name, session)| {
-                let s = lock_session(&session);
+                let s = lock_session_for(&session, "stats", obs);
                 SessionSummary {
                     name,
                     rows: s.data.len(),
@@ -270,6 +271,22 @@ impl Registry {
 /// contained panic into a permanently wedged session.
 pub fn lock_session(session: &Arc<Mutex<Session>>) -> MutexGuard<'_, Session> {
     session.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+/// [`lock_session`] for one request of kind `op`: the wait, from asking
+/// for the lock to holding it, lands in `obs` as the `lock_wait_us.<op>`
+/// histogram.
+pub fn lock_session_for<'a>(
+    session: &'a Arc<Mutex<Session>>,
+    op: &str,
+    obs: &ObsScope,
+) -> MutexGuard<'a, Session> {
+    let asked = obs.timer();
+    let guard = lock_session(session);
+    if asked.is_some() {
+        obs.observe_since(&format!("lock_wait_us.{op}"), asked);
+    }
+    guard
 }
 
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -378,7 +395,7 @@ mod tests {
         registry.insert("a", Session::try_open(synth::compas_n(50, 1)).unwrap());
         registry.insert("b", Session::try_open(synth::compas_n(80, 1)).unwrap());
         registry.insert("a", Session::try_open(synth::compas_n(60, 1)).unwrap());
-        let summary = registry.summaries();
+        let summary = registry.summaries(&ObsScope::disabled());
         assert_eq!(summary.len(), 2);
         assert_eq!(summary[0].name, "a");
         assert_eq!(summary[0].rows, 60, "reload replaces the session");

@@ -10,11 +10,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use remedy_classifiers::{train, ModelKind};
 use remedy_core::persist::regions_to_text;
 use remedy_core::{identify, remedy_with, Algorithm, IbsParams, Neighborhood, RemedyParams};
 use remedy_core::{Scope as IbsScope, Technique};
+use remedy_dataset::split::train_test_split;
 use remedy_dataset::{synth, RowEdit};
-use remedy_pipeline::json::Value;
+use remedy_fairness::{audit_score, AuditConfig, Statistic};
+use remedy_pipeline::json::{json_f64, json_str, Value};
 use remedy_pipeline::ErrorKind;
 use remedy_serve::{Client, ServeOptions, Server, MAX_REQUEST_LINE};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -64,6 +67,14 @@ fn counter(stats: &Value, scope: &str, name: &str) -> Option<u64> {
     stats.arr_field("counters").ok()?.iter().find_map(|c| {
         (c.field("scope")?.as_str()? == scope && c.field("name")?.as_str()? == name)
             .then(|| c.field("value")?.as_u64())?
+    })
+}
+
+/// Finds one histogram in a `stats` response.
+fn histogram<'a>(stats: &'a Value, scope: &str, name: &str) -> Option<&'a Value> {
+    stats.arr_field("histograms").ok()?.iter().find(|h| {
+        h.field("scope").and_then(Value::as_str) == Some(scope)
+            && h.field("name").and_then(Value::as_str) == Some(name)
     })
 }
 
@@ -549,5 +560,202 @@ fn over_long_request_line_is_refused_and_others_keep_working() {
         .call("{\"op\":\"identify\",\"session\":\"s\"}")
         .unwrap();
     other.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// Reads answered off the session lock still see one consistent epoch:
+/// client threads interleave `ingest` and `identify` on one session, and
+/// every identify's text equals a cold identify over the original rows
+/// plus exactly the acknowledged batches up to the epoch it echoes.
+#[test]
+fn identify_under_concurrent_ingest_answers_at_its_echoed_epoch() {
+    const ROWS: usize = 400;
+    const CLIENTS: u64 = 3;
+    const OPS: usize = 24;
+    let (addr, handle) = start_server();
+    let mut control = Client::connect(&addr).unwrap();
+    control
+        .call("{\"op\":\"load\",\"session\":\"c\",\"source\":\"compas\",\"rows\":400,\"seed\":13}")
+        .unwrap();
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|client_id| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0xC0C0 + client_id);
+                let mut client = Client::connect(&addr).unwrap();
+                let mut acks = Vec::new();
+                let mut reads = Vec::new();
+                for _ in 0..OPS {
+                    if rng.gen_bool(0.5) {
+                        // flips and duplicates of original rows stay valid
+                        // however the clients' batches interleave
+                        let edits: Vec<RowEdit> = (0..3)
+                            .map(|_| {
+                                let row = rng.gen_range(0..ROWS);
+                                if rng.gen_bool(0.5) {
+                                    RowEdit::FlipLabel { row }
+                                } else {
+                                    RowEdit::Duplicate { src: row }
+                                }
+                            })
+                            .collect();
+                        let json: Vec<String> = edits.iter().map(edit_json).collect();
+                        let response = client
+                            .call(&format!(
+                                "{{\"op\":\"ingest\",\"session\":\"c\",\"edits\":[{}]}}",
+                                json.join(",")
+                            ))
+                            .unwrap();
+                        acks.push((response.u64_field("epoch").unwrap(), edits));
+                    } else {
+                        let response = client
+                            .call("{\"op\":\"identify\",\"session\":\"c\"}")
+                            .unwrap();
+                        reads.push((
+                            response.u64_field("epoch").unwrap(),
+                            response.u64_field("rows").unwrap() as usize,
+                            response.str_field("text").unwrap().to_string(),
+                        ));
+                    }
+                }
+                (acks, reads)
+            })
+        })
+        .collect();
+    let mut acks = Vec::new();
+    let mut reads = Vec::new();
+    for worker in workers {
+        let (a, r) = worker.join().unwrap();
+        acks.extend(a);
+        reads.extend(r);
+    }
+    acks.sort_by_key(|(epoch, _)| *epoch);
+    let epochs: Vec<u64> = acks.iter().map(|(epoch, _)| *epoch).collect();
+    assert_eq!(epochs, (1..=acks.len() as u64).collect::<Vec<_>>());
+    assert!(!reads.is_empty(), "the seeded mix issues identifies");
+
+    // states[e] is the session after the batch acknowledged at epoch e
+    let mut states = vec![synth::compas_n(ROWS, 13)];
+    for (_, edits) in &acks {
+        let mut next = states.last().unwrap().clone();
+        for edit in edits {
+            next.apply_edit(edit);
+        }
+        states.push(next);
+    }
+    let mut cold: Vec<Option<String>> = vec![None; states.len()];
+    for (epoch, rows, text) in &reads {
+        let state = &states[*epoch as usize];
+        assert_eq!(*rows, state.len(), "rows at epoch {epoch}");
+        let want = cold[*epoch as usize].get_or_insert_with(|| {
+            regions_to_text(&identify(
+                state,
+                &IbsParams::default(),
+                Algorithm::Optimized,
+            ))
+        });
+        assert_eq!(
+            text, want,
+            "identify at epoch {epoch} diverges from its replay"
+        );
+    }
+    control.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// Every handler that takes a session lock records how long it waited
+/// for it, and `stats` prints the histogram tails.
+#[test]
+fn stats_reports_lock_wait_per_op() {
+    let (addr, handle) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .call("{\"op\":\"load\",\"session\":\"w\",\"source\":\"compas\",\"rows\":300,\"seed\":2}")
+        .unwrap();
+    let response = client
+        .call("{\"op\":\"identify\",\"session\":\"w\"}")
+        .unwrap();
+    assert_eq!(response.u64_field("epoch").unwrap(), 0);
+    let stats = client.call("{\"op\":\"stats\"}").unwrap();
+    let wait = histogram(&stats, "serve", "lock_wait_us.identify").expect("identify lock wait");
+    assert_eq!(wait.u64_field("count").unwrap(), 1);
+    for field in ["p50", "p90", "p99", "p999"] {
+        assert!(wait.u64_field(field).is_ok(), "{field}");
+    }
+    assert!(histogram(&stats, "serve", "lock_wait_us.ingest").is_none());
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// `audit` trains and scores after releasing the session lock; its
+/// response is byte-identical to one built in-process from the same
+/// split, model and audit over the session's rows.
+#[test]
+fn audit_response_matches_an_in_process_audit_byte_for_byte() {
+    let (addr, handle) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .call("{\"op\":\"load\",\"session\":\"a\",\"source\":\"compas\",\"rows\":800,\"seed\":4}")
+        .unwrap();
+    let mut rows = synth::compas_n(800, 4);
+    let edits = [
+        RowEdit::FlipLabel { row: 3 },
+        RowEdit::Duplicate { src: 10 },
+        RowEdit::Remove { rows: vec![0, 7] },
+    ];
+    let json: Vec<String> = edits.iter().map(edit_json).collect();
+    client
+        .call(&format!(
+            "{{\"op\":\"ingest\",\"session\":\"a\",\"edits\":[{}]}}",
+            json.join(",")
+        ))
+        .unwrap();
+    for edit in &edits {
+        rows.apply_edit(edit);
+    }
+    let raw = client
+        .request_line(
+            "{\"op\":\"audit\",\"session\":\"a\",\"model\":\"dt\",\"stat\":\"fpr\",\"seed\":9}",
+        )
+        .unwrap();
+
+    let (model_kind, stat, seed) = (ModelKind::DecisionTree, Statistic::Fpr, 9);
+    let config = AuditConfig::default();
+    let (train_set, test_set) = train_test_split(&rows, 0.7, seed).unwrap();
+    let predictions = train(model_kind, &train_set, seed).predict(&test_set);
+    let score = audit_score(
+        &test_set,
+        &predictions,
+        stat,
+        config.tau_d,
+        config.min_support,
+    )
+    .unwrap();
+    let top: Vec<String> = score
+        .unfair
+        .iter()
+        .take(20)
+        .map(|r| {
+            format!(
+                "{{\"pattern\":{},\"divergence\":{},\"gamma\":{},\"support\":{}}}",
+                json_str(&r.pattern.display(test_set.schema()).to_string()),
+                json_f64(r.divergence),
+                json_f64(r.gamma),
+                json_f64(r.support)
+            )
+        })
+        .collect();
+    let want = format!(
+        "{{\"ok\":true,\"op\":\"audit\",\"model\":{},\"stat\":{},\"accuracy\":{},\
+         \"fairness_index\":{},\"unfair_subgroups\":{},\"top\":[{}]}}",
+        json_str(&model_kind.to_string()),
+        json_str(&stat.to_string()),
+        json_f64(score.accuracy),
+        json_f64(score.fairness_index),
+        score.unfair.len(),
+        top.join(",")
+    );
+    assert_eq!(raw.trim_end(), want);
+    client.call("{\"op\":\"shutdown\"}").unwrap();
     handle.join().unwrap().unwrap();
 }

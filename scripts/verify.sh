@@ -18,6 +18,11 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
 cargo test -q -p remedy-pipeline --features failpoints
 cargo test -q -p remedy-cli --features failpoints
 cargo test -q -p remedy-serve --features failpoints
+# identify computes off the session lock: its answers under concurrent
+# ingest must match the replay of its echoed epoch in release mode too,
+# where the interleavings differ from debug
+cargo test -q --release -p remedy-serve --test serve_props \
+    identify_under_concurrent_ingest_answers_at_its_echoed_epoch
 # counting-engine property suite (edit interleavings vs rebuild, remedy
 # byte-parity with the scan baseline) ...
 cargo test -q -p remedy-core --test counting_props
