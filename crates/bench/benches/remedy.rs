@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the dataset remedy (the Fig 9b kernel):
 //! one benchmark per pre-processing technique, the scope ablation, and the
-//! incremental-vs-scan counting comparison on a larger lattice.
+//! index-backed remedy on a larger lattice.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use remedy_core::{remedy, remedy_over_scan, remedy_over_with, RemedyParams, Scope, Technique};
+use remedy_core::{remedy, remedy_over_with, RemedyParams, Scope, Technique};
 use remedy_dataset::synth;
 use remedy_obs::Scope as ObsScope;
 
@@ -41,10 +41,10 @@ fn bench_scopes(c: &mut Criterion) {
 }
 
 /// The counting-engine kernel: remedy over a 5-attribute lattice
-/// (31 nodes) on the synthetic Adult scalability slice, incremental
-/// [`RegionIndex`](remedy_core::RegionIndex) path vs the per-node scan
-/// baseline it replaced. Undersampling keeps the ranker out of the
-/// measurement so the counting seam dominates.
+/// (31 nodes) on the synthetic Adult scalability slice, served by the
+/// delta-maintained [`RegionIndex`](remedy_core::RegionIndex).
+/// Undersampling keeps the ranker out of the measurement so counting
+/// dominates.
 fn bench_remedy_large(c: &mut Criterion) {
     let mut group = c.benchmark_group("remedy_large");
     group.sample_size(10);
@@ -66,9 +66,6 @@ fn bench_remedy_large(c: &mut Criterion) {
                 &ObsScope::disabled(),
             )
         })
-    });
-    group.bench_function("scan", |b| {
-        b.iter(|| remedy_over_scan(std::hint::black_box(&data), &cols, &params))
     });
     group.finish();
 }

@@ -108,7 +108,7 @@ fn sweep_attrs() {
                 .build()
                 .unwrap();
             let (_, secs) =
-                time_it(|| remedy_over_with(&data, &cols, &params, &ObsScope::disabled()));
+                time_it(|| remedy_over_with(&data, &cols, &params, &ObsScope::disabled()).unwrap());
             cells.push(format!("{secs:.3}"));
         }
         rem.row(&cells);
@@ -167,7 +167,8 @@ fn sweep_size() {
                 .technique(technique)
                 .build()
                 .unwrap();
-            let (_, secs) = time_it(|| remedy_over_with(&data, &cols, &rp, &ObsScope::disabled()));
+            let (_, secs) =
+                time_it(|| remedy_over_with(&data, &cols, &rp, &ObsScope::disabled()).unwrap());
             cells.push(format!("{secs:.3}"));
         }
         rem.row(&cells);

@@ -4,8 +4,8 @@ use crate::args::{Args, CliError};
 use remedy_classifiers::persist;
 use remedy_classifiers::{train, ModelFamily, ModelKind};
 use remedy_core::{
-    remedy as remedy_data, try_identify_over_with, Algorithm, Enumeration, IbsParams, RemedyParams,
-    DEFAULT_SEED,
+    remedy_over_with, try_identify_over_with, Algorithm, Enumeration, IbsParams, RemedyOutcome,
+    RemedyParams, DEFAULT_SEED,
 };
 use remedy_dataset::csv;
 use remedy_dataset::source::{self, FormatPolicy};
@@ -134,6 +134,14 @@ fn remedy_params(args: &Args, seed: u64) -> Result<RemedyParams, CliError> {
         .map_err(|e| CliError(e.to_string()))
 }
 
+/// Remedies `data` over its schema's protected columns; a protected set
+/// the remedy cannot carry is an error, not a panic.
+fn remedy_data(data: &Dataset, params: &RemedyParams) -> Result<RemedyOutcome, CliError> {
+    let protected = data.schema().protected_indices();
+    remedy_over_with(data, &protected, params, &remedy_obs::Scope::disabled())
+        .map_err(|e| CliError(e.to_string()))
+}
+
 /// The recorder `--trace <path>` streams to, or `otherwise()` without
 /// the option.
 fn trace_recorder(
@@ -224,7 +232,7 @@ fn cmd_remedy(raw: Vec<String>) -> Result<(), CliError> {
     let data = load_input(&args)?;
     let out_path = args.require("out")?.to_string();
     let params = remedy_params(&args, args.get_parsed("seed", DEFAULT_SEED)?)?;
-    let outcome = remedy_data(&data, &params);
+    let outcome = remedy_data(&data, &params)?;
     csv::write_path(&outcome.dataset, &out_path).map_err(|e| CliError(e.to_string()))?;
     println!(
         "remedied {} regions with {}; {} → {} rows; wrote {}",
@@ -264,7 +272,7 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
     let (mut train_set, test_set) =
         train_test_split(&data, 0.7, seed).map_err(|e| CliError(e.to_string()))?;
     if args.flag("remedied") {
-        train_set = remedy_data(&train_set, &remedy_params(&args, seed)?).dataset;
+        train_set = remedy_data(&train_set, &remedy_params(&args, seed)?)?.dataset;
     }
     let model_kind = args.get_parsed("model", ModelKind::default())?;
     let stat = args.get_parsed("stat", Statistic::default())?;
@@ -740,7 +748,7 @@ fn cmd_train(raw: Vec<String>) -> Result<(), CliError> {
     let mut data = load_input(&args)?;
     let seed = args.get_parsed("seed", DEFAULT_SEED)?;
     if args.flag("remedied") {
-        data = remedy_data(&data, &remedy_params(&args, seed)?).dataset;
+        data = remedy_data(&data, &remedy_params(&args, seed)?)?.dataset;
     }
     let out = args.require("out")?;
     let text = args

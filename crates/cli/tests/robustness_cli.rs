@@ -278,3 +278,26 @@ fn audits_answer_on_a_column_past_255_categories() {
         );
     }
 }
+
+#[test]
+fn remedy_past_the_dense_ceiling_is_a_one_line_error() {
+    let dir = workdir("wide_remedy");
+    let out = dir.join("x.csv");
+    let model = dir.join("model.txt");
+    let wide = ["wide", "--arity", "20", "--rows", "2000"];
+    for extra in [
+        &["remedy", "--out", out.to_str().unwrap()][..],
+        &["audit", "--remedied"],
+        &["train", "--remedied", "--out", model.to_str().unwrap()],
+    ] {
+        let (command, rest) = extra.split_first().unwrap();
+        let output = remedy(&[&[*command][..], &wide, rest].concat());
+        assert_eq!(output.status.code(), Some(1), "{command}");
+        let stderr = assert_clean_failure(&output);
+        assert!(
+            stderr.contains("at most 16 protected attributes supported, got 20"),
+            "{command}: {stderr}"
+        );
+    }
+    assert!(!out.exists() && !model.exists());
+}

@@ -281,37 +281,6 @@ impl<C: Tally> ShardCounts<C> {
     }
 }
 
-/// Per-region class counts over one attribute subset of the *current*
-/// dataset — the scan-path primitive behind [`crate::hierarchy::node_counts`].
-///
-/// # Panics
-///
-/// On a column set no leaf layout can carry (see [`ShardCounts::scan_over`]).
-pub(crate) fn node_counts(data: &Dataset, cols: &[usize]) -> FastMap<u128, Counts> {
-    ShardCounts::scan_over(data, cols, 0)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .leaves
-}
-
-/// Counts **and** ascending row buckets over one attribute subset — the
-/// remedy's reference scan path.
-///
-/// # Panics
-///
-/// On a column set no leaf layout can carry (see [`ShardCounts::scan_over`]).
-pub(crate) fn node_snapshot(
-    data: &Dataset,
-    cols: &[usize],
-) -> (FastMap<u128, Counts>, FastMap<u128, Vec<usize>>) {
-    let scan = ShardCounts::scan_indexed(data, cols, None).unwrap_or_else(|e| panic!("{e}"));
-    let rows = scan
-        .buckets
-        .into_iter()
-        .map(|(k, v)| (k, v.into_iter().map(|s| s as usize).collect()))
-        .collect();
-    (scan.counts.leaves, rows)
-}
-
 /// Mergeable leaf-level region counts over one dataset shard — the seam
 /// sharded pipeline execution sums per-worker results through, and the
 /// counts a [`RegionIndex`] maintains.
@@ -474,10 +443,16 @@ impl ShardCounts {
     /// between shards of the same dataset, so disagreeing protected
     /// layouts are rejected with [`CoreError::MergeMismatch`].
     pub fn merge(&mut self, other: &ShardCounts) -> Result<(), CoreError> {
-        check_merge_layout(
-            (&self.protected, &self.cards, &self.ordered),
-            (&other.protected, &other.cards, &other.ordered),
-        )?;
+        let ours = (&self.protected, &self.cards, &self.ordered);
+        let theirs = (&other.protected, &other.cards, &other.ordered);
+        if ours != theirs {
+            return Err(CoreError::MergeMismatch {
+                detail: format!(
+                    "protected layout {:?}/{:?}/{:?} != {:?}/{:?}/{:?}",
+                    ours.0, ours.1, ours.2, theirs.0, theirs.1, theirs.2
+                ),
+            });
+        }
         for (&key, &c) in &other.leaves {
             self.leaves.entry(key).or_default().add(c);
         }
@@ -602,23 +577,6 @@ fn check_packed(
             packed.widths,
             codec.widths()
         ));
-    }
-    Ok(())
-}
-
-/// Shared layout guard of every merge seam: protected columns,
-/// cardinalities, and ordered flags must agree exactly.
-pub(crate) fn check_merge_layout(
-    ours: (&[usize], &[u32], &[bool]),
-    theirs: (&[usize], &[u32], &[bool]),
-) -> Result<(), CoreError> {
-    if ours != theirs {
-        return Err(CoreError::MergeMismatch {
-            detail: format!(
-                "protected layout {:?}/{:?}/{:?} != {:?}/{:?}/{:?}",
-                ours.0, ours.1, ours.2, theirs.0, theirs.1, theirs.2
-            ),
-        });
     }
     Ok(())
 }
@@ -1547,47 +1505,6 @@ mod tests {
         let mut a = ShardCounts::scan(&d, 1).unwrap();
         let b = ShardCounts::scan_over(&d, &[0], 1).unwrap();
         assert!(matches!(a.merge(&b), Err(CoreError::MergeMismatch { .. })));
-    }
-
-    #[test]
-    fn hierarchy_merge_from_matches_whole_build() {
-        let d = fixture();
-        let shards = round_robin(&d, 3);
-        let mut merged = Hierarchy::try_build(&shards[0]).unwrap();
-        for s in &shards[1..] {
-            merged
-                .merge_from(&Hierarchy::try_build(s).unwrap())
-                .unwrap();
-        }
-        assert_hierarchy_eq(&merged, &Hierarchy::try_build(&d).unwrap());
-    }
-
-    #[test]
-    fn sparse_merge_from_exact_at_zero_support() {
-        let d = fixture();
-        let shards = round_robin(&d, 3);
-        let mut merged = crate::sparse::SparseHierarchy::try_build(&shards[0], 0).unwrap();
-        for s in &shards[1..] {
-            merged
-                .merge_from(&crate::sparse::SparseHierarchy::try_build(s, 0).unwrap())
-                .unwrap();
-        }
-        let whole = crate::sparse::SparseHierarchy::try_build(&d, 0).unwrap();
-        assert_eq!(merged.totals(), whole.totals());
-        assert_eq!(merged.nodes().len(), whole.nodes().len());
-        for (m, w) in merged.nodes().iter().zip(whole.nodes()) {
-            assert_eq!(m.mask, w.mask);
-            assert_eq!(m.regions.len(), w.regions.len());
-            for (key, c) in &m.regions {
-                assert_eq!(Some(c), w.regions.get(key), "node {:#b}", m.mask);
-            }
-        }
-        // support disagreements are refused
-        let other = crate::sparse::SparseHierarchy::try_build(&d, 5).unwrap();
-        assert!(matches!(
-            merged.merge_from(&other),
-            Err(CoreError::MergeMismatch { .. })
-        ));
     }
 
     #[test]

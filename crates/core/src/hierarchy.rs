@@ -138,26 +138,6 @@ impl Hierarchy {
         }
     }
 
-    /// Node-wise merge of another shard's lattice into this one:
-    /// every node's region counts and the level-0 totals are summed.
-    /// Exact under any row partition (counts are row sums), provided
-    /// both lattices cover the same protected layout — disagreements
-    /// fail with [`CoreError`](crate::error::CoreError)`::MergeMismatch`.
-    pub fn merge_from(&mut self, other: &Hierarchy) -> Result<(), crate::error::CoreError> {
-        crate::counting::check_merge_layout(
-            (&self.protected, &self.cards, &self.ordered),
-            (&other.protected, &other.cards, &other.ordered),
-        )?;
-        for (node, theirs) in self.nodes.iter_mut().zip(&other.nodes) {
-            debug_assert_eq!(node.mask, theirs.mask);
-            for (&key, &counts) in &theirs.regions {
-                node.regions.entry(key).or_default().add(counts);
-            }
-        }
-        self.totals.add(other.totals);
-        Ok(())
-    }
-
     /// Number of protected attributes (`|X|`).
     pub fn arity(&self) -> usize {
         self.protected.len()
@@ -264,23 +244,6 @@ pub(crate) fn get_byte(key: u128, pos: usize) -> u32 {
     ((key >> (8 * pos)) & 0xFF) as u32
 }
 
-/// Aggregates per-region counts for a single attribute set over the
-/// *current* dataset. Delegates to the shared counting seam
-/// ([`crate::counting`]), which owns the crate's one key-packing loop.
-///
-/// # Panics
-///
-/// On an attribute set no leaf layout can carry (a column with over 255
-/// categories).
-pub fn node_counts(
-    data: &Dataset,
-    protected: &[usize],
-    attr_positions: &[usize],
-) -> FastMap<u128, Counts> {
-    let cols: Vec<usize> = attr_positions.iter().map(|&j| protected[j]).collect();
-    crate::counting::node_counts(data, &cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,18 +333,6 @@ mod tests {
         assert_eq!(drop_byte(key, 1), 0x03_01);
         assert_eq!(drop_byte(key, 0), 0x03_02);
         assert_eq!(set_byte(key, 1, 9), 0x03_09_01);
-    }
-
-    #[test]
-    fn node_counts_matches_hierarchy() {
-        let d = data();
-        let h = Hierarchy::try_build(&d).unwrap();
-        let protected = d.schema().protected_indices();
-        let counts = node_counts(&d, &protected, &[0, 1]);
-        assert_eq!(counts.len(), h.node(0b11).regions.len());
-        for (key, c) in counts {
-            assert_eq!(c, h.counts(0b11, key));
-        }
     }
 
     #[test]

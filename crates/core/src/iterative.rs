@@ -97,7 +97,10 @@ pub fn remedy_iterative_over(
             seed: params.remedy.seed.wrapping_add(round as u64),
             ..params.remedy.clone()
         };
-        let outcome = remedy_over_with(&current, protected, &round_params, &ObsScope::disabled());
+        // the first identify above already refused any protected set the
+        // remedy cannot carry
+        let outcome = remedy_over_with(&current, protected, &round_params, &ObsScope::disabled())
+            .unwrap_or_else(|e| panic!("{e}"));
         let progressed = !outcome.updates.is_empty();
         current = outcome.dataset;
         updates.extend(outcome.updates);

@@ -57,9 +57,7 @@ pub use iterative::{remedy_iterative, IterativeOutcome, IterativeParams};
 pub use neighbor_model::{NeighborModel, NeighborTally};
 pub use neighborhood::Neighborhood;
 pub use params::{IbsParamsBuilder, ParamError, RemedyParamsBuilder, DEFAULT_SEED};
-pub use remedy::{
-    remedy, remedy_over_scan, remedy_over_with, remedy_with, RemedyOutcome, RemedyParams, Technique,
-};
+pub use remedy::{remedy, remedy_over_with, remedy_with, RemedyOutcome, RemedyParams, Technique};
 pub use scope::Scope;
 pub use score::imbalance;
 pub use sparse::SparseHierarchy;

@@ -150,52 +150,6 @@ impl SparseHierarchy {
     ) -> Result<SparseHierarchy, CoreError> {
         ShardCounts::scan_over(data, protected, 0)?.to_sparse(support)
     }
-
-    /// Per-level candidate-map merge of another shard's pruned lattice:
-    /// the surviving node sets are unioned (kept in level-then-mask
-    /// enumeration order), matching nodes sum their region maps, and
-    /// totals add. Both sides must share the protected layout *and*
-    /// support threshold ([`CoreError::MergeMismatch`] otherwise).
-    ///
-    /// Exactness caveat: at `support = 0` the merge equals a
-    /// whole-dataset build, but at a positive support it is only a
-    /// *lower bound* — a region frequent globally can sit below the
-    /// threshold in every shard, so its node survives in neither input.
-    /// Exact sharded pruning therefore merges **unpruned** leaf counts
-    /// first ([`crate::counting::ShardCounts`]) and prunes once,
-    /// globally.
-    pub fn merge_from(&mut self, other: &SparseHierarchy) -> Result<(), CoreError> {
-        crate::counting::check_merge_layout(
-            (&self.protected, &self.cards, &self.ordered),
-            (&other.protected, &other.cards, &other.ordered),
-        )?;
-        if self.support != other.support {
-            return Err(CoreError::MergeMismatch {
-                detail: format!("support {} != {}", self.support, other.support),
-            });
-        }
-        for theirs in &other.nodes {
-            match self.by_mask.get(&theirs.mask) {
-                Some(&i) => {
-                    let node = &mut self.nodes[i];
-                    for (&key, &counts) in &theirs.regions {
-                        node.regions.entry(key).or_default().add(counts);
-                    }
-                }
-                None => self.nodes.push(theirs.clone()),
-            }
-        }
-        self.nodes
-            .sort_by_key(|node| (node.mask.count_ones(), node.mask));
-        self.by_mask = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| (node.mask, i))
-            .collect();
-        self.totals.add(other.totals);
-        Ok(())
-    }
 }
 
 impl<C: Tally> SparseHierarchy<C> {

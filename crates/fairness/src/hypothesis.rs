@@ -11,7 +11,7 @@
 use crate::explorer::{Explorer, SubgroupReport};
 use crate::measure::Statistic;
 use remedy_core::{try_identify_over, Algorithm, BiasedRegion, CoreError, IbsParams};
-use remedy_dataset::{Dataset, Pattern};
+use remedy_dataset::Dataset;
 
 /// How one unfair subgroup relates to the IBS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,36 +131,10 @@ pub fn validate_hypothesis(
     }
 }
 
-/// Convenience: true when a pattern matches or generalizes any IBS region.
-pub fn is_explained(pattern: &Pattern, ibs: &[BiasedRegion]) -> bool {
-    ibs.iter().any(|r| pattern.dominates(&r.pattern))
-}
-
 /// End-to-end Figure 3 run: identify the IBS on training data, find unfair
-/// subgroups in test predictions, and cross-reference. Both steps use the
-/// schema's protected attributes. Fails as [`validate_on_columns`] does.
-pub fn validate_on(
-    train: &Dataset,
-    test: &Dataset,
-    predictions: &[u8],
-    statistic: Statistic,
-    params: &IbsParams,
-    tau_d: f64,
-) -> Result<HypothesisValidation, CoreError> {
-    let protected = train.schema().protected_indices();
-    validate_on_columns(
-        train,
-        test,
-        predictions,
-        statistic,
-        params,
-        tau_d,
-        &protected,
-    )
-}
-
-/// Like [`validate_on`] but over an explicit column set — the paper's own
-/// examples span non-protected attributes (Example 2's `#prior`, the
+/// subgroups in test predictions, and cross-reference, both over an
+/// explicit column set — the paper's own examples span non-protected
+/// attributes (Example 2's `#prior`, the
 /// Figure 1 hierarchy over `{Age, #prior, Race}`), which this enables.
 /// Fails with the identification error for a column set `params` cannot
 /// enumerate, or as [`Explorer::explore`] does.
@@ -199,13 +173,14 @@ mod tests {
         let model =
             remedy_classifiers::train(remedy_classifiers::ModelKind::DecisionTree, &train, 11);
         let predictions = model.predict(&test);
-        let validation = validate_on(
+        let validation = validate_on_columns(
             &train,
             &test,
             &predictions,
             Statistic::Fpr,
             &IbsParams::default(),
             0.1,
+            &train.schema().protected_indices(),
         )
         .unwrap();
         assert!(validation.total() > 0, "expected some unfair subgroups");
@@ -224,13 +199,14 @@ mod tests {
         let model =
             remedy_classifiers::train(remedy_classifiers::ModelKind::DecisionTree, &train, 3);
         let predictions = model.predict(&test);
-        let validation = validate_on(
+        let validation = validate_on_columns(
             &train,
             &test,
             &predictions,
             Statistic::Fpr,
             &IbsParams::default(),
             0.1,
+            &train.schema().protected_indices(),
         )
         .unwrap();
         let overall = crate::ConfusionCounts::from_predictions(&predictions, test.labels()).fpr();
@@ -254,13 +230,14 @@ mod tests {
         if !unfair.is_empty() {
             assert_eq!(validation.explained_fraction(), 0.0);
         }
-        // and with the real IBS, is_explained agrees with the marks
+        // and with the real IBS, a subgroup is explained exactly when it
+        // matches or generalizes an IBS region
         let ibs = identify(&data, &IbsParams::default(), Algorithm::Optimized);
         let validation = validate_hypothesis(&unfair, &ibs, Statistic::Fpr);
         for s in &validation.subgroups {
             assert_eq!(
                 s.mark != IbsMark::Unexplained,
-                is_explained(&s.report.pattern, &ibs)
+                ibs.iter().any(|r| s.report.pattern.dominates(&r.pattern))
             );
         }
     }

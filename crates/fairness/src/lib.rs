@@ -34,9 +34,7 @@ pub mod violation;
 pub use confusion::ConfusionCounts;
 pub use explorer::{Explorer, SubgroupReport};
 pub use group::{group_fairness, GroupFairnessReport};
-pub use hypothesis::{
-    validate_hypothesis, validate_on, validate_on_columns, HypothesisValidation, IbsMark,
-};
+pub use hypothesis::{validate_hypothesis, validate_on_columns, HypothesisValidation, IbsMark};
 pub use index::{fairness_index, index_of, FairnessIndexParams};
 pub use measure::{divergence, statistic_of, Statistic};
 pub use report::{audit, audit_score, AuditConfig, AuditReport, AuditScore};

@@ -86,29 +86,6 @@ pub fn subgroup_counts(data: &Dataset, predictions: &[u8], pattern: &Pattern) ->
     ConfusionCounts::from_masked(predictions, data.labels(), |i| data.matches(pattern, i))
 }
 
-/// Convenience: `Δγ_g` for a subgroup pattern against the full dataset.
-pub fn subgroup_divergence(
-    data: &Dataset,
-    predictions: &[u8],
-    pattern: &Pattern,
-    stat: Statistic,
-) -> f64 {
-    let overall = ConfusionCounts::from_predictions(predictions, data.labels());
-    let sub = subgroup_counts(data, predictions, pattern);
-    divergence(statistic_of(&sub, stat), statistic_of(&overall, stat))
-}
-
-/// Whether a subgroup is `τ_d`-fair under a statistic (Definition 1).
-pub fn is_fair(
-    data: &Dataset,
-    predictions: &[u8],
-    pattern: &Pattern,
-    stat: Statistic,
-    tau_d: f64,
-) -> bool {
-    subgroup_divergence(data, predictions, pattern, stat) <= tau_d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,25 +149,27 @@ mod tests {
         );
     }
 
+    /// Definition 1 on the fixture: `Δγ_g = |γ_g − γ_d|` against the
+    /// whole dataset, and a subgroup is `τ_d`-fair iff `Δγ_g ≤ τ_d`.
     #[test]
-    fn subgroup_divergence_example() {
+    fn definition_1_divergence_and_threshold() {
         let (d, preds) = setup();
+        let overall = statistic_of(
+            &ConfusionCounts::from_predictions(&preds, d.labels()),
+            Statistic::Fpr,
+        );
+        let div = |code: u32| {
+            let pattern = Pattern::from_terms([(0usize, code)]);
+            let sub = subgroup_counts(&d, &preds, &pattern);
+            divergence(statistic_of(&sub, Statistic::Fpr), overall)
+        };
         // overall FPR = 2/4 = 0.5; group a FPR = 1.0 → divergence 0.5
-        let pa = Pattern::from_terms([(0usize, 0u32)]);
-        let div = subgroup_divergence(&d, &preds, &pa, Statistic::Fpr);
-        assert!((div - 0.5).abs() < 1e-12);
+        assert!((div(0) - 0.5).abs() < 1e-12);
         // group b FPR = 0 → divergence 0.5 as well
-        let pb = Pattern::from_terms([(0usize, 1u32)]);
-        let div_b = subgroup_divergence(&d, &preds, &pb, Statistic::Fpr);
-        assert!((div_b - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fairness_threshold_definition_1() {
-        let (d, preds) = setup();
-        let pa = Pattern::from_terms([(0usize, 0u32)]);
-        assert!(!is_fair(&d, &preds, &pa, Statistic::Fpr, 0.1));
-        assert!(is_fair(&d, &preds, &pa, Statistic::Fpr, 0.6));
+        assert!((div(1) - 0.5).abs() < 1e-12);
+        // unfair at τ_d = 0.1, fair at τ_d = 0.6
+        assert!(div(0) > 0.1);
+        assert!(div(0) <= 0.6);
     }
 
     #[test]

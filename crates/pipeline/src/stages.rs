@@ -339,7 +339,11 @@ pub fn remedy_stage(
         &format!("remedy {} tau={}", params.technique, params.tau_c),
         obs,
         move || {
-            let outcome = remedy_core::remedy_with(train_set, &params, &inner_obs);
+            // identify has already run on this split, so a protected set
+            // the remedy cannot carry is a failure, not a plan rejection
+            let protected = train_set.schema().protected_indices();
+            let outcome = remedy_core::remedy_over_with(train_set, &protected, &params, &inner_obs)
+                .map_err(|e| PipelineError::fatal(e.to_string()))?;
             Ok(data_persist::dataset_to_text(&outcome.dataset))
         },
     )

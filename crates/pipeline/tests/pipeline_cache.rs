@@ -135,15 +135,15 @@ fn metrics_match_manual_computation() {
     );
 }
 
-/// Cache parity with the pre-index scan implementation: the remedy
-/// artifact the pipeline persists (computed through the incremental
-/// `RegionIndex` engine) must be byte-identical to `remedy_over_scan` on
-/// the same split — and the cache key is unchanged — so `.remedy-cache`
-/// entries written by the per-node scan code path replay under the
-/// incremental engine, and vice versa.
+/// The remedy artifact the pipeline persists is the remedied split
+/// `remedy_over_with` computes for the same params, and that remedy's
+/// output (dataset text and update records) matches a golden digest
+/// recorded when a per-node rescan implementation shipped beside the
+/// index-backed one and both produced it — so `.remedy-cache` entries
+/// written by either code path replay unchanged.
 #[test]
-fn remedy_cache_artifact_matches_scan_baseline() {
-    let cache = fresh_cache("scan_parity");
+fn remedy_cache_artifact_matches_golden_remedy() {
+    let cache = fresh_cache("golden_remedy");
     let plan = Plan::parse(PLAN).unwrap();
     let manifest = run(&plan, &opts(&cache)).unwrap();
 
@@ -153,11 +153,11 @@ fn remedy_cache_artifact_matches_scan_baseline() {
         std::fs::read_to_string(cache.join(format!("remedy-{}", rec.key)).join("artifact"))
             .unwrap();
 
-    // the scan baseline's artifact for the same split and params
+    // the in-process remedy of the same split and params
     let data = synth::compas_n(1000, 9);
     let (train_set, _) = train_test_split(&data, 0.7, 9).unwrap();
     let protected = train_set.schema().protected_indices();
-    let scanned = remedy_core::remedy_over_scan(
+    let outcome = remedy_core::remedy_over_with(
         &train_set,
         &protected,
         &RemedyParams::builder()
@@ -167,11 +167,15 @@ fn remedy_cache_artifact_matches_scan_baseline() {
             .seed(9)
             .build()
             .unwrap(),
-    );
+        &remedy_obs::Scope::disabled(),
+    )
+    .unwrap();
+    let text = remedy_dataset::persist::dataset_to_text(&outcome.dataset);
+    assert_eq!(artifact, text, "pipeline remedy artifact diverges");
     assert_eq!(
-        artifact,
-        remedy_dataset::persist::dataset_to_text(&scanned.dataset),
-        "incremental remedy artifact diverges from the scan baseline"
+        remedy_core::stable_hash(format!("{text}\n{:?}", outcome.updates).as_bytes()),
+        0x1aaa2aa2f7194d6fbd47f3863184d34b,
+        "remedy output drifted from its golden digest"
     );
 
     // a warm re-run replays that artifact from cache

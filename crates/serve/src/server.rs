@@ -24,7 +24,7 @@ use crate::durable::{self, Durable, DurableConfig, DurablePolicy};
 use crate::protocol::{self, Fields, Request};
 use crate::session::{lock_session_for, Registry, Session};
 use remedy_classifiers::{train, ModelKind};
-use remedy_core::{remedy_with, RemedyParams, DEFAULT_SEED};
+use remedy_core::{remedy_over_with, RemedyParams, DEFAULT_SEED};
 use remedy_dataset::source::{self, FormatPolicy};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::{csv, synth, Stored};
@@ -580,7 +580,9 @@ fn op_remedy(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields
     // under the lock whole
     let mut session = lock_session_for(&session, "remedy", &rec.scope("serve"));
     session.index.flush_deltas();
-    let outcome = remedy_with(&session.data, &params, &rec.scope("remedy"));
+    let protected = session.data.schema().protected_indices();
+    let outcome = remedy_over_with(&session.data, &protected, &params, &rec.scope("remedy"))
+        .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
     let rows_before = session.data.len();
     let rows_after = outcome.dataset.len();
     let schema = session.data.schema();

@@ -505,6 +505,43 @@ fn pruned_identify_round_trips_byte_identically() {
     handle.join().unwrap().unwrap();
 }
 
+/// `remedy` walks every lattice node, so on a session past the dense
+/// arity ceiling it answers a typed `invalid-plan` error, applied or not,
+/// and the session keeps its rows.
+#[test]
+fn remedy_past_the_dense_ceiling_is_a_typed_error() {
+    let (addr, handle) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .call(
+            "{\"op\":\"load\",\"session\":\"w\",\"source\":\"wide\",\"rows\":2000,\
+             \"arity\":20,\"seed\":7}",
+        )
+        .unwrap();
+    for apply in [false, true] {
+        let err = client
+            .call(&format!(
+                "{{\"op\":\"remedy\",\"session\":\"w\",\"apply\":{apply}}}"
+            ))
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidPlan, "apply={apply}");
+        assert!(
+            err.message()
+                .contains("at most 16 protected attributes supported, got 20"),
+            "{err}"
+        );
+    }
+    let live = client
+        .call("{\"op\":\"identify\",\"session\":\"w\",\"pruned\":true}")
+        .unwrap();
+    assert_eq!(live.u64_field("rows").unwrap(), 2000);
+    let stats = client.call("{\"op\":\"stats\"}").unwrap();
+    assert_eq!(counter(&stats, "serve", "err.remedy.invalid-plan"), Some(2));
+
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+}
+
 /// A client that streams past the request-line cap without a newline is
 /// answered with one typed `invalid-plan` line and disconnected, while the
 /// daemon keeps serving every other client.

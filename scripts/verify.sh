@@ -24,11 +24,11 @@ cargo test -q -p remedy-serve --features failpoints
 cargo test -q --release -p remedy-serve --test serve_props \
     identify_under_concurrent_ingest_answers_at_its_echoed_epoch
 # counting-engine property suite (edit interleavings vs rebuild, remedy
-# byte-parity with the scan baseline) ...
+# outputs vs their golden digests) ...
 cargo test -q -p remedy-core --test counting_props
-# ... and the release-mode timing smoke check: the incremental remedy
-# must not be slower than the per-node scan it replaced
-cargo test -q --release -p remedy-core --test counting_props -- --ignored
+# ... and the independent §II oracle against every identify source and
+# the leaf remedy's updates, in release mode too (no overflow checks)
+cargo test -q --release -p remedy-core --test oracle
 # support-pruned enumeration: byte-parity with dense in release mode
 # (where the debug overflow checks that caught the packed-key wrap are
 # off), plus the sub-second p=24 identify the dense lattice refuses
