@@ -109,6 +109,19 @@ mod tests {
         );
     }
 
+    /// §VI's iterated remedy, on the `discussion` bin's own input: every
+    /// round shrinks the COMPAS IBS, and it is empty within three rounds.
+    #[test]
+    fn iterated_remedy_empties_compas_ibs() {
+        let data = crate::datasets::load(DatasetSpec::Compas, 42);
+        let (train_set, _) = paper_split(&data, 42);
+        let outcome = remedy_core::remedy_iterative(&train_set, &Default::default());
+        let trace = &outcome.ibs_trace;
+        assert!(trace.windows(2).all(|w| w[1] < w[0]), "{trace:?}");
+        assert_eq!(trace.last(), Some(&0), "{trace:?}");
+        assert!(outcome.rounds() <= 3, "{trace:?}");
+    }
+
     #[test]
     fn evaluation_fields_are_sane() {
         let data = load_n(DatasetSpec::Compas, 1_500, 3);

@@ -1,14 +1,21 @@
-//! The hierarchy of intersectional regions (§III, Figure 1).
+//! The hierarchy of intersectional regions (§III, Figure 1), and its
+//! dense builder.
 //!
 //! Nodes group all patterns sharing the same set of deterministic protected
 //! attributes; levels equal the number of deterministic elements. Each
 //! node's regions are stored as packed value keys (8 bits per attribute)
-//! with their class counts, aggregated in a single pass over the data and
-//! projected node-to-node down the lattice.
+//! with their class counts. The lattice itself is one type,
+//! [`SparseHierarchy`]; this module builds it densely: every one of the
+//! `2^p − 1` nodes, aggregated in a single pass over the data and
+//! projected node-to-node down the lattice. The [`Hierarchy`] newtype
+//! records that every node is present; the support-pruned builder lives
+//! in [`crate::sparse`].
 
 use crate::hash::FastMap;
 use crate::score::Counts;
+use crate::sparse::SparseHierarchy;
 use remedy_dataset::{Dataset, Pattern};
+use std::ops::Deref;
 
 /// Maximum number of protected attributes a hierarchy supports (keys pack
 /// 8 bits per attribute into a `u128`).
@@ -36,20 +43,21 @@ impl<C> Node<C> {
     }
 }
 
-/// The full lattice of regions over a dataset's protected attributes.
+/// The full lattice of regions over a dataset's protected attributes: a
+/// [`SparseHierarchy`] at support 0 that holds every one of the
+/// `2^p − 1` nodes (`p ≤` [`MAX_PROTECTED`]) in mask order.
+///
+/// Every accessor is the shared lattice's, through `Deref`; this type
+/// adds only what relies on every node being present.
 #[derive(Debug, Clone)]
-pub struct Hierarchy {
-    /// Dataset column indices of the protected attributes.
-    protected: Vec<usize>,
-    /// Cardinalities of the protected attributes.
-    cards: Vec<u32>,
-    /// Whether each protected attribute's domain carries a natural order
-    /// (drives the refined distance of `Neighborhood::OrderedRadius`).
-    ordered: Vec<bool>,
-    /// Nodes indexed by `mask - 1` for `mask ∈ [1, 2^p)`.
-    nodes: Vec<Node>,
-    /// Level-0 counts: the entire dataset.
-    totals: Counts,
+pub struct Hierarchy(SparseHierarchy);
+
+impl Deref for Hierarchy {
+    type Target = SparseHierarchy;
+
+    fn deref(&self) -> &SparseHierarchy {
+        &self.0
+    }
 }
 
 impl Hierarchy {
@@ -129,77 +137,26 @@ impl Hierarchy {
             nodes[(parent_mask - 1) as usize].regions = parent_regions;
         }
 
-        Hierarchy {
-            protected,
-            cards,
-            ordered,
-            nodes,
-            totals,
-        }
-    }
-
-    /// Number of protected attributes (`|X|`).
-    pub fn arity(&self) -> usize {
-        self.protected.len()
-    }
-
-    /// Dataset column indices of the protected attributes.
-    pub fn protected(&self) -> &[usize] {
-        &self.protected
-    }
-
-    /// Cardinality of protected attribute at position `j`.
-    pub fn cardinality(&self, j: usize) -> u32 {
-        self.cards[j]
-    }
-
-    /// Whether protected attribute at position `j` has an ordered domain.
-    pub fn is_ordered(&self, j: usize) -> bool {
-        self.ordered[j]
-    }
-
-    /// Whole-dataset class counts (level 0).
-    pub fn totals(&self) -> Counts {
-        self.totals
-    }
-
-    /// All nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        Hierarchy(SparseHierarchy::new(
+            protected, cards, ordered, totals, 0, nodes,
+        ))
     }
 
     /// The node for a deterministic-attribute bitmask.
     pub fn node(&self, mask: u32) -> &Node {
-        &self.nodes[(mask - 1) as usize]
+        &self.nodes()[(mask - 1) as usize]
     }
 
     /// Counts of a region, or zero counts if the region is empty.
     pub fn counts(&self, mask: u32, key: u128) -> Counts {
         if mask == 0 {
-            return self.totals;
+            return self.totals();
         }
         self.node(mask)
             .regions
             .get(&key)
             .copied()
             .unwrap_or_default()
-    }
-
-    /// Total number of non-empty regions across all nodes.
-    pub fn region_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.regions.len()).sum()
-    }
-
-    /// Reconstructs the [`Pattern`] of a region from its node mask and
-    /// packed value key.
-    pub fn pattern_of(&self, mask: u32, key: u128) -> Pattern {
-        let mut pattern = Pattern::empty();
-        let node = self.node(mask);
-        for (i, &j) in node.attrs.iter().enumerate() {
-            let code = ((key >> (8 * i)) & 0xFF) as u32;
-            pattern.set(self.protected[j], code);
-        }
-        pattern
     }
 
     /// Packs a pattern (over this hierarchy's protected attributes) into
@@ -209,7 +166,7 @@ impl Hierarchy {
         let mut mask = 0u32;
         let mut codes: Vec<(usize, u32)> = Vec::with_capacity(pattern.level());
         for (col, code) in pattern.terms() {
-            let j = self.protected.iter().position(|&a| a == col)?;
+            let j = self.protected().iter().position(|&a| a == col)?;
             mask |= 1 << j;
             codes.push((j, code));
         }
@@ -220,6 +177,17 @@ impl Hierarchy {
         }
         Some((mask, key))
     }
+}
+
+/// The pattern of region `key` of node `mask`: key slot `i` holds the
+/// code of the mask's `i`-th set attribute.
+pub(crate) fn pattern_of(protected: &[usize], mask: u32, key: u128) -> Pattern {
+    let mut pattern = Pattern::empty();
+    let attrs = (0..protected.len()).filter(|j| mask >> j & 1 == 1);
+    for (slot, j) in attrs.enumerate() {
+        pattern.set(protected[j], get_byte(key, slot));
+    }
+    pattern
 }
 
 /// Removes the byte at `pos` from a packed key, shifting higher bytes down.

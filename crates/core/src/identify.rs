@@ -283,30 +283,8 @@ pub fn identify_in_sparse_with(
     algorithm: Algorithm,
     obs: &ObsScope,
 ) -> Vec<BiasedRegion> {
-    assert!(
-        sparse.support() <= params.min_size,
-        "hierarchy pruned at support {} cannot serve identify at min_size {}",
-        sparse.support(),
-        params.min_size
-    );
     let _span = obs.span("identify_in_sparse");
-    let mut result = Vec::new();
-    let masks = scoped_masks(sparse.nodes(), sparse.arity(), params);
-    scan_levels(&masks, obs, |mask, tally| {
-        let node = sparse.node(mask).expect("enumerated mask");
-        let model = NeighborModel::for_sparse(sparse, node, params.neighborhood, algorithm);
-        scan_regions(
-            mask,
-            &node.regions,
-            &model,
-            params,
-            tally,
-            &mut result,
-            |key| sparse.pattern_of(mask, key),
-        );
-    });
-    sort_regions(&mut result);
-    result
+    scan(sparse, params, algorithm, obs)
 }
 
 /// Identifies the IBS over a prebuilt dense hierarchy. (A prebuilt
@@ -322,56 +300,44 @@ pub fn identify_in_with(
     obs: &ObsScope,
 ) -> Vec<BiasedRegion> {
     let _span = obs.span("identify_in");
-    let mut result = Vec::new();
-    let masks = scoped_masks(hierarchy.nodes(), hierarchy.arity(), params);
-    scan_levels(&masks, obs, |mask, tally| {
-        let node = hierarchy.node(mask);
-        // one model per node: sibling projections / totals / distance
-        // table are built once, then every region queries through it
-        let model = NeighborModel::for_node(hierarchy, node, params.neighborhood, algorithm);
-        scan_regions(
-            mask,
-            &node.regions,
-            &model,
-            params,
-            tally,
-            &mut result,
-            |key| hierarchy.pattern_of(mask, key),
-        );
-    });
-    sort_regions(&mut result);
-    result
+    scan(hierarchy, params, algorithm, obs)
 }
 
-/// Masks of the nodes the params' scope covers, bottom-up: leaf level
-/// first.
-fn scoped_masks(nodes: &[Node], total_levels: usize, params: &IbsParams) -> Vec<u32> {
-    let mut masks: Vec<u32> = nodes
+/// The one identify scan, over a lattice of either enumeration: the
+/// nodes the params' scope covers, bottom-up (leaf level first), one
+/// [`ScanTally`] and one `level{d}_us` timing per level.
+fn scan(
+    lattice: &SparseHierarchy,
+    params: &IbsParams,
+    algorithm: Algorithm,
+    obs: &ObsScope,
+) -> Vec<BiasedRegion> {
+    assert!(
+        lattice.support() <= params.min_size,
+        "hierarchy pruned at support {} cannot serve identify at min_size {}",
+        lattice.support(),
+        params.min_size
+    );
+    let mut nodes: Vec<&Node> = lattice
+        .nodes()
         .iter()
-        .map(|n| n.mask)
-        .filter(|&m| params.scope.includes(m.count_ones() as usize, total_levels))
+        .filter(|n| params.scope.includes(n.level(), lattice.arity()))
         .collect();
-    masks.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
-    masks
-}
-
-/// Runs `scan_node` over level-sorted `masks`, one [`ScanTally`] and one
-/// `level{d}_us` timing per level.
-fn scan_levels(masks: &[u32], obs: &ObsScope, mut scan_node: impl FnMut(u32, &mut ScanTally)) {
-    let mut i = 0;
-    while i < masks.len() {
-        let level = masks[i].count_ones();
+    nodes.sort_by_key(|n| std::cmp::Reverse(n.level()));
+    let mut result = Vec::new();
+    for level in nodes.chunk_by(|a, b| a.level() == b.level()) {
         let timer = obs.timer();
         let mut tally = ScanTally::default();
-        while i < masks.len() && masks[i].count_ones() == level {
-            scan_node(masks[i], &mut tally);
-            i += 1;
+        for node in level {
+            scan_node(lattice, node, params, algorithm, &mut tally, &mut result);
         }
         tally.flush(obs);
         if timer.is_some() {
-            obs.observe_since(&format!("level{level}_us"), timer);
+            obs.observe_since(&format!("level{}_us", level[0].level()), timer);
         }
     }
+    sort_regions(&mut result);
+    result
 }
 
 /// Canonical result order: bottom-up by level, then by pattern.
@@ -406,19 +372,20 @@ impl ScanTally {
     }
 }
 
-/// The per-region scoring loop, shared verbatim by the dense and
-/// support-pruned scans so Definition 5 cannot drift between them. Only
-/// the pattern decoder differs (dense keys vs. the sparse codec).
-fn scan_regions(
-    mask: u32,
-    regions: &crate::hash::FastMap<u128, Counts>,
-    model: &NeighborModel<'_>,
+/// Scores every region of one node against its neighborhood
+/// (Definition 5), collecting the biased ones into `result`.
+fn scan_node(
+    lattice: &SparseHierarchy,
+    node: &Node,
     params: &IbsParams,
+    algorithm: Algorithm,
     tally: &mut ScanTally,
     result: &mut Vec<BiasedRegion>,
-    pattern_of: impl Fn(u128) -> Pattern,
 ) {
-    for (&key, &counts) in regions {
+    // one model per node: sibling projections / totals / distance table
+    // are built once, then every region queries through it
+    let model = NeighborModel::for_node(lattice, node, params.neighborhood, algorithm);
+    for (&key, &counts) in &node.regions {
         if counts.total() <= params.min_size {
             tally.skipped_min_size += 1;
             continue;
@@ -430,8 +397,8 @@ fn scan_regions(
         if is_biased(ratio, neighbor_ratio, params.tau_c) {
             tally.flagged += 1;
             result.push(BiasedRegion {
-                pattern: pattern_of(key),
-                mask,
+                pattern: lattice.pattern_of(node.mask, key),
+                mask: node.mask,
                 key,
                 counts,
                 ratio,

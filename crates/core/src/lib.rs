@@ -8,8 +8,10 @@
 //! Pipeline (Definitions 3–6, Algorithms 1–2 of the paper):
 //!
 //! 1. [`score::imbalance`] — imbalance score `ratio_r = |r⁺|/|r⁻|`.
-//! 2. [`hierarchy::Hierarchy`] — the lattice of regions over the protected
+//! 2. [`SparseHierarchy`] — the lattice of regions over the protected
 //!    attributes, with per-region class counts aggregated in one sweep.
+//!    Two builders produce it: the dense [`Hierarchy`] keeps every node,
+//!    the support-pruned [`mod@sparse`] enumeration only frequent ones.
 //! 3. [`mod@identify`] — the naïve algorithm (§III-A) and the optimized
 //!    Algorithm 1 (§III-B) locating all biased regions.
 //! 4. [`mod@remedy`] — Algorithm 2: per-node re-identification plus one of four

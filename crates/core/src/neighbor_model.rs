@@ -1,6 +1,6 @@
 //! The shared neighbor-computation seam.
 //!
-//! Identification (sequential, parallel, naïve, optimized) and the remedy
+//! Identification (naïve or optimized, dense or pruned) and the remedy
 //! both need the same primitive: *given one region of a node, what are the
 //! class counts of its neighboring region?* Before this module each caller
 //! hand-rolled its own `match` over [`Neighborhood`], so the ordered-radius
@@ -27,19 +27,22 @@
 //!   their code gap and unordered ones `0/1`. Both algorithms share this
 //!   enumeration, so Naive ≡ Optimized holds for the refined metric too.
 //!
-//! The model has two front doors. [`for_node`](NeighborModel::for_node)
-//! borrows a prebuilt [`Hierarchy`] (the identify side; dominating
-//! projections are borrowed from the parent nodes).
+//! The model has two constructors. [`for_node`](NeighborModel::for_node)
+//! borrows a node of a prebuilt lattice, dense or support-pruned (the
+//! identify side; dominating projections are borrowed from the parent
+//! nodes, which a pruned lattice keeps because its node set is downward
+//! closed).
 //! [`for_snapshot`](NeighborModel::for_snapshot) starts from a bare
 //! region-count map (the remedy side, which re-counts the mutating
-//! dataset per node and has no hierarchy to lean on; dominating
+//! dataset per node and has no lattice to lean on; dominating
 //! projections are built by dropping one key byte at a time).
 
 use crate::hash::FastMap;
-use crate::hierarchy::{drop_byte, get_byte, set_byte, Hierarchy, Node};
+use crate::hierarchy::{drop_byte, get_byte, set_byte, Node};
 use crate::identify::Algorithm;
 use crate::neighborhood::Neighborhood;
 use crate::score::Counts;
+use crate::sparse::SparseHierarchy;
 
 /// Lookup/underflow tallies of one batch of neighbor queries.
 ///
@@ -66,7 +69,7 @@ impl NeighborTally {
 }
 
 /// Per-slot dominating-region counts: borrowed from a parent node of a
-/// prebuilt hierarchy, or owned when projected out of a bare snapshot.
+/// prebuilt lattice, or owned when projected out of a bare snapshot.
 enum ParentCounts<'a> {
     Borrowed(&'a FastMap<u128, Counts>),
     Owned(FastMap<u128, Counts>),
@@ -112,66 +115,17 @@ pub struct NeighborModel<'a> {
 }
 
 impl<'a> NeighborModel<'a> {
-    /// Builds the model for one node of a prebuilt hierarchy, honoring the
-    /// algorithm choice for Unit/Full. The ordered-radius metric has a
-    /// single enumeration path shared by both algorithms.
-    pub fn for_node(
-        hierarchy: &'a Hierarchy,
-        node: &'a Node,
-        neighborhood: Neighborhood,
-        algorithm: Algorithm,
-    ) -> NeighborModel<'a> {
-        let mode = match (algorithm, neighborhood) {
-            (_, Neighborhood::OrderedRadius(t)) => Mode::Ordered {
-                table: node.regions.iter().map(|(&k, &c)| (k, c)).collect(),
-                ordered: node
-                    .attrs
-                    .iter()
-                    .map(|&j| hierarchy.is_ordered(j))
-                    .collect(),
-                radius: t,
-            },
-            (Algorithm::Naive, Neighborhood::Unit) => Mode::NaiveUnit {
-                regions: &node.regions,
-                cards: node
-                    .attrs
-                    .iter()
-                    .map(|&j| hierarchy.cardinality(j))
-                    .collect(),
-            },
-            (Algorithm::Naive, Neighborhood::Full) => Mode::NaiveFull {
-                regions: &node.regions,
-            },
-            (Algorithm::Optimized, Neighborhood::Unit) => Mode::DominatingUnit {
-                parents: (0..node.attrs.len())
-                    .map(|slot| {
-                        let parent_mask = node.mask & !(1 << node.attrs[slot]);
-                        if parent_mask == 0 {
-                            ParentCounts::Totals(hierarchy.totals())
-                        } else {
-                            ParentCounts::Borrowed(&hierarchy.node(parent_mask).regions)
-                        }
-                    })
-                    .collect(),
-            },
-            (Algorithm::Optimized, Neighborhood::Full) => Mode::TotalsFull {
-                totals: hierarchy.totals(),
-            },
-        };
-        NeighborModel { mode }
-    }
-
-    /// Builds the model for one node of a support-pruned
-    /// [`SparseHierarchy`](crate::sparse::SparseHierarchy), arm for arm
-    /// identical to [`NeighborModel::for_node`], so a sparse scan scores
-    /// every surviving region with byte-identical neighbor counts.
+    /// Builds the model for one node of a prebuilt lattice (a dense
+    /// [`Hierarchy`](crate::Hierarchy) coerces), honoring the algorithm
+    /// choice for Unit/Full. The ordered-radius metric has a single
+    /// enumeration path shared by both algorithms.
     ///
-    /// The dominating-unit parents are guaranteed present: the frequent
-    /// mask set is downward closed, so every parent of a surviving node
-    /// survives too (a frequent region projects onto a parent region of
-    /// at least the same support).
-    pub fn for_sparse(
-        sparse: &'a crate::sparse::SparseHierarchy,
+    /// The dominating-unit parents are always present: a pruned
+    /// lattice's mask set is downward closed, so every parent of a kept
+    /// node is kept too (a frequent region projects onto a parent region
+    /// of at least the same support).
+    pub fn for_node(
+        lattice: &'a SparseHierarchy,
         node: &'a Node,
         neighborhood: Neighborhood,
         algorithm: Algorithm,
@@ -179,12 +133,12 @@ impl<'a> NeighborModel<'a> {
         let mode = match (algorithm, neighborhood) {
             (_, Neighborhood::OrderedRadius(t)) => Mode::Ordered {
                 table: node.regions.iter().map(|(&k, &c)| (k, c)).collect(),
-                ordered: node.attrs.iter().map(|&j| sparse.is_ordered(j)).collect(),
+                ordered: node.attrs.iter().map(|&j| lattice.is_ordered(j)).collect(),
                 radius: t,
             },
             (Algorithm::Naive, Neighborhood::Unit) => Mode::NaiveUnit {
                 regions: &node.regions,
-                cards: node.attrs.iter().map(|&j| sparse.cardinality(j)).collect(),
+                cards: node.attrs.iter().map(|&j| lattice.cardinality(j)).collect(),
             },
             (Algorithm::Naive, Neighborhood::Full) => Mode::NaiveFull {
                 regions: &node.regions,
@@ -194,10 +148,10 @@ impl<'a> NeighborModel<'a> {
                     .map(|slot| {
                         let parent_mask = node.mask & !(1 << node.attrs[slot]);
                         if parent_mask == 0 {
-                            ParentCounts::Totals(sparse.totals())
+                            ParentCounts::Totals(lattice.totals())
                         } else {
-                            let parent = sparse.node(parent_mask).unwrap_or_else(|| {
-                                panic!("pruned parent {parent_mask:#x} of a surviving node")
+                            let parent = lattice.node(parent_mask).unwrap_or_else(|| {
+                                panic!("pruned parent {parent_mask:#x} of a kept node")
                             });
                             ParentCounts::Borrowed(&parent.regions)
                         }
@@ -205,7 +159,7 @@ impl<'a> NeighborModel<'a> {
                     .collect(),
             },
             (Algorithm::Optimized, Neighborhood::Full) => Mode::TotalsFull {
-                totals: sparse.totals(),
+                totals: lattice.totals(),
             },
         };
         NeighborModel { mode }
@@ -362,6 +316,7 @@ impl<'a> NeighborModel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Hierarchy;
     use remedy_dataset::{Attribute, Dataset, Schema};
 
     /// Two protected attributes (3×2), the second one ordered.

@@ -20,7 +20,7 @@
 use crate::counting::RegionIndex;
 use crate::error::{check_dense_arity, CoreError};
 use crate::hash::FastMap;
-use crate::hierarchy::get_byte;
+use crate::hierarchy::pattern_of;
 use crate::identify::{is_biased, IbsParams};
 use crate::neighbor_model::{NeighborModel, NeighborTally};
 use crate::neighborhood::Neighborhood;
@@ -348,7 +348,7 @@ fn remedy_driver(
         let updates_before = updates.len();
         let mut flipped = 0u64;
         for (key, own, target) in biased {
-            let pattern = pattern_of(protected, &attrs, key);
+            let pattern = pattern_of(protected, mask, key);
             let rows = engine.index.region_rows(mask, key);
             if let Some(update) = apply_technique(
                 engine,
@@ -411,14 +411,6 @@ fn biased_from_model(
     // deterministic processing order
     out.sort_by_key(|&(key, _, _)| key);
     (out, tally)
-}
-
-fn pattern_of(protected: &[usize], attrs: &[usize], key: u128) -> Pattern {
-    let mut pattern = Pattern::empty();
-    for (slot, &j) in attrs.iter().enumerate() {
-        pattern.set(protected[j], get_byte(key, slot));
-    }
-    pattern
 }
 
 /// Applies one technique to one region. Returns `None` when the target is

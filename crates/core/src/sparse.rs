@@ -1,24 +1,26 @@
-//! Support-pruned region enumeration: the lattice without the wall.
+//! The region lattice type, and its support-pruned builder.
 //!
-//! The dense [`Hierarchy`](crate::Hierarchy) materializes all `2^p − 1`
-//! lattice nodes, which caps the protected arity at
-//! [`crate::hierarchy::MAX_PROTECTED`] and costs
-//! exponential time well before that. [`SparseHierarchy`] instead
-//! enumerates the lattice level by level, Apriori-style (Fairpriori's
-//! observation): a node is *frequent* iff at least one of its regions has
-//! more than `support` rows, and because refining a region can only
-//! shrink it, the frequent-node set is downward closed — every mask below
-//! a frequent mask is frequent. Candidates at level `L+1` therefore come
-//! only from frequent level-`L` masks extended by a higher-numbered
-//! attribute, kept when all their level-`L` sub-masks are frequent, and
-//! everything above an infrequent mask is skipped without ever being
-//! counted.
+//! [`SparseHierarchy`] is the one lattice type: the nodes an enumeration
+//! kept, each with its complete region map, plus the protected layout and
+//! the support the nodes were pruned at. Two builders produce it and
+//! nothing else differs between them. The dense
+//! [`Hierarchy`](crate::Hierarchy) projects every one of the `2^p − 1`
+//! nodes top-down from the leaves (support 0, `p ≤`
+//! [`crate::hierarchy::MAX_PROTECTED`]). The builder here enumerates the
+//! lattice level by level, Apriori-style (Fairpriori's observation): a
+//! node is *frequent* iff at least one of its regions has more than
+//! `support` rows, and because refining a region can only shrink it, the
+//! frequent-node set is downward closed — every mask below a frequent
+//! mask is frequent. Candidates at level `L+1` therefore come only from
+//! frequent level-`L` masks extended by a higher-numbered attribute, kept
+//! when all their level-`L` sub-masks are frequent, and everything above
+//! an infrequent mask is skipped without ever being counted.
 //!
 //! **Parity invariant.** When `support` equals the identify pass's
 //! `min_size`, the skipped nodes are exactly those whose regions the
 //! dense scan would all reject as too small, and every surviving node
 //! carries its *complete* region map (aggregated over all leaves, not
-//! just the frequent cells). Identify over a [`SparseHierarchy`] is
+//! just the frequent cells). Identify over a pruned lattice is
 //! therefore byte-identical to the dense scan for every neighborhood
 //! mode — including the naive ones that sum infrequent sibling regions.
 //!
@@ -113,15 +115,16 @@ struct LeafCols<C> {
 /// hash map — a large constant-factor win on the counting hot loop.
 const DENSE_ACC_LIMIT: usize = 1 << 16;
 
-/// The support-pruned lattice: only frequent nodes, each with its
-/// complete region map of `C` tallies (label [`Counts`] unless built from
-/// [`ShardCounts::scan_classes`]).
+/// The lattice of regions over a set of protected attributes: the nodes
+/// its builder kept, each with its complete region map of `C` tallies
+/// (label [`Counts`] unless built from [`ShardCounts::scan_classes`]).
 ///
-/// Accessors mirror [`Hierarchy`](crate::Hierarchy), except that
+/// A lattice pruned at `support` may lack nodes, so
 /// [`node`](SparseHierarchy::node) returns an `Option` — absence means
 /// "every region of that node has at most `support` rows", which is
 /// exactly the set of nodes an identify pass at `min_size ≥ support` can
-/// skip.
+/// skip. The dense [`Hierarchy`](crate::Hierarchy) wraps one that holds
+/// every node.
 #[derive(Debug, Clone)]
 pub struct SparseHierarchy<C = Counts> {
     protected: Vec<usize>,
@@ -130,6 +133,7 @@ pub struct SparseHierarchy<C = Counts> {
     totals: C,
     support: u64,
     nodes: Vec<Node<C>>,
+    /// Node mask → position in `nodes`.
     by_mask: FastMap<u32, usize>,
 }
 
@@ -201,12 +205,26 @@ impl<C: Tally> SparseHierarchy<C> {
             level += 1;
         }
 
+        Ok(SparseHierarchy::new(
+            protected, cards, ordered, totals, support, nodes,
+        ))
+    }
+
+    /// Wraps the nodes a builder kept, indexing them by mask.
+    pub(crate) fn new(
+        protected: Vec<usize>,
+        cards: Vec<u32>,
+        ordered: Vec<bool>,
+        totals: C,
+        support: u64,
+        nodes: Vec<Node<C>>,
+    ) -> SparseHierarchy<C> {
         let by_mask = nodes
             .iter()
             .enumerate()
             .map(|(i, node)| (node.mask, i))
             .collect();
-        Ok(SparseHierarchy {
+        SparseHierarchy {
             protected,
             cards,
             ordered,
@@ -214,15 +232,16 @@ impl<C: Tally> SparseHierarchy<C> {
             support,
             nodes,
             by_mask,
-        })
+        }
     }
 
-    /// Number of protected attributes (may exceed the dense limit).
+    /// Number of protected attributes (`|X|`; past the dense limit only
+    /// when pruned).
     pub fn arity(&self) -> usize {
         self.protected.len()
     }
 
-    /// Schema column indices of the protected attributes.
+    /// Dataset column indices of the protected attributes.
     pub fn protected(&self) -> &[usize] {
         &self.protected
     }
@@ -237,17 +256,19 @@ impl<C: Tally> SparseHierarchy<C> {
         self.ordered[j]
     }
 
-    /// Dataset-wide tally.
+    /// Dataset-wide tally (level 0).
     pub fn totals(&self) -> C {
         self.totals
     }
 
-    /// The support threshold the enumeration was pruned at.
+    /// The support threshold the enumeration was pruned at (0 when
+    /// dense).
     pub fn support(&self) -> u64 {
         self.support
     }
 
-    /// Surviving nodes, in level-then-mask enumeration order.
+    /// The nodes the builder kept: every mask in ascending order when
+    /// dense, the frequent ones in level-then-mask order when pruned.
     pub fn nodes(&self) -> &[Node<C>] {
         &self.nodes
     }
@@ -258,28 +279,15 @@ impl<C: Tally> SparseHierarchy<C> {
         self.by_mask.get(&mask).map(|&i| &self.nodes[i])
     }
 
-    /// Total regions across surviving nodes.
+    /// Total regions across the lattice's nodes.
     pub fn region_count(&self) -> usize {
         self.nodes.iter().map(|n| n.regions.len()).sum()
     }
 
-    /// Reconstructs the human-readable pattern of a region, exactly as
-    /// the dense [`Hierarchy::pattern_of`](crate::Hierarchy::pattern_of)
-    /// would.
-    ///
-    /// # Panics
-    ///
-    /// If `mask` was pruned away.
+    /// Reconstructs the [`Pattern`] of a region from its node mask and
+    /// packed value key.
     pub fn pattern_of(&self, mask: u32, key: u128) -> Pattern {
-        let node = self
-            .node(mask)
-            .unwrap_or_else(|| panic!("pattern_of: node {mask:#x} was pruned"));
-        let mut pattern = Pattern::empty();
-        for (i, &j) in node.attrs.iter().enumerate() {
-            let code = ((key >> (8 * i)) & 0xFF) as u32;
-            pattern.set(self.protected[j], code);
-        }
-        pattern
+        crate::hierarchy::pattern_of(&self.protected, mask, key)
     }
 }
 

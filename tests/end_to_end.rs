@@ -3,11 +3,13 @@
 
 use remedy::classifiers::{accuracy, train, ModelKind};
 use remedy::core::{
-    identify, remedy as remedy_data, Algorithm, IbsParams, RemedyParams, Scope, Technique,
+    identify, remedy as remedy_data, Algorithm, Enumeration, IbsParams, RemedyParams, Scope,
+    Technique,
 };
 use remedy::dataset::split::train_test_split;
 use remedy::dataset::synth;
 use remedy::fairness::{fairness_index, FairnessIndexParams, Statistic};
+use std::collections::BTreeSet;
 
 /// The paper's headline claim end-to-end: remedying the training data
 /// lowers the subgroup fairness index of a downstream model without
@@ -111,6 +113,38 @@ fn lattice_scope_subsumes_leaf_and_top() {
     let lattice = count(Scope::Lattice);
     assert!(lattice >= count(Scope::Leaf));
     assert!(lattice >= count(Scope::Top));
+}
+
+/// Fig. 7's shape: raising τ_c only removes regions from the IBS. Each
+/// step's `(mask, key)` set is a subset of the previous step's, under
+/// both enumerations (Definition 5 and the sentinel rules of `is_biased`
+/// are monotone in τ_c).
+#[test]
+fn tau_sweep_only_shrinks_the_ibs() {
+    for data in [synth::compas_n(3_000, 9), synth::adult_n(5_000, 9)] {
+        for enumeration in [Enumeration::Dense, Enumeration::Pruned] {
+            let ibs_at = |tau_c: f64| -> BTreeSet<(u32, u128)> {
+                let params = IbsParams::builder()
+                    .tau_c(tau_c)
+                    .enumeration(enumeration)
+                    .build()
+                    .unwrap();
+                identify(&data, &params, Algorithm::Optimized)
+                    .iter()
+                    .map(|r| (r.mask, r.key))
+                    .collect()
+            };
+            let sweep: Vec<_> = (0..10).map(|i| ibs_at(f64::from(i) / 10.0)).collect();
+            for (i, pair) in sweep.windows(2).enumerate() {
+                assert!(
+                    pair[1].is_subset(&pair[0]),
+                    "{enumeration:?}: τ_c = 0.{} added regions",
+                    i + 1
+                );
+            }
+            assert!(sweep[9].len() < sweep[0].len(), "{enumeration:?}");
+        }
+    }
 }
 
 /// Seeds fully determine the pipeline: same inputs, same outputs.
