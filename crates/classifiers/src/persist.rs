@@ -25,7 +25,7 @@ use crate::linear::{LogisticRegression, LogisticRegressionParams};
 use crate::model::Model;
 use crate::naive_bayes::NaiveBayes;
 use crate::tree::{DecisionTree, DecisionTreeParams, Node};
-use remedy_dataset::format::Magic;
+use remedy_dataset::format::{DecodeError, Fields, Lines, Magic};
 use remedy_dataset::vocab::{self, Tokens};
 use remedy_dataset::Dataset;
 use std::fmt::Write as _;
@@ -36,10 +36,8 @@ const MAGIC: Magic = Magic::new("remedy-model", 1);
 /// Errors from loading a model file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistError {
-    /// Missing or wrong magic header.
-    BadHeader,
-    /// Structurally invalid body.
-    Malformed(String),
+    /// The text is not a well-formed model.
+    Decode(DecodeError),
     /// I/O failure.
     Io(String),
 }
@@ -47,8 +45,7 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::BadHeader => write!(f, "not a remedy-model v1 file"),
-            PersistError::Malformed(msg) => write!(f, "malformed model file: {msg}"),
+            PersistError::Decode(e) => write!(f, "malformed model file: {e}"),
             PersistError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
@@ -164,8 +161,15 @@ pub fn tree_to_text(tree: &DecisionTree) -> String {
 fn write_tree_body(tree: &DecisionTree, out: &mut String) {
     let _ = writeln!(out, "nodes {}", tree.nodes.len());
     for node in &tree.nodes {
-        out.push_str(&node.to_line());
-        out.push('\n');
+        let _ = match node {
+            Node::Leaf { p_pos } => writeln!(out, "leaf {p_pos}"),
+            Node::Split {
+                attribute,
+                value,
+                eq,
+                ne,
+            } => writeln!(out, "split {attribute} {value} {eq} {ne}"),
+        };
     }
 }
 
@@ -186,26 +190,8 @@ pub fn forest_to_text(forest: &RandomForest) -> String {
 pub fn logistic_to_text(model: &LogisticRegression) -> String {
     let mut out = format!("{}\nkind logistic-regression\n", MAGIC.line());
     let _ = writeln!(out, "bias {}", model.bias);
-    let _ = writeln!(
-        out,
-        "offsets {}",
-        model
-            .offsets
-            .iter()
-            .map(|o| o.to_string())
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    let _ = writeln!(
-        out,
-        "weights {}",
-        model
-            .weights
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
+    let _ = writeln!(out, "offsets {}", join(&model.offsets));
+    let _ = writeln!(out, "weights {}", join(&model.weights));
     out
 }
 
@@ -216,138 +202,92 @@ pub fn naive_bayes_to_text(model: &NaiveBayes) -> String {
     for (class, conds) in model.log_cond.iter().enumerate() {
         let _ = writeln!(out, "class {class} attrs {}", conds.len());
         for values in conds {
-            let _ = writeln!(
-                out,
-                "attr {}",
-                values
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
+            let _ = writeln!(out, "attr {}", join(values));
         }
     }
     out
 }
 
+/// Space-separated values, as [`Fields::list`] reads them back.
+fn join<T: std::fmt::Display>(values: &[T]) -> String {
+    values
+        .iter()
+        .map(T::to_string)
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
 /// Deserializes any supported model from its text form.
-pub fn from_text(text: &str) -> Result<SavedModel, PersistError> {
-    let mut lines = text.lines();
-    MAGIC
-        .expect(lines.next())
-        .map_err(|_| PersistError::BadHeader)?;
-    let kind_line = lines
-        .next()
-        .ok_or_else(|| PersistError::Malformed("missing kind".into()))?;
-    let kind = kind_line
-        .strip_prefix("kind ")
-        .ok_or_else(|| PersistError::Malformed("missing kind".into()))?;
-    match kind {
-        "decision-tree" => Ok(SavedModel::DecisionTree(read_tree(&mut lines)?)),
+pub fn from_text(text: &str) -> Result<SavedModel, DecodeError> {
+    let mut lines = Lines::open(text, MAGIC)?;
+    Ok(match lines.value("kind", Fields::field)? {
+        "decision-tree" => SavedModel::DecisionTree(read_tree(&mut lines)?),
         "random-forest" => {
-            let header = lines
-                .next()
-                .ok_or_else(|| PersistError::Malformed("missing trees count".into()))?;
-            let n: usize = header
-                .strip_prefix("trees ")
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| PersistError::Malformed("bad trees header".into()))?;
-            let trees = (0..n)
-                .map(|_| read_tree(&mut lines))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(SavedModel::RandomForest(RandomForest { trees }))
+            let trees = (0..lines.count("trees")?).map(|_| read_tree(&mut lines));
+            let trees = trees.collect::<Result<_, _>>()?;
+            SavedModel::RandomForest(RandomForest { trees })
         }
-        "logistic-regression" => {
-            let bias = parse_prefixed(&mut lines, "bias ")?
-                .parse()
-                .map_err(|_| PersistError::Malformed("bad bias".into()))?;
-            let offsets = parse_prefixed(&mut lines, "offsets ")?
-                .split_whitespace()
-                .map(|t| t.parse::<usize>())
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|_| PersistError::Malformed("bad offsets".into()))?;
-            let weights = parse_prefixed(&mut lines, "weights ")?
-                .split_whitespace()
-                .map(|t| t.parse::<f64>())
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|_| PersistError::Malformed("bad weights".into()))?;
-            Ok(SavedModel::LogisticRegression(LogisticRegression {
-                offsets,
-                weights,
-                bias,
-            }))
-        }
+        "logistic-regression" => SavedModel::LogisticRegression(LogisticRegression {
+            bias: lines.value("bias", Fields::parse)?,
+            offsets: lines.tagged("offsets")?.list("offset")?,
+            weights: lines.tagged("weights")?.list("weight")?,
+        }),
         "naive-bayes" => {
-            let prior_line = parse_prefixed(&mut lines, "prior ")?;
-            let mut parts = prior_line.split_whitespace();
-            let p0: f64 = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| PersistError::Malformed("bad prior".into()))?;
-            let p1: f64 = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| PersistError::Malformed("bad prior".into()))?;
+            let log_prior = lines.value("prior", |f, what| Ok([f.parse(what)?, f.parse(what)?]))?;
             let mut log_cond: [Vec<Vec<f64>>; 2] = [Vec::new(), Vec::new()];
-            for class_conds in log_cond.iter_mut() {
-                let header = lines
-                    .next()
-                    .ok_or_else(|| PersistError::Malformed("missing class".into()))?;
-                let n_attrs: usize = header
-                    .rsplit(' ')
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| PersistError::Malformed("bad class header".into()))?;
-                for _ in 0..n_attrs {
-                    let values = parse_prefixed(&mut lines, "attr ")?
-                        .split_whitespace()
-                        .map(|t| t.parse::<f64>())
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|_| PersistError::Malformed("bad attr values".into()))?;
-                    class_conds.push(values);
+            for (class, conds) in log_cond.iter_mut().enumerate() {
+                let mut header = lines.tagged("class")?;
+                let (c, attrs) = (header.parse::<usize>("class")?, header.field("attrs")?);
+                if (c, attrs) != (class, "attrs") {
+                    return Err(header.error(format!("expected `class {class} attrs <n>`")));
+                }
+                let n = header.records("attrs", 1)?;
+                for _ in 0..n {
+                    conds.push(lines.tagged("attr")?.list("attr value")?);
                 }
             }
-            Ok(SavedModel::NaiveBayes(NaiveBayes {
-                log_prior: [p0, p1],
+            SavedModel::NaiveBayes(NaiveBayes {
+                log_prior,
                 log_cond,
-            }))
+            })
         }
-        other => Err(PersistError::Malformed(format!("unknown kind `{other}`"))),
-    }
+        other => return Err(lines.error(format!("unknown kind `{other}`"))),
+    })
 }
 
-fn parse_prefixed<'a>(
-    lines: &mut std::str::Lines<'a>,
-    prefix: &str,
-) -> Result<&'a str, PersistError> {
-    lines
-        .next()
-        .and_then(|l| l.strip_prefix(prefix))
-        .ok_or_else(|| PersistError::Malformed(format!("expected `{prefix}…` line")))
-}
-
-fn read_tree(lines: &mut std::str::Lines<'_>) -> Result<DecisionTree, PersistError> {
-    let header = lines
-        .next()
-        .ok_or_else(|| PersistError::Malformed("missing nodes header".into()))?;
-    let n: usize = header
-        .strip_prefix("nodes ")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| PersistError::Malformed("bad nodes header".into()))?;
-    // the header count is untrusted and no input length is at hand here:
-    // grow with the nodes actually read instead of reserving `n`
-    let mut nodes = Vec::new();
-    for _ in 0..n {
-        let line = lines
-            .next()
-            .ok_or_else(|| PersistError::Malformed("truncated node list".into()))?;
-        nodes.push(
-            Node::from_line(line)
-                .ok_or_else(|| PersistError::Malformed(format!("bad node `{line}`")))?,
-        );
+/// Reads one `nodes <n>` block. A split's children must come after it
+/// and inside the block, as the trainer writes them, so prediction
+/// always walks forward and stops at a leaf.
+fn read_tree(lines: &mut Lines<'_>) -> Result<DecisionTree, DecodeError> {
+    let n = lines.count("nodes")?;
+    if n == 0 {
+        return Err(lines.error("empty tree"));
     }
-    if nodes.is_empty() {
-        return Err(PersistError::Malformed("empty tree".into()));
+    let mut nodes = Vec::with_capacity(n);
+    for idx in 0..n {
+        let mut fields = lines.record("node")?;
+        nodes.push(match fields.field("node")? {
+            "leaf" => Node::Leaf {
+                p_pos: fields.parse("leaf probability")?,
+            },
+            "split" => {
+                let (attribute, value) = (fields.parse("attribute")?, fields.parse("value")?);
+                let (eq, ne) = (fields.parse("eq child")?, fields.parse("ne child")?);
+                if !(idx < eq && eq < n && idx < ne && ne < n) {
+                    return Err(fields.error(format!(
+                        "children {eq}, {ne} of node {idx} are not after it among {n} nodes"
+                    )));
+                }
+                Node::Split {
+                    attribute,
+                    value,
+                    eq,
+                    ne,
+                }
+            }
+            other => return Err(fields.error(format!("unknown node `{other}`"))),
+        });
+        fields.end()?;
     }
     Ok(DecisionTree { nodes })
 }
@@ -360,7 +300,7 @@ pub fn save_to_path(text: &str, path: impl AsRef<Path>) -> Result<(), PersistErr
 /// Loads any supported model from a file.
 pub fn load_from_path(path: impl AsRef<Path>) -> Result<SavedModel, PersistError> {
     let text = std::fs::read_to_string(path).map_err(|e| PersistError::Io(e.to_string()))?;
-    from_text(&text)
+    from_text(&text).map_err(PersistError::Decode)
 }
 
 #[cfg(test)]
@@ -466,18 +406,21 @@ mod tests {
 
     #[test]
     fn malformed_inputs_rejected() {
-        assert_eq!(from_text("junk").unwrap_err(), PersistError::BadHeader);
+        assert!(matches!(
+            from_text("junk"),
+            Err(DecodeError::WrongFamily { .. })
+        ));
         assert!(matches!(
             from_text("remedy-model v1\nkind alien\n"),
-            Err(PersistError::Malformed(_))
+            Err(DecodeError::Malformed { .. })
         ));
         assert!(matches!(
             from_text("remedy-model v1\nkind decision-tree\nnodes 2\nleaf 0.5\n"),
-            Err(PersistError::Malformed(_)) // truncated
+            Err(DecodeError::Malformed { .. }) // truncated
         ));
         assert!(matches!(
             from_text("remedy-model v1\nkind decision-tree\nnodes 1\nblorp\n"),
-            Err(PersistError::Malformed(_))
+            Err(DecodeError::Malformed { .. })
         ));
         assert!(load_from_path("/nonexistent/path.model").is_err());
     }
@@ -487,6 +430,29 @@ mod tests {
     #[test]
     fn huge_node_count_is_a_typed_error() {
         let text = format!("remedy-model v1\nkind decision-tree\nnodes {}\n", u64::MAX);
-        assert!(matches!(from_text(&text), Err(PersistError::Malformed(_))));
+        assert!(matches!(
+            from_text(&text),
+            Err(DecodeError::Malformed { .. })
+        ));
+    }
+
+    /// A split must point forward, inside the node list: a child past
+    /// the end indexed out of bounds at prediction time, and a split
+    /// that is its own child looped forever.
+    #[test]
+    fn split_children_must_follow_their_parent() {
+        for split in ["split 0 0 5 5", "split 0 0 0 0"] {
+            let text = format!("remedy-model v1\nkind decision-tree\nnodes 1\n{split}\n");
+            match from_text(&text) {
+                Err(DecodeError::Malformed { line: 4, .. }) => {}
+                other => panic!("{split}: {other:?}"),
+            }
+        }
+        // a forest's trees are checked the same way
+        let text = "remedy-model v1\nkind random-forest\ntrees 1\nnodes 2\nsplit 0 0 1 0\nleaf 1\n";
+        assert!(matches!(
+            from_text(text),
+            Err(DecodeError::Malformed { line: 5, .. })
+        ));
     }
 }

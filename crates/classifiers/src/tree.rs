@@ -154,38 +154,6 @@ impl DecisionTree {
     }
 }
 
-impl Node {
-    /// One-line textual form (`leaf <p>` / `split <attr> <value> <eq> <ne>`).
-    pub(crate) fn to_line(&self) -> String {
-        match self {
-            Node::Leaf { p_pos } => format!("leaf {p_pos}"),
-            Node::Split {
-                attribute,
-                value,
-                eq,
-                ne,
-            } => format!("split {attribute} {value} {eq} {ne}"),
-        }
-    }
-
-    /// Parses [`Node::to_line`] output.
-    pub(crate) fn from_line(line: &str) -> Option<Node> {
-        let mut parts = line.split_whitespace();
-        match parts.next()? {
-            "leaf" => Some(Node::Leaf {
-                p_pos: parts.next()?.parse().ok()?,
-            }),
-            "split" => Some(Node::Split {
-                attribute: parts.next()?.parse().ok()?,
-                value: parts.next()?.parse().ok()?,
-                eq: parts.next()?.parse().ok()?,
-                ne: parts.next()?.parse().ok()?,
-            }),
-            _ => None,
-        }
-    }
-}
-
 impl Model for DecisionTree {
     fn predict_proba_row(&self, codes: &[u32]) -> f64 {
         let mut idx = 0usize;

@@ -419,23 +419,24 @@ impl ShardCounts {
     }
 
     /// Reassembles an accumulator from persisted parts (see
-    /// [`crate::persist::counts_from_text`]); fails when the
-    /// cardinalities admit no key layout.
+    /// [`crate::persist::counts_from_text`], which checks every leaf key
+    /// against `codec`).
     pub(crate) fn from_parts(
+        codec: KeyCodec,
         protected: Vec<usize>,
         cards: Vec<u32>,
         ordered: Vec<bool>,
         leaves: FastMap<u128, Counts>,
         totals: Counts,
-    ) -> Result<ShardCounts, CoreError> {
-        Ok(ShardCounts {
-            codec: KeyCodec::for_cards(&cards)?,
+    ) -> ShardCounts {
+        ShardCounts {
+            codec,
             protected,
             cards,
             ordered,
             leaves,
             totals,
-        })
+        }
     }
 
     /// Folds another shard's counts into this one. Merging is pure

@@ -17,30 +17,11 @@ use crate::counting::ShardCounts;
 use crate::error::MAX_PROTECTED_SPARSE;
 use crate::identify::BiasedRegion;
 use crate::score::Counts;
-use remedy_dataset::format::Magic;
+use crate::sparse::KeyCodec;
+use remedy_dataset::format::{DecodeError, Lines, Magic};
 use remedy_dataset::Pattern;
 
 const MAGIC: Magic = Magic::new("remedy-ibs", 1);
-
-/// Errors from reading an IBS artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IbsPersistError {
-    /// Missing or wrong magic header.
-    BadHeader,
-    /// Structurally invalid body.
-    Malformed(String),
-}
-
-impl std::fmt::Display for IbsPersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IbsPersistError::BadHeader => write!(f, "not a {} file", MAGIC.line()),
-            IbsPersistError::Malformed(msg) => write!(f, "malformed IBS file: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for IbsPersistError {}
 
 /// Serializes identification output.
 pub fn regions_to_text(regions: &[BiasedRegion]) -> String {
@@ -64,72 +45,35 @@ pub fn regions_to_text(regions: &[BiasedRegion]) -> String {
 }
 
 /// Parses identification output written by [`regions_to_text`].
-pub fn regions_from_text(text: &str) -> Result<Vec<BiasedRegion>, IbsPersistError> {
-    let mut lines = text.lines();
-    MAGIC
-        .expect(lines.next())
-        .map_err(|_| IbsPersistError::BadHeader)?;
-    let count_line = lines
-        .next()
-        .ok_or_else(|| IbsPersistError::Malformed("missing regions count".into()))?;
-    let count: usize = count_line
-        .strip_prefix("regions ")
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| IbsPersistError::Malformed(format!("bad count line `{count_line}`")))?;
-    // a hostile count line cannot reserve more slots than the input has
-    // bytes; a short body is reported below
-    let mut regions = Vec::with_capacity(count.min(text.len()));
-    for line in lines.take(count) {
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some("region") {
-            return Err(IbsPersistError::Malformed(format!("bad line `{line}`")));
-        }
-        let mut next = |what: &str| {
-            fields
-                .next()
-                .ok_or_else(|| IbsPersistError::Malformed(format!("missing {what}")))
-        };
-        let mask: u32 = parse(next("mask")?, "mask")?;
-        let key = u128::from_str_radix(next("key")?, 16)
-            .map_err(|_| IbsPersistError::Malformed("bad key".into()))?;
-        let pos: u64 = parse(next("pos")?, "pos")?;
-        let neg: u64 = parse(next("neg")?, "neg")?;
-        let ratio = f64::from_bits(
-            u64::from_str_radix(next("ratio")?, 16)
-                .map_err(|_| IbsPersistError::Malformed("bad ratio".into()))?,
-        );
-        let neighbor_ratio = f64::from_bits(
-            u64::from_str_radix(next("nratio")?, 16)
-                .map_err(|_| IbsPersistError::Malformed("bad nratio".into()))?,
-        );
+pub fn regions_from_text(text: &str) -> Result<Vec<BiasedRegion>, DecodeError> {
+    let mut lines = Lines::open(text, MAGIC)?;
+    let count = lines.count("regions")?;
+    let mut regions = Vec::with_capacity(count);
+    for _ in 0..count {
+        let mut fields = lines.tagged("region")?;
+        let mask = fields.parse("mask")?;
+        let key = fields.hex("key")?;
+        let counts = Counts::new(fields.parse("pos")?, fields.parse("neg")?);
+        let ratio = fields.bits("ratio")?;
+        let neighbor_ratio = fields.bits("nratio")?;
         let mut pattern = Pattern::empty();
-        for term in fields {
+        for term in fields.remaining() {
             let (col, val) = term
                 .split_once(':')
-                .ok_or_else(|| IbsPersistError::Malformed(format!("bad term `{term}`")))?;
-            pattern.set(parse(col, "term column")?, parse(val, "term value")?);
+                .and_then(|(col, val)| Some((col.parse().ok()?, val.parse().ok()?)))
+                .ok_or_else(|| fields.error(format!("bad term `{term}`")))?;
+            pattern.set(col, val);
         }
         regions.push(BiasedRegion {
             pattern,
             mask,
             key,
-            counts: Counts::new(pos, neg),
+            counts,
             ratio,
             neighbor_ratio,
         });
     }
-    if regions.len() != count {
-        return Err(IbsPersistError::Malformed(format!(
-            "expected {count} regions, found {}",
-            regions.len()
-        )));
-    }
     Ok(regions)
-}
-
-fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, IbsPersistError> {
-    s.parse()
-        .map_err(|_| IbsPersistError::Malformed(format!("bad {what} `{s}`")))
 }
 
 const COUNTS_MAGIC: Magic = Magic::new("remedy-counts", 1);
@@ -174,15 +118,11 @@ pub fn counts_to_text(counts: &ShardCounts) -> String {
 }
 
 /// Parses a shard accumulator written by [`counts_to_text`].
-pub fn counts_from_text(text: &str) -> Result<ShardCounts, IbsPersistError> {
-    let malformed = |msg: String| IbsPersistError::Malformed(msg);
-    let mut lines = text.lines();
-    COUNTS_MAGIC
-        .expect(lines.next())
-        .map_err(|_| IbsPersistError::BadHeader)?;
-    let p: usize = field(lines.next(), "protected")?;
+pub fn counts_from_text(text: &str) -> Result<ShardCounts, DecodeError> {
+    let mut lines = Lines::open(text, COUNTS_MAGIC)?;
+    let p = lines.count("protected")?;
     if p > MAX_PROTECTED_SPARSE {
-        return Err(malformed(format!(
+        return Err(lines.error(format!(
             "{p} protected columns, at most {MAX_PROTECTED_SPARSE} supported"
         )));
     }
@@ -190,71 +130,49 @@ pub fn counts_from_text(text: &str) -> Result<ShardCounts, IbsPersistError> {
     let mut cards = Vec::with_capacity(p);
     let mut ordered = Vec::with_capacity(p);
     for _ in 0..p {
-        let line = lines
-            .next()
-            .ok_or_else(|| malformed("missing col".into()))?;
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some("col") {
-            return Err(malformed(format!("bad col line `{line}`")));
-        }
-        protected.push(parse(fields.next().unwrap_or(""), "col index")?);
-        cards.push(parse(fields.next().unwrap_or(""), "col cardinality")?);
-        let o: u8 = parse(fields.next().unwrap_or(""), "col ordered")?;
-        ordered.push(o != 0);
+        let mut fields = lines.tagged("col")?;
+        protected.push(fields.parse("col index")?);
+        cards.push(fields.parse("col cardinality")?);
+        ordered.push(fields.parse::<u8>("col ordered")? != 0);
+        fields.end()?;
     }
-    let totals_line = lines
-        .next()
-        .ok_or_else(|| malformed("missing totals".into()))?;
-    let mut fields = totals_line.split_whitespace();
-    if fields.next() != Some("totals") {
-        return Err(malformed(format!("bad totals line `{totals_line}`")));
-    }
-    let totals = Counts::new(
-        parse(fields.next().unwrap_or(""), "totals pos")?,
-        parse(fields.next().unwrap_or(""), "totals neg")?,
-    );
-    let n: usize = field(lines.next(), "leaves")?;
+    let mut fields = lines.tagged("totals")?;
+    let totals = Counts::new(fields.parse("totals pos")?, fields.parse("totals neg")?);
+    fields.end()?;
+    let codec = KeyCodec::for_cards(&cards).map_err(|e| lines.error(e.to_string()))?;
+    let bits: u32 = codec.widths().iter().sum();
+    let n = lines.count("leaves")?;
     let mut leaves = crate::hash::FastMap::default();
-    leaves.reserve(n.min(text.len()));
-    for line in lines.take(n) {
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some("leaf") {
-            return Err(malformed(format!("bad leaf line `{line}`")));
+    leaves.reserve(n);
+    let mut sum = 0u64;
+    for _ in 0..n {
+        let mut fields = lines.tagged("leaf")?;
+        let key = fields.hex("leaf key")?;
+        let c = Counts::new(fields.parse("leaf pos")?, fields.parse("leaf neg")?);
+        fields.end()?;
+        let Some(next) = c.pos.checked_add(c.neg).and_then(|t| t.checked_add(sum)) else {
+            return Err(fields.error("leaf counts overflow u64"));
+        };
+        sum = next;
+        // every slot must hold a code below its column's cardinality,
+        // with no bits set past the last slot
+        let stray = key.checked_shr(bits).unwrap_or(0) != 0
+            || (0..p).any(|j| codec.extract(key, j) >= cards[j]);
+        if stray {
+            return Err(fields.error(format!("leaf key {key:x} is outside the column layout")));
         }
-        let key = u128::from_str_radix(fields.next().unwrap_or(""), 16)
-            .map_err(|_| malformed("bad leaf key".into()))?;
-        let c = Counts::new(
-            parse(fields.next().unwrap_or(""), "leaf pos")?,
-            parse(fields.next().unwrap_or(""), "leaf neg")?,
-        );
         if leaves.insert(key, c).is_some() {
-            return Err(malformed(format!("duplicate leaf key {key:x}")));
+            return Err(fields.error(format!("duplicate leaf key {key:x}")));
         }
     }
-    if leaves.len() != n {
-        return Err(malformed(format!(
-            "expected {n} leaves, found {}",
-            leaves.len()
+    if Some(sum) != totals.pos.checked_add(totals.neg) {
+        let (pos, neg) = (totals.pos, totals.neg);
+        return Err(lines.error(format!(
+            "leaf counts sum to {sum}, totals say {pos} + {neg}"
         )));
     }
-    let sum: u64 = leaves.values().map(|c| c.total()).sum();
-    if sum != totals.total() {
-        return Err(malformed(format!(
-            "leaf counts sum to {sum}, totals say {}",
-            totals.total()
-        )));
-    }
-    ShardCounts::from_parts(protected, cards, ordered, leaves, totals)
-        .map_err(|e| malformed(e.to_string()))
-}
-
-/// Parses a `<name> <number>` header line.
-fn field<T: std::str::FromStr>(line: Option<&str>, name: &str) -> Result<T, IbsPersistError> {
-    let line = line.ok_or_else(|| IbsPersistError::Malformed(format!("missing {name}")))?;
-    line.strip_prefix(name)
-        .map(str::trim)
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| IbsPersistError::Malformed(format!("bad {name} line `{line}`")))
+    let counts = ShardCounts::from_parts(codec, protected, cards, ordered, leaves, totals);
+    Ok(counts)
 }
 
 #[cfg(test)]
@@ -288,10 +206,10 @@ mod tests {
 
     #[test]
     fn counts_rejects_garbage() {
-        assert_eq!(
+        assert!(matches!(
             counts_from_text("nope").unwrap_err(),
-            IbsPersistError::BadHeader
-        );
+            DecodeError::WrongFamily { .. }
+        ));
         for text in [
             "remedy-counts v1\nprotected 1\n",
             "remedy-counts v1\nprotected 1\ncol 0 2 0\ntotals 1 0\nleaves 1\n",
@@ -301,7 +219,7 @@ mod tests {
             assert!(
                 matches!(
                     counts_from_text(text).unwrap_err(),
-                    IbsPersistError::Malformed(_)
+                    DecodeError::Malformed { .. }
                 ),
                 "{text:?}"
             );
@@ -319,26 +237,67 @@ mod tests {
             format!("remedy-counts v1\nprotected 1\ncol 0 2 0\ntotals 0 0\nleaves {huge}\n"),
         ] {
             assert!(
-                matches!(counts_from_text(&text), Err(IbsPersistError::Malformed(_))),
+                matches!(counts_from_text(&text), Err(DecodeError::Malformed { .. })),
                 "{text:?}"
             );
         }
         let text = format!("remedy-ibs v1\nregions {huge}\n");
         assert!(matches!(
             regions_from_text(&text),
-            Err(IbsPersistError::Malformed(_))
+            Err(DecodeError::Malformed { .. })
         ));
     }
 
     #[test]
     fn rejects_garbage() {
-        assert_eq!(
+        assert!(matches!(
             regions_from_text("nope").unwrap_err(),
-            IbsPersistError::BadHeader
-        );
+            DecodeError::WrongFamily { .. }
+        ));
         let err = regions_from_text("remedy-ibs v1\nregions 1\n").unwrap_err();
-        assert!(matches!(err, IbsPersistError::Malformed(_)));
+        assert!(matches!(err, DecodeError::Malformed { .. }));
         let err = regions_from_text("remedy-ibs v1\nregions 1\nregion x\n").unwrap_err();
-        assert!(matches!(err, IbsPersistError::Malformed(_)));
+        assert!(matches!(err, DecodeError::Malformed { .. }));
+    }
+
+    /// Leaf totals are summed with checked arithmetic: a leaf holding
+    /// `u64::MAX` rows used to overflow the sum (a panic in debug builds,
+    /// a silently accepted artifact in release ones).
+    #[test]
+    fn overflowing_leaf_counts_are_typed_errors() {
+        let max = u64::MAX;
+        for text in [
+            format!("remedy-counts v1\nprotected 1\ncol 0 2 0\ntotals 1 0\nleaves 2\nleaf 0 {max} 0\nleaf 1 2 0\n"),
+            format!("remedy-counts v1\nprotected 1\ncol 0 2 0\ntotals 1 0\nleaves 1\nleaf 0 {max} 1\n"),
+            format!("remedy-counts v1\nprotected 1\ncol 0 2 0\ntotals {max} 1\nleaves 0\n"),
+        ] {
+            assert!(
+                matches!(counts_from_text(&text), Err(DecodeError::Malformed { .. })),
+                "{text:?}"
+            );
+        }
+    }
+
+    /// A leaf key is checked against the column layout: a slot holding a
+    /// code past its column's cardinality, or bits past the last slot,
+    /// used to decode and then index out of bounds in a pruned identify.
+    #[test]
+    fn leaf_keys_outside_the_layout_are_typed_errors() {
+        for (cols, key) in [
+            ("col 0 3 0\n", "3"),
+            ("col 0 2 0\n", "100"),
+            ("col 0 3 0\ncol 1 2 0\n", "ff"),
+        ] {
+            let p = cols.lines().count();
+            let text = format!(
+                "remedy-counts v1\nprotected {p}\n{cols}totals 2 0\nleaves 1\nleaf {key} 2 0\n"
+            );
+            assert!(
+                matches!(counts_from_text(&text), Err(DecodeError::Malformed { .. })),
+                "{text:?}"
+            );
+        }
+        let ok = "remedy-counts v1\nprotected 1\ncol 0 3 0\ntotals 2 0\nleaves 1\nleaf 2 2 0\n";
+        assert!(counts_from_text(ok).is_ok());
     }
 }

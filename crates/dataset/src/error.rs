@@ -1,5 +1,6 @@
 //! Error type shared across the dataset crate.
 
+use crate::format::DecodeError;
 use std::fmt;
 
 /// Errors raised while constructing, loading, or transforming datasets.
@@ -48,6 +49,8 @@ pub enum DatasetError {
         /// What went wrong.
         detail: String,
     },
+    /// A `remedy-dataset v1` text artifact failed to decode.
+    Decode(DecodeError),
 }
 
 impl fmt::Display for DatasetError {
@@ -76,11 +79,18 @@ impl fmt::Display for DatasetError {
             DatasetError::Corrupt { section, detail } => {
                 write!(f, "corrupt dataset artifact ({section} section): {detail}")
             }
+            DatasetError::Decode(e) => write!(f, "malformed dataset text: {e}"),
         }
     }
 }
 
 impl std::error::Error for DatasetError {}
+
+impl From<DecodeError> for DatasetError {
+    fn from(e: DecodeError) -> Self {
+        DatasetError::Decode(e)
+    }
+}
 
 impl From<std::io::Error> for DatasetError {
     fn from(e: std::io::Error) -> Self {

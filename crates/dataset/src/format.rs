@@ -1,16 +1,19 @@
 //! Shared on-disk format plumbing for every `remedy-*` artifact family.
 //!
-//! Four persisted formats live in this workspace — dataset text
-//! (`remedy-dataset v1`, [`crate::persist`]), the binary columnar store
-//! (`remedy-columnar v1`, [`crate::store`]), identification output
-//! (`remedy-ibs v1`, `core::persist`), and model files
-//! (`remedy-model v1`, `classifiers::persist`). All of them open with
-//! the same shape of header: an ASCII magic line naming the format
-//! family and version. Each module used to hand-roll that check (and
-//! two of them the percent-escaping for embedded names); this module
-//! owns both, plus the FNV-1a/128 content digest stored in binary
-//! headers, so version negotiation and escaping behave identically
-//! everywhere.
+//! Five line-oriented text formats — dataset text (`remedy-dataset v1`,
+//! [`crate::persist`]), identification output (`remedy-ibs v1`) and
+//! shard counts (`remedy-counts v1`, `core::persist`), models
+//! (`remedy-model v1`, `classifiers::persist`) and audit metrics
+//! (`remedy-metrics v1`, `fairness::summary`) — and one binary format,
+//! the columnar store (`remedy-columnar v1`, [`crate::store`]), all open
+//! with an ASCII [`Magic`] line naming the format family and version.
+//! The text formats decode through one reader, [`Lines`]: it checks the
+//! magic line, hands out space-separated records ([`Fields`]) with typed
+//! field parsers, caps every declared count at the bytes left in the
+//! input, and reports each failure as a [`DecodeError`] with its line
+//! number, so each decoder only states its record shapes. This module
+//! also owns the percent-escaping of names and the FNV-1a/128 content
+//! digest stored in binary headers.
 //!
 //! This crate sits at the bottom of the workspace graph, so the digest
 //! is a deliberate re-statement of `remedy_core::hash::stable_hash`
@@ -26,40 +29,34 @@ pub struct Magic {
     version: u32,
 }
 
-/// Why a header line was rejected.
+/// Why an artifact was rejected: its magic line (every format), or a
+/// record of a line-oriented one.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HeaderError {
-    /// The input ended before any header line.
-    Missing {
-        /// The magic line that was expected.
-        expected: String,
-    },
-    /// The first line does not belong to this format family at all.
-    WrongFamily {
-        /// The magic line that was expected.
-        expected: String,
-        /// What the first line actually was.
-        found: String,
-    },
-    /// The family matched but the version is one this build cannot read.
+pub enum DecodeError {
+    /// The input ended before the `expected` magic line.
+    MissingHeader { expected: String },
+    /// The first line (`found`) belongs to another format family.
+    WrongFamily { expected: String, found: String },
+    /// The family matched but its version tag (`found`) is not the one
+    /// this build reads (`supported`).
     WrongVersion {
-        /// The format family.
         family: String,
-        /// The version this build supports.
         supported: u32,
-        /// The version tag found in the file.
         found: String,
     },
+    /// A record is missing or malformed. `line` is 1-based, one past the
+    /// last line when the input ended early.
+    Malformed { line: usize, message: String },
 }
 
-impl std::fmt::Display for HeaderError {
+impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HeaderError::Missing { expected } => write!(f, "missing `{expected}` header"),
-            HeaderError::WrongFamily { expected, found } => {
+            DecodeError::MissingHeader { expected } => write!(f, "missing `{expected}` header"),
+            DecodeError::WrongFamily { expected, found } => {
                 write!(f, "expected `{expected}` header, found `{found}`")
             }
-            HeaderError::WrongVersion {
+            DecodeError::WrongVersion {
                 family,
                 supported,
                 found,
@@ -67,11 +64,17 @@ impl std::fmt::Display for HeaderError {
                 f,
                 "`{family}` version `{found}` is not supported (this build reads v{supported})"
             ),
+            DecodeError::Malformed { line, message } => write!(f, "line {line}: {message}"),
         }
     }
 }
 
-impl std::error::Error for HeaderError {}
+impl std::error::Error for DecodeError {}
+
+fn malformed(line: usize, message: impl Into<String>) -> DecodeError {
+    let message = message.into();
+    DecodeError::Malformed { line, message }
+}
 
 impl Magic {
     /// A magic for `family` at `version`.
@@ -87,8 +90,8 @@ impl Magic {
     /// Checks an artifact's first line (as produced by `str::lines`),
     /// distinguishing a foreign format from an unsupported version of
     /// this one.
-    pub fn expect(&self, first: Option<&str>) -> Result<(), HeaderError> {
-        let line = first.ok_or_else(|| HeaderError::Missing {
+    pub fn expect(&self, first: Option<&str>) -> Result<(), DecodeError> {
+        let line = first.ok_or_else(|| DecodeError::MissingHeader {
             expected: self.line(),
         })?;
         if line == self.line() {
@@ -98,13 +101,13 @@ impl Magic {
             .strip_prefix(self.family)
             .and_then(|r| r.strip_prefix(" v"))
         {
-            return Err(HeaderError::WrongVersion {
+            return Err(DecodeError::WrongVersion {
                 family: self.family.to_string(),
                 supported: self.version,
                 found: tag.to_string(),
             });
         }
-        Err(HeaderError::WrongFamily {
+        Err(DecodeError::WrongFamily {
             expected: self.line(),
             found: line.chars().take(64).collect(),
         })
@@ -117,6 +120,185 @@ impl Magic {
         let line = self.line();
         let head = line.as_bytes();
         bytes.len() > head.len() && &bytes[..head.len()] == head && bytes[head.len()] == b'\n'
+    }
+}
+
+/// The one reader behind every line-oriented artifact decoder: `rest`
+/// is the input not read yet, `line` the 1-based number of the last line
+/// read. Lines end at `\n` (a `\r` before it is dropped) and hold records
+/// of fields separated by single spaces, the exact inverse of the writers.
+#[derive(Debug)]
+pub struct Lines<'a> {
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// Checks `text`'s magic line and positions the reader after it.
+    pub fn open(text: &'a str, magic: Magic) -> Result<Lines<'a>, DecodeError> {
+        let mut lines = Lines {
+            rest: text,
+            line: 0,
+        };
+        magic.expect(lines.next_line())?;
+        Ok(lines)
+    }
+
+    fn next_line(&mut self) -> Option<&'a str> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        self.line += 1;
+        Some(match self.rest.split_once('\n') {
+            Some((line, rest)) => {
+                self.rest = rest;
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None => std::mem::take(&mut self.rest),
+        })
+    }
+
+    /// An error at the last line read.
+    pub fn error(&self, message: impl Into<String>) -> DecodeError {
+        malformed(self.line, message)
+    }
+
+    /// The next record; `what` names it when the input has ended.
+    pub fn record(&mut self, what: &str) -> Result<Fields<'a>, DecodeError> {
+        let Some(line) = self.next_line() else {
+            return Err(malformed(self.line + 1, format!("missing {what} line")));
+        };
+        let budget = self.rest.len();
+        Ok(Fields {
+            rest: Some(line),
+            line: self.line,
+            budget,
+        })
+    }
+
+    /// The fields after the `tag` that must open the next record.
+    pub fn tagged(&mut self, tag: &str) -> Result<Fields<'a>, DecodeError> {
+        let mut fields = self.record(tag)?;
+        match fields.field(tag)? {
+            found if found == tag => Ok(fields),
+            found => Err(fields.error(format!("expected `{tag}`, found `{found}`"))),
+        }
+    }
+
+    /// The one value of a `<tag> <value>` record, read by `read` (e.g.
+    /// [`Fields::parse`]) with `tag` as its name.
+    pub fn value<T>(
+        &mut self,
+        tag: &str,
+        read: impl FnOnce(&mut Fields<'a>, &str) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        let mut fields = self.tagged(tag)?;
+        let value = read(&mut fields, tag)?;
+        fields.end().map(|()| value)
+    }
+
+    /// A `<tag> <count>` record counting the lines after it, capped as
+    /// [`Fields::records`] caps it.
+    pub fn count(&mut self, tag: &str) -> Result<usize, DecodeError> {
+        self.tagged(tag)?.records(tag, 1)
+    }
+}
+
+/// The space-separated fields of one record at 1-based `line`: `rest`
+/// holds those not read yet (`None` once the last is taken), `budget`
+/// the bytes of input after the record. Every error names the line.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    rest: Option<&'a str>,
+    line: usize,
+    budget: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// An error at this record's line.
+    pub fn error(&self, message: impl Into<String>) -> DecodeError {
+        malformed(self.line, message)
+    }
+
+    /// The next raw field; `what` names it when the record has ended.
+    pub fn field(&mut self, what: &str) -> Result<&'a str, DecodeError> {
+        let rest = self
+            .rest
+            .ok_or_else(|| self.error(format!("missing {what}")))?;
+        let (field, tail) = match rest.bytes().position(|b| b == b' ') {
+            Some(i) => (&rest[..i], Some(&rest[i + 1..])),
+            None => (rest, None),
+        };
+        self.rest = tail;
+        Ok(field)
+    }
+
+    /// The raw fields not read yet.
+    pub fn remaining(&mut self) -> impl Iterator<Item = &'a str> {
+        self.rest.take().into_iter().flat_map(|r| r.split(' '))
+    }
+
+    fn typed<T>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, DecodeError> {
+        let s = self.field(what)?;
+        read(s).ok_or_else(|| self.error(format!("bad {what} `{s}`")))
+    }
+
+    /// The next field, parsed by its [`std::str::FromStr`].
+    pub fn parse<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, DecodeError> {
+        self.typed(what, |s| s.parse().ok())
+    }
+
+    /// The next field, [`unescape`]d.
+    pub fn escaped(&mut self, what: &str) -> Result<String, DecodeError> {
+        self.typed(what, |s| unescape(s).ok())
+    }
+
+    /// The next field as a hex `u128` (a packed region key).
+    pub fn hex(&mut self, what: &str) -> Result<u128, DecodeError> {
+        self.typed(what, |s| u128::from_str_radix(s, 16).ok())
+    }
+
+    /// The next field as an `f64` stored as `to_bits` hex, so a round
+    /// trip is exact.
+    pub fn bits(&mut self, what: &str) -> Result<f64, DecodeError> {
+        self.typed(what, |s| {
+            Some(f64::from_bits(u64::from_str_radix(s, 16).ok()?))
+        })
+    }
+
+    /// The last field, as the number of records still to come, each at
+    /// least `record_bytes` long. A count that cannot fit in the rest of
+    /// the input is an error, so what this returns is safe to allocate.
+    pub fn records(mut self, what: &str, record_bytes: usize) -> Result<usize, DecodeError> {
+        let n: usize = self.parse(what)?;
+        if n.saturating_mul(record_bytes) > self.budget {
+            let budget = self.budget;
+            return Err(self.error(format!("{what} {n} cannot fit in the {budget} bytes left")));
+        }
+        self.end().map(|()| n)
+    }
+
+    /// Every remaining field, parsed. An empty remainder (the trailing
+    /// space a writer leaves after joining an empty list) is an empty list.
+    pub fn list<T: std::str::FromStr>(mut self, what: &str) -> Result<Vec<T>, DecodeError> {
+        self.rest = self.rest.filter(|r| !r.is_empty());
+        let mut out = Vec::new();
+        while self.rest.is_some() {
+            out.push(self.parse(what)?);
+        }
+        Ok(out)
+    }
+
+    /// Checks that no field is left.
+    pub fn end(&self) -> Result<(), DecodeError> {
+        match self.rest {
+            None => Ok(()),
+            Some(extra) => Err(self.error(format!("unexpected trailing `{extra}`"))),
+        }
     }
 }
 
@@ -222,9 +404,12 @@ mod tests {
 
     #[test]
     fn expect_distinguishes_version_from_family() {
-        assert!(matches!(M.expect(None), Err(HeaderError::Missing { .. })));
+        assert!(matches!(
+            M.expect(None),
+            Err(DecodeError::MissingHeader { .. })
+        ));
         match M.expect(Some("remedy-test v4")) {
-            Err(HeaderError::WrongVersion {
+            Err(DecodeError::WrongVersion {
                 supported, found, ..
             }) => {
                 assert_eq!(supported, 3);
@@ -234,7 +419,7 @@ mod tests {
         }
         assert!(matches!(
             M.expect(Some("remedy-other v3")),
-            Err(HeaderError::WrongFamily { .. })
+            Err(DecodeError::WrongFamily { .. })
         ));
         let err = M.expect(Some("junk")).unwrap_err();
         assert!(err.to_string().contains("remedy-test v3"), "{err}");

@@ -22,23 +22,13 @@
 
 use crate::dataset::Dataset;
 use crate::error::DatasetError;
-use crate::format::{self, Magic};
+use crate::format::{escape as esc, unescape as unesc, Fields, Lines, Magic};
 use crate::schema::{Attribute, Schema};
+use std::fmt::Write as _;
 use std::path::Path;
 
 /// Magic of the exact text format.
 pub const DATASET: Magic = Magic::new("remedy-dataset", 1);
-
-/// Percent-encodes whitespace, `%`, control characters, and non-ASCII
-/// bytes (see [`format::escape`] for why the last group matters).
-fn esc(s: &str) -> String {
-    format::escape(s)
-}
-
-/// Reverses [`esc`].
-fn unesc(s: &str) -> Result<String, DatasetError> {
-    format::unescape(s).map_err(|e| DatasetError::Invalid(e.to_string()))
-}
 
 /// Serializes a dataset exactly: schema, codes, labels, and weights all
 /// survive a round trip through [`dataset_from_text`] unchanged.
@@ -46,14 +36,11 @@ pub fn dataset_to_text(data: &Dataset) -> String {
     let schema = data.schema();
     let mut out = format!("{}\nlabel {}\n", DATASET.line(), esc(schema.label_name()));
     for attr in schema.attributes() {
-        out.push_str("attr ");
-        out.push(if attr.is_protected() { 'p' } else { '-' });
-        out.push(if attr.is_ordered() { 'o' } else { '-' });
-        out.push(' ');
-        out.push_str(&esc(attr.name()));
+        let p = if attr.is_protected() { 'p' } else { '-' };
+        let o = if attr.is_ordered() { 'o' } else { '-' };
+        let _ = write!(out, "attr {p}{o} {}", esc(attr.name()));
         for value in attr.domain() {
-            out.push(' ');
-            out.push_str(&esc(value));
+            let _ = write!(out, " {}", esc(value));
         }
         out.push('\n');
     }
@@ -74,85 +61,47 @@ pub fn dataset_to_text(data: &Dataset) -> String {
 
 /// Parses a dataset written by [`dataset_to_text`].
 pub fn dataset_from_text(text: &str) -> Result<Dataset, DatasetError> {
-    let mut lines = text.lines();
-    DATASET
-        .expect(lines.next())
-        .map_err(|e| DatasetError::Invalid(e.to_string()))?;
-    let label_line = lines
-        .next()
-        .ok_or_else(|| DatasetError::Invalid("missing label line".into()))?;
-    let label_name = unesc(
-        label_line
-            .strip_prefix("label ")
-            .ok_or_else(|| DatasetError::Invalid(format!("bad label line `{label_line}`")))?,
-    )?;
+    let mut lines = Lines::open(text, DATASET)?;
+    let label_name = lines.value("label", Fields::escaped)?;
     let mut attributes = Vec::new();
-    let mut row_count = None;
-    for line in lines.by_ref() {
-        if let Some(rest) = line.strip_prefix("attr ") {
-            let mut fields = rest.split(' ');
-            let flags = fields
-                .next()
-                .ok_or_else(|| DatasetError::Invalid("missing attr flags".into()))?;
-            let name = unesc(
-                fields
-                    .next()
-                    .ok_or_else(|| DatasetError::Invalid("missing attr name".into()))?,
-            )?;
-            let domain: Vec<String> = fields.map(unesc).collect::<Result<_, _>>()?;
-            let mut attr = Attribute::new(name, domain);
-            if flags.contains('p') {
-                attr = attr.protected();
+    let row_count = loop {
+        let mut fields = lines.record("rows")?;
+        match fields.field("record")? {
+            "attr" => {
+                let flags = fields.field("attr flags")?;
+                let name = fields.escaped("attr name")?;
+                let domain = fields.remaining().map(unesc).collect::<Result<_, _>>();
+                let domain = domain.map_err(|e| fields.error(e.to_string()))?;
+                let mut attr = Attribute::new(name, domain);
+                if flags.contains('p') {
+                    attr = attr.protected();
+                }
+                if flags.contains('o') {
+                    attr = attr.ordered();
+                }
+                attributes.push(attr);
             }
-            if flags.contains('o') {
-                attr = attr.ordered();
-            }
-            attributes.push(attr);
-        } else if let Some(n) = line.strip_prefix("rows ") {
-            row_count = Some(
-                n.parse::<usize>()
-                    .map_err(|_| DatasetError::Invalid(format!("bad row count `{n}`")))?,
-            );
-            break;
-        } else {
-            return Err(DatasetError::Invalid(format!("unexpected line `{line}`")));
+            // a row is its codes, label and weight, each at least one
+            // byte plus a separator
+            "rows" => break fields.records("rows", 2 * (attributes.len() + 2))?,
+            other => return Err(fields.error(format!("unexpected record `{other}`")).into()),
         }
-    }
-    let row_count = row_count.ok_or_else(|| DatasetError::Invalid("missing rows line".into()))?;
+    };
     let cols = attributes.len();
     let schema = Schema::new(attributes, label_name).into_shared();
-    // a hostile rows line cannot reserve more rows than the input has
-    // bytes; a short body is reported below
-    let mut data = Dataset::with_capacity(schema, row_count.min(text.len()));
+    let mut data = Dataset::with_capacity(schema, row_count);
     let mut codes = Vec::with_capacity(cols);
-    for line in lines.take(row_count) {
-        let mut fields = line.split(' ');
+    for _ in 0..row_count {
+        let mut fields = lines.record("row")?;
         codes.clear();
         for _ in 0..cols {
-            let cell = fields
-                .next()
-                .ok_or_else(|| DatasetError::Invalid(format!("short row `{line}`")))?;
-            codes.push(
-                cell.parse::<u32>()
-                    .map_err(|_| DatasetError::Invalid(format!("bad code `{cell}`")))?,
-            );
+            codes.push(fields.parse::<u32>("code")?);
         }
-        let label = fields
-            .next()
-            .and_then(|v| v.parse::<u8>().ok())
-            .ok_or_else(|| DatasetError::Invalid(format!("bad row label in `{line}`")))?;
-        let weight = fields
-            .next()
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
-            .map(f64::from_bits)
-            .ok_or_else(|| DatasetError::Invalid(format!("bad row weight in `{line}`")))?;
-        data.push_row_weighted(&codes, label, weight)?;
-    }
-    if data.len() != row_count {
-        return Err(DatasetError::Invalid(format!(
-            "expected {row_count} rows, found {}",
-            data.len()
-        )));
+        let label = fields.parse::<u8>("label")?;
+        let weight = fields.bits("weight")?;
+        fields.end()?;
+        data.push_row_weighted(&codes, label, weight)
+            .map_err(|e| fields.error(e.to_string()))?;
     }
     Ok(data)
 }
@@ -249,7 +198,7 @@ mod tests {
         );
         assert!(matches!(
             dataset_from_text(&text),
-            Err(DatasetError::Invalid(_))
+            Err(DatasetError::Decode(_))
         ));
     }
 

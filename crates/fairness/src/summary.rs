@@ -7,8 +7,9 @@
 //! reproduces the original run bit for bit.
 
 use crate::measure::Statistic;
+use remedy_dataset::format::{DecodeError, Fields, Lines, Magic};
 
-const MAGIC: &str = "remedy-metrics v1";
+const MAGIC: Magic = Magic::new("remedy-metrics", 1);
 
 /// Audit metrics for one trained model on one test set.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +31,8 @@ impl MetricsSummary {
     /// Serializes the summary.
     pub fn to_text(&self) -> String {
         format!(
-            "{MAGIC}\nstat {}\naccuracy {:016x}\nfairness-index {:016x}\nunfair {}\nrows {}\n",
+            "{}\nstat {}\naccuracy {:016x}\nfairness-index {:016x}\nunfair {}\nrows {}\n",
+            MAGIC.line(),
             self.statistic,
             self.accuracy.to_bits(),
             self.fairness_index.to_bits(),
@@ -40,36 +42,19 @@ impl MetricsSummary {
     }
 
     /// Parses a summary written by [`MetricsSummary::to_text`].
-    pub fn from_text(text: &str) -> Result<MetricsSummary, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(format!("not a {MAGIC} file"));
-        }
-        let mut field = |prefix: &str| -> Result<String, String> {
-            let line = lines.next().ok_or_else(|| format!("missing {prefix}"))?;
-            line.strip_prefix(prefix)
-                .and_then(|r| r.strip_prefix(' '))
-                .map(String::from)
-                .ok_or_else(|| format!("expected `{prefix}`, found `{line}`"))
-        };
-        let stat = field("stat")?;
-        let statistic =
-            Statistic::from_name(&stat).ok_or_else(|| format!("unknown statistic `{stat}`"))?;
-        let bits = |s: String| {
-            u64::from_str_radix(&s, 16)
-                .map(f64::from_bits)
-                .map_err(|_| format!("bad float bits `{s}`"))
-        };
+    pub fn from_text(text: &str) -> Result<MetricsSummary, DecodeError> {
+        let mut lines = Lines::open(text, MAGIC)?;
+        let statistic = lines.value("stat", |fields, what| {
+            let name = fields.field(what)?;
+            Statistic::from_name(name)
+                .ok_or_else(|| fields.error(format!("unknown statistic `{name}`")))
+        })?;
         Ok(MetricsSummary {
             statistic,
-            accuracy: bits(field("accuracy")?)?,
-            fairness_index: bits(field("fairness-index")?)?,
-            unfair_subgroups: field("unfair")?
-                .parse()
-                .map_err(|_| "bad unfair count".to_string())?,
-            test_rows: field("rows")?
-                .parse()
-                .map_err(|_| "bad row count".to_string())?,
+            accuracy: lines.value("accuracy", Fields::bits)?,
+            fairness_index: lines.value("fairness-index", Fields::bits)?,
+            unfair_subgroups: lines.value("unfair", Fields::parse)?,
+            test_rows: lines.value("rows", Fields::parse)?,
         })
     }
 }

@@ -29,6 +29,10 @@ cargo test -q -p remedy-core --test counting_props
 # ... and the independent §II oracle against every identify source and
 # the leaf remedy's updates, in release mode too (no overflow checks)
 cargo test -q --release -p remedy-core --test oracle
+# the seeded mutation test of the five text decoders, in release mode
+# too: overflow checks are off there, so an unchecked sum that panics in
+# debug would be silently accepted instead
+cargo test -q --release --test decode_mutations
 # support-pruned enumeration: byte-parity with dense in release mode
 # (where the debug overflow checks that caught the packed-key wrap are
 # off), plus the sub-second p=24 identify the dense lattice refuses

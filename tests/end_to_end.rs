@@ -7,7 +7,7 @@ use remedy::core::{
     Technique,
 };
 use remedy::dataset::split::train_test_split;
-use remedy::dataset::synth;
+use remedy::dataset::{synth, Dataset};
 use remedy::fairness::{fairness_index, FairnessIndexParams, Statistic};
 use std::collections::BTreeSet;
 
@@ -143,6 +143,62 @@ fn tau_sweep_only_shrinks_the_ibs() {
                 );
             }
             assert!(sweep[9].len() < sweep[0].len(), "{enumeration:?}");
+        }
+    }
+}
+
+/// IBS size before and after one remedy, identified with the remedy's
+/// own `τ_c` and scope (default `k` and neighborhood).
+fn ibs_sizes(data: &Dataset, technique: Technique, scope: Scope, tau_c: f64) -> (usize, usize) {
+    let ibs = IbsParams::builder()
+        .tau_c(tau_c)
+        .scope(scope)
+        .build()
+        .unwrap();
+    let params = RemedyParams::builder()
+        .technique(technique)
+        .scope(scope)
+        .tau_c(tau_c)
+        .build()
+        .unwrap();
+    let remedied = remedy_data(data, &params).dataset;
+    let size = |d: &Dataset| identify(d, &ibs, Algorithm::Optimized).len();
+    (size(data), size(&remedied))
+}
+
+/// "Remedy never grows the IBS" does not hold: oversampling the whole
+/// Adult lattice at the default `τ_c` = 0.1 grows this input from 5 000
+/// to 55 467 rows and its IBS from 1 066 to 3 598 regions. At the
+/// paper's Adult `τ_c` = 0.5 the same remedy shrinks the IBS (113 → 5).
+#[test]
+fn lattice_oversampling_grows_the_adult_ibs_at_low_tau() {
+    let data = synth::adult_n(5_000, 7);
+    let (before, after) = ibs_sizes(&data, Technique::Oversampling, Scope::Lattice, 0.1);
+    assert!(after > before, "τ_c 0.1: {before} → {after}");
+    let (before, after) = ibs_sizes(&data, Technique::Oversampling, Scope::Lattice, 0.5);
+    assert!(after < before, "τ_c 0.5: {before} → {after}");
+}
+
+/// Every other technique × scope at `τ_c` = 0.1 shrinks the IBS or
+/// leaves its size unchanged, on all three datasets.
+#[test]
+fn remedy_grows_the_ibs_only_under_lattice_oversampling() {
+    for (name, data) in [
+        ("compas", synth::compas_n(3_000, 7)),
+        ("adult", synth::adult_n(5_000, 7)),
+        ("law", synth::law_school_n(3_000, 7)),
+    ] {
+        for technique in Technique::ALL {
+            for scope in [Scope::Lattice, Scope::Leaf, Scope::Top] {
+                if (technique, scope) == (Technique::Oversampling, Scope::Lattice) {
+                    continue;
+                }
+                let (before, after) = ibs_sizes(&data, technique, scope, 0.1);
+                assert!(
+                    after <= before,
+                    "{name} {technique}/{scope:?}: {before} → {after}"
+                );
+            }
         }
     }
 }
