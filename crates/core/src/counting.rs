@@ -269,6 +269,17 @@ impl<C: Tally> ShardCounts<C> {
     /// [`SparseHierarchy::try_build_over`] on the concatenated shards,
     /// because pruning sees the globally merged counts.
     pub fn to_sparse(&self, support: u64) -> Result<SparseHierarchy<C>, CoreError> {
+        self.to_sparse_with(support, &ObsScope::disabled())
+    }
+
+    /// [`to_sparse`](ShardCounts::to_sparse), recording the
+    /// enumeration's `candidates`, `candidates_gated` and `leaf_visits`
+    /// counters into `obs`.
+    pub(crate) fn to_sparse_with(
+        &self,
+        support: u64,
+        obs: &ObsScope,
+    ) -> Result<SparseHierarchy<C>, CoreError> {
         SparseHierarchy::from_leaves(
             self.protected.clone(),
             self.cards.clone(),
@@ -277,6 +288,7 @@ impl<C: Tally> ShardCounts<C> {
             self.leaves.iter().map(|(&k, &c)| (k, c)),
             self.totals,
             support,
+            obs,
         )
     }
 }

@@ -214,7 +214,10 @@ pub fn try_identify_over_with(
             Ok(identify_in_with(&hierarchy, params, algorithm, obs))
         }
         Enumeration::Pruned => {
-            let sparse = SparseHierarchy::try_build_over(data, protected, params.min_size)?;
+            // free the leaf map before the scan allocates its results
+            let counts = ShardCounts::scan_over(data, protected, 0)?;
+            let sparse = enumerate_pruned(&counts, params, obs)?;
+            drop(counts);
             Ok(identify_in_sparse_with(&sparse, params, algorithm, obs))
         }
     }
@@ -259,16 +262,27 @@ pub fn try_identify_in_index_with(
     }
 }
 
-/// The pruned identify over leaf counts, enumerated at
-/// `support = min_size`.
+/// The pruned identify over leaf counts.
 fn identify_in_leaves(
     counts: &ShardCounts,
     params: &IbsParams,
     algorithm: Algorithm,
     obs: &ObsScope,
 ) -> Result<Vec<BiasedRegion>, CoreError> {
-    let sparse = counts.to_sparse(params.min_size)?;
+    let sparse = enumerate_pruned(counts, params, obs)?;
     Ok(identify_in_sparse_with(&sparse, params, algorithm, obs))
+}
+
+/// The support-pruned lattice of leaf counts at `support = min_size`,
+/// enumerated under an `enumerate` span that records the enumeration's
+/// counters.
+fn enumerate_pruned(
+    counts: &ShardCounts,
+    params: &IbsParams,
+    obs: &ObsScope,
+) -> Result<SparseHierarchy, CoreError> {
+    let _span = obs.span("enumerate");
+    counts.to_sparse_with(params.min_size, obs)
 }
 
 /// Identifies the IBS over a prebuilt support-pruned hierarchy.

@@ -20,14 +20,24 @@ use crate::score::Counts;
 use crate::sparse::KeyCodec;
 use remedy_dataset::format::{DecodeError, Lines, Magic};
 use remedy_dataset::Pattern;
+use std::fmt::{self, Write};
 
 const MAGIC: Magic = Magic::new("remedy-ibs", 1);
 
-/// Serializes identification output.
+/// Serializes identification output, formatting every field straight
+/// into one buffer.
 pub fn regions_to_text(regions: &[BiasedRegion]) -> String {
-    let mut out = format!("{}\nregions {}\n", MAGIC.line(), regions.len());
+    let mut out = String::new();
+    // writing into a String cannot fail
+    let _ = write_regions(&mut out, regions);
+    out
+}
+
+fn write_regions(out: &mut String, regions: &[BiasedRegion]) -> fmt::Result {
+    writeln!(out, "{}\nregions {}", MAGIC.line(), regions.len())?;
     for r in regions {
-        out.push_str(&format!(
+        write!(
+            out,
             "region {} {:x} {} {} {:016x} {:016x}",
             r.mask,
             r.key,
@@ -35,13 +45,13 @@ pub fn regions_to_text(regions: &[BiasedRegion]) -> String {
             r.counts.neg,
             r.ratio.to_bits(),
             r.neighbor_ratio.to_bits()
-        ));
+        )?;
         for (col, val) in r.pattern.terms() {
-            out.push_str(&format!(" {col}:{val}"));
+            write!(out, " {col}:{val}")?;
         }
         out.push('\n');
     }
-    out
+    Ok(())
 }
 
 /// Parses identification output written by [`regions_to_text`].
@@ -150,6 +160,11 @@ pub fn counts_from_text(text: &str) -> Result<ShardCounts, DecodeError> {
         let key = fields.hex("leaf key")?;
         let c = Counts::new(fields.parse("leaf pos")?, fields.parse("leaf neg")?);
         fields.end()?;
+        // a leaf exists only where some row does; the pruned builder
+        // relies on it (an empty leaf would overwrite a region's count)
+        if c.pos == 0 && c.neg == 0 {
+            return Err(fields.error(format!("leaf {key:x} holds no rows")));
+        }
         let Some(next) = c.pos.checked_add(c.neg).and_then(|t| t.checked_add(sum)) else {
             return Err(fields.error("leaf counts overflow u64"));
         };
@@ -299,5 +314,21 @@ mod tests {
         }
         let ok = "remedy-counts v1\nprotected 1\ncol 0 3 0\ntotals 2 0\nleaves 1\nleaf 2 2 0\n";
         assert!(counts_from_text(ok).is_ok());
+    }
+
+    /// A leaf holding no rows is rejected: the pruned builder's flat
+    /// accumulator marks an untouched cell by a zero total, so an empty
+    /// leaf sharing a region with real ones used to overwrite that
+    /// region's counts with zeros.
+    #[test]
+    fn empty_leaves_are_typed_errors() {
+        let text = "remedy-counts v1\nprotected 2\ncol 0 2 0\ncol 1 2 0\ntotals 40 2\n\
+                    leaves 2\nleaf 0 0 0\nleaf 100 40 2\n";
+        match counts_from_text(text) {
+            Err(DecodeError::Malformed { message, .. }) => {
+                assert!(message.contains("holds no rows"), "{message}")
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 }

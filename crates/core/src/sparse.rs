@@ -16,6 +16,18 @@
 //! when all their level-`L` sub-masks are frequent, and everything above
 //! an infrequent mask is skipped without ever being counted.
 //!
+//! **Hot-list gate.** A kept node whose frequent regions hold few rows
+//! also keeps its *hot list*: the leaves in those regions. A candidate is
+//! first counted over the hot list of its parent, the mask
+//! `next_candidates` extended (the candidate minus its highest
+//! attribute). Each candidate region lies inside one parent region, so a
+//! region above `support` lies wholly on that list, and this one short
+//! pass decides frequency exactly: an infrequent candidate is rejected
+//! without a full pass or a region map. A frequent one adds the leaves
+//! off the list and so still gets its complete map in one pass over all
+//! leaves. Where frequent regions hold most rows, as on the study
+//! datasets, nodes keep no list and every candidate takes the full pass.
+//!
 //! **Parity invariant.** When `support` equals the identify pass's
 //! `min_size`, the skipped nodes are exactly those whose regions the
 //! dense scan would all reject as too small, and every surviving node
@@ -38,6 +50,7 @@ use crate::hierarchy::{Node, MAX_PROTECTED};
 use crate::score::Counts;
 use remedy_dataset::store::key_layout;
 use remedy_dataset::{Dataset, Pattern};
+use remedy_obs::Scope as ObsScope;
 
 /// Per-column bit layout of packed full-row keys.
 ///
@@ -115,6 +128,17 @@ struct LeafCols<C> {
 /// hash map — a large constant-factor win on the counting hot loop.
 const DENSE_ACC_LIMIT: usize = 1 << 16;
 
+/// A node keeps a hot list only when its frequent regions hold at most
+/// `1 / HOT_LIST_SHARE` as many rows as there are leaves. Every leaf
+/// holds at least one row, so the list then covers at most that share of
+/// the leaves, short enough that gating a child on it costs little
+/// beside the full pass it may save.
+const HOT_LIST_SHARE: u64 = 4;
+
+/// A node's hot list: the ascending indices of the leaves in its regions
+/// above `support`.
+type HotList = Vec<u32>;
+
 /// The lattice of regions over a set of protected attributes: the nodes
 /// its builder kept, each with its complete region map of `C` tallies
 /// (label [`Counts`] unless built from [`ShardCounts::scan_classes`]).
@@ -158,8 +182,12 @@ impl SparseHierarchy {
 
 impl<C: Tally> SparseHierarchy<C> {
     /// Level-wise Apriori enumeration over an already-aggregated leaf
-    /// map. `leaves` may arrive in any order: counting is pure summation,
-    /// and surviving region maps are unordered.
+    /// map, recording its work counters (`candidates`,
+    /// `candidates_gated`, `leaf_visits`) into `obs` once. `leaves` may
+    /// arrive in any order: counting is pure summation, and surviving
+    /// region maps are unordered. Every leaf must hold at least one row
+    /// (see [`count_candidate`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_leaves(
         protected: Vec<usize>,
         cards: Vec<u32>,
@@ -168,6 +196,7 @@ impl<C: Tally> SparseHierarchy<C> {
         leaves: impl Iterator<Item = (u128, C)>,
         totals: C,
         support: u64,
+        obs: &ObsScope,
     ) -> Result<SparseHierarchy<C>, CoreError> {
         let p = protected.len();
         debug_assert_eq!(codec.arity(), p);
@@ -182,28 +211,52 @@ impl<C: Tally> SparseHierarchy<C> {
             cols.counts.push(counts);
         }
 
+        let mut acc = CellAcc::default();
+        let mut tally = BuildTally::default();
         let mut nodes: Vec<Node<C>> = Vec::new();
+        // the previous level's kept masks (ascending) and their hot lists
+        let mut parents: Vec<u32> = Vec::new();
+        let mut parent_hot: Vec<Option<HotList>> = Vec::new();
         let mut candidates: Vec<u32> = (0..p as u32).map(|j| 1u32 << j).collect();
-        // scratch for the flat-array counting path, reused (and re-zeroed
-        // via the touched list) across candidates
-        let mut scratch: Vec<C> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
         let mut level = 1usize;
         while !candidates.is_empty() {
             if level > MAX_PROTECTED {
                 return Err(CoreError::NodeTooDeep { level });
             }
+            tally.candidates += candidates.len() as u64;
             let mut frequent: Vec<u32> = Vec::new();
+            let mut hot: Vec<Option<HotList>> = Vec::new();
             for &mask in &candidates {
-                let node = count_node(mask, p, &cols, &cards, &mut scratch, &mut touched);
-                if node.regions.values().any(|c| c.total() > support) {
+                // the parent is the mask `next_candidates` extended: the
+                // candidate minus its highest attribute (at level 1, the
+                // whole dataset, which keeps no list)
+                let gate = if level == 1 {
+                    None
+                } else {
+                    let parent = mask & !(1 << (31 - mask.leading_zeros()));
+                    let i = parents
+                        .binary_search(&parent)
+                        .expect("every candidate extends a kept mask");
+                    parent_hot[i].as_deref()
+                };
+                let cells = Cells::new(mask, &cards);
+                let counted = count_candidate(&cells, &cols, gate, support, &mut acc, &mut tally);
+                if let Some((regions, list)) = counted {
                     frequent.push(mask);
-                    nodes.push(node);
+                    hot.push(list);
+                    nodes.push(Node {
+                        mask,
+                        attrs: cells.attrs,
+                        regions,
+                    });
                 }
             }
             candidates = next_candidates(&frequent, p);
+            parents = frequent;
+            parent_hot = hot;
             level += 1;
         }
+        tally.flush(obs);
 
         Ok(SparseHierarchy::new(
             protected, cards, ordered, totals, support, nodes,
@@ -291,68 +344,236 @@ impl<C: Tally> SparseHierarchy<C> {
     }
 }
 
-/// Counts one candidate node's complete region map from the leaf
-/// columns. Small cell spaces go through a flat mixed-radix array
-/// (`scratch`/`touched`), larger ones through a hash map.
-fn count_node<C: Tally>(
-    mask: u32,
-    p: usize,
+/// Work counters of one level-wise build, flushed to an [`ObsScope`]
+/// once at its end.
+#[derive(Default)]
+struct BuildTally {
+    /// Candidate masks generated, level 1 included.
+    candidates: u64,
+    /// Candidates rejected on their parent's hot list alone.
+    gated: u64,
+    /// Leaves read by every counting and hot-list pass.
+    leaf_visits: u64,
+}
+
+impl BuildTally {
+    fn flush(&self, obs: &ObsScope) {
+        obs.add_many(&[
+            ("candidates", self.candidates),
+            ("candidates_gated", self.gated),
+            ("leaf_visits", self.leaf_visits),
+        ]);
+    }
+}
+
+/// One candidate's cells: its attributes, their cardinalities, and its
+/// cell count when small enough for the flat accumulator.
+struct Cells {
+    attrs: Vec<usize>,
+    dims: Vec<usize>,
+    /// `Some(cells)` at most [`DENSE_ACC_LIMIT`], else `None` (hash map).
+    flat: Option<usize>,
+}
+
+impl Cells {
+    fn new(mask: u32, cards: &[u32]) -> Cells {
+        let attrs: Vec<usize> = (0..cards.len()).filter(|j| mask >> j & 1 == 1).collect();
+        let dims: Vec<usize> = attrs.iter().map(|&j| cards[j] as usize).collect();
+        let flat = dims.iter().try_fold(1usize, |acc, &d| {
+            acc.checked_mul(d).filter(|&x| x <= DENSE_ACC_LIMIT)
+        });
+        Cells { attrs, dims, flat }
+    }
+
+    /// Mixed-radix flat index of leaf `i`'s cell.
+    #[inline]
+    fn index<C>(&self, cols: &LeafCols<C>, i: usize) -> usize {
+        let mut idx = 0usize;
+        for (&j, &d) in self.attrs.iter().zip(&self.dims) {
+            idx = idx * d + cols.codes[j][i] as usize;
+        }
+        idx
+    }
+
+    /// Canonical region key (8 bits per attribute) of leaf `i`'s cell.
+    #[inline]
+    fn key<C>(&self, cols: &LeafCols<C>, i: usize) -> u128 {
+        let mut key = 0u128;
+        for (slot, &j) in self.attrs.iter().enumerate() {
+            key |= u128::from(cols.codes[j][i]) << (8 * slot);
+        }
+        key
+    }
+
+    /// Canonical region key of flat index `idx`.
+    fn key_of_index(&self, idx: usize) -> u128 {
+        let mut rem = idx;
+        let mut key = 0u128;
+        for (slot, &d) in self.dims.iter().enumerate().rev() {
+            key |= ((rem % d) as u128) << (8 * slot);
+            rem /= d;
+        }
+        key
+    }
+}
+
+/// One candidate's cell tallies, reused across candidates: a flat array
+/// re-zeroed through its touched list when the cell space is small, a
+/// hash map otherwise.
+#[derive(Default)]
+struct CellAcc<C> {
+    scratch: Vec<C>,
+    touched: Vec<usize>,
+    map: FastMap<u128, C>,
+}
+
+impl<C: Tally> CellAcc<C> {
+    /// Adds the tallies of the given leaves to their cells.
+    fn add(&mut self, cells: &Cells, cols: &LeafCols<C>, leaves: impl Iterator<Item = usize>) {
+        match cells.flat {
+            Some(len) => {
+                if self.scratch.len() < len {
+                    self.scratch.resize(len, C::default());
+                }
+                for i in leaves {
+                    let idx = cells.index(cols, i);
+                    // every leaf holds at least one row, so a zero total
+                    // marks an untouched slot
+                    if self.scratch[idx].total() == 0 {
+                        self.touched.push(idx);
+                    }
+                    self.scratch[idx].add(cols.counts[i]);
+                }
+            }
+            None => {
+                for i in leaves {
+                    self.map
+                        .entry(cells.key(cols, i))
+                        .or_default()
+                        .add(cols.counts[i]);
+                }
+            }
+        }
+    }
+
+    /// Rows tallied so far in leaf `i`'s cell.
+    fn total_at(&self, cells: &Cells, cols: &LeafCols<C>, i: usize) -> u64 {
+        match cells.flat {
+            Some(_) => self.scratch[cells.index(cols, i)].total(),
+            None => self.map.get(&cells.key(cols, i)).map_or(0, C::total),
+        }
+    }
+
+    /// Rows in the cells holding more than `support` rows: zero exactly
+    /// when no cell does.
+    fn rows_above(&self, cells: &Cells, support: u64) -> u64 {
+        let above = |c: &C| Some(c.total()).filter(|&t| t > support);
+        match cells.flat {
+            Some(_) => self
+                .touched
+                .iter()
+                .filter_map(|&idx| above(&self.scratch[idx]))
+                .sum(),
+            None => self.map.values().filter_map(above).sum(),
+        }
+    }
+
+    /// Drops every tally.
+    fn reset(&mut self) {
+        for idx in self.touched.drain(..) {
+            self.scratch[idx] = C::default();
+        }
+        self.map.clear();
+    }
+
+    /// Moves the tallies out as a region map, leaving the accumulator
+    /// empty.
+    fn take(&mut self, cells: &Cells) -> FastMap<u128, C> {
+        match cells.flat {
+            Some(_) => {
+                let mut regions = FastMap::default();
+                regions.reserve(self.touched.len());
+                for idx in self.touched.drain(..) {
+                    regions.insert(
+                        cells.key_of_index(idx),
+                        std::mem::take(&mut self.scratch[idx]),
+                    );
+                }
+                regions
+            }
+            None => std::mem::take(&mut self.map),
+        }
+    }
+}
+
+/// Counts one candidate node: `None` when no region holds more than
+/// `support` rows, else its complete region map and its hot list (the
+/// leaves in those regions, ascending), or no list when it would not be
+/// short (see [`HOT_LIST_SHARE`]).
+///
+/// `gate` is the hot list of the candidate's parent. A candidate region
+/// lies inside one parent region, so a region above `support` lies
+/// wholly inside the parent's hot leaves: counting the candidate over
+/// them alone decides its frequency exactly, and rejects an infrequent
+/// candidate after one pass over a short list, building no map. A
+/// frequent one then adds the remaining leaves, one full pass in all;
+/// its own hot regions are complete after the first pass, so its hot
+/// list is drawn from the parent's.
+///
+/// Relies on every leaf holding at least one row: the flat accumulator
+/// marks an untouched cell by a zero total, and the hot-list bound counts
+/// one row per leaf.
+fn count_candidate<C: Tally>(
+    cells: &Cells,
     cols: &LeafCols<C>,
-    cards: &[u32],
-    scratch: &mut Vec<C>,
-    touched: &mut Vec<usize>,
-) -> Node<C> {
-    let attrs: Vec<usize> = (0..p).filter(|j| mask >> j & 1 == 1).collect();
-    let dims: Vec<usize> = attrs.iter().map(|&j| cards[j] as usize).collect();
-    let cells = dims.iter().try_fold(1usize, |acc, &d| {
-        acc.checked_mul(d).filter(|&x| x <= DENSE_ACC_LIMIT)
-    });
-    let mut regions: FastMap<u128, C> = FastMap::default();
-    match cells {
-        Some(cells) => {
-            if scratch.len() < cells {
-                scratch.resize(cells, C::default());
+    gate: Option<&[u32]>,
+    support: u64,
+    acc: &mut CellAcc<C>,
+    tally: &mut BuildTally,
+) -> Option<(FastMap<u128, C>, Option<HotList>)> {
+    let n = cols.counts.len();
+    let hot = match gate {
+        Some(list) => {
+            acc.add(cells, cols, list.iter().map(|&i| i as usize));
+            tally.leaf_visits += list.len() as u64;
+            if acc.rows_above(cells, support) == 0 {
+                acc.reset();
+                tally.gated += 1;
+                return None;
             }
-            touched.clear();
-            for (i, &counts) in cols.counts.iter().enumerate() {
-                let mut idx = 0usize;
-                for (&j, &d) in attrs.iter().zip(&dims) {
-                    idx = idx * d + cols.codes[j][i] as usize;
-                }
-                // leaf cells are never empty, so a zero total marks an
-                // untouched scratch slot
-                if scratch[idx].total() == 0 {
-                    touched.push(idx);
-                }
-                scratch[idx].add(counts);
-            }
-            regions.reserve(touched.len());
-            for &idx in touched.iter() {
-                let mut rem = idx;
-                let mut key = 0u128;
-                for (slot, &d) in dims.iter().enumerate().rev() {
-                    key |= ((rem % d) as u128) << (8 * slot);
-                    rem /= d;
-                }
-                regions.insert(key, scratch[idx]);
-                scratch[idx] = C::default();
-            }
+            let hot: HotList = list
+                .iter()
+                .copied()
+                .filter(|&i| acc.total_at(cells, cols, i as usize) > support)
+                .collect();
+            acc.add(cells, cols, complement(list, n));
+            tally.leaf_visits += n as u64;
+            Some(hot)
         }
         None => {
-            for (i, &counts) in cols.counts.iter().enumerate() {
-                let mut key = 0u128;
-                for (slot, &j) in attrs.iter().enumerate() {
-                    key |= u128::from(cols.codes[j][i]) << (8 * slot);
-                }
-                regions.entry(key).or_default().add(counts);
+            acc.add(cells, cols, 0..n);
+            tally.leaf_visits += n as u64;
+            let hot_rows = acc.rows_above(cells, support);
+            if hot_rows == 0 {
+                acc.reset();
+                return None;
             }
+            (hot_rows.saturating_mul(HOT_LIST_SHARE) <= n as u64).then(|| {
+                tally.leaf_visits += n as u64;
+                (0..n)
+                    .filter(|&i| acc.total_at(cells, cols, i) > support)
+                    .map(|i| i as u32)
+                    .collect()
+            })
         }
-    }
-    Node {
-        mask,
-        attrs,
-        regions,
-    }
+    };
+    Some((acc.take(cells), hot))
+}
+
+/// The leaves `0..n` missing from the ascending `list`.
+fn complement(list: &[u32], n: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut skip = list.iter().map(|&i| i as usize).peekable();
+    (0..n).filter(move |&i| skip.next_if_eq(&i).is_none())
 }
 
 /// Apriori candidate generation: each frequent mask extended by one
@@ -423,6 +644,45 @@ mod tests {
         }
         assert_node_parity(&synth::adult_n(1_200, 3), 30);
         assert_node_parity(&synth::law_school_n(1_000, 5), 12);
+    }
+
+    /// The hot-list gate on the hash-map path: four protected columns of
+    /// 48 categories put every level-3 cell space (48³) past the flat
+    /// limit. At support 5 level-2 cells hold ~2 rows, so every level-2
+    /// node keeps a short list, and one planted level-3 cell is frequent:
+    /// three candidates are rejected on their parents' lists, the planted
+    /// one completes its map past its parent's, and every node matches
+    /// the dense lattice.
+    #[test]
+    fn hot_list_gate_on_the_hash_path_matches_dense() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use remedy_dataset::{Attribute, Schema};
+        let values: Vec<String> = (0..48).map(|v| v.to_string()).collect();
+        let values: Vec<&str> = values.iter().map(String::as_str).collect();
+        let attrs = (0..4)
+            .map(|j| Attribute::from_strs(&format!("h{j}"), &values).protected())
+            .collect();
+        let mut data = Dataset::new(Schema::new(attrs, "y").into_shared());
+        let mut rng = StdRng::seed_from_u64(48);
+        for i in 0..5_000u32 {
+            let codes: Vec<u32> = (0..4).map(|_| rng.gen_range(0..48)).collect();
+            data.push_row(&codes, u8::from(i % 3 == 0)).unwrap();
+        }
+        for i in 0..8u32 {
+            data.push_row(&[1, 2, 3, i * 5], u8::from(i % 2 == 0))
+                .unwrap();
+        }
+        let support = 5;
+        assert!(Cells::new(0b0111, &[48; 4]).flat.is_none());
+        assert_node_parity(&data, support);
+
+        let rec = remedy_obs::Recorder::enabled();
+        let counts = ShardCounts::scan(&data, 0).unwrap();
+        let sparse = counts.to_sparse_with(support, &rec.scope("t")).unwrap();
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("t", "candidates"), Some(4 + 6 + 4));
+        assert_eq!(snap.counter("t", "candidates_gated"), Some(3));
+        assert!(sparse.node(0b0111).is_some(), "planted level-3 node pruned");
     }
 
     #[test]

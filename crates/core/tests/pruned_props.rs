@@ -14,10 +14,11 @@ use rand::{Rng, SeedableRng};
 use remedy_core::persist::regions_to_text;
 use remedy_core::{
     try_identify_in_index_with, try_identify_over, try_identify_over_with, Algorithm, BiasedRegion,
-    CoreError, Enumeration, Hierarchy, IbsParams, RegionIndex, ShardCounts,
+    CoreError, Enumeration, Hierarchy, IbsParams, RegionIndex, ShardCounts, SparseHierarchy,
 };
 use remedy_dataset::{synth, Dataset, RowEdit};
-use remedy_obs::Scope as ObsScope;
+use remedy_obs::{Recorder, Scope as ObsScope};
+use std::collections::{HashMap, HashSet};
 
 fn study_datasets() -> Vec<(&'static str, Dataset)> {
     vec![
@@ -171,6 +172,190 @@ fn wide_protected_sets_are_pruned_only() {
     assert_eq!(err, CoreError::TooManyProtected { got: 20, max: 16 });
     let live = in_index(&index, &pruned).unwrap();
     assert_eq!(regions_to_text(&live), regions_to_text(&regions));
+}
+
+/// Level-3 cells [`planted_wide`] tops up, `(column, code)` terms: the
+/// first to exactly the support, the second to one row past it.
+const PLANTED: [[(usize, u32); 3]; 2] = [[(1, 4), (6, 8), (12, 10)], [(0, 3), (5, 7), (11, 9)]];
+
+/// `wide_n` at 20 000 rows and p = 20 — where level-2 cells hold ~20
+/// rows, so a few pass k = 30 and every level-2 node keeps a short hot
+/// list, while level-3 cells hold ~0.6 — with the [`PLANTED`] cells
+/// topped up to `support` and `support + 1` rows. The planted rows
+/// spread their other columns, so no other level-3 cell gains more than
+/// one row from them.
+fn planted_wide(support: u64) -> Dataset {
+    let mut data = synth::wide_n(20_000, 20, 5);
+    for (cell, target) in PLANTED.iter().zip([support, support + 1]) {
+        let in_cell = |data: &Dataset, row| cell.iter().all(|&(c, v)| data.value(row, c) == v);
+        let have = (0..data.len()).filter(|&r| in_cell(&data, r)).count() as u64;
+        for i in 0..target.checked_sub(have).expect("cell already past target") {
+            let mut codes: Vec<u32> = (0..20)
+                .map(|j| ((i as usize * 7 + j * 13) % 32) as u32)
+                .collect();
+            for &(c, v) in cell {
+                codes[c] = v;
+            }
+            data.push_row(&codes, (i % 2) as u8).unwrap();
+        }
+    }
+    data
+}
+
+/// Mask and region key (8 bits per attribute) of a planted cell.
+fn planted_region(cell: &[(usize, u32)]) -> (u32, u128) {
+    cell.iter()
+        .enumerate()
+        .fold((0, 0), |(mask, key), (slot, &(c, v))| {
+            (mask | 1 << c, key | u128::from(v) << (8 * slot))
+        })
+}
+
+/// Region key → `(pos, neg)` of one node, counted straight from the rows
+/// (8 bits per attribute, in the node's attribute order).
+fn direct_counts(
+    data: &Dataset,
+    protected: &[usize],
+    attrs: &[usize],
+) -> HashMap<u128, (u64, u64)> {
+    let mut out: HashMap<u128, (u64, u64)> = HashMap::new();
+    for row in 0..data.len() {
+        let mut key = 0u128;
+        for (slot, &j) in attrs.iter().enumerate() {
+            key |= u128::from(data.value(row, protected[j])) << (8 * slot);
+        }
+        let entry = out.entry(key).or_default();
+        if data.label(row) == 1 {
+            entry.0 += 1;
+        } else {
+            entry.1 += 1;
+        }
+    }
+    out
+}
+
+/// Rows in the largest region over `cols`, counted straight from the
+/// columns into a flat array (the infrequent candidates are too many for
+/// a map per candidate in debug builds).
+fn largest_region(data: &Dataset, cols: &[usize]) -> u64 {
+    let dims: Vec<usize> = cols
+        .iter()
+        .map(|&c| data.schema().attribute(c).cardinality())
+        .collect();
+    let mut cells = vec![0u64; dims.iter().product()];
+    let columns: Vec<&[u32]> = cols.iter().map(|&c| data.column(c)).collect();
+    for row in 0..data.len() {
+        let mut idx = 0;
+        for (col, &d) in columns.iter().zip(&dims) {
+            idx = idx * d + col[row] as usize;
+        }
+        cells[idx] += 1;
+    }
+    cells.into_iter().max().unwrap_or(0)
+}
+
+/// Every Apriori candidate of the kept masks, by level: all single
+/// attributes, then each kept mask extended by a higher attribute when
+/// every one-removed sub-mask was kept.
+fn candidates_of(kept: &HashSet<u32>, p: usize) -> Vec<Vec<u32>> {
+    let mut levels = vec![(0..p as u32).map(|j| 1u32 << j).collect::<Vec<u32>>()];
+    loop {
+        let mut next = Vec::new();
+        for &m in levels.last().unwrap().iter().filter(|m| kept.contains(m)) {
+            for b in (32 - m.leading_zeros())..p as u32 {
+                let cand = m | 1 << b;
+                let closed = (0..p)
+                    .filter(|j| cand >> j & 1 == 1)
+                    .all(|j| kept.contains(&(cand & !(1 << j))));
+                if closed {
+                    next.push(cand);
+                }
+            }
+        }
+        if next.is_empty() {
+            return levels;
+        }
+        levels.push(next);
+    }
+}
+
+/// The hot-list gate decides frequency exactly: over a lattice whose
+/// level-3 candidates are counted on their parents' hot lists first,
+/// every kept node's map equals direct row counts, every candidate that
+/// was not kept has no region above the support, and a planted cell of
+/// `support` rows keeps nothing while one of `support + 1` keeps its
+/// node. The counters show both gate outcomes ran: rejection on the list
+/// alone, and a kept candidate completing its map past the list.
+#[test]
+fn hot_list_gate_keeps_exactly_the_frequent_nodes() {
+    let support = 30u64;
+    let data = planted_wide(support);
+    let protected = data.schema().protected_indices();
+    let lattice = SparseHierarchy::try_build_over(&data, &protected, support).unwrap();
+    for node in lattice.nodes() {
+        let want = direct_counts(&data, &protected, &node.attrs);
+        let got: HashMap<u128, (u64, u64)> = node
+            .regions
+            .iter()
+            .map(|(&k, c)| (k, (c.pos, c.neg)))
+            .collect();
+        assert_eq!(got, want, "node {:#x}", node.mask);
+    }
+    let kept: HashSet<u32> = lattice.nodes().iter().map(|n| n.mask).collect();
+    let levels = candidates_of(&kept, protected.len());
+    assert_eq!(levels.len(), 3, "the fixture must reach level-3 candidates");
+    for &mask in levels.iter().flatten().filter(|m| !kept.contains(m)) {
+        let cols: Vec<usize> = (0..protected.len())
+            .filter(|j| mask >> j & 1 == 1)
+            .map(|j| protected[j])
+            .collect();
+        let largest = largest_region(&data, &cols);
+        assert!(largest <= support, "candidate {mask:#x} was frequent");
+    }
+    // the boundary: exactly `support` rows is not frequent
+    let (at, _) = planted_region(&PLANTED[0]);
+    assert!(levels[2].contains(&at) && !kept.contains(&at));
+    let (past, key) = planted_region(&PLANTED[1]);
+    let region = lattice
+        .node(past)
+        .expect("support + 1 rows keep the node")
+        .regions[&key];
+    assert_eq!(region.pos + region.neg, support + 1);
+
+    let params = with_enumeration(
+        &IbsParams::builder().min_size(support).build().unwrap(),
+        Enumeration::Pruned,
+    );
+    let rec = Recorder::enabled();
+    try_identify_over_with(
+        &data,
+        &protected,
+        &params,
+        Algorithm::Optimized,
+        &rec.scope("id"),
+    )
+    .unwrap();
+    let snap = rec.snapshot();
+    let counter = |name| snap.counter("id", name).unwrap_or(0);
+    let generated: usize = levels.iter().map(Vec::len).sum();
+    assert_eq!(counter("candidates"), generated as u64);
+    // every level-3 candidate but the planted one past the support was
+    // rejected on its parent's list alone, so every level-2 parent keeps
+    // a list; the kept node shares its parent {w00, w05} with rejected
+    // siblings, so it too was counted on that list first and then
+    // completed its map past it
+    let kept_l3: Vec<u32> = levels[2]
+        .iter()
+        .copied()
+        .filter(|m| kept.contains(m))
+        .collect();
+    assert_eq!(kept_l3, vec![past]);
+    assert_eq!(counter("candidates_gated"), levels[2].len() as u64 - 1);
+    let leaves = ShardCounts::scan_over(&data, &protected, 0).unwrap().len() as u64;
+    assert!(
+        counter("leaf_visits") < generated as u64 * leaves,
+        "the gate saved no leaf visits"
+    );
 }
 
 /// Release-mode timing smoke check: a pruned identify over 24 uniform

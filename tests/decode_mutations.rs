@@ -278,8 +278,9 @@ fn mutated_artifacts_decode_without_panicking() {
 
 /// Hostile inputs found by hand: a tree whose split points past the node
 /// list (an out-of-bounds index at prediction), one whose split is its
-/// own child (a prediction that never returns), and shard counts whose
-/// leaf sum overflows `u64`.
+/// own child (a prediction that never returns), shard counts whose leaf
+/// sum overflows `u64`, and shard counts with a leaf of no rows (which
+/// overwrote a region's counts in the pruned lattice builder).
 #[test]
 fn known_hostile_inputs_are_typed_errors() {
     let max = u64::MAX;
@@ -293,6 +294,11 @@ fn known_hostile_inputs_are_typed_errors() {
             format!(
                 "remedy-counts v1\nprotected 1\ncol 0 2 0\ntotals 1 0\nleaves 2\nleaf 0 {max} 0\nleaf 1 2 0\n"
             ),
+        ),
+        (
+            counts,
+            "remedy-counts v1\nprotected 2\ncol 0 2 0\ncol 1 2 0\ntotals 42 0\nleaves 2\nleaf 0 0 0\nleaf 100 42 0\n"
+                .to_string(),
         ),
     ] {
         let outcome = catch_unwind(|| decode(&text));
