@@ -1,6 +1,6 @@
 //! Cold-load benchmarks of the two persisted dataset encodings: exact
 //! text (line parse + category interning) vs binary columnar
-//! (fixed-stride decode). The 1M-row synthetic is staged in a *child*
+//! (fixed-stride decode), plus the encode side of both. The 1M-row synthetic is staged in a *child*
 //! process: synthesizing and serializing it churns ~100MB of
 //! short-lived allocations, and measuring loads afterwards in the same
 //! process would bill that allocator wreckage to the decode — a real
@@ -77,6 +77,15 @@ fn bench_cold_load(c: &mut Criterion) {
             let text = std::fs::read_to_string(&text_path).unwrap();
             persist::dataset_from_text(std::hint::black_box(&text)).unwrap()
         })
+    });
+
+    // the encode side: the canonical text, and the binary form, whose
+    // header carries that text's digest
+    group.bench_function("text_encode_1m", |b| {
+        b.iter(|| persist::dataset_to_text(std::hint::black_box(&stored.data)))
+    });
+    group.bench_function("to_binary_1m", |b| {
+        b.iter(|| store::to_binary(std::hint::black_box(&stored.data)))
     });
 
     // region-index construction: persisted packed keys vs packing from

@@ -14,6 +14,7 @@
 //!   cache keys use FNV-1a/128 with an explicitly specified input encoding
 //!   instead.
 
+use remedy_dataset::format::ContentHasher;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` alias using the mix hasher.
@@ -79,11 +80,6 @@ impl Hasher for MixHasher {
     }
 }
 
-/// FNV-1a offset basis for the 128-bit variant.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-/// FNV-1a prime for the 128-bit variant.
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-
 /// A process- and platform-stable content hasher (FNV-1a, 128 bit).
 ///
 /// Used to derive pipeline cache keys from stage inputs. Unlike
@@ -91,18 +87,12 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 /// byte sequence fed in, so equal inputs hash equally across runs,
 /// machines, and compiler versions. Multi-field inputs must be framed by
 /// the caller (e.g. via [`StableHasher::write_str`], which appends a
-/// separator) so that field boundaries are unambiguous.
-#[derive(Debug, Clone)]
+/// separator) so that field boundaries are unambiguous. The byte-level
+/// function is the dataset crate's [`ContentHasher`], the same one that
+/// digests binary-store headers.
+#[derive(Debug, Clone, Default)]
 pub struct StableHasher {
-    state: u128,
-}
-
-impl Default for StableHasher {
-    fn default() -> Self {
-        StableHasher {
-            state: FNV128_OFFSET,
-        }
-    }
+    inner: ContentHasher,
 }
 
 impl StableHasher {
@@ -113,10 +103,7 @@ impl StableHasher {
 
     /// Absorbs raw bytes.
     pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(FNV128_PRIME);
-        }
+        self.inner.write(bytes);
     }
 
     /// Absorbs a string followed by a `0x1f` unit separator, so that
@@ -138,12 +125,12 @@ impl StableHasher {
 
     /// The 128-bit digest.
     pub fn finish(&self) -> u128 {
-        self.state
+        self.inner.finish()
     }
 
     /// The digest as 32 lowercase hex digits (cache-directory names).
     pub fn finish_hex(&self) -> String {
-        format!("{:032x}", self.state)
+        format!("{:032x}", self.finish())
     }
 }
 
@@ -157,6 +144,7 @@ pub fn stable_hash(bytes: &[u8]) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remedy_dataset::format::FNV128_OFFSET;
 
     #[test]
     fn map_roundtrip() {
@@ -204,8 +192,7 @@ mod tests {
 
     #[test]
     fn stable_hash_matches_dataset_content_digest() {
-        // the dataset crate restates FNV-1a/128 for binary-store headers
-        // (it sits below this crate); the two must never drift
+        // cache hashes and binary-store header digests are one function
         for input in [
             &b""[..],
             b"a",

@@ -15,10 +15,9 @@
 //! also owns the percent-escaping of names and the FNV-1a/128 content
 //! digest stored in binary headers.
 //!
-//! This crate sits at the bottom of the workspace graph, so the digest
-//! is a deliberate re-statement of `remedy_core::hash::stable_hash`
-//! (FNV-1a/128) rather than a call into it; a parity test in the core
-//! crate pins the two implementations to the same function.
+//! This crate sits at the bottom of the workspace graph, so the one
+//! FNV-1a/128 implementation, [`ContentHasher`], lives here and
+//! `remedy_core::hash::StableHasher` delegates to it.
 
 /// A format family plus the version this build reads and writes.
 ///
@@ -368,22 +367,60 @@ pub fn unescape(s: &str) -> Result<String, EscapeError> {
 }
 
 /// FNV-1a offset basis, 128-bit variant.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+pub const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a prime, 128-bit variant.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 
-/// FNV-1a/128 digest of a byte stream — the same function the pipeline
-/// cache uses for artifact hashes (`core::hash::stable_hash`), restated
-/// here because this crate sits below core. The binary columnar header
-/// stores this digest of the canonical text form, which is what makes a
-/// converted file replay against caches keyed on the text bytes.
-pub fn content_digest(bytes: &[u8]) -> u128 {
-    let mut state = FNV128_OFFSET;
-    for &b in bytes {
-        state ^= u128::from(b);
-        state = state.wrapping_mul(FNV128_PRIME);
+/// Incremental FNV-1a/128: feeding a byte stream in any number of
+/// [`ContentHasher::write`] calls gives the digest of the whole stream.
+/// The one implementation of the function: [`content_digest`] is its
+/// one-shot form, `core::hash::StableHasher` (pipeline cache keys and
+/// artifact hashes) wraps it, and the dataset text writer feeds it the
+/// canonical text chunk by chunk when only the digest is wanted.
+#[derive(Debug, Clone)]
+pub struct ContentHasher {
+    state: u128,
+}
+
+impl Default for ContentHasher {
+    fn default() -> Self {
+        ContentHasher {
+            state: FNV128_OFFSET,
+        }
     }
-    state
+}
+
+impl ContentHasher {
+    /// A fresh hasher at the FNV offset basis.
+    pub fn new() -> Self {
+        ContentHasher::default()
+    }
+
+    /// Absorbs the next bytes of the stream.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut state = self.state;
+        for &b in bytes {
+            state ^= u128::from(b);
+            state = state.wrapping_mul(FNV128_PRIME);
+        }
+        self.state = state;
+    }
+
+    /// The digest of every byte written so far.
+    pub fn finish(&self) -> u128 {
+        self.state
+    }
+}
+
+/// FNV-1a/128 digest of a byte stream — the same function the pipeline
+/// cache uses for artifact hashes (`core::hash::stable_hash`). The
+/// binary columnar header stores this digest of the canonical text form,
+/// which is what makes a converted file replay against caches keyed on
+/// the text bytes.
+pub fn content_digest(bytes: &[u8]) -> u128 {
+    let mut h = ContentHasher::new();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -466,5 +503,23 @@ mod tests {
             content_digest(b"a"),
             0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964
         );
+    }
+
+    #[test]
+    fn incremental_digest_matches_one_shot_at_every_split() {
+        let input: Vec<u8> = (0..=255u8)
+            .chain(*b"remedy-dataset v1\n0 1 3ff0\n")
+            .collect();
+        let whole = content_digest(&input);
+        for split in 0..=input.len() {
+            let mut h = ContentHasher::new();
+            h.write(&input[..split]);
+            h.write(&input[split..]);
+            assert_eq!(h.finish(), whole, "split at {split}");
+        }
+        // and byte by byte
+        let mut h = ContentHasher::new();
+        input.iter().for_each(|b| h.write(std::slice::from_ref(b)));
+        assert_eq!(h.finish(), whole);
     }
 }

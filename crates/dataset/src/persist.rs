@@ -22,7 +22,7 @@
 
 use crate::dataset::Dataset;
 use crate::error::DatasetError;
-use crate::format::{escape as esc, unescape as unesc, Fields, Lines, Magic};
+use crate::format::{escape as esc, unescape as unesc, ContentHasher, Fields, Lines, Magic};
 use crate::schema::{Attribute, Schema};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -33,6 +33,35 @@ pub const DATASET: Magic = Magic::new("remedy-dataset", 1);
 /// Serializes a dataset exactly: schema, codes, labels, and weights all
 /// survive a round trip through [`dataset_from_text`] unchanged.
 pub fn dataset_to_text(data: &Dataset) -> String {
+    let header = text_header(data);
+    let mut out = Vec::with_capacity(header.len() + data.len() * row_len_bound(data));
+    out.extend_from_slice(header.as_bytes());
+    write_rows(data, &mut out, |_| {});
+    String::from_utf8(out).expect("the canonical text is ASCII")
+}
+
+/// [`content_digest`](crate::format::content_digest) of the bytes
+/// [`dataset_to_text`] writes, without building them: the rows stream
+/// through a fixed-size chunk into a [`ContentHasher`].
+pub(crate) fn text_digest(data: &Dataset) -> u128 {
+    let mut hasher = ContentHasher::new();
+    hasher.write(text_header(data).as_bytes());
+    let mut chunk = Vec::with_capacity(DIGEST_CHUNK + row_len_bound(data));
+    write_rows(data, &mut chunk, |chunk| {
+        if chunk.len() >= DIGEST_CHUNK {
+            hasher.write(chunk);
+            chunk.clear();
+        }
+    });
+    hasher.write(&chunk);
+    hasher.finish()
+}
+
+/// Bytes [`text_digest`] buffers before hashing them.
+const DIGEST_CHUNK: usize = 1 << 16;
+
+/// The canonical text up to and including the `rows` line.
+fn text_header(data: &Dataset) -> String {
     let schema = data.schema();
     let mut out = format!("{}\nlabel {}\n", DATASET.line(), esc(schema.label_name()));
     for attr in schema.attributes() {
@@ -44,19 +73,73 @@ pub fn dataset_to_text(data: &Dataset) -> String {
         }
         out.push('\n');
     }
-    out.push_str(&format!("rows {}\n", data.len()));
-    let cols = schema.len();
-    for row in 0..data.len() {
-        for col in 0..cols {
-            out.push_str(&format!("{} ", data.value(row, col)));
-        }
-        out.push_str(&format!(
-            "{} {:016x}\n",
-            data.label(row),
-            data.weight(row).to_bits()
-        ));
-    }
+    let _ = writeln!(out, "rows {}", data.len());
     out
+}
+
+/// The one row writer of the canonical text: appends every row to `out`
+/// digit by digit, with no formatting machinery or temporaries, and
+/// calls `drain` after each row so a caller can consume the bytes as
+/// they come.
+fn write_rows(data: &Dataset, out: &mut Vec<u8>, mut drain: impl FnMut(&mut Vec<u8>)) {
+    let columns: Vec<&[u32]> = (0..data.schema().len())
+        .map(|col| data.column(col))
+        .collect();
+    for (row, (&label, weight)) in data.labels().iter().zip(data.weights()).enumerate() {
+        for column in &columns {
+            put_decimal(out, column[row]);
+            out.push(b' ');
+        }
+        put_decimal(out, u32::from(label));
+        out.push(b' ');
+        put_hex16(out, weight.to_bits());
+        out.push(b'\n');
+        drain(out);
+    }
+}
+
+/// The longest row [`write_rows`] can write: every code at its
+/// column's widest, a one-digit label, 16 weight digits, separators.
+fn row_len_bound(data: &Dataset) -> usize {
+    let codes: usize = data
+        .schema()
+        .attributes()
+        .iter()
+        .map(|a| decimal_len(a.cardinality().saturating_sub(1) as u32) + 1)
+        .sum();
+    codes + 1 + 1 + 16 + 1
+}
+
+/// Number of decimal digits of `v`.
+fn decimal_len(v: u32) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends `v` in decimal.
+fn put_decimal(out: &mut Vec<u8>, v: u32) {
+    if v < 10 {
+        out.push(b'0' + v as u8);
+        return;
+    }
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    let mut rest = v;
+    while rest > 0 {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends `bits` as 16 lowercase hex digits.
+fn put_hex16(out: &mut Vec<u8>, bits: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX[(bits >> (60 - 4 * i) & 0xf) as usize];
+    }
+    out.extend_from_slice(&digits);
 }
 
 /// Parses a dataset written by [`dataset_to_text`].
@@ -114,6 +197,7 @@ pub fn save_dataset(data: &Dataset, path: impl AsRef<Path>) -> Result<(), Datase
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::content_digest;
 
     fn fixture() -> Dataset {
         let schema = Schema::new(
@@ -147,6 +231,86 @@ mod tests {
         }
         // and the re-serialization is byte-identical
         assert_eq!(dataset_to_text(&back), text);
+    }
+
+    /// A `format!`-based reference writer: the byte layout the
+    /// digit-by-digit writer must reproduce exactly.
+    fn reference_text(data: &Dataset) -> String {
+        let mut out = text_header(data);
+        for row in 0..data.len() {
+            for col in 0..data.schema().len() {
+                out.push_str(&format!("{} ", data.value(row, col)));
+            }
+            out.push_str(&format!(
+                "{} {:016x}\n",
+                data.label(row),
+                data.weight(row).to_bits()
+            ));
+        }
+        out
+    }
+
+    /// Codes at every digit-count boundary up to a column past 65 536
+    /// categories, both labels, and weights whose bits stress the hex
+    /// writer: a quarter, negative zero, a subnormal, a NaN payload.
+    fn edge_fixture() -> Dataset {
+        let wide: Vec<String> = (0..100_001).map(|v| format!("v{v}")).collect();
+        let schema = Schema::new(
+            vec![
+                Attribute::from_strs("small", &["a", "b"]).protected(),
+                Attribute::new("wide", wide).protected().ordered(),
+            ],
+            "y",
+        )
+        .into_shared();
+        let weights = [
+            1.0,
+            0.25,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::MAX,
+        ];
+        let codes = [0, 9, 10, 99, 100, 65_535, 65_536, 99_999, 100_000];
+        let mut d = Dataset::new(schema);
+        for (i, &code) in codes.iter().enumerate() {
+            let weight = weights[i % weights.len()];
+            d.push_row_weighted(&[(i % 2) as u32, code], (i % 2) as u8, weight)
+                .unwrap();
+        }
+        d
+    }
+
+    #[test]
+    fn writer_is_byte_identical_to_the_format_reference() {
+        let d = edge_fixture();
+        let text = dataset_to_text(&d);
+        assert_eq!(text, reference_text(&d));
+        assert!(text.contains("\n0 100000 0 "), "widest code written");
+        assert!(text.contains(" 8000000000000000\n"), "negative zero");
+        assert!(text.contains(" 7ff80000deadbeef\n"), "NaN payload");
+        assert_eq!(text_digest(&d), content_digest(text.as_bytes()));
+        // the bound sizes the buffer for the widest row
+        assert!(text.len() <= text_header(&d).len() + d.len() * row_len_bound(&d));
+
+        for d in [
+            fixture(),
+            Dataset::new(fixture().schema().clone().into_shared()),
+        ] {
+            let text = dataset_to_text(&d);
+            assert_eq!(text, reference_text(&d));
+            assert_eq!(text_digest(&d), content_digest(text.as_bytes()));
+        }
+    }
+
+    /// A digest over more rows than one chunk holds matches the text's.
+    #[test]
+    fn text_digest_streams_past_one_chunk() {
+        let d = crate::synth::compas_n(5_000, 3);
+        let text = dataset_to_text(&d);
+        assert!(text.len() > 2 * DIGEST_CHUNK);
+        assert_eq!(text, reference_text(&d));
+        assert_eq!(text_digest(&d), content_digest(text.as_bytes()));
     }
 
     #[test]

@@ -245,7 +245,7 @@ pub fn to_binary(data: &Dataset) -> Vec<u8> {
     let schema = data.schema();
     let rows = data.len();
     let packed = pack_protected(data);
-    let digest = content_digest(persist::dataset_to_text(data).as_bytes());
+    let digest = persist::text_digest(data);
 
     let unit_bits = 1.0f64.to_bits();
     let unit_weights = data.weights().iter().all(|w| w.to_bits() == unit_bits);
@@ -703,6 +703,24 @@ mod tests {
         assert_eq!(packed.cols, vec![0, 1]);
         assert_eq!(packed.widths, vec![8, 8]);
         assert_eq!(packed.keys, vec![0x0100, 0x0002, 0x0101]);
+    }
+
+    /// The header digest is streamed, never read back from a text
+    /// buffer: it must still be the digest of the canonical text.
+    #[test]
+    fn header_digest_is_the_canonical_text_digest() {
+        // the digest sits after the magic line and flags, rows, attrs
+        let at = COLUMNAR.line().len() + 1 + 4 + 8 + 4;
+        for d in [
+            fixture(),
+            synth::adult_n(3_000, 7),
+            Dataset::new(fixture().schema_arc()),
+        ] {
+            let bytes = to_binary(&d);
+            let digest = u128::from_le_bytes(bytes[at..at + 16].try_into().unwrap());
+            let text = persist::dataset_to_text(&d);
+            assert_eq!(digest, content_digest(text.as_bytes()));
+        }
     }
 
     #[test]

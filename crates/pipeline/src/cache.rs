@@ -135,17 +135,18 @@ impl ArtifactCache {
     }
 
     /// Returns the cached artifact text for `(stage, key)`, if present
-    /// and intact.
+    /// and intact, with the FNV-1a/128 content digest it was verified
+    /// against — the artifact's hash, so callers never hash it again.
     ///
     /// A hit refreshes the entry's `used` marker so [`ArtifactCache::gc`]
     /// can order evictions by last replay rather than creation time. An
     /// entry whose content hash no longer matches is quarantined and
     /// reported as a miss; replay I/O errors that survive the retry
     /// policy also degrade to a miss so the stage recomputes.
-    pub fn lookup(&self, stage: &str, key: CacheKey) -> Option<String> {
-        let bytes = self.lookup_bytes(stage, key)?;
+    pub fn lookup(&self, stage: &str, key: CacheKey) -> Option<(String, u128)> {
+        let (bytes, digest) = self.lookup_bytes(stage, key)?;
         match String::from_utf8(bytes) {
-            Ok(text) => Some(text),
+            Ok(text) => Some((text, digest)),
             Err(_) => {
                 // a binary artifact replayed through the text API: treat
                 // as a miss, the caller's stage recomputes
@@ -158,7 +159,7 @@ impl ArtifactCache {
     /// [`ArtifactCache::lookup`] for binary artifacts (shard datasets in
     /// `remedy-columnar v1` form); same hit/verify/quarantine semantics,
     /// including the touch-on-hit `used` marker GC orders evictions by.
-    pub fn lookup_bytes(&self, stage: &str, key: CacheKey) -> Option<Vec<u8>> {
+    pub fn lookup_bytes(&self, stage: &str, key: CacheKey) -> Option<(Vec<u8>, u128)> {
         let dir = self.entry_dir(stage, key);
         let read = self.retry.run("cache.replay", &self.obs, || {
             failpoint::check("stage.replay", stage)?;
@@ -169,13 +170,9 @@ impl ArtifactCache {
             }
         });
         let found = match read {
-            Ok(Some(bytes)) => {
-                if self.verify(&dir, stage, &bytes) {
-                    Some(bytes)
-                } else {
-                    None
-                }
-            }
+            Ok(Some(bytes)) => self
+                .verify(&dir, stage, &bytes)
+                .map(|digest| (bytes, digest)),
             Ok(None) => None,
             Err(_) => {
                 // a broken replay is a miss, not a failed run
@@ -192,18 +189,18 @@ impl ArtifactCache {
         found
     }
 
-    /// Re-checks an entry's stored content hash; on mismatch (or a
-    /// missing/unreadable hash file) quarantines the entry and returns
-    /// `false`.
-    fn verify(&self, dir: &Path, stage: &str, bytes: &[u8]) -> bool {
+    /// Re-checks an entry's stored content hash and returns it; on
+    /// mismatch (or a missing/unreadable hash file) quarantines the
+    /// entry and returns `None`.
+    fn verify(&self, dir: &Path, stage: &str, bytes: &[u8]) -> Option<u128> {
         let stored = std::fs::read_to_string(dir.join(HASH_FILE));
-        let actual = format!("{:032x}", stable_hash(bytes));
-        if stored.is_ok_and(|s| s.trim() == actual) {
-            return true;
+        let actual = stable_hash(bytes);
+        if stored.is_ok_and(|s| s.trim() == format!("{actual:032x}")) {
+            return Some(actual);
         }
         self.obs.add("corrupt.detected", 1);
         self.quarantine(dir, stage);
-        false
+        None
     }
 
     /// Moves a corrupt entry into `quarantine/` (falling back to deletion
@@ -227,13 +224,15 @@ impl ArtifactCache {
 
     /// Stores an artifact with a one-line description; atomic per entry.
     /// Transient I/O failures are retried under the cache's policy.
+    /// Returns the artifact's FNV-1a/128 content digest, computed once
+    /// for the entry's `hash` file and the caller.
     pub fn store(
         &self,
         stage: &str,
         key: CacheKey,
         artifact: &str,
         description: &str,
-    ) -> Result<(), PipelineError> {
+    ) -> Result<u128, PipelineError> {
         self.store_bytes(stage, key, artifact.as_bytes(), description)
     }
 
@@ -245,11 +244,13 @@ impl ArtifactCache {
         key: CacheKey,
         artifact: &[u8],
         description: &str,
-    ) -> Result<(), PipelineError> {
+    ) -> Result<u128, PipelineError> {
+        let digest = stable_hash(artifact);
         self.retry.run("cache.store", &self.obs, || {
             failpoint::check("stage.store", stage)?;
-            self.store_once(stage, key, artifact, description)
-        })
+            self.store_once(stage, key, artifact, digest, description)
+        })?;
+        Ok(digest)
     }
 
     fn store_once(
@@ -257,6 +258,7 @@ impl ArtifactCache {
         stage: &str,
         key: CacheKey,
         artifact: &[u8],
+        digest: u128,
         description: &str,
     ) -> Result<(), PipelineError> {
         let dir = self.entry_dir(stage, key);
@@ -269,10 +271,7 @@ impl ArtifactCache {
         let staged = (|| -> std::io::Result<()> {
             std::fs::create_dir_all(&tmp)?;
             std::fs::write(tmp.join(ARTIFACT_FILE), artifact)?;
-            std::fs::write(
-                tmp.join(HASH_FILE),
-                format!("{:032x}\n", stable_hash(artifact)),
-            )?;
+            std::fs::write(tmp.join(HASH_FILE), format!("{digest:032x}\n"))?;
             std::fs::write(tmp.join(META_FILE), format!("{description}\n"))?;
             Ok(())
         })();
@@ -571,13 +570,20 @@ mod tests {
         ArtifactCache::open(dir).unwrap()
     }
 
+    /// The text a lookup replays, without its digest.
+    fn text(cache: &ArtifactCache, stage: &str, key: CacheKey) -> Option<String> {
+        cache.lookup(stage, key).map(|(text, _)| text)
+    }
+
     #[test]
     fn store_then_lookup() {
         let cache = temp_cache("roundtrip");
         let key = CacheKey(0xABCD);
         assert_eq!(cache.lookup("load", key), None);
-        cache.store("load", key, "payload", "test entry").unwrap();
-        assert_eq!(cache.lookup("load", key).as_deref(), Some("payload"));
+        let stored = cache.store("load", key, "payload", "test entry").unwrap();
+        assert_eq!(stored, stable_hash(b"payload"));
+        // a hit hands back the digest it verified: the one stored
+        assert_eq!(cache.lookup("load", key), Some(("payload".into(), stored)));
         assert_eq!(cache.len(), 1);
     }
 
@@ -595,7 +601,7 @@ mod tests {
         let key = CacheKey(2);
         cache.store("train", key, "x", "").unwrap();
         cache.store("train", key, "x", "").unwrap();
-        assert_eq!(cache.lookup("train", key).as_deref(), Some("x"));
+        assert_eq!(text(&cache, "train", key).as_deref(), Some("x"));
         assert_eq!(cache.len(), 1);
     }
 
@@ -625,7 +631,7 @@ mod tests {
         // a fresh store of the same key works and replays cleanly
         cache.store("identify", key, "intact artifact", "").unwrap();
         assert_eq!(
-            cache.lookup("identify", key).as_deref(),
+            text(&cache, "identify", key).as_deref(),
             Some("intact artifact")
         );
     }
@@ -681,7 +687,7 @@ mod tests {
             }
         });
         assert_eq!(
-            cache.lookup("identify", key).as_deref(),
+            text(&cache, "identify", key).as_deref(),
             Some("artifact-body")
         );
         assert_eq!(cache.len(), 1);
@@ -716,7 +722,7 @@ mod tests {
         assert_eq!(stats.tmp_dirs_removed, 1);
         assert_eq!(stats.entries_removed, 0);
         assert_eq!(stats.live_entries, 1);
-        assert_eq!(cache.lookup("load", CacheKey(1)).as_deref(), Some("x"));
+        assert_eq!(text(&cache, "load", CacheKey(1)).as_deref(), Some("x"));
     }
 
     #[test]
@@ -835,7 +841,10 @@ mod tests {
             .store_bytes("shard", key, &payload, "binary shard")
             .unwrap();
         assert_eq!(
-            cache.lookup_bytes("shard", key).as_deref(),
+            cache
+                .lookup_bytes("shard", key)
+                .map(|(bytes, _)| bytes)
+                .as_deref(),
             Some(&payload[..])
         );
         // the text API must not serve a non-UTF-8 artifact

@@ -155,8 +155,17 @@ pub fn run_with(
         opts.force,
         &run_span.child_scope("discretize"),
     )?;
-    let data = data_persist::dataset_from_text(&discretized.text)?;
-    let (train_set, test_set) = split_dataset(plan, &data)?;
+    // the engine's own codec work between stages gets spans under one
+    // `engine` scope, so a trace accounts for the whole run
+    let engine = run_span.child_scope("engine");
+    let data = {
+        let _span = engine.span("decode");
+        data_persist::dataset_from_text(&discretized.text)?
+    };
+    let (train_set, test_set) = {
+        let _span = engine.span("split");
+        split_dataset(plan, &data)?
+    };
     let (identify, shard_records) = if opts.shards > 1 {
         // a killed sharded run should still leave a resumable snapshot,
         // even before the identify record exists (best-effort)
@@ -198,8 +207,12 @@ pub fn run_with(
 
     // the unremedied training split doubles as the remedy "artifact" of
     // technique=none branches; serialize it once for all of them
-    let train_split_text = data_persist::dataset_to_text(&train_set);
-    let train_split_hash = format!("{:032x}", stable_hash(train_split_text.as_bytes()));
+    let (train_split_text, train_split_hash) = {
+        let _span = engine.span("split_encode");
+        let text = data_persist::dataset_to_text(&train_set);
+        let hash = format!("{:032x}", stable_hash(text.as_bytes()));
+        (text, hash)
+    };
 
     // assembles a manifest from whatever branch results exist so far;
     // also the kill-safe snapshot written between branches
@@ -369,10 +382,11 @@ fn run_branch(
     let stage_scope = |stage: &str| run_span.child_scope(&format!("{}/{stage}", branch.name));
 
     // remedy (or pass the unremedied split through)
+    let remedied;
     let (train_input, train_input_hash) = match branch.technique {
         Some(_) => {
             let params = plan.remedy_params(branch)?;
-            let remedied = remedy_stage(
+            remedied = remedy_stage(
                 plan,
                 &branch.name,
                 &params,
@@ -383,13 +397,12 @@ fn run_branch(
                 force,
                 &stage_scope("remedy"),
             )?;
-            let hash = remedied.artifact_hash.clone();
             records.push(remedied.record.clone());
-            (remedied.text, hash)
+            (remedied.text.as_str(), remedied.artifact_hash.as_str())
         }
         None => {
             records.push(skipped_remedy_record(&branch.name, train_split_hash));
-            (train_split_text.to_string(), train_split_hash.to_string())
+            (train_split_text, train_split_hash)
         }
     };
 
@@ -398,8 +411,8 @@ fn run_branch(
         plan,
         &branch.name,
         branch.model,
-        &train_input,
-        &train_input_hash,
+        train_input,
+        train_input_hash,
         cache,
         force,
         &stage_scope("train"),

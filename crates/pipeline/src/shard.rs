@@ -153,7 +153,7 @@ pub fn worker_body(
     if !force && cache.lookup("count", count).is_some() {
         return Ok(());
     }
-    let bytes = cache.lookup_bytes("shard", shard).ok_or_else(|| {
+    let (bytes, _) = cache.lookup_bytes("shard", shard).ok_or_else(|| {
         PipelineError::corrupt(format!("shard artifact {} missing from cache", shard.hex()))
     })?;
     let stored = store::from_bytes(&bytes)
@@ -168,7 +168,8 @@ pub fn worker_body(
         count,
         &ibs_persist::counts_to_text(&counts),
         &format!("count rows={}", stored.data.len()),
-    )
+    )?;
+    Ok(())
 }
 
 /// What one shard contributed: its two manifest records plus the parsed
@@ -200,15 +201,16 @@ pub(crate) fn sharded_identify_stage(
     if !force {
         let obs = run_span.child_scope("identify");
         let start = Instant::now();
-        if let Some(text) = cache.lookup("identify", ikey) {
+        if let Some(artifact) = cache.lookup("identify", ikey) {
             obs.add("cache_hits", 1);
-            let out = crate::stages::finish("identify", None, ikey, true, text, start, &obs);
+            let out = crate::stages::finish("identify", None, ikey, true, artifact, start, &obs);
             return Ok((out, Vec::new()));
         }
     }
 
     // partition + serialize: keys (and the pin manifest) need every
     // shard's content hash before any worker starts
+    let partition_span = run_span.child_scope("engine").span("partition");
     let parts = store::partition_stratified(train_set, shards);
     let wthreads = worker_threads(threads, shards);
     struct Prepared {
@@ -234,6 +236,7 @@ pub(crate) fn sharded_identify_stage(
             }
         })
         .collect();
+    drop(partition_span);
 
     // pin every shard/count entry against gc for the life of the run
     let pin_manifest = |status: RunStatus| RunManifest {
@@ -367,6 +370,7 @@ fn run_shard(
 ) -> Result<ShardRun, PipelineError> {
     let branch = format!("s{index}");
     let obs = ctx.run_span.child_scope(&format!("{branch}/shard"));
+    let shard_span = obs.span("shard");
     let start = Instant::now();
     let shard_hit = !ctx.force && ctx.cache.lookup_bytes("shard", skey).is_some();
     if !shard_hit {
@@ -399,8 +403,10 @@ fn run_shard(
             counters,
         };
     let shard_record = record("shard", skey, shard_hit, shard_hash, start, obs.counters());
+    drop(shard_span);
 
     let obs = ctx.run_span.child_scope(&format!("{branch}/count"));
+    let _span = obs.span("count");
     let start = Instant::now();
     let count_hit = !ctx.force && ctx.cache.lookup("count", ckey).is_some();
     if !count_hit {
@@ -419,7 +425,7 @@ fn run_shard(
         },
         1,
     );
-    let text = ctx.cache.lookup("count", ckey).ok_or_else(|| {
+    let (text, count_digest) = ctx.cache.lookup("count", ckey).ok_or_else(|| {
         PipelineError::corrupt(format!("worker {branch} stored no count artifact"))
             .in_stage("count")
             .in_branch(&branch)
@@ -429,7 +435,7 @@ fn run_shard(
             .in_stage("count")
             .in_branch(&branch)
     })?;
-    let count_hash = format!("{:032x}", stable_hash(text.as_bytes()));
+    let count_hash = format!("{count_digest:032x}");
     let count_record = record("count", ckey, count_hit, &count_hash, start, obs.counters());
     Ok(ShardRun {
         records: [shard_record, count_record],

@@ -17,7 +17,7 @@ use crate::manifest::StageRecord;
 use crate::plan::{ModelFamily, Plan, SourceFormat};
 use remedy_classifiers::persist as model_persist;
 use remedy_classifiers::{accuracy, Model};
-use remedy_core::hash::{stable_hash, StableHasher};
+use remedy_core::hash::StableHasher;
 use remedy_core::{persist as ibs_persist, try_identify_over_with, Algorithm, RemedyParams};
 use remedy_dataset::csv::{LoadOptions, RawTable};
 use remedy_dataset::persist as data_persist;
@@ -62,9 +62,9 @@ pub fn run_stage(
     let _span = obs.span(stage);
     let start = Instant::now();
     if !force {
-        if let Some(text) = cache.lookup(stage, key) {
+        if let Some(artifact) = cache.lookup(stage, key) {
             obs.add("cache_hits", 1);
-            return Ok(finish(stage, branch, key, true, text, start, obs));
+            return Ok(finish(stage, branch, key, true, artifact, start, obs));
         }
     }
     obs.add("cache_misses", 1);
@@ -79,22 +79,25 @@ pub fn run_stage(
             return Err(PipelineError::stage_panic(panic_message(payload.as_ref())).in_stage(stage));
         }
     };
-    cache
+    let digest = cache
         .store(stage, key, &text, description)
         .map_err(|e| e.in_stage(stage))?;
-    Ok(finish(stage, branch, key, false, text, start, obs))
+    let artifact = (text, digest);
+    Ok(finish(stage, branch, key, false, artifact, start, obs))
 }
 
+/// Builds a stage's output from its artifact text and the content
+/// digest the cache verified (hit) or stored (miss) it under.
 pub(crate) fn finish(
     stage: &'static str,
     branch: Option<&str>,
     key: CacheKey,
     cache_hit: bool,
-    text: String,
+    (text, digest): (String, u128),
     start: Instant,
     obs: &ObsScope,
 ) -> StageOutput {
-    let artifact_hash = format!("{:032x}", stable_hash(text.as_bytes()));
+    let artifact_hash = format!("{digest:032x}");
     StageOutput {
         record: StageRecord {
             stage,
@@ -152,6 +155,9 @@ pub fn load_stage(
             },
         )
     } else {
+        // reading, decoding and keying the source run before the stage
+        // span opens, so they get a span of their own
+        let source_span = obs.span("source");
         let bytes = std::fs::read(&plan.source)
             .map_err(|e| PipelineError::fatal(format!("cannot read {}: {e}", plan.source)))?;
         let is_columnar = store::sniff(&bytes) == Some(Format::Binary);
@@ -171,6 +177,7 @@ pub fn load_stage(
         h.write_str("csv");
         h.write(text.as_bytes());
         let key = CacheKey::from_hasher(&h);
+        drop(source_span);
         run_stage(
             cache,
             "load",
@@ -207,7 +214,7 @@ pub fn discretize_stage(
     h.write_str(plan.positive.as_deref().unwrap_or(""));
     h.write_u64(plan.bins as u64);
     let key = CacheKey::from_hasher(&h);
-    let input = load.text.clone();
+    let input = &load.text;
     let (label, protected, positive, bins) = (
         plan.label.clone(),
         plan.protected.clone(),
@@ -224,11 +231,11 @@ pub fn discretize_stage(
         obs,
         move || {
             if data_persist::DATASET.sniff(input.as_bytes()) {
-                return Ok(input);
+                return Ok(input.clone());
             }
             let label =
                 label.ok_or_else(|| PipelineError::invalid_plan("CSV source needs a label"))?;
-            let table = RawTable::parse_str(&input).map_err(PipelineError::from)?;
+            let table = RawTable::parse_str(input).map_err(PipelineError::from)?;
             let mut opts = LoadOptions::new(label);
             opts.protected = protected;
             opts.positive_value = positive;

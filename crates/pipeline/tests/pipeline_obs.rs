@@ -98,6 +98,16 @@ fn traced_run_emits_jsonl_and_manifest_counters() {
             .unwrap_or_else(|| panic!("no span for scope {scope}"));
         assert_eq!(field_u64(span, "parent"), run_id, "span not under run");
     }
+    // so is the engine's own codec work between the stages
+    for name in ["decode", "split", "split_encode"] {
+        let span = lines
+            .iter()
+            .find(|l| {
+                l.contains("\"scope\":\"engine\"") && l.contains(&format!("\"name\":\"{name}\""))
+            })
+            .unwrap_or_else(|| panic!("no engine span {name}"));
+        assert_eq!(field_u64(span, "parent"), run_id, "{name} not under run");
+    }
 
     // counter summaries: the shared cache and the identify scan
     let cache_counters = lines
