@@ -664,7 +664,7 @@ impl Fenwick {
     /// On an empty tree — there is no slot to select, and the
     /// power-of-two descent seed below would shift by `usize::BITS`.
     /// (Unreachable through [`RegionIndex`]: an index with zero slots
-    /// has no rows to translate, and `region_rows` on one answers from
+    /// has no rows to translate, and `gather_rows` on one answers from
     /// its empty buckets without ranking.)
     fn select(&self, row: usize) -> usize {
         let n = self.len();
@@ -722,6 +722,46 @@ impl CountingTally {
     }
 }
 
+/// The current rows of several regions of one node, as
+/// [`RegionIndex::gather_rows`] writes them: one flat buffer with
+/// per-region offsets, reused from node to node so a node's gather
+/// allocates nothing once the buffer has grown.
+#[derive(Debug, Clone, Default)]
+pub struct NodeRows {
+    rows: Vec<usize>,
+    /// Region `i`'s rows are `rows[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// The region each leaf bucket feeds, in bucket-map order.
+    leaf_regions: Vec<Option<usize>>,
+}
+
+impl NodeRows {
+    /// Number of regions gathered.
+    pub fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Whether no region was gathered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Rows gathered over all regions.
+    pub fn total_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The rows of region `i`.
+    pub fn region(&self, i: usize) -> &[usize] {
+        &self.rows[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The rows of region `i`, to reorder in place.
+    pub fn region_mut(&mut self, i: usize) -> &mut [usize] {
+        &mut self.rows[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
 /// Delta-maintained leaf counts over a mutating dataset.
 ///
 /// Built once in a parallel pass, the index keeps the [`ShardCounts`]
@@ -729,16 +769,16 @@ impl CountingTally {
 /// memory, at any arity up to [`MAX_PROTECTED_SPARSE`]. Every lattice is
 /// assembled from them on demand ([`counts`]): a dense identify projects
 /// a copy of the leaves through [`Hierarchy`], a pruned one enumerates
-/// from them directly. The index also answers [`region_rows`] — the
-/// current row indices of any region — from per-leaf slot buckets plus
-/// the Fenwick rank translation, without touching the dataset.
+/// from them directly. The index also answers [`gather_rows`] — the
+/// current row indices of a node's regions — from per-leaf slot buckets
+/// plus the Fenwick rank translation, without touching the dataset.
 ///
 /// The index does not hold the dataset; callers mirror every mutation
 /// through [`apply_edit`] (or the typed `apply_*` methods) in the same
 /// order they apply it to the [`Dataset`].
 ///
 /// [`counts`]: RegionIndex::counts
-/// [`region_rows`]: RegionIndex::region_rows
+/// [`gather_rows`]: RegionIndex::gather_rows
 /// [`apply_edit`]: RegionIndex::apply_edit
 #[derive(Debug, Clone)]
 pub struct RegionIndex {
@@ -840,11 +880,11 @@ impl RegionIndex {
     /// [`flush_deltas`] applies the sums grouped — one leaf update per
     /// distinct edited key for an arbitrarily long edit run. Buckets,
     /// alive bits, and the rank structure stay eagerly maintained, so
-    /// [`region_rows`] is always current; only the leaf counts (and
+    /// [`gather_rows`] is always current; only the leaf counts (and
     /// totals) lag until the next flush.
     ///
     /// [`flush_deltas`]: RegionIndex::flush_deltas
-    /// [`region_rows`]: RegionIndex::region_rows
+    /// [`gather_rows`]: RegionIndex::gather_rows
     pub fn begin_deltas(&mut self) {
         self.batching = true;
     }
@@ -910,18 +950,35 @@ impl RegionIndex {
         self.tally.nodes_served += 1;
     }
 
-    /// Current row indices (ascending) of the region `(mask, key)`.
+    /// Gathers the current row indices of the regions `keys` of node
+    /// `mask` into `out`, region `i`'s rows in [`NodeRows::region`]`(i)`.
+    /// `keys` must be sorted and distinct (canonical 8-bit region keys).
     ///
-    /// The full-lattice node answers straight from its leaf bucket; any
-    /// other node unions the buckets whose full key projects onto `key`.
-    /// Cost is O(L·p + m·log n) for L distinct leaf keys and m matching
-    /// rows — paid per *biased* region only, never per node.
-    pub fn region_rows(&self, mask: u32, key: u128) -> Vec<usize> {
+    /// One pass over the leaf buckets serves every region of the node:
+    /// a leaf's whole bucket lands in the region its key projects onto
+    /// (the full-lattice node looks each bucket up directly). Cost is
+    /// O(L·(p + log B) + m·log n) for L distinct leaf keys, B regions and
+    /// m gathered rows — paid once per node that has biased regions. A
+    /// region's rows come back in no particular order; callers that need
+    /// row order sort the segment.
+    pub fn gather_rows(&self, mask: u32, keys: &[u128], out: &mut NodeRows) {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys sorted");
+        out.rows.clear();
+        out.offsets.clear();
+        out.offsets.resize(keys.len() + 1, 0);
+        if keys.is_empty() {
+            return;
+        }
         // past MAX_PROTECTED the leaf keys use minimal widths, not the
         // canonical 8-bit region keys, so only narrow masks are served
         let leaf_is_canonical = self.arity() <= MAX_PROTECTED;
-        let slots: Vec<u32> = if mask == full_mask_of(self.arity()) && leaf_is_canonical {
-            self.buckets.get(&key).cloned().unwrap_or_default()
+        if mask == full_mask_of(self.arity()) && leaf_is_canonical {
+            for (i, key) in keys.iter().enumerate() {
+                if let Some(bucket) = self.buckets.get(key) {
+                    out.rows.extend(bucket.iter().map(|&s| s as usize));
+                }
+                out.offsets[i + 1] = out.rows.len();
+            }
         } else {
             assert!(
                 mask.count_ones() as usize <= MAX_PROTECTED,
@@ -930,22 +987,41 @@ impl RegionIndex {
                     level: mask.count_ones() as usize
                 }
             );
-            let mut v = Vec::new();
+            // sizes into offsets[i + 1], then each turned into region i's
+            // start; writing advances it to region i's end, which is
+            // region i + 1's start. The first pass notes each leaf's
+            // region, and the second walks the unchanged map in the same
+            // order
+            out.leaf_regions.clear();
             for (&full, bucket) in &self.buckets {
-                if self.counts.codec.project(full, mask) == key {
-                    v.extend_from_slice(bucket);
+                let region = keys.binary_search(&self.counts.codec.project(full, mask));
+                if let Ok(i) = region {
+                    out.offsets[i + 1] += bucket.len();
+                }
+                out.leaf_regions.push(region.ok());
+            }
+            let mut start = 0;
+            for offset in &mut out.offsets[1..] {
+                let size = *offset;
+                *offset = start;
+                start += size;
+            }
+            out.rows.resize(start, 0);
+            for (bucket, &region) in self.buckets.values().zip(&out.leaf_regions) {
+                if let Some(i) = region {
+                    let at = out.offsets[i + 1];
+                    let dst = &mut out.rows[at..at + bucket.len()];
+                    for (d, &s) in dst.iter_mut().zip(bucket) {
+                        *d = s as usize;
+                    }
+                    out.offsets[i + 1] += bucket.len();
                 }
             }
-            v.sort_unstable();
-            v
-        };
-        if self.compact() {
-            slots.into_iter().map(|s| s as usize).collect()
-        } else {
-            slots
-                .into_iter()
-                .map(|s| self.fenwick.rank(s as usize))
-                .collect()
+        }
+        if !self.compact() {
+            for row in &mut out.rows {
+                *row = self.fenwick.rank(*row);
+            }
         }
     }
 
@@ -1014,27 +1090,31 @@ impl RegionIndex {
         let mut slots: Vec<usize> = rows.iter().map(|&r| self.slot_of(r)).collect();
         slots.sort_unstable();
         slots.dedup();
-        for slot in slots {
+        for &slot in &slots {
             debug_assert!(self.alive[slot]);
             self.alive[slot] = false;
             self.fenwick.add(slot, -1);
-            let key = self.keys[slot];
-            let bucket = self.buckets.get_mut(&key).expect("bucket of a live slot");
-            let at = bucket
-                .binary_search(&(slot as u32))
-                .expect("slot present in its bucket");
-            bucket.remove(at);
-            if bucket.is_empty() {
-                self.buckets.remove(&key);
-            }
             let (dpos, dneg) = if self.labels[slot] == 1 {
                 (-1, 0)
             } else {
                 (0, -1)
             };
-            self.record_delta(key, dpos, dneg);
+            self.record_delta(self.keys[slot], dpos, dneg);
             self.live -= 1;
             self.tally.removes += 1;
+        }
+        // one pass over each bucket that lost slots, rather than one
+        // shift of a bucket's tail per removed slot
+        let mut touched: Vec<u128> = slots.iter().map(|&slot| self.keys[slot]).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for key in touched {
+            let bucket = self.buckets.get_mut(&key).expect("bucket of a live slot");
+            let alive = &self.alive;
+            bucket.retain(|&slot| alive[slot as usize]);
+            if bucket.is_empty() {
+                self.buckets.remove(&key);
+            }
         }
     }
 }
@@ -1205,22 +1285,85 @@ mod tests {
         assert_eq!(t.rebuild_rows, d.len() as u64);
     }
 
+    /// Each region's gathered rows, sorted: the gather promises the set
+    /// of current rows, not their order.
+    fn gather_sorted(index: &RegionIndex, mask: u32, keys: &[u128]) -> Vec<Vec<usize>> {
+        let mut out = NodeRows::default();
+        index.gather_rows(mask, keys, &mut out);
+        assert_eq!(out.len(), keys.len());
+        let regions: Vec<Vec<usize>> = (0..out.len())
+            .map(|i| {
+                let mut rows = out.region(i).to_vec();
+                rows.sort_unstable();
+                rows
+            })
+            .collect();
+        assert_eq!(
+            regions.iter().map(Vec::len).sum::<usize>(),
+            out.total_rows()
+        );
+        regions
+    }
+
+    /// Every region of every node, gathered one node at a time, equals
+    /// pattern matching on the dataset — on a compact index, and again
+    /// after removals, when every gathered slot is translated through
+    /// the Fenwick rank.
     #[test]
-    fn region_rows_match_pattern_matching() {
-        let d = fixture();
-        let index = RegionIndex::try_build(&d).unwrap();
-        let h = lattice_of(&index);
-        for node in h.nodes() {
-            for &key in node.regions.keys() {
-                let pattern = h.pattern_of(node.mask, key);
-                assert_eq!(
-                    index.region_rows(node.mask, key),
-                    d.indices_matching(&pattern),
-                    "{}",
-                    pattern.display(d.schema())
-                );
+    fn node_gather_matches_pattern_matching() {
+        let mut d = fixture();
+        let mut index = RegionIndex::try_build(&d).unwrap();
+        for edit in [None, Some(vec![7, 2, 30]), Some(vec![0, 1])] {
+            if let Some(rows) = edit {
+                let edit = RowEdit::Remove { rows };
+                index.apply_edit(&edit);
+                d.apply_edit(&edit);
+                assert!(!index.compact(), "removals must leave gaps in the slots");
+            }
+            let h = lattice_of(&index);
+            for node in h.nodes() {
+                let mut keys: Vec<u128> = node.regions.keys().copied().collect();
+                keys.sort_unstable();
+                // the whole node, then every other region of it
+                let odd: Vec<u128> = keys.iter().copied().step_by(2).collect();
+                for keys in [keys, odd] {
+                    for (key, rows) in keys.iter().zip(gather_sorted(&index, node.mask, &keys)) {
+                        let pattern = h.pattern_of(node.mask, *key);
+                        assert_eq!(
+                            rows,
+                            d.indices_matching(&pattern),
+                            "{}",
+                            pattern.display(d.schema())
+                        );
+                    }
+                }
             }
         }
+    }
+
+    /// Reusing one buffer across nodes leaves nothing of the previous
+    /// node behind.
+    #[test]
+    fn node_gather_reuses_its_buffer() {
+        let d = fixture();
+        let index = RegionIndex::try_build(&d).unwrap();
+        let full = full_mask_of(index.arity());
+        let mut out = NodeRows::default();
+        let mut all: Vec<u128> = index.counts().leaves().keys().copied().collect();
+        all.sort_unstable();
+        index.gather_rows(full, &all, &mut out);
+        assert_eq!(out.total_rows(), d.len());
+        index.gather_rows(0b01, &[1], &mut out);
+        assert_eq!(out.len(), 1);
+        let mut rows = out.region(0).to_vec();
+        rows.sort_unstable();
+        assert_eq!(
+            rows,
+            d.indices_matching(&remedy_dataset::Pattern::from_terms([(0usize, 1u32)]))
+        );
+        index.gather_rows(full, &[], &mut out);
+        assert!(out.is_empty());
+        assert_eq!(out.total_rows(), 0);
     }
 
     /// Applies one edit to both sides and asserts the maintained index
@@ -1248,7 +1391,7 @@ mod tests {
                     pattern.set(protected[j], ((key >> (8 * slot)) & 0xFF) as u32);
                 }
                 assert_eq!(
-                    index.region_rows(mask, key),
+                    gather_sorted(index, mask, &[key]).remove(0),
                     d.indices_matching(&pattern),
                     "node {mask:#b} after {edit:?}",
                 );
@@ -1285,10 +1428,10 @@ mod tests {
         // remove every row of one leaf region
         let full = full_mask_of(index.arity());
         let &key = index.counts().leaves().keys().min().unwrap();
-        let rows = index.region_rows(full, key);
+        let rows = gather_sorted(&index, full, &[key]).remove(0);
         index.apply_remove(&rows);
         assert!(!index.counts().leaves().contains_key(&key));
-        assert!(index.region_rows(full, key).is_empty());
+        assert!(gather_sorted(&index, full, &[key])[0].is_empty());
     }
 
     #[test]
@@ -1358,7 +1501,10 @@ mod tests {
         assert!(index.is_empty());
         assert_eq!(index.len(), 0);
         for mask in 1..=full_mask_of(index.arity()) {
-            assert!(index.region_rows(mask, 0).is_empty(), "mask {mask:#b}");
+            assert!(
+                gather_sorted(&index, mask, &[0])[0].is_empty(),
+                "mask {mask:#b}"
+            );
         }
         assert_eq!(index.counts().totals(), Counts::default());
     }
@@ -1368,11 +1514,12 @@ mod tests {
         let d = fixture();
         let mut index = RegionIndex::try_build(&d).unwrap();
         let full = full_mask_of(index.arity());
-        let keys: Vec<u128> = index.counts().leaves().keys().copied().collect();
+        let mut keys: Vec<u128> = index.counts().leaves().keys().copied().collect();
+        keys.sort_unstable();
         index.apply_remove(&(0..d.len()).collect::<Vec<_>>());
         assert!(index.is_empty());
-        for key in keys {
-            assert!(index.region_rows(full, key).is_empty());
+        for rows in gather_sorted(&index, full, &keys) {
+            assert!(rows.is_empty());
         }
         assert!(index.counts().is_empty());
     }

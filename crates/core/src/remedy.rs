@@ -17,7 +17,7 @@
 //! node are disjoint, so a node's remedies are computed from a consistent
 //! snapshot.
 
-use crate::counting::RegionIndex;
+use crate::counting::{NodeRows, RegionIndex};
 use crate::error::{check_dense_arity, CoreError};
 use crate::hash::FastMap;
 use crate::hierarchy::pattern_of;
@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_classifiers::{Model, NaiveBayes};
 use remedy_dataset::vocab::{self, Tokens};
-use remedy_dataset::{Dataset, Pattern};
+use remedy_dataset::{Dataset, Pattern, Schema};
 use remedy_obs::Scope as ObsScope;
 
 /// The pre-processing technique applied to each biased region.
@@ -223,14 +223,19 @@ pub fn remedy_with(data: &Dataset, params: &RemedyParams, obs: &ObsScope) -> Rem
 /// Remedies a dataset over an explicit protected-column set, with
 /// observability: per-node count timings (`node_counts_us` histogram),
 /// `counting.delta.*` / `counting.rebuild.*` counters from the
-/// [`RegionIndex`], plus `regions_updated`,
-/// `rows_duplicated`, `rows_removed`, and `rows_flipped` counters,
-/// batched into one flush per hierarchy node.
+/// [`RegionIndex`], plus `regions_updated`, `rows_duplicated`,
+/// `rows_removed`, `rows_flipped`, `rows_gathered` and `posteriors`
+/// counters, batched into one flush per hierarchy node.
 ///
-/// One parallel counting pass builds the index, and every subsequent
-/// node's counts are projected from leaf counts *maintained* under the
-/// remedy's own edits rather than re-scanned — an O(1) leaf delta per
-/// edit and O(distinct leaves) per node instead of O(n·p) per node.
+/// Every per-row cost is paid once. One parallel counting pass builds
+/// the index, and every later node's counts are projected from leaf
+/// counts *maintained* under the remedy's own edits — an O(1) leaf delta
+/// per edit and O(distinct leaves) per node instead of O(n·p) per node.
+/// The ranker scores each input row once (PS and massaging only); a
+/// node's biased regions are gathered from the index's leaf buckets in
+/// one pass; and the remedy edits a thin per-row view (origin row and
+/// label) rather than a copy of the dataset, which is built once, at the
+/// end, from the surviving origins and their labels.
 ///
 /// The remedy walks every lattice node, so past
 /// [`crate::hierarchy::MAX_PROTECTED`] attributes it fails with
@@ -250,35 +255,67 @@ pub fn remedy_over_with(
     let build_timer = obs.timer();
     let mut index = RegionIndex::try_build_over(data, protected)?;
     obs.observe_since("index_build_us", build_timer);
-    let ranker = params
-        .technique
-        .needs_ranker()
-        .then(|| NaiveBayes::fit(data));
     // a node's worth of edits collapses into one grouped flush at the
     // next node's count read
     index.begin_deltas();
-    let mut engine = IndexEngine {
-        d: data.clone(),
-        index,
-    };
-    engine.index.flush_obs(obs); // counting.rebuild.* of the build pass
-    let updates = remedy_driver(&mut engine, protected, params, ranker.as_ref(), obs);
+    index.flush_obs(obs); // counting.rebuild.* of the build pass
+    let mut engine = IndexEngine::new(data, index, params.technique);
+    let updates = remedy_driver(&mut engine, data.schema(), protected, params, obs);
     Ok(RemedyOutcome {
-        dataset: engine.d,
+        dataset: engine.into_dataset(data),
         updates,
     })
 }
 
-/// The dataset being remedied and the [`RegionIndex`] that mirrors it:
-/// counts come from the maintained index and every edit is applied to
-/// both, as an O(1) leaf delta on the index side.
+/// The rows being remedied, as a thin view over the input dataset, and
+/// the [`RegionIndex`] that mirrors them: counts and region rows come
+/// from the maintained index and every edit is applied to both, as an
+/// O(1) leaf delta on the index side.
 struct IndexEngine {
-    d: Dataset,
     index: RegionIndex,
+    /// The input row each current row copies.
+    origin: Vec<usize>,
+    /// The current label of each current row.
+    labels: Vec<u8>,
+    /// The ranker's [`borderline_key`] of each *input* row; a current
+    /// row's is its origin's. Empty when the technique ranks nothing.
+    scores: Vec<u64>,
+    /// Posteriors computed and not yet flushed to the `posteriors`
+    /// counter.
+    posteriors: u64,
 }
 
 impl IndexEngine {
-    /// The complete region map of one node over the current dataset.
+    /// A view of every input row, scored once by a Naïve Bayes ranker
+    /// fitted on the input when the technique needs one.
+    fn new(data: &Dataset, index: RegionIndex, technique: Technique) -> IndexEngine {
+        let scores: Vec<u64> = if technique.needs_ranker() {
+            let ranker = NaiveBayes::fit(data);
+            let mut buf = Vec::new();
+            (0..data.len())
+                .map(|row| {
+                    data.row_into(row, &mut buf);
+                    borderline_key(ranker.predict_proba_row(&buf))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        IndexEngine {
+            index,
+            origin: (0..data.len()).collect(),
+            labels: data.labels().to_vec(),
+            posteriors: scores.len() as u64,
+            scores,
+        }
+    }
+
+    /// Current number of rows.
+    fn len(&self) -> usize {
+        self.origin.len()
+    }
+
+    /// The complete region map of one node over the current rows.
     fn node_counts(&mut self, mask: u32, obs: &ObsScope) -> FastMap<u128, Counts> {
         let timer = obs.timer();
         self.index.flush_deltas();
@@ -288,35 +325,86 @@ impl IndexEngine {
         counts
     }
 
-    /// Appends a copy of `row` at the end of the dataset.
+    /// The ranker's order key of current row `row`.
+    fn score(&self, row: usize) -> u64 {
+        self.scores[self.origin[row]]
+    }
+
+    /// Appends a copy of `row` at the end.
     fn duplicate_row(&mut self, row: usize) {
         self.index.apply_append(row);
-        self.d.duplicate_row(row);
+        self.origin.push(self.origin[row]);
+        self.labels.push(self.labels[row]);
     }
 
     /// Flips the label of `row`.
     fn flip_label(&mut self, row: usize) {
         self.index.apply_flip(row);
-        self.d.flip_label(row);
+        self.labels[row] ^= 1;
     }
 
-    /// Removes the given rows (a node's batched pending removals).
-    fn remove_rows(&mut self, rows: &[usize]) {
+    /// Removes the given rows (a node's batched pending removals),
+    /// keeping the survivors in order; sorts `rows` in place.
+    fn remove_rows(&mut self, rows: &mut [usize]) {
         self.index.apply_remove(rows);
-        self.d.remove_rows(rows);
+        rows.sort_unstable();
+        let mut doomed = rows.iter().copied().peekable();
+        let mut kept = 0;
+        for row in 0..self.len() {
+            if doomed.peek() == Some(&row) {
+                while doomed.next_if_eq(&row).is_some() {}
+                continue;
+            }
+            self.origin[kept] = self.origin[row];
+            self.labels[kept] = self.labels[row];
+            kept += 1;
+        }
+        self.origin.truncate(kept);
+        self.labels.truncate(kept);
     }
+
+    /// The remedied dataset: the surviving origins' rows, in order, with
+    /// their current labels.
+    fn into_dataset(self, data: &Dataset) -> Dataset {
+        let mut out = data.subset(&self.origin);
+        for (row, (&src, &label)) in self.origin.iter().zip(&self.labels).enumerate() {
+            if label != data.label(src) {
+                out.flip_label(row);
+            }
+        }
+        out
+    }
+}
+
+/// Buffers one remedy reuses across regions and nodes, so the per-region
+/// work allocates nothing once they have grown.
+#[derive(Default)]
+struct Scratch {
+    /// The current node's biased region keys, ascending.
+    keys: Vec<u128>,
+    /// Their rows, gathered in one pass over the index.
+    rows: NodeRows,
+    /// One region's positive rows.
+    pos: Vec<usize>,
+    /// One region's negative rows.
+    neg: Vec<usize>,
+    /// `(order key, row)` pairs of one ranking.
+    order: Vec<u128>,
+    /// The current node's batched removals.
+    removals: Vec<usize>,
 }
 
 /// Algorithm 2's node loop. Masks are walked bottom-up (decreasing
 /// popcount, then numeric order); regions within a node are disjoint, so
 /// duplications (appended at the end) and label flips are applied
 /// immediately while removals are batched per node to keep row indices
-/// valid.
+/// valid — which is also why one gather at the start of a node serves
+/// all of its regions.
 fn remedy_driver(
     engine: &mut IndexEngine,
+    schema: &Schema,
     protected: &[usize],
     params: &RemedyParams,
-    ranker: Option<&NaiveBayes>,
     obs: &ObsScope,
 ) -> Vec<RegionUpdate> {
     let p = protected.len();
@@ -324,10 +412,11 @@ fn remedy_driver(
     // ordered-radius metric needs per-slot flags for every node
     let ordered_protected: Vec<bool> = protected
         .iter()
-        .map(|&col| engine.d.schema().attribute(col).is_ordered())
+        .map(|&col| schema.attribute(col).is_ordered())
         .collect();
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut updates = Vec::new();
+    let mut scratch = Scratch::default();
 
     let full_mask: u32 = crate::counting::full_mask_of(p);
     let mut masks: Vec<u32> = (1..=full_mask).collect();
@@ -339,46 +428,56 @@ fn remedy_driver(
             continue;
         }
         let ordered: Vec<bool> = attrs.iter().map(|&j| ordered_protected[j]).collect();
-        // identification on the *current* dataset, restricted to this node
+        // identification on the *current* rows, restricted to this node
         let counts = engine.node_counts(mask, obs);
         let model = NeighborModel::for_snapshot(&counts, &ordered, params.neighborhood);
         let (biased, neighbor_tally) = biased_from_model(&counts, &model, params);
-        let mut pending_removals: Vec<usize> = Vec::new();
-        let len_before = engine.d.len();
+        scratch.keys.clear();
+        scratch.keys.extend(biased.iter().map(|&(key, _, _)| key));
+        engine
+            .index
+            .gather_rows(mask, &scratch.keys, &mut scratch.rows);
+        scratch.removals.clear();
+        let len_before = engine.len();
         let updates_before = updates.len();
         let mut flipped = 0u64;
-        for (key, own, target) in biased {
-            let pattern = pattern_of(protected, mask, key);
-            let rows = engine.index.region_rows(mask, key);
-            if let Some(update) = apply_technique(
-                engine,
-                &pattern,
-                &rows,
+        for (i, (key, own, target)) in biased.into_iter().enumerate() {
+            let region = Region {
+                pattern: pattern_of(protected, mask, key),
                 own,
                 target,
-                params.technique,
-                ranker,
-                &mut rng,
-                &mut pending_removals,
-            ) {
+            };
+            if let Some(update) =
+                apply_technique(engine, &region, i, params.technique, &mut rng, &mut scratch)
+            {
                 flipped += update.flipped;
                 updates.push(update);
             }
         }
         obs.add_many(&[
             ("regions_updated", (updates.len() - updates_before) as u64),
-            ("rows_duplicated", (engine.d.len() - len_before) as u64),
-            ("rows_removed", pending_removals.len() as u64),
+            ("rows_duplicated", (engine.len() - len_before) as u64),
+            ("rows_removed", scratch.removals.len() as u64),
             ("rows_flipped", flipped),
+            ("rows_gathered", scratch.rows.total_rows() as u64),
+            ("posteriors", std::mem::take(&mut engine.posteriors)),
             ("neighbor_lookups", neighbor_tally.lookups),
             ("neighbor_underflow", neighbor_tally.underflows),
         ]);
-        if !pending_removals.is_empty() {
-            engine.remove_rows(&pending_removals);
+        if !scratch.removals.is_empty() {
+            engine.remove_rows(&mut scratch.removals);
         }
         engine.index.flush_obs(obs);
     }
     updates
+}
+
+/// One biased region of the current node: its pattern, its counts and
+/// the neighboring ratio it is moved to.
+struct Region {
+    pattern: Pattern,
+    own: Counts,
+    target: f64,
 }
 
 /// Biased regions of one node's count map: `(key, counts, ratio_rn)`,
@@ -413,21 +512,18 @@ fn biased_from_model(
     (out, tally)
 }
 
-/// Applies one technique to one region. Returns `None` when the target is
-/// unreachable (sentinel target, or no instances of the class the technique
-/// must duplicate).
-#[allow(clippy::too_many_arguments)]
+/// Applies one technique to the node's `i`-th gathered region. Returns
+/// `None` when the target is unreachable (sentinel target, or no
+/// instances of the class the technique must duplicate).
 fn apply_technique(
     engine: &mut IndexEngine,
-    pattern: &Pattern,
-    region_rows: &[usize],
-    own: Counts,
-    target: f64,
+    region: &Region,
+    i: usize,
     technique: Technique,
-    ranker: Option<&NaiveBayes>,
     rng: &mut StdRng,
-    pending_removals: &mut Vec<usize>,
+    scratch: &mut Scratch,
 ) -> Option<RegionUpdate> {
+    let (own, target) = (region.own, region.target);
     if target < 0.0 {
         return None; // neighboring region has no negatives: ratio undefined
     }
@@ -437,19 +533,32 @@ fn apply_technique(
     // sentinel own-ratio (no negatives) behaves as +∞
     let too_positive = ratio < 0.0 || ratio > target;
 
-    let mut pos_rows: Vec<usize> = region_rows
-        .iter()
-        .copied()
-        .filter(|&i| engine.d.label(i) == 1)
-        .collect();
-    let mut neg_rows: Vec<usize> = region_rows
-        .iter()
-        .copied()
-        .filter(|&i| engine.d.label(i) == 0)
-        .collect();
+    let Scratch {
+        rows,
+        pos,
+        neg,
+        order,
+        removals,
+        ..
+    } = scratch;
+    let rows = rows.region_mut(i);
+    if !technique.needs_ranker() {
+        // uniform draws pick by position, so they need row order; a
+        // ranking sorts by its own total order instead
+        rows.sort_unstable();
+    }
+    pos.clear();
+    neg.clear();
+    for &row in rows.iter() {
+        match engine.labels[row] {
+            1 => pos.push(row),
+            0 => neg.push(row),
+            _ => {}
+        }
+    }
 
     let mut update = RegionUpdate {
-        pattern: pattern.clone(),
+        pattern: region.pattern.clone(),
         ratio_before: ratio,
         target_ratio: target,
         pos_delta: 0,
@@ -460,20 +569,20 @@ fn apply_technique(
     match (technique, too_positive) {
         (Technique::Oversampling, true) => {
             // |r⁺| / (|r⁻| + n_r) = ratio_rn
-            if target <= 0.0 || neg_rows.is_empty() {
+            if target <= 0.0 || neg.is_empty() {
                 return None;
             }
             let n_add = ((p / target).round() - n).max(0.0) as usize;
-            duplicate_uniform(engine, &neg_rows, n_add, rng);
+            duplicate_uniform(engine, neg, n_add, rng);
             update.neg_delta = n_add as i64;
         }
         (Technique::Oversampling, false) => {
             // (|r⁺| + p_r) / |r⁻| = ratio_rn
-            if pos_rows.is_empty() {
+            if pos.is_empty() {
                 return None;
             }
             let p_add = ((target * n).round() - p).max(0.0) as usize;
-            duplicate_uniform(engine, &pos_rows, p_add, rng);
+            duplicate_uniform(engine, pos, p_add, rng);
             update.pos_delta = p_add as i64;
         }
         (Technique::Undersampling, true) => {
@@ -482,7 +591,7 @@ fn apply_technique(
                 return None; // cannot reach a finite ratio by removals alone
             }
             let remove = (p - (target * n).round()).max(0.0) as usize;
-            let removed = remove_uniform(&mut pos_rows, remove, rng, pending_removals);
+            let removed = remove_uniform(pos, remove, rng, removals);
             update.pos_delta = -(removed as i64);
         }
         (Technique::Undersampling, false) => {
@@ -491,69 +600,47 @@ fn apply_technique(
                 return None;
             }
             let remove = (n - (p / target).round()).max(0.0) as usize;
-            let removed = remove_uniform(&mut neg_rows, remove, rng, pending_removals);
+            let removed = remove_uniform(neg, remove, rng, removals);
             update.neg_delta = -(removed as i64);
         }
         (Technique::PreferentialSampling, too_positive) => {
             // (|r⁺| + p_r) / (|r⁻| + n_r) = ratio_rn with |p_r| = |n_r| = k
-            let ranker = ranker.expect("PS requires a ranker");
             let k = (((p - target * n).abs()) / (1.0 + target)).round() as usize;
             if k == 0 {
                 return None;
             }
-            if too_positive {
-                if neg_rows.is_empty() {
-                    return None;
-                }
-                // remove k borderline positives, duplicate k borderline
-                // negatives
-                let k = k.min(pos_rows.len());
-                rank_borderline(&engine.d, ranker, &mut pos_rows, true);
-                rank_borderline(&engine.d, ranker, &mut neg_rows, false);
-                duplicate_cycled(engine, &neg_rows, k);
-                pending_removals.extend_from_slice(&pos_rows[..k]);
-                update.pos_delta = -(k as i64);
-                update.neg_delta = k as i64;
-            } else {
-                if pos_rows.is_empty() {
-                    return None;
-                }
-                let k = k.min(neg_rows.len());
-                rank_borderline(&engine.d, ranker, &mut pos_rows, true);
-                rank_borderline(&engine.d, ranker, &mut neg_rows, false);
-                duplicate_cycled(engine, &pos_rows, k);
-                pending_removals.extend_from_slice(&neg_rows[..k]);
-                update.pos_delta = k as i64;
-                update.neg_delta = -(k as i64);
+            // remove k borderline majority rows, duplicate k borderline
+            // minority rows (cycling through a short minority list)
+            let (majority, minority) = if too_positive { (pos, neg) } else { (neg, pos) };
+            if minority.is_empty() {
+                return None;
             }
+            let k = k.min(majority.len());
+            rank_borderline(majority, |row| engine.score(row), too_positive, k, order);
+            rank_borderline(minority, |row| engine.score(row), !too_positive, k, order);
+            for row in cycled(minority, k) {
+                engine.duplicate_row(row);
+            }
+            removals.extend_from_slice(&majority[..k]);
+            let k = k as i64;
+            (update.pos_delta, update.neg_delta) = if too_positive { (-k, k) } else { (k, -k) };
         }
         (Technique::Massaging, too_positive) => {
             // flip k borderline majority labels:
             // (|r⁺| − k) / (|r⁻| + k) = ratio_rn
-            let ranker = ranker.expect("massaging requires a ranker");
             let k = (((p - target * n).abs()) / (1.0 + target)).round() as usize;
             if k == 0 {
                 return None;
             }
-            if too_positive {
-                let k = k.min(pos_rows.len());
-                rank_borderline(&engine.d, ranker, &mut pos_rows, true);
-                for &row in &pos_rows[..k] {
-                    engine.flip_label(row);
-                }
-                update.pos_delta = -(k as i64);
-                update.neg_delta = k as i64;
-                update.flipped = k as u64;
-            } else {
-                let k = k.min(neg_rows.len());
-                rank_borderline(&engine.d, ranker, &mut neg_rows, false);
-                for &row in &neg_rows[..k] {
-                    engine.flip_label(row);
-                }
-                update.pos_delta = k as i64;
-                update.neg_delta = -(k as i64);
-                update.flipped = k as u64;
+            let majority = if too_positive { pos } else { neg };
+            let k = k.min(majority.len());
+            rank_borderline(majority, |row| engine.score(row), too_positive, k, order);
+            for &row in &majority[..k] {
+                engine.flip_label(row);
             }
+            let k = k as i64;
+            (update.pos_delta, update.neg_delta) = if too_positive { (-k, k) } else { (k, -k) };
+            update.flipped = k as u64;
         }
     }
     Some(update)
@@ -568,13 +655,11 @@ fn duplicate_uniform(engine: &mut IndexEngine, rows: &[usize], count: usize, rng
     }
 }
 
-/// Duplicates the first `count` entries of a ranked list, cycling when the
-/// list is shorter than `count`.
-fn duplicate_cycled(engine: &mut IndexEngine, ranked: &[usize], count: usize) {
+/// The first `count` entries of a ranked list, cycling when the list is
+/// shorter than `count`.
+fn cycled(ranked: &[usize], count: usize) -> impl Iterator<Item = usize> + '_ {
     debug_assert!(!ranked.is_empty() || count == 0);
-    for i in 0..count {
-        engine.duplicate_row(ranked[i % ranked.len()]);
-    }
+    ranked.iter().copied().cycle().take(count)
 }
 
 /// Picks `count` rows uniformly from `rows` and schedules them for
@@ -595,24 +680,58 @@ fn remove_uniform(
     count
 }
 
-/// Sorts rows so the most borderline instances come first: positives by
-/// ascending posterior `P(y=1|x)`, negatives by descending posterior.
-fn rank_borderline(d: &Dataset, ranker: &NaiveBayes, rows: &mut [usize], positives: bool) {
-    let mut buf = Vec::new();
-    let mut scored: Vec<(f64, usize)> = rows
-        .iter()
-        .map(|&i| {
-            d.row_into(i, &mut buf);
-            (ranker.predict_proba_row(&buf), i)
-        })
-        .collect();
-    if positives {
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+/// The ranker's order key for a posterior `P(y=1|x)`: unsigned integer
+/// order on keys is `partial_cmp` order on posteriors (`-0.0` and `0.0`
+/// share a key), so ranking sorts plain integers.
+///
+/// # Panics
+///
+/// On a NaN posterior, which has no place in the ranking.
+fn borderline_key(posterior: f64) -> u64 {
+    assert!(!posterior.is_nan(), "the ranker's posterior is NaN");
+    let bits = if posterior == 0.0 {
+        0
     } else {
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        posterior.to_bits()
+    };
+    // the IEEE-754 total-order trick: flip every bit of a negative,
+    // only the sign bit of a non-negative
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
-    for (slot, (_, i)) in scored.into_iter().enumerate() {
-        rows[slot] = i;
+}
+
+/// Moves the `count` most borderline rows to the front of `rows`, in
+/// order: positives by ascending posterior `P(y=1|x)`, negatives by
+/// descending posterior, ties by ascending row. Past `count` the rows
+/// keep no order; a `count` of at least `rows.len()` ranks them all.
+///
+/// `score` gives a row's [`borderline_key`]. `order` is a reused buffer
+/// of `(key, row)` pairs, each packed into one integer, so the ranking is
+/// a selection and one unstable sort of the selected prefix, with no
+/// allocation.
+fn rank_borderline(
+    rows: &mut [usize],
+    score: impl Fn(usize) -> u64,
+    positives: bool,
+    count: usize,
+    order: &mut Vec<u128>,
+) {
+    let invert = if positives { 0 } else { u64::MAX };
+    order.clear();
+    order.extend(
+        rows.iter()
+            .map(|&row| (u128::from(score(row) ^ invert) << 64) | row as u128),
+    );
+    let count = count.min(order.len());
+    if count < order.len() {
+        order.select_nth_unstable(count);
+    }
+    order[..count].sort_unstable();
+    for (slot, &entry) in rows.iter_mut().zip(order.iter()) {
+        *slot = entry as u64 as usize;
     }
 }
 
@@ -966,6 +1085,10 @@ mod tests {
             assert_eq!(counter("rows_duplicated"), dup as u64, "{technique}");
             assert_eq!(counter("rows_removed"), removed as u64, "{technique}");
             assert_eq!(counter("rows_flipped"), flipped, "{technique}");
+            // the ranker scores every input row exactly once
+            let scored = if technique.needs_ranker() { d.len() } else { 0 };
+            assert_eq!(counter("posteriors"), scored as u64, "{technique}");
+            assert!(counter("rows_gathered") > 0, "{technique}");
             assert!(
                 snap.histogram("remedy", "node_counts_us").unwrap().count >= 1,
                 "{technique}"
@@ -985,6 +1108,70 @@ mod tests {
                 + counter("counting.delta.flips");
             assert!(edits > 0, "{technique} produced no delta updates");
         }
+    }
+
+    /// The ranking sort as it was before posteriors became integer keys,
+    /// kept as the reference: `partial_cmp` on the posterior (descending
+    /// for negatives), ties by ascending row.
+    fn reference_rank(posteriors: &[f64], rows: &[usize], positives: bool) -> Vec<usize> {
+        let mut scored: Vec<(f64, usize)> = rows.iter().map(|&i| (posteriors[i], i)).collect();
+        if positives {
+            scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        } else {
+            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        }
+        scored.into_iter().map(|(_, i)| i).collect()
+    }
+
+    #[test]
+    fn ranking_matches_the_partial_cmp_reference() {
+        let subnormal = f64::from_bits(1);
+        let posteriors = [
+            0.5, 0.0, -0.0, 1.0, subnormal, 0.5, 0.25, -0.0, 1.0, 0.0, subnormal, 1e-300, 0.5,
+        ];
+        let keys: Vec<u64> = posteriors.iter().map(|&p| borderline_key(p)).collect();
+        let mut order = Vec::new();
+        // every row in a scrambled order, and a sub-list with ties
+        let all: Vec<usize> = (0..posteriors.len()).rev().collect();
+        let some = vec![7, 2, 9, 1, 4, 10, 12, 0];
+        for rows in [all, some] {
+            let len = rows.len();
+            for positives in [true, false] {
+                let reference = reference_rank(&posteriors, &rows, positives);
+                // removals and flips take a prefix of at most the list;
+                // PS duplications cycle past its end
+                for k in [0, 1, len / 2, len, len + 3] {
+                    let mut ranked = rows.clone();
+                    rank_borderline(&mut ranked, |row| keys[row], positives, k, &mut order);
+                    let at = k.min(len);
+                    assert_eq!(ranked[..at], reference[..at], "k = {k}, {positives}");
+                    if k >= len {
+                        assert_eq!(
+                            cycled(&ranked, k).collect::<Vec<_>>(),
+                            reference
+                                .iter()
+                                .copied()
+                                .cycle()
+                                .take(k)
+                                .collect::<Vec<_>>(),
+                            "k = {k}, {positives}"
+                        );
+                    }
+                    // the rows past the ranked prefix are the rest, unranked
+                    let mut all = ranked.clone();
+                    all.sort_unstable();
+                    let mut expected = rows.clone();
+                    expected.sort_unstable();
+                    assert_eq!(all, expected);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "posterior is NaN")]
+    fn nan_posterior_fails_loudly() {
+        borderline_key(f64::NAN);
     }
 
     /// Golden outputs: a 128-bit digest of the remedied dataset's text and

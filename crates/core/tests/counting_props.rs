@@ -19,11 +19,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_core::{
     remedy_over_with, stable_hash, try_identify_in_index_with, try_identify_over_with, Algorithm,
-    Enumeration, IbsParams, RegionIndex, RemedyParams, ShardCounts, Technique,
+    Enumeration, IbsParams, NodeRows, RegionIndex, RemedyParams, ShardCounts, Technique,
 };
 use remedy_dataset::persist::dataset_to_text;
 use remedy_dataset::{synth, Dataset, RowEdit};
 use remedy_obs::Scope as ObsScope;
+use std::collections::BTreeMap;
 
 /// Asserts the maintained index equals an independent rebuild of the
 /// current rows: its leaf counts equal [`ShardCounts::scan_over`], identify
@@ -45,14 +46,26 @@ fn assert_matches_rebuild(index: &RegionIndex, d: &Dataset, protected: &[usize])
         let live = try_identify_in_index_with(index, &params, Algorithm::Optimized, &off);
         let cold = try_identify_over_with(d, protected, &params, Algorithm::Optimized, &off);
         assert_eq!(live, cold, "{enumeration:?} identify diverges");
+        // one gather per node serves all of its flagged regions
+        let mut by_node: BTreeMap<u32, Vec<_>> = BTreeMap::new();
         for region in live.iter().flatten() {
-            assert_eq!(
-                index.region_rows(region.mask, region.key),
-                d.indices_matching(&region.pattern),
-                "bucket diverges at node {:#b} key {:#x}",
-                region.mask,
-                region.key
-            );
+            by_node.entry(region.mask).or_default().push(region);
+        }
+        let mut gathered = NodeRows::default();
+        for (mask, mut regions) in by_node {
+            regions.sort_by_key(|r| r.key);
+            let keys: Vec<u128> = regions.iter().map(|r| r.key).collect();
+            index.gather_rows(mask, &keys, &mut gathered);
+            for (i, region) in regions.iter().enumerate() {
+                let mut rows = gathered.region(i).to_vec();
+                rows.sort_unstable();
+                assert_eq!(
+                    rows,
+                    d.indices_matching(&region.pattern),
+                    "bucket diverges at node {mask:#b} key {:#x}",
+                    region.key
+                );
+            }
         }
     }
 }

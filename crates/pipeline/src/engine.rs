@@ -381,12 +381,13 @@ fn run_branch(
     // same stage kind never merge their counters
     let stage_scope = |stage: &str| run_span.child_scope(&format!("{}/{stage}", branch.name));
 
-    // remedy (or pass the unremedied split through)
-    let remedied;
-    let (train_input, train_input_hash) = match branch.technique {
+    // remedy (or pass the unremedied split through); training fits on
+    // the dataset in memory unless the remedy was replayed from the cache
+    let (remedied, remedied_data);
+    let (train_input, train_input_hash, train_data) = match branch.technique {
         Some(_) => {
             let params = plan.remedy_params(branch)?;
-            remedied = remedy_stage(
+            (remedied, remedied_data) = remedy_stage(
                 plan,
                 &branch.name,
                 &params,
@@ -398,11 +399,15 @@ fn run_branch(
                 &stage_scope("remedy"),
             )?;
             records.push(remedied.record.clone());
-            (remedied.text.as_str(), remedied.artifact_hash.as_str())
+            (
+                remedied.text.as_str(),
+                remedied.artifact_hash.as_str(),
+                remedied_data.as_ref(),
+            )
         }
         None => {
             records.push(skipped_remedy_record(&branch.name, train_split_hash));
-            (train_split_text, train_split_hash)
+            (train_split_text, train_split_hash, Some(train_set))
         }
     };
 
@@ -413,6 +418,7 @@ fn run_branch(
         branch.model,
         train_input,
         train_input_hash,
+        train_data,
         cache,
         force,
         &stage_scope("train"),

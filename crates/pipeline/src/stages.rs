@@ -312,7 +312,9 @@ pub fn identify_stage(
 }
 
 /// Remedy: rewrite the training split so biased regions match their
-/// neighborhood. One execution per branch with a technique.
+/// neighborhood. One execution per branch with a technique. When the
+/// remedy is computed rather than replayed, the remedied dataset comes
+/// back beside its artifact, so training need not parse the text again.
 #[allow(clippy::too_many_arguments)]
 pub fn remedy_stage(
     plan: &Plan,
@@ -324,7 +326,7 @@ pub fn remedy_stage(
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
-) -> Result<StageOutput, PipelineError> {
+) -> Result<(StageOutput, Option<Dataset>), PipelineError> {
     let mut h = StableHasher::new();
     h.write_str("remedy");
     h.write_str(&discretized.artifact_hash);
@@ -335,9 +337,8 @@ pub fn remedy_stage(
     write_split(&mut h, plan);
     params.stable_hash_into(&mut h);
     let key = CacheKey::from_hasher(&h);
-    let params = params.clone();
-    let inner_obs = obs.clone();
-    run_stage(
+    let mut remedied = None;
+    let output = run_stage(
         cache,
         "remedy",
         Some(branch),
@@ -345,15 +346,18 @@ pub fn remedy_stage(
         force,
         &format!("remedy {} tau={}", params.technique, params.tau_c),
         obs,
-        move || {
+        || {
             // identify has already run on this split, so a protected set
             // the remedy cannot carry is a failure, not a plan rejection
             let protected = train_set.schema().protected_indices();
-            let outcome = remedy_core::remedy_over_with(train_set, &protected, &params, &inner_obs)
+            let outcome = remedy_core::remedy_over_with(train_set, &protected, params, obs)
                 .map_err(|e| PipelineError::fatal(e.to_string()))?;
-            Ok(data_persist::dataset_to_text(&outcome.dataset))
+            let text = data_persist::dataset_to_text(&outcome.dataset);
+            remedied = Some(outcome.dataset);
+            Ok(text)
         },
-    )
+    )?;
+    Ok((output, remedied))
 }
 
 /// A record for a `technique=none` branch: the remedy stage is skipped
@@ -371,7 +375,10 @@ pub fn skipped_remedy_record(branch: &str, train_split_hash: &str) -> StageRecor
     }
 }
 
-/// Train: fit the branch's model family on its training input.
+/// Train: fit the branch's model family on its training input. The key
+/// and the model depend on the input text alone; on a miss the model is
+/// fitted on `train_data`, the dataset that text was written from, when
+/// the caller holds it, and on the parsed text otherwise.
 #[allow(clippy::too_many_arguments)]
 pub fn train_stage(
     plan: &Plan,
@@ -379,6 +386,7 @@ pub fn train_stage(
     family: ModelFamily,
     train_input: &str,
     train_input_hash: &str,
+    train_data: Option<&Dataset>,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
@@ -398,9 +406,12 @@ pub fn train_stage(
         force,
         &format!("train {} seed={seed}", family.token()),
         obs,
-        move || {
-            let data = data_persist::dataset_from_text(train_input)?;
-            Ok(family.fit_to_text(&data, seed))
+        move || match train_data {
+            Some(data) => Ok(family.fit_to_text(data, seed)),
+            None => {
+                let data = data_persist::dataset_from_text(train_input)?;
+                Ok(family.fit_to_text(&data, seed))
+            }
         },
     )
 }

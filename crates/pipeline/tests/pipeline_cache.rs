@@ -8,7 +8,8 @@ use remedy_core::{IbsParams, Neighborhood, RemedyParams, Scope, Technique};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::synth;
 use remedy_fairness::{fairness_index, FairnessIndexParams, Statistic};
-use remedy_pipeline::{run, PipelineOptions, Plan};
+use remedy_pipeline::stages::train_stage;
+use remedy_pipeline::{run, ArtifactCache, ModelFamily, PipelineOptions, Plan};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -184,6 +185,40 @@ fn remedy_cache_artifact_matches_golden_remedy() {
     assert!(warm.cache_hit);
     assert_eq!(warm.key, rec.key);
     assert_eq!(warm.artifact_hash, rec.artifact_hash);
+}
+
+/// Training fits on the dataset the engine holds when it has one, and
+/// on the parsed training text when the remedy was replayed from the
+/// cache. Both give the same key and the same model bytes, for every
+/// model family, on the unremedied split and on a remedied one.
+#[test]
+fn training_from_memory_matches_training_from_text() {
+    let plan = Plan::parse(PLAN).unwrap();
+    let data = synth::compas_n(1000, 9);
+    let (train_set, _) = train_test_split(&data, 0.7, 9).unwrap();
+    let protected = train_set.schema().protected_indices();
+    let off = remedy_obs::Scope::disabled();
+    let params = plan.remedy_params(&plan.branches[1]).unwrap();
+    let remedied = remedy_core::remedy_over_with(&train_set, &protected, &params, &off)
+        .unwrap()
+        .dataset;
+    let cache = ArtifactCache::open(fresh_cache("train_from_memory")).unwrap();
+    for (branch, input) in [("base", &train_set), ("ps", &remedied)] {
+        let text = remedy_dataset::persist::dataset_to_text(input);
+        let hash = format!("{:032x}", remedy_core::stable_hash(text.as_bytes()));
+        for family in ["dt", "rf", "lg", "nb"] {
+            let family: ModelFamily = family.parse().unwrap();
+            let train = |data| {
+                train_stage(
+                    &plan, branch, family, &text, &hash, data, &cache, true, &off,
+                )
+                .unwrap()
+            };
+            let (memory, parsed) = (train(Some(input)), train(None));
+            assert_eq!(memory.record.key, parsed.record.key);
+            assert_eq!(memory.text, parsed.text, "{branch} {family:?}");
+        }
+    }
 }
 
 /// Forced recomputation into a second cache produces byte-identical
