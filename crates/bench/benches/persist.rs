@@ -5,9 +5,9 @@
 //! short-lived allocations, and measuring loads afterwards in the same
 //! process would bill that allocator wreckage to the decode — a real
 //! cold open runs in a fresh process with a clean heap. Every sample
-//! then reads its file from scratch and decodes it. The index pair
-//! measures what the packed-key sidecar buys `RegionIndex`
-//! construction over re-packing every row.
+//! then reads its file from scratch and decodes it. The index case
+//! measures `RegionIndex` construction, which packs every row's key from
+//! the decoded columns.
 //!
 //! `scripts/bench.sh` records the medians as `dataset_cold_load_ms` in
 //! `BENCH_core.json`.
@@ -29,12 +29,13 @@ fn stage(dir: &Path) {
 }
 
 /// Ensures staged inputs exist (re-staging when absent or written by an
-/// older layout) and returns the decoded artifact for the index benches.
+/// older layout) and returns the decoded artifact for the encode and
+/// index benches.
 fn staged_inputs(bin_path: &Path) -> Stored {
     let fresh = std::fs::read(bin_path)
         .ok()
-        .and_then(|bytes| store::from_bytes(&bytes).ok())
-        .filter(|s| s.data.len() == ROWS && s.packed.is_some());
+        .and_then(|bytes| store::from_bytes_unpacked(&bytes).ok())
+        .filter(|s| s.data.len() == ROWS);
     if let Some(stored) = fresh {
         return stored;
     }
@@ -44,7 +45,7 @@ fn staged_inputs(bin_path: &Path) -> Stored {
         .status()
         .expect("spawn staging child");
     assert!(status.success(), "staging child failed");
-    store::from_bytes(&std::fs::read(bin_path).expect("staged artifact"))
+    store::from_bytes_unpacked(&std::fs::read(bin_path).expect("staged artifact"))
         .expect("staged artifact decodes")
 }
 
@@ -88,14 +89,7 @@ fn bench_cold_load(c: &mut Criterion) {
         b.iter(|| store::to_binary(std::hint::black_box(&stored.data)))
     });
 
-    // region-index construction: persisted packed keys vs packing from
-    // the decoded columns
-    group.bench_function("index_from_packed_1m", |b| {
-        b.iter(|| {
-            let packed = stored.packed.clone().unwrap();
-            RegionIndex::try_build_from_packed(std::hint::black_box(&stored.data), packed).unwrap()
-        })
-    });
+    // region-index construction, packing keys from the decoded columns
     group.bench_function("index_repack_1m", |b| {
         b.iter(|| RegionIndex::try_build(std::hint::black_box(&stored.data)).unwrap())
     });

@@ -101,11 +101,8 @@ fn load_input_as(args: &Args, format: FormatPolicy) -> Result<Dataset, CliError>
         protected: args.get_list("protected"),
         positive: args.get("positive").map(String::from),
         bins: args.get_parsed("bins", csv::DEFAULT_BINS)?,
-        keys: false,
     };
-    source::open(&request)
-        .map(|stored| stored.data)
-        .map_err(|e| CliError(e.to_string()))
+    source::open(&request).map_err(|e| CliError(e.to_string()))
 }
 
 /// The identification parameters of the remedy options, plus `--pruned`
@@ -313,8 +310,8 @@ fn cmd_convert(raw: Vec<String>) -> Result<(), CliError> {
              Re-encodes a dataset. The input format is sniffed by magic:\n\
              remedy-columnar binary, remedy-dataset exact text, else CSV\n\
              (CSV needs --label/--protected). The default output format is\n\
-             binary — the zero-copy columnar store with precomputed region\n\
-             keys. text↔binary conversion is lossless and byte-exact."
+             binary — the fixed-width columnar store. text↔binary\n\
+             conversion is lossless and byte-exact."
         );
         return Ok(());
     }

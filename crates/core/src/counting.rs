@@ -6,8 +6,8 @@
 //! protected values into a `u128` key every time. This module is the one
 //! counting seam (mirroring the [`NeighborModel`] seam on the neighbor
 //! side): [`ShardCounts`] validates the protected layout, packs every row
-//! **once** into an SoA key column (or accepts a persisted sidecar of
-//! those keys), and tallies the *leaf* counts in a single parallel pass.
+//! **once** into an SoA key column, and tallies the *leaf* counts in a
+//! single parallel pass.
 //! Every lattice is assembled from those leaves — the dense
 //! [`Hierarchy`] by node-to-node projection, the support-pruned
 //! [`SparseHierarchy`] by level-wise enumeration — and a [`RegionIndex`]
@@ -325,14 +325,6 @@ pub struct ShardCounts<C = Counts> {
     totals: C,
 }
 
-/// A leaf scan together with the packed key column and per-leaf row
-/// buckets it came from — what a [`RegionIndex`] keeps.
-pub(crate) struct IndexedScan {
-    pub counts: ShardCounts,
-    pub keys: Vec<u128>,
-    pub buckets: FastMap<u128, Vec<u32>>,
-}
-
 impl ShardCounts {
     /// Scans a shard over its schema-declared protected columns with at
     /// most `threads` worker threads (`0` = all cores).
@@ -350,57 +342,6 @@ impl ShardCounts {
         threads: usize,
     ) -> Result<ShardCounts, CoreError> {
         ShardCounts::scan_classes(data, protected, data.labels(), threads)
-    }
-
-    /// Scans a shard from a persisted packed-key sidecar (the
-    /// `remedy-columnar v1` layout), skipping the packing pass. The
-    /// sidecar is validated against the layout this scan would pack —
-    /// row count, column set, and slot widths — and rejected with
-    /// [`CoreError::PackedLayoutMismatch`] on any disagreement.
-    pub fn scan_packed(
-        data: &Dataset,
-        packed: &PackedKeys,
-        threads: usize,
-    ) -> Result<ShardCounts, CoreError> {
-        let protected = data.schema().protected_indices();
-        let codec = ShardCounts::layout(data, &protected)?;
-        check_packed(data, &protected, &codec, packed)?;
-        let labels = data.labels();
-        Ok(ShardCounts::from_keys(
-            data,
-            &protected,
-            codec,
-            &packed.keys,
-            labels,
-            false,
-            threads,
-        )
-        .0)
-    }
-
-    /// One scan (all cores) that also keeps the key column and the
-    /// ascending row buckets of every leaf, packing the keys itself or
-    /// taking them from a validated sidecar.
-    pub(crate) fn scan_indexed(
-        data: &Dataset,
-        protected: &[usize],
-        packed: Option<PackedKeys>,
-    ) -> Result<IndexedScan, CoreError> {
-        let codec = ShardCounts::layout(data, protected)?;
-        let keys = match packed {
-            Some(packed) => {
-                check_packed(data, protected, &codec, &packed)?;
-                packed.keys
-            }
-            None => pack_keys(data, protected, &codec, 0),
-        };
-        let (counts, buckets) =
-            ShardCounts::from_keys(data, protected, codec, &keys, data.labels(), true, 0);
-        Ok(IndexedScan {
-            counts,
-            keys,
-            buckets,
-        })
     }
 
     /// The one validation of a leaf layout: a non-empty protected set of
@@ -557,41 +498,6 @@ fn cards_of(data: &Dataset, protected: &[usize]) -> Vec<u32> {
         .iter()
         .map(|&a| data.schema().attribute(a).cardinality() as u32)
         .collect()
-}
-
-/// The one validation of a persisted packed-key sidecar: it must be
-/// exactly the layout a scan over `protected` would pack — row count,
-/// column set, and slot widths — or keys after a schema change, a
-/// foreign column order, or a different width rule would silently
-/// produce wrong counts.
-fn check_packed(
-    data: &Dataset,
-    protected: &[usize],
-    codec: &KeyCodec,
-    packed: &PackedKeys,
-) -> Result<(), CoreError> {
-    let mismatch = |detail: String| Err(CoreError::PackedLayoutMismatch { detail });
-    if packed.keys.len() != data.len() {
-        return mismatch(format!(
-            "{} persisted keys for {} rows",
-            packed.keys.len(),
-            data.len()
-        ));
-    }
-    let cols: Vec<usize> = packed.cols.iter().map(|&c| c as usize).collect();
-    if cols != protected {
-        return mismatch(format!(
-            "persisted columns {cols:?} != protected columns {protected:?}"
-        ));
-    }
-    if codec.widths() != packed.widths {
-        return mismatch(format!(
-            "persisted slot widths {:?} != expected {:?}",
-            packed.widths,
-            codec.widths()
-        ));
-    }
-    Ok(())
 }
 
 /// Fenwick tree over per-slot alive bits: `prefix`/`rank` translate a
@@ -812,39 +718,21 @@ impl RegionIndex {
 
     /// Builds an index over an explicit protected-column set (up to
     /// [`MAX_PROTECTED_SPARSE`] columns): one parallel packing pass and
-    /// one parallel leaf tally.
+    /// one parallel leaf tally that also keeps the ascending row buckets
+    /// of every leaf.
     pub fn try_build_over(data: &Dataset, protected: &[usize]) -> Result<RegionIndex, CoreError> {
-        let scan = ShardCounts::scan_indexed(data, protected, None)?;
-        Ok(RegionIndex::from_scan(scan, data.labels()))
-    }
-
-    /// Builds an index from a persisted packed-key column (the binary
-    /// store's [`PackedKeys`] sidecar), skipping the packing pass
-    /// entirely — the bulk-load path for binary artifacts decoded with
-    /// their keys (`store::from_bytes`).
-    ///
-    /// The persisted layout (column set and per-slot bit widths) must be
-    /// the one this build would pack itself; any disagreement — stale
-    /// keys after a schema change, a foreign column order, a different
-    /// width rule — is rejected with [`CoreError::PackedLayoutMismatch`]
-    /// instead of silently producing wrong counts.
-    pub fn try_build_from_packed(
-        data: &Dataset,
-        packed: PackedKeys,
-    ) -> Result<RegionIndex, CoreError> {
-        let protected = data.schema().protected_indices();
-        let scan = ShardCounts::scan_indexed(data, &protected, Some(packed))?;
-        Ok(RegionIndex::from_scan(scan, data.labels()))
-    }
-
-    fn from_scan(scan: IndexedScan, labels: &[u8]) -> RegionIndex {
-        let n = scan.keys.len();
-        RegionIndex {
-            counts: scan.counts,
-            keys: scan.keys,
+        let codec = ShardCounts::layout(data, protected)?;
+        let keys = pack_keys(data, protected, &codec, 0);
+        let labels = data.labels();
+        let (counts, buckets) =
+            ShardCounts::from_keys(data, protected, codec, &keys, labels, true, 0);
+        let n = keys.len();
+        Ok(RegionIndex {
+            counts,
+            keys,
             labels: labels.to_vec(),
             alive: vec![true; n],
-            buckets: scan.buckets,
+            buckets,
             fenwick: Fenwick::ones(n),
             live: n,
             tally: CountingTally {
@@ -854,7 +742,20 @@ impl RegionIndex {
             },
             pending: FastMap::default(),
             batching: false,
-        }
+        })
+    }
+
+    /// Builds an index for a binary artifact decoded with its packed-key
+    /// sidecar (`store::from_bytes`). The sidecar is ignored and the keys
+    /// are packed from the decoded columns, exactly as
+    /// [`RegionIndex::try_build`] packs them: nothing ties the persisted
+    /// keys to the columns, and a wrong key would count a row in a region
+    /// it is not in.
+    pub fn try_build_from_packed(
+        data: &Dataset,
+        _packed: PackedKeys,
+    ) -> Result<RegionIndex, CoreError> {
+        RegionIndex::try_build(data)
     }
 
     /// Number of protected attributes the index is keyed over.
@@ -1217,30 +1118,23 @@ mod tests {
     }
 
     #[test]
-    fn build_from_packed_rejects_foreign_layouts() {
+    fn build_from_packed_ignores_the_sidecar() {
         let data = fixture();
+        let regular = RegionIndex::try_build(&data).unwrap();
         let good = remedy_dataset::store::pack_protected(&data).unwrap();
-        // wrong row count
-        let mut p = good.clone();
-        p.keys.pop();
-        assert!(matches!(
-            RegionIndex::try_build_from_packed(&data, p),
-            Err(CoreError::PackedLayoutMismatch { .. })
-        ));
-        // wrong column set
-        let mut p = good.clone();
-        p.cols = vec![0];
-        assert!(matches!(
-            RegionIndex::try_build_from_packed(&data, p),
-            Err(CoreError::PackedLayoutMismatch { .. })
-        ));
-        // wrong slot widths
-        let mut p = good.clone();
-        p.widths = vec![4, 4];
-        assert!(matches!(
-            RegionIndex::try_build_from_packed(&data, p),
-            Err(CoreError::PackedLayoutMismatch { .. })
-        ));
+        let mut short = good.clone();
+        short.keys.pop();
+        let mut foreign_cols = good.clone();
+        foreign_cols.cols = vec![0];
+        let mut foreign_widths = good.clone();
+        foreign_widths.widths = vec![4, 4];
+        let mut wrong_keys = good.clone();
+        wrong_keys.keys[0] = u128::MAX;
+        for packed in [short, foreign_cols, foreign_widths, wrong_keys] {
+            let built = RegionIndex::try_build_from_packed(&data, packed).unwrap();
+            assert_eq!(built.keys, regular.keys);
+            assert_eq!(built.counts(), regular.counts());
+        }
     }
 
     #[test]
@@ -1637,26 +1531,6 @@ mod tests {
             let direct = crate::sparse::SparseHierarchy::try_build(&d, 2).unwrap();
             assert_eq!(sparse.nodes().len(), direct.nodes().len());
         }
-    }
-
-    #[test]
-    fn shard_scan_packed_matches_and_validates() {
-        let d = fixture();
-        let packed = remedy_dataset::store::pack_protected(&d).unwrap();
-        let from_packed = ShardCounts::scan_packed(&d, &packed, 0).unwrap();
-        assert_eq!(from_packed, ShardCounts::scan(&d, 0).unwrap());
-        let mut bad = packed.clone();
-        bad.keys.pop();
-        assert!(matches!(
-            ShardCounts::scan_packed(&d, &bad, 0),
-            Err(CoreError::PackedLayoutMismatch { .. })
-        ));
-        let mut bad = packed.clone();
-        bad.widths = vec![4, 4];
-        assert!(matches!(
-            ShardCounts::scan_packed(&d, &bad, 0),
-            Err(CoreError::PackedLayoutMismatch { .. })
-        ));
     }
 
     #[test]

@@ -55,13 +55,6 @@ pub enum CoreError {
         /// Level at which enumeration had to stop.
         level: usize,
     },
-    /// A persisted packed-key column disagrees with the layout this
-    /// build would pack (stale keys, different column set, or different
-    /// slot widths).
-    PackedLayoutMismatch {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
     /// Two counting structures were asked to merge but were not built
     /// over the same protected layout (columns, cardinalities, ordered
     /// flags — or, for pruned lattices, support threshold).
@@ -108,10 +101,6 @@ impl std::fmt::Display for CoreError {
                 f,
                 "support pruning kept a frequent node at level {level}; \
                  region keys address at most {MAX_PROTECTED} attributes"
-            ),
-            CoreError::PackedLayoutMismatch { detail } => write!(
-                f,
-                "persisted packed keys don't match the index layout: {detail}"
             ),
             CoreError::MergeMismatch { detail } => {
                 write!(f, "cannot merge counting structures: {detail}")
@@ -164,10 +153,6 @@ mod tests {
         assert!(CoreError::NodeTooDeep { level: 17 }
             .to_string()
             .contains("17"));
-        let e = CoreError::PackedLayoutMismatch {
-            detail: "3 keys for 4 rows".into(),
-        };
-        assert!(e.to_string().contains("3 keys for 4 rows"), "{e}");
         let e = CoreError::RowCountMismatch { rows: 4, values: 3 };
         assert_eq!(e.to_string(), "3 per-row values for 4 rows");
     }

@@ -42,14 +42,8 @@ pub enum DatasetError {
     Io(String),
     /// A request was inconsistent with the dataset (e.g. empty split).
     Invalid(String),
-    /// A section of a binary dataset artifact failed to decode.
-    Corrupt {
-        /// Which section of the artifact was being read.
-        section: &'static str,
-        /// What went wrong.
-        detail: String,
-    },
-    /// A `remedy-dataset v1` text artifact failed to decode.
+    /// A dataset artifact (`remedy-dataset v1` text or `remedy-columnar
+    /// v1` binary) failed to decode.
     Decode(DecodeError),
 }
 
@@ -76,10 +70,7 @@ impl fmt::Display for DatasetError {
             }
             DatasetError::Io(msg) => write!(f, "io error: {msg}"),
             DatasetError::Invalid(msg) => write!(f, "invalid request: {msg}"),
-            DatasetError::Corrupt { section, detail } => {
-                write!(f, "corrupt dataset artifact ({section} section): {detail}")
-            }
-            DatasetError::Decode(e) => write!(f, "malformed dataset text: {e}"),
+            DatasetError::Decode(e) => write!(f, "malformed dataset artifact: {e}"),
         }
     }
 }

@@ -4,16 +4,21 @@
 //! [`crate::persist`]), identification output (`remedy-ibs v1`) and
 //! shard counts (`remedy-counts v1`, `core::persist`), models
 //! (`remedy-model v1`, `classifiers::persist`) and audit metrics
-//! (`remedy-metrics v1`, `fairness::summary`) — and one binary format,
-//! the columnar store (`remedy-columnar v1`, [`crate::store`]), all open
-//! with an ASCII [`Magic`] line naming the format family and version.
-//! The text formats decode through one reader, [`Lines`]: it checks the
-//! magic line, hands out space-separated records ([`Fields`]) with typed
-//! field parsers, caps every declared count at the bytes left in the
-//! input, and reports each failure as a [`DecodeError`] with its line
-//! number, so each decoder only states its record shapes. This module
-//! also owns the percent-escaping of names and the FNV-1a/128 content
-//! digest stored in binary headers.
+//! (`remedy-metrics v1`, `fairness::summary`) — and three binary
+//! formats — the columnar store (`remedy-columnar v1`, [`crate::store`]),
+//! and serve's WAL segments (`remedy-wal v1`) and snapshots
+//! (`remedy-snapshot v1`) — all open with an ASCII [`Magic`] line naming
+//! the format family and version. The text formats decode through one
+//! reader, [`Lines`]: it checks the magic line, hands out space-separated
+//! records ([`Fields`]) with typed field parsers, caps every declared
+//! count at the bytes left in the input, and reports each failure as a
+//! [`DecodeError`] with its line number. The binary formats decode
+//! through its byte twin, [`Bytes`]: the same magic check, little-endian
+//! fields, length-prefixed strings and raw slices, the same capped
+//! counts, and failures that name the section and byte offset. Either
+//! way each decoder only states its record shapes. This module also owns
+//! the percent-escaping of names and the FNV-1a/128 content digest stored
+//! in binary headers.
 //!
 //! This crate sits at the bottom of the workspace graph, so the one
 //! FNV-1a/128 implementation, [`ContentHasher`], lives here and
@@ -28,8 +33,8 @@ pub struct Magic {
     version: u32,
 }
 
-/// Why an artifact was rejected: its magic line (every format), or a
-/// record of a line-oriented one.
+/// Why an artifact was rejected: its magic line (every format), a record
+/// of a line-oriented one, or a field of a binary one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The input ended before the `expected` magic line.
@@ -46,6 +51,13 @@ pub enum DecodeError {
     /// A record is missing or malformed. `line` is 1-based, one past the
     /// last line when the input ended early.
     Malformed { line: usize, message: String },
+    /// A binary field is missing or malformed: `offset` is how far into
+    /// the input the reader had got, inside the named `section`.
+    Corrupt {
+        section: &'static str,
+        offset: usize,
+        message: String,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -64,6 +76,11 @@ impl std::fmt::Display for DecodeError {
                 "`{family}` version `{found}` is not supported (this build reads v{supported})"
             ),
             DecodeError::Malformed { line, message } => write!(f, "line {line}: {message}"),
+            DecodeError::Corrupt {
+                section,
+                offset,
+                message,
+            } => write!(f, "{section} section, byte {offset}: {message}"),
         }
     }
 }
@@ -301,6 +318,139 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// The one reader behind every binary artifact decoder, the byte twin of
+/// [`Lines`]: `pos` is the offset of the next byte to read and `section`
+/// names the part being decoded, and both go into every error.
+#[derive(Debug)]
+pub struct Bytes<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    section: &'static str,
+}
+
+impl<'a> Bytes<'a> {
+    /// Checks `bytes`' magic line and positions the reader after it, in
+    /// the `header` section. A foreign, unsupported or truncated magic
+    /// line is an error at offset 0 of that section, like every other.
+    pub fn open(bytes: &'a [u8], magic: Magic) -> Result<Bytes<'a>, DecodeError> {
+        let mut reader = Bytes::new(bytes, "header");
+        if !magic.sniff(bytes) {
+            let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
+            let message = match magic.expect(std::str::from_utf8(first).ok()) {
+                Ok(()) => "truncated magic line".to_string(),
+                Err(e) => e.to_string(),
+            };
+            return Err(reader.error(message));
+        }
+        reader.pos = magic.line().len() + 1;
+        Ok(reader)
+    }
+
+    /// A reader over a buffer with no magic line (a digest-framed
+    /// payload), starting in `section`.
+    pub fn new(bytes: &'a [u8], section: &'static str) -> Bytes<'a> {
+        Bytes {
+            buf: bytes,
+            pos: 0,
+            section,
+        }
+    }
+
+    /// Names the section the next reads belong to.
+    pub fn section(&mut self, section: &'static str) {
+        self.section = section;
+    }
+
+    /// Bytes read so far (magic line included).
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Bytes not read yet.
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// An error at the current offset of the current section.
+    pub fn error(&self, message: impl Into<String>) -> DecodeError {
+        DecodeError::Corrupt {
+            section: self.section,
+            offset: self.pos,
+            message: message.into(),
+        }
+    }
+
+    /// The next `n` raw bytes (a bulk section, or a field to widen).
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.left() {
+            let left = self.left();
+            return Err(self.error(format!("need {n} bytes, {left} left")));
+        }
+        let slice = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array::<1>().map(|[b]| b)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next little-endian `u128`.
+    pub fn u128(&mut self) -> Result<u128, DecodeError> {
+        self.array().map(u128::from_le_bytes)
+    }
+
+    /// The next `len:u32`-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.u32()? as usize;
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes).map_err(|_| self.error("non-UTF8 string"))
+    }
+
+    /// A declared count `n` of records still to come, each at least
+    /// `record_bytes` long. A count that cannot fit in the bytes left is
+    /// an error, so what this returns is safe to allocate.
+    pub fn fits(&self, what: &str, n: u64, record_bytes: usize) -> Result<usize, DecodeError> {
+        let left = self.left();
+        usize::try_from(n)
+            .ok()
+            .filter(|n| n.saturating_mul(record_bytes) <= left)
+            .ok_or_else(|| self.error(format!("{what} {n} cannot fit in the {left} bytes left")))
+    }
+
+    /// The next `u32` as a count of records, capped as [`Bytes::fits`]
+    /// caps it.
+    pub fn count(&mut self, what: &str, record_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()?;
+        self.fits(what, n.into(), record_bytes)
+    }
+
+    /// Checks that every byte was read.
+    pub fn end(&self) -> Result<(), DecodeError> {
+        match self.left() {
+            0 => Ok(()),
+            n => Err(self.error(format!("{n} unexpected trailing bytes"))),
+        }
+    }
+}
+
 /// Percent-encodes `%`, ASCII whitespace, ASCII control characters, and
 /// every non-ASCII byte, so the result is a single space-free ASCII
 /// token that can sit in a line-oriented format.
@@ -468,6 +618,66 @@ mod tests {
         assert!(!M.sniff(b"remedy-test v3"));
         assert!(!M.sniff(b"remedy-test v30\n"));
         assert!(!M.sniff(b"\x00\x01\x02"));
+    }
+
+    #[test]
+    fn bytes_open_checks_the_magic_line() {
+        let header = |bytes: &[u8]| match Bytes::open(bytes, M) {
+            Err(DecodeError::Corrupt {
+                section: "header",
+                offset: 0,
+                message,
+            }) => message,
+            other => panic!("expected a header error, got {other:?}"),
+        };
+        assert!(header(b"remedy-test v4\n").contains("not supported"));
+        assert!(header(b"remedy-other v3\n").contains("remedy-test v3"));
+        assert_eq!(header(b"remedy-test v3"), "truncated magic line");
+        let r = Bytes::open(b"remedy-test v3\nrest", M).unwrap();
+        assert_eq!((r.offset(), r.left()), (15, 4));
+    }
+
+    #[test]
+    fn bytes_reads_little_endian_fields_strings_and_counts() {
+        let mut input = vec![7u8];
+        input.extend_from_slice(&0x0102_0304u32.to_le_bytes());
+        input.extend_from_slice(&u64::MAX.to_le_bytes());
+        input.extend_from_slice(&3u128.to_le_bytes());
+        input.extend_from_slice(&2u32.to_le_bytes());
+        input.extend_from_slice("é".as_bytes());
+        input.extend_from_slice(&2u32.to_le_bytes());
+        input.extend_from_slice(b"xy");
+        let mut r = Bytes::new(&input, "body");
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u32(), Ok(0x0102_0304));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.u128(), Ok(3));
+        assert_eq!(r.str(), Ok("é"));
+        // six bytes are left: three two-byte records fit, four do not
+        assert_eq!(r.fits("pairs", 3, 2), Ok(3));
+        let err = r.fits("pairs", 4, 2).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "body section, byte 35: pairs 4 cannot fit in the 6 bytes left"
+        );
+        assert_eq!(r.count("bytes", 1), Ok(2));
+        r.section("tail");
+        assert!(r.end().is_err());
+        assert_eq!(r.take(2), Ok(&b"xy"[..]));
+        assert_eq!(r.end(), Ok(()));
+        let err = r.u8().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "tail section, byte 41: need 1 bytes, 0 left"
+        );
+    }
+
+    #[test]
+    fn bytes_rejects_non_utf8_strings() {
+        let mut input = 1u32.to_le_bytes().to_vec();
+        input.push(0xff);
+        let err = Bytes::new(&input, "schema").str().unwrap_err();
+        assert!(err.to_string().contains("non-UTF8"), "{err}");
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! [`open`] resolves, in order: a built-in generator name
 //! ([`synth::builtin`]), else a file read once, decoded as a dataset
 //! artifact when its magic line names one the [`FormatPolicy`] accepts,
-//! else parsed as CSV. Whether a binary artifact's packed-key sidecar is
-//! widened into [`Stored::packed`] is the caller's choice
-//! ([`Request::keys`]): an index build reuses it, other callers skip it.
+//! else parsed as CSV. A binary artifact's packed-key sidecar is checked
+//! for length but never widened: an index packs its keys from the
+//! decoded columns.
 
 use crate::csv::{LoadOptions, RawTable};
+use crate::dataset::Dataset;
 use crate::error::DatasetError;
-use crate::store::{self, Format, Stored};
+use crate::store::{self, Format};
 use crate::synth;
 use crate::vocab::{self, Tokens};
 
@@ -64,9 +65,6 @@ pub struct Request<'a> {
     pub positive: Option<String>,
     /// CSV quantile buckets for continuous columns.
     pub bins: usize,
-    /// Widen a binary artifact's packed-key sidecar into
-    /// [`Stored::packed`]; when `false` it is validated and dropped.
-    pub keys: bool,
 }
 
 /// Why a source did not open: the cause, and the name or path it
@@ -87,17 +85,15 @@ impl std::fmt::Display for SourceError {
 
 impl std::error::Error for SourceError {}
 
-/// Opens `req.source` in the order the module documents. Generated and
-/// CSV datasets come back without packed keys.
-pub fn open(req: &Request) -> Result<Stored, SourceError> {
+/// Opens `req.source` in the order the module documents.
+pub fn open(req: &Request) -> Result<Dataset, SourceError> {
     let fail = |error| SourceError {
         path: req.source.to_string(),
         error,
     };
     let invalid = |msg: &str| fail(DatasetError::Invalid(msg.into()));
-    let unstored = |data| Stored { data, packed: None };
     match synth::builtin(req.source, req.rows, req.seed, req.arity) {
-        Ok(Some(data)) => return Ok(unstored(data)),
+        Ok(Some(data)) => return Ok(data),
         Ok(None) => {}
         Err(e) => return Err(invalid(&e.to_string())),
     }
@@ -106,12 +102,9 @@ pub fn open(req: &Request) -> Result<Stored, SourceError> {
         (FormatPolicy::Binary, Some(Format::Binary))
         | (FormatPolicy::Text, Some(Format::Text))
         | (FormatPolicy::Auto, Some(_)) => {
-            let stored = if req.keys {
-                store::from_bytes(&bytes)
-            } else {
-                store::from_bytes_unpacked(&bytes)
-            };
-            return stored.map_err(fail);
+            return store::from_bytes_unpacked(&bytes)
+                .map(|stored| stored.data)
+                .map_err(fail)
         }
         (FormatPolicy::Binary, _) => {
             return Err(invalid("not a remedy-columnar artifact (format binary)"))
@@ -136,7 +129,6 @@ pub fn open(req: &Request) -> Result<Stored, SourceError> {
     };
     RawTable::parse_str(text)
         .and_then(|table| table.to_dataset(&opts))
-        .map(unstored)
         .map_err(fail)
 }
 
@@ -157,15 +149,13 @@ mod tests {
             protected: vec!["age".into(), "race".into(), "sex".into()],
             positive: None,
             bins: crate::csv::DEFAULT_BINS,
-            keys: false,
         }
     }
 
     #[test]
     fn builtin_names_generate_without_reading_a_file() {
-        let stored = open(&request("compas", FormatPolicy::Binary)).unwrap();
-        assert_eq!(stored.data, synth::compas_n(300, 5));
-        assert_eq!(stored.packed, None);
+        let data = open(&request("compas", FormatPolicy::Binary)).unwrap();
+        assert_eq!(data, synth::compas_n(300, 5));
         let mut wide = request("wide", FormatPolicy::Auto);
         wide.arity = 33;
         assert_eq!(
@@ -184,7 +174,7 @@ mod tests {
         let csv_path = dir.join("compas.csv");
         crate::csv::write_path(&synth::compas_n(300, 5), &csv_path).unwrap();
         let csv_path = csv_path.to_string_lossy().into_owned();
-        let data = open(&request(&csv_path, FormatPolicy::Csv)).unwrap().data;
+        let data = open(&request(&csv_path, FormatPolicy::Csv)).unwrap();
         let want = content_digest(dataset_to_text(&data).as_bytes());
         let text_path = dir.join("compas.remedy").to_string_lossy().into_owned();
         let bin_path = dir.join("compas.bin").to_string_lossy().into_owned();
@@ -199,15 +189,10 @@ mod tests {
         ];
         for (path, policies) in accepting {
             for policy in policies {
-                for keys in [false, true] {
-                    let mut req = request(path, policy);
-                    req.keys = keys;
-                    let stored = open(&req).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
-                    let got = content_digest(dataset_to_text(&stored.data).as_bytes());
-                    assert_eq!(got, want, "{path} under {policy:?}");
-                    let sidecar = keys && path == &bin_path;
-                    assert_eq!(stored.packed.is_some(), sidecar, "{path} keys={keys}");
-                }
+                let data =
+                    open(&request(path, policy)).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+                let got = content_digest(dataset_to_text(&data).as_bytes());
+                assert_eq!(got, want, "{path} under {policy:?}");
             }
         }
 

@@ -7,9 +7,12 @@
 //! builds re-pack every row into `u128` region keys; on a 10M-row
 //! dataset a cold open costs seconds. The binary form stores the same
 //! information column-major with fixed-width fields, so loading is one
-//! sequential read plus fixed-stride decoding, and it persists the
-//! packed-key column alongside so `RegionIndex` can bulk-load keys
-//! without re-packing.
+//! sequential read plus fixed-stride decoding. It also carries a
+//! packed-key column (the sidecar), which no production path reads:
+//! the sidecar is a copy of the protected columns that nothing checks
+//! against them, so every index is packed from the decoded columns and
+//! [`from_bytes_unpacked`] skips widening it. [`from_bytes`] still
+//! widens it into [`Stored::packed`] for callers that measure that cost.
 //!
 //! Layout after the sniffable `remedy-columnar v1\n` magic line (all
 //! integers little-endian):
@@ -34,13 +37,14 @@
 //! is the FNV-1a/128 hash of the canonical text serialization — the
 //! exact bytes [`crate::persist::dataset_to_text`] would produce — so
 //! [`binary_to_text`] can prove its reconstruction byte-identical to the
-//! original text file, which keeps text-keyed caches replaying. Every
-//! section decodes against explicit length checks and reports failures
-//! as [`DatasetError::Corrupt`] naming the section.
+//! original text file, which keeps text-keyed caches replaying. The
+//! decoder reads through [`Bytes`], so every length is checked against
+//! the bytes left and every failure is a [`DecodeError::Corrupt`] naming
+//! the section and byte offset.
 
 use crate::dataset::Dataset;
 use crate::error::DatasetError;
-use crate::format::{content_digest, Magic};
+use crate::format::{content_digest, Bytes, DecodeError, Magic};
 use crate::persist;
 use crate::schema::{Attribute, Schema};
 use std::path::Path;
@@ -107,8 +111,9 @@ impl Format {
 }
 
 /// The persisted packed-key sidecar: one `u128` region key per row,
-/// plus the bit layout they were packed under, so an index build can
-/// validate the layout against its own codec and then skip re-packing.
+/// plus the bit layout they were packed under. Nothing checks the keys
+/// against the columns they claim to pack, so no index is built from
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedKeys {
     /// Protected column indices in schema order (ascending).
@@ -125,7 +130,8 @@ pub struct Stored {
     /// The dataset itself.
     pub data: Dataset,
     /// The persisted packed-key column, when the artifact carries one
-    /// (binary artifacts whose protected set fits the key layout).
+    /// (binary artifacts whose protected set fits the key layout) and
+    /// it was decoded by [`from_bytes`].
     pub packed: Option<PackedKeys>,
 }
 
@@ -360,120 +366,44 @@ fn widen_keys_dispatch(raw: &[u8], kw: usize) -> Vec<u128> {
     }
 }
 
-/// Fixed-stride reader over a binary artifact, tracking the section
-/// currently being decoded so failures carry a useful location.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    fn corrupt(&self, detail: impl Into<String>) -> DatasetError {
-        DatasetError::Corrupt {
-            section: self.section,
-            detail: detail.into(),
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DatasetError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                self.corrupt(format!(
-                    "need {n} bytes at offset {}, file holds {}",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DatasetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DatasetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DatasetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, DatasetError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, DatasetError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("non-UTF8 string"))
-    }
-}
-
 /// Decodes a binary columnar artifact (magic line included).
 pub fn from_binary(bytes: &[u8]) -> Result<Stored, DatasetError> {
-    decode_binary(bytes, true).map(|(stored, _)| stored)
+    Ok(decode_binary(bytes, true)?.0)
 }
+
+/// Smallest schema record of one attribute: flags, name length, domain
+/// length.
+const ATTRIBUTE_MIN_BYTES: usize = 1 + 4 + 4;
 
 /// Decoder body, returning the header's canonical-text digest too;
 /// `with_keys: false` still walks and validates the packed section
 /// (lengths, layout, trailer) but skips widening the per-row keys to
 /// `u128` — 16MB of writes on a million rows that a caller wanting only
 /// the dataset never uses.
-fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), DatasetError> {
-    let mut cur = Cursor {
-        buf: bytes,
-        pos: 0,
-        section: "header",
-    };
-    if !COLUMNAR.sniff(bytes) {
-        let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
-        return Err(cur.corrupt(
-            COLUMNAR
-                .expect(std::str::from_utf8(first).ok())
-                .map(|_| "truncated magic line".to_string())
-                .unwrap_or_else(|e| e.to_string()),
-        ));
-    }
-    cur.pos = COLUMNAR.line().len() + 1;
-    let flags = cur.u32()?;
+fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), DecodeError> {
+    let mut r = Bytes::open(bytes, COLUMNAR)?;
+    let flags = r.u32()?;
     if flags & !(FLAG_PACKED | FLAG_UNIT_WEIGHTS) != 0 {
-        return Err(cur.corrupt(format!("unknown header flags {flags:#x}")));
+        return Err(r.error(format!("unknown header flags {flags:#x}")));
     }
-    let rows64 = cur.u64()?;
-    let rows = usize::try_from(rows64).map_err(|_| cur.corrupt("row count overflows usize"))?;
-    let attrs = cur.u32()? as usize;
-    let digest = cur.u128()?;
-    // an upper bound keeps a corrupt count from over-reserving: every row
-    // needs at least one label byte and each attribute one flag byte
-    if rows > bytes.len() || attrs > bytes.len() {
-        return Err(cur.corrupt(format!(
-            "{rows} rows x {attrs} attributes cannot fit a {}-byte file",
-            bytes.len()
-        )));
-    }
+    let rows = r.u64()?;
+    let attrs = r.count("attributes", ATTRIBUTE_MIN_BYTES)?;
+    let digest = r.u128()?;
+    // every row needs at least its label byte
+    let rows = r.fits("rows", rows, 1)?;
 
-    cur.section = "schema";
-    let label_name = cur.str()?;
+    r.section("schema");
+    let label_name = r.str()?;
     let mut attributes = Vec::with_capacity(attrs);
     for _ in 0..attrs {
-        let aflags = cur.u8()?;
+        let aflags = r.u8()?;
         if aflags & !3 != 0 {
-            return Err(cur.corrupt(format!("unknown attribute flags {aflags:#x}")));
+            return Err(r.error(format!("unknown attribute flags {aflags:#x}")));
         }
-        let name = cur.str()?;
-        let domain_len = cur.u32()? as usize;
-        if domain_len > bytes.len() {
-            return Err(cur.corrupt(format!("domain of {domain_len} values cannot fit")));
-        }
+        let name = r.str()?;
+        let domain_len = r.count("domain values", 4)?;
         let domain = (0..domain_len)
-            .map(|_| cur.str())
+            .map(|_| r.str().map(String::from))
             .collect::<Result<Vec<_>, _>>()?;
         let mut attr = Attribute::new(name, domain);
         if aflags & 1 != 0 {
@@ -486,15 +416,12 @@ fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), Datase
     }
     let schema = Schema::new(attributes, label_name).into_shared();
 
-    cur.section = "columns";
+    r.section("columns");
     let mut columns = Vec::with_capacity(attrs);
     for col in 0..attrs {
         let card = schema.attribute(col).cardinality();
         let width = code_width(card);
-        let raw = cur.take(
-            rows.checked_mul(width)
-                .ok_or_else(|| cur.corrupt("size overflow"))?,
-        )?;
+        let raw = r.take(rows.saturating_mul(width))?;
         // one vectorizable max pass over the raw bytes replaces a
         // per-cell range check, then a bulk widen to u32
         let (top, codes): (u32, Vec<u32>) = match width {
@@ -518,7 +445,7 @@ fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), Datase
             }
         };
         if top as usize >= card {
-            return Err(cur.corrupt(format!(
+            return Err(r.error(format!(
                 "code {top} out of range for `{}` (cardinality {card})",
                 schema.attribute(col).name()
             )));
@@ -526,68 +453,57 @@ fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), Datase
         columns.push(codes);
     }
 
-    cur.section = "labels";
-    let labels = cur.take(rows)?.to_vec();
+    r.section("labels");
+    let labels = r.take(rows)?.to_vec();
     if let Some(bad) = labels.iter().copied().max().filter(|&m| m > 1) {
-        return Err(cur.corrupt(format!("label {bad} is not binary")));
+        return Err(r.error(format!("label {bad} is not binary")));
     }
 
-    cur.section = "weights";
+    r.section("weights");
     let weights: Vec<f64> = if flags & FLAG_UNIT_WEIGHTS != 0 {
         vec![1.0; rows]
     } else {
-        let raw = cur.take(
-            rows.checked_mul(8)
-                .ok_or_else(|| cur.corrupt("size overflow"))?,
-        )?;
-        raw.chunks_exact(8)
+        r.take(rows.saturating_mul(8))?
+            .chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
             .collect()
     };
 
     let packed = if flags & FLAG_PACKED != 0 {
-        cur.section = "packed";
-        let p = cur.u32()? as usize;
+        r.section("packed");
+        let p = r.count("packed columns", 8)?;
         if p == 0 || p > PACKED_MAX {
-            return Err(cur.corrupt(format!("{p} packed columns outside 1..={PACKED_MAX}")));
+            return Err(r.error(format!("{p} packed columns outside 1..={PACKED_MAX}")));
         }
         let mut cols = Vec::with_capacity(p);
         let mut widths = Vec::with_capacity(p);
         for _ in 0..p {
-            let col = cur.u32()?;
+            let col = r.u32()?;
             if col as usize >= attrs {
-                return Err(cur.corrupt(format!("packed column {col} outside the schema")));
+                return Err(r.error(format!("packed column {col} outside the schema")));
             }
             cols.push(col);
-            let width = cur.u32()?;
+            let width = r.u32()?;
             if !(1..=32).contains(&width) {
-                return Err(cur.corrupt(format!("packed width {width} outside 1..=32")));
+                return Err(r.error(format!("packed width {width} outside 1..=32")));
             }
             widths.push(width);
         }
         if widths.iter().sum::<u32>() > 128 {
-            return Err(cur.corrupt("packed widths sum past 128 bits"));
+            return Err(r.error("packed widths sum past 128 bits"));
         }
         let kw = key_width(&widths);
-        let raw = cur.take(
-            rows.checked_mul(kw)
-                .ok_or_else(|| cur.corrupt("size overflow"))?,
-        )?;
-        if with_keys {
-            let keys = widen_keys_dispatch(raw, kw);
-            Some(PackedKeys { cols, widths, keys })
-        } else {
-            None
-        }
+        let raw = r.take(rows.saturating_mul(kw))?;
+        with_keys.then(|| PackedKeys {
+            cols,
+            widths,
+            keys: widen_keys_dispatch(raw, kw),
+        })
     } else {
         None
     };
-    if cur.pos != bytes.len() {
-        return Err(DatasetError::Corrupt {
-            section: "trailer",
-            detail: format!("{} unexpected trailing bytes", bytes.len() - cur.pos),
-        });
-    }
+    r.section("trailer");
+    r.end()?;
 
     let data = Dataset::from_parts(schema, columns, labels, weights);
     Ok((Stored { data, packed }, digest))
@@ -621,9 +537,10 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Stored, DatasetError> {
     match sniff(bytes) {
         Some(Format::Binary) => from_binary(bytes),
         _ => {
-            let text = std::str::from_utf8(bytes).map_err(|_| DatasetError::Corrupt {
+            let text = std::str::from_utf8(bytes).map_err(|_| DecodeError::Corrupt {
                 section: "header",
-                detail: "neither a remedy-columnar artifact nor UTF-8 text".into(),
+                offset: 0,
+                message: "neither a remedy-columnar artifact nor UTF-8 text".into(),
             })?;
             Ok(Stored {
                 data: persist::dataset_from_text(text)?,
@@ -637,7 +554,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Stored, DatasetError> {
 /// (still fully validated) — for callers that only need the dataset.
 pub fn from_bytes_unpacked(bytes: &[u8]) -> Result<Stored, DatasetError> {
     match sniff(bytes) {
-        Some(Format::Binary) => decode_binary(bytes, false).map(|(stored, _)| stored),
+        Some(Format::Binary) => Ok(decode_binary(bytes, false)?.0),
         _ => from_bytes(bytes),
     }
 }
@@ -649,10 +566,13 @@ pub fn binary_to_text(bytes: &[u8]) -> Result<String, DatasetError> {
     let (stored, digest) = decode_binary(bytes, false)?;
     let text = persist::dataset_to_text(&stored.data);
     if content_digest(text.as_bytes()) != digest {
-        return Err(DatasetError::Corrupt {
+        return Err(DecodeError::Corrupt {
             section: "header",
-            detail: "canonical-text digest mismatch".into(),
-        });
+            // the digest follows the magic line, flags, rows and attrs
+            offset: COLUMNAR.line().len() + 1 + 4 + 8 + 4,
+            message: "canonical-text digest mismatch".into(),
+        }
+        .into());
     }
     Ok(text)
 }
@@ -792,7 +712,7 @@ mod tests {
     fn rejects_foreign_and_garbage_input() {
         assert!(matches!(
             from_bytes(b"\x00\x01\xff garbage"),
-            Err(DatasetError::Corrupt { .. })
+            Err(DatasetError::Decode(DecodeError::Corrupt { .. }))
         ));
         let err = from_binary(b"remedy-columnar v2\nrest").unwrap_err();
         assert!(err.to_string().contains("v1"), "{err}");
@@ -806,7 +726,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for len in 0..bytes.len() {
             match from_binary(&bytes[..len]) {
-                Err(DatasetError::Corrupt { section, .. }) => {
+                Err(DatasetError::Decode(DecodeError::Corrupt { section, .. })) => {
                     seen.insert(section);
                 }
                 Err(other) => panic!("unexpected error {other:?} at prefix {len}"),
@@ -830,40 +750,35 @@ mod tests {
         noisy.extend_from_slice(b"xx");
         assert!(matches!(
             from_binary(&noisy),
-            Err(DatasetError::Corrupt {
+            Err(DatasetError::Decode(DecodeError::Corrupt {
                 section: "trailer",
                 ..
-            })
+            }))
         ));
         // an out-of-range code in the first column
-        let magic = COLUMNAR.line().len() + 1;
         let mut bad = base.clone();
         // header is 32 bytes; schema follows — find the columns offset by
-        // decoding the good file and corrupting the first code cell
+        // reading the good file's schema and corrupting the first code cell
         let schema_len = {
-            let mut cur = Cursor {
-                buf: &base,
-                pos: magic + 32,
-                section: "schema",
-            };
-            cur.str().unwrap();
+            let mut r = Bytes::open(&base, COLUMNAR).unwrap();
+            r.take(32).unwrap();
+            r.str().unwrap();
             for _ in 0..d.schema().len() {
-                cur.u8().unwrap();
-                cur.str().unwrap();
-                let n = cur.u32().unwrap();
-                for _ in 0..n {
-                    cur.str().unwrap();
+                r.u8().unwrap();
+                r.str().unwrap();
+                for _ in 0..r.u32().unwrap() {
+                    r.str().unwrap();
                 }
             }
-            cur.pos
+            r.offset()
         };
         bad[schema_len..schema_len + 4].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
             from_binary(&bad),
-            Err(DatasetError::Corrupt {
+            Err(DatasetError::Decode(DecodeError::Corrupt {
                 section: "columns",
                 ..
-            })
+            }))
         ));
     }
 

@@ -139,7 +139,7 @@ fn random_schemas_roundtrip_through_both_encodings() {
 
 /// Flipping any byte ahead of the packed-key sidecar makes the canonical
 /// text decode (`binary_to_text`, the pipeline load stage's decoder) fail
-/// with a typed `Corrupt`/`Invalid` error: either a section fails to
+/// with a typed `Decode`/`Invalid` error: either a section fails to
 /// decode or the text no longer matches the digest pinned in the header
 /// — corruption can never silently replay a cache.
 #[test]
@@ -160,7 +160,7 @@ fn single_byte_corruption_is_never_silent() {
         let mut mutated = bytes.clone();
         mutated[at] ^= mask;
         match store::binary_to_text(&mutated) {
-            Err(DatasetError::Corrupt { .. }) | Err(DatasetError::Invalid(_)) => {}
+            Err(DatasetError::Decode(_)) | Err(DatasetError::Invalid(_)) => {}
             Err(e) => panic!("case {case} (byte {at}): untyped error {e}"),
             Ok(_) => panic!("case {case}: flipped byte {at} decoded silently"),
         }

@@ -13,8 +13,7 @@
 //! key** ([`remedy_dataset::store::partition_stratified`]): every region
 //! key spreads near-evenly over the shards, so per-shard leaf maps are
 //! balanced and no worker degenerates into the straggler. Each shard is
-//! written to the artifact cache as a `remedy-columnar v1` artifact —
-//! packed-key sidecar included, so workers skip the re-packing pass —
+//! written to the artifact cache as a `remedy-columnar v1` artifact
 //! under the `shard` stage; each worker scans its shard into a
 //! [`ShardCounts`] leaf accumulator and stores it as a `remedy-counts v1`
 //! artifact under the `count` stage. The parent merges the per-shard
@@ -136,9 +135,9 @@ pub(crate) fn count_key(shard_artifact_hash: &str) -> CacheKey {
 
 /// One worker's job, shared verbatim by the `pipeline-worker` CLI
 /// subcommand and [`WorkerMode::InProcess`] threads: replay the shard
-/// artifact, scan it into a [`ShardCounts`] accumulator (reusing the
-/// persisted packed-key sidecar when the artifact carries one), and
-/// store the accumulator as a `remedy-counts v1` artifact.
+/// artifact, scan it into a [`ShardCounts`] accumulator (keys packed
+/// from the decoded columns), and store the accumulator as a
+/// `remedy-counts v1` artifact.
 ///
 /// Idempotent: if the count artifact is already cached (a prior attempt
 /// finished, or the run is resuming) the worker exits immediately unless
@@ -156,13 +155,10 @@ pub fn worker_body(
     let (bytes, _) = cache.lookup_bytes("shard", shard).ok_or_else(|| {
         PipelineError::corrupt(format!("shard artifact {} missing from cache", shard.hex()))
     })?;
-    let stored = store::from_bytes(&bytes)
+    let stored = store::from_bytes_unpacked(&bytes)
         .map_err(|e| PipelineError::corrupt(format!("cannot decode shard artifact: {e}")))?;
-    let counts = match &stored.packed {
-        Some(packed) => ShardCounts::scan_packed(&stored.data, packed, threads),
-        None => ShardCounts::scan(&stored.data, threads),
-    }
-    .map_err(|e| PipelineError::fatal(format!("cannot scan shard: {e}")))?;
+    let counts = ShardCounts::scan(&stored.data, threads)
+        .map_err(|e| PipelineError::fatal(format!("cannot scan shard: {e}")))?;
     cache.store(
         "count",
         count,

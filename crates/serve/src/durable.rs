@@ -11,9 +11,10 @@
 //!
 //! A snapshot file is a `remedy-snapshot v1` magic line, a fixed meta
 //! block (`epoch:u64 edits:u64 batches:u64 digest:u128`), and then the
-//! exact bytes `dataset::store::to_binary` produces — packed-key
-//! sidecar included, so recovery rebuilds the session's `RegionIndex`
-//! through `try_build_from_packed` instead of re-packing every row.
+//! exact bytes `dataset::store::to_binary` produces. The body's
+//! packed-key sidecar is written but never read back: the body digest is
+//! no MAC, so recovery decodes the columns and packs the session's
+//! `RegionIndex` keys from them.
 //! Snapshots are written to a `.tmp` sibling, fsync'd, and renamed into
 //! place; only after the rename lands is a fresh WAL segment created
 //! and the older generation deleted, so at every instant the directory
@@ -21,15 +22,16 @@
 //!
 //! **Recovery invariant.** Opening the newest snapshot that decodes and
 //! replaying every WAL record with `seq > snapshot.epoch` (in order,
-//! contiguously) yields a session byte-identical — same `remedy-ibs v1`
-//! `identify` text, same epoch/edit/batch counters — to one that never
-//! crashed. A sequence gap, an undecodable snapshot with no older
-//! fallback, or a foreign file is a typed corrupt-artifact error; a
-//! torn WAL tail is truncated and counted, never mis-applied.
+//! contiguously) onto its rows, then building the index over them,
+//! yields a session byte-identical — same `remedy-ibs v1` `identify`
+//! text, same epoch/edit/batch counters — to one that never crashed. A
+//! sequence gap, an undecodable snapshot with no older fallback, or a
+//! foreign file is a typed corrupt-artifact error; a torn WAL tail is
+//! truncated and counted, never mis-applied.
 
-use crate::session::Session;
+use crate::session::{replay_batch, Session};
 use crate::wal::{self, WalWriter};
-use remedy_dataset::format::{content_digest, Magic};
+use remedy_dataset::format::{content_digest, Bytes, DecodeError, Magic};
 use remedy_dataset::{store, Dataset, RowEdit};
 use remedy_obs::Scope as ObsScope;
 use remedy_pipeline::{failpoint, PipelineError};
@@ -232,33 +234,24 @@ fn write_snapshot(
     result
 }
 
-/// Decodes one snapshot file into `(stored, epoch, edits, batches)`.
-fn read_snapshot(path: &Path) -> Result<(store::Stored, u64, u64, u64), PipelineError> {
+/// Decodes one snapshot file into `(data, epoch, edits, batches)`. The
+/// body's packed-key sidecar is not widened: the session packs its keys
+/// from the decoded columns.
+fn read_snapshot(path: &Path) -> Result<(Dataset, u64, u64, u64), PipelineError> {
     let bytes = std::fs::read(path)
         .map_err(|e| PipelineError::transient(format!("{}: {e}", path.display())))?;
     let corrupt = |detail: String| PipelineError::corrupt(format!("{}: {detail}", path.display()));
-    if !SNAPSHOT.sniff(&bytes) {
-        let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
-        let detail = SNAPSHOT
-            .expect(std::str::from_utf8(first).ok())
-            .map(|_| "truncated magic line".to_string())
-            .unwrap_or_else(|e| e.to_string());
-        return Err(corrupt(format!("not a snapshot: {detail}")));
-    }
-    let meta_start = SNAPSHOT.line().len() + 1;
-    let Some(meta) = bytes.get(meta_start..meta_start + META_LEN) else {
-        return Err(corrupt("truncated meta block".to_string()));
-    };
-    let epoch = u64::from_le_bytes(meta[0..8].try_into().unwrap());
-    let edits = u64::from_le_bytes(meta[8..16].try_into().unwrap());
-    let batches = u64::from_le_bytes(meta[16..24].try_into().unwrap());
-    let digest = u128::from_le_bytes(meta[24..40].try_into().unwrap());
-    let body = &bytes[meta_start + META_LEN..];
+    let mut r =
+        Bytes::open(&bytes, SNAPSHOT).map_err(|e| corrupt(format!("not a snapshot: {e}")))?;
+    r.section("meta");
+    let mut meta = || Ok::<_, DecodeError>((r.u64()?, r.u64()?, r.u64()?, r.u128()?));
+    let (epoch, edits, batches, digest) = meta().map_err(|e| corrupt(e.to_string()))?;
+    let body = &bytes[r.offset()..];
     if content_digest(body) != digest {
         return Err(corrupt("body digest mismatch".to_string()));
     }
-    let stored = store::from_bytes(body).map_err(|e| corrupt(e.to_string()))?;
-    Ok((stored, epoch, edits, batches))
+    let stored = store::from_bytes_unpacked(body).map_err(|e| corrupt(e.to_string()))?;
+    Ok((stored.data, epoch, edits, batches))
 }
 
 /// Files named `<prefix><decimal-epoch><suffix>` in `dir`, sorted by
@@ -317,8 +310,10 @@ pub struct RecoveryStats {
 }
 
 /// Rebuilds one session from its directory: newest valid snapshot,
-/// then the WAL tail replayed through the same validate-then-apply
-/// path live `ingest` uses. Returns the live session (durable handle
+/// then the WAL tail replayed onto its rows through the validation live
+/// `ingest` runs, then one index build over the replayed rows (cheaper
+/// than building over the snapshot and maintaining it through every
+/// edit, and the same counts). Returns the live session (durable handle
 /// attached, tail truncated, stale generations cleaned).
 pub fn recover_session(
     config: &DurableConfig,
@@ -350,13 +345,10 @@ pub fn recover_session(
             }
         }
     }
-    let Some((stored, snap_epoch, edits, batches)) = opened else {
+    let Some((mut data, snap_epoch, mut edits, mut batches)) = opened else {
         return Err(first_err.expect("at least one snapshot failed"));
     };
-    let mut session = Session::try_open_stored(stored)?;
-    session.epoch = snap_epoch;
-    session.edits = edits;
-    session.batches = batches;
+    let mut epoch = snap_epoch;
 
     // replay the WAL tail: skip records the snapshot covers, demand
     // contiguity past it — a gap means a lost generation, and applying
@@ -371,15 +363,14 @@ pub fn recover_session(
             if record.seq <= snap_epoch {
                 continue;
             }
-            if record.seq != session.epoch + 1 {
+            if record.seq != epoch + 1 {
                 return Err(PipelineError::corrupt(format!(
-                    "{}: WAL sequence gap (have epoch {}, next record is {})",
+                    "{}: WAL sequence gap (have epoch {epoch}, next record is {})",
                     path.display(),
-                    session.epoch,
                     record.seq
                 )));
             }
-            session.replay_batch(&record.edits).map_err(|e| {
+            replay_batch(&mut data, &record.edits).map_err(|e| {
                 PipelineError::corrupt(format!(
                     "{}: record {} does not apply: {}",
                     path.display(),
@@ -388,11 +379,18 @@ pub fn recover_session(
                 ))
             })?;
             stats.replayed += 1;
+            epoch = record.seq;
+            edits += record.edits.len() as u64;
+            batches += 1;
         }
         if Some(i) == last && *seg_epoch >= snap_epoch {
             writer = Some(WalWriter::open(path, replayed.valid_len)?);
         }
     }
+    let mut session = Session::try_open(data)?;
+    session.epoch = epoch;
+    session.edits = edits;
+    session.batches = batches;
     // no usable segment (crash between snapshot rename and segment
     // creation): finish the interrupted rotation now
     let wal = match writer {

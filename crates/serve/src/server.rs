@@ -27,7 +27,7 @@ use remedy_classifiers::{train, ModelKind};
 use remedy_core::{remedy_over_with, RemedyParams, DEFAULT_SEED};
 use remedy_dataset::source::{self, FormatPolicy};
 use remedy_dataset::split::train_test_split;
-use remedy_dataset::{csv, synth, Stored};
+use remedy_dataset::{csv, synth, Dataset};
 use remedy_fairness::{audit_score, AuditConfig, Statistic};
 use remedy_obs::Recorder;
 use remedy_pipeline::error::panic_message;
@@ -407,10 +407,9 @@ fn session_name(req: &Request) -> Result<&str, PipelineError> {
 
 fn op_load(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, PipelineError> {
     let name = session_name(req)?;
-    let stored = open_source(&req.body)?;
-    rec.scope("load")
-        .add("rows_loaded", stored.data.len() as u64);
-    let mut session = Session::try_open_stored(stored)?;
+    let data = open_source(&req.body)?;
+    rec.scope("load").add("rows_loaded", data.len() as u64);
+    let mut session = Session::try_open(data)?;
     if let Some(config) = &state.durable {
         // (re)loading a name wipes and re-creates its directory: the
         // initial snapshot IS the session's durable state from here on
@@ -435,9 +434,8 @@ fn op_load(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields, 
 }
 
 /// Opens a `load` request's `"source"` through [`source::open`], with
-/// the generator and CSV options its other fields give. Binary artifacts
-/// keep their packed keys, so the initial counting pass skips re-packing.
-fn open_source(body: &Value) -> Result<Stored, PipelineError> {
+/// the generator and CSV options its other fields give.
+fn open_source(body: &Value) -> Result<Dataset, PipelineError> {
     let source = body
         .str_field("source")
         .map_err(|_| PipelineError::invalid_plan("missing string field `source`"))?;
@@ -461,7 +459,6 @@ fn open_source(body: &Value) -> Result<Stored, PipelineError> {
         protected,
         positive: protocol::opt_str(body, "positive")?.map(String::from),
         bins: protocol::opt_u64(body, "bins")?.map_or(csv::DEFAULT_BINS, |b| b as usize),
-        keys: true,
     };
     source::open(&request).map_err(|e| PipelineError::invalid_plan(e.to_string()))
 }
@@ -679,38 +676,4 @@ fn op_stats(state: &Arc<State>, rec: &Recorder) -> Result<Fields, PipelineError>
         .raw("counters", format!("[{}]", counters.join(",")))
         .raw("histograms", format!("[{}]", histograms.join(",")));
     Ok(fields)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use remedy_dataset::{store, Format};
-
-    #[test]
-    fn binary_artifact_loads_keep_their_packed_keys_for_the_index() {
-        let dir = std::env::temp_dir().join("remedy_serve_open_source");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = synth::compas_n(300, 2);
-        let open = |name: &str, format| {
-            let path = dir.join(name);
-            store::save(&data, &path, format).unwrap();
-            let source = json_str(&path.to_string_lossy());
-            let body = remedy_pipeline::json::parse(&format!("{{\"source\":{source}}}")).unwrap();
-            open_source(&body).unwrap()
-        };
-        let stored = open("d.bin", Format::Binary);
-        assert_eq!(stored.packed, store::pack_protected(&data));
-        // the sidecar fits the index layout, so `try_open_stored` builds
-        // from it rather than falling back to re-packing
-        let packed = stored
-            .packed
-            .clone()
-            .expect("compas packs within dense limits");
-        assert!(remedy_core::RegionIndex::try_build_from_packed(&data, packed).is_ok());
-        let session = Session::try_open_stored(stored).unwrap();
-        let fresh = Session::try_open(data.clone()).unwrap();
-        assert_eq!(session.index.counts(), fresh.index.counts());
-        // text artifacts carry no sidecar; the session packs its own keys
-        assert!(open("d.txt", Format::Text).packed.is_none());
-    }
 }

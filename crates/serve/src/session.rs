@@ -41,36 +41,25 @@ impl Session {
     /// ceiling of 16 protected attributes the session serves only
     /// `pruned` identify requests.
     pub fn try_open(data: Dataset) -> Result<Session, PipelineError> {
-        let index = RegionIndex::try_build(&data)
+        let mut index = RegionIndex::try_build(&data)
             .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
-        Ok(Session::with_index(data, index))
-    }
-
-    /// Opens from a persisted [`Stored`] artifact. When the artifact
-    /// carries a packed-key sidecar matching the index layout (binary
-    /// columnar files always do, within packing limits), the initial
-    /// counting pass reuses it and skips re-packing every row; a missing
-    /// or foreign sidecar falls back to a regular [`Session::try_open`]
-    /// build, so the result is identical either way.
-    pub fn try_open_stored(stored: Stored) -> Result<Session, PipelineError> {
-        let Stored { data, packed, .. } = stored;
-        match packed.and_then(|packed| RegionIndex::try_build_from_packed(&data, packed).ok()) {
-            Some(index) => Ok(Session::with_index(data, index)),
-            None => Session::try_open(data),
-        }
-    }
-
-    /// A fresh session over `data` and its freshly built `index`.
-    fn with_index(data: Dataset, mut index: RegionIndex) -> Session {
         index.begin_deltas();
-        Session {
+        Ok(Session {
             data,
             index,
             edits: 0,
             batches: 0,
             epoch: 0,
             durable: None,
-        }
+        })
+    }
+
+    /// Opens from a persisted [`Stored`] artifact exactly as
+    /// [`Session::try_open`] opens its dataset: any packed-key sidecar is
+    /// dropped, since nothing ties it to the columns. No serve path calls
+    /// it; the ledger's serve probes do.
+    pub fn try_open_stored(stored: Stored) -> Result<Session, PipelineError> {
+        Session::try_open(stored.data)
     }
 
     /// Applies one edit batch atomically: the whole batch is validated
@@ -121,13 +110,6 @@ impl Session {
         Ok(())
     }
 
-    /// Replays one already-durable batch during recovery: same
-    /// validate-then-apply path as live ingest, minus the WAL append.
-    pub(crate) fn replay_batch(&mut self, edits: &[RowEdit]) -> Result<(), PipelineError> {
-        validate_batch(self.data.len(), edits)?;
-        self.apply_validated(edits)
-    }
-
     fn apply_validated(&mut self, edits: &[RowEdit]) -> Result<(), PipelineError> {
         for edit in edits {
             // validated above; the typed path is belt and braces so a
@@ -159,6 +141,18 @@ impl Session {
         self.epoch = epoch;
         Ok(())
     }
+}
+
+/// Replays one already-durable batch onto a recovering session's rows:
+/// the validation live ingest runs, then the edits. Recovery has no
+/// index to maintain yet; it builds one over the replayed rows.
+pub(crate) fn replay_batch(data: &mut Dataset, edits: &[RowEdit]) -> Result<(), PipelineError> {
+    validate_batch(data.len(), edits)?;
+    for edit in edits {
+        data.try_apply_edit(edit)
+            .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;
+    }
+    Ok(())
 }
 
 /// Rejects any edit whose row index is out of range at the point it
@@ -343,7 +337,7 @@ mod tests {
             live_ibs(&from_artifact.index, &params),
             live_ibs(&fresh.index, &params),
         );
-        // the packed-key fast path must leave the index fully live
+        // a session opened from an artifact must stay fully live
         from_artifact
             .ingest_with(
                 &[RowEdit::FlipLabel { row: 1 }, RowEdit::Duplicate { src: 2 }],

@@ -31,7 +31,7 @@
 //! file back to its pre-record length so disk and memory never
 //! disagree about whether a batch happened.
 
-use remedy_dataset::format::{content_digest, Magic};
+use remedy_dataset::format::{content_digest, Bytes, DecodeError, Magic};
 use remedy_dataset::RowEdit;
 use remedy_obs::Scope as ObsScope;
 use remedy_pipeline::{failpoint, PipelineError};
@@ -104,53 +104,42 @@ pub fn encode_record(seq: u64, edits: &[RowEdit]) -> Vec<u8> {
 /// Decodes a payload whose digest already checked out. A payload that
 /// fails here was *written* wrong, not damaged in place, so the error
 /// is corrupt-artifact rather than a torn tail.
-fn decode_payload(payload: &[u8]) -> Result<WalRecord, PipelineError> {
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> Result<&[u8], PipelineError> {
-        let end = pos
-            .checked_add(n)
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| PipelineError::corrupt("WAL payload shorter than its structure"))?;
-        let slice = &payload[pos..end];
-        pos = end;
-        Ok(slice)
-    };
-    let seq = u64::from_le_bytes(take(8)?.try_into().unwrap());
-    let count = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-    if count > payload.len() {
-        return Err(PipelineError::corrupt("WAL edit count cannot fit payload"));
-    }
+fn decode_payload(payload: &[u8]) -> Result<WalRecord, DecodeError> {
+    let mut r = Bytes::new(payload, "payload");
+    let seq = r.u64()?;
+    // the smallest edit is a remove of no rows: tag and count
+    let count = r.count("edits", 1 + 4)?;
     let mut edits = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = take(1)?[0];
-        edits.push(match tag {
+        edits.push(match r.u8()? {
             0 => RowEdit::Duplicate {
-                src: u64::from_le_bytes(take(8)?.try_into().unwrap()) as usize,
+                src: r.u64()? as usize,
             },
             1 => RowEdit::FlipLabel {
-                row: u64::from_le_bytes(take(8)?.try_into().unwrap()) as usize,
+                row: r.u64()? as usize,
             },
             2 => {
-                let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                if n > payload.len() {
-                    return Err(PipelineError::corrupt("WAL remove count cannot fit"));
-                }
+                let n = r.count("removed rows", 8)?;
                 let rows = (0..n)
-                    .map(|_| Ok(u64::from_le_bytes(take(8)?.try_into().unwrap()) as usize))
-                    .collect::<Result<Vec<usize>, PipelineError>>()?;
+                    .map(|_| r.u64().map(|row| row as usize))
+                    .collect::<Result<Vec<usize>, _>>()?;
                 RowEdit::Remove { rows }
             }
-            other => {
-                return Err(PipelineError::corrupt(format!(
-                    "WAL edit tag {other} is not duplicate|flip|remove"
-                )))
-            }
+            other => return Err(r.error(format!("edit tag {other} is not duplicate|flip|remove"))),
         });
     }
-    if pos != payload.len() {
-        return Err(PipelineError::corrupt("WAL payload has trailing bytes"));
-    }
+    r.end()?;
     Ok(WalRecord { seq, edits })
+}
+
+/// The payload of the next record frame, or `None` where the valid
+/// prefix ends: a frame torn mid-header or mid-payload, a damaged length
+/// field, or a payload that fails its digest.
+fn frame<'a>(r: &mut Bytes<'a>) -> Option<&'a [u8]> {
+    let len = r.u32().ok().filter(|&len| len <= MAX_PAYLOAD)?;
+    let digest = r.u128().ok()?;
+    let payload = r.take(len as usize).ok()?;
+    (content_digest(payload) == digest).then_some(payload)
 }
 
 /// Reads a segment file and returns its valid record prefix.
@@ -169,41 +158,15 @@ pub fn replay(path: &Path) -> Result<Replay, PipelineError> {
 /// [`replay`] over an in-memory buffer (the unit the damage property
 /// tests drive directly).
 pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, PipelineError> {
-    if !WAL.sniff(bytes) {
-        let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
-        let detail = WAL
-            .expect(std::str::from_utf8(first).ok())
-            .map(|_| "truncated magic line".to_string())
-            .unwrap_or_else(|e| e.to_string());
-        return Err(PipelineError::corrupt(format!(
-            "not a WAL segment: {detail}"
-        )));
-    }
-    let mut pos = WAL.line().len() + 1;
+    let mut r = Bytes::open(bytes, WAL)
+        .map_err(|e| PipelineError::corrupt(format!("not a WAL segment: {e}")))?;
     let mut records = Vec::new();
-    let mut valid_len = pos;
-    while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + RECORD_HEADER) else {
-            break; // torn mid-header
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        let digest = u128::from_le_bytes(header[4..].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            break; // damaged length field
-        }
-        let start = pos + RECORD_HEADER;
-        let Some(payload) = start
-            .checked_add(len as usize)
-            .and_then(|end| bytes.get(start..end))
-        else {
-            break; // torn mid-payload
-        };
-        if content_digest(payload) != digest {
-            break; // damaged payload or frame
-        }
-        records.push(decode_payload(payload)?);
-        pos = start + len as usize;
-        valid_len = pos;
+    let mut valid_len = r.offset();
+    while let Some(payload) = frame(&mut r) {
+        let record = decode_payload(payload)
+            .map_err(|e| PipelineError::corrupt(format!("WAL record at byte {valid_len}: {e}")))?;
+        records.push(record);
+        valid_len = r.offset();
     }
     Ok(Replay {
         records,

@@ -6,13 +6,19 @@
 //! drive it three ways — a full daemon restart over TCP, direct
 //! `Session`/`Durable` crash simulation (no clean shutdown at all), and
 //! a seeded damage property over the WAL bytes that mirrors the
-//! `store_props` corruption harness.
+//! `store_props` corruption harness. Two more tests hand sessions a
+//! columnar body whose packed-key sidecar lies about its rows, through
+//! every way a body reaches a session.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remedy_core::persist::regions_to_text;
-use remedy_core::{identify, try_identify_in_index_with, Algorithm, IbsParams};
-use remedy_dataset::{synth, Dataset, RowEdit};
+use remedy_core::{
+    identify, try_identify_counts_with, try_identify_in_index_with, Algorithm, Enumeration,
+    IbsParams,
+};
+use remedy_dataset::format::content_digest;
+use remedy_dataset::{store, synth, Dataset, RowEdit};
 use remedy_obs::Scope as ObsScope;
 use remedy_pipeline::json::Value;
 use remedy_pipeline::{ErrorKind, RetryPolicy};
@@ -526,4 +532,107 @@ fn durable_session_names_must_be_directory_safe() {
     assert!(!dir.join("../evil").exists());
     client.call("{\"op\":\"shutdown\"}").unwrap();
     handle.join().unwrap().unwrap();
+}
+
+/// The session's dense and pruned `identify` texts.
+fn dense_and_pruned(session: &Session) -> Vec<String> {
+    [Enumeration::Dense, Enumeration::Pruned]
+        .into_iter()
+        .map(|enumeration| {
+            let params = IbsParams::builder()
+                .enumeration(enumeration)
+                .build()
+                .unwrap();
+            let counts = session.index.counts().clone();
+            let regions = try_identify_counts_with(
+                counts,
+                &params,
+                Algorithm::Optimized,
+                &ObsScope::disabled(),
+            )
+            .unwrap();
+            regions_to_text(&regions)
+        })
+        .collect()
+}
+
+/// Damages the packed-key sidecar of a COMPAS columnar body and requires
+/// every session opened from it — decoded with its keys widened, loaded
+/// by the daemon from a `.bin` file, and recovered from a snapshot whose
+/// body digest is recomputed over the damage — to identify exactly like
+/// a session built from the same columns.
+fn assert_sidecar_is_ignored(name: &str, damage: fn(&mut [u8])) {
+    let data = synth::compas_n(300, 7);
+    let mut body = store::to_binary(&data);
+    // the sidecar's 3-byte keys (three 8-bit slots) end the file
+    let keys = body.len() - 3 * data.len();
+    damage(&mut body[keys..]);
+    let want = dense_and_pruned(&Session::try_open(data).unwrap());
+
+    let stored = store::from_bytes(&body).unwrap();
+    assert!(
+        stored.packed.is_some(),
+        "the damage keeps the file decodable"
+    );
+    let session = Session::try_open_stored(stored).unwrap();
+    assert_eq!(dense_and_pruned(&session), want, "{name}: from_bytes");
+
+    let dir = temp_dir(name);
+    let path = dir.join("hostile.bin");
+    std::fs::write(&path, &body).unwrap();
+    let (addr, handle) = start_durable(&dir.join("served"), 64);
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .call(&format!(
+            "{{\"op\":\"load\",\"session\":\"h\",\"source\":{}}}",
+            remedy_pipeline::json::json_str(&path.to_string_lossy())
+        ))
+        .unwrap();
+    let served: Vec<String> = ["", ",\"pruned\":true"]
+        .into_iter()
+        .map(|pruned| {
+            let request = format!("{{\"op\":\"identify\",\"session\":\"h\"{pruned}}}");
+            let response = client.call(&request).unwrap();
+            response.str_field("text").unwrap().to_string()
+        })
+        .collect();
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+    assert_eq!(served, want, "{name}: serve load");
+
+    let config = DurableConfig {
+        root: dir.join("recovered"),
+        policy: DurablePolicy::default(),
+    };
+    let session_dir = config.root.join("h");
+    std::fs::create_dir_all(&session_dir).unwrap();
+    let mut snapshot = format!("{}\n", durable::SNAPSHOT.line()).into_bytes();
+    for meta in [0u64; 3] {
+        snapshot.extend_from_slice(&meta.to_le_bytes());
+    }
+    snapshot.extend_from_slice(&content_digest(&body).to_le_bytes());
+    snapshot.extend_from_slice(&body);
+    std::fs::write(
+        session_dir.join(format!("snapshot-{:020}.bin", 0)),
+        snapshot,
+    )
+    .unwrap();
+    let (session, _) = durable::recover_session(&config, "h").unwrap();
+    assert_eq!(
+        dense_and_pruned(&session),
+        want,
+        "{name}: snapshot recovery"
+    );
+}
+
+#[test]
+fn sidecar_key_of_all_ones_is_ignored() {
+    assert_sidecar_is_ignored("sidecar_ones", |keys| keys[..3].fill(0xff));
+}
+
+#[test]
+fn sidecar_key_with_flipped_low_bits_is_ignored() {
+    assert_sidecar_is_ignored("sidecar_flipped", |keys| {
+        keys[3..6].iter_mut().for_each(|b| *b ^= 1);
+    });
 }

@@ -166,7 +166,7 @@ fn load_from_binary_artifact_answers_like_a_builtin_session() {
         .unwrap();
     assert_eq!(response.u64_field("rows").unwrap() as usize, data.len());
 
-    // the artifact-backed session (built from persisted packed keys)
+    // the artifact-backed session (keys packed from the decoded columns)
     // answers byte-identically to a cold batch run over the same rows
     let response = client
         .call("{\"op\":\"identify\",\"session\":\"art\"}")
@@ -244,10 +244,8 @@ fn csv_text_and_binary_sources_load_the_same_session() {
         protected: vec!["age".into(), "race".into(), "sex".into()],
         positive: None,
         bins: remedy_dataset::csv::DEFAULT_BINS,
-        keys: false,
     })
-    .unwrap()
-    .data;
+    .unwrap();
     for (session, name, format) in [
         ("text", "compas.remedy", remedy_dataset::Format::Text),
         ("bin", "compas.bin", remedy_dataset::Format::Binary),

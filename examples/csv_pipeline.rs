@@ -48,9 +48,8 @@ fn main() {
         protected,
         positive: None,
         bins: csv::DEFAULT_BINS,
-        keys: false,
     };
-    let data = source::open(&request).expect("well-formed csv").data;
+    let data = source::open(&request).expect("well-formed csv");
     println!(
         "loaded {} rows × {} attributes ({} protected) from {}",
         data.len(),

@@ -29,7 +29,8 @@ cargo test -q -p remedy-core --test counting_props
 # ... and the independent §II oracle against every identify source and
 # the leaf remedy's updates, in release mode too (no overflow checks)
 cargo test -q --release -p remedy-core --test oracle
-# the seeded mutation test of the five text decoders, in release mode
+# the seeded mutation test of the five text decoders and the three
+# binary ones (columnar store, WAL segment, snapshot), in release mode
 # too: overflow checks are off there, so an unchecked sum that panics in
 # debug would be silently accepted instead
 cargo test -q --release --test decode_mutations
@@ -219,8 +220,9 @@ fi
 # SIGKILL it with no shutdown step, restart it over the same directory,
 # and require the recovered identify output to be byte-identical to an
 # in-memory daemon replaying the same load + edit history from scratch.
-# A second, 20-wide session takes the minimal-width packed-key sidecar
-# through snapshot and WAL recovery and answers a pruned identify.
+# A second, 20-wide session (minimal-width keys, packed from the decoded
+# columns) goes through snapshot and WAL recovery and answers a pruned
+# identify.
 ddir="$(mktemp -d)"
 trap 'rm -rf "$cache" "$cache2" "$serve_log" "$src" "$ddir"' EXIT
 serve_addr() { # <logfile> — poll for the printed ephemeral address

@@ -1,11 +1,16 @@
 //! Seeded mutation test of the five line-oriented artifact decoders
 //! (`remedy-dataset`, `remedy-ibs`, `remedy-counts`, `remedy-model`,
-//! `remedy-metrics`). Valid artifacts from a small COMPAS fixture are
-//! mutated — bytes substituted, lines deleted, duplicated or swapped, the
-//! text truncated, decimal fields (header counts among them) rewritten
-//! to `u64::MAX` — and every mutant must decode to `Ok` or a typed
-//! `Err`: no panic, peak heap growth linear in the input, and the whole
-//! run inside a fixed wall-clock bound.
+//! `remedy-metrics`) and the three binary ones (`remedy-columnar` with
+//! and without its packed-key sidecar, `remedy-wal`, `remedy-snapshot`).
+//! Valid artifacts from a small COMPAS fixture are mutated — text bytes
+//! substituted, lines deleted, duplicated or swapped, the text truncated,
+//! decimal fields (header counts among them) rewritten to `u64::MAX`;
+//! binary bytes substituted, spans duplicated, the bytes truncated, a
+//! `u32`/`u64` window set to all ones — and every mutant must decode to
+//! `Ok` or a typed `Err`: no panic, peak heap growth linear in the input,
+//! and each run inside a fixed wall-clock bound. Half the mutants of the
+//! digest-framed formats (WAL records, snapshot bodies) get their digests
+//! recomputed, so the decoder behind the digest runs on them too.
 //!
 //! Run it in release mode too (`cargo test --release --test
 //! decode_mutations`): overflow checks are off there, so an unchecked
@@ -19,10 +24,13 @@ use remedy::core::persist::{counts_from_text, counts_to_text, regions_from_text,
 use remedy::core::{
     identify, try_identify_counts_with, Algorithm, Enumeration, IbsParams, ShardCounts,
 };
+use remedy::dataset::format::{content_digest, Bytes};
 use remedy::dataset::persist::{dataset_from_text, dataset_to_text};
-use remedy::dataset::synth;
+use remedy::dataset::{store, synth, RowEdit};
 use remedy::fairness::{audit_score, MetricsSummary, Statistic};
 use remedy_obs::Scope as ObsScope;
+use remedy_serve::durable::{self, DurableConfig, DurablePolicy};
+use remedy_serve::{wal, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,8 +87,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// A decoder under test: `true` when it accepted the text.
-type Decode = fn(&str) -> bool;
+/// A decoder under test: `true` when it accepted its input.
+type Decode<T = str> = fn(&T) -> bool;
 
 /// The whole run, debug build included, must finish inside this bound.
 const TIME_BOUND: Duration = Duration::from_secs(60);
@@ -140,6 +148,12 @@ fn decode_and_identify(text: &str) -> bool {
     let Ok(counts) = counts_from_text(text) else {
         return false;
     };
+    identify_both(&counts);
+    true
+}
+
+/// Identifies over leaf counts with both enumerations, errors allowed.
+fn identify_both(counts: &ShardCounts) {
     for enumeration in [Enumeration::Dense, Enumeration::Pruned] {
         let params = IbsParams::builder()
             .enumeration(enumeration)
@@ -152,7 +166,6 @@ fn decode_and_identify(text: &str) -> bool {
             &ObsScope::disabled(),
         );
     }
-    true
 }
 
 /// Bytes a substitution draws from: the formats' own alphabet (digits,
@@ -211,12 +224,12 @@ fn mutate(text: &str, rng: &mut StdRng) -> String {
     out
 }
 
-/// Decodes `text` under `catch_unwind` with the heap tracked: whether it
-/// was accepted (or the panic message) and the peak heap growth.
-fn decode_guarded(decode: Decode, text: &str) -> (Result<bool, String>, usize) {
+/// Runs one decode under `catch_unwind` with the heap tracked: whether
+/// it accepted its input (or the panic message) and the peak heap growth.
+fn decode_guarded(decode: impl FnOnce() -> bool) -> (Result<bool, String>, usize) {
     let base = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(base));
-    let outcome = catch_unwind(AssertUnwindSafe(|| decode(text)));
+    let outcome = catch_unwind(AssertUnwindSafe(decode));
     let grown = PEAK.with(Cell::get).saturating_sub(base);
     let outcome = outcome.map_err(|payload| {
         payload
@@ -233,6 +246,17 @@ fn heap_bound(len: usize) -> usize {
     64 * len + (1 << 16)
 }
 
+/// What is wrong with a guarded decode of a `len`-byte input, if anything.
+fn verdict(outcome: &Result<bool, String>, grown: usize, len: usize) -> Option<String> {
+    match outcome {
+        Err(message) => Some(format!("panicked: {message}")),
+        Ok(_) if grown > heap_bound(len) => Some(format!(
+            "grew the heap by {grown} bytes for a {len}-byte input"
+        )),
+        Ok(_) => None,
+    }
+}
+
 #[test]
 fn mutated_artifacts_decode_without_panicking() {
     let start = Instant::now();
@@ -246,19 +270,9 @@ fn mutated_artifacts_decode_without_panicking() {
             for _ in 0..rng.gen_range(0..3u32) {
                 mutant = mutate(&mutant, &mut rng);
             }
-            let (outcome, grown) = decode_guarded(decode, &mutant);
-            let verdict = match outcome {
-                Err(message) => Some(format!("panicked: {message}")),
-                Ok(_) if grown > heap_bound(mutant.len()) => Some(format!(
-                    "grew the heap by {grown} bytes for a {}-byte input",
-                    mutant.len()
-                )),
-                Ok(ok) => {
-                    accepted += usize::from(ok);
-                    None
-                }
-            };
-            if let Some(verdict) = verdict {
+            let (outcome, grown) = decode_guarded(|| decode(&mutant));
+            accepted += usize::from(outcome == Ok(true));
+            if let Some(verdict) = verdict(&outcome, grown, mutant.len()) {
                 let head: String = mutant.chars().take(400).collect();
                 failures.push(format!("{name} case {case}: {verdict}\n{head}"));
             }
@@ -268,6 +282,222 @@ fn mutated_artifacts_decode_without_panicking() {
     assert!(failures.is_empty(), "{}", failures.join("\n---\n"));
     // most mutants break their artifact; a harness whose mutants all
     // decode would be testing nothing
+    assert!(
+        accepted < total / 2,
+        "{accepted} of {total} mutants decoded"
+    );
+    let elapsed = start.elapsed();
+    assert!(elapsed < TIME_BOUND, "took {elapsed:?}");
+}
+
+/// A binary artifact under test: its decoder (`true` when it accepted
+/// the bytes) and, for a digest-framed format, how a mutant's digests are
+/// recomputed.
+struct Binary {
+    name: &'static str,
+    bytes: Vec<u8>,
+    decode: Decode<[u8]>,
+    reseal: Option<fn(&mut [u8])>,
+}
+
+/// Valid artifacts of every binary format, from one small COMPAS fixture.
+fn binary_fixtures() -> Vec<Binary> {
+    let data = synth::compas_n(300, 7);
+    let columnar = store::to_binary(&data);
+    let packed = store::from_bytes(&columnar).unwrap().packed.unwrap();
+    // the same store without its sidecar: header flag bit 0 cleared and
+    // the trailing section (column count, per-column index and width,
+    // then one key per row) cut off
+    let mut bare = columnar.clone();
+    let key_bytes = (packed.widths.iter().sum::<u32>() as usize).div_ceil(8);
+    bare.truncate(columnar.len() - 4 - 8 * packed.cols.len() - key_bytes * data.len());
+    bare[store::COLUMNAR.line().len() + 1] &= !1;
+    let mut segment = format!("{}\n", wal::WAL.line()).into_bytes();
+    for seq in 1..=24u64 {
+        let row = seq as usize;
+        let edits = [
+            RowEdit::Duplicate { src: row },
+            RowEdit::FlipLabel { row: 2 * row },
+            RowEdit::Remove {
+                rows: vec![row, 3 * row],
+            },
+        ];
+        segment.extend_from_slice(&wal::encode_record(seq, &edits));
+    }
+    let mut snapshot = format!("{}\n", durable::SNAPSHOT.line()).into_bytes();
+    for meta in [0u64; 3] {
+        snapshot.extend_from_slice(&meta.to_le_bytes());
+    }
+    snapshot.extend_from_slice(&content_digest(&columnar).to_le_bytes());
+    snapshot.extend_from_slice(&columnar);
+    let stored: Decode<[u8]> = |b| store::from_bytes(b).map(open_and_identify).is_ok();
+    vec![
+        Binary {
+            name: "columnar",
+            bytes: columnar,
+            decode: stored,
+            reseal: None,
+        },
+        Binary {
+            name: "columnar-bare",
+            bytes: bare,
+            decode: stored,
+            reseal: None,
+        },
+        Binary {
+            name: "wal",
+            bytes: segment,
+            decode: replay_and_ingest,
+            reseal: Some(reseal_wal),
+        },
+        Binary {
+            name: "snapshot",
+            bytes: snapshot,
+            decode: recover_and_identify,
+            reseal: Some(reseal_snapshot),
+        },
+    ]
+}
+
+/// Opens a session over a decoded store and identifies with both
+/// enumerations; a session that refuses the dataset is a typed error.
+fn open_and_identify(stored: store::Stored) {
+    if let Ok(session) = Session::try_open_stored(stored) {
+        identify_both(session.index.counts());
+    }
+}
+
+/// Replays a WAL segment and applies every record it yields to a fresh
+/// session through `ingest_with`, then identifies; accepted when the
+/// whole segment was read (a torn tail is a shorter prefix, not an error).
+fn replay_and_ingest(bytes: &[u8]) -> bool {
+    let Ok(replay) = wal::replay_bytes(bytes) else {
+        return false;
+    };
+    let mut session = Session::try_open(synth::compas_n(300, 7)).unwrap();
+    for record in &replay.records {
+        let _ = session.ingest_with(&record.edits, &ObsScope::disabled());
+    }
+    identify_both(session.index.counts());
+    replay.torn_bytes == 0
+}
+
+/// The data directory snapshot mutants are recovered from.
+fn snapshot_root() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("remedy_decode_mutations_{}", std::process::id()))
+}
+
+/// Recovers a session from a data directory holding only this snapshot,
+/// then identifies over it.
+fn recover_and_identify(bytes: &[u8]) -> bool {
+    let root = snapshot_root();
+    let dir = root.join("s");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("snapshot-{:020}.bin", 0)), bytes).unwrap();
+    let config = DurableConfig {
+        root,
+        policy: DurablePolicy::default(),
+    };
+    let recovered = durable::recover_session(&config, "s");
+    recovered
+        .map(|(session, _)| identify_both(session.index.counts()))
+        .is_ok()
+}
+
+/// Recomputes the digest of every whole record frame of a WAL segment.
+fn reseal_wal(bytes: &mut [u8]) {
+    let mut digests = Vec::new();
+    if let Ok(mut r) = Bytes::open(bytes, wal::WAL) {
+        while let Ok(len) = r.u32() {
+            let at = r.offset();
+            let Ok(payload) = r.u128().and_then(|_| r.take(len as usize)) else {
+                break;
+            };
+            digests.push((at, content_digest(payload)));
+        }
+    }
+    for (at, digest) in digests {
+        bytes[at..at + 16].copy_from_slice(&digest.to_le_bytes());
+    }
+}
+
+/// Recomputes a snapshot's body digest.
+fn reseal_snapshot(bytes: &mut [u8]) {
+    // the digest follows the magic line and three u64 meta fields
+    let at = durable::SNAPSHOT.line().len() + 1 + 3 * 8;
+    if bytes.len() >= at + 16 {
+        let digest = content_digest(&bytes[at + 16..]);
+        bytes[at..at + 16].copy_from_slice(&digest.to_le_bytes());
+    }
+}
+
+/// Applies one random mutation to binary bytes. Windows set to all ones
+/// start in the first 256 bytes half the time, where the headers, schema
+/// and frame fields sit, rather than in bulk column data.
+fn mutate_bytes(bytes: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let len = out.len();
+    if len == 0 {
+        return out;
+    }
+    match rng.gen_range(0..4u32) {
+        0 => {
+            // small values half the time: codes, labels and flags stay
+            // in range, so the mutant reaches the session behind
+            let top: u8 = if rng.gen_bool(0.5) { 3 } else { 255 };
+            out[rng.gen_range(0..len)] = rng.gen_range(0..=top);
+        }
+        1 => out.truncate(rng.gen_range(0..len)),
+        2 => {
+            let start = rng.gen_range(0..len);
+            let end = (start + rng.gen_range(1..=64usize)).min(len);
+            let at = rng.gen_range(0..=len);
+            out.splice(at..at, bytes[start..end].iter().copied());
+        }
+        _ => {
+            let width = if rng.gen_bool(0.5) { 4 } else { 8 };
+            let head = if rng.gen_bool(0.5) { len.min(256) } else { len };
+            let at = rng.gen_range(0..head);
+            out[at..(at + width).min(len)].fill(0xff);
+        }
+    }
+    out
+}
+
+#[test]
+fn mutated_binary_artifacts_decode_without_panicking() {
+    let start = Instant::now();
+    let mut rng = StdRng::seed_from_u64(0xB1_DEC0);
+    let mut failures = Vec::new();
+    let (mut accepted, mut total) = (0, 0);
+    for Binary {
+        name,
+        bytes,
+        decode,
+        reseal,
+    } in binary_fixtures()
+    {
+        assert!(decode(&bytes), "{name}: the unmutated fixture must decode");
+        for case in 0..MUTANTS {
+            let mut mutant = mutate_bytes(&bytes, &mut rng);
+            for _ in 0..rng.gen_range(0..3u32) {
+                mutant = mutate_bytes(&mutant, &mut rng);
+            }
+            if let Some(reseal) = reseal.filter(|_| rng.gen_bool(0.5)) {
+                reseal(&mut mutant);
+            }
+            let (outcome, grown) = decode_guarded(|| decode(&mutant));
+            accepted += usize::from(outcome == Ok(true));
+            if let Some(verdict) = verdict(&outcome, grown, mutant.len()) {
+                let head: Vec<u8> = mutant.iter().copied().take(96).collect();
+                failures.push(format!("{name} case {case}: {verdict}\n{head:02x?}"));
+            }
+            total += 1;
+        }
+    }
+    let _ = std::fs::remove_dir_all(snapshot_root());
+    assert!(failures.is_empty(), "{}", failures.join("\n---\n"));
     assert!(
         accepted < total / 2,
         "{accepted} of {total} mutants decoded"
