@@ -1,10 +1,13 @@
 //! Criterion micro-benchmarks of the classifier substrate: training each
 //! model family on the COMPAS stand-in (the inner loop of every
-//! trade-off experiment) and single-row prediction latency.
+//! trade-off experiment), the pipeline's decision-tree train stage, and
+//! single-row prediction latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use remedy_classifiers::{train, ModelKind, NaiveBayes};
+use remedy_classifiers::{train, DecisionTree, DecisionTreeParams, ModelKind, NaiveBayes};
 use remedy_dataset::synth;
+use remedy_pipeline::stages::split_dataset;
+use remedy_pipeline::Plan;
 
 fn bench_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_compas");
@@ -19,6 +22,22 @@ fn bench_training(c: &mut Criterion) {
     }
     group.bench_function("NB_ranker", |b| {
         b.iter(|| NaiveBayes::fit(std::hint::black_box(&data)))
+    });
+    group.finish();
+}
+
+/// The train stage of a `model=dt` pipeline branch: a decision tree on
+/// the 35 000-row training split of `adult_n(50 000, 2)`.
+fn bench_training_adult(c: &mut Criterion) {
+    let mut group = c.benchmark_group("train_adult");
+    group.sample_size(15);
+    let plan =
+        Plan::parse("dataset adult\nrows 50000\nseed 2\nbranch base technique=none model=dt\n")
+            .unwrap();
+    let data = synth::adult_n(50_000, 2);
+    let (train, _) = split_dataset(&plan, &data).unwrap();
+    group.bench_function("dt", |b| {
+        b.iter(|| DecisionTree::fit(std::hint::black_box(&train), &DecisionTreeParams::default()))
     });
     group.finish();
 }
@@ -38,5 +57,10 @@ fn bench_prediction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_training, bench_prediction);
+criterion_group!(
+    benches,
+    bench_training,
+    bench_training_adult,
+    bench_prediction
+);
 criterion_main!(benches);

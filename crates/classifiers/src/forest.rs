@@ -49,23 +49,7 @@ impl RandomForest {
         if data.is_empty() || params.n_trees == 0 {
             return RandomForest { trees: Vec::new() };
         }
-        let n_attrs = data.schema().len();
-        let max_features = if params.max_features == 0 {
-            (n_attrs as f64).sqrt().ceil() as usize
-        } else {
-            params.max_features.min(n_attrs)
-        }
-        .max(1);
-
-        // cumulative weights for weighted bootstrap
-        let mut cum = Vec::with_capacity(data.len());
-        let mut acc = 0.0;
-        for i in 0..data.len() {
-            acc += data.weight(i).max(0.0);
-            cum.push(acc);
-        }
-        let total_weight = acc;
-
+        let bootstrap = Bootstrap::new(data, params, seed);
         let n_threads = if params.n_threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -80,28 +64,10 @@ impl RandomForest {
         let chunk = params.n_trees.div_ceil(n_threads);
         std::thread::scope(|scope| {
             for (t, slot_chunk) in trees.chunks_mut(chunk).enumerate() {
-                let cum = &cum;
+                let bootstrap = &bootstrap;
                 scope.spawn(move || {
                     for (j, slot) in slot_chunk.iter_mut().enumerate() {
-                        let tree_idx = t * chunk + j;
-                        let mut rng = StdRng::seed_from_u64(seed ^ (0x5EED_0000 + tree_idx as u64));
-                        // weighted bootstrap of |D| rows
-                        let rows: Vec<u32> = (0..data.len())
-                            .map(|_| {
-                                let u: f64 = rng.gen::<f64>() * total_weight;
-                                cum.partition_point(|&c| c <= u) as u32
-                            })
-                            .collect();
-                        // random feature subset
-                        let mut mask = vec![false; n_attrs];
-                        let mut chosen = 0usize;
-                        while chosen < max_features {
-                            let f = rng.gen_range(0..n_attrs);
-                            if !mask[f] {
-                                mask[f] = true;
-                                chosen += 1;
-                            }
-                        }
+                        let (rows, mask) = bootstrap.sample(t * chunk + j);
                         *slot = Some(DecisionTree::fit_on_rows(
                             data,
                             &params.tree,
@@ -123,6 +89,65 @@ impl RandomForest {
     /// Number of member trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
+    }
+}
+
+/// Draws each member tree's training sample: a weighted bootstrap of
+/// `|D|` rows and a random feature subset, both from a per-tree RNG, so
+/// a tree's sample depends on its index alone, not on the thread that
+/// fits it.
+struct Bootstrap {
+    /// Cumulative instance weights, for weighted row draws.
+    cum: Vec<f64>,
+    total_weight: f64,
+    n_attrs: usize,
+    max_features: usize,
+    seed: u64,
+}
+
+impl Bootstrap {
+    fn new(data: &Dataset, params: &RandomForestParams, seed: u64) -> Self {
+        let n_attrs = data.schema().len();
+        let max_features = if params.max_features == 0 {
+            (n_attrs as f64).sqrt().ceil() as usize
+        } else {
+            params.max_features.min(n_attrs)
+        }
+        .max(1);
+        let mut cum = Vec::with_capacity(data.len());
+        let mut acc = 0.0;
+        for i in 0..data.len() {
+            acc += data.weight(i).max(0.0);
+            cum.push(acc);
+        }
+        Bootstrap {
+            cum,
+            total_weight: acc,
+            n_attrs,
+            max_features,
+            seed,
+        }
+    }
+
+    /// Tree `tree_idx`'s bootstrap rows (with duplicates) and feature mask.
+    fn sample(&self, tree_idx: usize) -> (Vec<u32>, Vec<bool>) {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ (0x5EED_0000 + tree_idx as u64));
+        let rows: Vec<u32> = (0..self.cum.len())
+            .map(|_| {
+                let u: f64 = rng.gen::<f64>() * self.total_weight;
+                self.cum.partition_point(|&c| c <= u) as u32
+            })
+            .collect();
+        let mut mask = vec![false; self.n_attrs];
+        let mut chosen = 0usize;
+        while chosen < self.max_features {
+            let f = rng.gen_range(0..self.n_attrs);
+            if !mask[f] {
+                mask[f] = true;
+                chosen += 1;
+            }
+        }
+        (rows, mask)
     }
 }
 
@@ -213,5 +238,32 @@ mod tests {
         let f1 = RandomForest::fit(&d, &p1, 5);
         let f4 = RandomForest::fit(&d, &p4, 5);
         assert_eq!(f1.predict_proba(&d), f4.predict_proba(&d));
+    }
+
+    /// Every member tree equals one grown by the reference split search
+    /// on the same bootstrap rows (duplicates included) and feature mask.
+    #[test]
+    fn forest_matches_reference_trees() {
+        let mut d = noisy_data(400);
+        for r in (0..d.len()).step_by(3) {
+            d.set_weight(r, 0.3 + r as f64 / 7.0);
+        }
+        let p = RandomForestParams {
+            n_trees: 5,
+            max_features: 2,
+            n_threads: 2,
+            ..RandomForestParams::default()
+        };
+        let bootstrap = Bootstrap::new(&d, &p, 17);
+        let trees = (0..p.n_trees)
+            .map(|t| {
+                let (rows, mask) = bootstrap.sample(t);
+                crate::tree::reference::fit_on_rows(&d, &p.tree, rows, Some(&mask))
+            })
+            .collect();
+        assert_eq!(
+            crate::persist::forest_to_text(&RandomForest::fit(&d, &p, 17)),
+            crate::persist::forest_to_text(&RandomForest { trees })
+        );
     }
 }

@@ -59,7 +59,7 @@ impl DecisionTree {
             tree.nodes.push(Node::Leaf { p_pos: 0.0 });
             return tree;
         }
-        tree.build(data, params, rows, 0);
+        tree.build_masked(data, params, rows, 0, None, &mut NodeScratch::default());
         tree
     }
 
@@ -76,18 +76,15 @@ impl DecisionTree {
             tree.nodes.push(Node::Leaf { p_pos: 0.0 });
             return tree;
         }
-        tree.build_masked(data, params, rows, 0, feature_mask);
+        tree.build_masked(
+            data,
+            params,
+            rows,
+            0,
+            feature_mask,
+            &mut NodeScratch::default(),
+        );
         tree
-    }
-
-    fn build(
-        &mut self,
-        data: &Dataset,
-        params: &DecisionTreeParams,
-        rows: Vec<u32>,
-        depth: usize,
-    ) -> usize {
-        self.build_masked(data, params, rows, depth, None)
     }
 
     fn build_masked(
@@ -97,8 +94,10 @@ impl DecisionTree {
         rows: Vec<u32>,
         depth: usize,
         feature_mask: Option<&[bool]>,
+        scratch: &mut NodeScratch,
     ) -> usize {
-        let (w_pos, w_neg) = class_weights(data, &rows);
+        scratch.gather(data, &rows);
+        let (w_pos, w_neg) = scratch.class_weights();
         let total = w_pos + w_neg;
         let p_pos = if total > 0.0 { w_pos / total } else { 0.0 };
         let gini_here = gini(w_pos, w_neg);
@@ -109,17 +108,31 @@ impl DecisionTree {
             || w_neg == 0.0;
         if !stop {
             if let Some((attr, value, gain)) =
-                best_split(data, &rows, gini_here, w_pos, w_neg, feature_mask)
+                best_split(data, &rows, gini_here, w_pos, w_neg, feature_mask, scratch)
             {
                 if gain >= params.min_gain {
-                    let (eq_rows, ne_rows): (Vec<u32>, Vec<u32>) = rows
-                        .iter()
-                        .partition(|&&r| data.value(r as usize, attr) == value);
+                    let col = data.column(attr);
+                    let (eq_rows, ne_rows): (Vec<u32>, Vec<u32>) =
+                        rows.iter().partition(|&&r| col[r as usize] == value);
                     if !eq_rows.is_empty() && !ne_rows.is_empty() {
                         let idx = self.nodes.len();
                         self.nodes.push(Node::Leaf { p_pos }); // placeholder
-                        let eq = self.build_masked(data, params, eq_rows, depth + 1, feature_mask);
-                        let ne = self.build_masked(data, params, ne_rows, depth + 1, feature_mask);
+                        let eq = self.build_masked(
+                            data,
+                            params,
+                            eq_rows,
+                            depth + 1,
+                            feature_mask,
+                            scratch,
+                        );
+                        let ne = self.build_masked(
+                            data,
+                            params,
+                            ne_rows,
+                            depth + 1,
+                            feature_mask,
+                            scratch,
+                        );
                         self.nodes[idx] = Node::Split {
                             attribute: attr,
                             value,
@@ -177,18 +190,42 @@ impl Model for DecisionTree {
     }
 }
 
-fn class_weights(data: &Dataset, rows: &[u32]) -> (f64, f64) {
-    let mut pos = 0.0;
-    let mut neg = 0.0;
-    for &r in rows {
-        let r = r as usize;
-        if data.label(r) == 1 {
-            pos += data.weight(r);
-        } else {
-            neg += data.weight(r);
+/// Buffers one fit reuses across its nodes. A node gathers its rows'
+/// classes and weights once, in row order, so the per-attribute scans
+/// in [`best_split`] read them sequentially instead of looking each row
+/// up again per attribute; the tallies add in the same order as a direct
+/// scan, so every sum is bit-identical to it.
+#[derive(Default)]
+struct NodeScratch {
+    /// Class index of each of the node's rows: 0 when its label is 1
+    /// (positive), 1 otherwise.
+    class: Vec<u8>,
+    /// Weight of each of the node's rows.
+    weight: Vec<f64>,
+    /// Per-value `[positive, negative]` weight of one attribute's values.
+    tally: Vec<[f64; 2]>,
+}
+
+impl NodeScratch {
+    fn gather(&mut self, data: &Dataset, rows: &[u32]) {
+        let (labels, weights) = (data.labels(), data.weights());
+        self.class.clear();
+        self.weight.clear();
+        for &r in rows {
+            let r = r as usize;
+            self.class.push(u8::from(labels[r] != 1));
+            self.weight.push(weights[r]);
         }
     }
-    (pos, neg)
+
+    /// Positive and negative weight of the gathered rows.
+    fn class_weights(&self) -> (f64, f64) {
+        let mut sums = [0.0; 2];
+        for (&c, &w) in self.class.iter().zip(&self.weight) {
+            sums[c as usize] += w;
+        }
+        (sums[0], sums[1])
+    }
 }
 
 /// Weighted binary Gini impurity.
@@ -203,8 +240,9 @@ fn gini(w_pos: f64, w_neg: f64) -> f64 {
 
 /// Finds the `(attribute, value)` one-vs-rest split with maximal weighted
 /// Gini decrease. Returns `None` when no split separates the rows.
-/// `w_pos_total` / `w_neg_total` are the caller's class weights for `rows`
-/// — `build_masked` already tallied them for its own stop criteria.
+/// `w_pos_total` / `w_neg_total` are the caller's class weights for `rows`,
+/// whose classes and weights `scratch` holds — `build_masked` already
+/// gathered and tallied them for its own stop criteria.
 fn best_split(
     data: &Dataset,
     rows: &[u32],
@@ -212,13 +250,16 @@ fn best_split(
     w_pos_total: f64,
     w_neg_total: f64,
     feature_mask: Option<&[bool]>,
+    scratch: &mut NodeScratch,
 ) -> Option<(usize, u32, f64)> {
     let schema = data.schema();
     let total_weight = w_pos_total + w_neg_total;
     let mut best: Option<(usize, u32, f64)> = None;
-    // per-value weighted class tallies, reused across attributes
-    let mut pos_by_value: Vec<f64> = Vec::new();
-    let mut neg_by_value: Vec<f64> = Vec::new();
+    let NodeScratch {
+        class,
+        weight,
+        tally,
+    } = scratch;
 
     for attr in 0..schema.len() {
         if let Some(mask) = feature_mask {
@@ -227,23 +268,13 @@ fn best_split(
             }
         }
         let card = schema.attribute(attr).cardinality();
-        pos_by_value.clear();
-        neg_by_value.clear();
-        pos_by_value.resize(card, 0.0);
-        neg_by_value.resize(card, 0.0);
+        tally.clear();
+        tally.resize(card, [0.0; 2]);
         let col = data.column(attr);
-        for &r in rows {
-            let r = r as usize;
-            let v = col[r] as usize;
-            if data.label(r) == 1 {
-                pos_by_value[v] += data.weight(r);
-            } else {
-                neg_by_value[v] += data.weight(r);
-            }
+        for ((&r, &c), &w) in rows.iter().zip(class.iter()).zip(weight.iter()) {
+            tally[col[r as usize] as usize][c as usize] += w;
         }
-        for v in 0..card {
-            let p_eq = pos_by_value[v];
-            let n_eq = neg_by_value[v];
+        for (v, &[p_eq, n_eq]) in tally.iter().enumerate() {
             let w_eq = p_eq + n_eq;
             if w_eq <= 0.0 || w_eq >= total_weight {
                 continue;
@@ -262,6 +293,145 @@ fn best_split(
     // interactions such as XOR the first split has zero marginal gain but
     // enables informative children, exactly as in scikit-learn's CART
     best
+}
+
+/// The split search before [`NodeScratch`]: every attribute scan looks
+/// each row's label and weight up again. Kept as the reference the
+/// gathered scan must reproduce node for node.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{gini, DecisionTree, DecisionTreeParams, Node};
+    use remedy_dataset::Dataset;
+
+    /// [`DecisionTree::fit_on_rows`] through the reference split search.
+    pub(crate) fn fit_on_rows(
+        data: &Dataset,
+        params: &DecisionTreeParams,
+        rows: Vec<u32>,
+        feature_mask: Option<&[bool]>,
+    ) -> DecisionTree {
+        let mut tree = DecisionTree { nodes: Vec::new() };
+        if rows.is_empty() {
+            tree.nodes.push(Node::Leaf { p_pos: 0.0 });
+            return tree;
+        }
+        build(&mut tree, data, params, rows, 0, feature_mask);
+        tree
+    }
+
+    fn build(
+        tree: &mut DecisionTree,
+        data: &Dataset,
+        params: &DecisionTreeParams,
+        rows: Vec<u32>,
+        depth: usize,
+        feature_mask: Option<&[bool]>,
+    ) -> usize {
+        let (w_pos, w_neg) = class_weights(data, &rows);
+        let total = w_pos + w_neg;
+        let p_pos = if total > 0.0 { w_pos / total } else { 0.0 };
+        let gini_here = gini(w_pos, w_neg);
+
+        let stop = depth >= params.max_depth
+            || total < params.min_split_weight
+            || w_pos == 0.0
+            || w_neg == 0.0;
+        if !stop {
+            if let Some((attr, value, gain)) =
+                best_split(data, &rows, gini_here, w_pos, w_neg, feature_mask)
+            {
+                if gain >= params.min_gain {
+                    let (eq_rows, ne_rows): (Vec<u32>, Vec<u32>) = rows
+                        .iter()
+                        .partition(|&&r| data.value(r as usize, attr) == value);
+                    if !eq_rows.is_empty() && !ne_rows.is_empty() {
+                        let idx = tree.nodes.len();
+                        tree.nodes.push(Node::Leaf { p_pos });
+                        let eq = build(tree, data, params, eq_rows, depth + 1, feature_mask);
+                        let ne = build(tree, data, params, ne_rows, depth + 1, feature_mask);
+                        tree.nodes[idx] = Node::Split {
+                            attribute: attr,
+                            value,
+                            eq,
+                            ne,
+                        };
+                        return idx;
+                    }
+                }
+            }
+        }
+        let idx = tree.nodes.len();
+        tree.nodes.push(Node::Leaf { p_pos });
+        idx
+    }
+
+    fn class_weights(data: &Dataset, rows: &[u32]) -> (f64, f64) {
+        let mut pos = 0.0;
+        let mut neg = 0.0;
+        for &r in rows {
+            let r = r as usize;
+            if data.label(r) == 1 {
+                pos += data.weight(r);
+            } else {
+                neg += data.weight(r);
+            }
+        }
+        (pos, neg)
+    }
+
+    fn best_split(
+        data: &Dataset,
+        rows: &[u32],
+        gini_parent: f64,
+        w_pos_total: f64,
+        w_neg_total: f64,
+        feature_mask: Option<&[bool]>,
+    ) -> Option<(usize, u32, f64)> {
+        let schema = data.schema();
+        let total_weight = w_pos_total + w_neg_total;
+        let mut best: Option<(usize, u32, f64)> = None;
+        let mut pos_by_value: Vec<f64> = Vec::new();
+        let mut neg_by_value: Vec<f64> = Vec::new();
+        for attr in 0..schema.len() {
+            if let Some(mask) = feature_mask {
+                if !mask[attr] {
+                    continue;
+                }
+            }
+            let card = schema.attribute(attr).cardinality();
+            pos_by_value.clear();
+            neg_by_value.clear();
+            pos_by_value.resize(card, 0.0);
+            neg_by_value.resize(card, 0.0);
+            let col = data.column(attr);
+            for &r in rows {
+                let r = r as usize;
+                let v = col[r] as usize;
+                if data.label(r) == 1 {
+                    pos_by_value[v] += data.weight(r);
+                } else {
+                    neg_by_value[v] += data.weight(r);
+                }
+            }
+            for v in 0..card {
+                let p_eq = pos_by_value[v];
+                let n_eq = neg_by_value[v];
+                let w_eq = p_eq + n_eq;
+                if w_eq <= 0.0 || w_eq >= total_weight {
+                    continue;
+                }
+                let p_ne = w_pos_total - p_eq;
+                let n_ne = w_neg_total - n_eq;
+                let w_ne = p_ne + n_ne;
+                let child = (w_eq * gini(p_eq, n_eq) + w_ne * gini(p_ne, n_ne)) / total_weight;
+                let gain = gini_parent - child;
+                if best.is_none_or(|(_, _, g)| gain > g) {
+                    best = Some((attr, v as u32, gain));
+                }
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
@@ -394,5 +564,132 @@ mod tests {
         assert_eq!(gini(0.0, 0.0), 0.0);
         assert_eq!(gini(5.0, 0.0), 0.0);
         assert!((gini(1.0, 1.0) - 0.5).abs() < 1e-12);
+    }
+
+    /// Reweighted copy of `data`: weights cycle through fractions, a
+    /// zero, a large value and a subnormal, so tallies round.
+    fn reweighted(data: &Dataset) -> Dataset {
+        const WEIGHTS: [f64; 7] = [0.25, 1.0 / 3.0, 2.7, 0.0, 1e6, 0.1, f64::MIN_POSITIVE / 4.0];
+        let mut d = data.clone();
+        for r in 0..d.len() {
+            d.set_weight(r, WEIGHTS[r % WEIGHTS.len()]);
+        }
+        d
+    }
+
+    fn param_grid() -> Vec<DecisionTreeParams> {
+        vec![
+            DecisionTreeParams::default(),
+            DecisionTreeParams {
+                max_depth: 3,
+                ..DecisionTreeParams::default()
+            },
+            DecisionTreeParams {
+                max_depth: 30,
+                min_split_weight: 0.0,
+                min_gain: 1e-4,
+            },
+        ]
+    }
+
+    fn assert_same_tree(got: &DecisionTree, want: &DecisionTree, what: &str) {
+        assert_eq!(
+            crate::persist::tree_to_text(got),
+            crate::persist::tree_to_text(want),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn gathered_split_search_matches_the_reference() {
+        let compas = remedy_dataset::synth::compas_n(3_000, 4);
+        let adult = remedy_dataset::synth::adult_n(2_000, 2);
+        for (name, data) in [
+            ("compas", compas.clone()),
+            ("compas reweighted", reweighted(&compas)),
+            ("adult", adult.clone()),
+            ("adult reweighted", reweighted(&adult)),
+        ] {
+            for params in param_grid() {
+                let all = (0..data.len() as u32).collect();
+                let want = reference::fit_on_rows(&data, &params, all, None);
+                let got = DecisionTree::fit(&data, &params);
+                assert!(got.node_count() > 1, "{name}: {params:?} grew no tree");
+                assert_same_tree(&got, &want, &format!("{name}, {params:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_split_search_matches_on_bootstrap_rows_with_masks() {
+        let data = reweighted(&remedy_dataset::synth::adult_n(1_500, 9));
+        let n_attrs = data.schema().len();
+        let params = DecisionTreeParams::default();
+        for case in 0..6u32 {
+            // duplicated rows in a scrambled order, as a bootstrap draws
+            let rows: Vec<u32> = (0..data.len() as u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761).rotate_left(case) >> 3) % 1_500)
+                .collect();
+            let mask: Vec<bool> = (0..n_attrs)
+                .map(|a| !(a as u32 + case).is_multiple_of(3))
+                .collect();
+            let want = reference::fit_on_rows(&data, &params, rows.clone(), Some(&mask));
+            let got = DecisionTree::fit_on_rows(&data, &params, rows, Some(&mask));
+            assert_same_tree(&got, &want, &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn gathered_split_search_matches_on_pure_and_empty_nodes() {
+        let schema = Schema::new(
+            vec![
+                Attribute::from_strs("a", &["0", "1", "2"]),
+                Attribute::from_strs("b", &["0", "1"]),
+            ],
+            "y",
+        )
+        .into_shared();
+        let params = DecisionTreeParams::default();
+        let empty = Dataset::new(schema.clone());
+        assert_same_tree(
+            &DecisionTree::fit(&empty, &params),
+            &reference::fit_on_rows(&empty, &params, Vec::new(), None),
+            "empty dataset",
+        );
+        for label in [0, 1] {
+            let mut pure = Dataset::new(schema.clone());
+            for i in 0..12u32 {
+                pure.push_row_weighted(&[i % 3, i % 2], label, 0.5 + f64::from(i))
+                    .unwrap();
+            }
+            let all: Vec<u32> = (0..12).collect();
+            let got = DecisionTree::fit(&pure, &params);
+            assert_eq!(got.node_count(), 1, "pure label {label} split");
+            assert_same_tree(
+                &got,
+                &reference::fit_on_rows(&pure, &params, all, None),
+                &format!("pure label {label}"),
+            );
+            assert_same_tree(
+                &DecisionTree::fit_on_rows(&pure, &params, Vec::new(), None),
+                &reference::fit_on_rows(&pure, &params, Vec::new(), None),
+                "no rows",
+            );
+        }
+        // XOR labels make the root split a zero-gain one, and value 2 of
+        // `a` never occurs, so every node tallies an empty value
+        let mut xor = Dataset::new(schema);
+        for i in 0..40u32 {
+            let (a, b) = (i % 2, (i / 2) % 2);
+            xor.push_row(&[a, b], u8::from(a != b)).unwrap();
+        }
+        let all = (0..xor.len() as u32).collect();
+        let got = DecisionTree::fit(&xor, &params);
+        assert!(got.depth() >= 2);
+        assert_same_tree(
+            &got,
+            &reference::fit_on_rows(&xor, &params, all, None),
+            "xor",
+        );
     }
 }

@@ -559,10 +559,25 @@ pub fn from_bytes_unpacked(bytes: &[u8]) -> Result<Stored, DatasetError> {
     }
 }
 
+/// A binary columnar artifact decoded to its dataset and canonical text.
+#[derive(Debug, Clone)]
+pub struct Canonical {
+    /// The decoded dataset.
+    pub data: Dataset,
+    /// `data`'s canonical text, byte-identical to the text file the
+    /// artifact was converted from.
+    pub text: String,
+    /// The content digest of `text`: the one the header pins, which
+    /// `text` was checked against.
+    pub digest: u128,
+}
+
 /// Decodes a binary columnar artifact to its canonical text form and
 /// checks that text against the digest the header pins, so the result
 /// is byte-identical to the text file the artifact was converted from.
-pub fn binary_to_text(bytes: &[u8]) -> Result<String, DatasetError> {
+/// The decoded dataset comes back beside it, so a caller that needs both
+/// parses nothing.
+pub fn binary_to_text(bytes: &[u8]) -> Result<Canonical, DatasetError> {
     let (stored, digest) = decode_binary(bytes, false)?;
     let text = persist::dataset_to_text(&stored.data);
     if content_digest(text.as_bytes()) != digest {
@@ -574,7 +589,11 @@ pub fn binary_to_text(bytes: &[u8]) -> Result<String, DatasetError> {
         }
         .into());
     }
-    Ok(text)
+    Ok(Canonical {
+        data: stored.data,
+        text,
+        digest,
+    })
 }
 
 /// Opens a dataset artifact from disk — exact text or binary columnar,
@@ -615,10 +634,10 @@ mod tests {
         let bytes = to_binary(&d);
         let stored = from_binary(&bytes).unwrap();
         assert_eq!(stored.data, d);
-        assert_eq!(
-            binary_to_text(&bytes).unwrap(),
-            persist::dataset_to_text(&d)
-        );
+        let canonical = binary_to_text(&bytes).unwrap();
+        assert_eq!(canonical.text, persist::dataset_to_text(&d));
+        assert_eq!(canonical.data, d);
+        assert_eq!(canonical.digest, content_digest(canonical.text.as_bytes()));
         let packed = stored.packed.expect("two protected columns pack");
         assert_eq!(packed.cols, vec![0, 1]);
         assert_eq!(packed.widths, vec![8, 8]);

@@ -78,7 +78,7 @@ fn builtin_datasets_roundtrip_byte_identically() {
             let back = dataset_to_text(&stored.data);
             assert_eq!(text, back, "{name} seed {seed}: text not byte-identical");
             assert_eq!(
-                store::binary_to_text(&bytes).as_ref(),
+                store::binary_to_text(&bytes).map(|c| c.text).as_ref(),
                 Ok(&text),
                 "{name} seed {seed}: header digest diverges from canonical text"
             );
@@ -125,7 +125,10 @@ fn random_schemas_roundtrip_through_both_encodings() {
             text,
             "case {case}: canonical text not byte-identical after conversion"
         );
-        assert_eq!(store::binary_to_text(&bytes).as_ref(), Ok(&text));
+        assert_eq!(
+            store::binary_to_text(&bytes).map(|c| c.text).as_ref(),
+            Ok(&text)
+        );
 
         // binary is deterministic: re-encoding the decoded dataset gives
         // the same bytes

@@ -38,9 +38,8 @@ use crate::retry::RetryPolicy;
 use crate::shard::{sharded_identify_stage, WorkerMode};
 use crate::stages::{
     audit_stage, discretize_stage, identify_stage, load_stage, remedy_stage, skipped_remedy_record,
-    split_dataset, train_stage, StageOutput,
+    split_dataset, train_stage, StageOutput, TrainInput,
 };
-use remedy_core::hash::stable_hash;
 use remedy_dataset::persist as data_persist;
 use remedy_dataset::Dataset;
 use remedy_fairness::MetricsSummary;
@@ -147,21 +146,30 @@ pub fn run_with(
         .with_retry(opts.retry);
 
     // shared prefix: load → discretize → identify
-    let load = load_stage(plan, &cache, opts.force, &run_span.child_scope("load"))?;
-    let discretized = discretize_stage(
+    let (mut load, loaded) = load_stage(plan, &cache, opts.force, &run_span.child_scope("load"))?;
+    let (mut discretized, carried) = discretize_stage(
         plan,
         &load,
+        loaded,
         &cache,
         opts.force,
         &run_span.child_scope("discretize"),
     )?;
     // the engine's own codec work between stages gets spans under one
-    // `engine` scope, so a trace accounts for the whole run
+    // `engine` scope, so a trace accounts for the whole run; the
+    // discretized artifact is parsed only when no stage handed on the
+    // dataset it was written from
     let engine = run_span.child_scope("engine");
-    let data = {
-        let _span = engine.span("decode");
-        data_persist::dataset_from_text(&discretized.text)?
+    let data = match carried {
+        Some(data) => data,
+        None => {
+            let _span = engine.span("decode");
+            data_persist::dataset_from_text(&discretized.text)?
+        }
     };
+    // past this point the prefix artifacts are read by hash only
+    drop(std::mem::take(&mut load.text));
+    drop(std::mem::take(&mut discretized.text));
     let (train_set, test_set) = {
         let _span = engine.span("split");
         split_dataset(plan, &data)?
@@ -206,12 +214,11 @@ pub fn run_with(
     };
 
     // the unremedied training split doubles as the remedy "artifact" of
-    // technique=none branches; serialize it once for all of them
-    let (train_split_text, train_split_hash) = {
+    // technique=none branches; its hash is the digest of its canonical
+    // text, streamed without writing that text
+    let train_split_hash = {
         let _span = engine.span("split_encode");
-        let text = data_persist::dataset_to_text(&train_set);
-        let hash = format!("{:032x}", stable_hash(text.as_bytes()));
-        (text, hash)
+        format!("{:032x}", data_persist::text_digest(&train_set))
     };
 
     // assembles a manifest from whatever branch results exist so far;
@@ -284,7 +291,6 @@ pub fn run_with(
                         &identify,
                         &train_set,
                         &test_set,
-                        &train_split_text,
                         &train_split_hash,
                         &cache,
                         opts.force,
@@ -370,7 +376,6 @@ fn run_branch(
     identify: &StageOutput,
     train_set: &Dataset,
     test_set: &Dataset,
-    train_split_text: &str,
     train_split_hash: &str,
     cache: &ArtifactCache,
     force: bool,
@@ -384,7 +389,7 @@ fn run_branch(
     // remedy (or pass the unremedied split through); training fits on
     // the dataset in memory unless the remedy was replayed from the cache
     let (remedied, remedied_data);
-    let (train_input, train_input_hash, train_data) = match branch.technique {
+    let (train_input, train_input_hash) = match branch.technique {
         Some(_) => {
             let params = plan.remedy_params(branch)?;
             (remedied, remedied_data) = remedy_stage(
@@ -399,15 +404,15 @@ fn run_branch(
                 &stage_scope("remedy"),
             )?;
             records.push(remedied.record.clone());
-            (
-                remedied.text.as_str(),
-                remedied.artifact_hash.as_str(),
-                remedied_data.as_ref(),
-            )
+            let input = match &remedied_data {
+                Some(data) => TrainInput::Data(data),
+                None => TrainInput::Text(&remedied.text),
+            };
+            (input, remedied.artifact_hash.as_str())
         }
         None => {
             records.push(skipped_remedy_record(&branch.name, train_split_hash));
-            (train_split_text, train_split_hash, Some(train_set))
+            (TrainInput::Data(train_set), train_split_hash)
         }
     };
 
@@ -418,7 +423,6 @@ fn run_branch(
         branch.model,
         train_input,
         train_input_hash,
-        train_data,
         cache,
         force,
         &stage_scope("train"),

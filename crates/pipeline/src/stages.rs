@@ -17,7 +17,7 @@ use crate::manifest::StageRecord;
 use crate::plan::{ModelFamily, Plan, SourceFormat};
 use remedy_classifiers::persist as model_persist;
 use remedy_classifiers::{accuracy, Model};
-use remedy_core::hash::StableHasher;
+use remedy_core::hash::{stable_hash, StableHasher};
 use remedy_core::{persist as ibs_persist, try_identify_over_with, Algorithm, RemedyParams};
 use remedy_dataset::csv::{LoadOptions, RawTable};
 use remedy_dataset::persist as data_persist;
@@ -118,18 +118,25 @@ pub(crate) fn finish(
 ///
 /// Built-in sources generate their synthetic dataset (keyed by name, row
 /// count, and seed) and emit it as an exact dataset artifact. File sources
-/// emit text, keyed by its *content* hash so editing the file invalidates
-/// everything downstream while renaming it does not. A binary columnar
-/// source (`format binary`, or autodetected by magic) is decoded and
-/// re-emitted as its canonical text form — byte-identical to the text
-/// file it was converted from — so the stage key, the artifact, and every
-/// downstream cache entry are exactly those of the original text run.
+/// emit text, keyed by its *content* digest so editing the file
+/// invalidates everything downstream while renaming it does not. A binary
+/// columnar source (`format binary`, or autodetected by magic) is decoded
+/// and re-emitted as its canonical text form — byte-identical to the text
+/// file it was converted from, whose digest its header pins — so the
+/// stage key, the artifact, and every downstream cache entry are exactly
+/// those of the original text run.
+///
+/// The dataset the stage holds comes back beside its artifact, so the
+/// engine need not parse that text again: the one a built-in source
+/// generated on a miss (the artifact was written from it), or the one a
+/// binary source decodes to, handed on only when the artifact's hash is
+/// the digest the header pins for its canonical text.
 pub fn load_stage(
     plan: &Plan,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
-) -> Result<StageOutput, PipelineError> {
+) -> Result<(StageOutput, Option<Dataset>), PipelineError> {
     let mut h = StableHasher::new();
     h.write_str("load");
     if plan.builtin_source() {
@@ -137,8 +144,9 @@ pub fn load_stage(
         h.write_u64(plan.rows as u64);
         h.write_u64(plan.seed);
         let key = CacheKey::from_hasher(&h);
-        let (source, rows, seed) = (plan.source.clone(), plan.rows, plan.seed);
-        run_stage(
+        let (source, rows, seed) = (plan.source.as_str(), plan.rows, plan.seed);
+        let mut generated = None;
+        let output = run_stage(
             cache,
             "load",
             None,
@@ -146,14 +154,17 @@ pub fn load_stage(
             force,
             &format!("load {source} rows={rows} seed={seed}"),
             obs,
-            move || {
-                let data = synth::builtin(&source, rows, seed, synth::WIDE_DEFAULT_ARITY)
+            || {
+                let data = synth::builtin(source, rows, seed, synth::WIDE_DEFAULT_ARITY)
                     .ok()
                     .flatten()
                     .expect("builtin_source checked");
-                Ok(data_persist::dataset_to_text(&data))
+                let text = data_persist::dataset_to_text(&data);
+                generated = Some(data);
+                Ok(text)
             },
-        )
+        )?;
+        Ok((output, generated))
     } else {
         // reading, decoding and keying the source run before the stage
         // span opens, so they get a span of their own
@@ -167,18 +178,24 @@ pub fn load_stage(
                 plan.source
             )));
         }
-        let text = if is_columnar && plan.format != SourceFormat::Text {
-            store::binary_to_text(&bytes)
-                .map_err(|e| PipelineError::fatal(format!("cannot decode {}: {e}", plan.source)))?
+        // the key is the content digest: the one the binary header pins
+        // and the decoder has just checked, or one pass over the text
+        let (text, digest, decoded) = if is_columnar && plan.format != SourceFormat::Text {
+            let canonical = store::binary_to_text(&bytes)
+                .map_err(|e| PipelineError::fatal(format!("cannot decode {}: {e}", plan.source)))?;
+            drop(bytes);
+            (canonical.text, canonical.digest, Some(canonical.data))
         } else {
-            String::from_utf8(bytes)
-                .map_err(|_| PipelineError::fatal(format!("{} is not UTF-8 text", plan.source)))?
+            let text = String::from_utf8(bytes)
+                .map_err(|_| PipelineError::fatal(format!("{} is not UTF-8 text", plan.source)))?;
+            let digest = stable_hash(text.as_bytes());
+            (text, digest, None)
         };
-        h.write_str("csv");
-        h.write(text.as_bytes());
+        h.write_str("file");
+        h.write(&digest.to_le_bytes());
         let key = CacheKey::from_hasher(&h);
         drop(source_span);
-        run_stage(
+        let output = run_stage(
             cache,
             "load",
             None,
@@ -187,7 +204,9 @@ pub fn load_stage(
             &format!("load {}", plan.source),
             obs,
             move || Ok(text),
-        )
+        )?;
+        let data = decoded.filter(|_| output.artifact_hash == format!("{digest:032x}"));
+        Ok((output, data))
     }
 }
 
@@ -197,13 +216,18 @@ pub fn load_stage(
 /// columns quantile-bucketized; already-exact inputs (built-in sources)
 /// pass through unchanged. Either way the output is the canonical
 /// categorical dataset every downstream stage consumes.
+///
+/// `loaded` is the dataset [`load_stage`] handed on. It is forwarded when
+/// the stage passes its input through (the artifact hashes match); a CSV
+/// computed on a miss comes back as the dataset it was discretized to.
 pub fn discretize_stage(
     plan: &Plan,
     load: &StageOutput,
+    loaded: Option<Dataset>,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
-) -> Result<StageOutput, PipelineError> {
+) -> Result<(StageOutput, Option<Dataset>), PipelineError> {
     let mut h = StableHasher::new();
     h.write_str("discretize");
     h.write_str(&load.artifact_hash);
@@ -221,7 +245,8 @@ pub fn discretize_stage(
         plan.positive.clone(),
         plan.bins,
     );
-    run_stage(
+    let mut computed = None;
+    let output = run_stage(
         cache,
         "discretize",
         None,
@@ -229,7 +254,7 @@ pub fn discretize_stage(
         force,
         &format!("discretize bins={bins}"),
         obs,
-        move || {
+        || {
             if data_persist::DATASET.sniff(input.as_bytes()) {
                 return Ok(input.clone());
             }
@@ -241,9 +266,17 @@ pub fn discretize_stage(
             opts.positive_value = positive;
             opts.numeric_bins = bins;
             let data = table.to_dataset(&opts).map_err(PipelineError::from)?;
-            Ok(data_persist::dataset_to_text(&data))
+            let text = data_persist::dataset_to_text(&data);
+            computed = Some(data);
+            Ok(text)
         },
-    )
+    )?;
+    let data = if output.artifact_hash == load.artifact_hash {
+        loaded
+    } else {
+        computed
+    };
+    Ok((output, data))
 }
 
 /// Computes the train/test split every consuming stage agrees on.
@@ -375,18 +408,28 @@ pub fn skipped_remedy_record(branch: &str, train_split_hash: &str) -> StageRecor
     }
 }
 
+/// What a branch trains on: the dataset in memory (the unremedied split,
+/// or a remedy the branch computed), or the artifact text a remedy cache
+/// hit replayed.
+#[derive(Debug, Clone, Copy)]
+pub enum TrainInput<'a> {
+    /// The dataset itself.
+    Data(&'a Dataset),
+    /// Its canonical text, parsed only if the model must be fitted.
+    Text(&'a str),
+}
+
 /// Train: fit the branch's model family on its training input. The key
-/// and the model depend on the input text alone; on a miss the model is
-/// fitted on `train_data`, the dataset that text was written from, when
-/// the caller holds it, and on the parsed text otherwise.
+/// depends on the input's artifact hash alone (the content digest of its
+/// canonical text), so the model is the same whichever form the input
+/// arrives in.
 #[allow(clippy::too_many_arguments)]
 pub fn train_stage(
     plan: &Plan,
     branch: &str,
     family: ModelFamily,
-    train_input: &str,
+    train_input: TrainInput<'_>,
     train_input_hash: &str,
-    train_data: Option<&Dataset>,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
@@ -406,10 +449,10 @@ pub fn train_stage(
         force,
         &format!("train {} seed={seed}", family.token()),
         obs,
-        move || match train_data {
-            Some(data) => Ok(family.fit_to_text(data, seed)),
-            None => {
-                let data = data_persist::dataset_from_text(train_input)?;
+        move || match train_input {
+            TrainInput::Data(data) => Ok(family.fit_to_text(data, seed)),
+            TrainInput::Text(text) => {
+                let data = data_persist::dataset_from_text(text)?;
                 Ok(family.fit_to_text(&data, seed))
             }
         },

@@ -8,7 +8,7 @@ use remedy_core::{IbsParams, Neighborhood, RemedyParams, Scope, Technique};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::synth;
 use remedy_fairness::{fairness_index, FairnessIndexParams, Statistic};
-use remedy_pipeline::stages::train_stage;
+use remedy_pipeline::stages::{train_stage, TrainInput};
 use remedy_pipeline::{run, ArtifactCache, ModelFamily, PipelineOptions, Plan};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -208,13 +208,13 @@ fn training_from_memory_matches_training_from_text() {
         let hash = format!("{:032x}", remedy_core::stable_hash(text.as_bytes()));
         for family in ["dt", "rf", "lg", "nb"] {
             let family: ModelFamily = family.parse().unwrap();
-            let train = |data| {
-                train_stage(
-                    &plan, branch, family, &text, &hash, data, &cache, true, &off,
-                )
-                .unwrap()
+            let train = |input| {
+                train_stage(&plan, branch, family, input, &hash, &cache, true, &off).unwrap()
             };
-            let (memory, parsed) = (train(Some(input)), train(None));
+            let (memory, parsed) = (
+                train(TrainInput::Data(input)),
+                train(TrainInput::Text(&text)),
+            );
             assert_eq!(memory.record.key, parsed.record.key);
             assert_eq!(memory.text, parsed.text, "{branch} {family:?}");
         }

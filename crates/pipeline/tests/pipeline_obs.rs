@@ -3,9 +3,10 @@
 //! the manifest carries per-stage counters, and recording changes nothing
 //! about the computed artifacts.
 
+use remedy_dataset::{persist, store, synth, Format};
 use remedy_obs::Recorder;
-use remedy_pipeline::{run, run_with, PipelineOptions, Plan};
-use std::path::PathBuf;
+use remedy_pipeline::{run, run_with, PipelineOptions, Plan, RunManifest};
+use std::path::{Path, PathBuf};
 
 const PLAN: &str = "\
 dataset compas
@@ -46,6 +47,27 @@ fn field_u64(line: &str, key: &str) -> u64 {
         .unwrap()
 }
 
+/// The first span the engine recorded under `name`, if any.
+fn engine_span<'a>(lines: &[&'a str], name: &str) -> Option<&'a str> {
+    lines.iter().copied().find(|l| {
+        l.contains("\"t\":\"span\"")
+            && l.contains("\"scope\":\"engine\"")
+            && l.contains(&format!("\"name\":\"{name}\""))
+    })
+}
+
+/// Runs `plan` with a JSONL trace; returns the manifest and the trace.
+fn traced_run(plan: &Plan, cache: &Path, name: &str) -> (RunManifest, String) {
+    let trace_path = std::env::temp_dir().join(format!("remedy_pipeline_obs_{name}.jsonl"));
+    let _ = std::fs::remove_file(&trace_path);
+    let mut options = opts(cache);
+    options.trace = Some(trace_path.clone());
+    let manifest = run(plan, &options).unwrap();
+    let trace = std::fs::read_to_string(&trace_path).unwrap();
+    let _ = std::fs::remove_file(&trace_path);
+    (manifest, trace)
+}
+
 fn counter(record: &remedy_pipeline::StageRecord, name: &str) -> Option<u64> {
     record
         .counters
@@ -60,15 +82,8 @@ fn counter(record: &remedy_pipeline::StageRecord, name: &str) -> Option<u64> {
 /// the counters recorded under their scopes.
 #[test]
 fn traced_run_emits_jsonl_and_manifest_counters() {
-    let cache = fresh_cache("trace");
-    let trace_path = std::env::temp_dir().join("remedy_pipeline_obs_trace.jsonl");
-    let _ = std::fs::remove_file(&trace_path);
     let plan = Plan::parse(PLAN).unwrap();
-    let mut options = opts(&cache);
-    options.trace = Some(trace_path.clone());
-    let manifest = run(&plan, &options).unwrap();
-
-    let text = std::fs::read_to_string(&trace_path).unwrap();
+    let (manifest, text) = traced_run(&plan, &fresh_cache("trace"), "trace");
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 10, "trace too short: {} lines", lines.len());
     for line in &lines {
@@ -98,16 +113,17 @@ fn traced_run_emits_jsonl_and_manifest_counters() {
             .unwrap_or_else(|| panic!("no span for scope {scope}"));
         assert_eq!(field_u64(span, "parent"), run_id, "span not under run");
     }
-    // so is the engine's own codec work between the stages
-    for name in ["decode", "split", "split_encode"] {
-        let span = lines
-            .iter()
-            .find(|l| {
-                l.contains("\"scope\":\"engine\"") && l.contains(&format!("\"name\":\"{name}\""))
-            })
-            .unwrap_or_else(|| panic!("no engine span {name}"));
+    // so is the engine's own work between the stages; the load stage
+    // handed on the dataset it generated, so nothing was parsed
+    for name in ["split", "split_encode"] {
+        let span = engine_span(&lines, name).unwrap_or_else(|| panic!("no engine span {name}"));
         assert_eq!(field_u64(span, "parent"), run_id, "{name} not under run");
     }
+    assert_eq!(
+        engine_span(&lines, "decode"),
+        None,
+        "cold built-in run parsed"
+    );
 
     // counter summaries: the shared cache and the identify scan
     let cache_counters = lines
@@ -188,4 +204,93 @@ fn warm_rerun_counts_hits() {
     assert_eq!(snap.counter("identify", "cache_hits"), Some(1));
     // a cache hit skips the scan entirely, so no scan counters exist
     assert_eq!(snap.counter("identify", "regions_scanned"), None);
+}
+
+/// A warm built-in run replays load and discretize from the cache, so no
+/// stage holds the dataset and the engine parses the discretized
+/// artifact, under an `engine/decode` span of the run.
+#[test]
+fn warm_builtin_run_parses_the_discretized_artifact() {
+    let plan = Plan::parse(PLAN).unwrap();
+    let cache = fresh_cache("warm_decode");
+    run(&plan, &opts(&cache)).unwrap();
+    let (manifest, trace) = traced_run(&plan, &cache, "warm_decode");
+    assert!(manifest.stage("load", None).unwrap().cache_hit);
+    let lines: Vec<&str> = trace.lines().collect();
+    let root = lines
+        .iter()
+        .find(|l| l.contains("\"t\":\"span\"") && l.contains("\"scope\":\"pipeline\""))
+        .expect("no pipeline run span");
+    let decode = engine_span(&lines, "decode").expect("warm run did not parse");
+    assert_eq!(field_u64(decode, "parent"), field_u64(root, "id"));
+}
+
+/// A binary source and the same data as a text file run to the same
+/// stage keys, artifact hashes and branch metrics. The binary run hands
+/// the dataset it decoded on to the engine, cold and warm, so it never
+/// parses the discretized artifact; the text run does.
+#[test]
+fn binary_source_carries_its_decoded_dataset() {
+    let dir = fresh_cache("carry_src");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = synth::adult_n(1_500, 4);
+    let (text_src, bin_src) = (dir.join("adult.remedy"), dir.join("adult.bin"));
+    persist::save_dataset(&data, &text_src).unwrap();
+    store::save(&data, &bin_src, Format::Binary).unwrap();
+    let schema = data.schema();
+    let protected: Vec<&str> = schema
+        .protected_indices()
+        .into_iter()
+        .map(|a| schema.attribute(a).name())
+        .collect();
+    let plan_for = |src: &Path| {
+        Plan::parse(&format!(
+            "dataset {}\nseed 4\ntau 0.1\nmin-size 30\nlabel {}\nprotected {}\n\
+             branch base technique=none model=dt\n\
+             branch ps technique=ps model=dt\n\
+             branch us technique=us model=rf\n",
+            src.display(),
+            schema.label_name(),
+            protected.join(",")
+        ))
+        .unwrap()
+    };
+
+    let (text_run, text_trace) = traced_run(&plan_for(&text_src), &fresh_cache("carry_text"), "t");
+    let bin_cache = fresh_cache("carry_bin");
+    let (bin_run, bin_trace) = traced_run(&plan_for(&bin_src), &bin_cache, "b");
+    assert_eq!(text_run.branches, bin_run.branches);
+    assert_eq!(text_run.stages.len(), bin_run.stages.len());
+    for (t, b) in text_run.stages.iter().zip(&bin_run.stages) {
+        assert!(!b.cache_hit, "cold binary run hit: {b:?}");
+        assert_eq!((t.stage, &t.branch), (b.stage, &b.branch));
+        assert_eq!(t.key, b.key, "stage {} key", t.stage);
+        assert_eq!(
+            t.artifact_hash, b.artifact_hash,
+            "stage {} artifact",
+            t.stage
+        );
+    }
+    let text_lines: Vec<&str> = text_trace.lines().collect();
+    assert!(
+        engine_span(&text_lines, "decode").is_some(),
+        "text run did not parse"
+    );
+    let bin_lines: Vec<&str> = bin_trace.lines().collect();
+    assert!(engine_span(&bin_lines, "split").is_some());
+    assert_eq!(
+        engine_span(&bin_lines, "decode"),
+        None,
+        "cold binary run parsed"
+    );
+
+    let (warm, warm_trace) = traced_run(&plan_for(&bin_src), &bin_cache, "w");
+    assert!(warm.stages.iter().all(|s| s.cache_hit || s.skipped));
+    assert_eq!(warm.branches, bin_run.branches);
+    let warm_lines: Vec<&str> = warm_trace.lines().collect();
+    assert_eq!(
+        engine_span(&warm_lines, "decode"),
+        None,
+        "warm binary run parsed"
+    );
 }
