@@ -3,9 +3,12 @@
 //! Weighted cross-entropy loss with L2 regularization, minimized by
 //! full-batch gradient descent with a fixed schedule. Deterministic: weights
 //! start at zero, so no seed is needed.
+//!
+//! A row's one-hot vector has exactly one set feature per attribute
+//! (`offsets[a] + code`), so fitting and scoring walk those features alone
+//! and never build the dense vectors.
 
 use crate::model::Model;
-use remedy_dataset::encode::OneHotEncoder;
 use remedy_dataset::Dataset;
 
 /// Hyper-parameters for [`LogisticRegression::fit`].
@@ -40,14 +43,17 @@ pub struct LogisticRegression {
 
 impl LogisticRegression {
     /// Learns coefficients from a (possibly weighted) dataset.
+    ///
+    /// Each epoch sums a row's set features in attribute order, which is
+    /// the order of the dense dot product, and the unset ones would only
+    /// add zeros. Weights and bias are therefore bit-identical to a fit
+    /// over the dense one-hot matrix.
     pub fn fit(data: &Dataset, params: &LogisticRegressionParams) -> Self {
-        let encoder = OneHotEncoder::new(data.schema());
-        let n_features = encoder.n_features();
         let mut offsets = Vec::with_capacity(data.schema().len());
-        let mut acc = 0usize;
+        let mut n_features = 0usize;
         for attr in data.schema().attributes() {
-            offsets.push(acc);
-            acc += attr.cardinality();
+            offsets.push(n_features);
+            n_features += attr.cardinality();
         }
         let mut weights = vec![0.0_f64; n_features];
         let mut bias = 0.0_f64;
@@ -58,7 +64,14 @@ impl LogisticRegression {
                 bias,
             };
         }
-        let x = encoder.encode(data);
+        // each row's set feature per attribute, row-major
+        let n_attrs = offsets.len();
+        let mut set = vec![0usize; data.len() * n_attrs];
+        for (attr, &offset) in offsets.iter().enumerate() {
+            for (row, &code) in data.column(attr).iter().enumerate() {
+                set[row * n_attrs + attr] = offset + code as usize;
+            }
+        }
         let total_weight: f64 = data.weights().iter().sum();
         let norm = if total_weight > 0.0 {
             total_weight
@@ -71,12 +84,12 @@ impl LogisticRegression {
             grad.iter_mut().for_each(|g| *g = 0.0);
             let mut grad_bias = 0.0;
             for i in 0..data.len() {
-                let row = x.row(i);
-                let z = dot(&weights, row) + bias;
+                let row = &set[i * n_attrs..(i + 1) * n_attrs];
+                let z = row.iter().map(|&f| weights[f]).sum::<f64>() + bias;
                 let p = sigmoid(z);
                 let err = (p - f64::from(data.label(i))) * data.weight(i);
-                for (g, &xi) in grad.iter_mut().zip(row) {
-                    *g += err * xi;
+                for &f in row {
+                    grad[f] += err;
                 }
                 grad_bias += err;
             }
@@ -115,10 +128,6 @@ impl Model for LogisticRegression {
     }
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 fn sigmoid(z: f64) -> f64 {
     if z >= 0.0 {
         1.0 / (1.0 + (-z).exp())
@@ -131,7 +140,67 @@ fn sigmoid(z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remedy_dataset::{Attribute, Schema};
+    use remedy_dataset::encode::OneHotEncoder;
+    use remedy_dataset::{synth, Attribute, Schema};
+
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    /// The fit over the dense one-hot matrix that `fit` replaced, kept
+    /// as the reference its weights and bias must match bit for bit.
+    fn dense_fit(data: &Dataset, params: &LogisticRegressionParams) -> (Vec<f64>, f64) {
+        let encoder = OneHotEncoder::new(data.schema());
+        let mut weights = vec![0.0_f64; encoder.n_features()];
+        let mut bias = 0.0_f64;
+        let x = encoder.encode(data);
+        let total_weight: f64 = data.weights().iter().sum();
+        let norm = if total_weight > 0.0 {
+            total_weight
+        } else {
+            1.0
+        };
+        let mut grad = vec![0.0_f64; weights.len()];
+        for _ in 0..params.epochs {
+            grad.iter_mut().for_each(|g| *g = 0.0);
+            let mut grad_bias = 0.0;
+            for i in 0..data.len() {
+                let row = x.row(i);
+                let p = sigmoid(dot(&weights, row) + bias);
+                let err = (p - f64::from(data.label(i))) * data.weight(i);
+                for (g, &xi) in grad.iter_mut().zip(row) {
+                    *g += err * xi;
+                }
+                grad_bias += err;
+            }
+            let lr = params.learning_rate;
+            for (w, g) in weights.iter_mut().zip(grad.iter()) {
+                *w -= lr * (*g / norm + params.l2 * *w);
+            }
+            bias -= lr * grad_bias / norm;
+        }
+        (weights, bias)
+    }
+
+    #[test]
+    fn sparse_fit_is_bit_identical_to_the_dense_reference() {
+        let mut weighted = synth::compas_n(500, 3);
+        for row in (0..weighted.len()).step_by(3) {
+            weighted.set_weight(row, 0.25 + row as f64 / 7.0);
+        }
+        let params = LogisticRegressionParams::default();
+        for (name, data) in [
+            ("adult_n", synth::adult_n(1_200, 7)),
+            ("compas_n", synth::compas_n(1_000, 11)),
+            ("weighted compas_n", weighted),
+        ] {
+            let model = LogisticRegression::fit(&data, &params);
+            let (weights, bias) = dense_fit(&data, &params);
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(model.coefficients()), bits(&weights), "{name} weights");
+            assert_eq!(model.intercept().to_bits(), bias.to_bits(), "{name} bias");
+        }
+    }
 
     fn linear_data(n: usize) -> Dataset {
         let schema = Schema::new(

@@ -632,11 +632,20 @@ impl CountingTally {
 /// [`RegionIndex::gather_rows`] writes them: one flat buffer with
 /// per-region offsets, reused from node to node so a node's gather
 /// allocates nothing once the buffer has grown.
+///
+/// A region's rows are the whole buckets of the leaves it covers, one
+/// after another, and each bucket lists its rows in ascending order. The
+/// gather records where each of those ascending runs ends, so
+/// [`NodeRows::sorted_region_mut`] orders a region by merging its runs.
 #[derive(Debug, Clone, Default)]
 pub struct NodeRows {
     rows: Vec<usize>,
     /// Region `i`'s rows are `rows[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<usize>,
+    /// Region `i`'s ascending runs end at the positions in `rows` listed
+    /// in `run_ends[run_offsets[i]..run_offsets[i + 1]]`, ascending.
+    run_ends: Vec<usize>,
+    run_offsets: Vec<usize>,
     /// The region each leaf bucket feeds, in bucket-map order.
     leaf_regions: Vec<Option<usize>>,
 }
@@ -665,6 +674,83 @@ impl NodeRows {
     /// The rows of region `i`, to reorder in place.
     pub fn region_mut(&mut self, i: usize) -> &mut [usize] {
         &mut self.rows[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The rows of region `i` in ascending order, to reorder in place.
+    /// They are put in order by merging the region's ascending runs
+    /// pairwise through `buf`, a merge buffer the caller reuses: O(m log
+    /// k) for m rows in k runs, where sorting would be O(m log m).
+    pub fn sorted_region_mut(&mut self, i: usize, buf: &mut Vec<usize>) -> &mut [usize] {
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        let ends = &mut self.run_ends[self.run_offsets[i]..self.run_offsets[i + 1]];
+        merge_runs(&mut self.rows[start..end], start, ends, buf);
+        &mut self.rows[start..end]
+    }
+}
+
+/// Turns per-region sizes into per-region starts in place; returns the
+/// total.
+fn sizes_to_starts(sizes: &mut [usize]) -> usize {
+    let mut start = 0;
+    for slot in sizes {
+        let size = *slot;
+        *slot = start;
+        start += size;
+    }
+    start
+}
+
+/// Sorts `rows`, the concatenation of ascending runs that end at `ends`
+/// (ascending positions, offset by `base`, the last one `base +
+/// rows.len()`), by merging neighbouring runs pairwise until one is
+/// left; `buf` is the merge buffer. `ends` is rewritten to describe the
+/// one sorted run, so sorting again costs nothing.
+fn merge_runs(rows: &mut [usize], base: usize, ends: &mut [usize], buf: &mut Vec<usize>) {
+    // drop empty runs, turning the ends into positions in `rows`
+    let mut runs = 0;
+    for j in 0..ends.len() {
+        let end = ends[j] - base;
+        if end > if runs == 0 { 0 } else { ends[runs - 1] } {
+            ends[runs] = end;
+            runs += 1;
+        }
+    }
+    if runs > 1 {
+        buf.clear();
+        buf.resize(rows.len(), 0);
+        let (mut src, mut dst) = (&mut *rows, buf.as_mut_slice());
+        let mut sorted_in_buf = false;
+        while runs > 1 {
+            let (mut start, mut merged) = (0, 0);
+            for pair in (0..runs).step_by(2) {
+                let mid = ends[pair];
+                let end = if pair + 1 < runs { ends[pair + 1] } else { mid };
+                merge_into(&src[start..mid], &src[mid..end], &mut dst[start..end]);
+                ends[merged] = end;
+                (start, merged) = (end, merged + 1);
+            }
+            runs = merged;
+            std::mem::swap(&mut src, &mut dst);
+            sorted_in_buf = !sorted_in_buf;
+        }
+        if sorted_in_buf {
+            dst.copy_from_slice(src);
+        }
+    }
+    ends.fill(base + rows.len());
+}
+
+/// Merges two ascending slices into `out`, whose length is theirs.
+fn merge_into(a: &[usize], b: &[usize], out: &mut [usize]) {
+    let (mut i, mut j) = (0, 0);
+    for slot in out {
+        if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+            *slot = a[i];
+            i += 1;
+        } else {
+            *slot = b[j];
+            j += 1;
+        }
     }
 }
 
@@ -860,13 +946,17 @@ impl RegionIndex {
     /// (the full-lattice node looks each bucket up directly). Cost is
     /// O(L·(p + log B) + m·log n) for L distinct leaf keys, B regions and
     /// m gathered rows — paid once per node that has biased regions. A
-    /// region's rows come back in no particular order; callers that need
-    /// row order sort the segment.
+    /// region's rows come back as one ascending run per leaf bucket, in
+    /// no order across runs; callers that need row order take
+    /// [`NodeRows::sorted_region_mut`], which merges the runs.
     pub fn gather_rows(&self, mask: u32, keys: &[u128], out: &mut NodeRows) {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys sorted");
         out.rows.clear();
         out.offsets.clear();
         out.offsets.resize(keys.len() + 1, 0);
+        out.run_ends.clear();
+        out.run_offsets.clear();
+        out.run_offsets.resize(keys.len() + 1, 0);
         if keys.is_empty() {
             return;
         }
@@ -877,8 +967,10 @@ impl RegionIndex {
             for (i, key) in keys.iter().enumerate() {
                 if let Some(bucket) = self.buckets.get(key) {
                     out.rows.extend(bucket.iter().map(|&s| s as usize));
+                    out.run_ends.push(out.rows.len());
                 }
                 out.offsets[i + 1] = out.rows.len();
+                out.run_offsets[i + 1] = out.run_ends.len();
             }
         } else {
             assert!(
@@ -888,7 +980,8 @@ impl RegionIndex {
                     level: mask.count_ones() as usize
                 }
             );
-            // sizes into offsets[i + 1], then each turned into region i's
+            // sizes (and run counts) into offsets[i + 1] (and
+            // run_offsets[i + 1]), then each turned into region i's
             // start; writing advances it to region i's end, which is
             // region i + 1's start. The first pass notes each leaf's
             // region, and the second walks the unchanged map in the same
@@ -898,16 +991,14 @@ impl RegionIndex {
                 let region = keys.binary_search(&self.counts.codec.project(full, mask));
                 if let Ok(i) = region {
                     out.offsets[i + 1] += bucket.len();
+                    out.run_offsets[i + 1] += 1;
                 }
                 out.leaf_regions.push(region.ok());
             }
-            let mut start = 0;
-            for offset in &mut out.offsets[1..] {
-                let size = *offset;
-                *offset = start;
-                start += size;
-            }
-            out.rows.resize(start, 0);
+            let rows = sizes_to_starts(&mut out.offsets[1..]);
+            let runs = sizes_to_starts(&mut out.run_offsets[1..]);
+            out.rows.resize(rows, 0);
+            out.run_ends.resize(runs, 0);
             for (bucket, &region) in self.buckets.values().zip(&out.leaf_regions) {
                 if let Some(i) = region {
                     let at = out.offsets[i + 1];
@@ -916,6 +1007,8 @@ impl RegionIndex {
                         *d = s as usize;
                     }
                     out.offsets[i + 1] += bucket.len();
+                    out.run_ends[out.run_offsets[i + 1]] = out.offsets[i + 1];
+                    out.run_offsets[i + 1] += 1;
                 }
             }
         }
@@ -1233,6 +1326,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Merging a region's gathered runs orders it exactly as
+    /// `sort_unstable` does: on seeded runs of random lengths (empty runs
+    /// and repeated values included), and on every region of every node
+    /// of an index edited by seeded duplications, flips and removals.
+    #[test]
+    fn merged_runs_equal_sort_unstable() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut buf = Vec::new();
+        for _ in 0..500 {
+            let base = rng.gen_range(0..5);
+            let (mut rows, mut ends) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0..9usize) {
+                let mut run: Vec<usize> = (0..rng.gen_range(0..12usize))
+                    .map(|_| rng.gen_range(0..40))
+                    .collect();
+                run.sort_unstable();
+                rows.extend(run);
+                ends.push(base + rows.len());
+            }
+            let mut expected = rows.clone();
+            expected.sort_unstable();
+            merge_runs(&mut rows, base, &mut ends, &mut buf);
+            assert_eq!(rows, expected);
+            // the ends now describe one run: a second merge changes nothing
+            merge_runs(&mut rows, base, &mut ends, &mut buf);
+            assert_eq!(rows, expected);
+        }
+
+        let mut d = remedy_dataset::synth::compas_n(600, 3);
+        let mut index = RegionIndex::try_build(&d).unwrap();
+        let mut out = NodeRows::default();
+        let mut merged = 0;
+        for round in 0..4 {
+            if round > 0 {
+                let len = d.len();
+                let edits = [
+                    RowEdit::Duplicate {
+                        src: rng.gen_range(0..len),
+                    },
+                    RowEdit::FlipLabel {
+                        row: rng.gen_range(0..len),
+                    },
+                    RowEdit::Remove {
+                        rows: (0..20).map(|_| rng.gen_range(0..len)).collect(),
+                    },
+                ];
+                for edit in edits {
+                    index.apply_edit(&edit);
+                    d.apply_edit(&edit);
+                }
+            }
+            let h = lattice_of(&index);
+            for node in h.nodes() {
+                let mut keys: Vec<u128> = node.regions.keys().copied().collect();
+                keys.sort_unstable();
+                index.gather_rows(node.mask, &keys, &mut out);
+                for i in 0..out.len() {
+                    let mut expected = out.region(i).to_vec();
+                    expected.sort_unstable();
+                    merged += usize::from(expected != out.region(i));
+                    assert_eq!(out.sorted_region_mut(i, &mut buf), &expected[..]);
+                }
+            }
+        }
+        assert!(merged > 0, "no gathered region held more than one run");
     }
 
     /// Reusing one buffer across nodes leaves nothing of the previous

@@ -392,6 +392,8 @@ struct Scratch {
     order: Vec<u128>,
     /// The current node's batched removals.
     removals: Vec<usize>,
+    /// The buffer a region's gathered runs are merged through.
+    merge: Vec<usize>,
 }
 
 /// Algorithm 2's node loop. Masks are walked bottom-up (decreasing
@@ -539,14 +541,16 @@ fn apply_technique(
         neg,
         order,
         removals,
+        merge,
         ..
     } = scratch;
-    let rows = rows.region_mut(i);
-    if !technique.needs_ranker() {
-        // uniform draws pick by position, so they need row order; a
-        // ranking sorts by its own total order instead
-        rows.sort_unstable();
-    }
+    // uniform draws pick by position, so they need row order; a ranking
+    // sorts by its own total order instead
+    let rows = if technique.needs_ranker() {
+        rows.region_mut(i)
+    } else {
+        rows.sorted_region_mut(i, merge)
+    };
     pos.clear();
     neg.clear();
     for &row in rows.iter() {

@@ -43,7 +43,7 @@ pub fn dataset_to_text(data: &Dataset) -> String {
 /// [`content_digest`](crate::format::content_digest) of the bytes
 /// [`dataset_to_text`] writes, without building them: the rows stream
 /// through a fixed-size chunk into a [`ContentHasher`].
-pub fn text_digest(data: &Dataset) -> u128 {
+pub(crate) fn text_digest(data: &Dataset) -> u128 {
     let mut hasher = ContentHasher::new();
     hasher.write(text_header(data).as_bytes());
     let mut chunk = Vec::with_capacity(DIGEST_CHUNK + row_len_bound(data));

@@ -13,13 +13,18 @@
 //! parameters) both land a complete artifact. Each `store` call stages
 //! into its own uniquely-named temp dir — naming it by `(stage, key,
 //! pid)` alone let two threads of one process share a temp dir, and the
-//! winner's rename yanked it out from under the loser mid-write.
+//! winner's rename yanked it out from under the loser mid-write. A store
+//! whose entry already holds an artifact writes nothing: the key names
+//! the inputs, so the entry's bytes are the ones it would write.
 //!
 //! ## Integrity and fault tolerance
 //!
 //! Every replay re-hashes the artifact and compares it against the
-//! stored `hash` file. A mismatch (bit rot, a torn write, a truncated
-//! entry) moves the entry into `quarantine/` under the cache root —
+//! stored `hash` file. A stage that already holds its artifact with a
+//! verified digest does not replay it: [`ArtifactCache::confirm`]
+//! compares that digest with the `hash` file instead. A mismatch (bit
+//! rot, a torn write, a truncated entry) moves the entry into
+//! `quarantine/` under the cache root —
 //! preserved for post-mortems, never replayed, never garbage-collected —
 //! bumps the `corrupt.*` counters, and reports a miss so the stage is
 //! transparently recomputed. Transient I/O in the store and replay paths
@@ -100,8 +105,8 @@ impl ArtifactCache {
     }
 
     /// Attaches an observability scope recording `hits`, `misses`,
-    /// `store_races`, `corrupt.*`, and `retry.*` across every user of
-    /// this cache handle.
+    /// `store_existing`, `store_races`, `corrupt.*`, and `retry.*` across
+    /// every user of this cache handle.
     pub fn with_obs(mut self, obs: ObsScope) -> ArtifactCache {
         self.obs = obs;
         self
@@ -180,13 +185,46 @@ impl ArtifactCache {
                 None
             }
         };
-        if found.is_some() {
+        self.touch_and_count(&dir, found.is_some());
+        found
+    }
+
+    /// Whether the entry for `(stage, key)` holds the artifact of
+    /// `len` bytes whose content digest is `digest`, for a caller that
+    /// already holds that artifact with a digest it has verified: the
+    /// entry's `hash` file is compared with `digest` and the artifact's
+    /// size with `len`, and the artifact itself is neither read nor
+    /// re-hashed.
+    ///
+    /// Counts a hit or a miss like [`ArtifactCache::lookup`], and a hit
+    /// refreshes the `used` marker. An entry whose `hash` file is
+    /// missing, unreadable or names another digest, or whose artifact is
+    /// missing or of another size, is quarantined as corrupt, so the
+    /// store that follows the miss lands.
+    pub fn confirm(&self, stage: &str, key: CacheKey, digest: u128, len: usize) -> bool {
+        let dir = self.entry_dir(stage, key);
+        let hit = dir.exists() && {
+            let stored = std::fs::read_to_string(dir.join(HASH_FILE));
+            let size = std::fs::metadata(dir.join(ARTIFACT_FILE)).map(|m| m.len());
+            let intact = stored.is_ok_and(|s| s.trim() == format!("{digest:032x}"))
+                && size.is_ok_and(|size| size == len as u64);
+            if !intact {
+                self.obs.add("corrupt.detected", 1);
+                self.quarantine(&dir, stage);
+            }
+            intact
+        };
+        self.touch_and_count(&dir, hit);
+        hit
+    }
+
+    /// Refreshes a hit entry's `used` marker and counts the hit or miss.
+    fn touch_and_count(&self, dir: &Path, hit: bool) {
+        if hit {
             // best-effort: a read-only cache still serves hits
             let _ = std::fs::write(dir.join(USED_FILE), b"");
         }
-        self.obs
-            .add(if found.is_some() { "hits" } else { "misses" }, 1);
-        found
+        self.obs.add(if hit { "hits" } else { "misses" }, 1);
     }
 
     /// Re-checks an entry's stored content hash and returns it; on
@@ -222,8 +260,9 @@ impl ArtifactCache {
         }
     }
 
-    /// Stores an artifact with a one-line description; atomic per entry.
-    /// Transient I/O failures are retried under the cache's policy.
+    /// Stores an artifact with a one-line description; atomic per entry,
+    /// and a no-op when the entry already holds an artifact. Transient
+    /// I/O failures are retried under the cache's policy.
     /// Returns the artifact's FNV-1a/128 content digest, computed once
     /// for the entry's `hash` file and the caller.
     pub fn store(
@@ -246,13 +285,34 @@ impl ArtifactCache {
         description: &str,
     ) -> Result<u128, PipelineError> {
         let digest = stable_hash(artifact);
-        self.retry.run("cache.store", &self.obs, || {
-            failpoint::check("stage.store", stage)?;
-            self.store_once(stage, key, artifact, digest, description)
-        })?;
+        self.store_with_digest(stage, key, artifact, digest, description)?;
         Ok(digest)
     }
 
+    /// [`ArtifactCache::store_bytes`] for a caller that already holds the
+    /// artifact's FNV-1a/128 content digest (it verified or computed it),
+    /// so the artifact is not hashed again. The digest lands in the
+    /// entry's `hash` file, which every later replay checks.
+    pub fn store_with_digest(
+        &self,
+        stage: &str,
+        key: CacheKey,
+        artifact: &[u8],
+        digest: u128,
+        description: &str,
+    ) -> Result<(), PipelineError> {
+        debug_assert_eq!(digest, stable_hash(artifact), "digest of another artifact");
+        self.retry.run("cache.store", &self.obs, || {
+            failpoint::check("stage.store", stage)?;
+            self.store_once(stage, key, artifact, digest, description)
+        })
+    }
+
+    /// Writes one entry unless it already holds an artifact: the key
+    /// names the inputs, so that artifact is the one this store would
+    /// write, and staging a copy only to fail the rename wastes a write.
+    /// Such a store counts `store_existing`; a concurrent writer that
+    /// lands between the check and the rename counts `store_races`.
     fn store_once(
         &self,
         stage: &str,
@@ -262,6 +322,10 @@ impl ArtifactCache {
         description: &str,
     ) -> Result<(), PipelineError> {
         let dir = self.entry_dir(stage, key);
+        if dir.join(ARTIFACT_FILE).exists() {
+            self.obs.add("store_existing", 1);
+            return Ok(());
+        }
         let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = self.root.join(format!(
             ".tmp-{stage}-{}-{}-{seq}",
@@ -955,18 +1019,62 @@ mod tests {
     }
 
     #[test]
-    fn obs_scope_counts_hits_misses_and_races() {
+    fn obs_scope_counts_hits_misses_and_existing_stores() {
         let rec = remedy_obs::Recorder::enabled();
         let cache = temp_cache("obs").with_obs(rec.scope("cache"));
         let key = CacheKey(3);
         assert!(cache.lookup("load", key).is_none());
         cache.store("load", key, "x", "").unwrap();
         assert!(cache.lookup("load", key).is_some());
-        // benign rename race: the entry already exists
+        // the entry already exists: nothing is staged, so no rename races
         cache.store("load", key, "x", "").unwrap();
         let snap = rec.snapshot();
         assert_eq!(snap.counter("cache", "misses"), Some(1));
         assert_eq!(snap.counter("cache", "hits"), Some(1));
-        assert_eq!(snap.counter("cache", "store_races"), Some(1));
+        assert_eq!(snap.counter("cache", "store_existing"), Some(1));
+        assert_eq!(snap.counter("cache", "store_races"), None);
+    }
+
+    /// `confirm` answers from the `hash` file and the artifact's size: a
+    /// hit for the stored digest, a plain miss for an absent entry, and a
+    /// quarantined miss for an entry whose `hash` file or artifact size
+    /// disagrees; the store that follows lands.
+    #[test]
+    fn confirm_checks_the_hash_file_and_quarantines_a_mismatch() {
+        let rec = remedy_obs::Recorder::enabled();
+        let cache = temp_cache("confirm").with_obs(rec.scope("cache"));
+        let (key, held) = (CacheKey(0xC0), "held artifact");
+        let digest = stable_hash(held.as_bytes());
+        assert!(!cache.confirm("load", key, digest, held.len()));
+        assert_eq!(cache.quarantined(), 0, "an absent entry is not corrupt");
+        cache.store("load", key, held, "").unwrap();
+        assert!(cache.confirm("load", key, digest, held.len()));
+        // the artifact is not read: damage that keeps its size goes
+        // unseen here (a replay's re-hash catches it)
+        let artifact = cache.entry_dir("load", key).join(ARTIFACT_FILE);
+        std::fs::write(&artifact, "HELD ARTIFACT").unwrap();
+        assert!(cache.confirm("load", key, digest, held.len()));
+
+        // a `hash` file naming another digest
+        let hash = cache.entry_dir("load", key).join(HASH_FILE);
+        std::fs::write(&hash, format!("{:032x}\n", digest ^ 1)).unwrap();
+        assert!(!cache.confirm("load", key, digest, held.len()));
+        assert_eq!(cache.quarantined(), 1);
+        assert_eq!(cache.len(), 0);
+        cache.store("load", key, held, "").unwrap();
+        assert!(cache.confirm("load", key, digest, held.len()));
+
+        // a truncated artifact
+        std::fs::write(cache.entry_dir("load", key).join(ARTIFACT_FILE), "held").unwrap();
+        assert!(!cache.confirm("load", key, digest, held.len()));
+        assert_eq!(cache.quarantined(), 2);
+        cache.store("load", key, held, "").unwrap();
+        assert_eq!(text(&cache, "load", key).as_deref(), Some(held));
+
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("cache", "corrupt.detected"), Some(2));
+        assert_eq!(snap.counter("cache", "corrupt.quarantined"), Some(2));
+        assert_eq!(snap.counter("cache", "hits"), Some(4));
+        assert_eq!(snap.counter("cache", "misses"), Some(3));
     }
 }

@@ -38,7 +38,7 @@ use crate::retry::RetryPolicy;
 use crate::shard::{sharded_identify_stage, WorkerMode};
 use crate::stages::{
     audit_stage, discretize_stage, identify_stage, load_stage, remedy_stage, skipped_remedy_record,
-    split_dataset, train_stage, StageOutput, TrainInput,
+    split_dataset, split_id, train_stage, StageOutput, TrainInput,
 };
 use remedy_dataset::persist as data_persist;
 use remedy_dataset::Dataset;
@@ -58,8 +58,9 @@ pub struct PipelineOptions {
     /// Worker threads for branch fan-out and shard scans; 0 = all
     /// cores.
     pub threads: usize,
-    /// Recompute every stage even when a cached artifact exists (fresh
-    /// artifacts still overwrite the cache).
+    /// Recompute every stage even when a cached artifact exists. A fresh
+    /// artifact is stored only where no entry holds one: an existing
+    /// entry is kept as it is, since its key names the same inputs.
     pub force: bool,
     /// When set, stream a JSONL trace of spans / counters / histograms to
     /// this path (and aggregate counters into the manifest). `None` keeps
@@ -149,7 +150,7 @@ pub fn run_with(
     let (mut load, loaded) = load_stage(plan, &cache, opts.force, &run_span.child_scope("load"))?;
     let (mut discretized, carried) = discretize_stage(
         plan,
-        &load,
+        &mut load,
         loaded,
         &cache,
         opts.force,
@@ -214,12 +215,8 @@ pub fn run_with(
     };
 
     // the unremedied training split doubles as the remedy "artifact" of
-    // technique=none branches; its hash is the digest of its canonical
-    // text, streamed without writing that text
-    let train_split_hash = {
-        let _span = engine.span("split_encode");
-        format!("{:032x}", data_persist::text_digest(&train_set))
-    };
+    // technique=none branches, identified by what determines it
+    let train_split_id = split_id(plan, &discretized.artifact_hash);
 
     // assembles a manifest from whatever branch results exist so far;
     // also the kill-safe snapshot written between branches
@@ -291,7 +288,7 @@ pub fn run_with(
                         &identify,
                         &train_set,
                         &test_set,
-                        &train_split_hash,
+                        &train_split_id,
                         &cache,
                         opts.force,
                         &run_span,
@@ -376,7 +373,7 @@ fn run_branch(
     identify: &StageOutput,
     train_set: &Dataset,
     test_set: &Dataset,
-    train_split_hash: &str,
+    train_split_id: &str,
     cache: &ArtifactCache,
     force: bool,
     run_span: &Span,
@@ -411,8 +408,8 @@ fn run_branch(
             (input, remedied.artifact_hash.as_str())
         }
         None => {
-            records.push(skipped_remedy_record(&branch.name, train_split_hash));
-            (TrainInput::Data(train_set), train_split_hash)
+            records.push(skipped_remedy_record(&branch.name, train_split_id));
+            (TrainInput::Data(train_set), train_split_id)
         }
     };
 

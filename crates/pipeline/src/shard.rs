@@ -213,6 +213,7 @@ pub(crate) fn sharded_identify_stage(
         index: usize,
         bytes: Vec<u8>,
         skey: CacheKey,
+        shard_digest: u128,
         shard_hash: String,
         ckey: CacheKey,
     }
@@ -221,12 +222,14 @@ pub(crate) fn sharded_identify_stage(
         .enumerate()
         .map(|(index, part)| {
             let bytes = store::to_binary(part);
-            let shard_hash = format!("{:032x}", stable_hash(&bytes));
+            let shard_digest = stable_hash(&bytes);
+            let shard_hash = format!("{shard_digest:032x}");
             let skey = shard_key(plan, &discretized.artifact_hash, shards, index);
             Prepared {
                 index,
                 ckey: count_key(&shard_hash),
                 skey,
+                shard_digest,
                 shard_hash,
                 bytes,
             }
@@ -270,7 +273,7 @@ pub(crate) fn sharded_identify_stage(
     std::thread::scope(|scope| {
         for p in &prepared {
             scope.spawn(|| {
-                let result = run_shard(p.index, &p.bytes, p.skey, &p.shard_hash, p.ckey, {
+                let result = run_shard(p.index, &p.bytes, p.skey, p.shard_digest, p.ckey, {
                     ShardContext {
                         cache,
                         worker,
@@ -356,11 +359,14 @@ struct ShardContext<'a> {
 
 /// Stores one shard artifact, supervises its worker (with per-shard
 /// retry of transient deaths), and replays + parses the count artifact.
+/// The parent holds the shard's bytes and their digest, so a cached
+/// shard is confirmed by its `hash` file rather than read back; the
+/// worker still reads and verifies every byte it scans.
 fn run_shard(
     index: usize,
     bytes: &[u8],
     skey: CacheKey,
-    shard_hash: &str,
+    shard_digest: u128,
     ckey: CacheKey,
     ctx: ShardContext<'_>,
 ) -> Result<ShardRun, PipelineError> {
@@ -368,13 +374,14 @@ fn run_shard(
     let obs = ctx.run_span.child_scope(&format!("{branch}/shard"));
     let shard_span = obs.span("shard");
     let start = Instant::now();
-    let shard_hit = !ctx.force && ctx.cache.lookup_bytes("shard", skey).is_some();
+    let shard_hit = !ctx.force && ctx.cache.confirm("shard", skey, shard_digest, bytes.len());
     if !shard_hit {
         ctx.cache
-            .store_bytes(
+            .store_with_digest(
                 "shard",
                 skey,
                 bytes,
+                shard_digest,
                 &format!("shard {index} ({} bytes)", bytes.len()),
             )
             .map_err(|e| e.in_stage("shard").in_branch(&branch))?;
@@ -398,7 +405,8 @@ fn run_shard(
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
             counters,
         };
-    let shard_record = record("shard", skey, shard_hit, shard_hash, start, obs.counters());
+    let shard_hash = format!("{shard_digest:032x}");
+    let shard_record = record("shard", skey, shard_hit, &shard_hash, start, obs.counters());
     drop(shard_span);
 
     let obs = ctx.run_span.child_scope(&format!("{branch}/count"));

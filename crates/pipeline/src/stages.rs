@@ -2,7 +2,11 @@
 //!
 //! Each stage function derives its [`CacheKey`] from the stage inputs —
 //! upstream artifact hashes plus its own parameters — then either replays
-//! the cached artifact or computes, stores, and returns a fresh one.
+//! the cached artifact or computes, stores, and returns a fresh one. A
+//! stage whose output the run already holds with a verified digest (a
+//! file source's load, a discretize passthrough) runs through
+//! [`run_known_stage`] instead, which confirms the cache entry by its
+//! `hash` file and never reads the artifact back.
 //! Artifacts are the exact text formats of the member crates
 //! (`remedy-dataset v1`, `remedy-ibs v1`, `remedy-model v1`,
 //! `remedy-metrics v1`), so a cache hit is byte-identical to a re-run.
@@ -34,6 +38,8 @@ pub struct StageOutput {
     pub text: String,
     /// Hex stable hash of `text` (chained into downstream keys).
     pub artifact_hash: String,
+    /// The same FNV-1a/128 content digest as a number.
+    pub digest: u128,
     /// Manifest entry for this execution.
     pub record: StageRecord,
 }
@@ -86,6 +92,36 @@ pub fn run_stage(
     Ok(finish(stage, branch, key, false, artifact, start, obs))
 }
 
+/// [`run_stage`] for a stage whose output the run already holds: `text`
+/// with the content digest the caller verified or computed. A hit is
+/// [`ArtifactCache::confirm`], which compares the entry's `hash` file
+/// with `digest` and reads no artifact bytes; a miss stores `text` under
+/// `digest` without hashing it again. Records, spans and the
+/// `cache_hits`/`cache_misses` counters are those of [`run_stage`].
+/// Nothing is computed, so there is no `stage.run` fail point.
+#[allow(clippy::too_many_arguments)]
+pub fn run_known_stage(
+    cache: &ArtifactCache,
+    stage: &'static str,
+    key: CacheKey,
+    force: bool,
+    description: &str,
+    obs: &ObsScope,
+    text: String,
+    digest: u128,
+) -> Result<StageOutput, PipelineError> {
+    let _span = obs.span(stage);
+    let start = Instant::now();
+    let hit = !force && cache.confirm(stage, key, digest, text.len());
+    obs.add(if hit { "cache_hits" } else { "cache_misses" }, 1);
+    if !hit {
+        cache
+            .store_with_digest(stage, key, text.as_bytes(), digest, description)
+            .map_err(|e| e.in_stage(stage))?;
+    }
+    Ok(finish(stage, None, key, hit, (text, digest), start, obs))
+}
+
 /// Builds a stage's output from its artifact text and the content
 /// digest the cache verified (hit) or stored (miss) it under.
 pub(crate) fn finish(
@@ -110,6 +146,7 @@ pub(crate) fn finish(
             counters: obs.counters(),
         },
         artifact_hash,
+        digest,
         text,
     }
 }
@@ -126,11 +163,14 @@ pub(crate) fn finish(
 /// stage key, the artifact, and every downstream cache entry are exactly
 /// those of the original text run.
 ///
+/// A file source's text and digest are in hand before the stage runs,
+/// so it is a [`run_known_stage`]: a warm run confirms the entry and
+/// reads no artifact back.
+///
 /// The dataset the stage holds comes back beside its artifact, so the
 /// engine need not parse that text again: the one a built-in source
 /// generated on a miss (the artifact was written from it), or the one a
-/// binary source decodes to, handed on only when the artifact's hash is
-/// the digest the header pins for its canonical text.
+/// binary source decodes to, whose canonical text is the artifact.
 pub fn load_stage(
     plan: &Plan,
     cache: &ArtifactCache,
@@ -195,18 +235,9 @@ pub fn load_stage(
         h.write(&digest.to_le_bytes());
         let key = CacheKey::from_hasher(&h);
         drop(source_span);
-        let output = run_stage(
-            cache,
-            "load",
-            None,
-            key,
-            force,
-            &format!("load {}", plan.source),
-            obs,
-            move || Ok(text),
-        )?;
-        let data = decoded.filter(|_| output.artifact_hash == format!("{digest:032x}"));
-        Ok((output, data))
+        let description = format!("load {}", plan.source);
+        let output = run_known_stage(cache, "load", key, force, &description, obs, text, digest)?;
+        Ok((output, decoded))
     }
 }
 
@@ -217,12 +248,17 @@ pub fn load_stage(
 /// pass through unchanged. Either way the output is the canonical
 /// categorical dataset every downstream stage consumes.
 ///
+/// A passthrough's output is the load artifact, whose digest the run
+/// already holds, so it is a [`run_known_stage`]: the load text moves
+/// into this stage's output (leaving `load.text` empty) and a warm run
+/// confirms the entry without reading it back.
+///
 /// `loaded` is the dataset [`load_stage`] handed on. It is forwarded when
-/// the stage passes its input through (the artifact hashes match); a CSV
-/// computed on a miss comes back as the dataset it was discretized to.
+/// the stage passes its input through; a CSV computed on a miss comes
+/// back as the dataset it was discretized to.
 pub fn discretize_stage(
     plan: &Plan,
-    load: &StageOutput,
+    load: &mut StageOutput,
     loaded: Option<Dataset>,
     cache: &ArtifactCache,
     force: bool,
@@ -238,6 +274,21 @@ pub fn discretize_stage(
     h.write_str(plan.positive.as_deref().unwrap_or(""));
     h.write_u64(plan.bins as u64);
     let key = CacheKey::from_hasher(&h);
+    let description = format!("discretize bins={}", plan.bins);
+    if data_persist::DATASET.sniff(load.text.as_bytes()) {
+        let text = std::mem::take(&mut load.text);
+        let output = run_known_stage(
+            cache,
+            "discretize",
+            key,
+            force,
+            &description,
+            obs,
+            text,
+            load.digest,
+        )?;
+        return Ok((output, loaded));
+    }
     let input = &load.text;
     let (label, protected, positive, bins) = (
         plan.label.clone(),
@@ -252,12 +303,9 @@ pub fn discretize_stage(
         None,
         key,
         force,
-        &format!("discretize bins={bins}"),
+        &description,
         obs,
         || {
-            if data_persist::DATASET.sniff(input.as_bytes()) {
-                return Ok(input.clone());
-            }
             let label =
                 label.ok_or_else(|| PipelineError::invalid_plan("CSV source needs a label"))?;
             let table = RawTable::parse_str(input).map_err(PipelineError::from)?;
@@ -271,12 +319,7 @@ pub fn discretize_stage(
             Ok(text)
         },
     )?;
-    let data = if output.artifact_hash == load.artifact_hash {
-        loaded
-    } else {
-        computed
-    };
-    Ok((output, data))
+    Ok((output, computed))
 }
 
 /// Computes the train/test split every consuming stage agrees on.
@@ -288,6 +331,19 @@ pub fn split_dataset(plan: &Plan, data: &Dataset) -> Result<(Dataset, Dataset), 
 pub(crate) fn write_split(h: &mut StableHasher, plan: &Plan) {
     h.write_f64(plan.split);
     h.write_u64(plan.seed);
+}
+
+/// The hex identity of the training split, derived from what determines
+/// it: `H("split", discretized hash, split, seed)`. `technique=none`
+/// branches train on the split, and this identity stands for its
+/// content in their train keys, the way the identify, remedy and audit
+/// keys fold the split in, so no run hashes the split's text.
+pub(crate) fn split_id(plan: &Plan, discretized_hash: &str) -> String {
+    let mut h = StableHasher::new();
+    h.write_str("split");
+    h.write_str(discretized_hash);
+    write_split(&mut h, plan);
+    CacheKey::from_hasher(&h).hex()
 }
 
 /// The identify stage's cache key: a function of the discretized
@@ -394,13 +450,14 @@ pub fn remedy_stage(
 }
 
 /// A record for a `technique=none` branch: the remedy stage is skipped
-/// and the training input is the unremedied split.
-pub fn skipped_remedy_record(branch: &str, train_split_hash: &str) -> StageRecord {
+/// and the training input is the unremedied split, whose derived
+/// identity (see `split_id`) the record carries as its artifact hash.
+pub fn skipped_remedy_record(branch: &str, train_split_id: &str) -> StageRecord {
     StageRecord {
         stage: "remedy",
         branch: Some(branch.to_string()),
         key: "-".into(),
-        artifact_hash: train_split_hash.to_string(),
+        artifact_hash: train_split_id.to_string(),
         cache_hit: false,
         skipped: true,
         wall_ms: 0.0,
@@ -420,9 +477,9 @@ pub enum TrainInput<'a> {
 }
 
 /// Train: fit the branch's model family on its training input. The key
-/// depends on the input's artifact hash alone (the content digest of its
-/// canonical text), so the model is the same whichever form the input
-/// arrives in.
+/// depends on the input's hash alone (a remedy artifact's content digest,
+/// or the split's derived identity), so the model is the same whichever
+/// form the input arrives in.
 #[allow(clippy::too_many_arguments)]
 pub fn train_stage(
     plan: &Plan,

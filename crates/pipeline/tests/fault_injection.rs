@@ -6,6 +6,7 @@
 
 #![cfg(feature = "failpoints")]
 
+use remedy_dataset::{store, synth, Format};
 use remedy_obs::Recorder;
 use remedy_pipeline::failpoint::{self, Action};
 use remedy_pipeline::{
@@ -173,4 +174,44 @@ fn killed_run_resumes_from_cache_with_identical_metrics() {
     let on_disk = RunManifest::from_path(&manifest_path).unwrap();
     assert_eq!(on_disk.status, RunStatus::Ok);
     assert_eq!(on_disk.branches, second.branches);
+}
+
+/// A warm run over a binary source holds its load and discretize outputs
+/// (the decoded canonical text and the digest its header pins) before
+/// either stage runs, so it confirms both cache entries from their `hash`
+/// files and replays neither: with both stages' replay sites armed to
+/// fail, both stages still report hits and neither fault fires.
+#[test]
+fn warm_binary_source_run_replays_no_prefix_artifact() {
+    let _guard = arm_faults();
+    let dir = fresh_dir("known_prefix");
+    let source = dir.join("adult.bin");
+    store::save(&synth::adult_n(800, 3), &source, Format::Binary).unwrap();
+    let plan = Plan::parse(&format!(
+        "dataset {}\nformat binary\nseed 3\ntau 0.1\nmin-size 30\n\
+         branch base technique=none model=dt\n\
+         branch ps technique=ps model=dt\n",
+        source.display()
+    ))
+    .unwrap();
+    run_with(&plan, &opts(&dir), &Recorder::disabled()).unwrap();
+
+    failpoint::set("stage.replay.load", Action::Err, 1);
+    failpoint::set("stage.replay.discretize", Action::Err, 1);
+    let recorder = Recorder::enabled();
+    let warm = run_with(&plan, &opts(&dir), &recorder).unwrap();
+    let unfired = ["load", "discretize"].map(|stage| failpoint::check("stage.replay", stage));
+    failpoint::clear();
+
+    assert!(
+        unfired.iter().all(Result::is_err),
+        "a prefix artifact was replayed"
+    );
+    for stage in ["load", "discretize"] {
+        assert!(warm.stage(stage, None).unwrap().cache_hit, "{stage} missed");
+    }
+    assert!(warm.stages.iter().all(|s| s.cache_hit || s.skipped));
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter("cache", "replay.errors"), None);
+    assert_eq!(snap.counter("cache", "misses"), None);
 }

@@ -9,9 +9,10 @@ use remedy_dataset::split::train_test_split;
 use remedy_dataset::synth;
 use remedy_fairness::{fairness_index, FairnessIndexParams, Statistic};
 use remedy_pipeline::stages::{train_stage, TrainInput};
-use remedy_pipeline::{run, ArtifactCache, ModelFamily, PipelineOptions, Plan};
-use std::collections::HashSet;
-use std::path::PathBuf;
+use remedy_pipeline::{run, run_with, ArtifactCache, ModelFamily, PipelineOptions, Plan};
+use std::collections::{BTreeMap, HashSet};
+use std::path::{Path, PathBuf};
+use std::time::SystemTime;
 
 const PLAN: &str = "\
 dataset compas
@@ -239,6 +240,77 @@ fn forced_reruns_are_byte_identical() {
         assert_eq!(x.artifact_hash, y.artifact_hash, "stage {}", x.stage);
     }
     assert_eq!(a.branches, b.branches);
+}
+
+/// Every file under a cache root, with its bytes and mtime.
+fn cache_files(root: &Path) -> BTreeMap<PathBuf, (Vec<u8>, SystemTime)> {
+    let mut files = BTreeMap::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap().filter_map(Result::ok) {
+            let path = entry.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let modified = entry.metadata().unwrap().modified().unwrap();
+                files.insert(path.clone(), (std::fs::read(&path).unwrap(), modified));
+            }
+        }
+    }
+    files
+}
+
+/// A forced run over a primed cache recomputes every stage and writes
+/// nothing: each entry already holds its artifact (same key, same
+/// inputs), so every file keeps its bytes and its mtime, and no `.tmp-*`
+/// staging dir is left behind. The binary source covers the stages whose
+/// output the run holds before they run (load, discretize).
+#[test]
+fn forced_run_over_a_primed_cache_writes_nothing() {
+    let cache = fresh_cache("force_primed");
+    let src = std::env::temp_dir().join("remedy_pipeline_force_primed_src");
+    let _ = std::fs::remove_dir_all(&src);
+    std::fs::create_dir_all(&src).unwrap();
+    let source = src.join("adult.bin");
+    let data = synth::adult_n(800, 5);
+    remedy_dataset::store::save(&data, &source, remedy_dataset::Format::Binary).unwrap();
+    let plan = Plan::parse(&format!(
+        "dataset {}\nformat binary\nseed 5\ntau 0.1\nmin-size 30\n\
+         branch base technique=none model=dt\n\
+         branch ps technique=ps model=dt\n\
+         branch us technique=us model=dt\n",
+        source.display()
+    ))
+    .unwrap();
+    let primed = run(&plan, &opts(&cache)).unwrap();
+    let before = cache_files(&cache);
+    std::thread::sleep(std::time::Duration::from_millis(20));
+
+    let mut forced = opts(&cache);
+    forced.force = true;
+    let recorder = remedy_obs::Recorder::enabled();
+    let rerun = run_with(&plan, &forced, &recorder).unwrap();
+    assert!(rerun.stages.iter().all(|s| !s.cache_hit), "force replayed");
+    assert_eq!(primed.branches, rerun.branches);
+    // every store found its entry holding an artifact and staged nothing
+    let stored = rerun.stages.iter().filter(|s| !s.skipped).count() as u64;
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter("cache", "store_existing"), Some(stored));
+    assert_eq!(snap.counter("cache", "store_races"), None);
+    let after = cache_files(&cache);
+    assert_eq!(
+        before.keys().collect::<Vec<_>>(),
+        after.keys().collect::<Vec<_>>()
+    );
+    for (path, file) in &before {
+        assert!(after[path] == *file, "{} was rewritten", path.display());
+    }
+    let staged = std::fs::read_dir(&cache)
+        .unwrap()
+        .filter_map(Result::ok)
+        .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+        .count();
+    assert_eq!(staged, 0, "staging dirs were left behind");
 }
 
 /// The Fig. 8 ablation shape: one plan fans out a baseline, a Unit-T

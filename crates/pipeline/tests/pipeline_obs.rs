@@ -114,16 +114,17 @@ fn traced_run_emits_jsonl_and_manifest_counters() {
         assert_eq!(field_u64(span, "parent"), run_id, "span not under run");
     }
     // so is the engine's own work between the stages; the load stage
-    // handed on the dataset it generated, so nothing was parsed
-    for name in ["split", "split_encode"] {
-        let span = engine_span(&lines, name).unwrap_or_else(|| panic!("no engine span {name}"));
-        assert_eq!(field_u64(span, "parent"), run_id, "{name} not under run");
+    // handed on the dataset it generated, so nothing was parsed, and the
+    // training split is identified by derivation, so nothing re-encoded it
+    let span = engine_span(&lines, "split").expect("no engine span split");
+    assert_eq!(field_u64(span, "parent"), run_id, "split not under run");
+    for name in ["decode", "split_encode"] {
+        assert_eq!(
+            engine_span(&lines, name),
+            None,
+            "cold built-in run ran {name}"
+        );
     }
-    assert_eq!(
-        engine_span(&lines, "decode"),
-        None,
-        "cold built-in run parsed"
-    );
 
     // counter summaries: the shared cache and the identify scan
     let cache_counters = lines
@@ -271,6 +272,15 @@ fn binary_source_carries_its_decoded_dataset() {
             t.stage
         );
     }
+    // the technique=none branch trains on the split, identified by
+    // derivation from the discretized artifact: equal for both sources
+    let split_input = |m: &RunManifest| {
+        let train = m.stage("train", Some("base")).unwrap();
+        let split = m.stage("remedy", Some("base")).unwrap();
+        assert!(split.skipped);
+        (train.key.clone(), split.artifact_hash.clone())
+    };
+    assert_eq!(split_input(&text_run), split_input(&bin_run));
     let text_lines: Vec<&str> = text_trace.lines().collect();
     assert!(
         engine_span(&text_lines, "decode").is_some(),

@@ -3,6 +3,7 @@
 //! recomputed, damaged resume manifests surface structured errors
 //! instead of panics, and resume replays a finished run from the cache.
 
+use remedy_dataset::{persist, synth};
 use remedy_obs::Recorder;
 use remedy_pipeline::{run, run_with, ErrorKind, PipelineOptions, Plan, RunManifest, RunStatus};
 use std::path::PathBuf;
@@ -33,9 +34,9 @@ fn opts(dir: &std::path::Path) -> PipelineOptions {
     }
 }
 
-/// Flips one byte in a cached stage artifact.
-fn corrupt_one_artifact(cache_dir: &std::path::Path, stage_prefix: &str) -> PathBuf {
-    let entry = std::fs::read_dir(cache_dir)
+/// The first cached entry of a stage.
+fn entry_of(cache_dir: &std::path::Path, stage_prefix: &str) -> PathBuf {
+    std::fs::read_dir(cache_dir)
         .unwrap()
         .filter_map(Result::ok)
         .find(|e| {
@@ -43,8 +44,13 @@ fn corrupt_one_artifact(cache_dir: &std::path::Path, stage_prefix: &str) -> Path
                 .to_string_lossy()
                 .starts_with(&format!("{stage_prefix}-"))
         })
-        .unwrap_or_else(|| panic!("no cached {stage_prefix} entry"));
-    let artifact = entry.path().join("artifact");
+        .unwrap_or_else(|| panic!("no cached {stage_prefix} entry"))
+        .path()
+}
+
+/// Flips one byte in a cached stage artifact.
+fn corrupt_one_artifact(cache_dir: &std::path::Path, stage_prefix: &str) -> PathBuf {
+    let artifact = entry_of(cache_dir, stage_prefix).join("artifact");
     let mut bytes = std::fs::read(&artifact).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
@@ -88,6 +94,56 @@ fn corrupt_cached_artifact_is_quarantined_and_recomputed() {
     // the recomputed entry was re-stored: a third run replays everything
     let third = run(&plan, &options).unwrap();
     assert!(third.stage("identify", None).unwrap().cache_hit);
+}
+
+/// A file source's load is confirmed from its entry's `hash` file, not
+/// replayed. When that file was edited, the run quarantines the entry,
+/// stores the load afresh under the same key, and its results are
+/// unchanged; the run after it hits again.
+#[test]
+fn edited_load_hash_file_is_quarantined_and_rewritten() {
+    let dir = fresh_dir("load_hash");
+    let source = dir.join("compas.remedy");
+    persist::save_dataset(&synth::compas_n(600, 9), &source).unwrap();
+    let plan = Plan::parse(&format!(
+        "dataset {}\nseed 9\ntau 0.1\nmin-size 30\nlabel recid\nprotected age,race,sex\n\
+         branch base technique=none model=dt\n\
+         branch ps technique=ps model=dt\n",
+        source.display()
+    ))
+    .unwrap();
+    let options = opts(&dir);
+    let first = run(&plan, &options).unwrap();
+    let hash_file = entry_of(&options.cache_dir, "load").join("hash");
+    let intact = std::fs::read_to_string(&hash_file).unwrap();
+    std::fs::write(&hash_file, format!("{}\n", "0".repeat(32))).unwrap();
+
+    let recorder = Recorder::enabled();
+    let second = run_with(&plan, &options, &recorder).unwrap();
+    let (load, prior) = (
+        second.stage("load", None).unwrap(),
+        first.stage("load", None).unwrap(),
+    );
+    assert!(!load.cache_hit, "an edited hash file was confirmed");
+    assert_eq!(
+        (&load.key, &load.artifact_hash),
+        (&prior.key, &prior.artifact_hash)
+    );
+    assert!(second.stage("discretize", None).unwrap().cache_hit);
+    assert_eq!(first.branches, second.branches);
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter("cache", "corrupt.detected"), Some(1));
+    assert_eq!(snap.counter("cache", "corrupt.quarantined"), Some(1));
+    assert_eq!(
+        std::fs::read_dir(options.cache_dir.join("quarantine"))
+            .unwrap()
+            .count(),
+        1
+    );
+    assert_eq!(std::fs::read_to_string(&hash_file).unwrap(), intact);
+
+    let third = run(&plan, &options).unwrap();
+    assert!(third.stages.iter().all(|s| s.cache_hit || s.skipped));
 }
 
 /// Resuming from a file that is not a manifest — garbage, truncation,

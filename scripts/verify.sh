@@ -56,6 +56,22 @@ if printf '%s\n' "$warm" | grep -q '^computed'; then
     printf '%s\n' "$warm" >&2
     exit 1
 fi
+# a forced run over the primed cache recomputes every stage but writes no
+# entry: each one already holds its artifact, so no artifact may be newer
+# than a marker touched before the run, and no staging dir may be left
+marker="$(mktemp)"
+trap 'rm -rf "$cache" "$marker"' EXIT
+sleep 1 # a write in the marker's clock tick would not read as newer
+target/release/remedy pipeline examples/plans/ordered_ablation.plan \
+    --cache "$cache" --force >/dev/null
+stale="$(find "$cache" -maxdepth 1 -name '.tmp-*')"
+rewritten="$(find "$cache" -name artifact -newer "$marker")"
+if [ -n "$stale$rewritten" ]; then
+    echo "verify: FAIL — forced ablation re-run rewrote the primed cache:" >&2
+    printf '%s\n' $stale $rewritten >&2
+    exit 1
+fi
+rm -f "$marker"
 target/release/remedy cache gc --cache "$cache" --max-bytes 0 >/dev/null
 
 # persistence: populate a cache from an exact-text source, convert the
