@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the classifier substrate: training each
-//! model family on the COMPAS stand-in (the inner loop of every
-//! trade-off experiment), the pipeline's decision-tree train stage, and
+//! downstream model on the COMPAS stand-in (the inner loop of every
+//! trade-off experiment), the pipeline's train stage on Adult, and
 //! single-row prediction latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use remedy_classifiers::{train, DecisionTree, DecisionTreeParams, ModelKind, NaiveBayes};
+use remedy_classifiers::{DecisionTree, DecisionTreeParams, Model, ModelKind, NaiveBayes};
 use remedy_dataset::synth;
 use remedy_pipeline::stages::split_dataset;
 use remedy_pipeline::Plan;
@@ -13,12 +13,10 @@ fn bench_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_compas");
     group.sample_size(10);
     let data = synth::compas_n(3_000, 42);
-    for kind in ModelKind::ALL {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(kind.abbrev()),
-            &kind,
-            |b, &k| b.iter(|| train(k, std::hint::black_box(&data), 42)),
-        );
+    for kind in ModelKind::DOWNSTREAM {
+        group.bench_with_input(BenchmarkId::from_parameter(kind), &kind, |b, &k| {
+            b.iter(|| k.fit(std::hint::black_box(&data), 42))
+        });
     }
     group.bench_function("NB_ranker", |b| {
         b.iter(|| NaiveBayes::fit(std::hint::black_box(&data)))
@@ -26,8 +24,9 @@ fn bench_training(c: &mut Criterion) {
     group.finish();
 }
 
-/// The train stage of a `model=dt` pipeline branch: a decision tree on
-/// the 35 000-row training split of `adult_n(50 000, 2)`.
+/// The train stage of a pipeline branch on the 35 000-row training split
+/// of `adult_n(50 000, 2)`: the decision tree a `model=dt` branch fits,
+/// and the two code-indexed fits, logistic regression and the MLP.
 fn bench_training_adult(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_adult");
     group.sample_size(15);
@@ -39,6 +38,11 @@ fn bench_training_adult(c: &mut Criterion) {
     group.bench_function("dt", |b| {
         b.iter(|| DecisionTree::fit(std::hint::black_box(&train), &DecisionTreeParams::default()))
     });
+    for kind in [ModelKind::LogisticRegression, ModelKind::NeuralNetwork] {
+        group.bench_function(kind.token(), |b| {
+            b.iter(|| kind.fit(std::hint::black_box(&train), 2))
+        });
+    }
     group.finish();
 }
 
@@ -46,13 +50,11 @@ fn bench_prediction(c: &mut Criterion) {
     let data = synth::compas_n(3_000, 42);
     let mut group = c.benchmark_group("predict_row");
     let row = data.row(0);
-    for kind in ModelKind::ALL {
-        let model = train(kind, &data, 42);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(kind.abbrev()),
-            &row,
-            |b, row| b.iter(|| model.predict_proba_row(std::hint::black_box(row))),
-        );
+    for kind in ModelKind::DOWNSTREAM {
+        let model = kind.fit(&data, 42);
+        group.bench_with_input(BenchmarkId::from_parameter(kind), &row, |b, row| {
+            b.iter(|| model.predict_proba_row(std::hint::black_box(row)))
+        });
     }
     group.finish();
 }

@@ -3,13 +3,13 @@
 //! trade-off experiment calls in its inner loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use remedy_classifiers::{train, ModelKind};
+use remedy_classifiers::{Model, ModelKind};
 use remedy_dataset::synth;
 use remedy_fairness::{fairness_index, Explorer, FairnessIndexParams, Statistic};
 
 fn bench_explorer(c: &mut Criterion) {
     let data = synth::compas(42);
-    let model = train(ModelKind::DecisionTree, &data, 42);
+    let model = ModelKind::DecisionTree.fit(&data, 42);
     let predictions = model.predict(&data);
     let explorer = Explorer::default();
     c.bench_function("explorer_compas_fpr", |b| {
@@ -23,7 +23,7 @@ fn bench_explorer(c: &mut Criterion) {
     });
 
     let adult = synth::adult_n(10_000, 42);
-    let model = train(ModelKind::DecisionTree, &adult, 42);
+    let model = ModelKind::DecisionTree.fit(&adult, 42);
     let preds_adult = model.predict(&adult);
     c.bench_function("explorer_adult10k_fpr", |b| {
         b.iter(|| {
@@ -38,7 +38,7 @@ fn bench_explorer(c: &mut Criterion) {
 
 fn bench_fairness_index(c: &mut Criterion) {
     let data = synth::compas(42);
-    let model = train(ModelKind::DecisionTree, &data, 42);
+    let model = ModelKind::DecisionTree.fit(&data, 42);
     let predictions = model.predict(&data);
     let params = FairnessIndexParams::default();
     c.bench_function("fairness_index_compas", |b| {

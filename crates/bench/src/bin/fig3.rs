@@ -16,7 +16,7 @@
 use remedy_bench::datasets::{load, DatasetSpec};
 use remedy_bench::eval::paper_split;
 use remedy_bench::table::{f3, TsvWriter};
-use remedy_classifiers::{train, ModelKind};
+use remedy_classifiers::{Model, ModelKind};
 use remedy_core::{Algorithm, IbsParams};
 use remedy_fairness::hypothesis::{validate_on_columns, IbsMark};
 use remedy_fairness::{ConfusionCounts, Statistic};
@@ -74,8 +74,8 @@ fn main() {
     let mut marked = 0usize;
     let mut total = 0usize;
     let mut sign_agreements = Vec::new();
-    for kind in ModelKind::ALL {
-        let model = train(kind, &train_set, seed);
+    for kind in ModelKind::DOWNSTREAM {
+        let model = kind.fit(&train_set, seed);
         let predictions = model.predict(&test_set);
         let validation = validate_on_columns(
             &train_set,
@@ -98,7 +98,7 @@ fn main() {
                 marked += 1;
             }
             table.row(&[
-                kind.abbrev().to_string(),
+                kind.to_string(),
                 s.report.pattern.display(test_set.schema()).to_string(),
                 f3(s.report.divergence),
                 f3(s.report.gamma),

@@ -47,7 +47,7 @@ fn main() {
         scope_config("Top", Scope::Top, tau_c),
     ];
     for (name, remedy) in &scope_configs {
-        for kind in ModelKind::ALL {
+        for kind in ModelKind::DOWNSTREAM {
             let eval = run_pipeline(
                 &train_set,
                 &test_set,
@@ -59,7 +59,7 @@ fn main() {
             );
             scopes_table.row(&[
                 name.clone(),
-                kind.abbrev().to_string(),
+                kind.to_string(),
                 f3(eval.fi_fpr),
                 f3(eval.fi_fnr),
                 f3(eval.accuracy),
@@ -81,7 +81,7 @@ fn main() {
             .scope(Scope::Lattice)
             .build()
             .unwrap();
-        for kind in ModelKind::ALL {
+        for kind in ModelKind::DOWNSTREAM {
             let eval = run_pipeline(
                 &train_set,
                 &test_set,
@@ -93,7 +93,7 @@ fn main() {
             );
             tech_table.row(&[
                 technique.label().to_string(),
-                kind.abbrev().to_string(),
+                kind.to_string(),
                 f3(eval.fi_fpr),
                 f3(eval.fi_fnr),
                 f3(eval.accuracy),

@@ -1,7 +1,7 @@
 //! The train → remedy → retrain → evaluate pipeline shared by the
 //! experiment binaries.
 
-use remedy_classifiers::{accuracy, train, ModelKind};
+use remedy_classifiers::{accuracy, ModelKind};
 use remedy_core::{remedy, RemedyParams};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::Dataset;
@@ -40,8 +40,8 @@ pub fn run_pipeline(
         Some(params) => remedy(train_set, params).dataset,
         None => train_set.clone(),
     };
-    let model = train(config.model, &effective_train, config.seed);
-    evaluate(model.as_ref(), test_set)
+    let model = config.model.fit(&effective_train, config.seed);
+    evaluate(&model, test_set)
 }
 
 /// Evaluates a trained model: fairness indexes under both statistics plus

@@ -164,6 +164,7 @@ impl Model for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SavedModel;
     use remedy_dataset::{Attribute, Schema};
 
     fn noisy_data(n: usize) -> Dataset {
@@ -262,8 +263,8 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            crate::persist::forest_to_text(&RandomForest::fit(&d, &p, 17)),
-            crate::persist::forest_to_text(&RandomForest { trees })
+            SavedModel::RandomForest(RandomForest::fit(&d, &p, 17)).to_text(),
+            SavedModel::RandomForest(RandomForest { trees }).to_text()
         );
     }
 }

@@ -9,11 +9,13 @@ use crate::linear::{LogisticRegression, LogisticRegressionParams};
 use crate::metrics::accuracy;
 use crate::mlp::{NeuralNetwork, NeuralNetworkParams};
 use crate::model::{Model, ModelKind};
+use crate::naive_bayes::NaiveBayes;
+use crate::persist::SavedModel;
 use crate::tree::{DecisionTree, DecisionTreeParams};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::Dataset;
 
-/// Grid-search driver for one model family.
+/// Grid-search driver for one model kind.
 #[derive(Debug, Clone)]
 pub struct GridSearch {
     kind: ModelKind,
@@ -26,7 +28,7 @@ pub struct GridSearch {
 /// Outcome of a grid search.
 pub struct GridSearchResult {
     /// Model retrained on the full dataset with the winning configuration.
-    pub model: Box<dyn Model>,
+    pub model: SavedModel,
     /// Validation accuracy of the winning configuration.
     pub validation_accuracy: f64,
     /// Human-readable description of the winning configuration.
@@ -34,7 +36,7 @@ pub struct GridSearchResult {
 }
 
 impl GridSearch {
-    /// Creates a search for a model family.
+    /// Creates a search for a model kind.
     pub fn new(kind: ModelKind) -> Self {
         GridSearch {
             kind,
@@ -45,8 +47,6 @@ impl GridSearch {
 
     /// Runs the search and retrains the winner on all of `data`.
     pub fn run(&self, data: &Dataset) -> GridSearchResult {
-        let (train, val) =
-            train_test_split(data, self.train_fraction, self.seed).expect("valid split");
         match self.kind {
             ModelKind::DecisionTree => {
                 let grid = [4usize, 8, 12, 16]
@@ -57,10 +57,8 @@ impl GridSearch {
                     });
                 self.pick(
                     data,
-                    &train,
-                    &val,
                     grid,
-                    |d, p, _| Box::new(DecisionTree::fit(d, p)) as Box<dyn Model>,
+                    |d, p, _| SavedModel::DecisionTree(DecisionTree::fit(d, p)),
                     |p| format!("DT max_depth={}", p.max_depth),
                 )
             }
@@ -78,10 +76,8 @@ impl GridSearch {
                         });
                 self.pick(
                     data,
-                    &train,
-                    &val,
                     grid,
-                    |d, p, seed| Box::new(RandomForest::fit(d, p, seed)) as Box<dyn Model>,
+                    |d, p, seed| SavedModel::RandomForest(RandomForest::fit(d, p, seed)),
                     |p| format!("RF n_trees={} depth={}", p.n_trees, p.tree.max_depth),
                 )
             }
@@ -94,10 +90,8 @@ impl GridSearch {
                     });
                 self.pick(
                     data,
-                    &train,
-                    &val,
                     grid,
-                    |d, p, _| Box::new(LogisticRegression::fit(d, p)) as Box<dyn Model>,
+                    |d, p, _| SavedModel::LogisticRegression(LogisticRegression::fit(d, p)),
                     |p| format!("LG lr={}", p.learning_rate),
                 )
             }
@@ -110,29 +104,34 @@ impl GridSearch {
                     });
                 self.pick(
                     data,
-                    &train,
-                    &val,
                     grid,
-                    |d, p, seed| Box::new(NeuralNetwork::fit(d, p, seed)) as Box<dyn Model>,
+                    |d, p, seed| SavedModel::NeuralNetwork(NeuralNetwork::fit(d, p, seed)),
                     |p| format!("NN hidden={}", p.hidden),
                 )
             }
+            // naive Bayes has no hyper-parameter to search
+            ModelKind::NaiveBayes => self.pick(
+                data,
+                std::iter::once(()),
+                |d, _, _| SavedModel::NaiveBayes(NaiveBayes::fit(d)),
+                |_| "NB".to_string(),
+            ),
         }
     }
 
     fn pick<P: Clone>(
         &self,
         full: &Dataset,
-        train: &Dataset,
-        val: &Dataset,
         grid: impl Iterator<Item = P>,
-        fit: impl Fn(&Dataset, &P, u64) -> Box<dyn Model>,
+        fit: impl Fn(&Dataset, &P, u64) -> SavedModel,
         describe: impl Fn(&P) -> String,
     ) -> GridSearchResult {
+        let (train, val) =
+            train_test_split(full, self.train_fraction, self.seed).expect("valid split");
         let mut best: Option<(f64, P)> = None;
         for params in grid {
-            let model = fit(train, &params, self.seed);
-            let acc = accuracy(&model.predict(val), val.labels());
+            let model = fit(&train, &params, self.seed);
+            let acc = accuracy(&model.predict(&val), val.labels());
             if best.as_ref().is_none_or(|(b, _)| acc > *b) {
                 best = Some((acc, params));
             }

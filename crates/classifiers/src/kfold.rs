@@ -6,7 +6,7 @@
 //! rows).
 
 use crate::metrics::accuracy;
-use crate::model::{train, ModelKind};
+use crate::model::{Model, ModelKind};
 use remedy_dataset::split::SplitRng;
 use remedy_dataset::Dataset;
 
@@ -57,7 +57,7 @@ pub fn fold_indices(n: usize, k: usize, seed: u64) -> Vec<Vec<usize>> {
     folds
 }
 
-/// Runs k-fold cross-validation of a model family with default
+/// Runs k-fold cross-validation of a model kind with default
 /// hyper-parameters.
 pub fn cross_validate(data: &Dataset, kind: ModelKind, k: usize, seed: u64) -> CvResult {
     let folds = fold_indices(data.len(), k, seed);
@@ -71,7 +71,7 @@ pub fn cross_validate(data: &Dataset, kind: ModelKind, k: usize, seed: u64) -> C
         }
         let train_set = data.subset(&train_rows);
         let test_set = data.subset(test_fold);
-        let model = train(kind, &train_set, seed);
+        let model = kind.fit(&train_set, seed);
         fold_accuracy.push(accuracy(&model.predict(&test_set), test_set.labels()));
     }
     CvResult { fold_accuracy }

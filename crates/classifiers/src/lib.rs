@@ -25,6 +25,11 @@
 //! * [`cost`] — cost-proportionate example weighting (Zadrozny et al.,
 //!   the paper's §VI cost-sensitive-classifier discussion).
 //!
+//! [`ModelKind`] names every model above but kNN (`dt|rf|lg|nn|nb`):
+//! [`ModelKind::fit`] trains one with default hyper-parameters into a
+//! [`SavedModel`], which predicts and writes the `remedy-model v1` text
+//! that [`persist::from_text`] reads back.
+//!
 //! Every trainer honours per-instance weights from
 //! [`Dataset::weights`](remedy_dataset::Dataset::weights), which the
 //! reweighting baselines rely on.
@@ -39,6 +44,7 @@ pub mod metrics;
 pub mod mlp;
 pub mod model;
 pub mod naive_bayes;
+mod onehot;
 pub mod persist;
 pub mod tree;
 
@@ -49,7 +55,7 @@ pub use kfold::{cross_validate, CvResult};
 pub use linear::{LogisticRegression, LogisticRegressionParams};
 pub use metrics::accuracy;
 pub use mlp::{NeuralNetwork, NeuralNetworkParams};
-pub use model::{train, Model, ModelKind};
+pub use model::{Model, ModelKind};
 pub use naive_bayes::NaiveBayes;
-pub use persist::{load_from_path, ModelFamily, SavedModel};
+pub use persist::{load_from_path, SavedModel};
 pub use tree::{DecisionTree, DecisionTreeParams};

@@ -4,11 +4,11 @@
 //! full-batch gradient descent with a fixed schedule. Deterministic: weights
 //! start at zero, so no seed is needed.
 //!
-//! A row's one-hot vector has exactly one set feature per attribute
-//! (`offsets[a] + code`), so fitting and scoring walk those features alone
-//! and never build the dense vectors.
+//! Fitting and scoring walk each row's set features alone (see
+//! `onehot.rs`).
 
 use crate::model::Model;
+use crate::onehot;
 use remedy_dataset::Dataset;
 
 /// Hyper-parameters for [`LogisticRegression::fit`].
@@ -49,29 +49,11 @@ impl LogisticRegression {
     /// add zeros. Weights and bias are therefore bit-identical to a fit
     /// over the dense one-hot matrix.
     pub fn fit(data: &Dataset, params: &LogisticRegressionParams) -> Self {
-        let mut offsets = Vec::with_capacity(data.schema().len());
-        let mut n_features = 0usize;
-        for attr in data.schema().attributes() {
-            offsets.push(n_features);
-            n_features += attr.cardinality();
-        }
+        let (offsets, n_features) = onehot::offsets(data.schema());
         let mut weights = vec![0.0_f64; n_features];
         let mut bias = 0.0_f64;
-        if data.is_empty() {
-            return LogisticRegression {
-                offsets,
-                weights,
-                bias,
-            };
-        }
-        // each row's set feature per attribute, row-major
         let n_attrs = offsets.len();
-        let mut set = vec![0usize; data.len() * n_attrs];
-        for (attr, &offset) in offsets.iter().enumerate() {
-            for (row, &code) in data.column(attr).iter().enumerate() {
-                set[row * n_attrs + attr] = offset + code as usize;
-            }
-        }
+        let set = onehot::set_features(data, &offsets);
         let total_weight: f64 = data.weights().iter().sum();
         let norm = if total_weight > 0.0 {
             total_weight
@@ -140,7 +122,6 @@ fn sigmoid(z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remedy_dataset::encode::OneHotEncoder;
     use remedy_dataset::{synth, Attribute, Schema};
 
     fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -150,10 +131,9 @@ mod tests {
     /// The fit over the dense one-hot matrix that `fit` replaced, kept
     /// as the reference its weights and bias must match bit for bit.
     fn dense_fit(data: &Dataset, params: &LogisticRegressionParams) -> (Vec<f64>, f64) {
-        let encoder = OneHotEncoder::new(data.schema());
-        let mut weights = vec![0.0_f64; encoder.n_features()];
+        let (x, n_features) = onehot::dense(data);
+        let mut weights = vec![0.0_f64; n_features];
         let mut bias = 0.0_f64;
-        let x = encoder.encode(data);
         let total_weight: f64 = data.weights().iter().sum();
         let norm = if total_weight > 0.0 {
             total_weight
@@ -165,7 +145,7 @@ mod tests {
             grad.iter_mut().for_each(|g| *g = 0.0);
             let mut grad_bias = 0.0;
             for i in 0..data.len() {
-                let row = x.row(i);
+                let row = &x[i * n_features..(i + 1) * n_features];
                 let p = sigmoid(dot(&weights, row) + bias);
                 let err = (p - f64::from(data.label(i))) * data.weight(i);
                 for (g, &xi) in grad.iter_mut().zip(row) {
@@ -238,10 +218,9 @@ mod tests {
     fn sparse_and_dense_scoring_agree() {
         let d = linear_data(90);
         let m = LogisticRegression::fit(&d, &LogisticRegressionParams::default());
-        let enc = OneHotEncoder::new(d.schema());
-        let x = enc.encode(&d);
-        for i in 0..d.len() {
-            let dense = sigmoid(dot(m.coefficients(), x.row(i)) + m.intercept());
+        let (x, n_features) = onehot::dense(&d);
+        for (i, row) in x.chunks(n_features).enumerate() {
+            let dense = sigmoid(dot(m.coefficients(), row) + m.intercept());
             let sparse = m.predict_proba_row(&d.row(i));
             assert!((dense - sparse).abs() < 1e-12);
         }

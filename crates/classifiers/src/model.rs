@@ -3,6 +3,8 @@
 use crate::forest::{RandomForest, RandomForestParams};
 use crate::linear::{LogisticRegression, LogisticRegressionParams};
 use crate::mlp::{NeuralNetwork, NeuralNetworkParams};
+use crate::naive_bayes::NaiveBayes;
+use crate::persist::SavedModel;
 use crate::tree::{DecisionTree, DecisionTreeParams};
 use remedy_dataset::vocab::{self, Tokens};
 use remedy_dataset::Dataset;
@@ -17,15 +19,10 @@ pub trait Model: Send + Sync {
         u8::from(self.predict_proba_row(codes) >= 0.5)
     }
 
-    /// Hard predictions for every row of a dataset.
+    /// Hard predictions (threshold 0.5) for every row of a dataset.
     fn predict(&self, data: &Dataset) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(data.schema().len());
-        (0..data.len())
-            .map(|i| {
-                data.row_into(i, &mut buf);
-                self.predict_row(&buf)
-            })
-            .collect()
+        let probs = self.predict_proba(data).into_iter();
+        probs.map(|p| u8::from(p >= 0.5)).collect()
     }
 
     /// Positive-class probabilities for every row of a dataset.
@@ -40,7 +37,8 @@ pub trait Model: Send + Sync {
     }
 }
 
-/// The four downstream model families evaluated in the paper (§V-A).
+/// Every model this crate trains, saves and replays: the paper's four
+/// downstream models (§V-A) and the naive-Bayes ranker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ModelKind {
     /// CART decision tree (`DT`).
@@ -52,26 +50,8 @@ pub enum ModelKind {
     LogisticRegression,
     /// Single-hidden-layer neural network (`NN`).
     NeuralNetwork,
-}
-
-impl ModelKind {
-    /// All four kinds, in the paper's order.
-    pub const ALL: [ModelKind; 4] = [
-        ModelKind::DecisionTree,
-        ModelKind::RandomForest,
-        ModelKind::LogisticRegression,
-        ModelKind::NeuralNetwork,
-    ];
-
-    /// The paper's abbreviation (DT/RF/LG/NN).
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            ModelKind::DecisionTree => "DT",
-            ModelKind::RandomForest => "RF",
-            ModelKind::LogisticRegression => "LG",
-            ModelKind::NeuralNetwork => "NN",
-        }
-    }
+    /// Categorical naive Bayes (`NB`).
+    NaiveBayes,
 }
 
 /// The accepted spelling of each model kind.
@@ -80,7 +60,60 @@ const MODEL_KIND_TOKENS: &Tokens<ModelKind> = &[
     (ModelKind::RandomForest, &["rf"]),
     (ModelKind::LogisticRegression, &["lg"]),
     (ModelKind::NeuralNetwork, &["nn"]),
+    (ModelKind::NaiveBayes, &["nb"]),
 ];
+
+impl ModelKind {
+    /// The four downstream models the paper evaluates every remedy on
+    /// (§V-A, Figs. 4–6), in its order.
+    pub const DOWNSTREAM: [ModelKind; 4] = [
+        ModelKind::DecisionTree,
+        ModelKind::RandomForest,
+        ModelKind::LogisticRegression,
+        ModelKind::NeuralNetwork,
+    ];
+
+    /// Every kind, in token-table order.
+    pub const ALL: [ModelKind; 5] = [
+        ModelKind::DecisionTree,
+        ModelKind::RandomForest,
+        ModelKind::LogisticRegression,
+        ModelKind::NeuralNetwork,
+        ModelKind::NaiveBayes,
+    ];
+
+    /// The kind's token (`dt`, `rf`, `lg`, `nn`, `nb`): the table lists
+    /// the kinds in declaration order.
+    pub fn token(self) -> &'static str {
+        MODEL_KIND_TOKENS[self as usize].1[0]
+    }
+
+    /// Fits a model of this kind with default hyper-parameters.
+    ///
+    /// `seed` drives every stochastic component (bootstraps, initial
+    /// weights, mini-batch order), making training fully reproducible.
+    pub fn fit(self, data: &Dataset, seed: u64) -> SavedModel {
+        match self {
+            ModelKind::DecisionTree => {
+                SavedModel::DecisionTree(DecisionTree::fit(data, &DecisionTreeParams::default()))
+            }
+            ModelKind::RandomForest => SavedModel::RandomForest(RandomForest::fit(
+                data,
+                &RandomForestParams::default(),
+                seed,
+            )),
+            ModelKind::LogisticRegression => SavedModel::LogisticRegression(
+                LogisticRegression::fit(data, &LogisticRegressionParams::default()),
+            ),
+            ModelKind::NeuralNetwork => SavedModel::NeuralNetwork(NeuralNetwork::fit(
+                data,
+                &NeuralNetworkParams::default(),
+                seed,
+            )),
+            ModelKind::NaiveBayes => SavedModel::NaiveBayes(NaiveBayes::fit(data)),
+        }
+    }
+}
 
 impl std::str::FromStr for ModelKind {
     type Err = String;
@@ -89,35 +122,10 @@ impl std::str::FromStr for ModelKind {
     }
 }
 
+/// The paper's abbreviation: the token in capitals (DT/RF/LG/NN, and NB).
 impl std::fmt::Display for ModelKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.abbrev())
-    }
-}
-
-/// Trains a model of the given kind with default hyper-parameters.
-///
-/// `seed` drives every stochastic component (bootstraps, initial weights),
-/// making training fully reproducible.
-pub fn train(kind: ModelKind, data: &Dataset, seed: u64) -> Box<dyn Model> {
-    match kind {
-        ModelKind::DecisionTree => {
-            Box::new(DecisionTree::fit(data, &DecisionTreeParams::default()))
-        }
-        ModelKind::RandomForest => Box::new(RandomForest::fit(
-            data,
-            &RandomForestParams::default(),
-            seed,
-        )),
-        ModelKind::LogisticRegression => Box::new(LogisticRegression::fit(
-            data,
-            &LogisticRegressionParams::default(),
-        )),
-        ModelKind::NeuralNetwork => Box::new(NeuralNetwork::fit(
-            data,
-            &NeuralNetworkParams::default(),
-            seed,
-        )),
+        f.write_str(&self.token().to_ascii_uppercase())
     }
 }
 
@@ -129,13 +137,16 @@ mod tests {
     #[test]
     fn model_kind_tokens_parse_and_reject() {
         let err = "x".parse::<ModelKind>().unwrap_err();
-        assert_eq!(err, "`x` is not dt|rf|lg|nn");
+        assert_eq!(err, "`x` is not dt|rf|lg|nn|nb");
         for (kind, spellings) in MODEL_KIND_TOKENS {
             assert!(err.contains(spellings[0]));
+            assert_eq!(kind.token(), spellings[0]);
             for spelling in *spellings {
                 assert_eq!(spelling.parse::<ModelKind>().unwrap(), *kind);
             }
         }
+        let table: Vec<ModelKind> = MODEL_KIND_TOKENS.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(table, ModelKind::ALL);
         assert_eq!(ModelKind::default(), ModelKind::DecisionTree);
     }
 
@@ -162,7 +173,7 @@ mod tests {
     fn all_kinds_learn_separable_data() {
         let d = separable(300);
         for kind in ModelKind::ALL {
-            let model = train(kind, &d, 42);
+            let model = kind.fit(&d, 42);
             let preds = model.predict(&d);
             let acc = preds.iter().zip(d.labels()).filter(|(p, y)| p == y).count() as f64
                 / d.len() as f64;
@@ -172,16 +183,14 @@ mod tests {
 
     #[test]
     fn abbreviations_match_paper() {
-        assert_eq!(ModelKind::DecisionTree.abbrev(), "DT");
-        assert_eq!(ModelKind::RandomForest.to_string(), "RF");
-        assert_eq!(ModelKind::LogisticRegression.abbrev(), "LG");
-        assert_eq!(ModelKind::NeuralNetwork.abbrev(), "NN");
+        let shown: Vec<String> = ModelKind::ALL.iter().map(ModelKind::to_string).collect();
+        assert_eq!(shown, ["DT", "RF", "LG", "NN", "NB"]);
     }
 
     #[test]
     fn proba_and_hard_predictions_agree() {
         let d = separable(100);
-        let model = train(ModelKind::LogisticRegression, &d, 1);
+        let model = ModelKind::LogisticRegression.fit(&d, 1);
         let probs = model.predict_proba(&d);
         let preds = model.predict(&d);
         for (p, y) in probs.iter().zip(preds.iter()) {

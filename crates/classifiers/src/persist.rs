@@ -15,19 +15,17 @@
 //! …
 //! ```
 //!
-//! Supported model families: decision tree, random forest, logistic
-//! regression, naive Bayes. (The MLP's dense weight matrices are better
-//! served by retraining from the recorded seed, which is fully
-//! deterministic.)
+//! Every [`ModelKind`] has a form: decision tree, random forest, logistic
+//! regression, neural network and naive Bayes.
 
-use crate::forest::{RandomForest, RandomForestParams};
-use crate::linear::{LogisticRegression, LogisticRegressionParams};
-use crate::model::Model;
+use crate::forest::RandomForest;
+use crate::linear::LogisticRegression;
+use crate::mlp::NeuralNetwork;
+use crate::model::{Model, ModelKind};
 use crate::naive_bayes::NaiveBayes;
-use crate::tree::{DecisionTree, DecisionTreeParams, Node};
+use crate::onehot;
+use crate::tree::{DecisionTree, Node};
 use remedy_dataset::format::{DecodeError, Fields, Lines, Magic};
-use remedy_dataset::vocab::{self, Tokens};
-use remedy_dataset::Dataset;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -53,7 +51,8 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// A model loaded from disk.
+/// A fitted model of any [`ModelKind`], as [`ModelKind::fit`] returns it
+/// and [`from_text`] reads it back.
 #[derive(Debug)]
 pub enum SavedModel {
     /// A CART decision tree.
@@ -62,6 +61,8 @@ pub enum SavedModel {
     RandomForest(RandomForest),
     /// A logistic-regression model.
     LogisticRegression(LogisticRegression),
+    /// A single-hidden-layer neural network.
+    NeuralNetwork(NeuralNetwork),
     /// A categorical naive Bayes model.
     NaiveBayes(NaiveBayes),
 }
@@ -72,93 +73,74 @@ impl Model for SavedModel {
             SavedModel::DecisionTree(m) => m.predict_proba_row(codes),
             SavedModel::RandomForest(m) => m.predict_proba_row(codes),
             SavedModel::LogisticRegression(m) => m.predict_proba_row(codes),
+            SavedModel::NeuralNetwork(m) => m.predict_proba_row(codes),
             SavedModel::NaiveBayes(m) => m.predict_proba_row(codes),
         }
     }
 }
 
 impl SavedModel {
-    /// The stored family name.
-    pub fn kind(&self) -> &'static str {
+    /// The kind of model this is.
+    pub fn kind(&self) -> ModelKind {
         match self {
-            SavedModel::DecisionTree(_) => "decision-tree",
-            SavedModel::RandomForest(_) => "random-forest",
-            SavedModel::LogisticRegression(_) => "logistic-regression",
-            SavedModel::NaiveBayes(_) => "naive-bayes",
+            SavedModel::DecisionTree(_) => ModelKind::DecisionTree,
+            SavedModel::RandomForest(_) => ModelKind::RandomForest,
+            SavedModel::LogisticRegression(_) => ModelKind::LogisticRegression,
+            SavedModel::NeuralNetwork(_) => ModelKind::NeuralNetwork,
+            SavedModel::NaiveBayes(_) => ModelKind::NaiveBayes,
         }
     }
-}
 
-/// The model families that can be trained *and* saved in this format:
-/// every [`ModelKind`](crate::ModelKind) but the MLP, which is
-/// seed-reproducible, so retraining is its persistence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ModelFamily {
-    /// CART decision tree.
-    #[default]
-    DecisionTree,
-    /// Random forest.
-    RandomForest,
-    /// Logistic regression.
-    LogisticRegression,
-    /// Categorical naive Bayes.
-    NaiveBayes,
-}
-
-/// The accepted spelling of each persistable family.
-const MODEL_FAMILY_TOKENS: &Tokens<ModelFamily> = &[
-    (ModelFamily::DecisionTree, &["dt"]),
-    (ModelFamily::RandomForest, &["rf"]),
-    (ModelFamily::LogisticRegression, &["lg"]),
-    (ModelFamily::NaiveBayes, &["nb"]),
-];
-
-impl std::str::FromStr for ModelFamily {
-    type Err = String;
-    fn from_str(s: &str) -> Result<ModelFamily, String> {
-        vocab::parse(MODEL_FAMILY_TOKENS, s)
-    }
-}
-
-impl ModelFamily {
-    /// The family's token (`dt`, `rf`, `lg`, `nb`).
-    pub fn token(self) -> &'static str {
-        let (_, spellings) = MODEL_FAMILY_TOKENS
-            .iter()
-            .find(|(f, _)| *f == self)
-            .expect("every family has a token");
-        spellings[0]
-    }
-
-    /// Fits the family with default hyper-parameters (`seed` drives the
-    /// forest's bootstraps) and serializes the fitted model.
-    pub fn fit_to_text(self, data: &Dataset, seed: u64) -> String {
+    /// Serializes the model; [`from_text`] reads it back exactly.
+    pub fn to_text(&self) -> String {
+        let mut out = format!("{}\nkind {}\n", MAGIC.line(), kind_name(self.kind()));
         match self {
-            ModelFamily::DecisionTree => {
-                tree_to_text(&DecisionTree::fit(data, &DecisionTreeParams::default()))
+            SavedModel::DecisionTree(tree) => write_tree(tree, &mut out),
+            SavedModel::RandomForest(forest) => {
+                let _ = writeln!(out, "trees {}", forest.trees.len());
+                for tree in &forest.trees {
+                    write_tree(tree, &mut out);
+                }
             }
-            ModelFamily::RandomForest => forest_to_text(&RandomForest::fit(
-                data,
-                &RandomForestParams::default(),
-                seed,
-            )),
-            ModelFamily::LogisticRegression => logistic_to_text(&LogisticRegression::fit(
-                data,
-                &LogisticRegressionParams::default(),
-            )),
-            ModelFamily::NaiveBayes => naive_bayes_to_text(&NaiveBayes::fit(data)),
+            SavedModel::LogisticRegression(m) => {
+                let _ = writeln!(out, "bias {}", m.bias);
+                let _ = writeln!(out, "offsets {}", join(&m.offsets));
+                let _ = writeln!(out, "weights {}", join(&m.weights));
+            }
+            SavedModel::NeuralNetwork(m) => {
+                let _ = writeln!(out, "hidden {}", m.hidden);
+                let _ = writeln!(out, "offsets {}", join(&m.offsets));
+                let _ = writeln!(out, "w1 {}", join(&m.w1));
+                let _ = writeln!(out, "b1 {}", join(&m.b1));
+                let _ = writeln!(out, "w2 {}", join(&m.w2));
+                let _ = writeln!(out, "b2 {}", m.b2);
+            }
+            SavedModel::NaiveBayes(m) => {
+                let _ = writeln!(out, "prior {} {}", m.log_prior[0], m.log_prior[1]);
+                for (class, conds) in m.log_cond.iter().enumerate() {
+                    let _ = writeln!(out, "class {class} attrs {}", conds.len());
+                    for values in conds {
+                        let _ = writeln!(out, "attr {}", join(values));
+                    }
+                }
+            }
         }
+        out
     }
 }
 
-/// Serializes a decision tree.
-pub fn tree_to_text(tree: &DecisionTree) -> String {
-    let mut out = format!("{}\nkind decision-tree\n", MAGIC.line());
-    write_tree_body(tree, &mut out);
-    out
+/// The name a model file's `kind` line gives each kind.
+fn kind_name(kind: ModelKind) -> &'static str {
+    match kind {
+        ModelKind::DecisionTree => "decision-tree",
+        ModelKind::RandomForest => "random-forest",
+        ModelKind::LogisticRegression => "logistic-regression",
+        ModelKind::NeuralNetwork => "neural-network",
+        ModelKind::NaiveBayes => "naive-bayes",
+    }
 }
 
-fn write_tree_body(tree: &DecisionTree, out: &mut String) {
+fn write_tree(tree: &DecisionTree, out: &mut String) {
     let _ = writeln!(out, "nodes {}", tree.nodes.len());
     for node in &tree.nodes {
         let _ = match node {
@@ -173,41 +155,6 @@ fn write_tree_body(tree: &DecisionTree, out: &mut String) {
     }
 }
 
-/// Serializes a random forest.
-pub fn forest_to_text(forest: &RandomForest) -> String {
-    let mut out = format!(
-        "{}\nkind random-forest\ntrees {}\n",
-        MAGIC.line(),
-        forest.trees.len()
-    );
-    for tree in &forest.trees {
-        write_tree_body(tree, &mut out);
-    }
-    out
-}
-
-/// Serializes a logistic-regression model.
-pub fn logistic_to_text(model: &LogisticRegression) -> String {
-    let mut out = format!("{}\nkind logistic-regression\n", MAGIC.line());
-    let _ = writeln!(out, "bias {}", model.bias);
-    let _ = writeln!(out, "offsets {}", join(&model.offsets));
-    let _ = writeln!(out, "weights {}", join(&model.weights));
-    out
-}
-
-/// Serializes a naive-Bayes model.
-pub fn naive_bayes_to_text(model: &NaiveBayes) -> String {
-    let mut out = format!("{}\nkind naive-bayes\n", MAGIC.line());
-    let _ = writeln!(out, "prior {} {}", model.log_prior[0], model.log_prior[1]);
-    for (class, conds) in model.log_cond.iter().enumerate() {
-        let _ = writeln!(out, "class {class} attrs {}", conds.len());
-        for values in conds {
-            let _ = writeln!(out, "attr {}", join(values));
-        }
-    }
-    out
-}
-
 /// Space-separated values, as [`Fields::list`] reads them back.
 fn join<T: std::fmt::Display>(values: &[T]) -> String {
     values
@@ -217,22 +164,35 @@ fn join<T: std::fmt::Display>(values: &[T]) -> String {
         .join(" ")
 }
 
-/// Deserializes any supported model from its text form.
+/// Deserializes any model from its text form. A layout whose parts do
+/// not fit together is rejected here, so prediction never indexes past
+/// the weights.
 pub fn from_text(text: &str) -> Result<SavedModel, DecodeError> {
     let mut lines = Lines::open(text, MAGIC)?;
-    Ok(match lines.value("kind", Fields::field)? {
-        "decision-tree" => SavedModel::DecisionTree(read_tree(&mut lines)?),
-        "random-forest" => {
+    let name = lines.value("kind", Fields::field)?;
+    let Some(kind) = ModelKind::ALL.into_iter().find(|&k| kind_name(k) == name) else {
+        return Err(lines.error(format!("unknown kind `{name}`")));
+    };
+    Ok(match kind {
+        ModelKind::DecisionTree => SavedModel::DecisionTree(read_tree(&mut lines)?),
+        ModelKind::RandomForest => {
             let trees = (0..lines.count("trees")?).map(|_| read_tree(&mut lines));
             let trees = trees.collect::<Result<_, _>>()?;
             SavedModel::RandomForest(RandomForest { trees })
         }
-        "logistic-regression" => SavedModel::LogisticRegression(LogisticRegression {
-            bias: lines.value("bias", Fields::parse)?,
-            offsets: lines.tagged("offsets")?.list("offset")?,
-            weights: lines.tagged("weights")?.list("weight")?,
-        }),
-        "naive-bayes" => {
+        ModelKind::LogisticRegression => {
+            let bias = lines.value("bias", Fields::parse)?;
+            let offsets: Vec<usize> = lines.tagged("offsets")?.list("offset")?;
+            let weights: Vec<f64> = lines.tagged("weights")?.list("weight")?;
+            onehot::check_offsets(&offsets, weights.len()).map_err(|e| lines.error(e))?;
+            SavedModel::LogisticRegression(LogisticRegression {
+                offsets,
+                weights,
+                bias,
+            })
+        }
+        ModelKind::NeuralNetwork => SavedModel::NeuralNetwork(read_network(&mut lines)?),
+        ModelKind::NaiveBayes => {
             let log_prior = lines.value("prior", |f, what| Ok([f.parse(what)?, f.parse(what)?]))?;
             let mut log_cond: [Vec<Vec<f64>>; 2] = [Vec::new(), Vec::new()];
             for (class, conds) in log_cond.iter_mut().enumerate() {
@@ -251,7 +211,37 @@ pub fn from_text(text: &str) -> Result<SavedModel, DecodeError> {
                 log_cond,
             })
         }
-        other => return Err(lines.error(format!("unknown kind `{other}`"))),
+    })
+}
+
+/// Reads an MLP's record. `w1` must hold `hidden` rows of equal width,
+/// `b1` and `w2` one value per hidden unit, and the offsets must lay out
+/// a row of `w1`.
+fn read_network(lines: &mut Lines<'_>) -> Result<NeuralNetwork, DecodeError> {
+    let hidden: usize = lines.value("hidden", Fields::parse)?;
+    let offsets: Vec<usize> = lines.tagged("offsets")?.list("offset")?;
+    let w1: Vec<f64> = lines.tagged("w1")?.list("weight")?;
+    let b1: Vec<f64> = lines.tagged("b1")?.list("bias")?;
+    let w2: Vec<f64> = lines.tagged("w2")?.list("weight")?;
+    let b2 = lines.value("b2", Fields::parse)?;
+    if hidden == 0 || !w1.len().is_multiple_of(hidden) || b1.len() != hidden || w2.len() != hidden {
+        return Err(lines.error(format!(
+            "{} w1, {} b1 and {} w2 weights do not fit {hidden} hidden units",
+            w1.len(),
+            b1.len(),
+            w2.len()
+        )));
+    }
+    let n_features = w1.len() / hidden;
+    onehot::check_offsets(&offsets, n_features).map_err(|e| lines.error(e))?;
+    Ok(NeuralNetwork {
+        offsets,
+        n_features,
+        w1,
+        b1,
+        w2,
+        b2,
+        hidden,
     })
 }
 
@@ -297,7 +287,7 @@ pub fn save_to_path(text: &str, path: impl AsRef<Path>) -> Result<(), PersistErr
     std::fs::write(path, text).map_err(|e| PersistError::Io(e.to_string()))
 }
 
-/// Loads any supported model from a file.
+/// Loads any model from a file.
 pub fn load_from_path(path: impl AsRef<Path>) -> Result<SavedModel, PersistError> {
     let text = std::fs::read_to_string(path).map_err(|e| PersistError::Io(e.to_string()))?;
     from_text(&text).map_err(PersistError::Decode)
@@ -306,7 +296,8 @@ pub fn load_from_path(path: impl AsRef<Path>) -> Result<SavedModel, PersistError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use remedy_dataset::{Attribute, Schema};
+    use crate::tree::DecisionTreeParams;
+    use remedy_dataset::{synth, Attribute, Dataset, Schema};
 
     fn data() -> Dataset {
         let schema = Schema::new(
@@ -336,62 +327,29 @@ mod tests {
         }
     }
 
+    /// Every kind's text reads back to a model that predicts bit for bit
+    /// what the fitted one does, and writes the same text again.
     #[test]
-    fn model_family_tokens_parse_and_fit() {
-        let err = "nn".parse::<ModelFamily>().unwrap_err();
-        assert_eq!(err, "`nn` is not dt|rf|lg|nb");
-        for (family, spellings) in MODEL_FAMILY_TOKENS {
-            assert!(err.contains(spellings[0]));
-            assert_eq!(spellings[0].parse::<ModelFamily>().unwrap(), *family);
-            assert_eq!(family.token(), spellings[0]);
+    fn every_kind_round_trips_bit_identically() {
+        let mut d = synth::compas_n(400, 5);
+        for row in (0..d.len()).step_by(4) {
+            d.set_weight(row, 0.5 + row as f64 / 11.0);
         }
-        assert_eq!(ModelFamily::default(), ModelFamily::DecisionTree);
-        let d = data();
-        let loaded = from_text(&ModelFamily::NaiveBayes.fit_to_text(&d, 7)).unwrap();
-        assert_eq!(loaded.kind(), "naive-bayes");
-    }
-
-    #[test]
-    fn tree_roundtrip() {
-        let d = data();
-        let tree = DecisionTree::fit(&d, &DecisionTreeParams::default());
-        let loaded = from_text(&tree_to_text(&tree)).unwrap();
-        assert_eq!(loaded.kind(), "decision-tree");
-        assert_same_predictions(&tree, &loaded, &d);
-    }
-
-    #[test]
-    fn forest_roundtrip() {
-        let d = data();
-        let forest = RandomForest::fit(
-            &d,
-            &RandomForestParams {
-                n_trees: 5,
-                ..RandomForestParams::default()
-            },
-            3,
-        );
-        let loaded = from_text(&forest_to_text(&forest)).unwrap();
-        assert_eq!(loaded.kind(), "random-forest");
-        assert_same_predictions(&forest, &loaded, &d);
-    }
-
-    #[test]
-    fn logistic_roundtrip() {
-        let d = data();
-        let model = LogisticRegression::fit(&d, &LogisticRegressionParams::default());
-        let loaded = from_text(&logistic_to_text(&model)).unwrap();
-        assert_eq!(loaded.kind(), "logistic-regression");
-        assert_same_predictions(&model, &loaded, &d);
-    }
-
-    #[test]
-    fn naive_bayes_roundtrip() {
-        let d = data();
-        let model = NaiveBayes::fit(&d);
-        let loaded = from_text(&naive_bayes_to_text(&model)).unwrap();
-        assert_eq!(loaded.kind(), "naive-bayes");
-        assert_same_predictions(&model, &loaded, &d);
+        for kind in ModelKind::ALL {
+            let fitted = kind.fit(&d, 7);
+            let text = fitted.to_text();
+            let loaded = from_text(&text).unwrap();
+            assert_eq!(loaded.kind(), kind);
+            assert_eq!(loaded.to_text(), text, "{kind}");
+            for i in 0..d.len() {
+                let row = d.row(i);
+                assert_eq!(
+                    fitted.predict_proba_row(&row).to_bits(),
+                    loaded.predict_proba_row(&row).to_bits(),
+                    "{kind} row {i}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -399,9 +357,10 @@ mod tests {
         let d = data();
         let tree = DecisionTree::fit(&d, &DecisionTreeParams::default());
         let path = std::env::temp_dir().join("remedy_model_test.txt");
-        save_to_path(&tree_to_text(&tree), &path).unwrap();
+        let saved = SavedModel::DecisionTree(tree);
+        save_to_path(&saved.to_text(), &path).unwrap();
         let loaded = load_from_path(&path).unwrap();
-        assert_same_predictions(&tree, &loaded, &d);
+        assert_same_predictions(&saved, &loaded, &d);
     }
 
     #[test]
@@ -454,5 +413,49 @@ mod tests {
             from_text(text),
             Err(DecodeError::Malformed { line: 5, .. })
         ));
+    }
+
+    /// Offsets that do not lay out the weights decoded before, and then
+    /// indexed past them when the model predicted.
+    #[test]
+    fn logistic_offsets_must_lay_out_the_weights() {
+        for (offsets, weights) in [("0 1", "1"), ("0 5", "1 2"), ("1 2", "1 2 3"), ("0 0", "1")] {
+            let text = format!(
+                "remedy-model v1\nkind logistic-regression\nbias 0\noffsets {offsets}\nweights {weights}\n"
+            );
+            match from_text(&text) {
+                Err(DecodeError::Malformed { line: 5, .. }) => {}
+                other => panic!("offsets {offsets} over weights {weights}: {other:?}"),
+            }
+        }
+    }
+
+    /// The MLP's record must fit together: `w1` rows of equal width, one
+    /// `b1` and `w2` value per hidden unit, and offsets inside a row.
+    #[test]
+    fn network_layout_must_fit_together() {
+        let text = |hidden: &str, offsets: &str, w1: &str, b1: &str, w2: &str| {
+            format!(
+                "remedy-model v1\nkind neural-network\nhidden {hidden}\noffsets {offsets}\n\
+                 w1 {w1}\nb1 {b1}\nw2 {w2}\nb2 0.5\n"
+            )
+        };
+        let ok = from_text(&text("2", "0 1", "1 2 3 4", "0 0", "1 -1")).unwrap();
+        assert_eq!(ok.kind(), ModelKind::NeuralNetwork);
+        assert!((0.0..=1.0).contains(&ok.predict_proba_row(&[0, 0])));
+        for bad in [
+            text("0", "0", "", "", ""),                 // no hidden units
+            text("2", "0 1", "1 2 3", "0 0", "1 -1"),   // w1 not hidden × features
+            text("2", "0 1", "1 2 3 4", "0", "1 -1"),   // b1 too short
+            text("2", "0 1", "1 2 3 4", "0 0", "1"),    // w2 too short
+            text("2", "0 2", "1 2 3 4", "0 0", "1 -1"), // block past a row
+            text("2", "1", "1 2 3 4", "0 0", "1 -1"),   // not from 0
+            text(&u64::MAX.to_string(), "0", "1", "0", "1"),
+        ] {
+            assert!(
+                matches!(from_text(&bad), Err(DecodeError::Malformed { .. })),
+                "{bad}"
+            );
+        }
     }
 }

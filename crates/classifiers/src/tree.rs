@@ -593,9 +593,10 @@ mod tests {
     }
 
     fn assert_same_tree(got: &DecisionTree, want: &DecisionTree, what: &str) {
+        use crate::SavedModel;
         assert_eq!(
-            crate::persist::tree_to_text(got),
-            crate::persist::tree_to_text(want),
+            SavedModel::DecisionTree(got.clone()).to_text(),
+            SavedModel::DecisionTree(want.clone()).to_text(),
             "{what}"
         );
     }

@@ -3,7 +3,7 @@
 //! together.
 
 use remedy_classifiers::{
-    accuracy, cost_proportionate, cross_validate, train, CostMatrix, GridSearch, Model, ModelKind,
+    accuracy, cost_proportionate, cross_validate, CostMatrix, GridSearch, Model, ModelKind,
     NeuralNetwork, NeuralNetworkParams, RandomForest, RandomForestParams,
 };
 use remedy_dataset::split::train_test_split;
@@ -14,7 +14,7 @@ fn all_models_generalize_on_compas() {
     let data = synth::compas_n(4_000, 17);
     let (train_set, test_set) = train_test_split(&data, 0.7, 17).unwrap();
     for kind in ModelKind::ALL {
-        let model = train(kind, &train_set, 17);
+        let model = kind.fit(&train_set, 17);
         let acc = accuracy(&model.predict(&test_set), test_set.labels());
         // the generative process is noisy; anything well above the base
         // rate shows real learning
@@ -59,10 +59,10 @@ fn cost_weighting_moves_the_operating_point() {
     // on real-ish data, favoring recall must not decrease the number of
     // positive predictions
     let data = synth::compas_n(2_000, 19);
-    let plain = train(ModelKind::DecisionTree, &data, 19);
+    let plain = ModelKind::DecisionTree.fit(&data, 19);
     let plain_positives: u32 = plain.predict(&data).iter().map(|&p| u32::from(p)).sum();
     let costed_data = cost_proportionate(&data, CostMatrix::favor_recall(4.0));
-    let costed = train(ModelKind::DecisionTree, &costed_data, 19);
+    let costed = ModelKind::DecisionTree.fit(&costed_data, 19);
     let costed_positives: u32 = costed.predict(&data).iter().map(|&p| u32::from(p)).sum();
     assert!(
         costed_positives >= plain_positives,
@@ -90,7 +90,7 @@ fn grid_search_and_cv_agree_on_learnability() {
 fn predictions_are_deterministic_across_calls() {
     let data = synth::compas_n(1_000, 29);
     for kind in ModelKind::ALL {
-        let model = train(kind, &data, 29);
+        let model = kind.fit(&data, 29);
         assert_eq!(model.predict(&data), model.predict(&data), "{kind}");
     }
 }

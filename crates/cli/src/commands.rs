@@ -2,7 +2,7 @@
 
 use crate::args::{Args, CliError};
 use remedy_classifiers::persist;
-use remedy_classifiers::{train, ModelFamily, ModelKind};
+use remedy_classifiers::{Model, ModelKind};
 use remedy_core::{
     remedy_over_with, try_identify_over_with, Algorithm, Enumeration, IbsParams, RemedyOutcome,
     RemedyParams, DEFAULT_SEED,
@@ -35,7 +35,7 @@ COMMANDS:
     train      train a model (optionally on remedied data) and save it
     describe   profile a dataset (value frequencies, label associations)
     hypothesis validate Hypothesis 1: unfair subgroups vs the IBS (Fig. 3)
-    validate   k-fold cross-validation of a model family
+    validate   k-fold cross-validation of a model
     generate   write one of the built-in synthetic datasets to CSV
     help       show this message
 
@@ -247,7 +247,7 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
     if args.flag("help") || args.positional_count() == 0 {
         println!(
             "remedy audit <csv|adult|compas|law> [--label Y --protected a,b] \
-             [--model dt|rf|lg|nn] [--stat fpr|fnr|acc|sel] [--tau-d 0.1] \
+             [--model dt|rf|lg|nn|nb] [--stat fpr|fnr|acc|sel] [--tau-d 0.1] \
              [--min-support 0.05] [--seed 42] [--remedied] "
         );
         return Ok(());
@@ -273,7 +273,7 @@ fn cmd_audit(raw: Vec<String>) -> Result<(), CliError> {
     }
     let model_kind = args.get_parsed("model", ModelKind::default())?;
     let stat = args.get_parsed("stat", Statistic::default())?;
-    let model = train(model_kind, &train_set, seed);
+    let model = model_kind.fit(&train_set, seed);
     let predictions = model.predict(&test_set);
     let defaults = AuditConfig::default();
     let tau_d = args.get_parsed("tau-d", defaults.tau_d)?;
@@ -696,7 +696,7 @@ fn cmd_report(raw: Vec<String>) -> Result<(), CliError> {
     if args.flag("help") || args.positional_count() == 0 {
         println!(
             "remedy report <csv|adult|compas|law> [--label Y --protected a,b] \
-             [--model dt|rf|lg|nn] [--tau-d 0.1] [--min-support 0.05] \
+             [--model dt|rf|lg|nn|nb] [--tau-d 0.1] [--min-support 0.05] \
              [--top 10] [--seed 42] [--out report.md]"
         );
         return Ok(());
@@ -709,7 +709,7 @@ fn cmd_report(raw: Vec<String>) -> Result<(), CliError> {
     let (train_set, test_set) =
         train_test_split(&data, 0.7, seed).map_err(|e| CliError(e.to_string()))?;
     let model_kind = args.get_parsed("model", ModelKind::default())?;
-    let model = train(model_kind, &train_set, seed);
+    let model = model_kind.fit(&train_set, seed);
     let predictions = model.predict(&test_set);
     let defaults = AuditConfig::default();
     let config = AuditConfig {
@@ -734,7 +734,7 @@ fn cmd_train(raw: Vec<String>) -> Result<(), CliError> {
     if args.flag("help") || args.positional_count() == 0 {
         println!(
             "remedy train <csv|adult|compas|law> --out model.txt \
-             [--label Y --protected a,b] [--model dt|rf|lg|nb] [--remedied] \
+             [--label Y --protected a,b] [--model dt|rf|lg|nn|nb] [--remedied] \
              [--technique ps|us|dp|massage] [--tau 0.1] [--seed 42]"
         );
         return Ok(());
@@ -749,8 +749,9 @@ fn cmd_train(raw: Vec<String>) -> Result<(), CliError> {
     }
     let out = args.require("out")?;
     let text = args
-        .get_parsed("model", ModelFamily::default())?
-        .fit_to_text(&data, seed);
+        .get_parsed("model", ModelKind::default())?
+        .fit(&data, seed)
+        .to_text();
     persist::save_to_path(&text, out).map_err(|e| CliError(e.to_string()))?;
     println!("trained on {} rows; saved model to {out}", data.len());
     Ok(())
@@ -773,7 +774,7 @@ fn cmd_hypothesis(raw: Vec<String>) -> Result<(), CliError> {
     if args.flag("help") || args.positional_count() == 0 {
         println!(
             "remedy hypothesis <csv|adult|compas|law> [--label Y --protected a,b] \
-             [--model dt|rf|lg|nn] [--stat fpr|fnr] [--tau 0.1] [--tau-d 0.1] \
+             [--model dt|rf|lg|nn|nb] [--stat fpr|fnr] [--tau 0.1] [--tau-d 0.1] \
              [--all-attrs] [--seed 42]"
         );
         return Ok(());
@@ -800,7 +801,7 @@ fn cmd_hypothesis(raw: Vec<String>) -> Result<(), CliError> {
         )));
     }
     let params = ibs_params(&args)?;
-    let model = train(kind, &train_set, seed);
+    let model = kind.fit(&train_set, seed);
     let predictions = model.predict(&test_set);
     let validation = validate_on_columns(
         &train_set,
@@ -838,7 +839,7 @@ fn cmd_validate(raw: Vec<String>) -> Result<(), CliError> {
     if args.flag("help") || args.positional_count() == 0 {
         println!(
             "remedy validate <csv|adult|compas|law> [--label Y --protected a,b] \
-             [--model dt|rf|lg|nn] [--folds 5] [--seed 42]"
+             [--model dt|rf|lg|nn|nb] [--folds 5] [--seed 42]"
         );
         return Ok(());
     }
@@ -1227,19 +1228,21 @@ mod tests {
         let dir = std::env::temp_dir().join("remedy_cli_test4");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("model.txt");
-        run(
-            "train",
-            vec![
-                "compas".into(),
-                "--model".into(),
-                "nb".into(),
-                "--out".into(),
-                out.to_string_lossy().into_owned(),
-            ],
-        )
-        .unwrap();
-        let model = persist::load_from_path(&out).unwrap();
-        assert_eq!(model.kind(), "naive-bayes");
+        for kind in [ModelKind::NaiveBayes, ModelKind::NeuralNetwork] {
+            run(
+                "train",
+                vec![
+                    "compas".into(),
+                    "--model".into(),
+                    kind.token().into(),
+                    "--out".into(),
+                    out.to_string_lossy().into_owned(),
+                ],
+            )
+            .unwrap();
+            let model = persist::load_from_path(&out).unwrap();
+            assert_eq!(model.kind(), kind);
+        }
     }
 
     #[test]

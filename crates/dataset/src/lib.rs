@@ -17,8 +17,6 @@
 //! * [`discretize`] — equal-width / quantile / explicit-cutpoint binning for
 //!   continuous source columns.
 //! * [`split`] — seeded (optionally stratified) train/test splitting.
-//! * [`encode`] — one-hot and ordinal feature encodings for downstream
-//!   classifiers.
 //! * [`persist`] / [`store`] — dataset persistence: exact canonical text
 //!   plus a binary columnar form with persisted packed region keys, both
 //!   behind `store::open` / `store::save` with format autodetection.
@@ -36,7 +34,6 @@ pub mod collapse;
 pub mod csv;
 pub mod dataset;
 pub mod discretize;
-pub mod encode;
 pub mod error;
 pub mod format;
 pub mod pattern;

@@ -436,6 +436,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remedy_classifiers::{Model, ModelKind};
     use remedy_dataset::{synth, Attribute, Schema};
 
     /// Two protected attributes; the (a=1, b=1) corner gets all the false
@@ -593,8 +594,7 @@ mod tests {
     /// Seeded predictions: a decision tree's, with every `flip_every`-th
     /// row flipped so each statistic sees errors in every subgroup.
     fn predictions(data: &Dataset, seed: u64, flip_every: usize) -> Vec<u8> {
-        let model =
-            remedy_classifiers::train(remedy_classifiers::ModelKind::DecisionTree, data, seed);
+        let model = ModelKind::DecisionTree.fit(data, seed);
         let mut preds = model.predict(data);
         for (i, p) in preds.iter_mut().enumerate() {
             if (i * 7 + seed as usize).is_multiple_of(flip_every) {

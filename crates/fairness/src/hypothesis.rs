@@ -162,6 +162,7 @@ pub fn validate_on_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remedy_classifiers::{Model, ModelKind};
     use remedy_core::identify;
     use remedy_dataset::split::train_test_split;
     use remedy_dataset::synth;
@@ -170,8 +171,7 @@ mod tests {
     fn compas_unfair_subgroups_are_explained() {
         let data = synth::compas_n(4_000, 11);
         let (train, test) = train_test_split(&data, 0.7, 11).unwrap();
-        let model =
-            remedy_classifiers::train(remedy_classifiers::ModelKind::DecisionTree, &train, 11);
+        let model = ModelKind::DecisionTree.fit(&train, 11);
         let predictions = model.predict(&test);
         let validation = validate_on_columns(
             &train,
@@ -196,8 +196,7 @@ mod tests {
     fn sign_agreement_is_high_for_fpr() {
         let data = synth::compas_n(4_000, 3);
         let (train, test) = train_test_split(&data, 0.7, 3).unwrap();
-        let model =
-            remedy_classifiers::train(remedy_classifiers::ModelKind::DecisionTree, &train, 3);
+        let model = ModelKind::DecisionTree.fit(&train, 3);
         let predictions = model.predict(&test);
         let validation = validate_on_columns(
             &train,
@@ -219,8 +218,7 @@ mod tests {
     fn unexplained_subgroups_are_marked() {
         // empty IBS → everything unexplained
         let data = synth::compas_n(2_000, 5);
-        let model =
-            remedy_classifiers::train(remedy_classifiers::ModelKind::DecisionTree, &data, 5);
+        let model = ModelKind::DecisionTree.fit(&data, 5);
         let predictions = model.predict(&data);
         let unfair = Explorer::default()
             .unfair_subgroups(&data, &predictions, Statistic::Fpr, 0.1)

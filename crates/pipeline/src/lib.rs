@@ -7,7 +7,7 @@
 //! ```
 //!
 //! A [`Plan`] declares the dataset, the shared identification parameters,
-//! and a fan-out of branches — each a (remedy technique, model family)
+//! and a fan-out of branches — each a (remedy technique, model)
 //! pair. [`run`] executes the DAG:
 //!
 //! * **Content-hashed caching** ([`cache`]) — every stage's key is the
@@ -61,6 +61,6 @@ pub use cache::{ArtifactCache, CacheKey, GcPolicy, GcStats};
 pub use engine::{run, run_with, PipelineOptions};
 pub use error::{ErrorKind, PipelineError};
 pub use manifest::{BranchFailure, BranchOutcome, RunManifest, RunStatus, StageRecord};
-pub use plan::{BranchSpec, ModelFamily, Plan, SourceFormat};
+pub use plan::{BranchSpec, ModelKind, Plan, SourceFormat};
 pub use retry::RetryPolicy;
 pub use shard::{worker_body, worker_threads, WorkerMode, WORKER_EXIT_FATAL};

@@ -93,7 +93,7 @@ pub struct BranchOutcome {
     pub name: String,
     /// Technique label (`PS`, `US`, `DP`, `Massaging`) or `none`.
     pub technique: String,
-    /// Model family token (`dt`, `rf`, `lg`, `nb`).
+    /// Model kind token (`dt`, `rf`, `lg`, `nn`, `nb`).
     pub model: String,
     /// The audit metrics.
     pub metrics: MetricsSummary,

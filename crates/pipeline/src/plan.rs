@@ -1,7 +1,7 @@
 //! Declarative run plans.
 //!
 //! A plan is a line-oriented text file: `key value` settings followed by
-//! one `branch` line per (remedy technique, model family) combination to
+//! one `branch` line per (remedy technique, model) combination to
 //! evaluate. `#` starts a comment; blank lines are ignored.
 //!
 //! ```text
@@ -20,7 +20,7 @@
 //! branches themselves are independent and run in parallel.
 
 use crate::error::PipelineError;
-pub use remedy_classifiers::ModelFamily;
+pub use remedy_classifiers::ModelKind;
 use remedy_core::{Enumeration, IbsParams, Neighborhood, RemedyParams, Technique, DEFAULT_SEED};
 use remedy_fairness::Statistic;
 use std::path::Path;
@@ -49,8 +49,8 @@ pub struct BranchSpec {
     pub name: String,
     /// Remedy technique; `None` trains on the unremedied split.
     pub technique: Option<Technique>,
-    /// Downstream model family.
-    pub model: ModelFamily,
+    /// Downstream model.
+    pub model: ModelKind,
     /// Per-branch remedy neighborhood override (`neighborhood=`); `None`
     /// inherits the plan's shared setting. This is what lets one plan run
     /// the Fig. 8 Unit-vs-OrderedRadius ablation as a branch fan-out.
@@ -308,7 +308,7 @@ fn parse_branch(idx: usize, value: &str) -> Result<BranchSpec, PipelineError> {
         name,
         technique: technique
             .ok_or_else(|| at(idx, "branch needs technique=none|ps|us|dp|massage".into()))?,
-        model: model.ok_or_else(|| at(idx, "branch needs model=dt|rf|lg|nb".into()))?,
+        model: model.ok_or_else(|| at(idx, "branch needs model=dt|rf|lg|nn|nb".into()))?,
         neighborhood,
     })
 }
@@ -341,7 +341,7 @@ branch ps technique=ps model=dt
             plan.branches[1].technique,
             Some(Technique::PreferentialSampling)
         );
-        assert_eq!(plan.branches[1].model, ModelFamily::DecisionTree);
+        assert_eq!(plan.branches[1].model, ModelKind::DecisionTree);
     }
 
     #[test]
@@ -360,7 +360,9 @@ branch ps technique=ps model=dt
             Plan::parse("dataset compas\nfrobnicate 3\nbranch a technique=ps model=dt\n").is_err()
         );
         assert!(Plan::parse("dataset compas\nbranch a technique=zz model=dt\n").is_err());
-        assert!(Plan::parse("dataset compas\nbranch a technique=ps model=nn\n").is_err());
+        assert!(Plan::parse("dataset compas\nbranch a technique=ps model=xx\n").is_err());
+        let nn = Plan::parse("dataset compas\nbranch a technique=ps model=nn\n").unwrap();
+        assert_eq!(nn.branches[0].model, ModelKind::NeuralNetwork);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::cache::{ArtifactCache, CacheKey};
 use crate::error::{panic_message, PipelineError};
 use crate::failpoint;
 use crate::manifest::StageRecord;
-use crate::plan::{ModelFamily, Plan, SourceFormat};
+use crate::plan::{ModelKind, Plan, SourceFormat};
 use remedy_classifiers::persist as model_persist;
 use remedy_classifiers::{accuracy, Model};
 use remedy_core::hash::{stable_hash, StableHasher};
@@ -476,7 +476,7 @@ pub enum TrainInput<'a> {
     Text(&'a str),
 }
 
-/// Train: fit the branch's model family on its training input. The key
+/// Train: fit the branch's model on its training input. The key
 /// depends on the input's hash alone (a remedy artifact's content digest,
 /// or the split's derived identity), so the model is the same whichever
 /// form the input arrives in.
@@ -484,7 +484,7 @@ pub enum TrainInput<'a> {
 pub fn train_stage(
     plan: &Plan,
     branch: &str,
-    family: ModelFamily,
+    kind: ModelKind,
     train_input: TrainInput<'_>,
     train_input_hash: &str,
     cache: &ArtifactCache,
@@ -494,7 +494,7 @@ pub fn train_stage(
     let mut h = StableHasher::new();
     h.write_str("train");
     h.write_str(train_input_hash);
-    h.write_str(family.token());
+    h.write_str(kind.token());
     h.write_u64(plan.seed);
     let key = CacheKey::from_hasher(&h);
     let seed = plan.seed;
@@ -504,13 +504,13 @@ pub fn train_stage(
         Some(branch),
         key,
         force,
-        &format!("train {} seed={seed}", family.token()),
+        &format!("train {} seed={seed}", kind.token()),
         obs,
         move || match train_input {
-            TrainInput::Data(data) => Ok(family.fit_to_text(data, seed)),
+            TrainInput::Data(data) => Ok(kind.fit(data, seed).to_text()),
             TrainInput::Text(text) => {
                 let data = data_persist::dataset_from_text(text)?;
-                Ok(family.fit_to_text(&data, seed))
+                Ok(kind.fit(&data, seed).to_text())
             }
         },
     )

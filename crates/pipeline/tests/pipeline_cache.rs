@@ -3,13 +3,14 @@
 //! computation, determinism of artifacts, and injectivity of the
 //! cache-key hashing.
 
-use remedy_classifiers::{accuracy, DecisionTree, DecisionTreeParams, Model};
+use remedy_classifiers::{accuracy, DecisionTree, DecisionTreeParams, Model, ModelKind};
 use remedy_core::{IbsParams, Neighborhood, RemedyParams, Scope, Technique};
 use remedy_dataset::split::train_test_split;
 use remedy_dataset::synth;
 use remedy_fairness::{fairness_index, FairnessIndexParams, Statistic};
+use remedy_pipeline::cache::CacheKey;
 use remedy_pipeline::stages::{train_stage, TrainInput};
-use remedy_pipeline::{run, run_with, ArtifactCache, ModelFamily, PipelineOptions, Plan};
+use remedy_pipeline::{run, run_with, ArtifactCache, PipelineOptions, Plan};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -191,7 +192,7 @@ fn remedy_cache_artifact_matches_golden_remedy() {
 /// Training fits on the dataset the engine holds when it has one, and
 /// on the parsed training text when the remedy was replayed from the
 /// cache. Both give the same key and the same model bytes, for every
-/// model family, on the unremedied split and on a remedied one.
+/// model kind, on the unremedied split and on a remedied one.
 #[test]
 fn training_from_memory_matches_training_from_text() {
     let plan = Plan::parse(PLAN).unwrap();
@@ -207,19 +208,49 @@ fn training_from_memory_matches_training_from_text() {
     for (branch, input) in [("base", &train_set), ("ps", &remedied)] {
         let text = remedy_dataset::persist::dataset_to_text(input);
         let hash = format!("{:032x}", remedy_core::stable_hash(text.as_bytes()));
-        for family in ["dt", "rf", "lg", "nb"] {
-            let family: ModelFamily = family.parse().unwrap();
-            let train = |input| {
-                train_stage(&plan, branch, family, input, &hash, &cache, true, &off).unwrap()
-            };
+        for kind in ModelKind::ALL {
+            let train =
+                |input| train_stage(&plan, branch, kind, input, &hash, &cache, true, &off).unwrap();
             let (memory, parsed) = (
                 train(TrainInput::Data(input)),
                 train(TrainInput::Text(&text)),
             );
             assert_eq!(memory.record.key, parsed.record.key);
-            assert_eq!(memory.text, parsed.text, "{branch} {family:?}");
+            assert_eq!(memory.text, parsed.text, "{branch} {kind}");
         }
     }
+}
+
+/// A `model=nn` branch fits the neural network on the cold run, and the
+/// warm run replays its train and audit stages from the cache: the same
+/// keys, the same artifacts and the same metrics.
+#[test]
+fn nn_branch_trains_cold_and_replays_warm() {
+    let dir = fresh_cache("nn_branch");
+    let plan = Plan::parse(
+        "dataset compas\nrows 600\nseed 9\nbranch base technique=none model=nn\n\
+         branch ps technique=ps model=nn\n",
+    )
+    .unwrap();
+    let cold = run(&plan, &opts(&dir)).unwrap();
+    let warm = run(&plan, &opts(&dir)).unwrap();
+    let cache = ArtifactCache::open(&dir).unwrap();
+    for branch in ["base", "ps"] {
+        for stage in ["train", "audit"] {
+            let c = cold.stage(stage, Some(branch)).unwrap();
+            let w = warm.stage(stage, Some(branch)).unwrap();
+            assert!(!c.cache_hit && w.cache_hit, "{branch} {stage}");
+            assert_eq!(c.key, w.key, "{branch} {stage}");
+            assert_eq!(c.artifact_hash, w.artifact_hash, "{branch} {stage}");
+        }
+        let train = cold.stage("train", Some(branch)).unwrap();
+        let key = CacheKey(u128::from_str_radix(&train.key, 16).unwrap());
+        let (text, _) = cache.lookup("train", key).unwrap();
+        let model = remedy_classifiers::persist::from_text(&text).unwrap();
+        assert_eq!(model.kind(), ModelKind::NeuralNetwork, "{branch}");
+    }
+    assert_eq!(cold.branches, warm.branches);
+    assert!(cold.branches.iter().all(|b| b.model == "nn"));
 }
 
 /// Forced recomputation into a second cache produces byte-identical

@@ -23,7 +23,7 @@
 use crate::durable::{self, Durable, DurableConfig, DurablePolicy};
 use crate::protocol::{self, Fields, Request};
 use crate::session::{lock_session_for, Registry, Session};
-use remedy_classifiers::{train, ModelKind};
+use remedy_classifiers::{Model, ModelKind};
 use remedy_core::{remedy_over_with, RemedyParams, DEFAULT_SEED};
 use remedy_dataset::source::{self, FormatPolicy};
 use remedy_dataset::split::train_test_split;
@@ -530,7 +530,7 @@ fn op_audit(state: &Arc<State>, req: &Request, rec: &Recorder) -> Result<Fields,
         train_test_split(&session.data, 0.7, seed)
             .map_err(|e| PipelineError::invalid_plan(e.to_string()))?
     };
-    let model = train(model_kind, &train_set, seed);
+    let model = model_kind.fit(&train_set, seed);
     let predictions = model.predict(&test_set);
     let score = audit_score(&test_set, &predictions, stat, tau_d, min_support)
         .map_err(|e| PipelineError::invalid_plan(e.to_string()))?;

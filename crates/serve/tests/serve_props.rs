@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use remedy_classifiers::{train, ModelKind};
+use remedy_classifiers::{Model, ModelKind};
 use remedy_core::persist::regions_to_text;
 use remedy_core::{identify, remedy_with, Algorithm, IbsParams, Neighborhood, RemedyParams};
 use remedy_core::{Scope as IbsScope, Technique};
@@ -757,7 +757,7 @@ fn audit_response_matches_an_in_process_audit_byte_for_byte() {
     let (model_kind, stat, seed) = (ModelKind::DecisionTree, Statistic::Fpr, 9);
     let config = AuditConfig::default();
     let (train_set, test_set) = train_test_split(&rows, 0.7, seed).unwrap();
-    let predictions = train(model_kind, &train_set, seed).predict(&test_set);
+    let predictions = model_kind.fit(&train_set, seed).predict(&test_set);
     let score = audit_score(
         &test_set,
         &predictions,

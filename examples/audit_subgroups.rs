@@ -10,7 +10,7 @@
 //! ones against the Implicit Biased Set found in the training data — the
 //! connection at the heart of Hypothesis 1.
 
-use remedy::classifiers::{train, ModelKind};
+use remedy::classifiers::{Model, ModelKind};
 use remedy::core::{identify, Algorithm, IbsParams};
 use remedy::dataset::split::train_test_split;
 use remedy::dataset::synth;
@@ -25,7 +25,7 @@ fn main() {
     let (train_set, test_set) = train_test_split(&data, 0.7, 7).unwrap();
 
     // the model under audit
-    let model = train(ModelKind::RandomForest, &train_set, 7);
+    let model = ModelKind::RandomForest.fit(&train_set, 7);
     let predictions = model.predict(&test_set);
 
     // every significant unfair subgroup (support ≥ 5%, Welch-t, τ_d = 0.1)

@@ -10,7 +10,7 @@
 //! audit report, and the classical two-group fairness metrics.
 
 use remedy::classifiers::persist;
-use remedy::classifiers::{DecisionTree, DecisionTreeParams, Model};
+use remedy::classifiers::{Model, ModelKind};
 use remedy::core::{remedy as remedy_data, RemedyParams};
 use remedy::dataset::split::train_test_split;
 use remedy::dataset::{profile, synth};
@@ -32,11 +32,11 @@ fn main() {
     // 2. remedy the training split and train
     let (train_set, test_set) = train_test_split(&data, 0.7, 42).unwrap();
     let remedied = remedy_data(&train_set, &RemedyParams::default()).dataset;
-    let model = DecisionTree::fit(&remedied, &DecisionTreeParams::default());
+    let model = ModelKind::DecisionTree.fit(&remedied, 42);
 
     // 3. persist and reload
     let path = std::env::temp_dir().join("remedy_lifecycle_model.txt");
-    persist::save_to_path(&persist::tree_to_text(&model), &path).unwrap();
+    persist::save_to_path(&model.to_text(), &path).unwrap();
     let loaded = persist::load_from_path(&path).unwrap();
     println!(
         "\nsaved and reloaded a {} from {}",

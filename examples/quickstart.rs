@@ -10,7 +10,7 @@
 //! 3. remedy the training set with preferential sampling (Algorithm 2),
 //! 4. train a decision tree before/after and compare subgroup fairness.
 
-use remedy::classifiers::{accuracy, train, ModelKind};
+use remedy::classifiers::{accuracy, Model, ModelKind};
 use remedy::core::{identify, remedy as remedy_data, Algorithm, IbsParams, RemedyParams};
 use remedy::dataset::split::train_test_split;
 use remedy::dataset::synth;
@@ -56,8 +56,8 @@ fn main() {
 
     // 4. train a decision tree before and after; compare subgroup fairness
     let fi = FairnessIndexParams::default();
-    let before = train(ModelKind::DecisionTree, &train_set, 42);
-    let after = train(ModelKind::DecisionTree, &outcome.dataset, 42);
+    let before = ModelKind::DecisionTree.fit(&train_set, 42);
+    let after = ModelKind::DecisionTree.fit(&outcome.dataset, 42);
     let preds_before = before.predict(&test_set);
     let preds_after = after.predict(&test_set);
     println!("\n                      before    after");

@@ -41,7 +41,7 @@ pub use remedy_pipeline as pipeline;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {
-    pub use remedy_classifiers::{accuracy, train, Model, ModelKind};
+    pub use remedy_classifiers::{accuracy, Model, ModelKind};
     pub use remedy_core::remedy as apply_remedy;
     pub use remedy_core::{
         identify, Algorithm, IbsParams, Neighborhood, RemedyParams, Scope, Technique,
@@ -61,7 +61,7 @@ mod tests {
         let data = remedy_dataset::synth::compas_n(800, 1);
         let ibs = identify(&data, &IbsParams::default(), Algorithm::Optimized);
         let outcome = apply_remedy(&data, &RemedyParams::default());
-        let model = train(ModelKind::DecisionTree, &outcome.dataset, 1);
+        let model = ModelKind::DecisionTree.fit(&outcome.dataset, 1);
         let preds = model.predict(&data);
         let fi = fairness_index(
             &data,

@@ -18,8 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use remedy::classifiers::persist::{forest_to_text, ModelFamily};
-use remedy::classifiers::{self, Model, RandomForest, RandomForestParams};
+use remedy::classifiers::{self, Model, ModelKind, RandomForest, RandomForestParams, SavedModel};
 use remedy::core::persist::{counts_from_text, counts_to_text, regions_from_text, regions_to_text};
 use remedy::core::{
     identify, try_identify_counts_with, Algorithm, Enumeration, IbsParams, ShardCounts,
@@ -110,8 +109,8 @@ fn fixtures() -> Vec<(&'static str, String, Decode)> {
         },
         7,
     );
-    let model = |family: ModelFamily| family.fit_to_text(&data, 7);
-    let predictions = classifiers::persist::from_text(&model(ModelFamily::DecisionTree))
+    let model = |kind: ModelKind| kind.fit(&data, 7).to_text();
+    let predictions = classifiers::persist::from_text(&model(ModelKind::DecisionTree))
         .unwrap()
         .predict(&data);
     let audit = audit_score(&data, &predictions, Statistic::Fpr, 0.1, 0.05).unwrap();
@@ -131,10 +130,15 @@ fn fixtures() -> Vec<(&'static str, String, Decode)> {
             regions_from_text(t).is_ok()
         }),
         ("counts", counts_to_text(&counts), decode_and_identify),
-        ("dt", model(ModelFamily::DecisionTree), model_decode),
-        ("rf", forest_to_text(&forest), model_decode),
-        ("lg", model(ModelFamily::LogisticRegression), model_decode),
-        ("nb", model(ModelFamily::NaiveBayes), model_decode),
+        ("dt", model(ModelKind::DecisionTree), model_decode),
+        (
+            "rf",
+            SavedModel::RandomForest(forest).to_text(),
+            model_decode,
+        ),
+        ("lg", model(ModelKind::LogisticRegression), model_decode),
+        ("nn", model(ModelKind::NeuralNetwork), model_decode),
+        ("nb", model(ModelKind::NaiveBayes), model_decode),
         ("metrics", summary.to_text(), |t| {
             MetricsSummary::from_text(t).is_ok()
         }),
@@ -508,9 +512,11 @@ fn mutated_binary_artifacts_decode_without_panicking() {
 
 /// Hostile inputs found by hand: a tree whose split points past the node
 /// list (an out-of-bounds index at prediction), one whose split is its
-/// own child (a prediction that never returns), shard counts whose leaf
-/// sum overflows `u64`, and shard counts with a leaf of no rows (which
-/// overwrote a region's counts in the pruned lattice builder).
+/// own child (a prediction that never returns), logistic-regression
+/// offsets that leave a block past the weights (another out-of-bounds
+/// index at prediction), shard counts whose leaf sum overflows `u64`, and
+/// shard counts with a leaf of no rows (which overwrote a region's counts
+/// in the pruned lattice builder).
 #[test]
 fn known_hostile_inputs_are_typed_errors() {
     let max = u64::MAX;
@@ -519,6 +525,15 @@ fn known_hostile_inputs_are_typed_errors() {
     for (decode, text) in [
         (model, "remedy-model v1\nkind decision-tree\nnodes 1\nsplit 0 0 5 5\n".to_string()),
         (model, "remedy-model v1\nkind decision-tree\nnodes 1\nsplit 0 0 0 0\n".to_string()),
+        (
+            model,
+            "remedy-model v1\nkind logistic-regression\nbias 0\noffsets 0 1\nweights 1\n".to_string(),
+        ),
+        (
+            model,
+            "remedy-model v1\nkind logistic-regression\nbias 0\noffsets 0 5\nweights 1 2\n"
+                .to_string(),
+        ),
         (
             counts,
             format!(

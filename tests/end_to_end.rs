@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full dataset → IBS → remedy →
 //! classifier → fairness pipeline.
 
-use remedy::classifiers::{accuracy, train, ModelKind};
+use remedy::classifiers::{accuracy, Model, ModelKind};
 use remedy::core::{
     identify, remedy as remedy_data, Algorithm, Enumeration, IbsParams, RemedyParams, Scope,
     Technique,
@@ -20,14 +20,14 @@ fn remedy_mitigates_subgroup_unfairness() {
     let (train_set, test_set) = train_test_split(&data, 0.7, 42).unwrap();
     let fi = FairnessIndexParams::default();
 
-    let base_model = train(ModelKind::DecisionTree, &train_set, 42);
+    let base_model = ModelKind::DecisionTree.fit(&train_set, 42);
     let base_preds = base_model.predict(&test_set);
     let base_fi_fpr = fairness_index(&test_set, &base_preds, Statistic::Fpr, &fi).unwrap();
     let base_fi_fnr = fairness_index(&test_set, &base_preds, Statistic::Fnr, &fi).unwrap();
     let base_acc = accuracy(&base_preds, test_set.labels());
 
     let outcome = remedy_data(&train_set, &RemedyParams::default());
-    let model = train(ModelKind::DecisionTree, &outcome.dataset, 42);
+    let model = ModelKind::DecisionTree.fit(&outcome.dataset, 42);
     let preds = model.predict(&test_set);
     let fi_fpr = fairness_index(&test_set, &preds, Statistic::Fpr, &fi).unwrap();
     let fi_fnr = fairness_index(&test_set, &preds, Statistic::Fnr, &fi).unwrap();
@@ -211,8 +211,8 @@ fn pipeline_is_reproducible() {
     let o1 = remedy_data(&data, &params);
     let o2 = remedy_data(&data, &params);
     assert_eq!(o1.dataset, o2.dataset);
-    let m1 = train(ModelKind::RandomForest, &o1.dataset, 3);
-    let m2 = train(ModelKind::RandomForest, &o2.dataset, 3);
+    let m1 = ModelKind::RandomForest.fit(&o1.dataset, 3);
+    let m2 = ModelKind::RandomForest.fit(&o2.dataset, 3);
     assert_eq!(m1.predict(&data), m2.predict(&data));
 }
 
