@@ -26,6 +26,7 @@ use crate::naive_bayes::NaiveBayes;
 use crate::onehot;
 use crate::tree::{DecisionTree, Node};
 use remedy_dataset::format::{DecodeError, Fields, Lines, Magic};
+use remedy_dataset::Schema;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -36,6 +37,9 @@ const MAGIC: Magic = Magic::new("remedy-model", 1);
 pub enum PersistError {
     /// The text is not a well-formed model.
     Decode(DecodeError),
+    /// A well-formed model reads an attribute or a code the rows it is
+    /// to score cannot supply.
+    Schema(String),
     /// I/O failure.
     Io(String),
 }
@@ -44,6 +48,7 @@ impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Decode(e) => write!(f, "malformed model file: {e}"),
+            PersistError::Schema(msg) => write!(f, "model does not fit the rows: {msg}"),
             PersistError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
@@ -89,6 +94,34 @@ impl SavedModel {
             SavedModel::NeuralNetwork(_) => ModelKind::NeuralNetwork,
             SavedModel::NaiveBayes(_) => ModelKind::NaiveBayes,
         }
+    }
+
+    /// Checks that the model reads only what rows of `schema` supply: a
+    /// tree splits on attributes the rows have, and a weighted model has
+    /// one block (or table) per attribute with a weight for every code.
+    /// A model text records no input layout, so [`from_text`] cannot
+    /// tell; a decoded model is checked against the rows it will score
+    /// before it scores them, and a mismatch is an error, not a panic.
+    pub fn check_schema(&self, schema: &Schema) -> Result<(), PersistError> {
+        let cards: Vec<usize> = schema
+            .attributes()
+            .iter()
+            .map(|a| a.cardinality())
+            .collect();
+        let checked = match self {
+            SavedModel::DecisionTree(tree) => check_tree(tree, cards.len()),
+            SavedModel::RandomForest(forest) => forest
+                .trees
+                .iter()
+                .try_for_each(|tree| check_tree(tree, cards.len())),
+            SavedModel::LogisticRegression(m) => check_blocks(&m.offsets, m.weights.len(), &cards),
+            SavedModel::NeuralNetwork(m) => check_blocks(&m.offsets, m.n_features, &cards),
+            SavedModel::NaiveBayes(m) => m.log_cond.iter().try_for_each(|tables| {
+                let widths: Vec<usize> = tables.iter().map(Vec::len).collect();
+                check_widths(&widths, &cards)
+            }),
+        };
+        checked.map_err(PersistError::Schema)
     }
 
     /// Serializes the model; [`from_text`] reads it back exactly.
@@ -152,6 +185,47 @@ fn write_tree(tree: &DecisionTree, out: &mut String) {
                 ne,
             } => writeln!(out, "split {attribute} {value} {eq} {ne}"),
         };
+    }
+}
+
+/// A tree may split only on the `n_attrs` attributes the rows have.
+fn check_tree(tree: &DecisionTree, n_attrs: usize) -> Result<(), String> {
+    for node in &tree.nodes {
+        if let Node::Split { attribute, .. } = node {
+            if *attribute >= n_attrs {
+                return Err(format!(
+                    "a split reads attribute {attribute} of rows with {n_attrs}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One-hot blocks at `offsets` over `n_features` weights must number
+/// one per attribute and each hold a weight for every code.
+fn check_blocks(offsets: &[usize], n_features: usize, cards: &[usize]) -> Result<(), String> {
+    let ends = offsets.iter().skip(1).chain(std::iter::once(&n_features));
+    let widths: Vec<usize> = offsets.iter().zip(ends).map(|(a, b)| b - a).collect();
+    check_widths(&widths, cards)
+}
+
+/// Per-attribute value slots must number one per attribute, each at
+/// least the attribute's cardinality.
+fn check_widths(widths: &[usize], cards: &[usize]) -> Result<(), String> {
+    if widths.len() != cards.len() {
+        return Err(format!(
+            "{} attribute blocks for rows with {} attributes",
+            widths.len(),
+            cards.len()
+        ));
+    }
+    match widths.iter().zip(cards).position(|(w, c)| w < c) {
+        Some(a) => Err(format!(
+            "attribute {a} has {} weights for {} codes",
+            widths[a], cards[a]
+        )),
+        None => Ok(()),
     }
 }
 
@@ -327,6 +401,40 @@ mod tests {
         }
     }
 
+    /// A model that decodes but reads past what the rows supply fails the
+    /// schema check with a typed error instead of panicking when scored:
+    /// a split on an attribute the rows lack, a one-hot block narrower
+    /// than its attribute's cardinality, a layout for another attribute
+    /// count, and naive-Bayes tables too short for the codes.
+    #[test]
+    fn models_that_read_past_the_rows_fail_the_schema_check() {
+        let d = data(); // attributes of 2 and 3 codes
+        for text in [
+            "remedy-model v1\nkind decision-tree\nnodes 3\nsplit 7 0 1 2\nleaf 0\nleaf 1\n",
+            "remedy-model v1\nkind random-forest\ntrees 1\nnodes 3\nsplit 2 0 1 2\nleaf 0\nleaf 1\n",
+            "remedy-model v1\nkind logistic-regression\nbias 0\noffsets 0 2\nweights 1 2 3\n",
+            "remedy-model v1\nkind logistic-regression\nbias 0\noffsets 0\nweights 1 2 3 4 5\n",
+            "remedy-model v1\nkind neural-network\nhidden 1\noffsets 0 1\nw1 1 2 3 4 5\nb1 0\nw2 1\nb2 0\n",
+            "remedy-model v1\nkind naive-bayes\nprior 0 0\nclass 0 attrs 2\nattr 0 0\nattr 0 0\n\
+             class 1 attrs 2\nattr 0 0\nattr 0 0 0\n",
+        ] {
+            let model = from_text(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            match model.check_schema(d.schema()) {
+                Err(PersistError::Schema(msg)) => assert!(!msg.is_empty()),
+                other => panic!("{text:?} passed as {other:?}"),
+            }
+        }
+        // the same layouts sized to the rows pass, and score them
+        for text in [
+            "remedy-model v1\nkind decision-tree\nnodes 3\nsplit 1 0 1 2\nleaf 0\nleaf 1\n",
+            "remedy-model v1\nkind logistic-regression\nbias 0\noffsets 0 2\nweights 1 2 3 4 5\n",
+        ] {
+            let model = from_text(text).unwrap();
+            assert_eq!(model.check_schema(d.schema()), Ok(()));
+            assert_eq!(model.predict(&d).len(), d.len());
+        }
+    }
+
     /// Every kind's text reads back to a model that predicts bit for bit
     /// what the fitted one does, and writes the same text again.
     #[test]
@@ -341,6 +449,7 @@ mod tests {
             let loaded = from_text(&text).unwrap();
             assert_eq!(loaded.kind(), kind);
             assert_eq!(loaded.to_text(), text, "{kind}");
+            assert_eq!(loaded.check_schema(d.schema()), Ok(()), "{kind}");
             for i in 0..d.len() {
                 let row = d.row(i);
                 assert_eq!(

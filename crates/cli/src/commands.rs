@@ -1242,6 +1242,8 @@ mod tests {
             .unwrap();
             let model = persist::load_from_path(&out).unwrap();
             assert_eq!(model.kind(), kind);
+            let rows = remedy_dataset::synth::compas(42);
+            assert_eq!(model.check_schema(rows.schema()), Ok(()));
         }
     }
 

@@ -46,7 +46,7 @@ pub mod scope;
 pub mod score;
 pub mod sparse;
 
-pub use counting::{CountingTally, NodeRows, RegionIndex, ShardCounts, Tally};
+pub use counting::{CountingTally, NodeSlots, RegionIndex, ShardCounts, Tally};
 pub use error::{CoreError, MAX_CARDINALITY, MAX_PROTECTED_SPARSE};
 pub use hash::{stable_hash, StableHasher};
 pub use hierarchy::Hierarchy;

@@ -17,7 +17,7 @@
 //! node are disjoint, so a node's remedies are computed from a consistent
 //! snapshot.
 
-use crate::counting::{NodeRows, RegionIndex};
+use crate::counting::{NodeSlots, RegionIndex};
 use crate::error::{check_dense_arity, CoreError};
 use crate::hash::FastMap;
 use crate::hierarchy::pattern_of;
@@ -221,21 +221,23 @@ pub fn remedy_with(data: &Dataset, params: &RemedyParams, obs: &ObsScope) -> Rem
 }
 
 /// Remedies a dataset over an explicit protected-column set, with
-/// observability: per-node count timings (`node_counts_us` histogram),
-/// `counting.delta.*` / `counting.rebuild.*` counters from the
-/// [`RegionIndex`], plus `regions_updated`, `rows_duplicated`,
-/// `rows_removed`, `rows_flipped`, `rows_gathered` and `posteriors`
-/// counters, batched into one flush per hierarchy node.
+/// observability: per-node count and gather timings (`node_counts_us`
+/// and `gather_us` histograms), `counting.delta.*` /
+/// `counting.rebuild.*` counters from the [`RegionIndex`], plus
+/// `regions_updated`, `rows_duplicated`, `rows_removed`, `rows_flipped`,
+/// `rows_gathered` and `posteriors` counters, batched into one flush per
+/// hierarchy node.
 ///
 /// Every per-row cost is paid once. One parallel counting pass builds
 /// the index, and every later node's counts are projected from leaf
 /// counts *maintained* under the remedy's own edits — an O(1) leaf delta
 /// per edit and O(distinct leaves) per node instead of O(n·p) per node.
-/// The ranker scores each input row once (PS and massaging only); a
-/// node's biased regions are gathered from the index's leaf buckets in
-/// one pass; and the remedy edits a thin per-row view (origin row and
-/// label) rather than a copy of the dataset, which is built once, at the
-/// end, from the surviving origins and their labels.
+/// The ranker scores each input row once (PS and massaging only). The
+/// remedy works in the index's slot space: a node's biased regions are
+/// gathered as slots, split by class, from the leaves' slot lists in
+/// one pass; edits name slots, so nothing is translated or compacted
+/// between nodes; and the remedied dataset is built once, at the end,
+/// from the live slots' origins and labels.
 ///
 /// The remedy walks every lattice node, so past
 /// [`crate::hierarchy::MAX_PROTECTED`] attributes it fails with
@@ -267,18 +269,15 @@ pub fn remedy_over_with(
     })
 }
 
-/// The rows being remedied, as a thin view over the input dataset, and
-/// the [`RegionIndex`] that mirrors them: counts and region rows come
-/// from the maintained index and every edit is applied to both, as an
-/// O(1) leaf delta on the index side.
+/// The rows being remedied, as the [`RegionIndex`]'s slots plus what
+/// each slot copies: counts and region slots come from the maintained
+/// index, and every edit is an O(1) slot edit on it.
 struct IndexEngine {
     index: RegionIndex,
-    /// The input row each current row copies.
-    origin: Vec<usize>,
-    /// The current label of each current row.
-    labels: Vec<u8>,
-    /// The ranker's [`borderline_key`] of each *input* row; a current
-    /// row's is its origin's. Empty when the technique ranks nothing.
+    /// The input row each slot copies; append-only, like the slots.
+    origin: Vec<u32>,
+    /// The ranker's [`borderline_key`] of each slot (a duplicate's is its
+    /// source's). Empty when the technique ranks nothing.
     scores: Vec<u64>,
     /// Posteriors computed and not yet flushed to the `posteriors`
     /// counter.
@@ -286,8 +285,8 @@ struct IndexEngine {
 }
 
 impl IndexEngine {
-    /// A view of every input row, scored once by a Naïve Bayes ranker
-    /// fitted on the input when the technique needs one.
+    /// A slot per input row, scored once by a Naïve Bayes ranker fitted
+    /// on the input when the technique needs one.
     fn new(data: &Dataset, index: RegionIndex, technique: Technique) -> IndexEngine {
         let scores: Vec<u64> = if technique.needs_ranker() {
             let ranker = NaiveBayes::fit(data);
@@ -303,71 +302,48 @@ impl IndexEngine {
         };
         IndexEngine {
             index,
-            origin: (0..data.len()).collect(),
-            labels: data.labels().to_vec(),
+            origin: (0..data.len() as u32).collect(),
             posteriors: scores.len() as u64,
             scores,
         }
     }
 
-    /// Current number of rows.
-    fn len(&self) -> usize {
-        self.origin.len()
-    }
-
-    /// The complete region map of one node over the current rows.
-    fn node_counts(&mut self, mask: u32, obs: &ObsScope) -> FastMap<u128, Counts> {
+    /// The complete region map of one node over the current rows; notes
+    /// in `node` which region each leaf falls in, for the node's gather.
+    fn node_counts(
+        &mut self,
+        mask: u32,
+        node: &mut NodeSlots,
+        obs: &ObsScope,
+    ) -> FastMap<u128, Counts> {
         let timer = obs.timer();
         self.index.flush_deltas();
-        let counts = self.index.counts().project(mask);
+        let counts = self.index.node_counts(mask, node);
         obs.observe_since("node_counts_us", timer);
         self.index.note_node_served();
         counts
     }
 
-    /// The ranker's order key of current row `row`.
-    fn score(&self, row: usize) -> u64 {
-        self.scores[self.origin[row]]
-    }
-
-    /// Appends a copy of `row` at the end.
-    fn duplicate_row(&mut self, row: usize) {
-        self.index.apply_append(row);
-        self.origin.push(self.origin[row]);
-        self.labels.push(self.labels[row]);
-    }
-
-    /// Flips the label of `row`.
-    fn flip_label(&mut self, row: usize) {
-        self.index.apply_flip(row);
-        self.labels[row] ^= 1;
-    }
-
-    /// Removes the given rows (a node's batched pending removals),
-    /// keeping the survivors in order; sorts `rows` in place.
-    fn remove_rows(&mut self, rows: &mut [usize]) {
-        self.index.apply_remove(rows);
-        rows.sort_unstable();
-        let mut doomed = rows.iter().copied().peekable();
-        let mut kept = 0;
-        for row in 0..self.len() {
-            if doomed.peek() == Some(&row) {
-                while doomed.next_if_eq(&row).is_some() {}
-                continue;
-            }
-            self.origin[kept] = self.origin[row];
-            self.labels[kept] = self.labels[row];
-            kept += 1;
+    /// Appends a copy of `slot`.
+    fn duplicate(&mut self, slot: u32) {
+        let src = slot as usize;
+        self.index.duplicate_slot(src);
+        self.origin.push(self.origin[src]);
+        if !self.scores.is_empty() {
+            self.scores.push(self.scores[src]);
         }
-        self.origin.truncate(kept);
-        self.labels.truncate(kept);
     }
 
-    /// The remedied dataset: the surviving origins' rows, in order, with
-    /// their current labels.
+    /// The remedied dataset: the live slots' origin rows, in slot order,
+    /// with their current labels.
     fn into_dataset(self, data: &Dataset) -> Dataset {
-        let mut out = data.subset(&self.origin);
-        for (row, (&src, &label)) in self.origin.iter().zip(&self.labels).enumerate() {
+        let (rows, labels): (Vec<usize>, Vec<u8>) = self
+            .index
+            .live_slots()
+            .map(|(slot, label)| (self.origin[slot] as usize, label))
+            .unzip();
+        let mut out = data.subset(&rows);
+        for (row, (&src, &label)) in rows.iter().zip(&labels).enumerate() {
             if label != data.label(src) {
                 out.flip_label(row);
             }
@@ -380,28 +356,19 @@ impl IndexEngine {
 /// work allocates nothing once they have grown.
 #[derive(Default)]
 struct Scratch {
-    /// The current node's biased region keys, ascending.
-    keys: Vec<u128>,
-    /// Their rows, gathered in one pass over the index.
-    rows: NodeRows,
-    /// One region's positive rows.
-    pos: Vec<usize>,
-    /// One region's negative rows.
-    neg: Vec<usize>,
-    /// `(order key, row)` pairs of one ranking.
+    /// The current node's acting regions' slots, gathered in one pass
+    /// over the index.
+    slots: NodeSlots,
+    /// `(order key, slot)` pairs of one ranking.
     order: Vec<u128>,
-    /// The current node's batched removals.
-    removals: Vec<usize>,
-    /// The buffer a region's gathered runs are merged through.
-    merge: Vec<usize>,
+    /// The buffer a list's gathered runs are merged through.
+    merge: Vec<u32>,
 }
 
 /// Algorithm 2's node loop. Masks are walked bottom-up (decreasing
-/// popcount, then numeric order); regions within a node are disjoint, so
-/// duplications (appended at the end) and label flips are applied
-/// immediately while removals are batched per node to keep row indices
-/// valid — which is also why one gather at the start of a node serves
-/// all of its regions.
+/// popcount, then numeric order). Regions within a node are disjoint and
+/// slots are never renumbered, so one gather at the start of a node
+/// serves all of its regions while their edits apply at once.
 fn remedy_driver(
     engine: &mut IndexEngine,
     schema: &Schema,
@@ -419,6 +386,10 @@ fn remedy_driver(
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut updates = Vec::new();
     let mut scratch = Scratch::default();
+    // the current node's acting regions, ascending by key, each with the
+    // classes its action reads; and their actions, in the same order
+    let mut regions: Vec<(u128, [bool; 2])> = Vec::new();
+    let mut actions: Vec<Action> = Vec::new();
 
     let full_mask: u32 = crate::counting::full_mask_of(p);
     let mut masks: Vec<u32> = (1..=full_mask).collect();
@@ -431,55 +402,38 @@ fn remedy_driver(
         }
         let ordered: Vec<bool> = attrs.iter().map(|&j| ordered_protected[j]).collect();
         // identification on the *current* rows, restricted to this node
-        let counts = engine.node_counts(mask, obs);
+        let counts = engine.node_counts(mask, &mut scratch.slots, obs);
         let model = NeighborModel::for_snapshot(&counts, &ordered, params.neighborhood);
         let (biased, neighbor_tally) = biased_from_model(&counts, &model, params);
-        scratch.keys.clear();
-        scratch.keys.extend(biased.iter().map(|&(key, _, _)| key));
-        engine
-            .index
-            .gather_rows(mask, &scratch.keys, &mut scratch.rows);
-        scratch.removals.clear();
-        let len_before = engine.len();
-        let updates_before = updates.len();
-        let mut flipped = 0u64;
-        for (i, (key, own, target)) in biased.into_iter().enumerate() {
-            let region = Region {
-                pattern: pattern_of(protected, mask, key),
-                own,
-                target,
-            };
-            if let Some(update) =
-                apply_technique(engine, &region, i, params.technique, &mut rng, &mut scratch)
-            {
-                flipped += update.flipped;
-                updates.push(update);
+        regions.clear();
+        actions.clear();
+        for (key, own, target) in biased {
+            if let Some(action) = plan(params.technique, own, target) {
+                regions.push((key, action.reads()));
+                actions.push(action);
+                updates.push(action.update(pattern_of(protected, mask, key), own, target));
             }
         }
+        let gather_timer = obs.timer();
+        engine.index.gather(&regions, &mut scratch.slots);
+        obs.observe_since("gather_us", gather_timer);
+        for (i, &action) in actions.iter().enumerate() {
+            execute(engine, action, i, &mut rng, &mut scratch);
+        }
+        let edits = engine.index.tally();
         obs.add_many(&[
-            ("regions_updated", (updates.len() - updates_before) as u64),
-            ("rows_duplicated", (engine.len() - len_before) as u64),
-            ("rows_removed", scratch.removals.len() as u64),
-            ("rows_flipped", flipped),
-            ("rows_gathered", scratch.rows.total_rows() as u64),
+            ("regions_updated", actions.len() as u64),
+            ("rows_duplicated", edits.appends),
+            ("rows_removed", edits.removes),
+            ("rows_flipped", edits.flips),
+            ("rows_gathered", scratch.slots.total_slots() as u64),
             ("posteriors", std::mem::take(&mut engine.posteriors)),
             ("neighbor_lookups", neighbor_tally.lookups),
             ("neighbor_underflow", neighbor_tally.underflows),
         ]);
-        if !scratch.removals.is_empty() {
-            engine.remove_rows(&mut scratch.removals);
-        }
         engine.index.flush_obs(obs);
     }
     updates
-}
-
-/// One biased region of the current node: its pattern, its counts and
-/// the neighboring ratio it is moved to.
-struct Region {
-    pattern: Pattern,
-    own: Counts,
-    target: f64,
 }
 
 /// Biased regions of one node's count map: `(key, counts, ratio_rn)`,
@@ -514,18 +468,71 @@ fn biased_from_model(
     (out, tally)
 }
 
-/// Applies one technique to the node's `i`-th gathered region. Returns
+/// What a technique does to one biased region. Classes are `1` for
+/// positives and `0` for negatives.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    /// Duplicate `count` rows of `class`, drawn uniformly with
+    /// replacement (oversampling).
+    Duplicate { class: usize, count: usize },
+    /// Remove `count` distinct rows of `class`, drawn uniformly
+    /// (undersampling).
+    Remove { class: usize, count: usize },
+    /// Remove the `k` most borderline rows of the `majority` class and
+    /// duplicate the `k` most borderline of the other, cycling through a
+    /// shorter list (preferential sampling).
+    Swap { majority: usize, k: usize },
+    /// Flip the labels of the `k` most borderline rows of the `majority`
+    /// class (massaging).
+    Flip { majority: usize, k: usize },
+}
+
+impl Action {
+    /// The classes whose slots the action reads, indexed by class.
+    fn reads(self) -> [bool; 2] {
+        let mut reads = [false; 2];
+        match self {
+            Action::Duplicate { class, count } | Action::Remove { class, count } => {
+                reads[class] = count > 0;
+            }
+            Action::Swap { k, .. } => reads = [k > 0; 2],
+            Action::Flip { majority, k } => reads[majority] = k > 0,
+        }
+        reads
+    }
+
+    /// The record of applying the action to a region with counts `own`.
+    fn update(self, pattern: Pattern, own: Counts, target: f64) -> RegionUpdate {
+        // net change per class, and flips
+        let mut delta = [0i64; 2];
+        let mut flipped = 0;
+        match self {
+            Action::Duplicate { class, count } => delta[class] = count as i64,
+            Action::Remove { class, count } => delta[class] = -(count as i64),
+            Action::Swap { majority, k } | Action::Flip { majority, k } => {
+                delta[majority] = -(k as i64);
+                delta[1 - majority] = k as i64;
+                if matches!(self, Action::Flip { .. }) {
+                    flipped = k as u64;
+                }
+            }
+        }
+        RegionUpdate {
+            pattern,
+            ratio_before: own.imbalance(),
+            target_ratio: target,
+            pos_delta: delta[1],
+            neg_delta: delta[0],
+            flipped,
+        }
+    }
+}
+
+/// What `technique` does to a biased region with counts `own` whose
+/// neighborhood's ratio is `target`, decided from the counts alone.
 /// `None` when the target is unreachable (sentinel target, or no
 /// instances of the class the technique must duplicate).
-fn apply_technique(
-    engine: &mut IndexEngine,
-    region: &Region,
-    i: usize,
-    technique: Technique,
-    rng: &mut StdRng,
-    scratch: &mut Scratch,
-) -> Option<RegionUpdate> {
-    let (own, target) = (region.own, region.target);
+fn plan(technique: Technique, own: Counts, target: f64) -> Option<Action> {
     if target < 0.0 {
         return None; // neighboring region has no negatives: ratio undefined
     }
@@ -534,60 +541,24 @@ fn apply_technique(
     let ratio = own.imbalance();
     // sentinel own-ratio (no negatives) behaves as +∞
     let too_positive = ratio < 0.0 || ratio > target;
+    let size = |class: usize| (if class == 1 { own.pos } else { own.neg }) as usize;
 
-    let Scratch {
-        rows,
-        pos,
-        neg,
-        order,
-        removals,
-        merge,
-        ..
-    } = scratch;
-    // uniform draws pick by position, so they need row order; a ranking
-    // sorts by its own total order instead
-    let rows = if technique.needs_ranker() {
-        rows.region_mut(i)
-    } else {
-        rows.sorted_region_mut(i, merge)
-    };
-    pos.clear();
-    neg.clear();
-    for &row in rows.iter() {
-        match engine.labels[row] {
-            1 => pos.push(row),
-            0 => neg.push(row),
-            _ => {}
-        }
-    }
-
-    let mut update = RegionUpdate {
-        pattern: region.pattern.clone(),
-        ratio_before: ratio,
-        target_ratio: target,
-        pos_delta: 0,
-        neg_delta: 0,
-        flipped: 0,
-    };
-
-    match (technique, too_positive) {
+    Some(match (technique, too_positive) {
         (Technique::Oversampling, true) => {
             // |r⁺| / (|r⁻| + n_r) = ratio_rn
-            if target <= 0.0 || neg.is_empty() {
+            if target <= 0.0 || own.neg == 0 {
                 return None;
             }
-            let n_add = ((p / target).round() - n).max(0.0) as usize;
-            duplicate_uniform(engine, neg, n_add, rng);
-            update.neg_delta = n_add as i64;
+            let count = ((p / target).round() - n).max(0.0) as usize;
+            Action::Duplicate { class: 0, count }
         }
         (Technique::Oversampling, false) => {
             // (|r⁺| + p_r) / |r⁻| = ratio_rn
-            if pos.is_empty() {
+            if own.pos == 0 {
                 return None;
             }
-            let p_add = ((target * n).round() - p).max(0.0) as usize;
-            duplicate_uniform(engine, pos, p_add, rng);
-            update.pos_delta = p_add as i64;
+            let count = ((target * n).round() - p).max(0.0) as usize;
+            Action::Duplicate { class: 1, count }
         }
         (Technique::Undersampling, true) => {
             // (|r⁺| + p_r) / |r⁻| = ratio_rn with p_r < 0
@@ -595,8 +566,10 @@ fn apply_technique(
                 return None; // cannot reach a finite ratio by removals alone
             }
             let remove = (p - (target * n).round()).max(0.0) as usize;
-            let removed = remove_uniform(pos, remove, rng, removals);
-            update.pos_delta = -(removed as i64);
+            Action::Remove {
+                class: 1,
+                count: remove.min(size(1)),
+            }
         }
         (Technique::Undersampling, false) => {
             // |r⁺| / (|r⁻| + n_r) = ratio_rn with n_r < 0
@@ -604,84 +577,92 @@ fn apply_technique(
                 return None;
             }
             let remove = (n - (p / target).round()).max(0.0) as usize;
-            let removed = remove_uniform(neg, remove, rng, removals);
-            update.neg_delta = -(removed as i64);
+            Action::Remove {
+                class: 0,
+                count: remove.min(size(0)),
+            }
         }
-        (Technique::PreferentialSampling, too_positive) => {
-            // (|r⁺| + p_r) / (|r⁻| + n_r) = ratio_rn with |p_r| = |n_r| = k
-            let k = (((p - target * n).abs()) / (1.0 + target)).round() as usize;
-            if k == 0 {
-                return None;
-            }
-            // remove k borderline majority rows, duplicate k borderline
-            // minority rows (cycling through a short minority list)
-            let (majority, minority) = if too_positive { (pos, neg) } else { (neg, pos) };
-            if minority.is_empty() {
-                return None;
-            }
-            let k = k.min(majority.len());
-            rank_borderline(majority, |row| engine.score(row), too_positive, k, order);
-            rank_borderline(minority, |row| engine.score(row), !too_positive, k, order);
-            for row in cycled(minority, k) {
-                engine.duplicate_row(row);
-            }
-            removals.extend_from_slice(&majority[..k]);
-            let k = k as i64;
-            (update.pos_delta, update.neg_delta) = if too_positive { (-k, k) } else { (k, -k) };
-        }
-        (Technique::Massaging, too_positive) => {
-            // flip k borderline majority labels:
+        (Technique::PreferentialSampling | Technique::Massaging, too_positive) => {
+            // preferential sampling moves k rows each way,
+            // (|r⁺| + p_r) / (|r⁻| + n_r) = ratio_rn with |p_r| = |n_r| = k;
+            // massaging flips k majority labels,
             // (|r⁺| − k) / (|r⁻| + k) = ratio_rn
             let k = (((p - target * n).abs()) / (1.0 + target)).round() as usize;
             if k == 0 {
                 return None;
             }
-            let majority = if too_positive { pos } else { neg };
-            let k = k.min(majority.len());
-            rank_borderline(majority, |row| engine.score(row), too_positive, k, order);
-            for &row in &majority[..k] {
-                engine.flip_label(row);
+            let majority = usize::from(too_positive);
+            let k = k.min(size(majority));
+            if technique == Technique::Massaging {
+                Action::Flip { majority, k }
+            } else if size(1 - majority) == 0 {
+                return None; // no minority row to duplicate
+            } else {
+                Action::Swap { majority, k }
             }
-            let k = k as i64;
-            (update.pos_delta, update.neg_delta) = if too_positive { (-k, k) } else { (k, -k) };
-            update.flipped = k as u64;
         }
-    }
-    Some(update)
+    })
 }
 
-/// Duplicates `count` rows sampled uniformly (with replacement).
-fn duplicate_uniform(engine: &mut IndexEngine, rows: &[usize], count: usize, rng: &mut StdRng) {
-    debug_assert!(!rows.is_empty() || count == 0);
-    for _ in 0..count {
-        let row = rows[rng.gen_range(0..rows.len())];
-        engine.duplicate_row(row);
+/// Applies one planned action to the node's `i`-th gathered region.
+fn execute(
+    engine: &mut IndexEngine,
+    action: Action,
+    i: usize,
+    rng: &mut StdRng,
+    scratch: &mut Scratch,
+) {
+    let Scratch {
+        slots,
+        order,
+        merge,
+    } = scratch;
+    match action {
+        // uniform draws pick by position, so they need row order; a
+        // ranking sorts by its own total order instead
+        Action::Duplicate { class, count } => {
+            let rows = slots.sorted_class_mut(i, class, merge);
+            debug_assert!(!rows.is_empty() || count == 0);
+            for _ in 0..count {
+                engine.duplicate(rows[rng.gen_range(0..rows.len())]);
+            }
+        }
+        Action::Remove { class, count } => {
+            let rows = slots.sorted_class_mut(i, class, merge);
+            // partial Fisher–Yates to pick `count` victims
+            for j in 0..count {
+                let pick = j + rng.gen_range(0..(rows.len() - j));
+                rows.swap(j, pick);
+                engine.index.remove_slot(rows[j] as usize);
+            }
+        }
+        Action::Swap { majority, k } => {
+            let minority = 1 - majority;
+            let score = |slot: u32| engine.scores[slot as usize];
+            rank_borderline(slots.class_mut(i, majority), score, majority == 1, k, order);
+            rank_borderline(slots.class_mut(i, minority), score, minority == 1, k, order);
+            for slot in cycled(slots.class(i, minority), k) {
+                engine.duplicate(slot);
+            }
+            for &slot in &slots.class(i, majority)[..k] {
+                engine.index.remove_slot(slot as usize);
+            }
+        }
+        Action::Flip { majority, k } => {
+            let score = |slot: u32| engine.scores[slot as usize];
+            rank_borderline(slots.class_mut(i, majority), score, majority == 1, k, order);
+            for &slot in &slots.class(i, majority)[..k] {
+                engine.index.flip_slot(slot as usize);
+            }
+        }
     }
 }
 
 /// The first `count` entries of a ranked list, cycling when the list is
 /// shorter than `count`.
-fn cycled(ranked: &[usize], count: usize) -> impl Iterator<Item = usize> + '_ {
+fn cycled(ranked: &[u32], count: usize) -> impl Iterator<Item = u32> + '_ {
     debug_assert!(!ranked.is_empty() || count == 0);
     ranked.iter().copied().cycle().take(count)
-}
-
-/// Picks `count` rows uniformly from `rows` and schedules them for
-/// removal; returns how many were scheduled.
-fn remove_uniform(
-    rows: &mut [usize],
-    count: usize,
-    rng: &mut StdRng,
-    pending_removals: &mut Vec<usize>,
-) -> usize {
-    let count = count.min(rows.len());
-    // partial Fisher–Yates to pick `count` victims
-    for i in 0..count {
-        let j = i + rng.gen_range(0..(rows.len() - i));
-        rows.swap(i, j);
-    }
-    pending_removals.extend_from_slice(&rows[..count]);
-    count
 }
 
 /// The ranker's order key for a posterior `P(y=1|x)`: unsigned integer
@@ -707,18 +688,19 @@ fn borderline_key(posterior: f64) -> u64 {
     }
 }
 
-/// Moves the `count` most borderline rows to the front of `rows`, in
+/// Moves the `count` most borderline slots to the front of `slots`, in
 /// order: positives by ascending posterior `P(y=1|x)`, negatives by
-/// descending posterior, ties by ascending row. Past `count` the rows
-/// keep no order; a `count` of at least `rows.len()` ranks them all.
+/// descending posterior, ties by ascending slot (which is row order).
+/// Past `count` the slots keep no order; a `count` of at least
+/// `slots.len()` ranks them all.
 ///
-/// `score` gives a row's [`borderline_key`]. `order` is a reused buffer
-/// of `(key, row)` pairs, each packed into one integer, so the ranking is
-/// a selection and one unstable sort of the selected prefix, with no
+/// `score` gives a slot's [`borderline_key`]. `order` is a reused buffer
+/// of `(key, slot)` pairs, each packed into one integer, so the ranking
+/// is a selection and one unstable sort of the selected prefix, with no
 /// allocation.
 fn rank_borderline(
-    rows: &mut [usize],
-    score: impl Fn(usize) -> u64,
+    slots: &mut [u32],
+    score: impl Fn(u32) -> u64,
     positives: bool,
     count: usize,
     order: &mut Vec<u128>,
@@ -726,16 +708,17 @@ fn rank_borderline(
     let invert = if positives { 0 } else { u64::MAX };
     order.clear();
     order.extend(
-        rows.iter()
-            .map(|&row| (u128::from(score(row) ^ invert) << 64) | row as u128),
+        slots
+            .iter()
+            .map(|&slot| (u128::from(score(slot) ^ invert) << 64) | u128::from(slot)),
     );
     let count = count.min(order.len());
     if count < order.len() {
         order.select_nth_unstable(count);
     }
     order[..count].sort_unstable();
-    for (slot, &entry) in rows.iter_mut().zip(order.iter()) {
-        *slot = entry as u64 as usize;
+    for (slot, &entry) in slots.iter_mut().zip(order.iter()) {
+        *slot = entry as u32;
     }
 }
 
@@ -1093,10 +1076,14 @@ mod tests {
             let scored = if technique.needs_ranker() { d.len() } else { 0 };
             assert_eq!(counter("posteriors"), scored as u64, "{technique}");
             assert!(counter("rows_gathered") > 0, "{technique}");
-            assert!(
-                snap.histogram("remedy", "node_counts_us").unwrap().count >= 1,
-                "{technique}"
-            );
+            // p = 2 ⇒ 3 lattice nodes, each counted and gathered once
+            for histogram in ["node_counts_us", "gather_us"] {
+                assert_eq!(
+                    snap.histogram("remedy", histogram).unwrap().count,
+                    3,
+                    "{technique} {histogram}"
+                );
+            }
             assert!(
                 snap.histogram("remedy", "index_build_us").unwrap().count == 1,
                 "{technique}"
@@ -1117,8 +1104,9 @@ mod tests {
     /// The ranking sort as it was before posteriors became integer keys,
     /// kept as the reference: `partial_cmp` on the posterior (descending
     /// for negatives), ties by ascending row.
-    fn reference_rank(posteriors: &[f64], rows: &[usize], positives: bool) -> Vec<usize> {
-        let mut scored: Vec<(f64, usize)> = rows.iter().map(|&i| (posteriors[i], i)).collect();
+    fn reference_rank(posteriors: &[f64], rows: &[u32], positives: bool) -> Vec<u32> {
+        let mut scored: Vec<(f64, u32)> =
+            rows.iter().map(|&i| (posteriors[i as usize], i)).collect();
         if positives {
             scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         } else {
@@ -1136,7 +1124,7 @@ mod tests {
         let keys: Vec<u64> = posteriors.iter().map(|&p| borderline_key(p)).collect();
         let mut order = Vec::new();
         // every row in a scrambled order, and a sub-list with ties
-        let all: Vec<usize> = (0..posteriors.len()).rev().collect();
+        let all: Vec<u32> = (0..posteriors.len() as u32).rev().collect();
         let some = vec![7, 2, 9, 1, 4, 10, 12, 0];
         for rows in [all, some] {
             let len = rows.len();
@@ -1146,7 +1134,13 @@ mod tests {
                 // PS duplications cycle past its end
                 for k in [0, 1, len / 2, len, len + 3] {
                     let mut ranked = rows.clone();
-                    rank_borderline(&mut ranked, |row| keys[row], positives, k, &mut order);
+                    rank_borderline(
+                        &mut ranked,
+                        |slot| keys[slot as usize],
+                        positives,
+                        k,
+                        &mut order,
+                    );
                     let at = k.min(len);
                     assert_eq!(ranked[..at], reference[..at], "k = {k}, {positives}");
                     if k >= len {

@@ -38,10 +38,8 @@ use crate::retry::RetryPolicy;
 use crate::shard::{sharded_identify_stage, WorkerMode};
 use crate::stages::{
     audit_stage, discretize_stage, identify_stage, load_stage, remedy_stage, skipped_remedy_record,
-    split_dataset, split_id, train_stage, StageOutput, TrainInput,
+    split_id, train_stage, LazySplit, StageOutput, TrainInput,
 };
-use remedy_dataset::persist as data_persist;
-use remedy_dataset::Dataset;
 use remedy_fairness::MetricsSummary;
 use remedy_obs::{Recorder, Scope as ObsScope, Span};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,24 +155,14 @@ pub fn run_with(
         &run_span.child_scope("discretize"),
     )?;
     // the engine's own codec work between stages gets spans under one
-    // `engine` scope, so a trace accounts for the whole run; the
-    // discretized artifact is parsed only when no stage handed on the
-    // dataset it was written from
-    let engine = run_span.child_scope("engine");
-    let data = match carried {
-        Some(data) => data,
-        None => {
-            let _span = engine.span("decode");
-            data_persist::dataset_from_text(&discretized.text)?
-        }
-    };
-    // past this point the prefix artifacts are read by hash only
+    // `engine` scope, so a trace accounts for the whole run. The split is
+    // made when the first stage misses; the discretized artifact is
+    // parsed for it only when no stage handed on the dataset it was
+    // written from. Past this point the prefix artifacts are read by
+    // hash only
     drop(std::mem::take(&mut load.text));
-    drop(std::mem::take(&mut discretized.text));
-    let (train_set, test_set) = {
-        let _span = engine.span("split");
-        split_dataset(plan, &data)?
-    };
+    let text = std::mem::take(&mut discretized.text);
+    let split = LazySplit::new(plan, carried, text, run_span.child_scope("engine"));
     let (identify, shard_records) = if opts.shards > 1 {
         // a killed sharded run should still leave a resumable snapshot,
         // even before the identify record exists (best-effort)
@@ -194,7 +182,7 @@ pub fn run_with(
         sharded_identify_stage(
             plan,
             &discretized,
-            &train_set,
+            &split,
             opts.shards,
             opts.threads,
             &opts.worker,
@@ -206,7 +194,7 @@ pub fn run_with(
         let identify = identify_stage(
             plan,
             &discretized,
-            &train_set,
+            &split,
             &cache,
             opts.force,
             &run_span.child_scope("identify"),
@@ -286,8 +274,7 @@ pub fn run_with(
                         branch,
                         &discretized,
                         &identify,
-                        &train_set,
-                        &test_set,
+                        &split,
                         &train_split_id,
                         &cache,
                         opts.force,
@@ -371,8 +358,7 @@ fn run_branch(
     branch: &BranchSpec,
     discretized: &StageOutput,
     identify: &StageOutput,
-    train_set: &Dataset,
-    test_set: &Dataset,
+    split: &LazySplit,
     train_split_id: &str,
     cache: &ArtifactCache,
     force: bool,
@@ -395,7 +381,7 @@ fn run_branch(
                 &params,
                 discretized,
                 identify,
-                train_set,
+                split,
                 cache,
                 force,
                 &stage_scope("remedy"),
@@ -409,7 +395,7 @@ fn run_branch(
         }
         None => {
             records.push(skipped_remedy_record(&branch.name, train_split_id));
-            (TrainInput::Data(train_set), train_split_id)
+            (TrainInput::Split(split), train_split_id)
         }
     };
 
@@ -432,7 +418,7 @@ fn run_branch(
         &branch.name,
         &model,
         discretized,
-        test_set,
+        split,
         cache,
         force,
         &stage_scope("audit"),

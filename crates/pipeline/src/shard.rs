@@ -63,10 +63,10 @@ use crate::error::PipelineError;
 use crate::failpoint;
 use crate::manifest::{RunManifest, RunStatus, StageRecord};
 use crate::plan::Plan;
-use crate::stages::{identify_key, run_stage, write_split, StageOutput};
+use crate::stages::{identify_key, run_stage, write_split, LazySplit, StageOutput};
 use remedy_core::hash::{stable_hash, StableHasher};
 use remedy_core::{persist as ibs_persist, try_identify_counts_with, Algorithm, ShardCounts};
-use remedy_dataset::{store, Dataset};
+use remedy_dataset::store;
 use remedy_obs::Span;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -183,7 +183,7 @@ struct ShardRun {
 pub(crate) fn sharded_identify_stage(
     plan: &Plan,
     discretized: &StageOutput,
-    train_set: &Dataset,
+    split: &LazySplit,
     shards: usize,
     threads: usize,
     worker: &WorkerMode,
@@ -206,6 +206,7 @@ pub(crate) fn sharded_identify_stage(
 
     // partition + serialize: keys (and the pin manifest) need every
     // shard's content hash before any worker starts
+    let train_set = split.train()?;
     let partition_span = run_span.child_scope("engine").span("partition");
     let parts = store::partition_stratified(train_set, shards);
     let wthreads = worker_threads(threads, shards);

@@ -29,6 +29,7 @@ use remedy_dataset::split::train_test_split;
 use remedy_dataset::{store, synth, Dataset, Format};
 use remedy_fairness::{index_of, FairnessIndexParams, MetricsSummary};
 use remedy_obs::Scope as ObsScope;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Artifact text plus its manifest record.
@@ -327,6 +328,71 @@ pub fn split_dataset(plan: &Plan, data: &Dataset) -> Result<(Dataset, Dataset), 
     train_test_split(data, plan.split, plan.seed).map_err(PipelineError::from)
 }
 
+/// The train/test split of the discretized dataset, made the first time
+/// a stage misses and needs rows. A fully warm run replays every stage
+/// from the cache, so it never splits, and for a source no stage handed
+/// the dataset on (a text file, a warm prefix) it never parses the
+/// discretized artifact either. Branch workers share one split:
+/// whichever asks first makes it, under `decode` and `split` spans of
+/// the scope it was given.
+pub struct LazySplit {
+    fraction: f64,
+    seed: u64,
+    /// The dataset a prefix stage handed on, or else the discretized
+    /// artifact's text; taken when the split is made.
+    source: Mutex<Option<Result<Dataset, String>>>,
+    split: OnceLock<Result<(Dataset, Dataset), PipelineError>>,
+    obs: ObsScope,
+}
+
+impl LazySplit {
+    /// A split of `carried`, the dataset a prefix stage handed on, or
+    /// when there is none of the discretized artifact `text`, under the
+    /// plan's fraction and seed.
+    pub(crate) fn new(
+        plan: &Plan,
+        carried: Option<Dataset>,
+        text: String,
+        obs: ObsScope,
+    ) -> LazySplit {
+        LazySplit {
+            fraction: plan.split,
+            seed: plan.seed,
+            source: Mutex::new(Some(carried.ok_or(text))),
+            split: OnceLock::new(),
+            obs,
+        }
+    }
+
+    /// The training rows.
+    pub fn train(&self) -> Result<&Dataset, PipelineError> {
+        self.get().map(|(train, _)| train)
+    }
+
+    /// The held-out test rows.
+    pub fn test(&self) -> Result<&Dataset, PipelineError> {
+        self.get().map(|(_, test)| test)
+    }
+
+    fn get(&self) -> Result<&(Dataset, Dataset), PipelineError> {
+        let made = self.split.get_or_init(|| {
+            let source = self.source.lock().unwrap_or_else(|e| e.into_inner()).take();
+            let data = match source {
+                Some(Ok(data)) => data,
+                Some(Err(text)) => {
+                    let _span = self.obs.span("decode");
+                    data_persist::dataset_from_text(&text)?
+                }
+                // a panic while the split was being made took the source
+                None => return Err(PipelineError::fatal("the split's source was lost")),
+            };
+            let _span = self.obs.span("split");
+            train_test_split(&data, self.fraction, self.seed).map_err(PipelineError::from)
+        });
+        made.as_ref().map_err(Clone::clone)
+    }
+}
+
 /// Folds the split definition into a stage key.
 pub(crate) fn write_split(h: &mut StableHasher, plan: &Plan) {
     h.write_f64(plan.split);
@@ -367,7 +433,7 @@ pub(crate) fn identify_key(plan: &Plan, discretized_hash: &str) -> CacheKey {
 pub fn identify_stage(
     plan: &Plan,
     discretized: &StageOutput,
-    train_set: &Dataset,
+    split: &LazySplit,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
@@ -386,6 +452,7 @@ pub fn identify_stage(
         move || {
             // the NeighborModel dispatches OrderedRadius to enumeration
             // internally, so Optimized is always the right entry point
+            let train_set = split.train()?;
             let protected = train_set.schema().protected_indices();
             let regions = try_identify_over_with(
                 train_set,
@@ -411,7 +478,7 @@ pub fn remedy_stage(
     params: &RemedyParams,
     discretized: &StageOutput,
     identify: &StageOutput,
-    train_set: &Dataset,
+    split: &LazySplit,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
@@ -438,6 +505,7 @@ pub fn remedy_stage(
         || {
             // identify has already run on this split, so a protected set
             // the remedy cannot carry is a failure, not a plan rejection
+            let train_set = split.train()?;
             let protected = train_set.schema().protected_indices();
             let outcome = remedy_core::remedy_over_with(train_set, &protected, params, obs)
                 .map_err(|e| PipelineError::fatal(e.to_string()))?;
@@ -465,15 +533,17 @@ pub fn skipped_remedy_record(branch: &str, train_split_id: &str) -> StageRecord 
     }
 }
 
-/// What a branch trains on: the dataset in memory (the unremedied split,
-/// or a remedy the branch computed), or the artifact text a remedy cache
-/// hit replayed.
-#[derive(Debug, Clone, Copy)]
+/// What a branch trains on: the dataset in memory (a remedy the branch
+/// computed), the artifact text a remedy cache hit replayed, or the
+/// unremedied training split.
+#[derive(Clone, Copy)]
 pub enum TrainInput<'a> {
     /// The dataset itself.
     Data(&'a Dataset),
     /// Its canonical text, parsed only if the model must be fitted.
     Text(&'a str),
+    /// The training split, made only if the model must be fitted.
+    Split(&'a LazySplit),
 }
 
 /// Train: fit the branch's model on its training input. The key
@@ -512,6 +582,7 @@ pub fn train_stage(
                 let data = data_persist::dataset_from_text(text)?;
                 Ok(kind.fit(&data, seed).to_text())
             }
+            TrainInput::Split(split) => Ok(kind.fit(split.train()?, seed).to_text()),
         },
     )
 }
@@ -523,7 +594,7 @@ pub fn audit_stage(
     branch: &str,
     model: &StageOutput,
     discretized: &StageOutput,
-    test_set: &Dataset,
+    split: &LazySplit,
     cache: &ArtifactCache,
     force: bool,
     obs: &ObsScope,
@@ -550,6 +621,10 @@ pub fn audit_stage(
         move || {
             let model = model_persist::from_text(&model_text)
                 .map_err(|e| PipelineError::corrupt(format!("cannot load model artifact: {e}")))?;
+            let test_set = split.test()?;
+            model
+                .check_schema(test_set.schema())
+                .map_err(|e| PipelineError::corrupt(format!("model artifact: {e}")))?;
             let predictions = model.predict(test_set);
             let acc = accuracy(&predictions, test_set.labels());
             // the index and the unfair list share one explorer, so one

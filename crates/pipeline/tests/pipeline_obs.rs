@@ -207,23 +207,37 @@ fn warm_rerun_counts_hits() {
     assert_eq!(snap.counter("identify", "regions_scanned"), None);
 }
 
-/// A warm built-in run replays load and discretize from the cache, so no
-/// stage holds the dataset and the engine parses the discretized
-/// artifact, under an `engine/decode` span of the run.
+/// A warm built-in run replays every stage from the cache, so it never
+/// needs rows: the engine neither parses the discretized artifact nor
+/// splits it. Once a branch stage misses, the split is made, parsing
+/// the artifact first since no stage handed on the dataset, under
+/// `engine/decode` and `engine/split` spans of the run.
 #[test]
-fn warm_builtin_run_parses_the_discretized_artifact() {
+fn warm_builtin_run_neither_decodes_nor_splits() {
     let plan = Plan::parse(PLAN).unwrap();
     let cache = fresh_cache("warm_decode");
     run(&plan, &opts(&cache)).unwrap();
     let (manifest, trace) = traced_run(&plan, &cache, "warm_decode");
-    assert!(manifest.stage("load", None).unwrap().cache_hit);
+    assert!(manifest.stages.iter().all(|s| s.cache_hit || s.skipped));
+    let lines: Vec<&str> = trace.lines().collect();
+    for name in ["decode", "split"] {
+        assert_eq!(engine_span(&lines, name), None, "warm run ran {name}");
+    }
+
+    // a new branch misses its remedy, train and audit stages
+    let extended = Plan::parse(&format!("{PLAN}branch dp technique=dp model=dt\n")).unwrap();
+    let (manifest, trace) = traced_run(&extended, &cache, "warm_decode");
+    assert!(!manifest.stage("remedy", Some("dp")).unwrap().cache_hit);
+    assert!(manifest.stage("identify", None).unwrap().cache_hit);
     let lines: Vec<&str> = trace.lines().collect();
     let root = lines
         .iter()
         .find(|l| l.contains("\"t\":\"span\"") && l.contains("\"scope\":\"pipeline\""))
         .expect("no pipeline run span");
-    let decode = engine_span(&lines, "decode").expect("warm run did not parse");
-    assert_eq!(field_u64(decode, "parent"), field_u64(root, "id"));
+    for name in ["decode", "split"] {
+        let span = engine_span(&lines, name).unwrap_or_else(|| panic!("no engine span {name}"));
+        assert_eq!(field_u64(span, "parent"), field_u64(root, "id"));
+    }
 }
 
 /// A binary source and the same data as a text file run to the same

@@ -121,7 +121,8 @@ fn fixtures() -> Vec<(&'static str, String, Decode)> {
         unfair_subgroups: audit.unfair.len() as u64,
         test_rows: data.len() as u64,
     };
-    let model_decode: Decode = |t| classifiers::persist::from_text(t).is_ok();
+    let model_decode: Decode = decode_and_score;
+    let _ = SCORED_ROWS.set(data.clone());
     vec![
         ("dataset", dataset_to_text(&data), |t| {
             dataset_from_text(t).is_ok()
@@ -143,6 +144,25 @@ fn fixtures() -> Vec<(&'static str, String, Decode)> {
             MetricsSummary::from_text(t).is_ok()
         }),
     ]
+}
+
+/// The rows decoded models score: the fixture's own, set before any
+/// decode runs so no decode allocates them.
+static SCORED_ROWS: std::sync::OnceLock<remedy::dataset::Dataset> = std::sync::OnceLock::new();
+
+/// Decodes a model and, when it decodes and fits the fixture's rows,
+/// scores them: a model text carries no input layout, so the schema
+/// check is what keeps a decoded model from reading past a row.
+fn decode_and_score(text: &str) -> bool {
+    let Ok(model) = classifiers::persist::from_text(text) else {
+        return false;
+    };
+    let rows = SCORED_ROWS.get().expect("fixtures() sets the rows");
+    if model.check_schema(rows.schema()).is_err() {
+        return false;
+    }
+    model.predict(rows);
+    true
 }
 
 /// Decodes shard counts and, when they decode, identifies over them with
@@ -514,15 +534,30 @@ fn mutated_binary_artifacts_decode_without_panicking() {
 /// list (an out-of-bounds index at prediction), one whose split is its
 /// own child (a prediction that never returns), logistic-regression
 /// offsets that leave a block past the weights (another out-of-bounds
-/// index at prediction), shard counts whose leaf sum overflows `u64`, and
-/// shard counts with a leaf of no rows (which overwrote a region's counts
-/// in the pruned lattice builder).
+/// index at prediction), well-formed models that read an attribute or a
+/// code the rows they score lack (caught by the schema check), shard
+/// counts whose leaf sum overflows `u64`, and shard counts with a leaf of
+/// no rows (which overwrote a region's counts in the pruned lattice
+/// builder).
 #[test]
 fn known_hostile_inputs_are_typed_errors() {
     let max = u64::MAX;
     let model: Decode = |t| classifiers::persist::from_text(t).is_ok();
     let counts: Decode = |t| counts_from_text(t).is_ok();
+    fixtures(); // the rows `decode_and_score` scores
     for (decode, text) in [
+        // decodes, but splits on attribute 7 of COMPAS rows
+        (
+            decode_and_score as Decode,
+            "remedy-model v1\nkind decision-tree\nnodes 3\nsplit 7 0 1 2\nleaf 0\nleaf 1\n"
+                .to_string(),
+        ),
+        // decodes, but lays out one one-hot block of one weight
+        (
+            decode_and_score,
+            "remedy-model v1\nkind logistic-regression\nbias 0\noffsets 0\nweights 1\n"
+                .to_string(),
+        ),
         (model, "remedy-model v1\nkind decision-tree\nnodes 1\nsplit 0 0 5 5\n".to_string()),
         (model, "remedy-model v1\nkind decision-tree\nnodes 1\nsplit 0 0 0 0\n".to_string()),
         (
