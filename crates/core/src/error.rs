@@ -4,7 +4,7 @@
 //! [`MAX_PROTECTED`] attributes in the dense lattice
 //! ([`MAX_PROTECTED_SPARSE`] in the support-pruned one) and at most
 //! [`MAX_CARDINALITY`] categories per protected column. These used to be
-//! `debug_assert`s deep inside `pack_keys`: a release build handed a
+//! `debug_assert`s deep inside the key packing: a release build handed a
 //! wider protected set or a higher-cardinality column silently wrapped
 //! codes into colliding keys and produced wrong counts. Every build path
 //! now funnels through the one leaf-layout check of
