@@ -26,7 +26,9 @@ fn bench_training(c: &mut Criterion) {
 
 /// The train stage of a pipeline branch on the 35 000-row training split
 /// of `adult_n(50 000, 2)`: the decision tree a `model=dt` branch fits,
-/// and the two code-indexed fits, logistic regression and the MLP.
+/// the random forest (bootstrap rows and feature masks through the same
+/// tree fit), and the two code-indexed fits, logistic regression and the
+/// MLP.
 fn bench_training_adult(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_adult");
     group.sample_size(15);
@@ -38,7 +40,11 @@ fn bench_training_adult(c: &mut Criterion) {
     group.bench_function("dt", |b| {
         b.iter(|| DecisionTree::fit(std::hint::black_box(&train), &DecisionTreeParams::default()))
     });
-    for kind in [ModelKind::LogisticRegression, ModelKind::NeuralNetwork] {
+    for kind in [
+        ModelKind::RandomForest,
+        ModelKind::LogisticRegression,
+        ModelKind::NeuralNetwork,
+    ] {
         group.bench_function(kind.token(), |b| {
             b.iter(|| kind.fit(std::hint::black_box(&train), 2))
         });

@@ -6,6 +6,7 @@
 
 use crate::model::Model;
 use remedy_dataset::Dataset;
+use std::ops::Range;
 
 /// Hyper-parameters for [`DecisionTree::fit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -53,14 +54,7 @@ pub struct DecisionTree {
 impl DecisionTree {
     /// Learns a tree from a (possibly weighted) dataset.
     pub fn fit(data: &Dataset, params: &DecisionTreeParams) -> Self {
-        let rows: Vec<u32> = (0..data.len() as u32).collect();
-        let mut tree = DecisionTree { nodes: Vec::new() };
-        if data.is_empty() {
-            tree.nodes.push(Node::Leaf { p_pos: 0.0 });
-            return tree;
-        }
-        tree.build_masked(data, params, rows, 0, None, &mut NodeScratch::default());
-        tree
+        Self::fit_on_rows(data, params, (0..data.len() as u32).collect(), None)
     }
 
     /// Fits on a row subset (used by the random forest's bootstrap samples;
@@ -68,7 +62,7 @@ impl DecisionTree {
     pub(crate) fn fit_on_rows(
         data: &Dataset,
         params: &DecisionTreeParams,
-        rows: Vec<u32>,
+        mut rows: Vec<u32>,
         feature_mask: Option<&[bool]>,
     ) -> Self {
         let mut tree = DecisionTree { nodes: Vec::new() };
@@ -76,27 +70,23 @@ impl DecisionTree {
             tree.nodes.push(Node::Leaf { p_pos: 0.0 });
             return tree;
         }
-        tree.build_masked(
-            data,
-            params,
-            rows,
-            0,
-            feature_mask,
-            &mut NodeScratch::default(),
-        );
+        let mut scratch = NodeScratch::new(data, feature_mask);
+        tree.build(data, params, &mut rows, 0, &mut scratch);
         tree
     }
 
-    fn build_masked(
+    /// Grows the subtree over `rows`, which it leaves partitioned: each
+    /// split moves its `eq` rows to the front and its `ne` rows behind
+    /// them, both halves in their previous order.
+    fn build(
         &mut self,
         data: &Dataset,
         params: &DecisionTreeParams,
-        rows: Vec<u32>,
+        rows: &mut [u32],
         depth: usize,
-        feature_mask: Option<&[bool]>,
         scratch: &mut NodeScratch,
     ) -> usize {
-        scratch.gather(data, &rows);
+        scratch.gather(data, rows);
         let (w_pos, w_neg) = scratch.class_weights();
         let total = w_pos + w_neg;
         let p_pos = if total > 0.0 { w_pos / total } else { 0.0 };
@@ -107,32 +97,15 @@ impl DecisionTree {
             || w_pos == 0.0
             || w_neg == 0.0;
         if !stop {
-            if let Some((attr, value, gain)) =
-                best_split(data, &rows, gini_here, w_pos, w_neg, feature_mask, scratch)
-            {
+            if let Some((attr, value, gain)) = best_split(rows, gini_here, w_pos, w_neg, scratch) {
                 if gain >= params.min_gain {
-                    let col = data.column(attr);
-                    let (eq_rows, ne_rows): (Vec<u32>, Vec<u32>) =
-                        rows.iter().partition(|&&r| col[r as usize] == value);
-                    if !eq_rows.is_empty() && !ne_rows.is_empty() {
+                    let n_eq = scratch.partition(rows, data.column(attr), value);
+                    if n_eq > 0 && n_eq < rows.len() {
                         let idx = self.nodes.len();
                         self.nodes.push(Node::Leaf { p_pos }); // placeholder
-                        let eq = self.build_masked(
-                            data,
-                            params,
-                            eq_rows,
-                            depth + 1,
-                            feature_mask,
-                            scratch,
-                        );
-                        let ne = self.build_masked(
-                            data,
-                            params,
-                            ne_rows,
-                            depth + 1,
-                            feature_mask,
-                            scratch,
-                        );
+                        let (eq_rows, ne_rows) = rows.split_at_mut(n_eq);
+                        let eq = self.build(data, params, eq_rows, depth + 1, scratch);
+                        let ne = self.build(data, params, ne_rows, depth + 1, scratch);
                         self.nodes[idx] = Node::Split {
                             attribute: attr,
                             value,
@@ -191,22 +164,47 @@ impl Model for DecisionTree {
 }
 
 /// Buffers one fit reuses across its nodes. A node gathers its rows'
-/// classes and weights once, in row order, so the per-attribute scans
-/// in [`best_split`] read them sequentially instead of looking each row
-/// up again per attribute; the tallies add in the same order as a direct
+/// classes and weights once, in row order, so the split search in
+/// [`best_split`] reads them sequentially instead of looking each row up
+/// again per attribute; every tally adds in the same order as a direct
 /// scan, so every sum is bit-identical to it.
-#[derive(Default)]
-struct NodeScratch {
+struct NodeScratch<'a> {
     /// Class index of each of the node's rows: 0 when its label is 1
     /// (positive), 1 otherwise.
     class: Vec<u8>,
     /// Weight of each of the node's rows.
     weight: Vec<f64>,
-    /// Per-value `[positive, negative]` weight of one attribute's values.
+    /// The attributes the fit may split on, in schema order: index,
+    /// column, and the range of `tally` its values take.
+    attrs: Vec<(usize, &'a [u32], Range<usize>)>,
+    /// Per-value `[positive, negative]` weight of every attribute in
+    /// `attrs`, one attribute after another.
     tally: Vec<[f64; 2]>,
+    /// The `ne` rows of a split while its `eq` rows move to the front.
+    spill: Vec<u32>,
 }
 
-impl NodeScratch {
+impl<'a> NodeScratch<'a> {
+    fn new(data: &'a Dataset, feature_mask: Option<&[bool]>) -> Self {
+        let schema = data.schema();
+        let mut attrs = Vec::new();
+        let mut values = 0;
+        for attr in 0..schema.len() {
+            if feature_mask.is_none_or(|mask| mask[attr]) {
+                let card = schema.attribute(attr).cardinality();
+                attrs.push((attr, data.column(attr), values..values + card));
+                values += card;
+            }
+        }
+        NodeScratch {
+            class: Vec::new(),
+            weight: Vec::new(),
+            attrs,
+            tally: vec![[0.0; 2]; values],
+            spill: Vec::new(),
+        }
+    }
+
     fn gather(&mut self, data: &Dataset, rows: &[u32]) {
         let (labels, weights) = (data.labels(), data.weights());
         self.class.clear();
@@ -226,6 +224,24 @@ impl NodeScratch {
         }
         (sums[0], sums[1])
     }
+
+    /// Reorders `rows` stably so the rows whose `col` code is `value`
+    /// come first; returns how many they are.
+    fn partition(&mut self, rows: &mut [u32], col: &[u32], value: u32) -> usize {
+        self.spill.clear();
+        let mut n_eq = 0;
+        for i in 0..rows.len() {
+            let r = rows[i];
+            if col[r as usize] == value {
+                rows[n_eq] = r;
+                n_eq += 1;
+            } else {
+                self.spill.push(r);
+            }
+        }
+        rows[n_eq..].copy_from_slice(&self.spill);
+        n_eq
+    }
 }
 
 /// Weighted binary Gini impurity.
@@ -241,40 +257,34 @@ fn gini(w_pos: f64, w_neg: f64) -> f64 {
 /// Finds the `(attribute, value)` one-vs-rest split with maximal weighted
 /// Gini decrease. Returns `None` when no split separates the rows.
 /// `w_pos_total` / `w_neg_total` are the caller's class weights for `rows`,
-/// whose classes and weights `scratch` holds — `build_masked` already
-/// gathered and tallied them for its own stop criteria.
+/// whose classes and weights `scratch` holds — `build` already gathered
+/// and tallied them for its own stop criteria. One pass over the rows
+/// tallies every attribute.
 fn best_split(
-    data: &Dataset,
     rows: &[u32],
     gini_parent: f64,
     w_pos_total: f64,
     w_neg_total: f64,
-    feature_mask: Option<&[bool]>,
     scratch: &mut NodeScratch,
 ) -> Option<(usize, u32, f64)> {
-    let schema = data.schema();
     let total_weight = w_pos_total + w_neg_total;
     let mut best: Option<(usize, u32, f64)> = None;
     let NodeScratch {
         class,
         weight,
+        attrs,
         tally,
+        ..
     } = scratch;
 
-    for attr in 0..schema.len() {
-        if let Some(mask) = feature_mask {
-            if !mask[attr] {
-                continue;
-            }
+    tally.fill([0.0; 2]);
+    for ((&r, &c), &w) in rows.iter().zip(class.iter()).zip(weight.iter()) {
+        for (_, col, values) in attrs.iter() {
+            tally[values.start + col[r as usize] as usize][c as usize] += w;
         }
-        let card = schema.attribute(attr).cardinality();
-        tally.clear();
-        tally.resize(card, [0.0; 2]);
-        let col = data.column(attr);
-        for ((&r, &c), &w) in rows.iter().zip(class.iter()).zip(weight.iter()) {
-            tally[col[r as usize] as usize][c as usize] += w;
-        }
-        for (v, &[p_eq, n_eq]) in tally.iter().enumerate() {
+    }
+    for (attr, _, values) in attrs.iter() {
+        for (v, &[p_eq, n_eq]) in tally[values.clone()].iter().enumerate() {
             let w_eq = p_eq + n_eq;
             if w_eq <= 0.0 || w_eq >= total_weight {
                 continue;
@@ -285,7 +295,7 @@ fn best_split(
             let child = (w_eq * gini(p_eq, n_eq) + w_ne * gini(p_ne, n_ne)) / total_weight;
             let gain = gini_parent - child;
             if best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((attr, v as u32, gain));
+                best = Some((*attr, v as u32, gain));
             }
         }
     }

@@ -40,25 +40,40 @@ pub fn dataset_to_text(data: &Dataset) -> String {
     String::from_utf8(out).expect("the canonical text is ASCII")
 }
 
-/// [`content_digest`](crate::format::content_digest) of the bytes
-/// [`dataset_to_text`] writes, without building them: the rows stream
-/// through a fixed-size chunk into a [`ContentHasher`].
-pub(crate) fn text_digest(data: &Dataset) -> u128 {
+/// Streams the bytes [`dataset_to_text`] returns into `out` and returns
+/// their [`content_digest`](crate::format::content_digest), without
+/// building them: the rows pass through a fixed-size chunk, which is
+/// hashed and written each time it fills.
+pub fn write_text(data: &Dataset, out: &mut dyn std::io::Write) -> std::io::Result<u128> {
     let mut hasher = ContentHasher::new();
-    hasher.write(text_header(data).as_bytes());
-    let mut chunk = Vec::with_capacity(DIGEST_CHUNK + row_len_bound(data));
+    let header = text_header(data);
+    hasher.write(header.as_bytes());
+    out.write_all(header.as_bytes())?;
+    let mut chunk = Vec::with_capacity(TEXT_CHUNK + row_len_bound(data));
+    let mut written = Ok(());
     write_rows(data, &mut chunk, |chunk| {
-        if chunk.len() >= DIGEST_CHUNK {
+        if chunk.len() >= TEXT_CHUNK {
             hasher.write(chunk);
+            if written.is_ok() {
+                written = out.write_all(chunk);
+            }
             chunk.clear();
         }
     });
+    written?;
     hasher.write(&chunk);
-    hasher.finish()
+    out.write_all(&chunk)?;
+    Ok(hasher.finish())
 }
 
-/// Bytes [`text_digest`] buffers before hashing them.
-const DIGEST_CHUNK: usize = 1 << 16;
+/// [`content_digest`](crate::format::content_digest) of the bytes
+/// [`dataset_to_text`] writes, without building them.
+pub(crate) fn text_digest(data: &Dataset) -> u128 {
+    write_text(data, &mut std::io::sink()).expect("a sink takes every byte")
+}
+
+/// Bytes [`write_text`] buffers before hashing and writing them.
+const TEXT_CHUNK: usize = 1 << 16;
 
 /// The canonical text up to and including the `rows` line.
 fn text_header(data: &Dataset) -> String {
@@ -308,9 +323,14 @@ mod tests {
     fn text_digest_streams_past_one_chunk() {
         let d = crate::synth::compas_n(5_000, 3);
         let text = dataset_to_text(&d);
-        assert!(text.len() > 2 * DIGEST_CHUNK);
+        assert!(text.len() > 2 * TEXT_CHUNK);
         assert_eq!(text, reference_text(&d));
         assert_eq!(text_digest(&d), content_digest(text.as_bytes()));
+        // streamed to a writer, the same bytes arrive
+        let mut streamed = Vec::new();
+        let digest = write_text(&d, &mut streamed).unwrap();
+        assert_eq!(streamed, text.as_bytes());
+        assert_eq!(digest, content_digest(text.as_bytes()));
     }
 
     #[test]

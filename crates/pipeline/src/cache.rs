@@ -37,6 +37,7 @@ use crate::failpoint;
 use crate::retry::RetryPolicy;
 use remedy_core::hash::{stable_hash, StableHasher};
 use remedy_obs::Scope as ObsScope;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
@@ -302,9 +303,28 @@ impl ArtifactCache {
         description: &str,
     ) -> Result<(), PipelineError> {
         debug_assert_eq!(digest, stable_hash(artifact), "digest of another artifact");
+        self.store_streamed(stage, key, description, |out| {
+            out.write_all(artifact)?;
+            Ok(digest)
+        })
+        .map(drop)
+    }
+
+    /// [`ArtifactCache::store`] for an artifact `write` streams out piece
+    /// by piece, returning its FNV-1a/128 content digest, so no one holds
+    /// the whole artifact. When the entry already holds an artifact,
+    /// `write` streams into a sink for the digest alone. Under the retry
+    /// policy `write` may run more than once. Returns the digest.
+    pub fn store_streamed(
+        &self,
+        stage: &str,
+        key: CacheKey,
+        description: &str,
+        write: impl Fn(&mut dyn Write) -> std::io::Result<u128>,
+    ) -> Result<u128, PipelineError> {
         self.retry.run("cache.store", &self.obs, || {
             failpoint::check("stage.store", stage)?;
-            self.store_once(stage, key, artifact, digest, description)
+            self.store_once(stage, key, &write, description)
         })
     }
 
@@ -317,14 +337,13 @@ impl ArtifactCache {
         &self,
         stage: &str,
         key: CacheKey,
-        artifact: &[u8],
-        digest: u128,
+        write: &dyn Fn(&mut dyn Write) -> std::io::Result<u128>,
         description: &str,
-    ) -> Result<(), PipelineError> {
+    ) -> Result<u128, PipelineError> {
         let dir = self.entry_dir(stage, key);
         if dir.join(ARTIFACT_FILE).exists() {
             self.obs.add("store_existing", 1);
-            return Ok(());
+            return Ok(write(&mut std::io::sink())?);
         }
         let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = self.root.join(format!(
@@ -332,28 +351,30 @@ impl ArtifactCache {
             key.hex(),
             std::process::id()
         ));
-        let staged = (|| -> std::io::Result<()> {
+        let staged = (|| -> std::io::Result<u128> {
             std::fs::create_dir_all(&tmp)?;
-            std::fs::write(tmp.join(ARTIFACT_FILE), artifact)?;
+            let digest = write(&mut std::fs::File::create(tmp.join(ARTIFACT_FILE))?)?;
             std::fs::write(tmp.join(HASH_FILE), format!("{digest:032x}\n"))?;
             std::fs::write(tmp.join(META_FILE), format!("{description}\n"))?;
-            Ok(())
+            Ok(digest)
         })();
-        if let Err(e) = staged {
-            // don't leave a half-written temp dir behind
-            let _ = std::fs::remove_dir_all(&tmp);
-            return Err(
-                PipelineError::from(e).map_message(|m| format!("cannot stage cache entry: {m}"))
-            );
-        }
+        let digest = match staged {
+            Ok(digest) => digest,
+            Err(e) => {
+                // don't leave a half-written temp dir behind
+                let _ = std::fs::remove_dir_all(&tmp);
+                return Err(PipelineError::from(e)
+                    .map_message(|m| format!("cannot stage cache entry: {m}")));
+            }
+        };
         match std::fs::rename(&tmp, &dir) {
-            Ok(()) => Ok(()),
+            Ok(()) => Ok(digest),
             Err(_) if dir.join(ARTIFACT_FILE).exists() => {
                 // a concurrent writer won the race; its artifact is
                 // identical by construction (same key = same inputs)
                 self.obs.add("store_races", 1);
                 let _ = std::fs::remove_dir_all(&tmp);
-                Ok(())
+                Ok(digest)
             }
             Err(e) => {
                 let _ = std::fs::remove_dir_all(&tmp);

@@ -10,10 +10,24 @@
 //! ```
 //!
 //! Branches share the identify artifact and fan out over scoped worker
-//! threads (a claim-by-atomic-counter queue). Each branch runs its own
-//! remedy → train → audit chain sequentially; results are stitched back
-//! into plan order so manifests are deterministic regardless of thread
-//! interleaving.
+//! threads. Each branch runs its own remedy → train → audit chain
+//! sequentially; results are stitched back into plan order so manifests
+//! are deterministic regardless of thread interleaving.
+//!
+//! ## Claim order
+//!
+//! Workers claim branches through one atomic counter over a fixed claim
+//! order: every branch with a remedy stage, then every `technique=none`
+//! branch, each group in plan order. A remedy branch runs the same train
+//! → audit chain as a `none` branch plus a remedy, so the number of
+//! stages it computes is the one cost known before anything runs, and
+//! claiming the longer branches first (longest-processing-time-first list
+//! scheduling) keeps a worker from starting the longest branch last and
+//! running it alone. The order decides only which worker runs a branch
+//! and when: keys, artifacts and the manifest are the same at any thread
+//! count. The `engine` histogram `fanout_idle_us` records, per worker,
+//! how long the fan-out went on after the worker found nothing left to
+//! claim.
 //!
 //! ## Failure containment
 //!
@@ -254,41 +268,60 @@ pub fn run_with(
     };
     flush_snapshot(&[]);
 
-    // branch fan-out
+    // branch fan-out, remedy branches claimed first (see "Claim order")
+    let mut claim_order: Vec<usize> = (0..plan.branches.len()).collect();
+    claim_order.sort_by_key(|&idx| plan.branches[idx].technique.is_none());
     let n_workers = effective_workers(opts.threads, plan.branches.len());
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, Result<BranchRun, PipelineError>)>> =
         Mutex::new(Vec::with_capacity(plan.branches.len()));
+    let engine_obs = run_span.child_scope("engine");
+    let worker = || {
+        while let Some(&idx) = claim_order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let branch = &plan.branches[idx];
+            // the branch boundary is the containment line: a panic (or
+            // error) here fails this branch, not the run
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_branch(
+                    plan,
+                    branch,
+                    &discretized,
+                    &identify,
+                    &split,
+                    &train_split_id,
+                    &cache,
+                    opts.force,
+                    &run_span,
+                )
+            }))
+            .unwrap_or_else(|payload| {
+                Err(PipelineError::stage_panic(panic_message(payload.as_ref())))
+            })
+            .map_err(|e| e.in_branch(&branch.name));
+            let guard = &mut *results.lock().unwrap();
+            guard.push((idx, result));
+            flush_snapshot(guard);
+        }
+        engine_obs.timer()
+    };
     std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(branch) = plan.branches.get(idx) else {
-                    break;
-                };
-                // the branch boundary is the containment line: a panic
-                // (or error) here fails this branch, not the run
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_branch(
-                        plan,
-                        branch,
-                        &discretized,
-                        &identify,
-                        &split,
-                        &train_split_id,
-                        &cache,
-                        opts.force,
-                        &run_span,
-                    )
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(PipelineError::stage_panic(panic_message(payload.as_ref())))
-                })
-                .map_err(|e| e.in_branch(&branch.name));
-                let guard = &mut *results.lock().unwrap();
-                guard.push((idx, result));
-                flush_snapshot(guard);
-            });
+        // the calling thread is one of the workers: under glibc each
+        // spawned thread takes a malloc arena of its own, and an arena
+        // keeps its high-water pages resident after the thread exits
+        let spawned: Vec<_> = (1..n_workers).map(|_| scope.spawn(worker)).collect();
+        let own = worker();
+        // a worker idles from when it finds no branch left to claim until
+        // the last worker finishes
+        let finished: Vec<Instant> = spawned
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .chain([own])
+            .flatten()
+            .collect();
+        if let Some(&end) = finished.iter().max() {
+            for &done in &finished {
+                engine_obs.observe("fanout_idle_us", (end - done).as_micros() as u64);
+            }
         }
     });
 

@@ -35,9 +35,10 @@ use std::time::Instant;
 /// Artifact text plus its manifest record.
 #[derive(Debug, Clone)]
 pub struct StageOutput {
-    /// The artifact's text payload.
+    /// The artifact's text payload; empty for a computed remedy, whose
+    /// dataset [`remedy_stage`] returns instead.
     pub text: String,
-    /// Hex stable hash of `text` (chained into downstream keys).
+    /// Hex stable hash of the artifact (chained into downstream keys).
     pub artifact_hash: String,
     /// The same FNV-1a/128 content digest as a number.
     pub digest: u128,
@@ -66,6 +67,27 @@ pub fn run_stage(
     obs: &ObsScope,
     compute: impl FnOnce() -> Result<String, PipelineError>,
 ) -> Result<StageOutput, PipelineError> {
+    run_stage_with(cache, stage, branch, key, force, obs, compute, |text| {
+        let digest = cache.store(stage, key, &text, description)?;
+        Ok((text, digest))
+    })
+}
+
+/// [`run_stage`] with the store step apart: on a miss `compute` runs
+/// under the `stage.run` fail point and `catch_unwind`, then `store`
+/// writes its result to the cache and returns the text the output keeps
+/// with the artifact's digest.
+#[allow(clippy::too_many_arguments)]
+fn run_stage_with<T>(
+    cache: &ArtifactCache,
+    stage: &'static str,
+    branch: Option<&str>,
+    key: CacheKey,
+    force: bool,
+    obs: &ObsScope,
+    compute: impl FnOnce() -> Result<T, PipelineError>,
+    store: impl FnOnce(T) -> Result<(String, u128), PipelineError>,
+) -> Result<StageOutput, PipelineError> {
     let _span = obs.span(stage);
     let start = Instant::now();
     if !force {
@@ -79,17 +101,14 @@ pub fn run_stage(
         failpoint::check("stage.run", stage)?;
         compute()
     }));
-    let text = match computed {
+    let result = match computed {
         Ok(result) => result.map_err(|e| e.in_stage(stage))?,
         Err(payload) => {
             obs.add("panics", 1);
             return Err(PipelineError::stage_panic(panic_message(payload.as_ref())).in_stage(stage));
         }
     };
-    let digest = cache
-        .store(stage, key, &text, description)
-        .map_err(|e| e.in_stage(stage))?;
-    let artifact = (text, digest);
+    let artifact = store(result).map_err(|e| e.in_stage(stage))?;
     Ok(finish(stage, branch, key, false, artifact, start, obs))
 }
 
@@ -470,7 +489,8 @@ pub fn identify_stage(
 /// Remedy: rewrite the training split so biased regions match their
 /// neighborhood. One execution per branch with a technique. When the
 /// remedy is computed rather than replayed, the remedied dataset comes
-/// back beside its artifact, so training need not parse the text again.
+/// back in place of its artifact text (the output's `text` is empty), so
+/// training need not parse the text again.
 #[allow(clippy::too_many_arguments)]
 pub fn remedy_stage(
     plan: &Plan,
@@ -493,25 +513,32 @@ pub fn remedy_stage(
     write_split(&mut h, plan);
     params.stable_hash_into(&mut h);
     let key = CacheKey::from_hasher(&h);
+    let description = format!("remedy {} tau={}", params.technique, params.tau_c);
     let mut remedied = None;
-    let output = run_stage(
+    let output = run_stage_with(
         cache,
         "remedy",
         Some(branch),
         key,
         force,
-        &format!("remedy {} tau={}", params.technique, params.tau_c),
         obs,
         || {
             // identify has already run on this split, so a protected set
             // the remedy cannot carry is a failure, not a plan rejection
             let train_set = split.train()?;
             let protected = train_set.schema().protected_indices();
-            let outcome = remedy_core::remedy_over_with(train_set, &protected, params, obs)
-                .map_err(|e| PipelineError::fatal(e.to_string()))?;
-            let text = data_persist::dataset_to_text(&outcome.dataset);
-            remedied = Some(outcome.dataset);
-            Ok(text)
+            remedy_core::remedy_over_with(train_set, &protected, params, obs)
+                .map(|outcome| outcome.dataset)
+                .map_err(|e| PipelineError::fatal(e.to_string()))
+        },
+        |data| {
+            // the artifact streams from the dataset into the cache, so
+            // its text is never held whole; training uses the dataset
+            let digest = cache.store_streamed("remedy", key, &description, |out| {
+                data_persist::write_text(&data, out)
+            })?;
+            remedied = Some(data);
+            Ok((String::new(), digest))
         },
     )?;
     Ok((output, remedied))

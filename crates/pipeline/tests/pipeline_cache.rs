@@ -273,6 +273,57 @@ fn forced_reruns_are_byte_identical() {
     assert_eq!(a.branches, b.branches);
 }
 
+/// The worker count changes only who runs a branch and when: cold runs
+/// of one plan at 1, 2 and 4 threads give the same branches and the same
+/// stage keys and artifact hashes, in plan order.
+#[test]
+fn thread_count_changes_no_key_or_artifact() {
+    let plan = Plan::parse(
+        "dataset compas\nrows 1000\nseed 9\nsplit 0.7\ntau 0.1\nmin-size 30\n\
+         branch base technique=none model=dt\n\
+         branch ps technique=ps model=dt\n\
+         branch us technique=us model=nb\n\
+         branch massage technique=massage model=dt\n",
+    )
+    .unwrap();
+    let runs: Vec<_> = [1, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let mut options = opts(&fresh_cache(&format!("threads_{threads}")));
+            options.threads = threads;
+            run(&plan, &options).unwrap()
+        })
+        .collect();
+    let outputs = |m: &remedy_pipeline::RunManifest| -> Vec<_> {
+        m.stages
+            .iter()
+            .map(|s| {
+                (
+                    s.stage,
+                    s.branch.clone(),
+                    s.key.clone(),
+                    s.artifact_hash.clone(),
+                    s.cache_hit,
+                    s.skipped,
+                )
+            })
+            .collect()
+    };
+    for other in &runs[1..] {
+        assert_eq!(
+            outputs(other),
+            outputs(&runs[0]),
+            "{} threads",
+            other.threads
+        );
+        assert_eq!(
+            other.branches, runs[0].branches,
+            "{} threads",
+            other.threads
+        );
+    }
+}
+
 /// Every file under a cache root, with its bytes and mtime.
 fn cache_files(root: &Path) -> BTreeMap<PathBuf, (Vec<u8>, SystemTime)> {
     let mut files = BTreeMap::new();

@@ -318,3 +318,101 @@ fn binary_source_carries_its_decoded_dataset() {
         "warm binary run parsed"
     );
 }
+
+/// A trace sink the test can read back while the recorder holds it.
+#[derive(Clone, Default)]
+struct SharedTrace(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedTrace {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Workers claim remedy branches before technique=none ones, each group
+/// in plan order: on one thread both remedies start before the
+/// unremedied branch trains. The manifest still lists branches and
+/// stages in plan order.
+#[test]
+fn remedy_branches_are_claimed_before_technique_none() {
+    let plan = Plan::parse(
+        "dataset compas\nrows 1000\nseed 9\nsplit 0.7\ntau 0.1\nmin-size 30\n\
+         branch base technique=none model=dt\n\
+         branch ps technique=ps model=dt\n\
+         branch us technique=us model=dt\n",
+    )
+    .unwrap();
+    let mut options = opts(&fresh_cache("claim_order"));
+    options.threads = 1;
+    let trace = SharedTrace::default();
+    let recorder = Recorder::with_sink(Box::new(trace.clone()));
+    let manifest = run_with(&plan, &options, &recorder).unwrap();
+    recorder.finish();
+    let text = String::from_utf8(trace.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let start = |scope: &str, name: &str| {
+        let span = lines
+            .iter()
+            .find(|l| {
+                l.contains("\"t\":\"span\"")
+                    && l.contains(&format!("\"scope\":\"{scope}\""))
+                    && l.contains(&format!("\"name\":\"{name}\""))
+            })
+            .unwrap_or_else(|| panic!("no span {scope}/{name}"));
+        field_u64(span, "start_us")
+    };
+    let ps = start("ps/remedy", "remedy");
+    let us = start("us/remedy", "remedy");
+    let base = start("base/train", "train");
+    assert!(
+        ps < us,
+        "ps/remedy started at {ps} us, us/remedy at {us} us"
+    );
+    assert!(
+        us < base,
+        "us/remedy started at {us} us, base/train at {base} us"
+    );
+
+    let names: Vec<&str> = manifest.branches.iter().map(|b| b.name.as_str()).collect();
+    assert_eq!(names, ["base", "ps", "us"]);
+    let stages: Vec<(&str, Option<&str>)> = manifest
+        .stages
+        .iter()
+        .map(|s| (s.stage, s.branch.as_deref()))
+        .collect();
+    let mut want = vec![("load", None), ("discretize", None), ("identify", None)];
+    for branch in names {
+        for stage in ["remedy", "train", "audit"] {
+            want.push((stage, Some(branch)));
+        }
+    }
+    assert_eq!(stages, want);
+    let idle = recorder
+        .snapshot()
+        .histogram("engine", "fanout_idle_us")
+        .expect("no fanout_idle_us histogram");
+    assert_eq!((idle.count, idle.max), (1, 0), "one worker never idles");
+}
+
+/// The fan-out records one `fanout_idle_us` sample per worker: how long
+/// the fan-out went on after the worker found no branch left. The
+/// worker that finished last idled for none of it.
+#[test]
+fn fanout_idle_is_one_sample_per_worker() {
+    let plan = Plan::parse(PLAN).unwrap();
+    let recorder = Recorder::enabled();
+    run_with(&plan, &opts(&fresh_cache("fanout_idle")), &recorder).unwrap();
+    let idle = recorder
+        .snapshot()
+        .histogram("engine", "fanout_idle_us")
+        .expect("no fanout_idle_us histogram");
+    assert_eq!(idle.count, 2, "two workers, two samples: {idle:?}");
+    assert_eq!(
+        idle.min, 0,
+        "the last worker to finish idles for none of it"
+    );
+}
