@@ -34,7 +34,7 @@ fn stage(dir: &Path) {
 fn staged_inputs(bin_path: &Path) -> Stored {
     let fresh = std::fs::read(bin_path)
         .ok()
-        .and_then(|bytes| store::from_bytes_unpacked(&bytes).ok())
+        .and_then(|bytes| store::from_bytes_unpacked(&bytes, 0).ok())
         .filter(|s| s.data.len() == ROWS);
     if let Some(stored) = fresh {
         return stored;
@@ -45,7 +45,7 @@ fn staged_inputs(bin_path: &Path) -> Stored {
         .status()
         .expect("spawn staging child");
     assert!(status.success(), "staging child failed");
-    store::from_bytes_unpacked(&std::fs::read(bin_path).expect("staged artifact"))
+    store::from_bytes_unpacked(&std::fs::read(bin_path).expect("staged artifact"), 0)
         .expect("staged artifact decodes")
 }
 
@@ -68,7 +68,7 @@ fn bench_cold_load(c: &mut Criterion) {
     group.bench_function("cold_load_binary_1m", |b| {
         b.iter(|| {
             let bytes = std::fs::read(&bin_path).unwrap();
-            store::from_bytes_unpacked(std::hint::black_box(&bytes))
+            store::from_bytes_unpacked(std::hint::black_box(&bytes), 0)
                 .unwrap()
                 .data
         })

@@ -102,7 +102,7 @@ pub fn open(req: &Request) -> Result<Dataset, SourceError> {
         (FormatPolicy::Binary, Some(Format::Binary))
         | (FormatPolicy::Text, Some(Format::Text))
         | (FormatPolicy::Auto, Some(_)) => {
-            return store::from_bytes_unpacked(&bytes)
+            return store::from_bytes_unpacked(&bytes, 0)
                 .map(|stored| stored.data)
                 .map_err(fail)
         }

@@ -13,6 +13,9 @@
 //! against them, so every index is packed from the decoded columns and
 //! [`from_bytes_unpacked`] skips widening it. [`from_bytes`] still
 //! widens it into [`Stored::packed`] for callers that measure that cost.
+//! [`from_bytes_unpacked`] can also leave spare row capacity in every
+//! column, so a caller about to append rows (crash recovery replaying a
+//! WAL tail of duplicates) never reallocates them.
 //!
 //! Layout after the sniffable `remedy-columnar v1\n` magic line (all
 //! integers little-endian):
@@ -368,7 +371,26 @@ fn widen_keys_dispatch(raw: &[u8], kw: usize) -> Vec<u128> {
 
 /// Decodes a binary columnar artifact (magic line included).
 pub fn from_binary(bytes: &[u8]) -> Result<Stored, DatasetError> {
-    Ok(decode_binary(bytes, true)?.0)
+    Ok(decode_binary(bytes, true, 0)?.0)
+}
+
+/// The row count a binary columnar header declares, capped as the
+/// decoder caps it (every row needs at least its label byte), or `None`
+/// when `bytes` is not a binary artifact. Sizes the spare room a caller
+/// asks [`from_bytes_unpacked`] for before anything is decoded.
+pub fn binary_rows(bytes: &[u8]) -> Option<usize> {
+    let mut r = Bytes::open(bytes, COLUMNAR).ok()?;
+    r.u32().ok()?;
+    let rows = r.u64().ok()?;
+    r.fits("rows", rows, 1).ok()
+}
+
+/// Collects `items` into a vector with room for `spare` more, so pushes
+/// up to that many never reallocate. The spare pages are never written.
+fn with_room<T>(items: impl ExactSizeIterator<Item = T>, spare: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.len() + spare);
+    out.extend(items);
+    out
 }
 
 /// Smallest schema record of one attribute: flags, name length, domain
@@ -379,8 +401,13 @@ const ATTRIBUTE_MIN_BYTES: usize = 1 + 4 + 4;
 /// `with_keys: false` still walks and validates the packed section
 /// (lengths, layout, trailer) but skips widening the per-row keys to
 /// `u128` — 16MB of writes on a million rows that a caller wanting only
-/// the dataset never uses.
-fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), DecodeError> {
+/// the dataset never uses. Every column, `labels` and `weights` get
+/// capacity for `spare_rows` rows past the decoded ones.
+fn decode_binary(
+    bytes: &[u8],
+    with_keys: bool,
+    spare_rows: usize,
+) -> Result<(Stored, u128), DecodeError> {
     let mut r = Bytes::open(bytes, COLUMNAR)?;
     let flags = r.u32()?;
     if flags & !(FLAG_PACKED | FLAG_UNIT_WEIGHTS) != 0 {
@@ -427,20 +454,22 @@ fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), Decode
         let (top, codes): (u32, Vec<u32>) = match width {
             1 => (
                 raw.iter().copied().max().unwrap_or(0).into(),
-                raw.iter().map(|&b| u32::from(b)).collect(),
+                with_room(raw.iter().map(|&b| u32::from(b)), spare_rows),
             ),
             2 => {
-                let codes: Vec<u32> = raw
-                    .chunks_exact(2)
-                    .map(|c| u32::from(u16::from_le_bytes([c[0], c[1]])))
-                    .collect();
+                let codes = with_room(
+                    raw.chunks_exact(2)
+                        .map(|c| u32::from(u16::from_le_bytes([c[0], c[1]]))),
+                    spare_rows,
+                );
                 (codes.iter().copied().max().unwrap_or(0), codes)
             }
             _ => {
-                let codes: Vec<u32> = raw
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
+                let codes = with_room(
+                    raw.chunks_exact(4)
+                        .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
+                    spare_rows,
+                );
                 (codes.iter().copied().max().unwrap_or(0), codes)
             }
         };
@@ -454,19 +483,24 @@ fn decode_binary(bytes: &[u8], with_keys: bool) -> Result<(Stored, u128), Decode
     }
 
     r.section("labels");
-    let labels = r.take(rows)?.to_vec();
+    let mut labels = Vec::with_capacity(rows + spare_rows);
+    labels.extend_from_slice(r.take(rows)?);
     if let Some(bad) = labels.iter().copied().max().filter(|&m| m > 1) {
         return Err(r.error(format!("label {bad} is not binary")));
     }
 
     r.section("weights");
-    let weights: Vec<f64> = if flags & FLAG_UNIT_WEIGHTS != 0 {
-        vec![1.0; rows]
+    let weights = if flags & FLAG_UNIT_WEIGHTS != 0 {
+        let mut unit = Vec::with_capacity(rows + spare_rows);
+        unit.resize(rows, 1.0);
+        unit
     } else {
-        r.take(rows.saturating_mul(8))?
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect()
+        with_room(
+            r.take(rows.saturating_mul(8))?
+                .chunks_exact(8)
+                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()))),
+            spare_rows,
+        )
     };
 
     let packed = if flags & FLAG_PACKED != 0 {
@@ -551,10 +585,13 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Stored, DatasetError> {
 }
 
 /// Like [`from_bytes`], but skips materializing the packed-key sidecar
-/// (still fully validated) — for callers that only need the dataset.
-pub fn from_bytes_unpacked(bytes: &[u8]) -> Result<Stored, DatasetError> {
+/// (still fully validated) — for callers that only need the dataset. A
+/// binary artifact decodes with capacity for `spare_rows` more rows in
+/// every column, `labels` and `weights` (see [`binary_rows`]); a text
+/// artifact decodes exactly sized.
+pub fn from_bytes_unpacked(bytes: &[u8], spare_rows: usize) -> Result<Stored, DatasetError> {
     match sniff(bytes) {
-        Some(Format::Binary) => Ok(decode_binary(bytes, false)?.0),
+        Some(Format::Binary) => Ok(decode_binary(bytes, false, spare_rows)?.0),
         _ => from_bytes(bytes),
     }
 }
@@ -578,7 +615,7 @@ pub struct Canonical {
 /// The decoded dataset comes back beside it, so a caller that needs both
 /// parses nothing.
 pub fn binary_to_text(bytes: &[u8]) -> Result<Canonical, DatasetError> {
-    let (stored, digest) = decode_binary(bytes, false)?;
+    let (stored, digest) = decode_binary(bytes, false, 0)?;
     let text = persist::dataset_to_text(&stored.data);
     if content_digest(text.as_bytes()) != digest {
         return Err(DecodeError::Corrupt {
@@ -601,7 +638,7 @@ pub fn binary_to_text(bytes: &[u8]) -> Result<Canonical, DatasetError> {
 /// also be built-in names or CSV go through [`crate::source::open`].
 pub fn open(path: impl AsRef<Path>) -> Result<Dataset, DatasetError> {
     let bytes = std::fs::read(path).map_err(|e| DatasetError::Io(e.to_string()))?;
-    Ok(from_bytes_unpacked(&bytes)?.data)
+    Ok(from_bytes_unpacked(&bytes, 0)?.data)
 }
 
 #[cfg(test)]
@@ -642,6 +679,27 @@ mod tests {
         assert_eq!(packed.cols, vec![0, 1]);
         assert_eq!(packed.widths, vec![8, 8]);
         assert_eq!(packed.keys, vec![0x0100, 0x0002, 0x0101]);
+    }
+
+    #[test]
+    fn spare_rows_decode_equals_the_plain_decode() {
+        let weighted = fixture();
+        let unit = synth::adult_n(500, 3);
+        for d in [&weighted, &unit] {
+            let bytes = to_binary(d);
+            assert_eq!(binary_rows(&bytes), Some(d.len()));
+            let plain = from_binary(&bytes).unwrap().data;
+            for spare in [0, 1, 1000] {
+                let mut roomy = from_bytes_unpacked(&bytes, spare).unwrap().data;
+                assert_eq!(roomy, plain, "spare {spare}");
+                // the room is appendable: a duplicate lands as on the plain decode
+                let mut grown = plain.clone();
+                grown.duplicate_row(1);
+                roomy.duplicate_row(1);
+                assert_eq!(roomy, grown, "spare {spare}");
+            }
+        }
+        assert_eq!(binary_rows(b"remedy-dataset v1\n"), None);
     }
 
     /// The header digest is streamed, never read back from a text

@@ -410,6 +410,10 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(a) = self.active.take() else { return };
+        if a.inner.sink.is_none() {
+            // nothing to write the event to: skip building it
+            return;
+        }
         let dur_us = a.start.elapsed().as_micros() as u64;
         let parent = match a.parent {
             Some(p) => p.to_string(),

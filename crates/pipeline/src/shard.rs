@@ -155,7 +155,7 @@ pub fn worker_body(
     let (bytes, _) = cache.lookup_bytes("shard", shard).ok_or_else(|| {
         PipelineError::corrupt(format!("shard artifact {} missing from cache", shard.hex()))
     })?;
-    let stored = store::from_bytes_unpacked(&bytes)
+    let stored = store::from_bytes_unpacked(&bytes, 0)
         .map_err(|e| PipelineError::corrupt(format!("cannot decode shard artifact: {e}")))?;
     let counts = ShardCounts::scan(&stored.data, threads)
         .map_err(|e| PipelineError::fatal(format!("cannot scan shard: {e}")))?;

@@ -20,14 +20,23 @@
 //! and the older generation deleted, so at every instant the directory
 //! holds at least one snapshot whose WAL continuation is intact.
 //!
-//! **Recovery invariant.** Opening the newest snapshot that decodes and
-//! replaying every WAL record with `seq > snapshot.epoch` (in order,
-//! contiguously) onto its rows, then building the index over them,
-//! yields a session byte-identical — same `remedy-ibs v1` `identify`
-//! text, same epoch/edit/batch counters — to one that never crashed. A
-//! sequence gap, an undecodable snapshot with no older fallback, or a
-//! foreign file is a typed corrupt-artifact error; a torn WAL tail is
-//! truncated and counted, never mis-applied.
+//! **Recovery invariant.** Opening the newest snapshot that verifies and
+//! decodes and replaying every WAL record with `seq > snapshot.epoch`
+//! (in order, contiguously) onto its rows, then building the index over
+//! them, yields a session byte-identical — same `remedy-ibs v1`
+//! `identify` text, same epoch/edit/batch counters — to one that never
+//! crashed. A sequence gap, an unverifiable or undecodable snapshot with
+//! no older fallback, or a foreign file is a typed corrupt-artifact
+//! error; a torn WAL tail is truncated and counted, never mis-applied.
+//!
+//! **Order of work.** Recovery reads the WAL segments first: they are
+//! small, and the duplicates in the tail past a snapshot size the spare
+//! row capacity its body decodes with, so the replay never reallocates a
+//! column. A scoped thread then checks the body digest while the calling
+//! thread decodes, replays and builds the index. The check joins before
+//! the session is returned; a mismatch discards everything decoded from
+//! that body and outranks any error it raised, so nothing from an
+//! unverified body is ever served.
 
 use crate::session::{replay_batch, Session};
 use crate::wal::{self, WalWriter};
@@ -234,24 +243,45 @@ fn write_snapshot(
     result
 }
 
-/// Decodes one snapshot file into `(data, epoch, edits, batches)`. The
-/// body's packed-key sidecar is not widened: the session packs its keys
-/// from the decoded columns.
-fn read_snapshot(path: &Path) -> Result<(Dataset, u64, u64, u64), PipelineError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| PipelineError::transient(format!("{}: {e}", path.display())))?;
-    let corrupt = |detail: String| PipelineError::corrupt(format!("{}: {detail}", path.display()));
-    let mut r =
-        Bytes::open(&bytes, SNAPSHOT).map_err(|e| corrupt(format!("not a snapshot: {e}")))?;
-    r.section("meta");
-    let mut meta = || Ok::<_, DecodeError>((r.u64()?, r.u64()?, r.u64()?, r.u128()?));
-    let (epoch, edits, batches, digest) = meta().map_err(|e| corrupt(e.to_string()))?;
-    let body = &bytes[r.offset()..];
-    if content_digest(body) != digest {
-        return Err(corrupt("body digest mismatch".to_string()));
+/// One snapshot file, read and split but not yet verified: its meta
+/// counters, its pinned body digest, and the bytes the body spans.
+struct SnapshotFile {
+    bytes: Vec<u8>,
+    body_at: usize,
+    epoch: u64,
+    edits: u64,
+    batches: u64,
+    digest: u128,
+}
+
+impl SnapshotFile {
+    /// Reads a snapshot file and parses its magic line and meta block.
+    /// The body digest is not checked here: [`recover_from`] checks it
+    /// beside the decode.
+    fn read(path: &Path) -> Result<SnapshotFile, PipelineError> {
+        let bytes = std::fs::read(path)
+            .map_err(|e| PipelineError::transient(format!("{}: {e}", path.display())))?;
+        let corrupt =
+            |detail: String| PipelineError::corrupt(format!("{}: {detail}", path.display()));
+        let mut r =
+            Bytes::open(&bytes, SNAPSHOT).map_err(|e| corrupt(format!("not a snapshot: {e}")))?;
+        r.section("meta");
+        let mut meta = || Ok::<_, DecodeError>((r.u64()?, r.u64()?, r.u64()?, r.u128()?));
+        let (epoch, edits, batches, digest) = meta().map_err(|e| corrupt(e.to_string()))?;
+        let body_at = r.offset();
+        Ok(SnapshotFile {
+            bytes,
+            body_at,
+            epoch,
+            edits,
+            batches,
+            digest,
+        })
     }
-    let stored = store::from_bytes_unpacked(body).map_err(|e| corrupt(e.to_string()))?;
-    Ok((stored.data, epoch, edits, batches))
+
+    fn body(&self) -> &[u8] {
+        &self.bytes[self.body_at..]
+    }
 }
 
 /// Files named `<prefix><decimal-epoch><suffix>` in `dir`, sorted by
@@ -305,24 +335,33 @@ pub struct RecoveryStats {
     pub replayed: u64,
     /// Bytes of torn WAL tail truncated.
     pub truncated_bytes: u64,
-    /// Snapshot files that failed to decode (older fallback used).
+    /// Snapshot files that failed to read, verify or decode (older
+    /// fallback used).
     pub snapshots_skipped: u64,
 }
 
-/// Rebuilds one session from its directory: newest valid snapshot,
-/// then the WAL tail replayed onto its rows through the validation live
-/// `ingest` runs, then one index build over the replayed rows (cheaper
-/// than building over the snapshot and maintaining it through every
-/// edit, and the same counts). Returns the live session (durable handle
-/// attached, tail truncated, stale generations cleaned).
+/// Rebuilds one session from its directory (see the module doc for the
+/// order of work). Returns the live session (durable handle attached,
+/// tail truncated, stale generations cleaned).
 pub fn recover_session(
     config: &DurableConfig,
     name: &str,
 ) -> Result<(Session, RecoveryStats), PipelineError> {
+    recover_session_with(config, name, &ObsScope::disabled())
+}
+
+/// [`recover_session`] under a `recover` span of `obs`, whose children
+/// are `read`, `verify`, `decode`, `replay` and `index`.
+pub fn recover_session_with(
+    config: &DurableConfig,
+    name: &str,
+    obs: &ObsScope,
+) -> Result<(Session, RecoveryStats), PipelineError> {
+    let span = obs.span("recover");
+    let obs = span.child_scope(obs.label());
     let dir = config.root.join(name);
     let mut stats = RecoveryStats::default();
 
-    // newest snapshot that decodes wins; damaged ones fall back
     let mut snapshots = numbered(&dir, "snapshot-", ".bin");
     snapshots.reverse();
     if snapshots.is_empty() {
@@ -331,71 +370,47 @@ pub fn recover_session(
             dir.display()
         )));
     }
-    let mut opened = None;
+    // the WAL first: it is small, and the duplicates it will replay size
+    // the spare room the snapshot decodes with
+    let logs = {
+        let _read = obs.span("read");
+        numbered(&dir, "wal-", ".log")
+            .into_iter()
+            .map(|(epoch, path)| Ok((epoch, wal::replay(&path)?, path)))
+            .collect::<Result<Vec<_>, PipelineError>>()?
+    };
+    stats.truncated_bytes = logs.iter().map(|(_, log, _)| log.torn_bytes).sum();
+
+    // newest snapshot that verifies and decodes wins; damaged ones fall
+    // back to the next older generation
     let mut first_err = None;
+    let mut recovered = None;
     for (_, path) in &snapshots {
-        match read_snapshot(path) {
-            Ok(decoded) => {
-                opened = Some(decoded);
+        match recover_from(path, &logs, &obs) {
+            Ok(done) => {
+                recovered = Some(done);
                 break;
             }
-            Err(e) => {
+            Err(Refused::Snapshot(e)) => {
                 stats.snapshots_skipped += 1;
                 first_err.get_or_insert(e);
             }
+            Err(Refused::Tail(e)) => return Err(e),
         }
     }
-    let Some((mut data, snap_epoch, mut edits, mut batches)) = opened else {
+    let Some((mut session, snap_epoch)) = recovered else {
         return Err(first_err.expect("at least one snapshot failed"));
     };
-    let mut epoch = snap_epoch;
+    stats.replayed = session.epoch - snap_epoch;
 
-    // replay the WAL tail: skip records the snapshot covers, demand
-    // contiguity past it — a gap means a lost generation, and applying
-    // around it would silently serve a wrong index
-    let segments = numbered(&dir, "wal-", ".log");
-    let mut writer = None;
-    let last = segments.len().checked_sub(1);
-    for (i, (seg_epoch, path)) in segments.iter().enumerate() {
-        let replayed = wal::replay(path)?;
-        stats.truncated_bytes += replayed.torn_bytes;
-        for record in replayed.records {
-            if record.seq <= snap_epoch {
-                continue;
-            }
-            if record.seq != epoch + 1 {
-                return Err(PipelineError::corrupt(format!(
-                    "{}: WAL sequence gap (have epoch {epoch}, next record is {})",
-                    path.display(),
-                    record.seq
-                )));
-            }
-            replay_batch(&mut data, &record.edits).map_err(|e| {
-                PipelineError::corrupt(format!(
-                    "{}: record {} does not apply: {}",
-                    path.display(),
-                    record.seq,
-                    e.message()
-                ))
-            })?;
-            stats.replayed += 1;
-            epoch = record.seq;
-            edits += record.edits.len() as u64;
-            batches += 1;
-        }
-        if Some(i) == last && *seg_epoch >= snap_epoch {
-            writer = Some(WalWriter::open(path, replayed.valid_len)?);
-        }
-    }
-    let mut session = Session::try_open(data)?;
-    session.epoch = epoch;
-    session.edits = edits;
-    session.batches = batches;
+    // the newest segment stays the append target, its torn tail cut off;
     // no usable segment (crash between snapshot rename and segment
-    // creation): finish the interrupted rotation now
-    let wal = match writer {
-        Some(w) => w,
-        None => WalWriter::create(&wal_path(&dir, snap_epoch))?,
+    // creation) finishes the interrupted rotation now
+    let wal = match logs.last() {
+        Some((seg_epoch, log, path)) if *seg_epoch >= snap_epoch => {
+            WalWriter::open(path, log.valid_len)?
+        }
+        _ => WalWriter::create(&wal_path(&dir, snap_epoch))?,
     };
     session.durable = Some(Durable {
         dir: dir.clone(),
@@ -405,6 +420,113 @@ pub fn recover_session(
     });
     cleanup(&dir, snap_epoch);
     Ok((session, stats))
+}
+
+/// Why [`recover_from`] could not open a session from one snapshot.
+enum Refused {
+    /// The snapshot is unreadable, fails its digest or does not decode:
+    /// recovery falls back to the next older one.
+    Snapshot(PipelineError),
+    /// The snapshot verified, but its WAL continuation has a gap or does
+    /// not apply, or its rows open no session: recovery fails.
+    Tail(PipelineError),
+}
+
+/// Opens a session from one snapshot and the WAL records past its epoch.
+/// A scoped thread checks the body digest while this thread decodes the
+/// body (with spare rows for every duplicate the tail replays), replays
+/// the tail through the validation live `ingest` runs, and builds the
+/// index once over the replayed rows. Nothing is returned before the
+/// digest check joins, and a mismatch outranks any error of the other
+/// three steps. Returns the session with its counters set and the
+/// snapshot's epoch.
+fn recover_from(
+    path: &Path,
+    logs: &[(u64, wal::Replay, PathBuf)],
+    obs: &ObsScope,
+) -> Result<(Session, u64), Refused> {
+    let file = {
+        let _read = obs.span("read");
+        SnapshotFile::read(path).map_err(Refused::Snapshot)?
+    };
+    let corrupt = |detail: String| PipelineError::corrupt(format!("{}: {detail}", path.display()));
+    let tail = || {
+        logs.iter()
+            .flat_map(|(_, log, path)| log.records.iter().map(move |record| (record, path)))
+            .filter(|(record, _)| record.seq > file.epoch)
+    };
+    let duplicates = tail()
+        .flat_map(|(record, _)| &record.edits)
+        .filter(|edit| matches!(edit, RowEdit::Duplicate { .. }))
+        .count();
+    // as much room as push-by-push growth would end with, so neither the
+    // replay nor the first ingest after it copies a column
+    let spare_rows = match duplicates {
+        0 => 0,
+        n => n.max(store::binary_rows(file.body()).unwrap_or(0)),
+    };
+
+    let (verified, opened) = std::thread::scope(|s| {
+        let verifier = s.spawn(|| {
+            let _verify = obs.span("verify");
+            content_digest(file.body()) == file.digest
+        });
+        let opened = (|| {
+            let mut data = {
+                let _decode = obs.span("decode");
+                store::from_bytes_unpacked(file.body(), spare_rows)
+                    .map_err(|e| Refused::Snapshot(corrupt(e.to_string())))?
+                    .data
+            };
+            let (mut epoch, mut edits, mut batches) = (file.epoch, file.edits, file.batches);
+            {
+                // skip records the snapshot covers, demand contiguity
+                // past it: a gap means a lost generation, and applying
+                // around it would silently serve a wrong index
+                let _replay = obs.span("replay");
+                for (record, path) in tail() {
+                    let at = |detail: String| {
+                        Refused::Tail(PipelineError::corrupt(format!(
+                            "{}: {detail}",
+                            path.display()
+                        )))
+                    };
+                    if record.seq != epoch + 1 {
+                        return Err(at(format!(
+                            "WAL sequence gap (have epoch {epoch}, next record is {})",
+                            record.seq
+                        )));
+                    }
+                    replay_batch(&mut data, &record.edits).map_err(|e| {
+                        at(format!(
+                            "record {} does not apply: {}",
+                            record.seq,
+                            e.message()
+                        ))
+                    })?;
+                    epoch = record.seq;
+                    edits += record.edits.len() as u64;
+                    batches += 1;
+                }
+            }
+            let mut session = {
+                let _index = obs.span("index");
+                Session::try_open(data).map_err(Refused::Tail)?
+            };
+            session.epoch = epoch;
+            session.edits = edits;
+            session.batches = batches;
+            Ok(session)
+        })();
+        let verified = verifier
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (verified, opened)
+    });
+    if !verified {
+        return Err(Refused::Snapshot(corrupt("body digest mismatch".into())));
+    }
+    Ok((opened?, file.epoch))
 }
 
 /// Recovers every session directory under the data-dir root. A session
@@ -425,7 +547,7 @@ pub fn recover_all(config: &DurableConfig, obs: &ObsScope) -> Vec<(String, Sessi
     names.sort_unstable();
     let mut recovered = Vec::new();
     for name in names {
-        match recover_session(config, &name) {
+        match recover_session_with(config, &name, obs) {
             Ok((session, stats)) => {
                 obs.add("recover.sessions", 1);
                 obs.add("recover.records", stats.replayed);

@@ -19,7 +19,7 @@ use remedy_core::{
 };
 use remedy_dataset::format::content_digest;
 use remedy_dataset::{store, synth, Dataset, RowEdit};
-use remedy_obs::Scope as ObsScope;
+use remedy_obs::{Recorder, Scope as ObsScope};
 use remedy_pipeline::json::Value;
 use remedy_pipeline::{ErrorKind, RetryPolicy};
 use remedy_serve::durable::{self, Durable, DurableConfig, DurablePolicy};
@@ -635,4 +635,190 @@ fn sidecar_key_with_flipped_low_bits_is_ignored() {
     assert_sidecar_is_ignored("sidecar_flipped", |keys| {
         keys[3..6].iter_mut().for_each(|b| *b ^= 1);
     });
+}
+
+/// A session at epoch 6 whose only snapshot is the initial one (epoch 0)
+/// and whose WAL holds all six batches, each a duplicate, a flip and a
+/// remove. Returns the mirror of its rows.
+fn mixed_tail_session(config: &DurableConfig, name: &str) -> Dataset {
+    let obs = ObsScope::disabled();
+    let mut mirror = synth::compas_n(300, 5);
+    let mut session = Session::try_open(mirror.clone()).unwrap();
+    session.durable = Some(Durable::create(config, name, &session, &obs).unwrap());
+    for batch in 0..6 {
+        let edits = [
+            RowEdit::Duplicate { src: 7 * batch },
+            RowEdit::FlipLabel { row: 11 * batch },
+            RowEdit::Remove {
+                rows: vec![3 * batch, 3 * batch + 40],
+            },
+        ];
+        for edit in &edits {
+            mirror.apply_edit(edit);
+        }
+        session.ingest_with(&edits, &obs).unwrap();
+    }
+    assert_eq!(session.epoch, 6);
+    mirror
+}
+
+/// A cold rebuild's identify text over `data`.
+fn cold_text(data: &Dataset) -> String {
+    live_text(&Session::try_open(data.clone()).unwrap())
+}
+
+/// Writes `snapshot-<epoch>.bin` over `data` with its digest computed
+/// before `damage` runs on the body, so the file fails its digest check.
+/// `damage` gets the body and the offset of its labels.
+fn write_damaged_snapshot(dir: &Path, epoch: u64, data: &Dataset, damage: fn(&mut [u8], usize)) {
+    let mut body = store::to_binary(data);
+    // unit weights are elided; the sidecar (three protected columns) is
+    // a 4 + 3·8-byte header and one 3-byte key per row
+    let labels = body.len() - (4 + 3 * 8) - 4 * data.len();
+    assert_eq!(&body[labels..labels + data.len()], data.labels());
+    let digest = content_digest(&body);
+    damage(&mut body, labels);
+    let mut snapshot = format!("{}\n", durable::SNAPSHOT.line()).into_bytes();
+    for meta in [epoch, 3 * epoch, epoch] {
+        snapshot.extend_from_slice(&meta.to_le_bytes());
+    }
+    snapshot.extend_from_slice(&digest.to_le_bytes());
+    snapshot.extend_from_slice(&body);
+    std::fs::write(dir.join(format!("snapshot-{epoch:020}.bin")), snapshot).unwrap();
+}
+
+#[test]
+fn wal_tail_of_duplicates_flips_and_removes_recovers_byte_identically() {
+    let config = DurableConfig {
+        root: temp_dir("mixed_tail"),
+        policy: DurablePolicy {
+            snapshot_every: 1000,
+            wal_backlog: 2000,
+        },
+    };
+    let mirror = mixed_tail_session(&config, "s");
+    let trace = config.root.join("trace.jsonl");
+    let recorder = Recorder::to_path(&trace).unwrap();
+    let mut recovered = durable::recover_all(&config, &recorder.scope("serve"));
+    recorder.finish();
+    assert_eq!(recovered.len(), 1);
+    let (_, session) = recovered.pop().unwrap();
+    assert_eq!(session.data, mirror);
+    assert_eq!(live_text(&session), cold_text(&mirror));
+    assert_eq!(
+        recorder.snapshot().counter("serve", "recover.records"),
+        Some(6)
+    );
+
+    // one `recover` span in the serve scope, every recovery step under it
+    let spans: Vec<Value> = std::fs::read_to_string(&trace)
+        .unwrap()
+        .lines()
+        .map(|line| remedy_pipeline::json::parse(line).unwrap())
+        .filter(|event| event.str_field("t").ok() == Some("span"))
+        .collect();
+    let named = |name: &str| -> Vec<&Value> {
+        spans
+            .iter()
+            .filter(|span| span.str_field("name").ok() == Some(name))
+            .collect()
+    };
+    let recover = named("recover");
+    assert_eq!(recover.len(), 1);
+    assert_eq!(recover[0].str_field("scope").unwrap(), "serve");
+    let recover_id = recover[0].field("id").and_then(Value::as_u64);
+    for step in ["read", "verify", "decode", "replay", "index"] {
+        let found = named(step);
+        assert!(!found.is_empty(), "no `{step}` span");
+        for span in found {
+            assert_eq!(span.str_field("scope").unwrap(), "serve", "{step}");
+            assert_eq!(
+                span.field("parent").and_then(Value::as_u64),
+                recover_id,
+                "{step} nests under recover"
+            );
+        }
+    }
+}
+
+#[test]
+fn damaged_newest_snapshot_that_decodes_falls_back_to_the_older_generation() {
+    let config = DurableConfig {
+        root: temp_dir("fallback_decodes"),
+        policy: DurablePolicy::default(),
+    };
+    let mirror = mixed_tail_session(&config, "s");
+    // a label flipped after sealing: the body still decodes, to rows
+    // that differ from the session's
+    write_damaged_snapshot(&config.root.join("s"), 6, &mirror, |body, labels| {
+        body[labels] ^= 1
+    });
+
+    let (recovered, stats) = durable::recover_session(&config, "s").unwrap();
+    assert_eq!(stats.snapshots_skipped, 1);
+    assert_eq!(stats.replayed, 6, "the older generation's WAL replays");
+    assert_eq!(recovered.epoch, 6);
+    assert_eq!(recovered.data, mirror);
+    assert_eq!(live_text(&recovered), cold_text(&mirror));
+}
+
+#[test]
+fn digest_mismatch_outranks_the_decode_error_of_the_same_body() {
+    let config = DurableConfig {
+        root: temp_dir("fallback_precedence"),
+        policy: DurablePolicy::default(),
+    };
+    let mirror = mixed_tail_session(&config, "s");
+    let dir = config.root.join("s");
+    // the last column's last code, set past its domain
+    write_damaged_snapshot(&dir, 6, &mirror, |body, labels| body[labels - 1] = 0xff);
+    let (recovered, stats) = durable::recover_session(&config, "s").unwrap();
+    assert_eq!(stats.snapshots_skipped, 1);
+    assert_eq!(live_text(&recovered), cold_text(&mirror));
+    drop(recovered);
+
+    // without the older generation the newest snapshot's error surfaces
+    std::fs::remove_file(dir.join(format!("snapshot-{:020}.bin", 0))).unwrap();
+    let Err(err) = durable::recover_session(&config, "s") else {
+        panic!("a snapshot failing its digest must not be served");
+    };
+    assert_eq!(err.kind(), ErrorKind::CorruptArtifact);
+    assert!(err.message().contains("body digest mismatch"), "{err}");
+    assert!(!err.message().contains("out of range"), "{err}");
+}
+
+#[test]
+fn digest_mismatch_outranks_a_wal_tail_that_does_not_apply() {
+    let config = DurableConfig {
+        root: temp_dir("fallback_tail"),
+        policy: DurablePolicy::default(),
+    };
+    let mirror = mixed_tail_session(&config, "s");
+    // five rows at epoch 2: records 3 to 6 name rows it does not have
+    let short = synth::compas_n(5, 1);
+    write_damaged_snapshot(&config.root.join("s"), 2, &short, |body, labels| {
+        body[labels] ^= 1
+    });
+    let (recovered, stats) = durable::recover_session(&config, "s").unwrap();
+    assert_eq!((stats.snapshots_skipped, stats.replayed), (1, 6));
+    assert_eq!(live_text(&recovered), cold_text(&mirror));
+}
+
+#[test]
+fn damaged_only_snapshot_is_a_typed_corrupt_error() {
+    let config = DurableConfig {
+        root: temp_dir("fallback_none"),
+        policy: DurablePolicy::default(),
+    };
+    let mirror = mixed_tail_session(&config, "s");
+    let dir = config.root.join("s");
+    write_damaged_snapshot(&dir, 6, &mirror, |body, labels| body[labels] ^= 1);
+    std::fs::remove_file(dir.join(format!("snapshot-{:020}.bin", 0))).unwrap();
+    let Err(err) = durable::recover_session(&config, "s") else {
+        panic!("a snapshot failing its digest must not be served");
+    };
+    assert_eq!(err.kind(), ErrorKind::CorruptArtifact);
+    assert!(err.message().contains("body digest mismatch"), "{err}");
+    // nothing was served, so nothing was cleaned or truncated either
+    assert!(dir.join(format!("wal-{:020}.log", 0)).exists());
 }
